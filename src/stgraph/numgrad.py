@@ -302,26 +302,60 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     return _emit(out, tuple(parts), backward)
 
 
-def stack_rows(vectors: list[Tensor]) -> Tensor:
-    """Stack vectors into the rows of a new matrix."""
-    if not vectors:
-        raise ShapeError("stack_rows: empty input")
-    for v in vectors:
-        _need_shape(v, 1, "stack_rows vector")
-    width = vectors[0].data.shape[0]
-    if any(v.data.shape[0] != width for v in vectors):
-        raise ShapeError("stack_rows: vector lengths differ")
-    out = Tensor(np.stack([v.data for v in vectors], axis=0))
-    return _emit(out, tuple(vectors), lambda g: tuple(g[k] for k in range(len(vectors))))
+def slice_column(v: Tensor, start: int, stop: int) -> Tensor:
+    """Slice v[start:stop] of a vector out as a (stop - start, 1) column."""
+    _need_shape(v, 1, "slice_column vector")
+    if not 0 <= start < stop <= v.data.shape[0]:
+        raise ShapeError(f"slice_column: [{start}:{stop}] out of range for length {v.data.shape[0]}")
+    out = Tensor(v.data[start:stop, None])
+
+    def backward(g):
+        dv = np.zeros_like(v.data)
+        dv[start:stop] = g[:, 0]
+        return (dv,)
+
+    return _emit(out, (v,), backward)
 
 
-def repeat_row(v: Tensor, n: int) -> Tensor:
-    """Tile a vector into n identical rows."""
-    _need_shape(v, 1, "repeat_row vector")
-    if n < 1:
-        raise ShapeError(f"repeat_row: need at least one row, got {n}")
-    out = Tensor(np.tile(v.data, (n, 1)))
-    return _emit(out, (v,), lambda g: (g.sum(axis=0),))
+def add_broadcast(a: Tensor, b: Tensor) -> Tensor:
+    """Add two matrices whose size-1 axes broadcast, e.g. (n, 1) + (1, s)."""
+    _need_shape(a, 2, "add_broadcast operand")
+    _need_shape(b, 2, "add_broadcast operand")
+    try:
+        np.broadcast_shapes(a.data.shape, b.data.shape)
+    except ValueError:
+        raise ShapeError(f"add_broadcast: shapes {a.data.shape} and {b.data.shape} do not broadcast") from None
+    out = Tensor(a.data + b.data)
+
+    def reduce_to(g, shape):
+        return g.sum(axis=tuple(axis for axis in (0, 1) if shape[axis] == 1), keepdims=True)
+
+    return _emit(out, (a, b), lambda g: (reduce_to(g, a.data.shape), reduce_to(g, b.data.shape)))
+
+
+def mix_rows(weights: Tensor, parts: list[Tensor]) -> Tensor:
+    """Per-row weighted mix: out[r] = sum_k weights[r, k] * parts[k][r]."""
+    _need_shape(weights, 2, "mix_rows weights")
+    if not parts:
+        raise ShapeError("mix_rows: empty input")
+    for p in parts:
+        _need_shape(p, 2, "mix_rows part")
+    n, k = weights.data.shape
+    width = parts[0].data.shape[1]
+    if k != len(parts) or any(p.data.shape != (n, width) for p in parts):
+        raise ShapeError(f"mix_rows: weights {weights.data.shape} do not match "
+                         f"{len(parts)} parts of shape {parts[0].data.shape}")
+    w = weights.data
+    acc = w[:, 0:1] * parts[0].data
+    for j in range(1, k):
+        acc = acc + w[:, j:j + 1] * parts[j].data
+    out = Tensor(acc)
+
+    def backward(g):
+        dw = np.stack([(g * p.data).sum(axis=1) for p in parts], axis=1)
+        return (dw,) + tuple(w[:, j:j + 1] * g for j in range(k))
+
+    return _emit(out, (weights, *parts), backward)
 
 
 def gather_rows(m: Tensor, index) -> Tensor:
@@ -337,21 +371,6 @@ def gather_rows(m: Tensor, index) -> Tensor:
     def backward(g):
         dm = np.zeros_like(m.data)
         np.add.at(dm, idx, g)
-        return (dm,)
-
-    return _emit(out, (m,), backward)
-
-
-def take_row(m: Tensor, i: int) -> Tensor:
-    """Extract row i as a vector."""
-    _need_shape(m, 2, "take_row matrix")
-    if not 0 <= i < m.data.shape[0]:
-        raise ShapeError(f"take_row: row {i} out of range for {m.data.shape[0]} rows")
-    out = Tensor(m.data[i])
-
-    def backward(g):
-        dm = np.zeros_like(m.data)
-        dm[i] = g
         return (dm,)
 
     return _emit(out, (m,), backward)

@@ -8,6 +8,16 @@ update.  Only foreground nodes update; context nodes are read-only
 senders.  Phases are synchronous: every message in a phase is computed
 from the states as they were when the phase started.
 
+Every step is batched over the receivers of one keyframe: the n
+foreground states of a keyframe attend to its s neighbor states through
+(n, s) attention matrices, and the gate scores all K message slots of
+every receiver as one (n, K) matrix.  The additive scores
+relu(a . [h_v || h_j]) are evaluated as relu(h_v . a1 + h_j . a2), a
+column plus a row, so no per-receiver pair matrix is ever built.  The
+tape therefore grows with iterations x phases x keyframes x slots, not
+with the number of nodes.  Per-node Python runs only to copy attention
+and gate rows into trace records.
+
 Parameters are stored in a flat name -> Tensor mapping and are untied:
 every (iteration, phase, function, head) tuple owns its own weights.
 """
@@ -186,45 +196,50 @@ def nonlocal_messages(query_states: Tensor, key_value_states: Tensor,
     return ng.matmul(attention, v), attention
 
 
-def gat_messages(state: Tensor, neighbor_states, weights: GatWeights) -> tuple[Tensor, Tensor]:
-    """Additive attention message for a single receiving node.
+def gat_messages(receivers: Tensor, neighbor_states: Tensor,
+                 weights: GatWeights) -> tuple[Tensor, Tensor]:
+    """Additive attention messages for every receiving node at once.
 
-    Scores are relu(score . [h_v || h_j]) per neighbor, normalized with a
-    softmax; the message is relu of the transformed attention-weighted sum.
-    Returns (message (d,), attention (s,)).
+    The score of receiver v for neighbor j is relu(score . [h_v || h_j]),
+    computed as relu(h_v . a1 + h_j . a2) with score = [a1 || a2] so that
+    it broadcasts to an (n, s) matrix; rows are normalized with a softmax
+    and each message is relu of the transformed attention-weighted sum.
+    Returns (messages (n, d), attention (n, s)).
     """
-    if isinstance(neighbor_states, (list, tuple)):
-        if not neighbor_states:
-            raise ValidationError("gat_messages: empty neighborhood")
-        neighbor_states = ng.stack_rows(list(neighbor_states))
-    if neighbor_states.ndim != 2 or neighbor_states.shape[0] == 0:
+    if receivers.ndim != 2 or neighbor_states.ndim != 2:
+        raise ValidationError("gat_messages expects 2-d state matrices")
+    if neighbor_states.shape[0] == 0:
         raise ValidationError("gat_messages: empty neighborhood")
-    s = neighbor_states.shape[0]
-    pair = ng.concat_cols([ng.repeat_row(state, s), neighbor_states])
-    scores = ng.relu(ng.matmul(pair, weights.score))
-    attention = ng.softmax(scores)
+    d = receivers.shape[1]
+    own = ng.matmul(receivers, ng.slice_column(weights.score, 0, d))
+    other = ng.matmul(neighbor_states, ng.slice_column(weights.score, d, 2 * d))
+    attention = ng.softmax(ng.relu(ng.add_broadcast(own, ng.transpose(other))))
     pooled = ng.matmul(attention, neighbor_states)
     return ng.relu(ng.matmul(pooled, weights.transform)), attention
 
 
-def combine_parallel(messages: list[Tensor], state: Tensor,
+def combine_parallel(messages: list[Tensor], receivers: Tensor,
                      gate: Tensor | None) -> tuple[Tensor, Tensor]:
-    """Convex combination of parallel messages, weighted by a learned gate.
+    """Per-receiver convex combination of parallel messages, by a learned gate.
 
-    Weight k is softmax over relu(gate . [h_v || m_k]).  A single message
-    is returned unchanged.
+    For receiver v, weight k is softmax over k of relu(gate . [h_v || m_k]),
+    computed as relu(h_v . g1 + m_k . g2) with gate = [g1 || g2].  Each
+    message is an (n, d) matrix with one row per receiver.  Returns
+    (combined (n, d), weights (n, K)); a single message is returned
+    unchanged with weights of one.
     """
     if not messages:
         raise ValidationError("combine_parallel: no messages")
     if len(messages) == 1 and gate is None:
-        return messages[0], Tensor(np.ones(1))
+        return messages[0], Tensor(np.ones((receivers.shape[0], 1)))
     if gate is None:
         raise ValidationError("combine_parallel: gate vector required for parallel messages")
-    stacked = ng.stack_rows(messages)
-    pair = ng.concat_cols([ng.repeat_row(state, len(messages)), stacked])
-    scores = ng.relu(ng.matmul(pair, gate))
-    weights = ng.softmax(scores)
-    return ng.matmul(weights, stacked), weights
+    d = receivers.shape[1]
+    to_message = ng.slice_column(gate, d, 2 * d)
+    slot_scores = ng.concat_cols([ng.matmul(m, to_message) for m in messages])
+    own = ng.matmul(receivers, ng.slice_column(gate, 0, d))
+    weights = ng.softmax(ng.relu(ng.add_broadcast(own, slot_scores)))
+    return ng.mix_rows(weights, messages), weights
 
 
 def update_node(state: Tensor, message: Tensor, scale: Tensor, shift: Tensor,
@@ -294,11 +309,13 @@ def run_inference(graph: SpatioTemporalGraph, params, config: ModelConfig,
 
     for i in range(config.iterations):
         for phase in config.phases():
+            slots = [(fn, h, message_weights(params, i, phase, fn, h))
+                     for fn in config.message_fns for h in range(config.heads)]
+            gate = params.get(_mp(i, phase, "gate")) if config.num_messages > 1 else None
             snapshot = dict(states)
             for pos in positions:
                 kf = graph.by_pos[pos]
                 own = snapshot[pos]
-                n = own.shape[0]
                 if phase == PHASE_SPATIAL:
                     kv = own if not kf.ctx_ids else ng.concat_rows([own, ctx[pos]])
                     kv_ids = kf.fg_ids + kf.ctx_ids
@@ -310,37 +327,21 @@ def run_inference(graph: SpatioTemporalGraph, params, config: ModelConfig,
                           else ng.concat_rows([snapshot[p] for p in nbr_pos]))
                     kv_ids = [j for p in nbr_pos for j in graph.by_pos[p].fg_ids]
 
-                per_node: list[list[Tensor]] = [[] for _ in range(n)]
-                for fn in config.message_fns:
-                    for h in range(config.heads):
-                        w = message_weights(params, i, phase, fn, h)
-                        if fn == FN_NONLOCAL:
-                            msgs, att = nonlocal_messages(own, kv, w)
-                            for r in range(n):
-                                per_node[r].append(ng.take_row(msgs, r))
-                                if record_traces:
-                                    attention.append(AttentionRecord(
-                                        i, phase, fn, h, kf.fg_ids[r],
-                                        list(kv_ids), att.data[r].copy()))
-                        else:
-                            for r in range(n):
-                                msg, att = gat_messages(ng.take_row(own, r), kv, w)
-                                per_node[r].append(msg)
-                                if record_traces:
-                                    attention.append(AttentionRecord(
-                                        i, phase, fn, h, kf.fg_ids[r],
-                                        list(kv_ids), att.data.copy()))
+                messages = []
+                for fn, h, w in slots:
+                    slot_fn = nonlocal_messages if fn == FN_NONLOCAL else gat_messages
+                    msgs, att = slot_fn(own, kv, w)
+                    messages.append(msgs)
+                    if record_traces:
+                        attention.extend(
+                            AttentionRecord(i, phase, fn, h, node_id, list(kv_ids), row.copy())
+                            for node_id, row in zip(kf.fg_ids, att.data))
 
-                gate = params.get(_mp(i, phase, "gate")) if config.num_messages > 1 else None
-                combined_rows = []
-                for r in range(n):
-                    combined, mix = combine_parallel(per_node[r], ng.take_row(own, r), gate)
-                    combined_rows.append(combined)
-                    if record_traces and config.num_messages > 1:
-                        gates.append(GateRecord(i, phase, kf.fg_ids[r],
-                                                list(slot_names), mix.data.copy()))
-                combined_all = ng.stack_rows(combined_rows)
-                states[pos] = update_node(own, combined_all,
+                combined, mix = combine_parallel(messages, own, gate)
+                if record_traces and config.num_messages > 1:
+                    gates.extend(GateRecord(i, phase, node_id, list(slot_names), row.copy())
+                                 for node_id, row in zip(kf.fg_ids, mix.data))
+                states[pos] = update_node(own, combined,
                                           params[_mp(i, phase, "norm.scale")],
                                           params[_mp(i, phase, "norm.shift")],
                                           config.ln_eps)

@@ -403,13 +403,20 @@ def load_checkpoint(path: str) -> tuple[dict[str, Tensor], ModelConfig, dict]:
             payload = json.load(f)
     except (OSError, json.JSONDecodeError) as err:
         raise ValidationError(f"cannot read checkpoint {path}: {err}") from None
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValidationError(f"{path}: not a model checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValidationError(f"{path}: unsupported checkpoint version {payload.get('version')!r}")
-    config = ModelConfig.from_dict(payload["config"])
-    expected = param_shapes(config)
-    stored = payload["params"]
+    if not isinstance(payload.get("config"), dict):
+        raise ValidationError(f"{path}: 'config' must be an object")
+    try:
+        config = ModelConfig.from_dict(payload["config"])
+        expected = param_shapes(config)
+    except (ConfigError, KeyError, TypeError, ValueError) as err:
+        raise ValidationError(f"{path}: invalid config: {err}") from None
+    stored = payload.get("params")
+    if not isinstance(stored, dict):
+        raise ValidationError(f"{path}: 'params' must be an object")
     if set(stored) != set(expected):
         missing = sorted(set(expected) - set(stored))
         extra = sorted(set(stored) - set(expected))
@@ -419,10 +426,17 @@ def load_checkpoint(path: str) -> tuple[dict[str, Tensor], ModelConfig, dict]:
     params: dict[str, Tensor] = {}
     for name, shape in expected.items():
         entry = stored[name]
-        if tuple(entry["shape"]) != shape:
+        if not isinstance(entry, dict) or "shape" not in entry or "values" not in entry:
+            raise ValidationError(f"{path}: {name!r} must be an object with 'shape' and 'values'")
+        try:
+            stored_shape = tuple(entry["shape"])
+            data = np.array(entry["values"], dtype=np.float64)
+        except (TypeError, ValueError) as err:
+            raise ValidationError(f"{path}: {name!r} holds no valid tensor: {err}") from None
+        if stored_shape != shape or data.size != math.prod(shape):
             raise ValidationError(
-                f"{path}: {name!r} has shape {tuple(entry['shape'])}, expected {shape}")
-        data = np.array(entry["values"]).reshape(shape)
-        params[name] = Tensor(data, requires_grad=True, name=name)
+                f"{path}: {name!r} has shape {stored_shape} and {data.size} values, "
+                f"expected {shape}")
+        params[name] = Tensor(data.reshape(shape), requires_grad=True, name=name)
     meta = {"seed": payload.get("seed"), "log": payload.get("log")}
     return params, config, meta

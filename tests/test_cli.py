@@ -9,8 +9,8 @@ import pytest
 from stgraph import data
 from stgraph.cli import main
 from stgraph.graph import build_graph
-from stgraph.passing import run_inference
-from stgraph.train import load_checkpoint
+from stgraph.passing import ModelConfig, run_inference
+from stgraph.train import init_params, load_checkpoint, save_checkpoint
 
 
 def run_cli(*argv) -> int:
@@ -101,6 +101,45 @@ def test_checkpoint_dataset_mismatch_exits_one(action_ds, tmp_path, capsys):
                    "--out", str(tmp_path / "ev"))
     assert code == 1
     assert "action_classes" in capsys.readouterr().err
+
+
+def _break_top_level(payload):
+    return [1, 2]
+
+
+def _drop_config(payload):
+    return {"format": payload["format"], "version": payload["version"]}
+
+
+def _bad_config(payload):
+    payload["config"]["tau_c"] = 2
+    return payload
+
+
+def _bad_params_entry(payload):
+    payload["params"]["readout.action.bias"] = [0.0, 0.0]
+    return payload
+
+
+def _drop_params(payload):
+    del payload["params"]
+    return payload
+
+
+@pytest.mark.parametrize("corrupt", [_break_top_level, _drop_config, _bad_config,
+                                     _bad_params_entry, _drop_params])
+def test_malformed_checkpoint_exits_one(action_ds, tmp_path, capsys, corrupt):
+    config = ModelConfig(state_dim=4, heads=1, feature_channels=6, action_classes=2)
+    path = str(tmp_path / "checkpoint.json")
+    save_checkpoint(path, init_params(config, seed=0), config, seed=0)
+    with open(path) as f:
+        payload = corrupt(json.load(f))
+    with open(path, "w") as f:
+        json.dump(payload, f)
+    code = run_cli("eval", "--data", action_ds, "--checkpoint", path,
+                   "--out", str(tmp_path / "ev"))
+    assert code == 1
+    assert f"error: {path}" in capsys.readouterr().err
 
 
 def test_gradcheck_exit_codes(capsys):

@@ -219,10 +219,23 @@ def test_finite_differences_per_primitive():
         ),
         "concat_rows": ({"a": t(2, 3), "b": t(4, 3)}, lambda p: ng.sum_all(ng.relu(ng.concat_rows([p["a"], p["b"]])))),
         "concat_cols": ({"a": t(3, 2), "b": t(3, 4)}, lambda p: ng.sum_all(ng.relu(ng.concat_cols([p["a"], p["b"]])))),
-        "stack_rows": ({"a": t(4), "b": t(4)}, lambda p: ng.sum_all(ng.relu(ng.stack_rows([p["a"], p["b"]])))),
-        "repeat_row": ({"v": t(4)}, lambda p: ng.sum_all(ng.relu(ng.repeat_row(p["v"], 3)))),
+        "slice_column": (
+            {"v": t(6), "m": t(3, 2)},
+            lambda p: ng.sum_all(ng.relu(ng.matmul(p["m"], ng.slice_column(p["v"], 2, 4)))),
+        ),
+        "add_broadcast_outer": (
+            {"c": t(3, 1), "r": t(1, 4)},
+            lambda p: ng.sum_all(ng.softmax(ng.add_broadcast(p["c"], p["r"]))),
+        ),
+        "add_broadcast_column": (
+            {"c": t(3, 1), "m": t(3, 4)},
+            lambda p: ng.sum_all(ng.relu(ng.add_broadcast(p["c"], p["m"]))),
+        ),
+        "mix_rows": (
+            {"w": t(3, 2), "a": t(3, 4), "b": t(3, 4)},
+            lambda p: ng.sum_all(ng.relu(ng.mix_rows(p["w"], [p["a"], p["b"]]))),
+        ),
         "gather_rows": ({"m": t(4, 3)}, lambda p: ng.sum_all(ng.relu(ng.gather_rows(p["m"], [0, 2, 2, 1])))),
-        "take_row": ({"m": t(4, 3)}, lambda p: ng.sum_all(ng.relu(ng.take_row(p["m"], 2)))),
         "mean_all": ({"x": t(3, 3)}, lambda p: ng.mean_all(ng.relu(p["x"]))),
         "bce": (
             {"x": t(3, 4)},
@@ -235,6 +248,20 @@ def test_finite_differences_per_primitive():
     }
     for label, (params, build) in cases.items():
         _fd_check(build, params)
+
+
+def test_slice_broadcast_mix_reject_bad_shapes():
+    v, m = ng.Tensor(np.ones(4)), ng.Tensor(np.ones((3, 2)))
+    with pytest.raises(ShapeError):
+        ng.slice_column(v, 2, 5)
+    with pytest.raises(ShapeError):
+        ng.slice_column(m, 0, 1)
+    with pytest.raises(ShapeError):
+        ng.add_broadcast(m, ng.Tensor(np.ones((2, 2))))
+    with pytest.raises(ShapeError):
+        ng.mix_rows(ng.Tensor(np.ones((3, 2))), [m])
+    with pytest.raises(ShapeError):
+        ng.mix_rows(ng.Tensor(np.ones((3, 2))), [m, ng.Tensor(np.ones((2, 2)))])
 
 
 def test_composite_chain_finite_differences():

@@ -30,8 +30,11 @@ def random_params(config, seed=0):
 
 
 def make_frames(config, seed=0, keyframes=3, n_boxes=2, n_props=1, hw=(2, 2)):
+    """n_boxes and n_props are counts for every keyframe, or one count per keyframe."""
     rng = np.random.default_rng(seed)
     h, w = hw
+    box_counts = [n_boxes] * keyframes if isinstance(n_boxes, int) else list(n_boxes)
+    prop_counts = [n_props] * keyframes if isinstance(n_props, int) else list(n_props)
     frames = []
     for k in range(keyframes):
         grid = gr.FeatureGrid(
@@ -39,10 +42,10 @@ def make_frames(config, seed=0, keyframes=3, n_boxes=2, n_props=1, hw=(2, 2)):
             keyframe_id=k,
         )
         boxes = []
-        for _ in range(n_boxes):
+        for _ in range(box_counts[k]):
             x1, y1 = rng.uniform(0.0, 0.45, size=2)
             boxes.append(gr.Box(x1, y1, x1 + rng.uniform(0.2, 0.5), y1 + rng.uniform(0.2, 0.5)))
-        props = [gr.Box(0.2, 0.2, 0.8, 0.8)] * n_props
+        props = [gr.Box(0.2, 0.2, 0.8, 0.8)] * prop_counts[k]
         frames.append(gr.featurize_keyframe(grid, boxes, props))
     return frames
 
@@ -108,78 +111,111 @@ def gat_weights(d, seed=0, zero_score=False):
     return pa.GatWeights(Tensor(rng.uniform(-1, 1, size=(d, d))), Tensor(score))
 
 
+def gat_formula(h_v, nbrs, w):
+    """One receiver's GAT attention and message, straight from the definition."""
+    scores = np.array([max(0.0, np.concatenate([h_v, nb]) @ w.score.data) for nb in nbrs])
+    e = np.exp(scores - scores.max())
+    a = e / e.sum()
+    return a, np.maximum(sum(a[j] * nbrs[j] for j in range(len(nbrs))) @ w.transform.data, 0.0)
+
+
+def gate_formula(h_v, msgs, gate):
+    """One receiver's gate weights and combined message, straight from the definition."""
+    scores = np.array([max(0.0, np.concatenate([h_v, m]) @ gate) for m in msgs])
+    e = np.exp(scores - scores.max())
+    a = e / e.sum()
+    return a, sum(a[k] * msgs[k] for k in range(len(msgs)))
+
+
 def test_gat_single_neighbor_full_attention():
     rng = np.random.default_rng(7)
-    h = Tensor(rng.uniform(-1, 1, size=4))
+    h = Tensor(rng.uniform(-1, 1, size=(3, 4)))
     nbr = Tensor(rng.uniform(-1, 1, size=(1, 4)))
-    msg, att = pa.gat_messages(h, nbr, gat_weights(4, seed=8))
-    assert att.data.tolist() == [1.0]
-    want = np.maximum(nbr.data[0] @ gat_weights(4, seed=8).transform.data, 0.0)
-    assert np.max(np.abs(msg.data - want)) <= 1e-12
+    w = gat_weights(4, seed=8)
+    msgs, att = pa.gat_messages(h, nbr, w)
+    assert att.data.tolist() == [[1.0]] * 3
+    want = np.maximum(nbr.data[0] @ w.transform.data, 0.0)
+    for r in range(3):
+        assert np.max(np.abs(msgs.data[r] - want)) <= 1e-12
 
 
 def test_gat_zero_score_gives_uniform_attention():
     rng = np.random.default_rng(9)
-    h = Tensor(rng.uniform(-1, 1, size=4))
+    h = Tensor(rng.uniform(-1, 1, size=(3, 4)))
     nbrs = Tensor(rng.uniform(-1, 1, size=(4, 4)))
     _, att = pa.gat_messages(h, nbrs, gat_weights(4, seed=10, zero_score=True))
+    assert att.data.shape == (3, 4)
     assert np.max(np.abs(att.data - 0.25)) <= 1e-15
 
 
 def test_gat_empty_neighborhood_rejected():
     with pytest.raises(ValidationError):
-        pa.gat_messages(Tensor(np.ones(4)), [], gat_weights(4))
+        pa.gat_messages(Tensor(np.ones((3, 4))), Tensor(np.zeros((0, 4))), gat_weights(4))
     with pytest.raises(ValidationError):
-        pa.gat_messages(Tensor(np.ones(4)), Tensor(np.zeros((0, 4))), gat_weights(4))
+        pa.gat_messages(Tensor(np.ones(4)), Tensor(np.ones((2, 4))), gat_weights(4))
 
 
 def test_gat_matches_formula():
     rng = np.random.default_rng(11)
     d = 5
     w = gat_weights(d, seed=12)
-    h = rng.uniform(-1, 1, size=d)
+    h = rng.uniform(-1, 1, size=(4, d))
     nbrs = rng.uniform(-1, 1, size=(6, d))
-    msg, att = pa.gat_messages(Tensor(h), Tensor(nbrs), w)
-    scores = np.array([max(0.0, np.concatenate([h, nbrs[j]]) @ w.score.data) for j in range(6)])
-    e = np.exp(scores - scores.max())
-    a = e / e.sum()
-    assert np.max(np.abs(att.data - a)) <= 1e-10
-    want = np.maximum(sum(a[j] * nbrs[j] for j in range(6)) @ w.transform.data, 0.0)
-    assert np.max(np.abs(msg.data - want)) <= 1e-10
+    msgs, att = pa.gat_messages(Tensor(h), Tensor(nbrs), w)
+    assert msgs.data.shape == (4, d) and att.data.shape == (4, 6)
+    for r in range(4):
+        a, want = gat_formula(h[r], nbrs, w)
+        assert np.max(np.abs(att.data[r] - a)) <= 1e-10
+        assert np.max(np.abs(msgs.data[r] - want)) <= 1e-10
 
 
 def test_combine_single_message_is_exact():
     rng = np.random.default_rng(13)
-    m = Tensor(rng.uniform(-1, 1, size=6))
-    out, wts = pa.combine_parallel([m], Tensor(rng.uniform(-1, 1, size=6)), None)
+    m = Tensor(rng.uniform(-1, 1, size=(3, 6)))
+    out, wts = pa.combine_parallel([m], Tensor(rng.uniform(-1, 1, size=(3, 6))), None)
     assert out is m
-    assert wts.data.tolist() == [1.0]
+    assert wts.data.tolist() == [[1.0]] * 3
 
 
 def test_combine_identical_messages_returns_them():
     rng = np.random.default_rng(14)
-    m = Tensor(rng.uniform(-1, 1, size=6))
-    h = Tensor(rng.uniform(-1, 1, size=6))
+    m = Tensor(rng.uniform(-1, 1, size=(3, 6)))
+    h = Tensor(rng.uniform(-1, 1, size=(3, 6)))
     gate = Tensor(rng.uniform(-1, 1, size=12))
     out, wts = pa.combine_parallel([m, m, m], h, gate)
-    assert abs(wts.data.sum() - 1.0) <= 1e-12
+    assert wts.data.shape == (3, 3)
+    assert np.max(np.abs(wts.data.sum(axis=1) - 1.0)) <= 1e-12
     assert np.max(np.abs(out.data - m.data)) <= 1e-12
 
 
 def test_combine_zero_gate_is_elementwise_mean():
     rng = np.random.default_rng(15)
-    msgs = [Tensor(rng.uniform(-1, 1, size=4)) for _ in range(3)]
-    h = Tensor(rng.uniform(-1, 1, size=4))
+    msgs = [Tensor(rng.uniform(-1, 1, size=(3, 4))) for _ in range(3)]
+    h = Tensor(rng.uniform(-1, 1, size=(3, 4)))
     out, wts = pa.combine_parallel(msgs, h, Tensor(np.zeros(8)))
     assert np.max(np.abs(wts.data - 1.0 / 3.0)) <= 1e-15
     mean = np.mean([m.data for m in msgs], axis=0)
     assert np.max(np.abs(out.data - mean)) <= 1e-12
 
 
+def test_combine_matches_formula():
+    rng = np.random.default_rng(30)
+    d, n = 5, 4
+    msgs = [rng.uniform(-1, 1, size=(n, d)) for _ in range(3)]
+    h = rng.uniform(-1, 1, size=(n, d))
+    gate = rng.uniform(-1, 1, size=2 * d)
+    out, wts = pa.combine_parallel([Tensor(m) for m in msgs], Tensor(h), Tensor(gate))
+    assert out.data.shape == (n, d) and wts.data.shape == (n, 3)
+    for r in range(n):
+        a, want = gate_formula(h[r], [m[r] for m in msgs], gate)
+        assert np.max(np.abs(wts.data[r] - a)) <= 1e-10
+        assert np.max(np.abs(out.data[r] - want)) <= 1e-10
+
+
 def test_combine_requires_gate_for_parallel():
-    msgs = [Tensor(np.ones(3)), Tensor(np.zeros(3))]
+    msgs = [Tensor(np.ones((3, 3))), Tensor(np.zeros((3, 3)))]
     with pytest.raises(ValidationError):
-        pa.combine_parallel(msgs, Tensor(np.ones(3)), None)
+        pa.combine_parallel(msgs, Tensor(np.ones((3, 3))), None)
 
 
 def test_update_zero_message_is_layer_norm_not_identity():
@@ -264,6 +300,34 @@ def test_run_inference_trace_counts_and_eval_only():
     assert len(res.gates) == n_fg * 2  # one per node per phase run
 
 
+def test_run_inference_trace_order():
+    # attention: iteration, phase, keyframe, function, head, node; gates: per
+    # keyframe after its attention rows, node by node
+    cfg = make_config(tau_c=3, iterations=2, heads=2)
+    g, params, _ = build(cfg, seed=31, keyframes=3, n_boxes=(1, 3, 2), n_props=(1, 0, 1))
+    res = pa.run_inference(g, params, cfg, record_traces=True)
+    want_att, want_gates = [], []
+    for i in range(2):
+        for phase in (pa.PHASE_SPATIAL, pa.PHASE_TEMPORAL):
+            for pos in sorted(g.by_pos):
+                kf = g.by_pos[pos]
+                if phase == pa.PHASE_SPATIAL:
+                    nbrs = kf.fg_ids + kf.ctx_ids
+                else:
+                    nbrs = [j for p in g.temporal_positions(pos) for j in g.by_pos[p].fg_ids]
+                for fn in cfg.message_fns:
+                    for h in range(cfg.heads):
+                        want_att += [(i, phase, fn, h, v, nbrs) for v in kf.fg_ids]
+                want_gates += [(i, phase, v) for v in kf.fg_ids]
+    got_att = [(r.iteration, r.phase, r.function, r.head, r.node_id, r.neighbor_ids)
+               for r in res.attention]
+    assert got_att == want_att
+    assert [(r.iteration, r.phase, r.node_id) for r in res.gates] == want_gates
+    slots = ["nonlocal.head0", "nonlocal.head1", "gat.head0", "gat.head1"]
+    assert all(r.slots == slots and r.weights.shape == (4,) for r in res.gates)
+    assert all(r.weights.shape == (len(r.neighbor_ids),) for r in res.attention)
+
+
 def test_context_states_bit_identical():
     cfg = make_config(tau_c=3, iterations=2)
     g, params, _ = build(cfg, seed=21)
@@ -344,6 +408,9 @@ def test_node_relabeling_equivariance():
     (dict(message_fns=(pa.FN_NONLOCAL,), heads=1, iterations=1, tau_c=1), dict(keyframes=1)),
     (dict(message_fns=(pa.FN_GAT,), heads=3, iterations=1, tau_c=5, tau_s=2), dict(keyframes=5)),
     (dict(message_fns=(pa.FN_NONLOCAL, pa.FN_GAT), heads=2, iterations=2, tau_c=3), dict(keyframes=3)),
+    # ragged: 1, 3 and 2 boxes, and the middle keyframe without a proposal
+    (dict(message_fns=(pa.FN_NONLOCAL, pa.FN_GAT), heads=2, iterations=2, tau_c=3),
+     dict(keyframes=3, n_boxes=(1, 3, 2), n_props=(1, 0, 1))),
 ])
 def test_run_inference_matches_reference(cfg_kw, scene):
     cfg = make_config(**cfg_kw)

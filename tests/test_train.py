@@ -9,6 +9,7 @@ import pytest
 import stgraph.numgrad as ng
 from stgraph import data, train
 from stgraph.errors import ConfigError, NumericError, ValidationError
+from stgraph.graph import Box, FeatureGrid, featurize_keyframe
 from stgraph.numgrad import Tape, Tensor, grad
 from stgraph.passing import ModelConfig, param_shapes
 from stgraph.train import (Schedule, SgdState, effective_batch_size, init_params,
@@ -357,6 +358,29 @@ def test_checkpoint_rejects_missing_param(tmp_path):
     with pytest.raises(ValidationError) as err:
         load_checkpoint(path)
     assert "readout.action.bias" in str(err.value)
+
+
+def test_clip_loss_tape_length_independent_of_box_count():
+    # message passing is batched per keyframe, so more boxes add no tape entries
+    config = small_config(heads=2, message_fns=("nonlocal", "gat"), tau_c=3)
+    params = init_params(config, seed=0)
+    rng = np.random.default_rng(4)
+    grids = [FeatureGrid(values=Tensor(rng.uniform(-1, 1, size=(1, 3, 3, 6))), keyframe_id=k)
+             for k in range(3)]
+
+    def tape_length(boxes):
+        corners = rng.uniform(0.0, 0.5, size=(boxes, 2))
+        box_list = [Box(x, y, x + 0.4, y + 0.4) for x, y in corners]
+        clip = data.ClipFeatures(
+            clip_id="c",
+            frames=[featurize_keyframe(g, box_list) for g in grids],
+            action_labels=[np.eye(2)[np.arange(boxes) % 2] for _ in grids],
+        )
+        with Tape() as tape:
+            train.clip_loss(clip, params, config)
+        return len(tape)
+
+    assert tape_length(4) == tape_length(16)
 
 
 def test_train_loss_gradient_matches_finite_differences(tmp_path):
