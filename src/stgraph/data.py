@@ -114,10 +114,17 @@ def _box_from(coords, where: str) -> Box:
         raise ValidationError(f"{where}: {err}") from None
 
 
+def _is_count(value) -> bool:
+    """True for a positive JSON integer (booleans excluded)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _parse_keyframe(obj, info: DatasetInfo, base_dir: str, where: str) -> KeyframeRecord:
-    if "keyframe_id" not in obj or "grid" not in obj:
+    if not isinstance(obj, dict) or "keyframe_id" not in obj or "grid" not in obj:
         raise ValidationError(f"{where}: keyframe needs 'keyframe_id' and 'grid'")
-    kid = int(obj["keyframe_id"])
+    kid = obj["keyframe_id"]
+    if isinstance(kid, bool) or not isinstance(kid, int):
+        raise ValidationError(f"{where}: keyframe_id must be an integer, got {kid!r}")
     grid_path = os.path.join(base_dir, obj["grid"])
     try:
         grid = read_grid(grid_path)
@@ -200,6 +207,8 @@ def load_dataset(manifest_path: str) -> tuple[DatasetInfo, list[ClipRecord]]:
             obj = json.loads(line)
         except json.JSONDecodeError as err:
             raise ValidationError(f"{where}: invalid JSON: {err}") from None
+        if not isinstance(obj, dict):
+            raise ValidationError(f"{where}: record must be a JSON object")
         kind = obj.get("record")
         if info is None:
             if kind != "header":
@@ -207,7 +216,7 @@ def load_dataset(manifest_path: str) -> tuple[DatasetInfo, list[ClipRecord]]:
             task = obj.get("task")
             if task not in ("action", "scenegraph"):
                 raise ValidationError(f"{where}: unknown task {task!r}")
-            if int(obj.get("version", -1)) != MANIFEST_VERSION:
+            if obj.get("version") != MANIFEST_VERSION:
                 raise ValidationError(f"{where}: unsupported manifest version {obj.get('version')!r}")
             info = DatasetInfo(
                 task=task,
@@ -215,11 +224,10 @@ def load_dataset(manifest_path: str) -> tuple[DatasetInfo, list[ClipRecord]]:
                 object_classes=obj.get("object_classes") if task == "scenegraph" else None,
                 relation_classes=obj.get("relation_classes") if task == "scenegraph" else None,
             )
-            if task == "action" and (info.action_classes is None or info.action_classes < 1):
+            if task == "action" and not _is_count(info.action_classes):
                 raise ValidationError(f"{where}: header needs a positive action_classes")
-            if task == "scenegraph" and (
-                    not info.object_classes or not info.relation_classes
-                    or info.object_classes < 1 or info.relation_classes < 1):
+            if task == "scenegraph" and not (
+                    _is_count(info.object_classes) and _is_count(info.relation_classes)):
                 raise ValidationError(f"{where}: header needs object_classes and relation_classes")
             continue
         if kind != "clip":

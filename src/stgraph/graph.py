@@ -170,11 +170,13 @@ def project_keyframe(feats: KeyframeFeatures, params, keyframe_pos: int = 0, id_
     """Project pooled features into state space and number the nodes."""
     if feats.fg_feats.shape[0] == 0:
         raise ValidationError(f"keyframe {feats.keyframe_id}: no foreground boxes")
-    fg_states = ng.matmul(Tensor(feats.fg_feats), params[PROJ_FOREGROUND])
-    ctx_parts = [ng.matmul(Tensor(feats.ctx_feats), params[PROJ_CONTEXT])]
-    if feats.prop_feats is not None:
-        ctx_parts.append(ng.matmul(Tensor(feats.prop_feats), params[PROJ_PROPOSAL]))
-    ctx_states = ctx_parts[0] if len(ctx_parts) == 1 else ng.concat_rows(ctx_parts)
+    with ng.checked("input projection"):
+        fg_states = ng.matmul(Tensor(feats.fg_feats), params[PROJ_FOREGROUND])
+        ctx_parts = [ng.matmul(Tensor(feats.ctx_feats), params[PROJ_CONTEXT])]
+        if feats.prop_feats is not None:
+            ctx_parts.append(ng.matmul(Tensor(feats.prop_feats), params[PROJ_PROPOSAL]))
+        ctx_states = ctx_parts[0] if len(ctx_parts) == 1 else ng.concat_rows(ctx_parts)
+    ng.check_finite("input projection", fg_states, ctx_states)
 
     h, w = feats.grid_hw
     nodes: list[Node] = []

@@ -15,10 +15,11 @@ from .numgrad import Tensor
 
 def action_readout(states: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Linear logits per state row: states @ weight + bias."""
-    logits = ng.matmul(states, weight)
-    if logits.ndim == 1:
-        return ng.add(logits, bias)
-    return ng.add_rowvec(logits, bias)
+    with ng.checked("action readout"):
+        logits = ng.matmul(states, weight)
+        logits = ng.add(logits, bias) if logits.ndim == 1 else ng.add_rowvec(logits, bias)
+    ng.check_finite("action readout", logits)
+    return logits
 
 
 def action_loss(logits: Tensor, labels: Tensor) -> Tensor:
@@ -53,14 +54,18 @@ def sg_readout(states: Tensor, object_weight: Tensor, object_bias: Tensor,
     """
     if states.ndim != 2 or states.shape[0] < 1:
         raise ValidationError(f"sg_readout expects at least one state row, got {states.shape}")
-    object_logits = ng.add_rowvec(ng.matmul(states, object_weight), object_bias)
     pairs = pair_index(states.shape[0])
-    if not pairs:
-        return SceneGraphPrediction(object_logits, pairs, None)
-    heads_i = ng.gather_rows(states, [i for i, _ in pairs])
-    heads_j = ng.gather_rows(states, [j for _, j in pairs])
-    pair_states = ng.concat_cols([heads_i, heads_j])
-    relation_logits = ng.add_rowvec(ng.matmul(pair_states, relation_weight), relation_bias)
+    relation_logits = None
+    with ng.checked("scene-graph readout"):
+        object_logits = ng.add_rowvec(ng.matmul(states, object_weight), object_bias)
+        if pairs:
+            heads_i = ng.gather_rows(states, [i for i, _ in pairs])
+            heads_j = ng.gather_rows(states, [j for _, j in pairs])
+            pair_states = ng.concat_cols([heads_i, heads_j])
+            relation_logits = ng.add_rowvec(ng.matmul(pair_states, relation_weight), relation_bias)
+    ng.check_finite("scene-graph readout", object_logits)
+    if relation_logits is not None:
+        ng.check_finite("scene-graph readout", relation_logits)
     return SceneGraphPrediction(object_logits, pairs, relation_logits)
 
 

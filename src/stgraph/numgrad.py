@@ -9,6 +9,15 @@ forward pass never touched come back as exact zeros.
 
 Conventions: states are row vectors, matrices multiply on the right, and
 reductions such as softmax and layer_norm act over the last axis.
+
+Finiteness is checked where values enter and at layer boundaries, not
+after every primitive.  The public Tensor constructor rejects NaN and
+infinity, so parameters, inputs and labels are finite.  Primitive outputs
+skip that check; instead each layer runs its primitives inside
+``checked(where)``, which turns a floating-point overflow, invalid
+operation or division by zero into a NumericError naming the layer, and
+then passes its outputs to ``check_finite``.  The flags matter because
+relu and softmax can map an infinite intermediate to a finite output.
 """
 
 import threading
@@ -19,8 +28,10 @@ from .errors import NumericError, ShapeError, ValidationError
 
 
 class Tensor:
-    """Immutable dense array of float64 values, all finite.
+    """Immutable dense array of float64 values.
 
+    The constructor rejects non-finite values; primitive outputs are
+    built without that check (see the module docstring).
     ``requires_grad`` marks tensors the tape must track; it is set on
     parameters at creation and propagated to op outputs automatically.
     """
@@ -92,8 +103,24 @@ def _active_tape() -> Tape | None:
     return stack[-1] if stack else None
 
 
-def _emit(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:
-    """Record ``out = op(inputs)`` on the active tape if anything needs grad."""
+def _wrap(value) -> Tensor:
+    """A read-only float64 Tensor around value, without the finiteness check."""
+    arr = np.asarray(value, dtype=np.float64)
+    arr.flags.writeable = False
+    out = Tensor.__new__(Tensor)
+    out.data = arr
+    out.requires_grad = False
+    out.name = None
+    return out
+
+
+def _emit(value, inputs: tuple[Tensor, ...], backward) -> Tensor:
+    """Wrap a primitive's output and record it on the active tape if anything needs grad.
+
+    The output is not checked for finiteness here; the layer running the
+    primitive does that.
+    """
+    out = _wrap(value)
     tape = _active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
@@ -101,29 +128,72 @@ def _emit(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:
     return out
 
 
+class checked:
+    """Context in which a floating-point overflow, invalid operation or
+    division by zero raises NumericError naming ``where``.
+
+    Wrap each layer's primitives in one ``with checked(...)`` block and
+    pass the layer's outputs to check_finite afterwards: flags raised in
+    BLAS worker threads can be lost, so the output check stays as a backstop.
+    """
+
+    __slots__ = ("where", "_errstate")
+
+    def __init__(self, where: str):
+        self.where = where
+        self._errstate = np.errstate(over="raise", invalid="raise", divide="raise")
+
+    def __enter__(self) -> "checked":
+        self._errstate.__enter__()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self._errstate.__exit__(exc_type, exc, tb)
+        if exc_type is not None and issubclass(exc_type, FloatingPointError):
+            raise NumericError(f"{self.where}: {exc}") from None
+        return False
+
+
+def check_finite(where: str, *tensors: Tensor) -> None:
+    """Raise NumericError naming ``where`` unless every tensor is finite."""
+    for t in tensors:
+        if not np.isfinite(t.data).all():
+            raise NumericError(f"non-finite values in {where}")
+
+
 def grad(tape: Tape, loss: Tensor, params: dict[str, Tensor]) -> dict[str, Tensor]:
     """Gradients of a scalar loss with respect to every tensor in params.
 
     Parameters absent from the recorded computation get exact zeros of
     their own shape.  The tape is not consumed; grad() may be called again.
+    A non-finite gradient raises NumericError naming its parameter.  The
+    replay ignores floating-point flags: every backward rule is linear in
+    the cotangent, so a NaN or infinity arising there carries through to
+    each parameter gradient that depends on it, where the named check
+    finds it.
     """
     if loss.data.shape != ():
         raise ShapeError(f"loss must be a scalar, got shape {loss.data.shape}")
     partials: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-    for out, inputs, backward in reversed(tape._entries):
-        g = partials.pop(id(out), None)
-        if g is None:
-            continue
-        for tensor, piece in zip(inputs, backward(g)):
-            if piece is None or not tensor.requires_grad:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for out, inputs, backward in reversed(tape._entries):
+            g = partials.pop(id(out), None)
+            if g is None:
                 continue
-            key = id(tensor)
-            held = partials.get(key)
-            partials[key] = piece if held is None else held + piece
+            for tensor, piece in zip(inputs, backward(g)):
+                if piece is None or not tensor.requires_grad:
+                    continue
+                key = id(tensor)
+                held = partials.get(key)
+                partials[key] = piece if held is None else held + piece
     result = {}
     for name, p in params.items():
         acc = partials.get(id(p))
-        result[name] = Tensor(np.zeros_like(p.data) if acc is None else acc)
+        if acc is None:
+            acc = np.zeros_like(p.data)
+        elif not np.isfinite(acc).all():
+            raise NumericError(f"non-finite gradient for {name!r}")
+        result[name] = _wrap(acc)
     return result
 
 
@@ -139,8 +209,7 @@ def _need_shape(t: Tensor, ndim: int, what: str) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
-    out = Tensor(a.data + b.data)
-    return _emit(out, (a, b), lambda g: (g, g))
+    return _emit(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
@@ -149,14 +218,12 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
     _need_shape(v, 1, "add_rowvec vector")
     if m.data.shape[1] != v.data.shape[0]:
         raise ShapeError(f"add_rowvec: shapes {m.data.shape} and {v.data.shape} differ")
-    out = Tensor(m.data + v.data)
-    return _emit(out, (m, v), lambda g: (g, g.sum(axis=0)))
+    return _emit(m.data + v.data, (m, v), lambda g: (g, g.sum(axis=0)))
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
-    out = Tensor(x.data * c)
-    return _emit(out, (x,), lambda g: (g * c,))
+    return _emit(x.data * c, (x,), lambda g: (g * c,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -165,38 +232,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if ad.ndim == 2 and bd.ndim == 2:
         if ad.shape[1] != bd.shape[0]:
             raise ShapeError(f"matmul: shapes {ad.shape} and {bd.shape} do not align")
-        out = Tensor(ad @ bd)
-        return _emit(out, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+        return _emit(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
     if ad.ndim == 1 and bd.ndim == 2:
         if ad.shape[0] != bd.shape[0]:
             raise ShapeError(f"matmul: shapes {ad.shape} and {bd.shape} do not align")
-        out = Tensor(ad @ bd)
-        return _emit(out, (a, b), lambda g: (bd @ g, np.outer(ad, g)))
+        return _emit(ad @ bd, (a, b), lambda g: (bd @ g, np.outer(ad, g)))
     if ad.ndim == 2 and bd.ndim == 1:
         if ad.shape[1] != bd.shape[0]:
             raise ShapeError(f"matmul: shapes {ad.shape} and {bd.shape} do not align")
-        out = Tensor(ad @ bd)
-        return _emit(out, (a, b), lambda g: (np.outer(g, bd), ad.T @ g))
+        return _emit(ad @ bd, (a, b), lambda g: (np.outer(g, bd), ad.T @ g))
     raise ShapeError(f"matmul: unsupported ranks {ad.shape} @ {bd.shape}")
 
 
 def transpose(x: Tensor) -> Tensor:
     _need_shape(x, 2, "transpose input")
-    out = Tensor(x.data.T)
-    return _emit(out, (x,), lambda g: (g.T,))
+    return _emit(x.data.T, (x,), lambda g: (g.T,))
 
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(x, 0); the derivative at exactly zero is zero."""
     mask = x.data > 0.0
-    out = Tensor(np.where(mask, x.data, 0.0))
-    return _emit(out, (x,), lambda g: (g * mask,))
+    return _emit(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     y = sigmoid_values(x.data)
-    out = Tensor(y)
-    return _emit(out, (x,), lambda g: (g * y * (1.0 - y),))
+    return _emit(y, (x,), lambda g: (g * y * (1.0 - y),))
 
 
 def sigmoid_values(x: np.ndarray) -> np.ndarray:
@@ -212,13 +273,12 @@ def softmax(x: Tensor) -> Tensor:
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
 
     def backward(g):
         inner = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - inner),)
 
-    return _emit(out, (x,), backward)
+    return _emit(y, (x,), backward)
 
 
 def layer_norm(x: Tensor, scale_: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
@@ -238,7 +298,7 @@ def layer_norm(x: Tensor, scale_: Tensor, shift: Tensor, eps: float = 1e-5) -> T
     var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
-    out = Tensor(scale_.data * xhat + shift.data)
+    out = scale_.data * xhat + shift.data
 
     def backward(g):
         gh = g * scale_.data
@@ -265,7 +325,7 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
     width = parts[0].data.shape[1]
     if any(p.data.shape[1] != width for p in parts):
         raise ShapeError("concat_rows: column counts differ")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
+    out = np.concatenate([p.data for p in parts], axis=0)
     sizes = [p.data.shape[0] for p in parts]
 
     def backward(g):
@@ -289,7 +349,7 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
         rows = parts[0].data.shape[0]
         if any(p.data.shape[0] != rows for p in parts):
             raise ShapeError("concat_cols: row counts differ")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
+    out = np.concatenate([p.data for p in parts], axis=-1)
     sizes = [p.data.shape[-1] for p in parts]
 
     def backward(g):
@@ -302,19 +362,38 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     return _emit(out, tuple(parts), backward)
 
 
-def slice_column(v: Tensor, start: int, stop: int) -> Tensor:
-    """Slice v[start:stop] of a vector out as a (stop - start, 1) column."""
-    _need_shape(v, 1, "slice_column vector")
+def matmul_slice(parts: list[Tensor], v: Tensor, start: int, stop: int) -> Tensor:
+    """Multiply every (n, d) part by the column v[start:stop] and stack the products as columns.
+
+    The (n, len(parts)) result is concat_cols([matmul(p, c) for p in parts])
+    with c = v[start:stop] as a (d, 1) column, recorded as one tape entry;
+    the gradient reaches v directly, with zeros outside [start, stop).
+    """
+    _need_shape(v, 1, "matmul_slice vector")
     if not 0 <= start < stop <= v.data.shape[0]:
-        raise ShapeError(f"slice_column: [{start}:{stop}] out of range for length {v.data.shape[0]}")
-    out = Tensor(v.data[start:stop, None])
+        raise ShapeError(f"matmul_slice: [{start}:{stop}] out of range for length {v.data.shape[0]}")
+    if not parts:
+        raise ShapeError("matmul_slice: empty input")
+    shape = parts[0].data.shape
+    if len(shape) != 2 or shape[1] != stop - start or any(p.data.shape != shape for p in parts):
+        raise ShapeError(f"matmul_slice: parts of shape {shape} do not all match "
+                         f"a column of length {stop - start}")
+    col = v.data[start:stop, None]
+    out = np.concatenate([p.data @ col for p in parts], axis=1)
 
     def backward(g):
+        cols = [g[:, j:j + 1] for j in range(len(parts))]
+        # sum the parts' contributions last part first, as separate
+        # matmuls recorded in part order would accumulate them
+        dcol = None
+        for p, gj in zip(reversed(parts), reversed(cols)):
+            piece = p.data.T @ gj
+            dcol = piece if dcol is None else dcol + piece
         dv = np.zeros_like(v.data)
-        dv[start:stop] = g[:, 0]
-        return (dv,)
+        dv[start:stop] = dcol[:, 0]
+        return tuple(gj @ col.T for gj in cols) + (dv,)
 
-    return _emit(out, (v,), backward)
+    return _emit(out, (*parts, v), backward)
 
 
 def add_broadcast(a: Tensor, b: Tensor) -> Tensor:
@@ -325,7 +404,7 @@ def add_broadcast(a: Tensor, b: Tensor) -> Tensor:
         np.broadcast_shapes(a.data.shape, b.data.shape)
     except ValueError:
         raise ShapeError(f"add_broadcast: shapes {a.data.shape} and {b.data.shape} do not broadcast") from None
-    out = Tensor(a.data + b.data)
+    out = a.data + b.data
 
     def reduce_to(g, shape):
         return g.sum(axis=tuple(axis for axis in (0, 1) if shape[axis] == 1), keepdims=True)
@@ -349,13 +428,12 @@ def mix_rows(weights: Tensor, parts: list[Tensor]) -> Tensor:
     acc = w[:, 0:1] * parts[0].data
     for j in range(1, k):
         acc = acc + w[:, j:j + 1] * parts[j].data
-    out = Tensor(acc)
 
     def backward(g):
         dw = np.stack([(g * p.data).sum(axis=1) for p in parts], axis=1)
         return (dw,) + tuple(w[:, j:j + 1] * g for j in range(k))
 
-    return _emit(out, (weights, *parts), backward)
+    return _emit(acc, (weights, *parts), backward)
 
 
 def gather_rows(m: Tensor, index) -> Tensor:
@@ -366,7 +444,7 @@ def gather_rows(m: Tensor, index) -> Tensor:
         raise ShapeError("gather_rows: index must be one dimensional")
     if idx.size and (idx.min() < 0 or idx.max() >= m.data.shape[0]):
         raise ShapeError(f"gather_rows: index out of range for {m.data.shape[0]} rows")
-    out = Tensor(m.data[idx])
+    out = m.data[idx]
 
     def backward(g):
         dm = np.zeros_like(m.data)
@@ -377,14 +455,12 @@ def gather_rows(m: Tensor, index) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(x.data.sum())
-    return _emit(out, (x,), lambda g: (np.full_like(x.data, float(g)),))
+    return _emit(x.data.sum(), (x,), lambda g: (np.full_like(x.data, float(g)),))
 
 
 def mean_all(x: Tensor) -> Tensor:
     n = x.data.size
-    out = Tensor(x.data.mean())
-    return _emit(out, (x,), lambda g: (np.full_like(x.data, float(g) / n),))
+    return _emit(x.data.mean(), (x,), lambda g: (np.full_like(x.data, float(g) / n),))
 
 
 def bce_with_logits_mean(logits: Tensor, targets: Tensor) -> Tensor:
@@ -397,7 +473,7 @@ def bce_with_logits_mean(logits: Tensor, targets: Tensor) -> Tensor:
     if x.shape != z.shape:
         raise ShapeError(f"bce_with_logits_mean: shapes {x.shape} and {z.shape} differ")
     per = np.maximum(x, 0.0) - x * z + np.log1p(np.exp(-np.abs(x)))
-    out = Tensor(per.mean())
+    out = per.mean()
     count = x.size
 
     def backward(g):
@@ -418,7 +494,7 @@ def softmax_xent_mean(logits: Tensor, onehot: Tensor) -> Tensor:
     shifted = x - x.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - logz
-    out = Tensor(-(y * logp).sum(axis=1).mean())
+    out = -(y * logp).sum(axis=1).mean()
     n = x.shape[0]
     p = np.exp(logp)
 

@@ -18,6 +18,10 @@ tape therefore grows with iterations x phases x keyframes x slots, not
 with the number of nodes.  Per-node Python runs only to copy attention
 and gate rows into trace records.
 
+Each (iteration, phase) runs inside one numgrad.checked span, and its
+updated states are checked for finiteness once, so a NaN or infinity
+raises NumericError naming the iteration and phase where it arose.
+
 Parameters are stored in a flat name -> Tensor mapping and are untied:
 every (iteration, phase, function, head) tuple owns its own weights.
 """
@@ -211,8 +215,8 @@ def gat_messages(receivers: Tensor, neighbor_states: Tensor,
     if neighbor_states.shape[0] == 0:
         raise ValidationError("gat_messages: empty neighborhood")
     d = receivers.shape[1]
-    own = ng.matmul(receivers, ng.slice_column(weights.score, 0, d))
-    other = ng.matmul(neighbor_states, ng.slice_column(weights.score, d, 2 * d))
+    own = ng.matmul_slice([receivers], weights.score, 0, d)
+    other = ng.matmul_slice([neighbor_states], weights.score, d, 2 * d)
     attention = ng.softmax(ng.relu(ng.add_broadcast(own, ng.transpose(other))))
     pooled = ng.matmul(attention, neighbor_states)
     return ng.relu(ng.matmul(pooled, weights.transform)), attention
@@ -235,9 +239,8 @@ def combine_parallel(messages: list[Tensor], receivers: Tensor,
     if gate is None:
         raise ValidationError("combine_parallel: gate vector required for parallel messages")
     d = receivers.shape[1]
-    to_message = ng.slice_column(gate, d, 2 * d)
-    slot_scores = ng.concat_cols([ng.matmul(m, to_message) for m in messages])
-    own = ng.matmul(receivers, ng.slice_column(gate, 0, d))
+    slot_scores = ng.matmul_slice(messages, gate, d, 2 * d)
+    own = ng.matmul_slice([receivers], gate, 0, d)
     weights = ng.softmax(ng.relu(ng.add_broadcast(own, slot_scores)))
     return ng.mix_rows(weights, messages), weights
 
@@ -309,42 +312,45 @@ def run_inference(graph: SpatioTemporalGraph, params, config: ModelConfig,
 
     for i in range(config.iterations):
         for phase in config.phases():
-            slots = [(fn, h, message_weights(params, i, phase, fn, h))
-                     for fn in config.message_fns for h in range(config.heads)]
-            gate = params.get(_mp(i, phase, "gate")) if config.num_messages > 1 else None
-            snapshot = dict(states)
-            for pos in positions:
-                kf = graph.by_pos[pos]
-                own = snapshot[pos]
-                if phase == PHASE_SPATIAL:
-                    kv = own if not kf.ctx_ids else ng.concat_rows([own, ctx[pos]])
-                    kv_ids = kf.fg_ids + kf.ctx_ids
-                else:
-                    nbr_pos = graph.temporal_positions(pos)
-                    if not nbr_pos:
-                        continue  # no temporal neighbors: phase is a no-op here
-                    kv = (snapshot[nbr_pos[0]] if len(nbr_pos) == 1
-                          else ng.concat_rows([snapshot[p] for p in nbr_pos]))
-                    kv_ids = [j for p in nbr_pos for j in graph.by_pos[p].fg_ids]
+            where = f"iteration {i} {phase} phase"
+            with ng.checked(where):
+                slots = [(fn, h, message_weights(params, i, phase, fn, h))
+                         for fn in config.message_fns for h in range(config.heads)]
+                gate = params.get(_mp(i, phase, "gate")) if config.num_messages > 1 else None
+                snapshot = dict(states)
+                for pos in positions:
+                    kf = graph.by_pos[pos]
+                    own = snapshot[pos]
+                    if phase == PHASE_SPATIAL:
+                        kv = own if not kf.ctx_ids else ng.concat_rows([own, ctx[pos]])
+                        kv_ids = kf.fg_ids + kf.ctx_ids
+                    else:
+                        nbr_pos = graph.temporal_positions(pos)
+                        if not nbr_pos:
+                            continue  # no temporal neighbors: phase is a no-op here
+                        kv = (snapshot[nbr_pos[0]] if len(nbr_pos) == 1
+                              else ng.concat_rows([snapshot[p] for p in nbr_pos]))
+                        kv_ids = [j for p in nbr_pos for j in graph.by_pos[p].fg_ids]
 
-                messages = []
-                for fn, h, w in slots:
-                    slot_fn = nonlocal_messages if fn == FN_NONLOCAL else gat_messages
-                    msgs, att = slot_fn(own, kv, w)
-                    messages.append(msgs)
-                    if record_traces:
-                        attention.extend(
-                            AttentionRecord(i, phase, fn, h, node_id, list(kv_ids), row.copy())
-                            for node_id, row in zip(kf.fg_ids, att.data))
+                    messages = []
+                    for fn, h, w in slots:
+                        slot_fn = nonlocal_messages if fn == FN_NONLOCAL else gat_messages
+                        msgs, att = slot_fn(own, kv, w)
+                        messages.append(msgs)
+                        if record_traces:
+                            attention.extend(
+                                AttentionRecord(i, phase, fn, h, node_id, list(kv_ids), row.copy())
+                                for node_id, row in zip(kf.fg_ids, att.data))
 
-                combined, mix = combine_parallel(messages, own, gate)
-                if record_traces and config.num_messages > 1:
-                    gates.extend(GateRecord(i, phase, node_id, list(slot_names), row.copy())
-                                 for node_id, row in zip(kf.fg_ids, mix.data))
-                states[pos] = update_node(own, combined,
-                                          params[_mp(i, phase, "norm.scale")],
-                                          params[_mp(i, phase, "norm.shift")],
-                                          config.ln_eps)
+                    combined, mix = combine_parallel(messages, own, gate)
+                    if record_traces and config.num_messages > 1:
+                        gates.extend(GateRecord(i, phase, node_id, list(slot_names), row.copy())
+                                     for node_id, row in zip(kf.fg_ids, mix.data))
+                    states[pos] = update_node(own, combined,
+                                              params[_mp(i, phase, "norm.scale")],
+                                              params[_mp(i, phase, "norm.shift")],
+                                              config.ln_eps)
+                    ng.check_finite(where, states[pos])
 
     fg_ids = {pos: list(graph.by_pos[pos].fg_ids) for pos in positions}
     return InferenceResult(fg_states=states, ctx_states=ctx, fg_ids=fg_ids,

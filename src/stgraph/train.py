@@ -129,9 +129,18 @@ def clip_loss(clip: ClipFeatures, params: dict[str, Tensor], config: ModelConfig
     """
     graph = build_graph(clip.frames, params, config)
     result = run_inference(graph, params, config)
-    positions = sorted(result.fg_states)
+    # the readouts run nested spans of their own, which name their errors
+    with ng.checked("loss"):
+        loss = _readout_loss(clip, result.fg_states, params, config)
+    ng.check_finite("loss", loss)
+    return loss
+
+
+def _readout_loss(clip: ClipFeatures, fg_states: dict[int, Tensor],
+                  params: dict[str, Tensor], config: ModelConfig) -> Tensor:
+    positions = sorted(fg_states)
     if config.task == "action":
-        logits = [action_readout(result.fg_states[pos],
+        logits = [action_readout(fg_states[pos],
                                  params["readout.action.weight"],
                                  params["readout.action.bias"]) for pos in positions]
         logit_rows = logits[0] if len(logits) == 1 else ng.concat_rows(logits)
@@ -139,7 +148,7 @@ def clip_loss(clip: ClipFeatures, params: dict[str, Tensor], config: ModelConfig
         return action_loss(logit_rows, Tensor(labels))
     per_frame = []
     for pos in positions:
-        pred = sg_readout(result.fg_states[pos],
+        pred = sg_readout(fg_states[pos],
                           params["readout.object.weight"], params["readout.object.bias"],
                           params["readout.relation.weight"], params["readout.relation.bias"])
         onehot = one_hot(clip.object_classes[pos], config.object_classes)

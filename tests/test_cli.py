@@ -142,6 +142,54 @@ def test_malformed_checkpoint_exits_one(action_ds, tmp_path, capsys, corrupt):
     assert f"error: {path}" in capsys.readouterr().err
 
 
+def _clip_as_array(lines):
+    lines[1] = "[1, 2]"
+    return 2
+
+
+def _string_action_classes(lines):
+    header = json.loads(lines[0])
+    header["action_classes"] = str(header["action_classes"])
+    lines[0] = json.dumps(header)
+    return 1
+
+
+def _string_keyframe_id(lines):
+    clip = json.loads(lines[1])
+    clip["keyframes"][0]["keyframe_id"] = "x"
+    lines[1] = json.dumps(clip)
+    return 2
+
+
+def _word_version(lines):
+    header = json.loads(lines[0])
+    header["version"] = "one"
+    lines[0] = json.dumps(header)
+    return 1
+
+
+def _keyframe_as_number(lines):
+    clip = json.loads(lines[1])
+    clip["keyframes"][0] = 5
+    lines[1] = json.dumps(clip)
+    return 2
+
+
+@pytest.mark.parametrize("corrupt", [_clip_as_array, _string_action_classes,
+                                     _string_keyframe_id, _word_version,
+                                     _keyframe_as_number])
+def test_malformed_manifest_exits_one(action_ds, tmp_path, capsys, corrupt):
+    with open(action_ds) as f:
+        lines = f.read().splitlines()
+    line = corrupt(lines)
+    with open(action_ds, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    code = run_cli("train", "--data", action_ds, "--out", str(tmp_path / "run"),
+                   "--state-dim", "4", "--heads", "1", "--epochs", "1")
+    assert code == 1
+    assert f"error: {action_ds}:{line}" in capsys.readouterr().err
+
+
 def test_gradcheck_exit_codes(capsys):
     code = run_cli("gradcheck", "--state-dim", "5", "--heads", "1",
                    "--feature-channels", "4", "--action-classes", "2",

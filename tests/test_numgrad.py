@@ -219,9 +219,13 @@ def test_finite_differences_per_primitive():
         ),
         "concat_rows": ({"a": t(2, 3), "b": t(4, 3)}, lambda p: ng.sum_all(ng.relu(ng.concat_rows([p["a"], p["b"]])))),
         "concat_cols": ({"a": t(3, 2), "b": t(3, 4)}, lambda p: ng.sum_all(ng.relu(ng.concat_cols([p["a"], p["b"]])))),
-        "slice_column": (
+        "matmul_slice_one": (
             {"v": t(6), "m": t(3, 2)},
-            lambda p: ng.sum_all(ng.relu(ng.matmul(p["m"], ng.slice_column(p["v"], 2, 4)))),
+            lambda p: ng.sum_all(ng.relu(ng.matmul_slice([p["m"]], p["v"], 2, 4))),
+        ),
+        "matmul_slice_many": (
+            {"v": t(6), "a": t(3, 4), "b": t(3, 4)},
+            lambda p: ng.sum_all(ng.softmax(ng.matmul_slice([p["a"], p["b"], p["a"]], p["v"], 2, 6))),
         ),
         "add_broadcast_outer": (
             {"c": t(3, 1), "r": t(1, 4)},
@@ -247,15 +251,23 @@ def test_finite_differences_per_primitive():
         ),
     }
     for label, (params, build) in cases.items():
+        with ng.Tape() as tape:
+            build(params)
+        for out, _, _ in tape._entries:
+            assert out.data.dtype == np.float64 and not out.data.flags.writeable, label
         _fd_check(build, params)
 
 
 def test_slice_broadcast_mix_reject_bad_shapes():
     v, m = ng.Tensor(np.ones(4)), ng.Tensor(np.ones((3, 2)))
     with pytest.raises(ShapeError):
-        ng.slice_column(v, 2, 5)
+        ng.matmul_slice([m], v, 3, 5)
     with pytest.raises(ShapeError):
-        ng.slice_column(m, 0, 1)
+        ng.matmul_slice([m], m, 0, 2)
+    with pytest.raises(ShapeError):
+        ng.matmul_slice([m], v, 0, 3)
+    with pytest.raises(ShapeError):
+        ng.matmul_slice([m, ng.Tensor(np.ones((2, 2)))], v, 0, 2)
     with pytest.raises(ShapeError):
         ng.add_broadcast(m, ng.Tensor(np.ones((2, 2))))
     with pytest.raises(ShapeError):

@@ -4,7 +4,7 @@ import pytest
 from stgraph import graph as gr
 from stgraph import numgrad as ng
 from stgraph import passing as pa
-from stgraph.errors import ConfigError, ValidationError
+from stgraph.errors import ConfigError, NumericError, ValidationError
 from stgraph.numgrad import Tensor
 
 from reference_eval import reference_inference
@@ -446,3 +446,48 @@ def test_inference_gradients_match_finite_differences():
     for name in params:
         err = ng.max_relative_error(analytic[name].data, numeric[name])
         assert err <= 1e-4, f"{name}: rel err {err:.3e}"
+
+
+@pytest.mark.parametrize("iteration,phase", [(0, pa.PHASE_SPATIAL), (0, pa.PHASE_TEMPORAL),
+                                             (1, pa.PHASE_SPATIAL), (1, pa.PHASE_TEMPORAL)])
+def test_overflow_inside_a_phase_names_iteration_and_phase(iteration, phase):
+    # query and key weights of 1e200 overflow the nonlocal logits q k^T
+    config = make_config(iterations=2, tau_c=3, message_fns=(pa.FN_NONLOCAL,), heads=1)
+    g, params, _ = build(config, seed=5)
+    for part in ("query", "key"):
+        name = f"mp.iter{iteration}.{phase}.nonlocal.head0.{part}"
+        params[name] = Tensor(np.full(params[name].shape, 1e200), requires_grad=True, name=name)
+    with pytest.raises(NumericError) as err:
+        pa.run_inference(g, params, config)
+    assert f"iteration {iteration} {phase} phase" in str(err.value)
+
+
+def test_overflow_hidden_by_relu_is_still_caught():
+    # With every state positive and a1 = -1e308, h_v . a1 overflows to -inf
+    # for each receiver; relu maps those scores to 0, so the attention is
+    # uniform and every output of the phase is finite.  Only the
+    # floating-point flag shows that the phase overflowed.
+    config = make_config(heads=1, message_fns=(pa.FN_GAT,))
+    d, c = config.state_dim, config.feature_channels
+    params = random_params(config, seed=6)
+    for name in (gr.PROJ_FOREGROUND, gr.PROJ_CONTEXT, gr.PROJ_PROPOSAL):
+        params[name] = Tensor(np.ones((c, d)), requires_grad=True, name=name)
+    score = np.concatenate([np.full(d, -1e308), np.full(d, 0.1)])
+    params["mp.iter0.spatial.gat.head0.score"] = Tensor(score, requires_grad=True)
+    rng = np.random.default_rng(6)
+    grid = gr.FeatureGrid(values=Tensor(rng.uniform(0.5, 1.0, size=(1, 2, 2, c))), keyframe_id=0)
+    frames = [gr.featurize_keyframe(grid, [gr.Box(0.0, 0.0, 0.6, 0.6), gr.Box(0.4, 0.4, 1.0, 1.0)])]
+    g = gr.build_graph(frames, params, config)
+
+    kf = g.by_pos[0]
+    weights = pa.message_weights(params, 0, pa.PHASE_SPATIAL, pa.FN_GAT, 0)
+    with np.errstate(over="ignore"):
+        msgs, att = pa.gat_messages(kf.fg_states, ng.concat_rows([kf.fg_states, kf.ctx_states]),
+                                    weights)
+    assert np.all(np.isfinite(msgs.data))
+    assert np.all(att.data == att.data[0, 0])
+
+    with pytest.raises(NumericError) as err:
+        pa.run_inference(g, params, config)
+    assert "iteration 0 spatial phase" in str(err.value)
+    assert "overflow" in str(err.value)

@@ -140,6 +140,29 @@ def test_sgd_rejects_non_finite_gradient():
     assert "'w'" in str(err.value) and "7" in str(err.value)
 
 
+def test_grad_names_parameter_with_non_finite_gradient():
+    # All-zero input projections make every pre-norm row constant, so each
+    # layer norm divides by sqrt(ln_eps) = 1e-150: the forward pass stays
+    # finite, but three such layers scale the backward pass by 1e450.
+    config = small_config(state_dim=4, iterations=3, feature_channels=3, ln_eps=1e-300)
+    params = init_params(config, seed=0)
+    for name in ("input.foreground.weight", "input.context.weight", "input.proposal.weight"):
+        params[name] = Tensor(np.zeros(params[name].shape), requires_grad=True, name=name)
+    rng = np.random.default_rng(0)
+    grid = FeatureGrid(values=Tensor(rng.uniform(-1, 1, size=(1, 2, 2, 3))), keyframe_id=0)
+    clip = data.ClipFeatures(
+        clip_id="c",
+        frames=[featurize_keyframe(grid, [Box(0.0, 0.0, 0.6, 0.6), Box(0.4, 0.4, 1.0, 1.0)])],
+        action_labels=[np.eye(2)],
+    )
+    with Tape() as tape:
+        loss = train.clip_loss(clip, params, config)
+    assert np.isfinite(loss.item())
+    with pytest.raises(NumericError) as err:
+        grad(tape, loss, params)
+    assert "'input.foreground.weight'" in str(err.value)
+
+
 def test_effective_batch_size_scales_with_window():
     assert effective_batch_size(8, 1) == 8
     assert effective_batch_size(8, 3) == 2
@@ -381,6 +404,34 @@ def test_clip_loss_tape_length_independent_of_box_count():
         return len(tape)
 
     assert tape_length(4) == tape_length(16)
+
+
+def test_clip_loss_tape_length_of_wide_clip():
+    # The wide scene-graph clip: 8 keyframes of 16 boxes, 4 heads of
+    # nonlocal and GAT, tau_c = 3.  Width, box count and grid size do not
+    # change the count, so a narrow model stands in for d = 64.
+    config = small_config(heads=4, message_fns=("nonlocal", "gat"), tau_c=3, task="scenegraph",
+                          feature_channels=4, object_classes=5, relation_classes=3)
+    params = init_params(config, seed=0)
+    rng = np.random.default_rng(5)
+    frames, classes, relations = [], [], []
+    for k in range(8):
+        grid = FeatureGrid(values=Tensor(rng.uniform(-1, 1, size=(1, 7, 7, 4))), keyframe_id=k)
+        corners = rng.uniform(0.0, 0.5, size=(16, 2))
+        frames.append(featurize_keyframe(grid, [Box(x, y, x + 0.4, y + 0.4) for x, y in corners]))
+        classes.append(rng.integers(0, 5, size=16))
+        relations.append([(1, 0, 2)])
+    clip = data.ClipFeatures(clip_id="w", frames=frames, object_classes=classes,
+                             relations=relations)
+    with Tape() as tape:
+        train.clip_loss(clip, params, config)
+    projection = 8 * 2                  # foreground and context matmuls
+    per_keyframe_phase = 4 * 8 + 4 * 9 + 6 + 2   # nonlocal, GAT, gate, residual layer norm
+    neighbor_stacks = 8 + 6             # spatial [own; context], temporal with two neighbors
+    readout = 8 * 7                     # object logits 2, relation logits 5
+    loss = 8 * 4 + 7 + 1                # per keyframe 4, then the sum and the mean
+    assert len(tape) == (projection + 2 * 8 * per_keyframe_phase
+                         + neighbor_stacks + readout + loss) == 1342
 
 
 def test_train_loss_gradient_matches_finite_differences(tmp_path):
