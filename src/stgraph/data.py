@@ -105,40 +105,64 @@ class ClipRecord:
     keyframes: list[KeyframeRecord]
 
 
+# the types json.loads gives JSON integers and numbers (a bool's type is
+# bool, not int)
+_JSON_INTEGERS = frozenset((int,))
+_JSON_NUMBERS = frozenset((int, float))
+
+
 def _box_from(coords, where: str) -> Box:
-    if not isinstance(coords, (list, tuple)) or len(coords) != 4:
-        raise ValidationError(f"{where}: box must be [x1, y1, x2, y2], got {coords!r}")
+    if (not isinstance(coords, (list, tuple)) or len(coords) != 4
+            or not _JSON_NUMBERS.issuperset(map(type, coords))):
+        raise ValidationError(f"{where}: box must be [x1, y1, x2, y2] numbers, got {coords!r}")
     try:
         return Box(*(float(v) for v in coords))
     except ValidationError as err:
         raise ValidationError(f"{where}: {err}") from None
 
 
+def _is_int(value) -> bool:
+    """True for a JSON integer (booleans excluded)."""
+    return type(value) is int
+
+
 def _is_count(value) -> bool:
     """True for a positive JSON integer (booleans excluded)."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+    return _is_int(value) and value >= 1
+
+
+def _list_field(obj: dict, key: str, where: str) -> list:
+    """obj[key] when it is a JSON array, [] when it is absent."""
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise ValidationError(f"{where}: {key} must be a list, got {value!r}")
+    return value
 
 
 def _parse_keyframe(obj, info: DatasetInfo, base_dir: str, where: str) -> KeyframeRecord:
     if not isinstance(obj, dict) or "keyframe_id" not in obj or "grid" not in obj:
         raise ValidationError(f"{where}: keyframe needs 'keyframe_id' and 'grid'")
     kid = obj["keyframe_id"]
-    if isinstance(kid, bool) or not isinstance(kid, int):
+    if not _is_int(kid):
         raise ValidationError(f"{where}: keyframe_id must be an integer, got {kid!r}")
-    grid_path = os.path.join(base_dir, obj["grid"])
+    if not isinstance(obj["grid"], str):
+        raise ValidationError(f"{where}: grid must be a file name, got {obj['grid']!r}")
     try:
-        grid = read_grid(grid_path)
+        grid = read_grid(os.path.join(base_dir, obj["grid"]))
     except (OSError, ValidationError) as err:
         raise ValidationError(f"{where}: {err}") from None
     if grid.keyframe_id != kid:
         raise ValidationError(
             f"{where}: grid header says keyframe {grid.keyframe_id}, manifest says {kid}")
-    fg_entries = obj.get("foreground", [])
+    here = f"{where}: keyframe {kid}"
+    fg_entries = _list_field(obj, "foreground", here)
     if not fg_entries:
-        raise ValidationError(f"{where}: keyframe {kid} has no foreground boxes")
+        raise ValidationError(f"{here} has no foreground boxes")
     boxes, action_labels, object_classes = [], [], []
     for e, entry in enumerate(fg_entries):
-        spot = f"{where}: keyframe {kid} foreground {e}"
+        spot = f"{here} foreground {e}"
+        if not isinstance(entry, dict):
+            raise ValidationError(f"{spot}: must be an object, got {entry!r}")
         boxes.append(_box_from(entry.get("box"), spot))
         if info.task == "action":
             labels = entry.get("labels")
@@ -149,28 +173,29 @@ def _parse_keyframe(obj, info: DatasetInfo, base_dir: str, where: str) -> Keyfra
             action_labels.append([float(v) for v in labels])
         else:
             cls = entry.get("object_class")
-            if not isinstance(cls, int) or not 0 <= cls < info.object_classes:
+            if not _is_int(cls) or not 0 <= cls < info.object_classes:
                 raise ValidationError(
                     f"{spot}: object_class must be an int in [0, {info.object_classes})")
             object_classes.append(cls)
     relations = []
-    for entry in obj.get("relations", []):
-        spot = f"{where}: keyframe {kid} relation {entry!r}"
+    for entry in _list_field(obj, "relations", here):
+        spot = f"{here} relation {entry!r}"
         if info.task != "scenegraph":
             raise ValidationError(f"{spot}: relations only belong to scene-graph datasets")
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise ValidationError(f"{spot}: need [subject, object, predicate]")
-        s, o, r = (int(v) for v in entry)
+        if (not isinstance(entry, list) or len(entry) != 3
+                or not _JSON_INTEGERS.issuperset(map(type, entry))):
+            raise ValidationError(f"{spot}: need [subject, object, predicate] integers")
+        s, o, r = entry
         if not (0 <= o < s < len(boxes)):
             raise ValidationError(
                 f"{spot}: need object index < subject index < {len(boxes)} foreground boxes")
         if not 0 <= r < info.relation_classes:
             raise ValidationError(f"{spot}: predicate must be in [0, {info.relation_classes})")
         relations.append((s, o, r))
-    proposals = [_box_from(b, f"{where}: keyframe {kid} proposal {i}")
-                 for i, b in enumerate(obj.get("proposals", []))]
-    detections = [_box_from(b, f"{where}: keyframe {kid} detection {i}")
-                  for i, b in enumerate(obj.get("detections", []))]
+    proposals = [_box_from(b, f"{here} proposal {i}")
+                 for i, b in enumerate(_list_field(obj, "proposals", here))]
+    detections = [_box_from(b, f"{here} detection {i}")
+                  for i, b in enumerate(_list_field(obj, "detections", here))]
     return KeyframeRecord(
         keyframe_id=kid,
         grid=grid,
@@ -239,8 +264,8 @@ def load_dataset(manifest_path: str) -> tuple[DatasetInfo, list[ClipRecord]]:
             raise ValidationError(f"{where}: duplicate clip_id {clip_id!r}")
         seen_ids.add(clip_id)
         kf_objs = obj.get("keyframes")
-        if not kf_objs:
-            raise ValidationError(f"{where}: clip {clip_id} has no keyframes")
+        if not isinstance(kf_objs, list) or not kf_objs:
+            raise ValidationError(f"{where}: clip {clip_id} needs a nonempty list of keyframes")
         keyframes = []
         last_id = None
         for kf_obj in kf_objs:

@@ -81,7 +81,6 @@ class Node:
     keyframe_id: int
     box: Box | None = None
     cell: tuple[int, int] | None = None
-    state: np.ndarray | None = None  # initial state snapshot, shape (d,)
 
 
 def pool_box_features(grid: FeatureGrid, box: Box) -> np.ndarray:
@@ -181,17 +180,15 @@ def project_keyframe(feats: KeyframeFeatures, params, keyframe_pos: int = 0, id_
     h, w = feats.grid_hw
     nodes: list[Node] = []
     next_id = id_start
-    for i, box in enumerate(feats.fg_boxes):
-        nodes.append(Node(next_id, FOREGROUND, keyframe_pos, feats.keyframe_id,
-                          box=box, state=fg_states.data[i].copy()))
+    for box in feats.fg_boxes:
+        nodes.append(Node(next_id, FOREGROUND, keyframe_pos, feats.keyframe_id, box=box))
         next_id += 1
     for cell in range(h * w):
         nodes.append(Node(next_id, CONTEXT_IMPLICIT, keyframe_pos, feats.keyframe_id,
-                          cell=(cell // w, cell % w), state=ctx_states.data[cell].copy()))
+                          cell=(cell // w, cell % w)))
         next_id += 1
-    for k, box in enumerate(feats.prop_boxes):
-        nodes.append(Node(next_id, CONTEXT_EXPLICIT, keyframe_pos, feats.keyframe_id,
-                          box=box, state=ctx_states.data[h * w + k].copy()))
+    for box in feats.prop_boxes:
+        nodes.append(Node(next_id, CONTEXT_EXPLICIT, keyframe_pos, feats.keyframe_id, box=box))
         next_id += 1
 
     n = len(feats.fg_boxes)

@@ -20,6 +20,7 @@ then passes its outputs to ``check_finite``.  The flags matter because
 relu and softmax can map an infinite intermediate to a finite output.
 """
 
+import math
 import threading
 
 import numpy as np
@@ -202,6 +203,88 @@ def _need_shape(t: Tensor, ndim: int, what: str) -> None:
         raise ShapeError(f"{what} must have {ndim} dimensions, got shape {t.data.shape}")
 
 
+def _need_affine(x: Tensor, scale_: Tensor, shift: Tensor, what: str) -> None:
+    d = x.data.shape[-1]
+    if scale_.data.shape != (d,) or shift.data.shape != (d,):
+        raise ShapeError(
+            f"{what}: scale {scale_.data.shape} / shift {shift.data.shape} do not match width {d}"
+        )
+
+
+# ---------------------------------------------------------------------------
+# array-level formulas, shared by the primitives and the fused blocks below
+
+
+def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray):
+    """Cotangents (of a, of b) of the 2-d product a @ b."""
+    return g @ b.T, a.T @ g
+
+
+def _softmax_values(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis with max subtraction for stability."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Cotangent of a softmax input, from its output y and output cotangent g."""
+    inner = (g * y).sum(axis=-1, keepdims=True)
+    return y * (g - inner)
+
+
+def _layer_norm_values(x: np.ndarray, scale_: np.ndarray, shift: np.ndarray, eps: float):
+    """Layer norm over the last axis: (output, normalized x, inverse deviation)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    return scale_ * xhat + shift, xhat, inv
+
+
+def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, scale_: np.ndarray):
+    """Cotangents (of x, of scale, of shift) of a layer norm."""
+    gh = g * scale_
+    m1 = gh.mean(axis=-1, keepdims=True)
+    m2 = (gh * xhat).mean(axis=-1, keepdims=True)
+    dx = (gh - m1 - xhat * m2) * inv
+    if xhat.ndim == 1:
+        return dx, g * xhat, g
+    return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+
+
+def _slice_scores(parts: list[np.ndarray], v: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Each (n, d) part times the column v[start:stop], stacked as (n, len(parts))."""
+    col = v[start:stop, None]
+    return np.concatenate([p @ col for p in parts], axis=1)
+
+
+def _slice_scores_grads(parts: list[np.ndarray], v: np.ndarray, start: int, stop: int,
+                        g: np.ndarray):
+    """Cotangents (one per part, of v) of _slice_scores; zero outside [start, stop)."""
+    col = v[start:stop, None]
+    cols = [g[:, j:j + 1] for j in range(len(parts))]
+    # sum the parts' contributions last part first, as separate products
+    # recorded in part order would accumulate them
+    dcol = None
+    for p, gj in zip(reversed(parts), reversed(cols)):
+        piece = p.T @ gj
+        dcol = piece if dcol is None else dcol + piece
+    dv = np.zeros_like(v)
+    dv[start:stop] = dcol[:, 0]
+    return [gj @ col.T for gj in cols], dv
+
+
+def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Reduce a broadcast 2-d cotangent back to an operand of the given shape."""
+    return g.sum(axis=tuple(axis for axis in (0, 1) if shape[axis] == 1), keepdims=True)
+
+
+def _relu_values(x: np.ndarray):
+    """(max(x, 0), mask of positive entries)."""
+    mask = x > 0.0
+    return np.where(mask, x, 0.0), mask
+
+
 # ---------------------------------------------------------------------------
 # primitives
 
@@ -232,7 +315,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if ad.ndim == 2 and bd.ndim == 2:
         if ad.shape[1] != bd.shape[0]:
             raise ShapeError(f"matmul: shapes {ad.shape} and {bd.shape} do not align")
-        return _emit(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+        return _emit(ad @ bd, (a, b), lambda g: _matmul_grads(ad, bd, g))
     if ad.ndim == 1 and bd.ndim == 2:
         if ad.shape[0] != bd.shape[0]:
             raise ShapeError(f"matmul: shapes {ad.shape} and {bd.shape} do not align")
@@ -251,8 +334,8 @@ def transpose(x: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(x, 0); the derivative at exactly zero is zero."""
-    mask = x.data > 0.0
-    return _emit(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
+    y, mask = _relu_values(x.data)
+    return _emit(y, (x,), lambda g: (g * mask,))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -270,15 +353,8 @@ def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis with max subtraction for stability."""
     if x.data.ndim not in (1, 2):
         raise ShapeError(f"softmax expects 1 or 2 dimensions, got shape {x.data.shape}")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - inner),)
-
-    return _emit(y, (x,), backward)
+    y = _softmax_values(x.data)
+    return _emit(y, (x,), lambda g: (_softmax_grad(y, g),))
 
 
 def layer_norm(x: Tensor, scale_: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
@@ -289,31 +365,10 @@ def layer_norm(x: Tensor, scale_: Tensor, shift: Tensor, eps: float = 1e-5) -> T
     """
     if x.data.ndim not in (1, 2):
         raise ShapeError(f"layer_norm expects 1 or 2 dimensions, got shape {x.data.shape}")
-    d = x.data.shape[-1]
-    if scale_.data.shape != (d,) or shift.data.shape != (d,):
-        raise ShapeError(
-            f"layer_norm: scale {scale_.data.shape} / shift {shift.data.shape} do not match width {d}"
-        )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = scale_.data * xhat + shift.data
-
-    def backward(g):
-        gh = g * scale_.data
-        m1 = gh.mean(axis=-1, keepdims=True)
-        m2 = (gh * xhat).mean(axis=-1, keepdims=True)
-        dx = (gh - m1 - xhat * m2) * inv
-        if x.data.ndim == 1:
-            dscale = g * xhat
-            dshift = g
-        else:
-            dscale = (g * xhat).sum(axis=0)
-            dshift = g.sum(axis=0)
-        return dx, dscale, dshift
-
-    return _emit(out, (x, scale_, shift), backward)
+    _need_affine(x, scale_, shift, "layer_norm")
+    out, xhat, inv = _layer_norm_values(x.data, scale_.data, shift.data, eps)
+    return _emit(out, (x, scale_, shift),
+                 lambda g: _layer_norm_grads(g, xhat, inv, scale_.data))
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:
@@ -362,78 +417,145 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     return _emit(out, tuple(parts), backward)
 
 
-def matmul_slice(parts: list[Tensor], v: Tensor, start: int, stop: int) -> Tensor:
-    """Multiply every (n, d) part by the column v[start:stop] and stack the products as columns.
+# ---------------------------------------------------------------------------
+# fused blocks: each records one tape entry for what would otherwise be a
+# chain of the primitives above.  The forward evaluates the chain's numpy
+# expressions, and the backward runs the chain's backward rules in reverse
+# order.  An input used more than once is listed once per use, in the order
+# the chain's entries would have handed it cotangent pieces, so grad()
+# accumulates the same pieces in the same order and every number is
+# bit-identical to the chain's.
 
-    The (n, len(parts)) result is concat_cols([matmul(p, c) for p in parts])
-    with c = v[start:stop] as a (d, 1) column, recorded as one tape entry;
-    the gradient reaches v directly, with zeros outside [start, stop).
+
+def nonlocal_attention(query: Tensor, kv: Tensor, wq: Tensor, wk: Tensor,
+                       wv: Tensor) -> tuple[Tensor, Tensor]:
+    """Scaled dot-product attention of query rows over kv rows, as one tape entry.
+
+    With q = query @ wq, k = kv @ wk and v = kv @ wv, returns
+    (softmax(q k^T / sqrt(width of k)) @ v, attention).  The attention
+    matrix is returned for inspection only; it is not on the tape.
     """
-    _need_shape(v, 1, "matmul_slice vector")
-    if not 0 <= start < stop <= v.data.shape[0]:
-        raise ShapeError(f"matmul_slice: [{start}:{stop}] out of range for length {v.data.shape[0]}")
-    if not parts:
-        raise ShapeError("matmul_slice: empty input")
-    shape = parts[0].data.shape
-    if len(shape) != 2 or shape[1] != stop - start or any(p.data.shape != shape for p in parts):
-        raise ShapeError(f"matmul_slice: parts of shape {shape} do not all match "
-                         f"a column of length {stop - start}")
-    col = v.data[start:stop, None]
-    out = np.concatenate([p.data @ col for p in parts], axis=1)
+    _need_shape(query, 2, "nonlocal_attention query")
+    _need_shape(kv, 2, "nonlocal_attention kv")
+    qd, kvd, wqd, wkd, wvd = query.data, kv.data, wq.data, wk.data, wv.data
+    d = qd.shape[1]
+    if (wqd.ndim != 2 or wqd.shape != wkd.shape or wvd.ndim != 2 or kvd.shape[1] != d
+            or wqd.shape[0] != d or wvd.shape[0] != d):
+        raise ShapeError(f"nonlocal_attention: query {qd.shape}, kv {kvd.shape} and weights "
+                         f"{wqd.shape}/{wkd.shape}/{wvd.shape} do not align")
+    c = 1.0 / math.sqrt(wqd.shape[1])
+    q = qd @ wqd
+    k = kvd @ wkd
+    v = kvd @ wvd
+    kt = k.T
+    attention = _softmax_values((q @ kt) * c)
 
     def backward(g):
-        cols = [g[:, j:j + 1] for j in range(len(parts))]
-        # sum the parts' contributions last part first, as separate
-        # matmuls recorded in part order would accumulate them
-        dcol = None
-        for p, gj in zip(reversed(parts), reversed(cols)):
-            piece = p.data.T @ gj
-            dcol = piece if dcol is None else dcol + piece
-        dv = np.zeros_like(v.data)
-        dv[start:stop] = dcol[:, 0]
-        return tuple(gj @ col.T for gj in cols) + (dv,)
+        dattention, dv = _matmul_grads(attention, v, g)
+        dq, dkt = _matmul_grads(q, kt, _softmax_grad(attention, dattention) * c)
+        dkv_v, dwv = _matmul_grads(kvd, wvd, dv)
+        dkv_k, dwk = _matmul_grads(kvd, wkd, dkt.T)
+        dquery, dwq = _matmul_grads(qd, wqd, dq)
+        return dkv_v, dwv, dkv_k, dwk, dquery, dwq
 
-    return _emit(out, (*parts, v), backward)
+    out = _emit(attention @ v, (kv, wv, kv, wk, query, wq), backward)
+    return out, _wrap(attention)
 
 
-def add_broadcast(a: Tensor, b: Tensor) -> Tensor:
-    """Add two matrices whose size-1 axes broadcast, e.g. (n, 1) + (1, s)."""
-    _need_shape(a, 2, "add_broadcast operand")
-    _need_shape(b, 2, "add_broadcast operand")
-    try:
-        np.broadcast_shapes(a.data.shape, b.data.shape)
-    except ValueError:
-        raise ShapeError(f"add_broadcast: shapes {a.data.shape} and {b.data.shape} do not broadcast") from None
-    out = a.data + b.data
+def additive_attention(receivers: Tensor, neighbors: Tensor, transform: Tensor,
+                       score: Tensor) -> tuple[Tensor, Tensor]:
+    """GAT-style attention of every receiver over the neighbor rows, as one tape entry.
 
-    def reduce_to(g, shape):
-        return g.sum(axis=tuple(axis for axis in (0, 1) if shape[axis] == 1), keepdims=True)
-
-    return _emit(out, (a, b), lambda g: (reduce_to(g, a.data.shape), reduce_to(g, b.data.shape)))
-
-
-def mix_rows(weights: Tensor, parts: list[Tensor]) -> Tensor:
-    """Per-row weighted mix: out[r] = sum_k weights[r, k] * parts[k][r]."""
-    _need_shape(weights, 2, "mix_rows weights")
-    if not parts:
-        raise ShapeError("mix_rows: empty input")
-    for p in parts:
-        _need_shape(p, 2, "mix_rows part")
-    n, k = weights.data.shape
-    width = parts[0].data.shape[1]
-    if k != len(parts) or any(p.data.shape != (n, width) for p in parts):
-        raise ShapeError(f"mix_rows: weights {weights.data.shape} do not match "
-                         f"{len(parts)} parts of shape {parts[0].data.shape}")
-    w = weights.data
-    acc = w[:, 0:1] * parts[0].data
-    for j in range(1, k):
-        acc = acc + w[:, j:j + 1] * parts[j].data
+    With score = [a1 || a2], attention row v is softmax over j of
+    relu(h_v . a1 + h_j . a2), and the message is
+    relu((attention @ neighbors) @ transform).  Returns (messages,
+    attention); the attention matrix is not on the tape.
+    """
+    _need_shape(receivers, 2, "additive_attention receivers")
+    _need_shape(neighbors, 2, "additive_attention neighbors")
+    _need_shape(transform, 2, "additive_attention transform")
+    rd, nd, wd, a = receivers.data, neighbors.data, transform.data, score.data
+    d = rd.shape[1]
+    if nd.shape[1] != d or wd.shape[0] != d or a.shape != (2 * d,):
+        raise ShapeError(f"additive_attention: receivers {rd.shape}, neighbors {nd.shape}, "
+                         f"transform {wd.shape} and score {a.shape} do not align")
+    own = _slice_scores([rd], a, 0, d)
+    other_t = _slice_scores([nd], a, d, 2 * d).T
+    raw, raw_mask = _relu_values(own + other_t)
+    attention = _softmax_values(raw)
+    pooled = attention @ nd
+    out, out_mask = _relu_values(pooled @ wd)
 
     def backward(g):
-        dw = np.stack([(g * p.data).sum(axis=1) for p in parts], axis=1)
-        return (dw,) + tuple(w[:, j:j + 1] * g for j in range(k))
+        dpooled, dtransform = _matmul_grads(pooled, wd, g * out_mask)
+        dattention, dnbrs = _matmul_grads(attention, nd, dpooled)
+        draw = _softmax_grad(attention, dattention) * raw_mask
+        (dnbrs_score,), dscore_other = _slice_scores_grads(
+            [nd], a, d, 2 * d, _sum_to(draw, other_t.shape).T)
+        (dreceivers,), dscore_own = _slice_scores_grads([rd], a, 0, d, _sum_to(draw, own.shape))
+        return dtransform, dnbrs, dnbrs_score, dscore_other, dreceivers, dscore_own
 
-    return _emit(acc, (weights, *parts), backward)
+    out = _emit(out, (transform, neighbors, neighbors, score, receivers, score), backward)
+    return out, _wrap(attention)
+
+
+def gated_mix(messages: list[Tensor], receivers: Tensor, gate: Tensor) -> tuple[Tensor, Tensor]:
+    """Per-receiver convex mix of K parallel (n, d) messages, as one tape entry.
+
+    With gate = [g1 || g2], weight k of receiver v is softmax over k of
+    relu(h_v . g1 + m_k[v] . g2), and row v of the result is
+    sum_k weight[v, k] * m_k[v].  Returns (mix (n, d), weights (n, K));
+    the weights are not on the tape.
+    """
+    _need_shape(receivers, 2, "gated_mix receivers")
+    if not messages:
+        raise ShapeError("gated_mix: no messages")
+    rd, gd = receivers.data, gate.data
+    parts = [m.data for m in messages]
+    d = rd.shape[1]
+    if gd.shape != (2 * d,) or any(p.shape != rd.shape for p in parts):
+        raise ShapeError(f"gated_mix: messages {[p.shape for p in parts]}, receivers {rd.shape} "
+                         f"and gate {gd.shape} do not align")
+    slot = _slice_scores(parts, gd, d, 2 * d)
+    own = _slice_scores([rd], gd, 0, d)
+    raw, mask = _relu_values(own + slot)
+    w = _softmax_values(raw)
+    acc = w[:, 0:1] * parts[0]
+    for j in range(1, len(parts)):
+        acc = acc + w[:, j:j + 1] * parts[j]
+
+    def backward(g):
+        dw = np.stack([(g * p).sum(axis=1) for p in parts], axis=1)
+        dmix = [w[:, j:j + 1] * g for j in range(len(parts))]
+        draw = _softmax_grad(w, dw) * mask
+        (dreceivers,), dgate_own = _slice_scores_grads([rd], gd, 0, d, _sum_to(draw, own.shape))
+        dslot, dgate_slot = _slice_scores_grads(parts, gd, d, 2 * d, _sum_to(draw, slot.shape))
+        return (*dmix, dreceivers, dgate_own, *dslot, dgate_slot)
+
+    out = _emit(acc, (*messages, receivers, gate, *messages, gate), backward)
+    return out, _wrap(w)
+
+
+def residual_layer_norm(state: Tensor, message: Tensor, scale_: Tensor, shift: Tensor,
+                        eps: float = 1e-5) -> Tensor:
+    """layer_norm(state + message, scale, shift, eps) as one tape entry.
+
+    Works on a single state vector or on a matrix of state rows.
+    """
+    if state.data.shape != message.data.shape:
+        raise ShapeError(f"residual_layer_norm: shapes {state.data.shape} and "
+                         f"{message.data.shape} differ")
+    if state.data.ndim not in (1, 2):
+        raise ShapeError(f"residual_layer_norm expects 1 or 2 dimensions, "
+                         f"got shape {state.data.shape}")
+    _need_affine(state, scale_, shift, "residual_layer_norm")
+    out, xhat, inv = _layer_norm_values(state.data + message.data, scale_.data, shift.data, eps)
+
+    def backward(g):
+        dx, dscale, dshift = _layer_norm_grads(g, xhat, inv, scale_.data)
+        return dscale, dshift, dx, dx
+
+    return _emit(out, (scale_, shift, state, message), backward)
 
 
 def gather_rows(m: Tensor, index) -> Tensor:

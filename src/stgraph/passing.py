@@ -13,10 +13,11 @@ foreground states of a keyframe attend to its s neighbor states through
 (n, s) attention matrices, and the gate scores all K message slots of
 every receiver as one (n, K) matrix.  The additive scores
 relu(a . [h_v || h_j]) are evaluated as relu(h_v . a1 + h_j . a2), a
-column plus a row, so no per-receiver pair matrix is ever built.  The
-tape therefore grows with iterations x phases x keyframes x slots, not
-with the number of nodes.  Per-node Python runs only to copy attention
-and gate rows into trace records.
+column plus a row, so no per-receiver pair matrix is ever built.  Each
+slot, the gate and the residual update is one fused numgrad primitive and
+records one tape entry, so the tape grows with iterations x phases x
+keyframes x slots, not with the number of nodes.  Per-node Python runs
+only to copy attention and gate rows into trace records.
 
 Each (iteration, phase) runs inside one numgrad.checked span, and its
 updated states are checked for finiteness once, so a NaN or infinity
@@ -26,7 +27,6 @@ Parameters are stored in a flat name -> Tensor mapping and are untied:
 every (iteration, phase, function, head) tuple owns its own weights.
 """
 
-import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -191,13 +191,8 @@ def nonlocal_messages(query_states: Tensor, key_value_states: Tensor,
         raise ValidationError("nonlocal_messages expects 2-d state matrices")
     if key_value_states.shape[0] == 0:
         raise ValidationError("nonlocal_messages: empty neighborhood")
-    d = query_states.shape[1]
-    q = ng.matmul(query_states, weights.query)
-    k = ng.matmul(key_value_states, weights.key)
-    v = ng.matmul(key_value_states, weights.value)
-    logits = ng.scale(ng.matmul(q, ng.transpose(k)), 1.0 / math.sqrt(d))
-    attention = ng.softmax(logits)
-    return ng.matmul(attention, v), attention
+    return ng.nonlocal_attention(query_states, key_value_states,
+                                 weights.query, weights.key, weights.value)
 
 
 def gat_messages(receivers: Tensor, neighbor_states: Tensor,
@@ -214,12 +209,7 @@ def gat_messages(receivers: Tensor, neighbor_states: Tensor,
         raise ValidationError("gat_messages expects 2-d state matrices")
     if neighbor_states.shape[0] == 0:
         raise ValidationError("gat_messages: empty neighborhood")
-    d = receivers.shape[1]
-    own = ng.matmul_slice([receivers], weights.score, 0, d)
-    other = ng.matmul_slice([neighbor_states], weights.score, d, 2 * d)
-    attention = ng.softmax(ng.relu(ng.add_broadcast(own, ng.transpose(other))))
-    pooled = ng.matmul(attention, neighbor_states)
-    return ng.relu(ng.matmul(pooled, weights.transform)), attention
+    return ng.additive_attention(receivers, neighbor_states, weights.transform, weights.score)
 
 
 def combine_parallel(messages: list[Tensor], receivers: Tensor,
@@ -238,11 +228,7 @@ def combine_parallel(messages: list[Tensor], receivers: Tensor,
         return messages[0], Tensor(np.ones((receivers.shape[0], 1)))
     if gate is None:
         raise ValidationError("combine_parallel: gate vector required for parallel messages")
-    d = receivers.shape[1]
-    slot_scores = ng.matmul_slice(messages, gate, d, 2 * d)
-    own = ng.matmul_slice([receivers], gate, 0, d)
-    weights = ng.softmax(ng.relu(ng.add_broadcast(own, slot_scores)))
-    return ng.mix_rows(weights, messages), weights
+    return ng.gated_mix(messages, receivers, gate)
 
 
 def update_node(state: Tensor, message: Tensor, scale: Tensor, shift: Tensor,
@@ -251,7 +237,7 @@ def update_node(state: Tensor, message: Tensor, scale: Tensor, shift: Tensor,
 
     With a zero message this is layer_norm(state), not the identity.
     """
-    return ng.layer_norm(ng.add(state, message), scale, shift, eps)
+    return ng.residual_layer_norm(state, message, scale, shift, eps)
 
 
 @dataclass

@@ -400,9 +400,11 @@ def save_checkpoint(path: str, params: dict[str, Tensor], config: ModelConfig,
     }
     if log is not None:
         payload["log"] = log
+    # json.dumps runs the C encoder; json.dump(payload, f) would stream
+    # through the pure-Python one
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     with open(path, "w") as f:
-        json.dump(payload, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, Tensor], ModelConfig, dict]:

@@ -175,9 +175,72 @@ def _keyframe_as_number(lines):
     return 2
 
 
+def _edit_first_keyframe(lines, edit):
+    clip = json.loads(lines[1])
+    edit(clip["keyframes"][0])
+    lines[1] = json.dumps(clip)
+    return 2
+
+
+def _number_grid(lines):
+    return _edit_first_keyframe(lines, lambda kf: kf.update(grid=5))
+
+
+def _foreground_entry_as_number(lines):
+    return _edit_first_keyframe(lines, lambda kf: kf["foreground"].__setitem__(0, 5))
+
+
+def _box_of_strings(lines):
+    def edit(kf):
+        box = kf["foreground"][0]["box"]
+        kf["foreground"][0]["box"] = [str(v) for v in box]
+    return _edit_first_keyframe(lines, edit)
+
+
+def _number_proposals(lines):
+    return _edit_first_keyframe(lines, lambda kf: kf.update(proposals=3))
+
+
+def _number_foreground(lines):
+    return _edit_first_keyframe(lines, lambda kf: kf.update(foreground=5))
+
+
+def _number_keyframes(lines):
+    clip = json.loads(lines[1])
+    clip["keyframes"] = 5
+    lines[1] = json.dumps(clip)
+    return 2
+
+
+def _as_scenegraph(lines, relation):
+    """Turn the action manifest into a scene-graph one whose first keyframe holds relation."""
+    lines[0] = json.dumps({"record": "header", "version": 1, "task": "scenegraph",
+                           "object_classes": 2, "relation_classes": 2})
+    for n, line in enumerate(lines[1:], start=1):
+        clip = json.loads(line)
+        for kf in clip["keyframes"]:
+            for entry in kf["foreground"]:
+                del entry["labels"]
+                entry["object_class"] = 0
+        lines[n] = json.dumps(clip)
+    return _edit_first_keyframe(lines, lambda kf: kf.update(relations=[relation]))
+
+
+def _string_relation_index(lines):
+    return _as_scenegraph(lines, ["a", 1, 2])
+
+
+def _fractional_relation_index(lines):
+    return _as_scenegraph(lines, [1, 0, 1.5])
+
+
 @pytest.mark.parametrize("corrupt", [_clip_as_array, _string_action_classes,
                                      _string_keyframe_id, _word_version,
-                                     _keyframe_as_number])
+                                     _keyframe_as_number, _number_grid,
+                                     _foreground_entry_as_number, _box_of_strings,
+                                     _number_proposals, _number_foreground,
+                                     _number_keyframes, _string_relation_index,
+                                     _fractional_relation_index])
 def test_malformed_manifest_exits_one(action_ds, tmp_path, capsys, corrupt):
     with open(action_ds) as f:
         lines = f.read().splitlines()

@@ -177,7 +177,9 @@ def test_node_ids_are_sequential_and_deterministic():
     assert sorted(a.nodes) == list(range(a.num_nodes))
     for i in a.nodes:
         assert a.node(i).kind == b.node(i).kind
-        assert np.array_equal(a.node(i).state, b.node(i).state)
+    for ka, kb in zip(a.keyframes, b.keyframes):
+        assert ka.fg_states.data.tobytes() == kb.fg_states.data.tobytes()
+        assert ka.ctx_states.data.tobytes() == kb.ctx_states.data.tobytes()
 
 
 def test_spatial_size_property_random_scenes():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -219,25 +221,33 @@ def test_finite_differences_per_primitive():
         ),
         "concat_rows": ({"a": t(2, 3), "b": t(4, 3)}, lambda p: ng.sum_all(ng.relu(ng.concat_rows([p["a"], p["b"]])))),
         "concat_cols": ({"a": t(3, 2), "b": t(3, 4)}, lambda p: ng.sum_all(ng.relu(ng.concat_cols([p["a"], p["b"]])))),
-        "matmul_slice_one": (
-            {"v": t(6), "m": t(3, 2)},
-            lambda p: ng.sum_all(ng.relu(ng.matmul_slice([p["m"]], p["v"], 2, 4))),
+        "nonlocal_attention": (
+            {"q": t(3, 4), "kv": t(5, 4), "wq": t(4, 4), "wk": t(4, 4), "wv": t(4, 4)},
+            lambda p: ng.sum_all(ng.relu(ng.nonlocal_attention(p["q"], p["kv"], p["wq"], p["wk"], p["wv"])[0])),
         ),
-        "matmul_slice_many": (
-            {"v": t(6), "a": t(3, 4), "b": t(3, 4)},
-            lambda p: ng.sum_all(ng.softmax(ng.matmul_slice([p["a"], p["b"], p["a"]], p["v"], 2, 6))),
+        "nonlocal_attention_kv_is_query": (
+            {"h": t(3, 4), "wq": t(4, 4), "wk": t(4, 4), "wv": t(4, 4)},
+            lambda p: ng.sum_all(ng.relu(ng.nonlocal_attention(p["h"], p["h"], p["wq"], p["wk"], p["wv"])[0])),
         ),
-        "add_broadcast_outer": (
-            {"c": t(3, 1), "r": t(1, 4)},
-            lambda p: ng.sum_all(ng.softmax(ng.add_broadcast(p["c"], p["r"]))),
+        "additive_attention": (
+            {"r": t(3, 4), "n": t(5, 4), "w": t(4, 4), "a": t(8)},
+            lambda p: ng.sum_all(ng.relu(ng.additive_attention(p["r"], p["n"], p["w"], p["a"])[0])),
         ),
-        "add_broadcast_column": (
-            {"c": t(3, 1), "m": t(3, 4)},
-            lambda p: ng.sum_all(ng.relu(ng.add_broadcast(p["c"], p["m"]))),
+        "additive_attention_one_receiver_one_neighbor": (
+            {"r": t(1, 4), "n": t(1, 4), "w": t(4, 4), "a": t(8)},
+            lambda p: ng.sum_all(ng.additive_attention(p["r"], p["n"], p["w"], p["a"])[0]),
         ),
-        "mix_rows": (
-            {"w": t(3, 2), "a": t(3, 4), "b": t(3, 4)},
-            lambda p: ng.sum_all(ng.relu(ng.mix_rows(p["w"], [p["a"], p["b"]]))),
+        "gated_mix": (
+            {"a": t(3, 4), "b": t(3, 4), "r": t(3, 4), "g": t(8)},
+            lambda p: ng.sum_all(ng.relu(ng.gated_mix([p["a"], p["b"], p["a"]], p["r"], p["g"])[0])),
+        ),
+        "residual_layer_norm_1d": (
+            {"x": t(6), "m": t(6), "s": t(6), "b": t(6)},
+            lambda p: ng.sum_all(ng.relu(ng.residual_layer_norm(p["x"], p["m"], p["s"], p["b"]))),
+        ),
+        "residual_layer_norm_2d": (
+            {"x": t(3, 6), "m": t(3, 6), "s": t(6), "b": t(6)},
+            lambda p: ng.sum_all(ng.relu(ng.residual_layer_norm(p["x"], p["m"], p["s"], p["b"]))),
         ),
         "gather_rows": ({"m": t(4, 3)}, lambda p: ng.sum_all(ng.relu(ng.gather_rows(p["m"], [0, 2, 2, 1])))),
         "mean_all": ({"x": t(3, 3)}, lambda p: ng.mean_all(ng.relu(p["x"]))),
@@ -258,22 +268,75 @@ def test_finite_differences_per_primitive():
         _fd_check(build, params)
 
 
-def test_slice_broadcast_mix_reject_bad_shapes():
-    v, m = ng.Tensor(np.ones(4)), ng.Tensor(np.ones((3, 2)))
+def test_fused_primitives_reject_bad_shapes():
+    m, w = ng.Tensor(np.ones((3, 2))), ng.Tensor(np.ones((2, 2)))
+    v4, v5 = ng.Tensor(np.ones(4)), ng.Tensor(np.ones(5))
     with pytest.raises(ShapeError):
-        ng.matmul_slice([m], v, 3, 5)
+        ng.nonlocal_attention(m, ng.Tensor(np.ones((4, 3))), w, w, w)
     with pytest.raises(ShapeError):
-        ng.matmul_slice([m], m, 0, 2)
+        ng.nonlocal_attention(m, m, w, ng.Tensor(np.ones((2, 3))), w)
     with pytest.raises(ShapeError):
-        ng.matmul_slice([m], v, 0, 3)
+        ng.nonlocal_attention(v4, m, w, w, w)
     with pytest.raises(ShapeError):
-        ng.matmul_slice([m, ng.Tensor(np.ones((2, 2)))], v, 0, 2)
+        ng.additive_attention(m, m, w, v5)
     with pytest.raises(ShapeError):
-        ng.add_broadcast(m, ng.Tensor(np.ones((2, 2))))
+        ng.additive_attention(m, m, w, ng.Tensor(np.ones((2, 2))))
     with pytest.raises(ShapeError):
-        ng.mix_rows(ng.Tensor(np.ones((3, 2))), [m])
+        ng.additive_attention(m, ng.Tensor(np.ones((3, 3))), w, v4)
     with pytest.raises(ShapeError):
-        ng.mix_rows(ng.Tensor(np.ones((3, 2))), [m, ng.Tensor(np.ones((2, 2)))])
+        ng.gated_mix([m, ng.Tensor(np.ones((2, 2)))], m, v4)
+    with pytest.raises(ShapeError):
+        ng.gated_mix([m, m], m, v5)
+    with pytest.raises(ShapeError):
+        ng.gated_mix([], m, v4)
+    with pytest.raises(ShapeError):
+        ng.residual_layer_norm(m, ng.Tensor(np.ones((2, 2))), ng.Tensor(np.ones(2)), ng.Tensor(np.zeros(2)))
+    with pytest.raises(ShapeError):
+        ng.residual_layer_norm(m, m, ng.Tensor(np.ones(3)), ng.Tensor(np.zeros(3)))
+
+
+def _composed_nonlocal(query, kv, wq, wk, wv):
+    q, k, v = ng.matmul(query, wq), ng.matmul(kv, wk), ng.matmul(kv, wv)
+    attention = ng.softmax(ng.scale(ng.matmul(q, ng.transpose(k)), 1.0 / math.sqrt(wq.shape[1])))
+    return ng.matmul(attention, v), attention
+
+
+def _composed_residual(state, message, scale, shift, eps):
+    return ng.layer_norm(ng.add(state, message), scale, shift, eps)
+
+
+@pytest.mark.parametrize("with_context", [False, True])
+def test_fused_blocks_match_their_composition_bit_for_bit(with_context):
+    # two heads attend over one shared kv, so the fused entries must hand
+    # kv (and, without context, the query states too) their gradient
+    # pieces in the order the separate entries did
+    rng = np.random.default_rng(31)
+
+    def t(*shape):
+        return ng.Tensor(rng.uniform(-1, 1, size=shape), requires_grad=True)
+
+    p = {"h": t(3, 4), "ctx": t(2, 4), "s": t(4), "b": t(4), "row": t(4), "row_msg": t(4)}
+    for head in range(2):
+        for part in ("wq", "wk", "wv"):
+            p[f"{part}{head}"] = t(4, 4)
+
+    def run(attend, residual):
+        with ng.Tape() as tape:
+            kv = ng.concat_rows([p["h"], p["ctx"]]) if with_context else p["h"]
+            heads = [attend(p["h"], kv, p[f"wq{k}"], p[f"wk{k}"], p[f"wv{k}"]) for k in range(2)]
+            states = residual(p["h"], ng.add(heads[0][0], heads[1][0]), p["s"], p["b"], 1e-5)
+            row = residual(p["row"], p["row_msg"], p["s"], p["b"], 1e-5)
+            loss = ng.add(ng.sum_all(ng.relu(states)), ng.sum_all(ng.relu(row)))
+        outputs = [states, row, loss] + [att for _, att in heads]
+        return [x.data for x in outputs], ng.grad(tape, loss, p)
+
+    fused_outputs, fused_grads = run(ng.nonlocal_attention, ng.residual_layer_norm)
+    outputs, grads = run(_composed_nonlocal, _composed_residual)
+    for got, want in zip(fused_outputs, outputs):
+        assert got.tobytes() == want.tobytes()
+    for name in p:
+        assert fused_grads[name].data.tobytes() == grads[name].data.tobytes(), name
+    assert np.all(fused_grads["h"].data != 0.0)
 
 
 def test_composite_chain_finite_differences():

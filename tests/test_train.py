@@ -426,12 +426,12 @@ def test_clip_loss_tape_length_of_wide_clip():
     with Tape() as tape:
         train.clip_loss(clip, params, config)
     projection = 8 * 2                  # foreground and context matmuls
-    per_keyframe_phase = 4 * 8 + 4 * 9 + 6 + 2   # nonlocal, GAT, gate, residual layer norm
+    per_keyframe_phase = 4 + 4 + 1 + 1  # one per nonlocal and GAT head, the gate, the update
     neighbor_stacks = 8 + 6             # spatial [own; context], temporal with two neighbors
     readout = 8 * 7                     # object logits 2, relation logits 5
     loss = 8 * 4 + 7 + 1                # per keyframe 4, then the sum and the mean
     assert len(tape) == (projection + 2 * 8 * per_keyframe_phase
-                         + neighbor_stacks + readout + loss) == 1342
+                         + neighbor_stacks + readout + loss) == 286
 
 
 def test_train_loss_gradient_matches_finite_differences(tmp_path):
