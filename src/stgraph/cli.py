@@ -16,6 +16,7 @@ does not depend on it.
 """
 
 import argparse
+import bisect
 import json
 import os
 import sys
@@ -251,17 +252,19 @@ def cmd_dump_attention(args) -> int:
     clip = data_mod.featurize_clip(record, info, mode=data_mod.EVAL_MODE)
     graph = build_graph(clip.frames, params, config)
     result = run_inference(graph, params, config, record_traces=True)
+    first_ids = [kf.first_id for kf in graph.keyframes]
     lines = []
     for rec in result.attention:
         neighbors = []
         for nid in rec.neighbor_ids:
-            node = graph.node(nid)
+            kf = graph.keyframes[bisect.bisect_right(first_ids, nid) - 1]
+            kind, box, cell = kf.describe(nid - kf.first_id)
             neighbors.append({
                 "node": nid,
-                "kind": node.kind,
-                "keyframe_id": node.keyframe_id,
-                "box": node.box.as_list() if node.box is not None else None,
-                "cell": list(node.cell) if node.cell is not None else None,
+                "kind": kind,
+                "keyframe_id": kf.keyframe_id,
+                "box": box.as_list() if box is not None else None,
+                "cell": list(cell) if cell is not None else None,
             })
         lines.append(_canonical_json({
             "record": "attention",

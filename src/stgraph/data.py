@@ -168,7 +168,7 @@ def _parse_keyframe(obj, info: DatasetInfo, base_dir: str, where: str) -> Keyfra
             labels = entry.get("labels")
             if not isinstance(labels, list) or len(labels) != info.action_classes:
                 raise ValidationError(f"{spot}: need {info.action_classes} labels")
-            if any(v not in (0, 1) for v in labels):
+            if any(not _is_int(v) or v not in (0, 1) for v in labels):
                 raise ValidationError(f"{spot}: labels must be 0 or 1")
             action_labels.append([float(v) for v in labels])
         else:
@@ -241,7 +241,7 @@ def load_dataset(manifest_path: str) -> tuple[DatasetInfo, list[ClipRecord]]:
             task = obj.get("task")
             if task not in ("action", "scenegraph"):
                 raise ValidationError(f"{where}: unknown task {task!r}")
-            if obj.get("version") != MANIFEST_VERSION:
+            if not _is_int(obj.get("version")) or obj["version"] != MANIFEST_VERSION:
                 raise ValidationError(f"{where}: unsupported manifest version {obj.get('version')!r}")
             info = DatasetInfo(
                 task=task,

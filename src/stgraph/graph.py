@@ -73,16 +73,6 @@ class FeatureGrid:
         return self.values.shape
 
 
-@dataclass
-class Node:
-    node_id: int
-    kind: str
-    keyframe_pos: int
-    keyframe_id: int
-    box: Box | None = None
-    cell: tuple[int, int] | None = None
-
-
 def pool_box_features(grid: FeatureGrid, box: Box) -> np.ndarray:
     """Average grid features over the cells whose centers fall in the box.
 
@@ -151,22 +141,40 @@ def featurize_keyframe(grid: FeatureGrid, fg_boxes, proposals=()) -> KeyframeFea
 class KeyframeNodes:
     """Projected node states and metadata for one keyframe.
 
-    Context rows are ordered implicit cells first (row-major), proposals
-    after, matching ctx_states row order.
+    Ids run from first_id over the foreground boxes, then the grid cells
+    (row-major), then the proposals.  ctx_states rows follow the same
+    order: implicit cells first, proposals after.
     """
 
-    keyframe_pos: int
     keyframe_id: int
-    nodes: list[Node]
-    fg_ids: list[int]
-    ctx_ids: list[int]
+    first_id: int
     fg_states: Tensor   # (n, d)
-    ctx_states: Tensor  # (m, d)
+    ctx_states: Tensor  # (h*w + p, d)
     fg_boxes: list[Box]
+    grid_hw: tuple[int, int]
+    prop_boxes: list[Box]
+
+    @property
+    def fg_ids(self) -> list[int]:
+        return list(range(self.first_id, self.first_id + self.fg_states.shape[0]))
+
+    @property
+    def ctx_ids(self) -> list[int]:
+        start = self.first_id + self.fg_states.shape[0]
+        return list(range(start, start + self.ctx_states.shape[0]))
+
+    def describe(self, row: int) -> tuple[str, Box | None, tuple[int, int] | None]:
+        """(kind, box, cell) of the node with id first_id + row."""
+        n, (h, w) = len(self.fg_boxes), self.grid_hw
+        if row < n:
+            return FOREGROUND, self.fg_boxes[row], None
+        if row < n + h * w:
+            return CONTEXT_IMPLICIT, None, divmod(row - n, w)
+        return CONTEXT_EXPLICIT, self.prop_boxes[row - n - h * w], None
 
 
-def project_keyframe(feats: KeyframeFeatures, params, keyframe_pos: int = 0, id_start: int = 0) -> KeyframeNodes:
-    """Project pooled features into state space and number the nodes."""
+def project_keyframe(feats: KeyframeFeatures, params, first_id: int = 0) -> KeyframeNodes:
+    """Project pooled features into state space; node ids start at first_id."""
     if feats.fg_feats.shape[0] == 0:
         raise ValidationError(f"keyframe {feats.keyframe_id}: no foreground boxes")
     with ng.checked("input projection"):
@@ -176,48 +184,15 @@ def project_keyframe(feats: KeyframeFeatures, params, keyframe_pos: int = 0, id_
             ctx_parts.append(ng.matmul(Tensor(feats.prop_feats), params[PROJ_PROPOSAL]))
         ctx_states = ctx_parts[0] if len(ctx_parts) == 1 else ng.concat_rows(ctx_parts)
     ng.check_finite("input projection", fg_states, ctx_states)
-
-    h, w = feats.grid_hw
-    nodes: list[Node] = []
-    next_id = id_start
-    for box in feats.fg_boxes:
-        nodes.append(Node(next_id, FOREGROUND, keyframe_pos, feats.keyframe_id, box=box))
-        next_id += 1
-    for cell in range(h * w):
-        nodes.append(Node(next_id, CONTEXT_IMPLICIT, keyframe_pos, feats.keyframe_id,
-                          cell=(cell // w, cell % w)))
-        next_id += 1
-    for box in feats.prop_boxes:
-        nodes.append(Node(next_id, CONTEXT_EXPLICIT, keyframe_pos, feats.keyframe_id, box=box))
-        next_id += 1
-
-    n = len(feats.fg_boxes)
-    ids = [nd.node_id for nd in nodes]
     return KeyframeNodes(
-        keyframe_pos=keyframe_pos,
         keyframe_id=feats.keyframe_id,
-        nodes=nodes,
-        fg_ids=ids[:n],
-        ctx_ids=ids[n:],
+        first_id=first_id,
         fg_states=fg_states,
         ctx_states=ctx_states,
         fg_boxes=list(feats.fg_boxes),
+        grid_hw=feats.grid_hw,
+        prop_boxes=list(feats.prop_boxes),
     )
-
-
-def init_nodes(grid: FeatureGrid, fg_boxes, proposals, params, config) -> KeyframeNodes:
-    """Pool and project all nodes of a single keyframe."""
-    return project_keyframe(featurize_keyframe(grid, fg_boxes, proposals), params)
-
-
-def build_spatial_neighborhoods(nodes: list[Node]) -> dict[int, list[int]]:
-    """Within one keyframe: foreground attends to every node, itself included."""
-    fg = [n.node_id for n in nodes if n.kind == FOREGROUND]
-    ctx = [n.node_id for n in nodes if n.kind != FOREGROUND]
-    everyone = fg + ctx
-    adj = {i: list(everyone) for i in fg}
-    adj.update({j: [] for j in ctx})
-    return adj
 
 
 def temporal_offsets(tau_c: int) -> list[int]:
@@ -228,73 +203,27 @@ def temporal_offsets(tau_c: int) -> list[int]:
     return [t for t in range(-half, half + 1) if t != 0]
 
 
-def build_temporal_neighborhoods(fg_ids_by_pos: dict[int, list[int]], num_positions: int,
-                                 tau_c: int, tau_s: int) -> dict[int, list[int]]:
-    """Foreground-to-foreground adjacency across keyframes.
-
-    Node at position k connects to foreground nodes at positions
-    k + t * tau_s for each window offset t; positions outside the clip are
-    dropped.  tau_c = 1 yields empty neighborhoods everywhere.
-    """
-    if tau_s < 1:
-        raise ConfigError(f"temporal stride tau_s must be positive, got {tau_s}")
-    offsets = temporal_offsets(tau_c)
-    adj: dict[int, list[int]] = {}
-    for pos, ids in fg_ids_by_pos.items():
-        nbrs: list[int] = []
-        for t in offsets:
-            other = pos + t * tau_s
-            if 0 <= other < num_positions:
-                nbrs.extend(fg_ids_by_pos.get(other, []))
-        for i in ids:
-            adj[i] = list(nbrs)
-    return adj
-
-
 class SpatioTemporalGraph:
-    """All nodes of one clip plus spatial and temporal adjacency."""
+    """The keyframes of one clip, by position, plus temporal adjacency.
 
-    def __init__(self, keyframes: list[KeyframeNodes], num_positions: int, tau_c: int, tau_s: int):
+    Every foreground node attends spatially to all nodes of its own
+    keyframe.  temporal[pos] lists, ascending, the positions pos + t * tau_s
+    for each window offset t that fall inside the clip; it is empty
+    everywhere when tau_c is 1.
+    """
+
+    def __init__(self, keyframes: list[KeyframeNodes], tau_c: int, tau_s: int):
         if not keyframes:
             raise ValidationError("graph needs at least one keyframe with foreground nodes")
+        if tau_s < 1:
+            raise ConfigError(f"temporal stride tau_s must be positive, got {tau_s}")
+        offsets = temporal_offsets(tau_c)
         self.keyframes = list(keyframes)
-        self.num_positions = num_positions
         self.tau_c = tau_c
         self.tau_s = tau_s
-        self.by_pos = {kf.keyframe_pos: kf for kf in self.keyframes}
-        self.nodes: dict[int, Node] = {}
-        self.spatial: dict[int, list[int]] = {}
-        for kf in self.keyframes:
-            for node in kf.nodes:
-                self.nodes[node.node_id] = node
-            self.spatial.update(build_spatial_neighborhoods(kf.nodes))
-        fg_by_pos = {kf.keyframe_pos: kf.fg_ids for kf in self.keyframes}
-        self.temporal = build_temporal_neighborhoods(fg_by_pos, num_positions, tau_c, tau_s)
-        for kf in self.keyframes:
-            for j in kf.ctx_ids:
-                self.temporal[j] = []
-
-    def node(self, node_id: int) -> Node:
-        return self.nodes[node_id]
-
-    def spatial_neighbors(self, node_id: int) -> list[int]:
-        return self.spatial[node_id]
-
-    def temporal_neighbors(self, node_id: int) -> list[int]:
-        return self.temporal[node_id]
-
-    def temporal_positions(self, pos: int) -> list[int]:
-        """Populated neighbor positions of pos, ascending; [] when tau_c is 1."""
-        out = []
-        for t in temporal_offsets(self.tau_c):
-            other = pos + t * self.tau_s
-            if 0 <= other < self.num_positions and other in self.by_pos:
-                out.append(other)
-        return out
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.nodes)
+        count = len(self.keyframes)
+        self.temporal = [[pos + t * tau_s for t in offsets if 0 <= pos + t * tau_s < count]
+                         for pos in range(count)]
 
 
 def build_graph(frames: list[KeyframeFeatures], params, config) -> SpatioTemporalGraph:
@@ -305,8 +234,8 @@ def build_graph(frames: list[KeyframeFeatures], params, config) -> SpatioTempora
     """
     keyframes = []
     next_id = 0
-    for pos, feats in enumerate(frames):
-        kf = project_keyframe(feats, params, keyframe_pos=pos, id_start=next_id)
-        next_id += len(kf.nodes)
+    for feats in frames:
+        kf = project_keyframe(feats, params, first_id=next_id)
+        next_id += kf.fg_states.shape[0] + kf.ctx_states.shape[0]
         keyframes.append(kf)
-    return SpatioTemporalGraph(keyframes, len(frames), config.tau_c, config.tau_s)
+    return SpatioTemporalGraph(keyframes, config.tau_c, config.tau_s)

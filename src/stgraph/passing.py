@@ -27,6 +27,7 @@ Parameters are stored in a flat name -> Tensor mapping and are untied:
 every (iteration, phase, function, head) tuple owns its own weights.
 """
 
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -44,6 +45,9 @@ FN_GAT = "gat"
 
 TASK_ACTION = "action"
 TASK_SCENEGRAPH = "scenegraph"
+
+_INT_FIELDS = ("state_dim", "heads", "iterations", "tau_c", "tau_s", "feature_channels",
+               "action_classes", "object_classes", "relation_classes", "seed")
 
 
 @dataclass(frozen=True)
@@ -66,10 +70,22 @@ class ModelConfig:
 
     def __post_init__(self):
         # tolerate lists from JSON round trips
-        if not isinstance(self.message_fns, tuple):
+        if isinstance(self.message_fns, list):
             object.__setattr__(self, "message_fns", tuple(self.message_fns))
 
     def validate(self) -> None:
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if (isinstance(self.ln_eps, bool) or not isinstance(self.ln_eps, (int, float))
+                or not math.isfinite(self.ln_eps) or self.ln_eps <= 0):
+            raise ConfigError(f"ln_eps must be a finite positive number, got {self.ln_eps!r}")
+        if (not isinstance(self.message_fns, tuple)
+                or not all(isinstance(fn, str) for fn in self.message_fns)):
+            raise ConfigError(f"message_fns must be a list of strings, got {self.message_fns!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.state_dim < 1 or self.feature_channels < 1:
             raise ConfigError(f"state_dim/feature_channels must be positive, got "
                               f"{self.state_dim}/{self.feature_channels}")
@@ -94,8 +110,6 @@ class ModelConfig:
             raise ConfigError(f"action_classes must be positive, got {self.action_classes}")
         if self.task == TASK_SCENEGRAPH and (self.object_classes < 1 or self.relation_classes < 1):
             raise ConfigError("object_classes and relation_classes must be positive")
-        if self.ln_eps <= 0.0:
-            raise ConfigError(f"ln_eps must be positive, got {self.ln_eps}")
 
     def phases(self) -> tuple[str, ...]:
         return (PHASE_SPATIAL,) if self.tau_c == 1 else (PHASE_SPATIAL, PHASE_TEMPORAL)
@@ -111,7 +125,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**{**d, "message_fns": tuple(d["message_fns"])})
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -270,7 +284,6 @@ class InferenceResult:
 
     fg_states: dict[int, Tensor]
     ctx_states: dict[int, Tensor]
-    fg_ids: dict[int, list[int]]
     attention: list[AttentionRecord] = field(default_factory=list)
     gates: list[GateRecord] = field(default_factory=list)
 
@@ -289,9 +302,8 @@ def run_inference(graph: SpatioTemporalGraph, params, config: ModelConfig,
         raise ConfigError(
             f"graph built with tau_c={graph.tau_c}, tau_s={graph.tau_s} but config has "
             f"tau_c={config.tau_c}, tau_s={config.tau_s}")
-    positions = sorted(kf.keyframe_pos for kf in graph.keyframes)
-    states = {pos: graph.by_pos[pos].fg_states for pos in positions}
-    ctx = {pos: graph.by_pos[pos].ctx_states for pos in positions}
+    states = {pos: kf.fg_states for pos, kf in enumerate(graph.keyframes)}
+    ctx = {pos: kf.ctx_states for pos, kf in enumerate(graph.keyframes)}
     attention: list[AttentionRecord] = []
     gates: list[GateRecord] = []
     slot_names = [f"{fn}.head{h}" for fn in config.message_fns for h in range(config.heads)]
@@ -304,19 +316,18 @@ def run_inference(graph: SpatioTemporalGraph, params, config: ModelConfig,
                          for fn in config.message_fns for h in range(config.heads)]
                 gate = params.get(_mp(i, phase, "gate")) if config.num_messages > 1 else None
                 snapshot = dict(states)
-                for pos in positions:
-                    kf = graph.by_pos[pos]
+                for pos, kf in enumerate(graph.keyframes):
                     own = snapshot[pos]
                     if phase == PHASE_SPATIAL:
-                        kv = own if not kf.ctx_ids else ng.concat_rows([own, ctx[pos]])
+                        kv = own if not ctx[pos].shape[0] else ng.concat_rows([own, ctx[pos]])
                         kv_ids = kf.fg_ids + kf.ctx_ids
                     else:
-                        nbr_pos = graph.temporal_positions(pos)
+                        nbr_pos = graph.temporal[pos]
                         if not nbr_pos:
                             continue  # no temporal neighbors: phase is a no-op here
                         kv = (snapshot[nbr_pos[0]] if len(nbr_pos) == 1
                               else ng.concat_rows([snapshot[p] for p in nbr_pos]))
-                        kv_ids = [j for p in nbr_pos for j in graph.by_pos[p].fg_ids]
+                        kv_ids = [j for p in nbr_pos for j in graph.keyframes[p].fg_ids]
 
                     messages = []
                     for fn, h, w in slots:
@@ -338,6 +349,4 @@ def run_inference(graph: SpatioTemporalGraph, params, config: ModelConfig,
                                               config.ln_eps)
                     ng.check_finite(where, states[pos])
 
-    fg_ids = {pos: list(graph.by_pos[pos].fg_ids) for pos in positions}
-    return InferenceResult(fg_states=states, ctx_states=ctx, fg_ids=fg_ids,
-                           attention=attention, gates=gates)
+    return InferenceResult(fg_states=states, ctx_states=ctx, attention=attention, gates=gates)

@@ -65,19 +65,19 @@ def test_criterion_01_inference_matches_independent_reference():
     # 3 keyframes, each with 2 foreground, 2 implicit, 1 explicit context node
     frames = make_frames(config, seed=101, keyframes=3, n_boxes=2, n_props=1, hw=(1, 2))
     g = gr.build_graph(frames, params, config)
-    for pos in g.by_pos:
-        assert g.by_pos[pos].fg_states.shape[0] == 2
-        assert g.by_pos[pos].ctx_states.shape[0] == 3
+    for pos in range(len(g.keyframes)):
+        assert g.keyframes[pos].fg_states.shape[0] == 2
+        assert g.keyframes[pos].ctx_states.shape[0] == 3
     result = pa.run_inference(g, params, config)
-    fg0 = [g.by_pos[p].fg_states.data for p in sorted(g.by_pos)]
-    ctx0 = [g.by_pos[p].ctx_states.data for p in sorted(g.by_pos)]
+    fg0 = [kf.fg_states.data for kf in g.keyframes]
+    ctx0 = [kf.ctx_states.data for kf in g.keyframes]
     weights = {name: t.data for name, t in params.items()}
     want = reference_inference(fg0, ctx0, weights, dict(
         state_dim=config.state_dim, heads=config.heads, iterations=config.iterations,
         message_fns=list(config.message_fns), tau_c=config.tau_c, tau_s=config.tau_s,
         ln_eps=config.ln_eps))
     worst = max(float(np.max(np.abs(result.fg_states[p].data - want[p])))
-                for p in sorted(g.by_pos))
+                for p in range(len(g.keyframes)))
     elapsed = time.monotonic() - started
     assert worst <= 1e-8, f"max deviation {worst:.3e}"
     assert elapsed < 10.0, f"took {elapsed:.1f} s"
@@ -130,7 +130,7 @@ def test_criterion_03_attention_rows_are_distributions():
         frames = make_frames(config, seed=2000 + trial, keyframes=4, n_boxes=2,
                              n_props=1, hw=(1, 2))
         g = gr.build_graph(frames, params, config)
-        before = {p: g.by_pos[p].ctx_states.data.tobytes() for p in g.by_pos}
+        before = {p: g.keyframes[p].ctx_states.data.tobytes() for p in range(len(g.keyframes))}
         result = pa.run_inference(g, params, config, record_traces=True)
         for rec in result.attention:
             w = rec.weights
@@ -141,7 +141,7 @@ def test_criterion_03_attention_rows_are_distributions():
             w = rec.weights
             assert abs(float(w.sum()) - 1.0) <= 1e-10
             assert np.all(w >= 0.0) and np.all(w <= 1.0)
-        for p in g.by_pos:
+        for p in range(len(g.keyframes)):
             assert result.ctx_states[p].data.tobytes() == before[p]
         trial += 1
     assert rows >= 10_000

@@ -234,13 +234,34 @@ def _fractional_relation_index(lines):
     return _as_scenegraph(lines, [1, 0, 1.5])
 
 
+def _edit_header(lines, **changes):
+    header = json.loads(lines[0])
+    header.update(changes)
+    lines[0] = json.dumps(header)
+    return 1
+
+
+def _boolean_version(lines):
+    return _edit_header(lines, version=True)
+
+
+def _float_version(lines):
+    return _edit_header(lines, version=1.0)
+
+
+def _boolean_labels(lines):
+    return _edit_first_keyframe(
+        lines, lambda kf: kf["foreground"][0].update(labels=[True, False]))
+
+
 @pytest.mark.parametrize("corrupt", [_clip_as_array, _string_action_classes,
                                      _string_keyframe_id, _word_version,
                                      _keyframe_as_number, _number_grid,
                                      _foreground_entry_as_number, _box_of_strings,
                                      _number_proposals, _number_foreground,
                                      _number_keyframes, _string_relation_index,
-                                     _fractional_relation_index])
+                                     _fractional_relation_index, _boolean_version,
+                                     _float_version, _boolean_labels])
 def test_malformed_manifest_exits_one(action_ds, tmp_path, capsys, corrupt):
     with open(action_ds) as f:
         lines = f.read().splitlines()
@@ -288,6 +309,68 @@ def test_config_file_rejects_unknown_fields(action_ds, tmp_path, capsys):
                    "--config", cfg_path, "--epochs", "1")
     assert code == 1
     assert "hidden_size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("settings", [
+    {"state_dim": "16"}, {"heads": 2.5}, {"iterations": None}, {"ln_eps": "x"},
+    {"ln_eps": True}, {"seed": "x"}, {"seed": 1.5}, {"seed": -1}, {"tau_c": True},
+    {"tau_s": True}, {"message_fns": "nonlocal"},
+], ids=lambda settings: json.dumps(settings))
+def test_config_file_rejects_wrong_types(action_ds, tmp_path, capsys, settings):
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as f:
+        json.dump(settings, f)
+    code = run_cli("train", "--data", action_ds, "--out", str(tmp_path / "run"),
+                   "--config", cfg_path, "--epochs", "1")
+    assert code == 1
+    [name] = settings
+    assert f"error: {name} must be" in capsys.readouterr().err
+
+
+def test_dump_attention_neighbor_metadata(tmp_path):
+    # 3 keyframes of 4x6 cells plus one proposal each; tau_c=3 adds temporal rows
+    manifest = data.synth_action_overfit(str(tmp_path / "ds"), seed=2, clips=2, classes=2,
+                                         keyframes=3, channels=4, grid_hw=(4, 6))
+    ckpt = train_once(manifest, str(tmp_path / "run"), extra=("--tau-c", "3"))
+    att_path = str(tmp_path / "att.jsonl")
+    assert run_cli("dump-attention", "--data", manifest, "--checkpoint", ckpt,
+                   "--out", att_path) == 0
+
+    # expected metadata from the manifest alone: ids run over boxes, then
+    # row-major cells, then proposals, keyframe after keyframe
+    with open(manifest) as f:
+        clip = json.loads(f.read().splitlines()[1])
+    expected, fg_ids, all_ids = {}, [], []
+    for kf in clip["keyframes"]:
+        assert "detections" not in kf  # evaluation would score detections instead
+        grid_path = os.path.join(os.path.dirname(manifest), kf["grid"])
+        h, w = (int(v) for v in np.fromfile(grid_path, dtype="<f4", count=5)[3:5])
+        rows = ([("foreground", entry["box"], None) for entry in kf["foreground"]]
+                + [("context_implicit", None, [i, j]) for i in range(h) for j in range(w)]
+                + [("context_explicit", box, None) for box in kf["proposals"]])
+        ids = list(range(len(expected), len(expected) + len(rows)))
+        for nid, (kind, box, cell) in zip(ids, rows):
+            expected[nid] = {"node": nid, "kind": kind, "keyframe_id": kf["keyframe_id"],
+                             "box": box, "cell": cell}
+        fg_ids.append(ids[:len(kf["foreground"])])
+        all_ids.append(ids)
+    position = {nid: pos for pos, ids in enumerate(fg_ids) for nid in ids}
+
+    attention = [r for r in map(json.loads, open(att_path)) if r["record"] == "attention"]
+    seen_phases, seen_kinds = set(), set()
+    for r in attention:
+        pos = position[r["node"]]
+        if r["phase"] == "spatial":
+            want = all_ids[pos]
+        else:
+            want = [nid for p in (pos - 1, pos + 1) if 0 <= p < len(fg_ids) for nid in fg_ids[p]]
+        assert [nb["node"] for nb in r["neighbors"]] == want
+        for nb in r["neighbors"]:
+            assert nb == expected[nb["node"]]
+            seen_kinds.add(nb["kind"])
+        seen_phases.add(r["phase"])
+    assert seen_phases == {"spatial", "temporal"}
+    assert seen_kinds == {"foreground", "context_implicit", "context_explicit"}
 
 
 def test_dump_attention_file_contents(action_ds, tmp_path):

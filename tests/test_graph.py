@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from stgraph import graph as gr
+from stgraph import passing as pa
+from stgraph import train
 from stgraph.errors import ConfigError, ValidationError
 from stgraph.numgrad import Tensor
+from stgraph.passing import ModelConfig
 
 
 def make_grid(values, keyframe_id=0):
@@ -55,26 +58,36 @@ def test_pool_closed_interval_includes_boundary_center():
     assert out.tolist() == [1.0]
 
 
+def project(grid, boxes, props, params, first_id=0):
+    return gr.project_keyframe(gr.featurize_keyframe(grid, boxes, props), params, first_id=first_id)
+
+
 def test_init_nodes_counts_and_kinds():
     rng = np.random.default_rng(0)
     grid = make_grid(rng.uniform(-1, 1, size=(2, 2, 3, 4)), keyframe_id=9)
     boxes = [gr.Box(0.0, 0.0, 0.5, 0.5), gr.Box(0.4, 0.4, 0.9, 0.9)]
     props = [gr.Box(0.1, 0.1, 0.8, 0.8)]
-    kf = gr.init_nodes(grid, boxes, props, identity_params(4), None)
-    assert len(kf.fg_ids) == 2
-    assert len(kf.ctx_ids) == 2 * 3 + 1
-    kinds = [kf.nodes[i].kind for i in range(len(kf.nodes))]
-    assert kinds == [gr.FOREGROUND] * 2 + [gr.CONTEXT_IMPLICIT] * 6 + [gr.CONTEXT_EXPLICIT]
+    kf = project(grid, boxes, props, identity_params(4))
+    assert kf.fg_ids == [0, 1]
+    assert kf.ctx_ids == list(range(2, 2 + 2 * 3 + 1))
+    described = [kf.describe(row) for row in range(9)]
+    assert [kind for kind, _, _ in described] == (
+        [gr.FOREGROUND] * 2 + [gr.CONTEXT_IMPLICIT] * 6 + [gr.CONTEXT_EXPLICIT])
+    assert [box for _, box, _ in described] == boxes + [None] * 6 + props
+    assert [cell for _, _, cell in described] == (
+        [None] * 2 + [(i, j) for i in range(2) for j in range(3)] + [None])
     assert kf.fg_states.shape == (2, 4)
     assert kf.ctx_states.shape == (7, 4)
-    assert all(kf.nodes[i].node_id == i for i in range(len(kf.nodes)))
-    assert kf.nodes[0].keyframe_id == 9
+    assert kf.keyframe_id == 9
+    shifted = project(grid, boxes, props, identity_params(4), first_id=40)
+    assert shifted.fg_ids == [40, 41]
+    assert shifted.ctx_ids == list(range(42, 49))
 
 
 def test_init_nodes_requires_foreground():
     grid = make_grid(np.zeros((1, 2, 2, 4)))
     with pytest.raises(ValidationError) as err:
-        gr.init_nodes(grid, [], [], identity_params(4), None)
+        project(grid, [], [], identity_params(4))
     assert "no foreground" in str(err.value)
 
 
@@ -84,24 +97,33 @@ def test_implicit_context_is_temporal_mean_per_cell():
     vals[1, 0, 0] = [3.0, 4.0, 5.0]
     vals[0, 0, 1] = [10.0, 10.0, 10.0]
     vals[1, 0, 1] = [20.0, 20.0, 20.0]
-    kf = gr.init_nodes(make_grid(vals), [gr.Box(0.0, 0.0, 1.0, 1.0)], [], identity_params(3), None)
+    kf = project(make_grid(vals), [gr.Box(0.0, 0.0, 1.0, 1.0)], [], identity_params(3))
     assert kf.ctx_states.data[0].tolist() == [2.0, 3.0, 4.0]
     assert kf.ctx_states.data[1].tolist() == [15.0, 15.0, 15.0]
+
+
+def spatial_records(frames, c=4):
+    """Spatial attention records of one traced inference over frames."""
+    config = ModelConfig(state_dim=c, heads=1, feature_channels=c, seed=0)
+    params = train.init_params(config)
+    g = gr.build_graph(frames, params, config)
+    result = pa.run_inference(g, params, config, record_traces=True)
+    return g, [r for r in result.attention if r.phase == pa.PHASE_SPATIAL]
 
 
 def test_spatial_neighborhoods_cover_whole_keyframe():
     rng = np.random.default_rng(1)
     grid = make_grid(rng.uniform(-1, 1, size=(1, 2, 2, 4)))
     boxes = [gr.Box(0.0, 0.0, 0.5, 0.5), gr.Box(0.5, 0.5, 1.0, 1.0)]
-    kf = gr.init_nodes(grid, boxes, [gr.Box(0.2, 0.2, 0.7, 0.7)], identity_params(4), None)
-    adj = gr.build_spatial_neighborhoods(kf.nodes)
-    n_total = len(kf.nodes)
-    for i in kf.fg_ids:
-        assert len(adj[i]) == n_total
-        assert i in adj[i]  # self included
-        assert adj[i] == kf.fg_ids + kf.ctx_ids
-    for j in kf.ctx_ids:
-        assert adj[j] == []
+    g, records = spatial_records([gr.featurize_keyframe(grid, boxes, [gr.Box(0.2, 0.2, 0.7, 0.7)])])
+    [kf] = g.keyframes
+    n_total = 2 + 4 + 1
+    # only foreground nodes receive, one record each
+    assert [r.node_id for r in records] == kf.fg_ids
+    for r in records:
+        assert len(r.neighbor_ids) == n_total
+        assert r.node_id in r.neighbor_ids  # self included
+        assert r.neighbor_ids == kf.fg_ids + kf.ctx_ids
 
 
 def test_temporal_offsets_examples():
@@ -116,30 +138,27 @@ def test_temporal_offsets_examples():
 
 def test_temporal_neighborhoods_window_and_stride():
     # tau_c=3, tau_s=7: neighbors at offsets -7 and +7 exactly
-    fg = {k: [100 + k] for k in range(15)}
-    adj = gr.build_temporal_neighborhoods(fg, 15, tau_c=3, tau_s=7)
-    assert adj[100 + 7] == [100 + 0, 100 + 14]
-    assert adj[100 + 0] == [100 + 7]   # -7 falls outside and is dropped
-    assert adj[100 + 14] == [100 + 7]
+    g = build_clip_graph(keyframes=15, tau_c=3, tau_s=7)
+    assert g.temporal[7] == [0, 14]
+    assert g.temporal[0] == [7]   # -7 falls outside and is dropped
+    assert g.temporal[14] == [7]
 
 
 def test_temporal_window_one_is_empty():
-    fg = {k: [k] for k in range(5)}
-    adj = gr.build_temporal_neighborhoods(fg, 5, tau_c=1, tau_s=3)
-    assert all(adj[k] == [] for k in range(5))
+    g = build_clip_graph(keyframes=5, tau_c=1, tau_s=3)
+    assert g.temporal == [[]] * 5
 
 
 def test_temporal_boundary_keyframe_keeps_forward_half():
     # tau_c=5, tau_s=2 at position 0 of 0..10: only +2 and +4 remain
-    fg = {k: [k * 10] for k in range(11)}
-    adj = gr.build_temporal_neighborhoods(fg, 11, tau_c=5, tau_s=2)
-    assert adj[0] == [20, 40]
-    assert adj[50] == [10, 30, 70, 90]
+    g = build_clip_graph(keyframes=11, tau_c=5, tau_s=2)
+    assert g.temporal[0] == [2, 4]
+    assert g.temporal[5] == [1, 3, 7, 9]
 
 
 def test_temporal_stride_validation():
     with pytest.raises(ConfigError):
-        gr.build_temporal_neighborhoods({0: [0]}, 1, tau_c=3, tau_s=0)
+        build_clip_graph(keyframes=1, tau_c=3, tau_s=0)
 
 
 def build_clip_graph(seed=0, keyframes=3, tau_c=3, tau_s=1, c=4):
@@ -156,28 +175,24 @@ def build_clip_graph(seed=0, keyframes=3, tau_c=3, tau_s=1, c=4):
 
 def test_build_graph_structure():
     g = build_clip_graph()
-    assert g.num_positions == 3
-    assert g.num_nodes == 3 * (2 + 4 + 1)
-    # temporal neighbors hold only foreground nodes
-    fg_ids = {n.node_id for n in g.nodes.values() if n.kind == gr.FOREGROUND}
-    for i, nbrs in g.temporal.items():
-        assert all(j in fg_ids for j in nbrs)
-        if g.node(i).kind != gr.FOREGROUND:
-            assert nbrs == []
+    assert len(g.keyframes) == 3
+    # ids run keyframe after keyframe: 2 boxes, 4 cells and 1 proposal each
+    assert [kf.first_id for kf in g.keyframes] == [0, 7, 14]
+    assert [kf.keyframe_id for kf in g.keyframes] == [0, 5, 10]
+    assert g.keyframes[1].fg_ids == [7, 8]
+    assert g.keyframes[1].ctx_ids == list(range(9, 14))
     # middle keyframe sees both sides, edges see one
-    mid_fg = g.by_pos[1].fg_ids
-    assert g.temporal_neighbors(mid_fg[0]) == g.by_pos[0].fg_ids + g.by_pos[2].fg_ids
-    assert g.temporal_positions(1) == [0, 2]
-    assert g.temporal_positions(0) == [1]
+    assert g.temporal == [[1], [0, 2], [1]]
 
 
 def test_node_ids_are_sequential_and_deterministic():
     a = build_clip_graph(seed=3)
     b = build_clip_graph(seed=3)
-    assert sorted(a.nodes) == list(range(a.num_nodes))
-    for i in a.nodes:
-        assert a.node(i).kind == b.node(i).kind
+    ids = [i for kf in a.keyframes for i in kf.fg_ids + kf.ctx_ids]
+    assert ids == list(range(3 * (2 + 4 + 1)))
     for ka, kb in zip(a.keyframes, b.keyframes):
+        assert ka.first_id == kb.first_id
+        assert [ka.describe(r) for r in range(7)] == [kb.describe(r) for r in range(7)]
         assert ka.fg_states.data.tobytes() == kb.fg_states.data.tobytes()
         assert ka.ctx_states.data.tobytes() == kb.ctx_states.data.tobytes()
 
@@ -194,7 +209,7 @@ def test_spatial_size_property_random_scenes():
             x1, y1 = rng.uniform(0, 0.5, size=2)
             boxes.append(gr.Box(x1, y1, x1 + rng.uniform(0.1, 0.5), y1 + rng.uniform(0.1, 0.5)))
         props = [gr.Box(0.1, 0.1, 0.9, 0.9)] * p
-        kf = gr.init_nodes(grid, boxes, props, identity_params(4), None)
-        adj = gr.build_spatial_neighborhoods(kf.nodes)
-        for i in kf.fg_ids:
-            assert len(adj[i]) == n + h * w + p
+        _, records = spatial_records([gr.featurize_keyframe(grid, boxes, props)])
+        assert len(records) == n
+        for r in records:
+            assert len(r.neighbor_ids) == n + h * w + p

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stgraph import graph as gr
 from stgraph import numgrad as ng
@@ -30,13 +31,14 @@ def random_params(config, seed=0):
 
 
 def make_frames(config, seed=0, keyframes=3, n_boxes=2, n_props=1, hw=(2, 2)):
-    """n_boxes and n_props are counts for every keyframe, or one count per keyframe."""
+    """n_boxes, n_props and hw hold one value for every keyframe, or one per keyframe."""
     rng = np.random.default_rng(seed)
-    h, w = hw
     box_counts = [n_boxes] * keyframes if isinstance(n_boxes, int) else list(n_boxes)
     prop_counts = [n_props] * keyframes if isinstance(n_props, int) else list(n_props)
+    grid_hws = [hw] * keyframes if isinstance(hw[0], int) else list(hw)
     frames = []
     for k in range(keyframes):
+        h, w = grid_hws[k]
         grid = gr.FeatureGrid(
             values=Tensor(rng.uniform(-1, 1, size=(2, h, w, config.feature_channels))),
             keyframe_id=k,
@@ -309,12 +311,12 @@ def test_run_inference_trace_order():
     want_att, want_gates = [], []
     for i in range(2):
         for phase in (pa.PHASE_SPATIAL, pa.PHASE_TEMPORAL):
-            for pos in sorted(g.by_pos):
-                kf = g.by_pos[pos]
+            for pos in range(len(g.keyframes)):
+                kf = g.keyframes[pos]
                 if phase == pa.PHASE_SPATIAL:
                     nbrs = kf.fg_ids + kf.ctx_ids
                 else:
-                    nbrs = [j for p in g.temporal_positions(pos) for j in g.by_pos[p].fg_ids]
+                    nbrs = [j for p in g.temporal[pos] for j in g.keyframes[p].fg_ids]
                 for fn in cfg.message_fns:
                     for h in range(cfg.heads):
                         want_att += [(i, phase, fn, h, v, nbrs) for v in kf.fg_ids]
@@ -331,11 +333,11 @@ def test_run_inference_trace_order():
 def test_context_states_bit_identical():
     cfg = make_config(tau_c=3, iterations=2)
     g, params, _ = build(cfg, seed=21)
-    before = {pos: g.by_pos[pos].ctx_states.data.tobytes() for pos in g.by_pos}
+    before = {pos: g.keyframes[pos].ctx_states.data.tobytes() for pos in range(len(g.keyframes))}
     res = pa.run_inference(g, params, cfg)
     for pos, blob in before.items():
         assert res.ctx_states[pos].data.tobytes() == blob
-        assert g.by_pos[pos].ctx_states.data.tobytes() == blob
+        assert g.keyframes[pos].ctx_states.data.tobytes() == blob
 
 
 def test_window_one_ignores_stride_and_other_keyframes():
@@ -404,6 +406,19 @@ def test_node_relabeling_equivariance():
             assert diff.max() <= 1e-12
 
 
+def reference_gaps(g, params, cfg):
+    """Max deviation from the loop-based oracle, one per keyframe position."""
+    res = pa.run_inference(g, params, cfg)
+    fg0 = [kf.fg_states.data for kf in g.keyframes]
+    ctx0 = [kf.ctx_states.data for kf in g.keyframes]
+    weights = {name: t.data for name, t in params.items()}
+    ref_cfg = dict(state_dim=cfg.state_dim, heads=cfg.heads, iterations=cfg.iterations,
+                   message_fns=list(cfg.message_fns), tau_c=cfg.tau_c, tau_s=cfg.tau_s,
+                   ln_eps=cfg.ln_eps)
+    want = reference_inference(fg0, ctx0, weights, ref_cfg)
+    return [np.max(np.abs(res.fg_states[pos].data - want[pos])) for pos in range(len(g.keyframes))]
+
+
 @pytest.mark.parametrize("cfg_kw,scene", [
     (dict(message_fns=(pa.FN_NONLOCAL,), heads=1, iterations=1, tau_c=1), dict(keyframes=1)),
     (dict(message_fns=(pa.FN_GAT,), heads=3, iterations=1, tau_c=5, tau_s=2), dict(keyframes=5)),
@@ -415,16 +430,31 @@ def test_node_relabeling_equivariance():
 def test_run_inference_matches_reference(cfg_kw, scene):
     cfg = make_config(**cfg_kw)
     g, params, _ = build(cfg, seed=27, **scene)
-    res = pa.run_inference(g, params, cfg)
-    fg0 = [g.by_pos[p].fg_states.data for p in sorted(g.by_pos)]
-    ctx0 = [g.by_pos[p].ctx_states.data for p in sorted(g.by_pos)]
-    weights = {name: t.data for name, t in params.items()}
-    ref_cfg = dict(state_dim=cfg.state_dim, heads=cfg.heads, iterations=cfg.iterations,
-                   message_fns=list(cfg.message_fns), tau_c=cfg.tau_c, tau_s=cfg.tau_s,
-                   ln_eps=cfg.ln_eps)
-    want = reference_inference(fg0, ctx0, weights, ref_cfg)
-    for pos in sorted(g.by_pos):
-        assert np.max(np.abs(res.fg_states[pos].data - want[pos])) <= 1e-10
+    for gap in reference_gaps(g, params, cfg):
+        assert gap <= 1e-10
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(
+    # per keyframe: boxes, proposals, grid height, grid width
+    keyframes=st.lists(st.tuples(st.integers(1, 4), st.integers(0, 2),
+                                 st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=5),
+    tau_c=st.sampled_from([1, 3, 5]),
+    tau_s=st.sampled_from([1, 2]),
+    message_fns=st.sampled_from([(pa.FN_NONLOCAL,), (pa.FN_GAT,), (pa.FN_NONLOCAL, pa.FN_GAT),
+                                 (pa.FN_GAT, pa.FN_NONLOCAL)]),
+    heads=st.integers(1, 2),
+    iterations=st.integers(1, 2),
+    seed=st.integers(0, 2**16),
+)
+def test_random_ragged_graphs_match_reference(keyframes, tau_c, tau_s, message_fns, heads,
+                                              iterations, seed):
+    cfg = make_config(state_dim=4, message_fns=message_fns, heads=heads, iterations=iterations,
+                      tau_c=tau_c, tau_s=tau_s)
+    boxes, props, hs, ws = zip(*keyframes)
+    g, params, _ = build(cfg, seed=seed, keyframes=len(keyframes), n_boxes=boxes,
+                         n_props=props, hw=list(zip(hs, ws)))
+    assert max(reference_gaps(g, params, cfg)) <= 1e-8
 
 
 def test_inference_gradients_match_finite_differences():
@@ -479,7 +509,7 @@ def test_overflow_hidden_by_relu_is_still_caught():
     frames = [gr.featurize_keyframe(grid, [gr.Box(0.0, 0.0, 0.6, 0.6), gr.Box(0.4, 0.4, 1.0, 1.0)])]
     g = gr.build_graph(frames, params, config)
 
-    kf = g.by_pos[0]
+    kf = g.keyframes[0]
     weights = pa.message_weights(params, 0, pa.PHASE_SPATIAL, pa.FN_GAT, 0)
     with np.errstate(over="ignore"):
         msgs, att = pa.gat_messages(kf.fg_states, ng.concat_rows([kf.fg_states, kf.ctx_states]),
