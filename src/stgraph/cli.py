@@ -11,8 +11,8 @@ Subcommands:
 
 Reports and checkpoints are canonical JSON (sorted keys, shortest float
 representation, no timestamps), so identical runs produce identical bytes.
-STGRAPH_THREADS sets the evaluation thread count (default 1); the result
-does not depend on it.
+STGRAPH_THREADS must be a positive integer if set, but evaluation runs
+in one thread whatever it says.
 """
 
 import argparse
@@ -25,6 +25,7 @@ from . import data as data_mod
 from .errors import ConfigError, GraphModelError
 from .flops import estimate_flops
 from .graph import build_graph
+from .heads import pair_index
 from .passing import (FN_GAT, FN_NONLOCAL, TASK_ACTION, TASK_SCENEGRAPH, ModelConfig,
                       run_inference)
 from .train import (Schedule, evaluate_action, evaluate_scenegraph, gradient_check,
@@ -212,10 +213,20 @@ def cmd_eval(args) -> int:
         ks = tuple(args.k) if args.k else (20, 50)
         recalls = evaluate_scenegraph(clips, params, config, ks=ks, mode=args.mode,
                                       workers=workers)
+        # with K at or above a keyframe's candidate count, recall@K ranks
+        # nothing: every candidate is in the top K
+        candidates = max(len(pair_index(len(f.fg_boxes))) * config.relation_classes
+                         for clip in clips for f in clip.frames)
+        saturated = sorted(k for k in set(ks) if k >= candidates)
         payload["mode"] = args.mode
         payload["recall"] = {str(k): v for k, v in recalls.items()}
+        payload["max_candidates"] = candidates
+        payload["saturated_k"] = saturated
         shown = ", ".join(f"R@{k} {recalls[k]!r}" for k in ks)
         print(f"{args.mode}: {shown}")
+        if saturated:
+            print(f"saturated: {', '.join(f'R@{k}' for k in saturated)} (no keyframe has more "
+                  f"than {candidates} candidates, so these rank nothing)")
     write_report(args.out, payload)
     return 0
 

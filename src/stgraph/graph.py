@@ -137,31 +137,55 @@ def featurize_keyframe(grid: FeatureGrid, fg_boxes, proposals=()) -> KeyframeFea
     )
 
 
+@dataclass(eq=False)
+class Block:
+    """Keyframes whose row counts match, stacked: slice j is keyframe positions[j].
+
+    fg_states is a (B, n, d) stack and ctx_states (B, h*w + p, d), with
+    the grid cells of each keyframe before its proposals.  The keyframes
+    may come from different clips.
+    """
+
+    positions: list[int]
+    fg_states: Tensor
+    ctx_states: Tensor
+
+
 @dataclass
 class KeyframeNodes:
-    """Projected node states and metadata for one keyframe.
+    """Metadata of one keyframe, and where its states live.
 
     Ids run from first_id over the foreground boxes, then the grid cells
-    (row-major), then the proposals.  ctx_states rows follow the same
-    order: implicit cells first, proposals after.
+    (row-major), then the proposals; they restart at 0 in every clip.
+    The keyframe's states are slice ``slot`` of ``block``.
     """
 
     keyframe_id: int
     first_id: int
-    fg_states: Tensor   # (n, d)
-    ctx_states: Tensor  # (h*w + p, d)
     fg_boxes: list[Box]
     grid_hw: tuple[int, int]
     prop_boxes: list[Box]
+    block: Block
+    slot: int
+
+    @property
+    def fg_states(self) -> Tensor:
+        """Projected foreground states (n, d): a view of the block, on no tape."""
+        return Tensor(self.block.fg_states.data[self.slot])
+
+    @property
+    def ctx_states(self) -> Tensor:
+        """Projected context states (h*w + p, d): a view of the block, on no tape."""
+        return Tensor(self.block.ctx_states.data[self.slot])
 
     @property
     def fg_ids(self) -> list[int]:
-        return list(range(self.first_id, self.first_id + self.fg_states.shape[0]))
+        return list(range(self.first_id, self.first_id + len(self.fg_boxes)))
 
     @property
     def ctx_ids(self) -> list[int]:
-        start = self.first_id + self.fg_states.shape[0]
-        return list(range(start, start + self.ctx_states.shape[0]))
+        (h, w), start = self.grid_hw, self.first_id + len(self.fg_boxes)
+        return list(range(start, start + h * w + len(self.prop_boxes)))
 
     def describe(self, row: int) -> tuple[str, Box | None, tuple[int, int] | None]:
         """(kind, box, cell) of the node with id first_id + row."""
@@ -173,26 +197,19 @@ class KeyframeNodes:
         return CONTEXT_EXPLICIT, self.prop_boxes[row - n - h * w], None
 
 
-def project_keyframe(feats: KeyframeFeatures, params, first_id: int = 0) -> KeyframeNodes:
-    """Project pooled features into state space; node ids start at first_id."""
-    if feats.fg_feats.shape[0] == 0:
-        raise ValidationError(f"keyframe {feats.keyframe_id}: no foreground boxes")
+def project_block(frames: list[KeyframeFeatures], positions: list[int], params) -> Block:
+    """Project the pooled features of same-shaped keyframes, one matmul per node kind."""
     with ng.checked("input projection"):
-        fg_states = ng.matmul(Tensor(feats.fg_feats), params[PROJ_FOREGROUND])
-        ctx_parts = [ng.matmul(Tensor(feats.ctx_feats), params[PROJ_CONTEXT])]
-        if feats.prop_feats is not None:
-            ctx_parts.append(ng.matmul(Tensor(feats.prop_feats), params[PROJ_PROPOSAL]))
-        ctx_states = ctx_parts[0] if len(ctx_parts) == 1 else ng.concat_rows(ctx_parts)
+        fg_states = ng.matmul(Tensor(np.stack([f.fg_feats for f in frames])),
+                              params[PROJ_FOREGROUND])
+        ctx_states = ng.matmul(Tensor(np.stack([f.ctx_feats for f in frames])),
+                               params[PROJ_CONTEXT])
+        if frames[0].prop_feats is not None:
+            props = ng.matmul(Tensor(np.stack([f.prop_feats for f in frames])),
+                              params[PROJ_PROPOSAL])
+            ctx_states = ng.concat_rows([ctx_states, props])
     ng.check_finite("input projection", fg_states, ctx_states)
-    return KeyframeNodes(
-        keyframe_id=feats.keyframe_id,
-        first_id=first_id,
-        fg_states=fg_states,
-        ctx_states=ctx_states,
-        fg_boxes=list(feats.fg_boxes),
-        grid_hw=feats.grid_hw,
-        prop_boxes=list(feats.prop_boxes),
-    )
+    return Block(positions, fg_states, ctx_states)
 
 
 def temporal_offsets(tau_c: int) -> list[int]:
@@ -204,38 +221,71 @@ def temporal_offsets(tau_c: int) -> list[int]:
 
 
 class SpatioTemporalGraph:
-    """The keyframes of one clip, by position, plus temporal adjacency.
+    """The keyframes of one clip or of a batch of clips, plus temporal adjacency.
 
-    Every foreground node attends spatially to all nodes of its own
-    keyframe.  temporal[pos] lists, ascending, the positions pos + t * tau_s
-    for each window offset t that fall inside the clip; it is empty
-    everywhere when tau_c is 1.
+    keyframes is flat: every clip's keyframes in order, clip after clip,
+    and clips[c] is the range of clip c's positions.  Every foreground node
+    attends spatially to all nodes of its own keyframe.  temporal[pos]
+    lists, ascending, the positions pos + t * tau_s for each window offset
+    t that fall inside pos's clip; it is empty everywhere when tau_c is 1.
+    blocks group the keyframes whose row counts match, and where[pos] is
+    the (block, slice) that holds keyframe pos.
     """
 
-    def __init__(self, keyframes: list[KeyframeNodes], tau_c: int, tau_s: int):
-        if not keyframes:
-            raise ValidationError("graph needs at least one keyframe with foreground nodes")
+    def __init__(self, keyframes: list[KeyframeNodes], blocks: list[Block],
+                 clip_sizes: list[int], tau_c: int, tau_s: int):
+        if not keyframes or 0 in clip_sizes or sum(clip_sizes) != len(keyframes):
+            raise ValidationError("graph needs at least one keyframe with foreground nodes "
+                                  "in every clip")
         if tau_s < 1:
             raise ConfigError(f"temporal stride tau_s must be positive, got {tau_s}")
         offsets = temporal_offsets(tau_c)
         self.keyframes = list(keyframes)
+        self.blocks = list(blocks)
         self.tau_c = tau_c
         self.tau_s = tau_s
-        count = len(self.keyframes)
-        self.temporal = [[pos + t * tau_s for t in offsets if 0 <= pos + t * tau_s < count]
-                         for pos in range(count)]
+        ends = np.cumsum(clip_sizes).tolist()
+        self.clips = [range(end - size, end) for end, size in zip(ends, clip_sizes)]
+        self.temporal = [[pos + t * tau_s for t in offsets if pos + t * tau_s in clip]
+                         for clip in self.clips for pos in clip]
+        self.where = [(0, 0)] * len(self.keyframes)
+        for k, block in enumerate(self.blocks):
+            for j, pos in enumerate(block.positions):
+                self.where[pos] = (k, j)
+
+
+def build_batch(clips: list[list[KeyframeFeatures]], params, config) -> SpatioTemporalGraph:
+    """Assemble one graph over the keyframes of several clips.
+
+    Keyframes are positioned by list order, clip after clip; temporal
+    strides count positions inside a clip, not raw keyframe ids.
+    Keyframes with the same numbers of boxes, grid cells and proposals
+    share a block, whichever clip they belong to, and are projected
+    together; blocks are never padded.
+    """
+    frames = [f for clip in clips for f in clip]
+    shapes: dict[tuple[int, int, int], list[int]] = {}
+    for pos, f in enumerate(frames):
+        if f.fg_feats.shape[0] == 0:
+            raise ValidationError(f"keyframe {f.keyframe_id}: no foreground boxes")
+        props = 0 if f.prop_feats is None else f.prop_feats.shape[0]
+        shapes.setdefault((f.fg_feats.shape[0], f.ctx_feats.shape[0], props), []).append(pos)
+    blocks = [project_block([frames[p] for p in positions], positions, params)
+              for positions in shapes.values()]
+    slot_of = {pos: (block, j) for block in blocks for j, pos in enumerate(block.positions)}
+    keyframes = []
+    for clip in clips:
+        next_id = 0
+        for f in clip:
+            block, j = slot_of[len(keyframes)]
+            keyframes.append(KeyframeNodes(
+                keyframe_id=f.keyframe_id, first_id=next_id, fg_boxes=list(f.fg_boxes),
+                grid_hw=f.grid_hw, prop_boxes=list(f.prop_boxes), block=block, slot=j))
+            next_id += len(f.fg_boxes) + f.ctx_feats.shape[0] + len(f.prop_boxes)
+    return SpatioTemporalGraph(keyframes, blocks, [len(c) for c in clips],
+                               config.tau_c, config.tau_s)
 
 
 def build_graph(frames: list[KeyframeFeatures], params, config) -> SpatioTemporalGraph:
-    """Assemble the graph for one clip from per-keyframe pooled features.
-
-    Keyframes are positioned by list order; temporal strides count list
-    positions, not raw keyframe ids.
-    """
-    keyframes = []
-    next_id = 0
-    for feats in frames:
-        kf = project_keyframe(feats, params, first_id=next_id)
-        next_id += kf.fg_states.shape[0] + kf.ctx_states.shape[0]
-        keyframes.append(kf)
-    return SpatioTemporalGraph(keyframes, config.tau_c, config.tau_s)
+    """Assemble the graph for one clip: a batch of one."""
+    return build_batch([frames], params, config)

@@ -6,15 +6,25 @@ a relation head over ordered node pairs (i, j) with i > j, scored from
 the concatenated pair states.
 """
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import numgrad as ng
 from .errors import ValidationError
 from .numgrad import Tensor
 
+# weight of the object term against the relation term of the scene-graph loss
+OBJECT_WEIGHT = 0.5
+
 
 def action_readout(states: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Linear logits per state row: states @ weight + bias."""
+    """Linear logits per state row: states @ weight + bias.
+
+    states is one state (d,), a matrix of rows (n, d) or a stack of B
+    keyframes' rows (B, n, d).
+    """
     with ng.checked("action readout"):
         logits = ng.matmul(states, weight)
         logits = ng.add(logits, bias) if logits.ndim == 1 else ng.add_rowvec(logits, bias)
@@ -40,7 +50,7 @@ def pair_index(n: int) -> list[tuple[int, int]]:
 class SceneGraphPrediction:
     """Logits for one keyframe: per-node classes and per-pair relations."""
 
-    object_logits: Tensor            # (n, object_classes)
+    object_logits: Tensor            # (n, object_classes), or (B, n, ...) for a stack
     pairs: list[tuple[int, int]]     # row order of relation_logits
     relation_logits: Tensor | None   # (len(pairs), relation_classes); None if n == 1
 
@@ -50,17 +60,22 @@ def sg_readout(states: Tensor, object_weight: Tensor, object_bias: Tensor,
     """Object and relation logits for all foreground nodes of a keyframe.
 
     The relation input for pair (i, j) is the concatenation of the two
-    final states, put through a single linear layer.
+    final states, put through a single linear layer.  states is (n, d), or
+    a (B, n, d) stack of keyframes with n nodes each, which gives stacked
+    logits.
     """
-    if states.ndim != 2 or states.shape[0] < 1:
+    if states.ndim not in (2, 3) or states.shape[-2] < 1:
         raise ValidationError(f"sg_readout expects at least one state row, got {states.shape}")
-    pairs = pair_index(states.shape[0])
+    n, lead = states.shape[-2], states.shape[:-2]
+    pairs = pair_index(n)
     relation_logits = None
     with ng.checked("scene-graph readout"):
         object_logits = ng.add_rowvec(ng.matmul(states, object_weight), object_bias)
         if pairs:
-            heads_i = ng.gather_rows(states, [i for i, _ in pairs])
-            heads_j = ng.gather_rows(states, [j for _, j in pairs])
+            # row r of slice b is row b * n + r of the stack
+            first = np.arange(math.prod(lead)).reshape(lead + (1,)) * n
+            heads_i = ng.gather_rows(states, first + [i for i, _ in pairs])
+            heads_j = ng.gather_rows(states, first + [j for _, j in pairs])
             pair_states = ng.concat_cols([heads_i, heads_j])
             relation_logits = ng.add_rowvec(ng.matmul(pair_states, relation_weight), relation_bias)
     ng.check_finite("scene-graph readout", object_logits)
@@ -71,7 +86,7 @@ def sg_readout(states: Tensor, object_weight: Tensor, object_bias: Tensor,
 
 def sg_loss(object_logits: Tensor, relation_logits: Tensor | None,
             object_onehot: Tensor, relation_targets: Tensor | None,
-            lam: float = 0.5) -> Tensor:
+            lam: float = OBJECT_WEIGHT) -> Tensor:
     """Weighted scene-graph loss: lam * object loss + relation loss.
 
     The object term is softmax cross entropy averaged over nodes; the

@@ -8,7 +8,9 @@ a scalar loss yields gradients for every named parameter; parameters the
 forward pass never touched come back as exact zeros.
 
 Conventions: states are row vectors, matrices multiply on the right, and
-reductions such as softmax and layer_norm act over the last axis.
+reductions such as softmax and layer norm act over the last axis.  Matrix
+inputs may carry a leading block axis: a (B, n, d) stack is B matrices
+computed at once, each with the same bits as on its own.
 
 Finiteness is checked where values enter and at layer boundaries, not
 after every primitive.  The public Tensor constructor rejects NaN and
@@ -20,12 +22,103 @@ then passes its outputs to ``check_finite``.  The flags matter because
 relu and softmax can map an infinite intermediate to a finite output.
 """
 
+import ctypes
+import ctypes.util
 import math
+import platform
 import threading
 
 import numpy as np
 
 from .errors import NumericError, ShapeError, ValidationError
+
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Pin glibc's heap thresholds, so that memory a step frees stays for the next.
+
+    A taped step allocates and frees stacked arrays of 0.1 to 4 MB.  With
+    glibc's adaptive thresholds, freeing a step's tape handed the top of
+    the heap back to the kernel, and the next step faulted it in again:
+    about 900 page faults and 1 to 3 ms of kernel time per `wide`
+    training step.  How much went back depended on what had run before,
+    so step times and peak RSS moved from one run to the next.  Arrays
+    under 32 MB now come from the heap, and up to 128 MB of free heap is
+    kept.  Without glibc's mallopt this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 128 << 20)
+
+
+_keep_freed_memory()
+
+
+class _Fenv(ctypes.Structure):
+    """glibc's x86-64 fenv_t: the x87 environment, then MXCSR."""
+
+    _fields_ = [("x87", ctypes.c_uint8 * 28), ("mxcsr", ctypes.c_uint32)]
+
+
+# MXCSR flush-to-zero (bit 15) and denormals-are-zero (bit 6)
+_FTZ_DAZ = 0x8040
+# MXCSR exception masks, all set in a default environment
+_MXCSR_MASKS = 0x1F80
+
+
+def _fenv_calls():
+    """(fegetenv, fesetenv) where fenv_t has glibc's x86-64 layout, else None."""
+    if platform.machine() != "x86_64":
+        return None
+    try:
+        libm = ctypes.CDLL(ctypes.util.find_library("m"))
+        calls = libm.fegetenv, libm.fesetenv
+    except (OSError, AttributeError):
+        return None
+    env = _Fenv()
+    if calls[0](ctypes.byref(env)) != 0 or env.mxcsr & _MXCSR_MASKS != _MXCSR_MASKS:
+        return None
+    return calls
+
+
+_FENV = _fenv_calls()
+
+
+class _flush_subnormals:
+    """Context in which this thread's float arithmetic flushes subnormals to zero.
+
+    A subnormal (a nonzero magnitude below 2.2e-308) costs x86 cores a
+    microcode assist per operation: a stacked matmul with a quarter of its
+    inputs subnormal ran 20 times slower than with none.  Softmax weights
+    underflow into that range once attention sharpens, and how many do
+    depends on the data, so on `overfit` one seed trained 10 to 20% slower
+    than another.  Flushed, such a weight is 0, which changes only values
+    below 2.2e-308.  Elsewhere than x86-64 glibc this does nothing.
+    """
+
+    __slots__ = ("_saved",)
+
+    def __enter__(self) -> "_flush_subnormals":
+        self._saved = None
+        if _FENV is not None:
+            saved = _Fenv()
+            _FENV[0](ctypes.byref(saved))
+            env = _Fenv.from_buffer_copy(saved)
+            env.mxcsr |= _FTZ_DAZ
+            _FENV[1](ctypes.byref(env))
+            self._saved = saved
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        if self._saved is not None:
+            _FENV[1](ctypes.byref(self._saved))
+        return False
 
 
 class Tensor:
@@ -131,25 +224,29 @@ def _emit(value, inputs: tuple[Tensor, ...], backward) -> Tensor:
 
 class checked:
     """Context in which a floating-point overflow, invalid operation or
-    division by zero raises NumericError naming ``where``.
+    division by zero raises NumericError naming ``where``, and subnormal
+    values are flushed to zero (see _flush_subnormals).
 
     Wrap each layer's primitives in one ``with checked(...)`` block and
     pass the layer's outputs to check_finite afterwards: flags raised in
     BLAS worker threads can be lost, so the output check stays as a backstop.
     """
 
-    __slots__ = ("where", "_errstate")
+    __slots__ = ("where", "_errstate", "_flush")
 
     def __init__(self, where: str):
         self.where = where
         self._errstate = np.errstate(over="raise", invalid="raise", divide="raise")
+        self._flush = _flush_subnormals()
 
     def __enter__(self) -> "checked":
+        self._flush.__enter__()
         self._errstate.__enter__()
         return self
 
     def __exit__(self, exc_type, exc, tb):
         self._errstate.__exit__(exc_type, exc, tb)
+        self._flush.__exit__()
         if exc_type is not None and issubclass(exc_type, FloatingPointError):
             raise NumericError(f"{self.where}: {exc}") from None
         return False
@@ -172,11 +269,17 @@ def grad(tape: Tape, loss: Tensor, params: dict[str, Tensor]) -> dict[str, Tenso
     the cotangent, so a NaN or infinity arising there carries through to
     each parameter gradient that depends on it, where the named check
     finds it.
+
+    The replay flushes subnormal values to zero, as ``checked`` does.
+    Pieces are added one at a time, in the order the replay hands them
+    out.  A piece with one more axis than its tensor holds per-slice
+    pieces of an input shared by the slices of a stack; they are added
+    last slice first, as the pieces of one entry per slice would be.
     """
     if loss.data.shape != ():
         raise ShapeError(f"loss must be a scalar, got shape {loss.data.shape}")
     partials: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"), _flush_subnormals():
         for out, inputs, backward in reversed(tape._entries):
             g = partials.pop(id(out), None)
             if g is None:
@@ -186,7 +289,10 @@ def grad(tape: Tape, loss: Tensor, params: dict[str, Tensor]) -> dict[str, Tenso
                     continue
                 key = id(tensor)
                 held = partials.get(key)
-                partials[key] = piece if held is None else held + piece
+                if piece.ndim > tensor.data.ndim:
+                    partials[key] = _add_slices(held, piece)
+                else:
+                    partials[key] = piece if held is None else held + piece
     result = {}
     for name, p in params.items():
         acc = partials.get(id(p))
@@ -198,9 +304,10 @@ def grad(tape: Tape, loss: Tensor, params: dict[str, Tensor]) -> dict[str, Tenso
     return result
 
 
-def _need_shape(t: Tensor, ndim: int, what: str) -> None:
-    if t.data.ndim != ndim:
-        raise ShapeError(f"{what} must have {ndim} dimensions, got shape {t.data.shape}")
+def _need_stack(t: Tensor, what: str) -> None:
+    if t.data.ndim not in (2, 3):
+        raise ShapeError(f"{what} must be a (rows, d) matrix or a (B, rows, d) stack, "
+                         f"got shape {t.data.shape}")
 
 
 def _need_affine(x: Tensor, scale_: Tensor, shift: Tensor, what: str) -> None:
@@ -215,9 +322,29 @@ def _need_affine(x: Tensor, scale_: Tensor, shift: Tensor, what: str) -> None:
 # array-level formulas, shared by the primitives and the fused blocks below
 
 
+def _add_slices(held: np.ndarray | None, pieces: np.ndarray) -> np.ndarray:
+    """held + pieces[-1] + pieces[-2] + ... + pieces[0], one addition at a time.
+
+    numpy's reversed sum over the leading axis is this left fold, except
+    over a single trailing element, where it sums pairwise from 8 slices
+    on; that case is folded in a loop.
+    """
+    if held is not None:
+        pieces = np.concatenate([pieces, held[None]])
+    if pieces[0].size > 1:
+        return pieces[::-1].sum(axis=0)
+    acc = pieces[-1]
+    for piece in pieces[-2::-1]:
+        acc = acc + piece
+    return acc
+
+
 def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray):
-    """Cotangents (of a, of b) of the 2-d product a @ b."""
-    return g @ b.T, a.T @ g
+    """Cotangents (of a, of b) of a @ b, where a may be a stack.
+
+    For a stack a and a matrix b, b gets one piece per slice.
+    """
+    return g @ np.swapaxes(b, -1, -2), np.swapaxes(a, -1, -2) @ g
 
 
 def _softmax_values(x: np.ndarray) -> np.ndarray:
@@ -242,41 +369,47 @@ def _layer_norm_values(x: np.ndarray, scale_: np.ndarray, shift: np.ndarray, eps
 
 
 def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, scale_: np.ndarray):
-    """Cotangents (of x, of scale, of shift) of a layer norm."""
+    """Cotangents (of x, of scale, of shift) of a layer norm of a vector, rows or a stack.
+
+    For a stack, scale and shift get one piece per slice.
+    """
     gh = g * scale_
     m1 = gh.mean(axis=-1, keepdims=True)
     m2 = (gh * xhat).mean(axis=-1, keepdims=True)
     dx = (gh - m1 - xhat * m2) * inv
     if xhat.ndim == 1:
         return dx, g * xhat, g
-    return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+    return dx, (g * xhat).sum(axis=-2), g.sum(axis=-2)
 
 
 def _slice_scores(parts: list[np.ndarray], v: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Each (n, d) part times the column v[start:stop], stacked as (n, len(parts))."""
+    """Each (..., n, d) part times the column v[start:stop], side by side: (..., n, parts)."""
     col = v[start:stop, None]
-    return np.concatenate([p @ col for p in parts], axis=1)
+    return np.concatenate([p @ col for p in parts], axis=-1)
 
 
 def _slice_scores_grads(parts: list[np.ndarray], v: np.ndarray, start: int, stop: int,
                         g: np.ndarray):
-    """Cotangents (one per part, of v) of _slice_scores; zero outside [start, stop)."""
+    """Cotangents of _slice_scores: one per part, and v's per slice, zero outside [start, stop).
+
+    v's cotangent keeps the parts' leading block axis: one piece per slice.
+    """
     col = v[start:stop, None]
-    cols = [g[:, j:j + 1] for j in range(len(parts))]
+    cols = [g[..., j:j + 1] for j in range(len(parts))]
     # sum the parts' contributions last part first, as separate products
     # recorded in part order would accumulate them
     dcol = None
     for p, gj in zip(reversed(parts), reversed(cols)):
-        piece = p.T @ gj
+        piece = np.swapaxes(p, -1, -2) @ gj
         dcol = piece if dcol is None else dcol + piece
-    dv = np.zeros_like(v)
-    dv[start:stop] = dcol[:, 0]
+    dv = np.zeros(dcol.shape[:-2] + v.shape)
+    dv[..., start:stop] = dcol[..., 0]
     return [gj @ col.T for gj in cols], dv
 
 
 def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce a broadcast 2-d cotangent back to an operand of the given shape."""
-    return g.sum(axis=tuple(axis for axis in (0, 1) if shape[axis] == 1), keepdims=True)
+    """Reduce a cotangent broadcast over the last two axes back to an operand's shape."""
+    return g.sum(axis=tuple(axis for axis in (-2, -1) if shape[axis] == 1), keepdims=True)
 
 
 def _relu_values(x: np.ndarray):
@@ -285,8 +418,51 @@ def _relu_values(x: np.ndarray):
     return np.where(mask, x, 0.0), mask
 
 
+def _scatter_rows(g: np.ndarray, index: np.ndarray, rows: int) -> np.ndarray:
+    """Rows of g added into a (rows, d) zero matrix at index, duplicates in index order.
+
+    The same numbers as np.add.at(zeros, index, g), faster: the k-th
+    occurrences of every index are added together in round k, so each row
+    sums its pieces one at a time, in index order, starting from zero.
+    """
+    out = np.zeros((rows, g.shape[-1]))
+    if not index.size:
+        return out
+    order = np.argsort(index, kind="stable")
+    ordered = index[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    rank = np.arange(index.size) - np.repeat(starts, np.diff(np.r_[starts, index.size]))
+    by_rank = np.argsort(rank, kind="stable")
+    bounds = np.searchsorted(rank[by_rank], np.arange(rank.max() + 2))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        pick = order[by_rank[lo:hi]]
+        out[index[pick]] += g[pick]
+    return out
+
+
+def sigmoid_values(x: np.ndarray) -> np.ndarray:
+    # evaluated through exp(-|x|) so neither branch overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _bce_terms(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Per-element binary cross entropy from logits, finite for saturated logits."""
+    return np.maximum(x, 0.0) - x * z + np.log1p(np.exp(-np.abs(x)))
+
+
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 # ---------------------------------------------------------------------------
-# primitives
+# primitives.  Matrix inputs may carry a leading block axis: a (B, n, d)
+# stack is B independent (n, d) matrices, and a 2-d input is a stack of
+# one.  Every slice of a stack is computed by the same numpy expressions as
+# a lone matrix, with the same bits.  An input shared by the slices (a
+# parameter) gets one piece per slice, which grad() adds as it would add
+# the pieces of B separate entries.
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -296,12 +472,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
-    """Add a vector to every row of a matrix (bias broadcast)."""
-    _need_shape(m, 2, "add_rowvec matrix")
-    _need_shape(v, 1, "add_rowvec vector")
-    if m.data.shape[1] != v.data.shape[0]:
+    """Add a vector to every row of a matrix or stack (bias broadcast)."""
+    _need_stack(m, "add_rowvec matrix")
+    if v.data.ndim != 1 or m.data.shape[-1] != v.data.shape[0]:
         raise ShapeError(f"add_rowvec: shapes {m.data.shape} and {v.data.shape} differ")
-    return _emit(m.data + v.data, (m, v), lambda g: (g, g.sum(axis=0)))
+    return _emit(m.data + v.data, (m, v), lambda g: (g, g.sum(axis=-2)))
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -310,10 +485,10 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; also covers vector @ matrix and matrix @ vector."""
+    """Matrix product; also covers a stack @ matrix, vector @ matrix and matrix @ vector."""
     ad, bd = a.data, b.data
-    if ad.ndim == 2 and bd.ndim == 2:
-        if ad.shape[1] != bd.shape[0]:
+    if ad.ndim in (2, 3) and bd.ndim == 2:
+        if ad.shape[-1] != bd.shape[0]:
             raise ShapeError(f"matmul: shapes {ad.shape} and {bd.shape} do not align")
         return _emit(ad @ bd, (a, b), lambda g: _matmul_grads(ad, bd, g))
     if ad.ndim == 1 and bd.ndim == 2:
@@ -327,66 +502,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     raise ShapeError(f"matmul: unsupported ranks {ad.shape} @ {bd.shape}")
 
 
-def transpose(x: Tensor) -> Tensor:
-    _need_shape(x, 2, "transpose input")
-    return _emit(x.data.T, (x,), lambda g: (g.T,))
-
-
-def relu(x: Tensor) -> Tensor:
-    """Elementwise max(x, 0); the derivative at exactly zero is zero."""
-    y, mask = _relu_values(x.data)
-    return _emit(y, (x,), lambda g: (g * mask,))
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    y = sigmoid_values(x.data)
-    return _emit(y, (x,), lambda g: (g * y * (1.0 - y),))
-
-
-def sigmoid_values(x: np.ndarray) -> np.ndarray:
-    # evaluated through exp(-|x|) so neither branch overflows
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis with max subtraction for stability."""
-    if x.data.ndim not in (1, 2):
-        raise ShapeError(f"softmax expects 1 or 2 dimensions, got shape {x.data.shape}")
-    y = _softmax_values(x.data)
-    return _emit(y, (x,), lambda g: (_softmax_grad(y, g),))
-
-
-def layer_norm(x: Tensor, scale_: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance, then affine.
-
-    y = scale * (x - mean) / sqrt(var + eps) + shift, with the population
-    variance over the last axis.
-    """
-    if x.data.ndim not in (1, 2):
-        raise ShapeError(f"layer_norm expects 1 or 2 dimensions, got shape {x.data.shape}")
-    _need_affine(x, scale_, shift, "layer_norm")
-    out, xhat, inv = _layer_norm_values(x.data, scale_.data, shift.data, eps)
-    return _emit(out, (x, scale_, shift),
-                 lambda g: _layer_norm_grads(g, xhat, inv, scale_.data))
-
-
 def concat_rows(parts: list[Tensor]) -> Tensor:
-    """Stack matrices vertically; gradients split back by row counts."""
+    """Stack matrices vertically, slice by slice for stacks; gradients split back by row counts."""
     if not parts:
         raise ShapeError("concat_rows: empty input")
     for p in parts:
-        _need_shape(p, 2, "concat_rows part")
-    width = parts[0].data.shape[1]
-    if any(p.data.shape[1] != width for p in parts):
-        raise ShapeError("concat_rows: column counts differ")
-    out = np.concatenate([p.data for p in parts], axis=0)
-    sizes = [p.data.shape[0] for p in parts]
+        _need_stack(p, "concat_rows part")
+    lead, width = parts[0].data.shape[:-2], parts[0].data.shape[-1]
+    if any(p.data.shape[:-2] != lead or p.data.shape[-1] != width for p in parts):
+        raise ShapeError("concat_rows: column counts or stack sizes differ")
+    out = np.concatenate([p.data for p in parts], axis=-2)
+    sizes = [p.data.shape[-2] for p in parts]
 
     def backward(g):
         pieces, at = [], 0
         for n in sizes:
-            pieces.append(g[at:at + n])
+            pieces.append(g[..., at:at + n, :])
             at += n
         return tuple(pieces)
 
@@ -394,16 +525,13 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
-    """Concatenate along the last axis; works for vectors and matrices."""
+    """Concatenate along the last axis; works for vectors, matrices and stacks."""
     if not parts:
         raise ShapeError("concat_cols: empty input")
-    ndim = parts[0].data.ndim
-    if ndim not in (1, 2) or any(p.data.ndim != ndim for p in parts):
-        raise ShapeError("concat_cols: parts must share rank 1 or 2")
-    if ndim == 2:
-        rows = parts[0].data.shape[0]
-        if any(p.data.shape[0] != rows for p in parts):
-            raise ShapeError("concat_cols: row counts differ")
+    lead = parts[0].data.shape[:-1]
+    if len(lead) > 2 or any(p.data.shape[:-1] != lead for p in parts):
+        raise ShapeError("concat_cols: parts must share every axis but the last, "
+                         "and have at most 3")
     out = np.concatenate([p.data for p in parts], axis=-1)
     sizes = [p.data.shape[-1] for p in parts]
 
@@ -417,102 +545,208 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     return _emit(out, tuple(parts), backward)
 
 
+def gather_rows(m: Tensor | list[Tensor], index) -> Tensor:
+    """Rows picked by integer index, as one tape entry.
+
+    m is a tensor, or a list of tensors of one width, read as rows: a
+    (rows, d) matrix as itself, a (B, rows, d) stack slice after slice, and
+    a list as its tensors' rows end to end.  index may have any shape, and
+    the result has shape index.shape + (d,).  Duplicate indices accumulate
+    their gradients in index order.
+    """
+    sources = [m] if isinstance(m, Tensor) else list(m)
+    if not sources:
+        raise ShapeError("gather_rows: no source")
+    for s in sources:
+        _need_stack(s, "gather_rows source")
+    width = sources[0].data.shape[-1]
+    if any(s.data.shape[-1] != width for s in sources):
+        raise ShapeError("gather_rows: sources differ in width")
+    flat = [s.data.reshape(-1, width) for s in sources]
+    rows = flat[0] if len(flat) == 1 else np.concatenate(flat)
+    idx = np.asarray(index, dtype=np.intp)
+    if idx.size and (idx.min() < 0 or idx.max() >= rows.shape[0]):
+        raise ShapeError(f"gather_rows: index out of range for {rows.shape[0]} rows")
+
+    def backward(g):
+        dm = _scatter_rows(g.reshape(-1, width), idx.reshape(-1), rows.shape[0])
+        bounds = np.cumsum([0] + [f.shape[0] for f in flat])
+        # a source no index reaches gets no piece, not a piece of zeros
+        return tuple(dm[lo:hi].reshape(s.data.shape)
+                     if ((idx >= lo) & (idx < hi)).any() else None
+                     for s, lo, hi in zip(sources, bounds[:-1], bounds[1:]))
+
+    return _emit(rows[idx], tuple(sources), backward)
+
+
+def unstack(x: Tensor) -> list[Tensor]:
+    """The slices of x along its leading axis, each a view of x's data.
+
+    Under a tape each slice is its own entry, whose gradient fills that
+    slice of a zero stack.
+    """
+    def take(i):
+        def backward(g):
+            dx = np.zeros_like(x.data)
+            dx[i] = g
+            return (dx,)
+        return _emit(x.data[i], (x,), backward)
+
+    return [take(i) for i in range(x.data.shape[0])]
+
+
 # ---------------------------------------------------------------------------
 # fused blocks: each records one tape entry for what would otherwise be a
-# chain of the primitives above.  The forward evaluates the chain's numpy
-# expressions, and the backward runs the chain's backward rules in reverse
-# order.  An input used more than once is listed once per use, in the order
-# the chain's entries would have handed it cotangent pieces, so grad()
-# accumulates the same pieces in the same order and every number is
-# bit-identical to the chain's.
+# chain of small primitives (tests/small_primitives.py keeps that chain's
+# primitives).  The forward evaluates the chain's numpy expressions, and the
+# backward runs the chain's backward rules in reverse order.  An input used
+# more than once is listed once per use, in the order the chain's entries
+# would have handed it cotangent pieces, so grad() accumulates the same
+# pieces in the same order and every number is bit-identical to the
+# chain's.  The one exception is a parameter vector used twice per slice
+# (the GAT score, the gate): it is listed once, with the sum of its two
+# pieces.  The pieces fill disjoint halves of the vector, zeros elsewhere,
+# so adding them first gives the bits of adding them one after the other.
 
 
-def nonlocal_attention(query: Tensor, kv: Tensor, wq: Tensor, wk: Tensor,
-                       wv: Tensor) -> tuple[Tensor, Tensor]:
+def _kv_groups(query: Tensor, kv, what: str) -> list[tuple]:
+    """kv as (query slices, neighbor stack) pairs; a plain kv is one pair over every slice."""
+    _need_stack(query, f"{what} receivers")
+    if isinstance(kv, Tensor):
+        _need_stack(kv, f"{what} neighbors")
+        if query.data.shape[:-2] != kv.data.shape[:-2]:
+            raise ShapeError(f"{what}: receivers {query.data.shape} and neighbors "
+                             f"{kv.data.shape} differ in stack size")
+        return [(slice(None), kv)]
+    groups = [(np.asarray(slices, dtype=np.intp), t) for slices, t in kv]
+    covered = np.sort(np.concatenate([slices for slices, _ in groups]))
+    if (query.data.ndim != 3 or not np.array_equal(covered, np.arange(query.data.shape[0]))
+            or any(t.data.ndim != 3 or t.data.shape[0] != len(slices) for slices, t in groups)):
+        raise ShapeError(f"{what}: neighbor stacks must cover every receiver slice once")
+    return groups
+
+
+def nonlocal_attention(query: Tensor, kv, wq: Tensor, wk: Tensor,
+                       wv: Tensor) -> tuple[Tensor, Tensor | list[Tensor]]:
     """Scaled dot-product attention of query rows over kv rows, as one tape entry.
 
     With q = query @ wq, k = kv @ wk and v = kv @ wv, returns
-    (softmax(q k^T / sqrt(width of k)) @ v, attention).  The attention
-    matrix is returned for inspection only; it is not on the tape.
+    (softmax(q k^T / sqrt(width of k)) @ v, attention), slice by slice for
+    stacks.  The attention is returned for inspection only; it is not on
+    the tape.  For a (B, n, d) query stack, kv may instead be a list of
+    (slices, stack) pairs: the query slices listed attend over that
+    stack's rows, so keyframes with different neighbor counts share one
+    entry, and the attention comes back as one tensor per pair.
     """
-    _need_shape(query, 2, "nonlocal_attention query")
-    _need_shape(kv, 2, "nonlocal_attention kv")
-    qd, kvd, wqd, wkd, wvd = query.data, kv.data, wq.data, wk.data, wv.data
-    d = qd.shape[1]
-    if (wqd.ndim != 2 or wqd.shape != wkd.shape or wvd.ndim != 2 or kvd.shape[1] != d
-            or wqd.shape[0] != d or wvd.shape[0] != d):
-        raise ShapeError(f"nonlocal_attention: query {qd.shape}, kv {kvd.shape} and weights "
+    groups = _kv_groups(query, kv, "nonlocal_attention")
+    qd, wqd, wkd, wvd = query.data, wq.data, wk.data, wv.data
+    d = qd.shape[-1]
+    if (wqd.ndim != 2 or wqd.shape != wkd.shape or wvd.ndim != 2 or wqd.shape[0] != d
+            or wvd.shape[0] != d or any(t.data.shape[-1] != d for _, t in groups)):
+        raise ShapeError(f"nonlocal_attention: query {qd.shape}, kv "
+                         f"{[t.data.shape for _, t in groups]} and weights "
                          f"{wqd.shape}/{wkd.shape}/{wvd.shape} do not align")
     c = 1.0 / math.sqrt(wqd.shape[1])
     q = qd @ wqd
-    k = kvd @ wkd
-    v = kvd @ wvd
-    kt = k.T
-    attention = _softmax_values((q @ kt) * c)
+    out = np.empty(qd.shape[:-1] + wvd.shape[1:])
+    parts = []
+    for slices, t in groups:
+        kvd = t.data
+        v = kvd @ wvd
+        kt = np.swapaxes(kvd @ wkd, -1, -2)
+        attention = _softmax_values((q[slices] @ kt) * c)
+        out[slices] = attention @ v
+        parts.append((slices, kvd, v, kt, attention))
 
     def backward(g):
-        dattention, dv = _matmul_grads(attention, v, g)
-        dq, dkt = _matmul_grads(q, kt, _softmax_grad(attention, dattention) * c)
-        dkv_v, dwv = _matmul_grads(kvd, wvd, dv)
-        dkv_k, dwk = _matmul_grads(kvd, wkd, dkt.T)
+        dq = np.empty_like(q)
+        dwv = np.empty(qd.shape[:-2] + wvd.shape)
+        dwk = np.empty(qd.shape[:-2] + wkd.shape)
+        dkv_v, dkv_k = [], []
+        for slices, kvd, v, kt, attention in parts:
+            dattention, dv = _matmul_grads(attention, v, g[slices])
+            dq[slices], dkt = _matmul_grads(q[slices], kt,
+                                            _softmax_grad(attention, dattention) * c)
+            piece_v, dwv[slices] = _matmul_grads(kvd, wvd, dv)
+            piece_k, dwk[slices] = _matmul_grads(kvd, wkd, np.swapaxes(dkt, -1, -2))
+            dkv_v.append(piece_v)
+            dkv_k.append(piece_k)
         dquery, dwq = _matmul_grads(qd, wqd, dq)
-        return dkv_v, dwv, dkv_k, dwk, dquery, dwq
+        return (*dkv_v, dwv, *dkv_k, dwk, dquery, dwq)
 
-    out = _emit(attention @ v, (kv, wv, kv, wk, query, wq), backward)
-    return out, _wrap(attention)
+    kvs = tuple(t for _, t in groups)
+    out = _emit(out, (*kvs, wv, *kvs, wk, query, wq), backward)
+    attention = [_wrap(part[-1]) for part in parts]
+    return out, attention[0] if isinstance(kv, Tensor) else attention
 
 
-def additive_attention(receivers: Tensor, neighbors: Tensor, transform: Tensor,
-                       score: Tensor) -> tuple[Tensor, Tensor]:
+def additive_attention(receivers: Tensor, neighbors, transform: Tensor,
+                       score: Tensor) -> tuple[Tensor, Tensor | list[Tensor]]:
     """GAT-style attention of every receiver over the neighbor rows, as one tape entry.
 
     With score = [a1 || a2], attention row v is softmax over j of
     relu(h_v . a1 + h_j . a2), and the message is
-    relu((attention @ neighbors) @ transform).  Returns (messages,
-    attention); the attention matrix is not on the tape.
+    relu((attention @ neighbors) @ transform), slice by slice for stacks.
+    Returns (messages, attention); the attention is not on the tape.
+    neighbors may be a list of (slices, stack) pairs, as the kv of
+    nonlocal_attention.
     """
-    _need_shape(receivers, 2, "additive_attention receivers")
-    _need_shape(neighbors, 2, "additive_attention neighbors")
-    _need_shape(transform, 2, "additive_attention transform")
-    rd, nd, wd, a = receivers.data, neighbors.data, transform.data, score.data
-    d = rd.shape[1]
-    if nd.shape[1] != d or wd.shape[0] != d or a.shape != (2 * d,):
-        raise ShapeError(f"additive_attention: receivers {rd.shape}, neighbors {nd.shape}, "
-                         f"transform {wd.shape} and score {a.shape} do not align")
+    groups = _kv_groups(receivers, neighbors, "additive_attention")
+    rd, wd, a = receivers.data, transform.data, score.data
+    d = rd.shape[-1]
+    if (wd.ndim != 2 or wd.shape[0] != d or a.shape != (2 * d,)
+            or any(t.data.shape[-1] != d for _, t in groups)):
+        raise ShapeError(f"additive_attention: receivers {rd.shape}, neighbors "
+                         f"{[t.data.shape for _, t in groups]}, transform {wd.shape} and "
+                         f"score {a.shape} do not align")
     own = _slice_scores([rd], a, 0, d)
-    other_t = _slice_scores([nd], a, d, 2 * d).T
-    raw, raw_mask = _relu_values(own + other_t)
-    attention = _softmax_values(raw)
-    pooled = attention @ nd
-    out, out_mask = _relu_values(pooled @ wd)
+    out = np.empty(rd.shape[:-1] + wd.shape[1:])
+    parts = []
+    for slices, t in groups:
+        nd = t.data
+        other_t = np.swapaxes(_slice_scores([nd], a, d, 2 * d), -1, -2)
+        raw, raw_mask = _relu_values(own[slices] + other_t)
+        attention = _softmax_values(raw)
+        pooled = attention @ nd
+        out[slices], out_mask = _relu_values(pooled @ wd)
+        parts.append((slices, nd, other_t.shape, raw_mask, attention, pooled, out_mask))
 
     def backward(g):
-        dpooled, dtransform = _matmul_grads(pooled, wd, g * out_mask)
-        dattention, dnbrs = _matmul_grads(attention, nd, dpooled)
-        draw = _softmax_grad(attention, dattention) * raw_mask
-        (dnbrs_score,), dscore_other = _slice_scores_grads(
-            [nd], a, d, 2 * d, _sum_to(draw, other_t.shape).T)
-        (dreceivers,), dscore_own = _slice_scores_grads([rd], a, 0, d, _sum_to(draw, own.shape))
-        return dtransform, dnbrs, dnbrs_score, dscore_other, dreceivers, dscore_own
+        dtransform = np.empty(rd.shape[:-2] + wd.shape)
+        dscore_other = np.empty(rd.shape[:-2] + a.shape)
+        draw_own = np.empty_like(own)
+        dnbrs = []
+        for slices, nd, other_shape, raw_mask, attention, pooled, out_mask in parts:
+            dpooled, dtransform[slices] = _matmul_grads(pooled, wd, g[slices] * out_mask)
+            dattention, dnbr = _matmul_grads(attention, nd, dpooled)
+            draw = _softmax_grad(attention, dattention) * raw_mask
+            (dnbr_score,), dscore_other[slices] = _slice_scores_grads(
+                [nd], a, d, 2 * d, np.swapaxes(_sum_to(draw, other_shape), -1, -2))
+            draw_own[slices] = _sum_to(draw, own.shape)
+            dnbrs += [dnbr, dnbr_score]
+        (dreceivers,), dscore_own = _slice_scores_grads([rd], a, 0, d, draw_own)
+        return (dtransform, *dnbrs, dreceivers, dscore_other + dscore_own)
 
-    out = _emit(out, (transform, neighbors, neighbors, score, receivers, score), backward)
-    return out, _wrap(attention)
+    nbrs = tuple(t for _, t in groups for _use in (0, 1))
+    out = _emit(out, (transform, *nbrs, receivers, score), backward)
+    attention = [_wrap(part[4]) for part in parts]
+    return out, attention[0] if isinstance(neighbors, Tensor) else attention
 
 
 def gated_mix(messages: list[Tensor], receivers: Tensor, gate: Tensor) -> tuple[Tensor, Tensor]:
-    """Per-receiver convex mix of K parallel (n, d) messages, as one tape entry.
+    """Per-receiver convex mix of K parallel messages, as one tape entry.
 
     With gate = [g1 || g2], weight k of receiver v is softmax over k of
     relu(h_v . g1 + m_k[v] . g2), and row v of the result is
-    sum_k weight[v, k] * m_k[v].  Returns (mix (n, d), weights (n, K));
-    the weights are not on the tape.
+    sum_k weight[v, k] * m_k[v], slice by slice for stacks.  Returns
+    (mix, weights (..., n, K)); the weights are not on the tape.
     """
-    _need_shape(receivers, 2, "gated_mix receivers")
+    _need_stack(receivers, "gated_mix receivers")
     if not messages:
         raise ShapeError("gated_mix: no messages")
     rd, gd = receivers.data, gate.data
     parts = [m.data for m in messages]
-    d = rd.shape[1]
+    d = rd.shape[-1]
     if gd.shape != (2 * d,) or any(p.shape != rd.shape for p in parts):
         raise ShapeError(f"gated_mix: messages {[p.shape for p in parts]}, receivers {rd.shape} "
                          f"and gate {gd.shape} do not align")
@@ -520,19 +754,19 @@ def gated_mix(messages: list[Tensor], receivers: Tensor, gate: Tensor) -> tuple[
     own = _slice_scores([rd], gd, 0, d)
     raw, mask = _relu_values(own + slot)
     w = _softmax_values(raw)
-    acc = w[:, 0:1] * parts[0]
+    acc = w[..., 0:1] * parts[0]
     for j in range(1, len(parts)):
-        acc = acc + w[:, j:j + 1] * parts[j]
+        acc = acc + w[..., j:j + 1] * parts[j]
 
     def backward(g):
-        dw = np.stack([(g * p).sum(axis=1) for p in parts], axis=1)
-        dmix = [w[:, j:j + 1] * g for j in range(len(parts))]
+        dw = np.stack([(g * p).sum(axis=-1) for p in parts], axis=-1)
+        dmix = [w[..., j:j + 1] * g for j in range(len(parts))]
         draw = _softmax_grad(w, dw) * mask
         (dreceivers,), dgate_own = _slice_scores_grads([rd], gd, 0, d, _sum_to(draw, own.shape))
         dslot, dgate_slot = _slice_scores_grads(parts, gd, d, 2 * d, _sum_to(draw, slot.shape))
-        return (*dmix, dreceivers, dgate_own, *dslot, dgate_slot)
+        return (*dmix, dreceivers, *dslot, dgate_own + dgate_slot)
 
-    out = _emit(acc, (*messages, receivers, gate, *messages, gate), backward)
+    out = _emit(acc, (*messages, receivers, *messages, gate), backward)
     return out, _wrap(w)
 
 
@@ -540,13 +774,13 @@ def residual_layer_norm(state: Tensor, message: Tensor, scale_: Tensor, shift: T
                         eps: float = 1e-5) -> Tensor:
     """layer_norm(state + message, scale, shift, eps) as one tape entry.
 
-    Works on a single state vector or on a matrix of state rows.
+    Works on a single state vector, a matrix of state rows or a stack.
     """
     if state.data.shape != message.data.shape:
         raise ShapeError(f"residual_layer_norm: shapes {state.data.shape} and "
                          f"{message.data.shape} differ")
-    if state.data.ndim not in (1, 2):
-        raise ShapeError(f"residual_layer_norm expects 1 or 2 dimensions, "
+    if state.data.ndim not in (1, 2, 3):
+        raise ShapeError(f"residual_layer_norm expects 1 to 3 dimensions, "
                          f"got shape {state.data.shape}")
     _need_affine(state, scale_, shift, "residual_layer_norm")
     out, xhat, inv = _layer_norm_values(state.data + message.data, scale_.data, shift.data, eps)
@@ -558,31 +792,8 @@ def residual_layer_norm(state: Tensor, message: Tensor, scale_: Tensor, shift: T
     return _emit(out, (scale_, shift, state, message), backward)
 
 
-def gather_rows(m: Tensor, index) -> Tensor:
-    """Select rows by integer index; duplicate indices accumulate in reverse."""
-    _need_shape(m, 2, "gather_rows matrix")
-    idx = np.asarray(index, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError("gather_rows: index must be one dimensional")
-    if idx.size and (idx.min() < 0 or idx.max() >= m.data.shape[0]):
-        raise ShapeError(f"gather_rows: index out of range for {m.data.shape[0]} rows")
-    out = m.data[idx]
-
-    def backward(g):
-        dm = np.zeros_like(m.data)
-        np.add.at(dm, idx, g)
-        return (dm,)
-
-    return _emit(out, (m,), backward)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    return _emit(x.data.sum(), (x,), lambda g: (np.full_like(x.data, float(g)),))
-
-
-def mean_all(x: Tensor) -> Tensor:
-    n = x.data.size
-    return _emit(x.data.mean(), (x,), lambda g: (np.full_like(x.data, float(g) / n),))
+# ---------------------------------------------------------------------------
+# losses
 
 
 def bce_with_logits_mean(logits: Tensor, targets: Tensor) -> Tensor:
@@ -594,8 +805,7 @@ def bce_with_logits_mean(logits: Tensor, targets: Tensor) -> Tensor:
     x, z = logits.data, targets.data
     if x.shape != z.shape:
         raise ShapeError(f"bce_with_logits_mean: shapes {x.shape} and {z.shape} differ")
-    per = np.maximum(x, 0.0) - x * z + np.log1p(np.exp(-np.abs(x)))
-    out = per.mean()
+    out = _bce_terms(x, z).mean()
     count = x.size
 
     def backward(g):
@@ -609,13 +819,13 @@ def softmax_xent_mean(logits: Tensor, onehot: Tensor) -> Tensor:
 
     The gradient is exactly (softmax(x) - y) / rows.
     """
-    _need_shape(logits, 2, "softmax_xent_mean logits")
+    if logits.data.ndim != 2:
+        raise ShapeError(f"softmax_xent_mean logits must have 2 dimensions, "
+                         f"got shape {logits.data.shape}")
     x, y = logits.data, onehot.data
     if x.shape != y.shape:
         raise ShapeError(f"softmax_xent_mean: shapes {x.shape} and {y.shape} differ")
-    shifted = x - x.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - logz
+    logp = _log_softmax(x)
     out = -(y * logp).sum(axis=1).mean()
     n = x.shape[0]
     p = np.exp(logp)
@@ -624,6 +834,101 @@ def softmax_xent_mean(logits: Tensor, onehot: Tensor) -> Tensor:
         return (float(g) * (p - y) / n, None)
 
     return _emit(out, (logits, onehot), backward)
+
+
+def _clip_slices(stacks: list[np.ndarray], clips: list[list[tuple[int, int]]]) -> None:
+    """Check that clips cover every slice of the stacks exactly once."""
+    seen = sorted(pair for clip in clips for pair in clip)
+    if seen != [(k, j) for k, s in enumerate(stacks) for j in range(s.shape[0])]:
+        raise ShapeError("clip losses: clips must cover every stacked keyframe once")
+
+
+def clip_bce_sum(logits: list[Tensor], targets: list[np.ndarray],
+                 clips: list[list[tuple[int, int]]]) -> Tensor:
+    """Sum over clips of each clip's mean binary cross entropy, as one tape entry.
+
+    logits[k] is a (B, n, C) stack of keyframe logits and targets[k] its
+    0/1 labels.  A clip lists the (stack, slice) pairs of its keyframes in
+    order.  Its loss is bce_with_logits_mean over those slices' rows laid
+    end to end, and the clip losses are added in clip order, as a chain of
+    add entries would add them.
+    """
+    xs = [t.data for t in logits]
+    if any(x.ndim != 3 or x.shape != z.shape for x, z in zip(xs, targets)):
+        raise ShapeError("clip_bce_sum: logits must be (B, n, C) stacks shaped as their targets")
+    _clip_slices(xs, clips)
+    terms = [_bce_terms(x, z) for x, z in zip(xs, targets)]
+    counts = [np.zeros(x.shape[0]) for x in xs]
+    total = None
+    for clip in clips:
+        rows = np.concatenate([terms[k][j] for k, j in clip])
+        total = rows.mean() if total is None else total + rows.mean()
+        for k, j in clip:
+            counts[k][j] = rows.size
+
+    def backward(g):
+        return tuple(float(g) * (sigmoid_values(x) - z) / count[:, None, None]
+                     for x, z, count in zip(xs, targets, counts))
+
+    return _emit(total, tuple(logits), backward)
+
+
+def clip_scene_graph_sum(object_logits: list[Tensor], object_targets: list[np.ndarray],
+                         relation_logits: list[Tensor | None],
+                         relation_targets: list[np.ndarray | None],
+                         clips: list[list[tuple[int, int]]], lam: float) -> Tensor:
+    """Sum over clips of each clip's mean scene-graph loss, as one tape entry.
+
+    Stack k holds (B, n, classes) object logits with one-hot targets, and
+    (B, pairs, predicates) relation logits with multi-hot targets, or None
+    when its keyframes have a single node.  A keyframe's loss is lam times
+    its softmax cross entropy averaged over nodes, plus its relation binary
+    cross entropy averaged over pair/predicate slots.  A clip lists the
+    (stack, slice) pairs of its keyframes in order; its loss is the sum of
+    theirs in that order divided by their count, and the clip losses are
+    added in clip order.  This is the chain softmax_xent_mean, scale,
+    bce_with_logits_mean, add per keyframe, then add and scale per clip,
+    with the same numbers.
+    """
+    xs = [t.data for t in object_logits]
+    rels = [None if t is None else t.data for t in relation_logits]
+    if any(x.ndim != 3 or x.shape != y.shape for x, y in zip(xs, object_targets)):
+        raise ShapeError("clip_scene_graph_sum: object logits must be (B, n, C) stacks "
+                         "shaped as their targets")
+    if any((r is None) != (z is None) or (r is not None and (r.ndim != 3 or r.shape != z.shape))
+           for r, z in zip(rels, relation_targets)):
+        raise ShapeError("clip_scene_graph_sum: relation logits and targets must match")
+    _clip_slices(xs, clips)
+    logps = [_log_softmax(x) for x in xs]
+    frame_losses = []
+    for logp, y, r, z in zip(logps, object_targets, rels, relation_targets):
+        loss = -(y * logp).sum(axis=-1).mean(axis=-1) * lam
+        if r is not None:
+            loss = loss + _bce_terms(r, z).mean(axis=(-2, -1))
+        frame_losses.append(loss)
+    weights = [np.zeros(x.shape[0]) for x in xs]
+    total = None
+    for clip in clips:
+        acc = None
+        for k, j in clip:
+            acc = frame_losses[k][j] if acc is None else acc + frame_losses[k][j]
+            weights[k][j] = 1.0 / len(clip)
+        acc = acc * (1.0 / len(clip))
+        total = acc if total is None else total + acc
+
+    def backward(g):
+        dobject, drelation = [], []
+        for x, logp, y, r, z, w in zip(xs, logps, object_targets, rels, relation_targets,
+                                       weights):
+            per_frame = float(g) * w
+            dobject.append((per_frame * lam)[:, None, None] * (np.exp(logp) - y) / x.shape[1])
+            if r is not None:
+                count = r.shape[1] * r.shape[2]
+                drelation.append(per_frame[:, None, None] * (sigmoid_values(r) - z) / count)
+        return (*dobject, *drelation)
+
+    inputs = (*object_logits, *(t for t in relation_logits if t is not None))
+    return _emit(total, inputs, backward)
 
 
 def finite_difference_grads(f, params: dict[str, Tensor], step: float = 1e-5) -> dict[str, np.ndarray]:

@@ -2,7 +2,6 @@
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -10,14 +9,17 @@ import numpy as np
 from . import numgrad as ng
 from .data import ClipFeatures, one_hot, relation_target_matrix
 from .errors import ConfigError, NumericError, ValidationError
-from .graph import Box, FeatureGrid, build_graph, featurize_keyframe
-from .heads import action_loss, action_readout, sg_loss, sg_readout
+from .graph import (Box, FeatureGrid, SpatioTemporalGraph, build_batch, build_graph,
+                    featurize_keyframe)
+from .heads import OBJECT_WEIGHT, SceneGraphPrediction, action_readout, sg_readout
 from .metrics import Detection, GroundTruthBox, Triplet, frame_ap, recall_at_k
 from .numgrad import Tape, Tensor, grad, sigmoid_values
 from .passing import ModelConfig, param_shapes, run_inference
 
 CHECKPOINT_FORMAT = "stgraph-checkpoint"
 CHECKPOINT_VERSION = 1
+# clips scored together as one batch by evaluate_action/evaluate_scenegraph
+EVAL_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -121,48 +123,54 @@ def init_params(config: ModelConfig, seed: int | None = None) -> dict[str, Tenso
 
 
 def clip_loss(clip: ClipFeatures, params: dict[str, Tensor], config: ModelConfig) -> Tensor:
-    """Scalar task loss for one clip.
+    """Scalar task loss for one clip: the batch loss of a batch of one.
 
     Action: one binary cross entropy over the logits of every node in the
     clip.  Scene graph: mean over keyframes of the combined object/relation
     loss.
     """
-    graph = build_graph(clip.frames, params, config)
+    return _batch_loss([clip], build_graph(clip.frames, params, config), params, config)
+
+
+def _stacked(graph: SpatioTemporalGraph, per_position: list[np.ndarray]) -> list[np.ndarray]:
+    """Per-keyframe arrays, flat positions in order, stacked as the graph's blocks."""
+    return [np.stack([per_position[p] for p in block.positions]) for block in graph.blocks]
+
+
+def _batch_loss(clips: list[ClipFeatures], graph: SpatioTemporalGraph,
+                params: dict[str, Tensor], config: ModelConfig) -> Tensor:
+    """Sum of the clips' losses, in clip order, from their batch graph.
+
+    Each clip's loss is its own, as clip_loss defines it; the readout runs
+    once per block and the loss is one tape entry, however many clips.
+    """
     result = run_inference(graph, params, config)
+    per_clip = [[graph.where[pos] for pos in span] for span in graph.clips]
     # the readouts run nested spans of their own, which name their errors
     with ng.checked("loss"):
-        loss = _readout_loss(clip, result.fg_states, params, config)
+        if config.task == "action":
+            logits = [action_readout(states, params["readout.action.weight"],
+                                     params["readout.action.bias"]) for states in result.states]
+            labels = [np.asarray(y, dtype=np.float64) for clip in clips for y in clip.action_labels]
+            loss = ng.clip_bce_sum(logits, _stacked(graph, labels), per_clip)
+        else:
+            preds = [sg_readout(states,
+                                params["readout.object.weight"], params["readout.object.bias"],
+                                params["readout.relation.weight"], params["readout.relation.bias"])
+                     for states in result.states]
+            onehots = [one_hot(classes, config.object_classes)
+                       for clip in clips for classes in clip.object_classes]
+            relations = [r for clip in clips for r in clip.relations]
+            relation_targets = [
+                None if pred.relation_logits is None else np.stack([
+                    relation_target_matrix(pred.pairs, relations[pos], config.relation_classes)
+                    for pos in block.positions])
+                for pred, block in zip(preds, graph.blocks)]
+            loss = ng.clip_scene_graph_sum(
+                [p.object_logits for p in preds], _stacked(graph, onehots),
+                [p.relation_logits for p in preds], relation_targets, per_clip, OBJECT_WEIGHT)
     ng.check_finite("loss", loss)
     return loss
-
-
-def _readout_loss(clip: ClipFeatures, fg_states: dict[int, Tensor],
-                  params: dict[str, Tensor], config: ModelConfig) -> Tensor:
-    positions = sorted(fg_states)
-    if config.task == "action":
-        logits = [action_readout(fg_states[pos],
-                                 params["readout.action.weight"],
-                                 params["readout.action.bias"]) for pos in positions]
-        logit_rows = logits[0] if len(logits) == 1 else ng.concat_rows(logits)
-        labels = np.concatenate([np.asarray(clip.action_labels[pos]) for pos in positions])
-        return action_loss(logit_rows, Tensor(labels))
-    per_frame = []
-    for pos in positions:
-        pred = sg_readout(fg_states[pos],
-                          params["readout.object.weight"], params["readout.object.bias"],
-                          params["readout.relation.weight"], params["readout.relation.bias"])
-        onehot = one_hot(clip.object_classes[pos], config.object_classes)
-        rel_targets = None
-        if pred.relation_logits is not None:
-            rel_targets = relation_target_matrix(
-                pred.pairs, clip.relations[pos], config.relation_classes)
-        per_frame.append(sg_loss(pred.object_logits, pred.relation_logits,
-                                 Tensor(onehot),
-                                 Tensor(rel_targets) if rel_targets is not None else None))
-    total = per_frame[0]
-    for term in per_frame[1:]:
-        total = ng.add(total, term)
-    return ng.scale(total, 1.0 / len(per_frame))
 
 
 def effective_batch_size(batch_size: int, tau_c: int) -> int:
@@ -227,11 +235,10 @@ def train_loop(clips: list[ClipFeatures], config: ModelConfig, schedule: Schedul
         for b in range(num_batches):
             chunk = order[b * batch:(b + 1) * batch]
             lr = lr_at(epoch + b / num_batches, schedule)
+            members = [clips[i] for i in chunk]
             with Tape() as tape:
-                losses = [clip_loss(clips[i], params, config) for i in chunk]
-                total = losses[0]
-                for term in losses[1:]:
-                    total = ng.add(total, term)
+                total = _batch_loss(members, build_batch([c.frames for c in members], params,
+                                                         config), params, config)
             grads = grad(tape, total, params)
             sgd_step(params, grads, lr, state)
             epoch_loss += total.item()
@@ -244,30 +251,30 @@ def train_loop(clips: list[ClipFeatures], config: ModelConfig, schedule: Schedul
 # evaluation
 
 
-def _clip_action_outputs(clip: ClipFeatures, params, config):
-    graph = build_graph(clip.frames, params, config)
-    result = run_inference(graph, params, config)
-    detections = []
-    for pos in sorted(result.fg_states):
-        logits = action_readout(result.fg_states[pos],
-                                params["readout.action.weight"],
-                                params["readout.action.bias"])
-        probs = sigmoid_values(logits.data)
-        frame = clip.frames[pos]
-        for row, box in enumerate(frame.fg_boxes):
-            for cls in range(config.action_classes):
-                detections.append(Detection(
-                    clip_id=clip.clip_id, keyframe_id=frame.keyframe_id,
-                    box=box, class_id=cls, score=float(probs[row, cls])))
-    return detections
+def _over_chunks(score, clips: list[ClipFeatures], params, config: ModelConfig) -> list:
+    """score(chunk, graph, final states) for every EVAL_CHUNK clips, scored as one batch.
+
+    Chunks run in order, in the calling thread.  A chunk holds the GIL
+    between numpy calls, and numpy lets it go around every stacked array
+    operation, so chunks on two threads handed the GIL back and forth:
+    two threads scored `temporal`'s held-out clips 11% slower than one
+    with the second core busy and 37% slower with it idle.
+    """
+    def run(chunk):
+        graph = build_batch([c.frames for c in chunk], params, config)
+        return score(chunk, graph, run_inference(graph, params, config).states)
+
+    return [run(clips[i:i + EVAL_CHUNK]) for i in range(0, len(clips), EVAL_CHUNK)]
 
 
 def evaluate_action(clips: list[ClipFeatures], params: dict[str, Tensor], config: ModelConfig,
                     iou_threshold: float = 0.5, workers: int = 1):
     """Frame mean average precision over every keyframe of every clip.
 
-    Returns (per-class AP dict, mAP).  workers > 1 scores clips in a thread
-    pool; the reduction order is fixed, so results do not depend on it.
+    Returns (per-class AP dict, mAP).  Clips are scored EVAL_CHUNK at a
+    time as one batch, and a clip's scores do not depend on its batch
+    mates.  workers is accepted and changes nothing: chunks run in the
+    calling thread (see _over_chunks).
     """
     if not clips:
         raise ValidationError("no clips to evaluate")
@@ -279,12 +286,23 @@ def evaluate_action(clips: list[ClipFeatures], params: dict[str, Tensor], config
                 for cls in np.flatnonzero(labels[row]):
                     ground_truth.append(GroundTruthBox(
                         clip_id=clip.clip_id, keyframe_id=kid, box=box, class_id=int(cls)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(
-                lambda c: _clip_action_outputs(c, params, config), clips))
-    else:
-        batches = [_clip_action_outputs(c, params, config) for c in clips]
+
+    def detect(chunk: list[ClipFeatures], graph: SpatioTemporalGraph, states: list[Tensor]):
+        probs = [sigmoid_values(action_readout(s, params["readout.action.weight"],
+                                               params["readout.action.bias"]).data)
+                 for s in states]
+        detections = []
+        for clip, span in zip(chunk, graph.clips):
+            for pos, frame in zip(span, clip.frames):
+                k, j = graph.where[pos]
+                for row, box in enumerate(frame.fg_boxes):
+                    for cls in range(config.action_classes):
+                        detections.append(Detection(
+                            clip_id=clip.clip_id, keyframe_id=frame.keyframe_id,
+                            box=box, class_id=cls, score=float(probs[k][j, row, cls])))
+        return detections
+
+    batches = _over_chunks(detect, clips, params, config)
     detections = [d for batch in batches for d in batch]
     return frame_ap(detections, ground_truth, iou_threshold=iou_threshold)
 
@@ -292,30 +310,36 @@ def evaluate_action(clips: list[ClipFeatures], params: dict[str, Tensor], config
 def evaluate_scenegraph(clips: list[ClipFeatures], params: dict[str, Tensor],
                         config: ModelConfig, ks=(20, 50), mode: str = "sgcls",
                         workers: int = 1) -> dict[int, float]:
-    """Mean recall at each K over all keyframes, under sgcls or predcls scoring."""
+    """Mean recall at each K over all keyframes, under sgcls or predcls scoring.
+
+    Clips are scored as evaluate_action scores them, EVAL_CHUNK at a time;
+    workers changes nothing there either.
+    """
     if not clips:
         raise ValidationError("no clips to evaluate")
 
-    def score_clip(clip: ClipFeatures):
-        graph = build_graph(clip.frames, params, config)
-        result = run_inference(graph, params, config)
-        rows = []
-        for pos in sorted(result.fg_states):
-            pred = sg_readout(result.fg_states[pos],
+    def score(chunk: list[ClipFeatures], graph: SpatioTemporalGraph, states: list[Tensor]):
+        by_position = []
+        for stack in states:
+            pred = sg_readout(stack,
                               params["readout.object.weight"], params["readout.object.bias"],
                               params["readout.relation.weight"], params["readout.relation.bias"])
-            gt_classes = np.asarray(clip.object_classes[pos], dtype=int)
-            gt = [Triplet(subject_index=s, object_index=o,
-                          subject_class=int(gt_classes[s]), object_class=int(gt_classes[o]),
-                          predicate_class=r) for s, o, r in clip.relations[pos]]
-            rows.append((pred, gt, gt_classes))
+            relations = ([None] * stack.shape[0] if pred.relation_logits is None
+                         else ng.unstack(pred.relation_logits))
+            by_position.append([SceneGraphPrediction(objects, pred.pairs, rels) for objects, rels
+                                in zip(ng.unstack(pred.object_logits), relations)])
+        rows = []
+        for clip, span in zip(chunk, graph.clips):
+            for local, pos in enumerate(span):
+                k, j = graph.where[pos]
+                gt_classes = np.asarray(clip.object_classes[local], dtype=int)
+                gt = [Triplet(subject_index=s, object_index=o,
+                              subject_class=int(gt_classes[s]), object_class=int(gt_classes[o]),
+                              predicate_class=r) for s, o, r in clip.relations[local]]
+                rows.append((by_position[k][j], gt, gt_classes))
         return rows
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scored = list(pool.map(score_clip, clips))
-    else:
-        scored = [score_clip(c) for c in clips]
+    scored = _over_chunks(score, clips, params, config)
     totals = {k: 0.0 for k in ks}
     count = 0
     for rows in scored:

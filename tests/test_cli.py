@@ -464,3 +464,19 @@ def test_scenegraph_eval_reports_recall(tmp_path):
     report = json.load(open(str(tmp_path / "ev" / "report.json")))
     assert set(report["recall"]) == {"1", "10"}
     assert report["mode"] == "predcls"
+
+
+def test_scenegraph_eval_flags_saturated_recall(tmp_path, capsys):
+    # synth scenegraph keyframes hold at most 3 boxes: 3 pairs x 3 predicates
+    manifest = data.synth_scenegraph(str(tmp_path / "sg"), seed=0)
+    out = str(tmp_path / "run")
+    assert run_cli("train", "--data", manifest, "--out", out, "--state-dim", "4",
+                   "--heads", "1", "--epochs", "1") == 0
+    code = run_cli("eval", "--data", manifest, "--checkpoint", os.path.join(out, "checkpoint.json"),
+                   "--out", str(tmp_path / "ev"), "--k", "1", "--k", "20", "--k", "50")
+    assert code == 0
+    report = json.load(open(str(tmp_path / "ev" / "report.json")))
+    assert report["max_candidates"] == 9
+    assert report["saturated_k"] == [20, 50]
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert "R@20, R@50" in last and "9 candidates" in last and "R@1," not in last

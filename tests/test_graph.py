@@ -58,8 +58,11 @@ def test_pool_closed_interval_includes_boundary_center():
     assert out.tolist() == [1.0]
 
 
-def project(grid, boxes, props, params, first_id=0):
-    return gr.project_keyframe(gr.featurize_keyframe(grid, boxes, props), params, first_id=first_id)
+def project(grid, boxes, props, params):
+    """The keyframe of a one-keyframe graph."""
+    [kf] = gr.build_graph([gr.featurize_keyframe(grid, boxes, props)], params,
+                          SimpleNamespace(tau_c=1, tau_s=1)).keyframes
+    return kf
 
 
 def test_init_nodes_counts_and_kinds():
@@ -79,9 +82,13 @@ def test_init_nodes_counts_and_kinds():
     assert kf.fg_states.shape == (2, 4)
     assert kf.ctx_states.shape == (7, 4)
     assert kf.keyframe_id == 9
-    shifted = project(grid, boxes, props, identity_params(4), first_id=40)
-    assert shifted.fg_ids == [40, 41]
-    assert shifted.ctx_ids == list(range(42, 49))
+    # ids run on through a clip and restart in the next clip of a batch
+    frame = gr.featurize_keyframe(grid, boxes, props)
+    batch = gr.build_batch([[frame, frame], [frame]], identity_params(4),
+                           SimpleNamespace(tau_c=1, tau_s=1))
+    assert [k.first_id for k in batch.keyframes] == [0, 9, 0]
+    assert batch.keyframes[1].fg_ids == [9, 10]
+    assert batch.keyframes[1].ctx_ids == list(range(11, 18))
 
 
 def test_init_nodes_requires_foreground():

@@ -6,6 +6,8 @@ import pytest
 from stgraph import numgrad as ng
 from stgraph.errors import NumericError, ShapeError
 
+import small_primitives as sp
+
 
 def matmul_triple_loop(a, b):
     # independent reference: no numpy dot products anywhere
@@ -55,20 +57,20 @@ def test_matmul_shape_error_names_both_shapes():
 
 
 def test_softmax_frozen_example():
-    out = ng.softmax(ng.Tensor([0.0, np.log(3.0)]))
+    out = sp.softmax(ng.Tensor([0.0, np.log(3.0)]))
     assert np.max(np.abs(out.data - [0.25, 0.75])) <= 1e-12
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(3)
     x = rng.uniform(-50, 50, size=(40, 9))
-    y = ng.softmax(ng.Tensor(x)).data
+    y = sp.softmax(ng.Tensor(x)).data
     assert np.max(np.abs(y.sum(axis=1) - 1.0)) <= 1e-12
     assert y.min() >= 0.0
 
 
 def test_softmax_extreme_logits_stay_finite():
-    y = ng.softmax(ng.Tensor([[1000.0, 0.0, -1000.0]])).data
+    y = sp.softmax(ng.Tensor([[1000.0, 0.0, -1000.0]])).data
     assert np.all(np.isfinite(y))
     assert abs(y.sum() - 1.0) <= 1e-12
 
@@ -77,7 +79,7 @@ def test_layer_norm_frozen_example():
     x = ng.Tensor([1.0, -1.0])
     one = ng.Tensor([1.0, 1.0])
     zero = ng.Tensor([0.0, 0.0])
-    out = ng.layer_norm(x, one, zero, eps=0.0)
+    out = sp.layer_norm(x, one, zero, eps=0.0)
     assert np.max(np.abs(out.data - [1.0, -1.0])) <= 1e-12
 
 
@@ -87,7 +89,7 @@ def test_layer_norm_matches_hand_formula():
     scale = rng.uniform(0.5, 1.5, size=6)
     shift = rng.uniform(-0.5, 0.5, size=6)
     eps = 1e-5
-    got = ng.layer_norm(ng.Tensor(x), ng.Tensor(scale), ng.Tensor(shift), eps=eps).data
+    got = sp.layer_norm(ng.Tensor(x), ng.Tensor(scale), ng.Tensor(shift), eps=eps).data
     for i in range(4):
         mu = x[i].mean()
         var = ((x[i] - mu) ** 2).mean()
@@ -96,14 +98,14 @@ def test_layer_norm_matches_hand_formula():
 
 
 def test_layer_norm_constant_row_finite():
-    out = ng.layer_norm(ng.Tensor([2.0, 2.0, 2.0]), ng.Tensor(np.ones(3)), ng.Tensor(np.zeros(3)))
+    out = sp.layer_norm(ng.Tensor([2.0, 2.0, 2.0]), ng.Tensor(np.ones(3)), ng.Tensor(np.zeros(3)))
     assert np.all(np.isfinite(out.data))
 
 
 def test_relu_gradient_at_zero_is_zero():
     x = ng.Tensor([-1.0, 0.0, 2.0], requires_grad=True)
     with ng.Tape() as tape:
-        loss = ng.sum_all(ng.relu(x))
+        loss = sp.sum_all(sp.relu(x))
     grads = ng.grad(tape, loss, {"x": x})
     assert grads["x"].data.tolist() == [0.0, 0.0, 1.0]
 
@@ -124,7 +126,7 @@ def test_tensor_data_is_read_only():
 def test_grad_requires_scalar_loss():
     x = ng.Tensor([1.0, 2.0], requires_grad=True)
     with ng.Tape() as tape:
-        y = ng.relu(x)
+        y = sp.relu(x)
     with pytest.raises(ShapeError):
         ng.grad(tape, y, {"x": x})
 
@@ -133,7 +135,7 @@ def test_untouched_param_gets_exact_zeros():
     x = ng.Tensor([1.0, 2.0], requires_grad=True, name="x")
     unused = ng.Tensor(np.ones((3, 2)), requires_grad=True, name="unused")
     with ng.Tape() as tape:
-        loss = ng.sum_all(ng.relu(x))
+        loss = sp.sum_all(sp.relu(x))
     grads = ng.grad(tape, loss, {"x": x, "unused": unused})
     assert grads["unused"].data.shape == (3, 2)
     assert np.all(grads["unused"].data == 0.0)
@@ -143,15 +145,31 @@ def test_grad_accumulates_over_reuse():
     x = ng.Tensor([1.0, 2.0], requires_grad=True)
     with ng.Tape() as tape:
         y = ng.add(x, x)
-        loss = ng.sum_all(y)
+        loss = sp.sum_all(y)
     grads = ng.grad(tape, loss, {"x": x})
     assert grads["x"].data.tolist() == [2.0, 2.0]
 
 
 def test_ops_outside_tape_record_nothing():
     x = ng.Tensor([1.0, -2.0], requires_grad=True)
-    y = ng.relu(x)
+    y = sp.relu(x)
     assert y.requires_grad is False
+
+
+def test_checked_layers_and_grad_flush_subnormals():
+    if ng._FENV is None:
+        pytest.skip("flushing subnormals needs x86-64 glibc")
+    small = np.array([1e-300])
+    assert (small * 1e-10)[0] == 1e-310
+    with ng.checked("layer"):
+        assert (small * 1e-10)[0] == 0.0
+    assert (small * 1e-10)[0] == 1e-310  # the thread's mode is restored
+    # the weight's cotangent x^T (1e-10) is subnormal
+    x = ng.Tensor([[1e-300]])
+    w = ng.Tensor([[1.0]], requires_grad=True)
+    with ng.Tape() as tape:
+        loss = sp.sum_all(ng.scale(ng.matmul(x, w), 1e-10))
+    assert ng.grad(tape, loss, {"w": w})["w"].data[0, 0] == 0.0
 
 
 def test_bce_with_logits_hand_value():
@@ -204,53 +222,53 @@ def test_finite_differences_per_primitive():
         return ng.Tensor(rng.uniform(-1, 1, size=shape), requires_grad=True)
 
     cases = {
-        "add": ({"a": t(3, 4), "b": t(3, 4)}, lambda p: ng.sum_all(ng.relu(ng.add(p["a"], p["b"])))),
-        "add_rowvec": ({"m": t(3, 4), "v": t(4)}, lambda p: ng.sum_all(ng.relu(ng.add_rowvec(p["m"], p["v"])))),
-        "scale": ({"x": t(5)}, lambda p: ng.sum_all(ng.relu(ng.scale(p["x"], -1.7)))),
-        "matmul_mm": ({"a": t(3, 4), "b": t(4, 2)}, lambda p: ng.sum_all(ng.relu(ng.matmul(p["a"], p["b"])))),
-        "matmul_vm": ({"a": t(4), "b": t(4, 3)}, lambda p: ng.sum_all(ng.relu(ng.matmul(p["a"], p["b"])))),
-        "matmul_mv": ({"a": t(3, 4), "b": t(4)}, lambda p: ng.sum_all(ng.relu(ng.matmul(p["a"], p["b"])))),
-        "transpose": ({"a": t(3, 4), "b": t(3, 2)}, lambda p: ng.sum_all(ng.matmul(ng.transpose(p["a"]), p["b"]))),
-        "relu": ({"x": t(4, 4)}, lambda p: ng.sum_all(ng.relu(p["x"]))),
-        "sigmoid": ({"x": t(6)}, lambda p: ng.sum_all(ng.sigmoid(p["x"]))),
-        "softmax_1d": ({"x": t(5), "w": t(5)}, lambda p: ng.sum_all(ng.relu(ng.add(ng.softmax(p["x"]), p["w"])))),
-        "softmax_2d": ({"x": t(3, 5)}, lambda p: ng.sum_all(ng.relu(ng.add(ng.softmax(p["x"]), p["x"])))),
+        "add": ({"a": t(3, 4), "b": t(3, 4)}, lambda p: sp.sum_all(sp.relu(ng.add(p["a"], p["b"])))),
+        "add_rowvec": ({"m": t(3, 4), "v": t(4)}, lambda p: sp.sum_all(sp.relu(ng.add_rowvec(p["m"], p["v"])))),
+        "scale": ({"x": t(5)}, lambda p: sp.sum_all(sp.relu(ng.scale(p["x"], -1.7)))),
+        "matmul_mm": ({"a": t(3, 4), "b": t(4, 2)}, lambda p: sp.sum_all(sp.relu(ng.matmul(p["a"], p["b"])))),
+        "matmul_vm": ({"a": t(4), "b": t(4, 3)}, lambda p: sp.sum_all(sp.relu(ng.matmul(p["a"], p["b"])))),
+        "matmul_mv": ({"a": t(3, 4), "b": t(4)}, lambda p: sp.sum_all(sp.relu(ng.matmul(p["a"], p["b"])))),
+        "transpose": ({"a": t(3, 4), "b": t(3, 2)}, lambda p: sp.sum_all(ng.matmul(sp.transpose(p["a"]), p["b"]))),
+        "relu": ({"x": t(4, 4)}, lambda p: sp.sum_all(sp.relu(p["x"]))),
+        "sigmoid": ({"x": t(6)}, lambda p: sp.sum_all(sp.sigmoid(p["x"]))),
+        "softmax_1d": ({"x": t(5), "w": t(5)}, lambda p: sp.sum_all(sp.relu(ng.add(sp.softmax(p["x"]), p["w"])))),
+        "softmax_2d": ({"x": t(3, 5)}, lambda p: sp.sum_all(sp.relu(ng.add(sp.softmax(p["x"]), p["x"])))),
         "layer_norm": (
             {"x": t(3, 6), "s": t(6), "b": t(6)},
-            lambda p: ng.sum_all(ng.relu(ng.layer_norm(p["x"], p["s"], p["b"]))),
+            lambda p: sp.sum_all(sp.relu(sp.layer_norm(p["x"], p["s"], p["b"]))),
         ),
-        "concat_rows": ({"a": t(2, 3), "b": t(4, 3)}, lambda p: ng.sum_all(ng.relu(ng.concat_rows([p["a"], p["b"]])))),
-        "concat_cols": ({"a": t(3, 2), "b": t(3, 4)}, lambda p: ng.sum_all(ng.relu(ng.concat_cols([p["a"], p["b"]])))),
+        "concat_rows": ({"a": t(2, 3), "b": t(4, 3)}, lambda p: sp.sum_all(sp.relu(ng.concat_rows([p["a"], p["b"]])))),
+        "concat_cols": ({"a": t(3, 2), "b": t(3, 4)}, lambda p: sp.sum_all(sp.relu(ng.concat_cols([p["a"], p["b"]])))),
         "nonlocal_attention": (
             {"q": t(3, 4), "kv": t(5, 4), "wq": t(4, 4), "wk": t(4, 4), "wv": t(4, 4)},
-            lambda p: ng.sum_all(ng.relu(ng.nonlocal_attention(p["q"], p["kv"], p["wq"], p["wk"], p["wv"])[0])),
+            lambda p: sp.sum_all(sp.relu(ng.nonlocal_attention(p["q"], p["kv"], p["wq"], p["wk"], p["wv"])[0])),
         ),
         "nonlocal_attention_kv_is_query": (
             {"h": t(3, 4), "wq": t(4, 4), "wk": t(4, 4), "wv": t(4, 4)},
-            lambda p: ng.sum_all(ng.relu(ng.nonlocal_attention(p["h"], p["h"], p["wq"], p["wk"], p["wv"])[0])),
+            lambda p: sp.sum_all(sp.relu(ng.nonlocal_attention(p["h"], p["h"], p["wq"], p["wk"], p["wv"])[0])),
         ),
         "additive_attention": (
             {"r": t(3, 4), "n": t(5, 4), "w": t(4, 4), "a": t(8)},
-            lambda p: ng.sum_all(ng.relu(ng.additive_attention(p["r"], p["n"], p["w"], p["a"])[0])),
+            lambda p: sp.sum_all(sp.relu(ng.additive_attention(p["r"], p["n"], p["w"], p["a"])[0])),
         ),
         "additive_attention_one_receiver_one_neighbor": (
             {"r": t(1, 4), "n": t(1, 4), "w": t(4, 4), "a": t(8)},
-            lambda p: ng.sum_all(ng.additive_attention(p["r"], p["n"], p["w"], p["a"])[0]),
+            lambda p: sp.sum_all(ng.additive_attention(p["r"], p["n"], p["w"], p["a"])[0]),
         ),
         "gated_mix": (
             {"a": t(3, 4), "b": t(3, 4), "r": t(3, 4), "g": t(8)},
-            lambda p: ng.sum_all(ng.relu(ng.gated_mix([p["a"], p["b"], p["a"]], p["r"], p["g"])[0])),
+            lambda p: sp.sum_all(sp.relu(ng.gated_mix([p["a"], p["b"], p["a"]], p["r"], p["g"])[0])),
         ),
         "residual_layer_norm_1d": (
             {"x": t(6), "m": t(6), "s": t(6), "b": t(6)},
-            lambda p: ng.sum_all(ng.relu(ng.residual_layer_norm(p["x"], p["m"], p["s"], p["b"]))),
+            lambda p: sp.sum_all(sp.relu(ng.residual_layer_norm(p["x"], p["m"], p["s"], p["b"]))),
         ),
         "residual_layer_norm_2d": (
             {"x": t(3, 6), "m": t(3, 6), "s": t(6), "b": t(6)},
-            lambda p: ng.sum_all(ng.relu(ng.residual_layer_norm(p["x"], p["m"], p["s"], p["b"]))),
+            lambda p: sp.sum_all(sp.relu(ng.residual_layer_norm(p["x"], p["m"], p["s"], p["b"]))),
         ),
-        "gather_rows": ({"m": t(4, 3)}, lambda p: ng.sum_all(ng.relu(ng.gather_rows(p["m"], [0, 2, 2, 1])))),
-        "mean_all": ({"x": t(3, 3)}, lambda p: ng.mean_all(ng.relu(p["x"]))),
+        "gather_rows": ({"m": t(4, 3)}, lambda p: sp.sum_all(sp.relu(ng.gather_rows(p["m"], [0, 2, 2, 1])))),
+        "mean_all": ({"x": t(3, 3)}, lambda p: sp.mean_all(sp.relu(p["x"]))),
         "bce": (
             {"x": t(3, 4)},
             lambda p: ng.bce_with_logits_mean(p["x"], ng.Tensor((np.arange(12).reshape(3, 4) % 2).astype(float))),
@@ -297,12 +315,12 @@ def test_fused_primitives_reject_bad_shapes():
 
 def _composed_nonlocal(query, kv, wq, wk, wv):
     q, k, v = ng.matmul(query, wq), ng.matmul(kv, wk), ng.matmul(kv, wv)
-    attention = ng.softmax(ng.scale(ng.matmul(q, ng.transpose(k)), 1.0 / math.sqrt(wq.shape[1])))
+    attention = sp.softmax(ng.scale(ng.matmul(q, sp.transpose(k)), 1.0 / math.sqrt(wq.shape[1])))
     return ng.matmul(attention, v), attention
 
 
 def _composed_residual(state, message, scale, shift, eps):
-    return ng.layer_norm(ng.add(state, message), scale, shift, eps)
+    return sp.layer_norm(ng.add(state, message), scale, shift, eps)
 
 
 @pytest.mark.parametrize("with_context", [False, True])
@@ -326,7 +344,7 @@ def test_fused_blocks_match_their_composition_bit_for_bit(with_context):
             heads = [attend(p["h"], kv, p[f"wq{k}"], p[f"wk{k}"], p[f"wv{k}"]) for k in range(2)]
             states = residual(p["h"], ng.add(heads[0][0], heads[1][0]), p["s"], p["b"], 1e-5)
             row = residual(p["row"], p["row_msg"], p["s"], p["b"], 1e-5)
-            loss = ng.add(ng.sum_all(ng.relu(states)), ng.sum_all(ng.relu(row)))
+            loss = ng.add(sp.sum_all(sp.relu(states)), sp.sum_all(sp.relu(row)))
         outputs = [states, row, loss] + [att for _, att in heads]
         return [x.data for x in outputs], ng.grad(tape, loss, p)
 
@@ -355,10 +373,10 @@ def test_composite_chain_finite_differences():
         q = ng.matmul(p["h"], p["wq"])
         k = ng.matmul(p["h"], p["wk"])
         v = ng.matmul(p["h"], p["wv"])
-        att = ng.softmax(ng.scale(ng.matmul(q, ng.transpose(k)), 0.5))
+        att = sp.softmax(ng.scale(ng.matmul(q, sp.transpose(k)), 0.5))
         msg = ng.matmul(att, v)
-        out = ng.layer_norm(ng.add(p["h"], msg), p["ln_s"], p["ln_b"])
-        return ng.mean_all(out)
+        out = sp.layer_norm(ng.add(p["h"], msg), p["ln_s"], p["ln_b"])
+        return sp.mean_all(out)
 
     _fd_check(build, params)
 
@@ -366,6 +384,168 @@ def test_composite_chain_finite_differences():
 def test_determinism_bit_identical():
     rng = np.random.default_rng(29)
     x = rng.uniform(-1, 1, size=(6, 6))
-    a = ng.softmax(ng.Tensor(x)).data
-    b = ng.softmax(ng.Tensor(x)).data
+    a = sp.softmax(ng.Tensor(x)).data
+    b = sp.softmax(ng.Tensor(x)).data
     assert a.tobytes() == b.tobytes()
+
+
+def _pair_rows(m):
+    """Rows (2, 0, 0, 1, 2, 2) of every slice of m: duplicates on purpose."""
+    rows, lead = m.shape[-2], m.shape[:-2]
+    first = np.arange(math.prod(lead)).reshape(lead + (1,)) * rows
+    return ng.gather_rows(m, first + [2, 0, 0, 1, 2, 2])
+
+
+# name: (shapes of the per-slice inputs, shapes of the shared inputs, primitive)
+STACKED = {
+    "matmul": ({"x": (3, 4)}, {"w": (4, 2)}, lambda x, w: ng.matmul(x, w)),
+    "matmul_one_element_pieces": ({"x": (2, 1)}, {"w": (1, 1)}, lambda x, w: ng.matmul(x, w)),
+    "add_rowvec": ({"x": (3, 4)}, {"v": (4,)}, lambda x, v: ng.add_rowvec(x, v)),
+    "add_rowvec_one_class": ({"x": (3, 1)}, {"v": (1,)}, lambda x, v: ng.add_rowvec(x, v)),
+    "concat_rows": ({"a": (2, 4), "b": (3, 4)}, {}, lambda a, b: ng.concat_rows([a, b])),
+    "concat_cols": ({"a": (3, 2), "b": (3, 4)}, {}, lambda a, b: ng.concat_cols([a, b])),
+    "gather_rows": ({"m": (3, 4)}, {}, _pair_rows),
+    "nonlocal_attention": (
+        {"q": (3, 4), "kv": (5, 4)}, {"wq": (4, 4), "wk": (4, 4), "wv": (4, 4)},
+        lambda q, kv, wq, wk, wv: ng.nonlocal_attention(q, kv, wq, wk, wv)[0]),
+    "additive_attention": (
+        {"r": (3, 4), "n": (5, 4)}, {"w": (4, 4), "a": (8,)},
+        lambda r, n, w, a: ng.additive_attention(r, n, w, a)[0]),
+    "gated_mix": (
+        {"a": (3, 4), "b": (3, 4), "r": (3, 4)}, {"g": (8,)},
+        lambda a, b, r, g: ng.gated_mix([a, b, a], r, g)[0]),
+    "residual_layer_norm": (
+        {"x": (3, 6), "m": (3, 6)}, {"s": (6,), "b": (6,)},
+        lambda x, m, s, b: ng.residual_layer_norm(x, m, s, b)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACKED))
+def test_stacked_primitive_matches_its_slices_bit_for_bit(name):
+    # One call on a (B, ...) stack against B calls on its slices, recorded
+    # in slice order: outputs, slice gradients and the shared inputs'
+    # folded gradients must have the same bytes.  B = 9 exceeds the 8
+    # elements from which numpy's own sums go pairwise.
+    sliced, shared, primitive = STACKED[name]
+    rng = np.random.default_rng(37)
+    blocks = 9
+    stacks = {k: rng.uniform(-1, 1, size=(blocks,) + shape) for k, shape in sliced.items()}
+    params = {k: ng.Tensor(rng.uniform(-1, 1, size=shape), requires_grad=True)
+              for k, shape in shared.items()}
+
+    with ng.Tape() as tape:
+        xs = {k: ng.Tensor(v, requires_grad=True) for k, v in stacks.items()}
+        out = primitive(**xs, **params)
+        loss = sp.sum_all(sp.relu(out))
+    grads = ng.grad(tape, loss, {**xs, **params})
+
+    with ng.Tape() as tape:
+        per_slice = [{k: ng.Tensor(v[b], requires_grad=True) for k, v in stacks.items()}
+                     for b in range(blocks)]
+        outs, total = [], None
+        for xs_b in per_slice:
+            outs.append(primitive(**xs_b, **params))
+            term = sp.sum_all(sp.relu(outs[-1]))
+            total = term if total is None else ng.add(total, term)
+    slice_inputs = {f"{k}{b}": t for b, xs_b in enumerate(per_slice) for k, t in xs_b.items()}
+    slice_grads = ng.grad(tape, total, {**slice_inputs, **params})
+
+    for b in range(blocks):
+        assert out.data[b].tobytes() == outs[b].data.tobytes()
+        for k in stacks:
+            assert grads[k].data[b].tobytes() == slice_grads[f"{k}{b}"].data.tobytes(), (k, b)
+    for k in params:
+        assert grads[k].data.tobytes() == slice_grads[k].data.tobytes(), k
+        assert np.any(grads[k].data != 0.0)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_gather_rows_scatters_like_add_at(stacked):
+    # the backward adds duplicate rows in index order, starting from zero,
+    # exactly as np.add.at does; -0.0 pieces and unused rows included
+    rng = np.random.default_rng(41)
+    shape = (4, 6, 3) if stacked else (6, 3)
+    m = ng.Tensor(rng.uniform(-1, 1, size=shape), requires_grad=True)
+    rows = m.data.size // 3
+    index = rng.integers(0, rows - 1, size=(5, 7) if stacked else 40)
+    with ng.Tape() as tape:
+        ng.gather_rows(m, index)
+    [(_, _, backward)] = tape._entries
+    g = rng.normal(size=index.shape + (3,))
+    g[..., ::4, :] = -0.0
+    (dm,) = backward(g)
+    want = np.zeros((rows, 3))
+    np.add.at(want, index.reshape(-1), g.reshape(-1, 3))
+    assert dm.shape == shape
+    assert dm.tobytes() == want.reshape(shape).tobytes()
+
+
+def test_gather_rows_reads_several_sources_end_to_end():
+    a = ng.Tensor(np.arange(12.0).reshape(2, 2, 3), requires_grad=True)
+    b = ng.Tensor(np.arange(12.0, 18.0).reshape(2, 3), requires_grad=True)
+    c = ng.Tensor(np.zeros((1, 3)), requires_grad=True)
+    with ng.Tape() as tape:
+        out = ng.gather_rows([a, b, c], [[5, 0], [3, 4]])
+        loss = sp.sum_all(out)
+    assert out.data.tolist() == [[[15.0, 16.0, 17.0], [0.0, 1.0, 2.0]],
+                                 [[9.0, 10.0, 11.0], [12.0, 13.0, 14.0]]]
+    grads = ng.grad(tape, loss, {"a": a, "b": b, "c": c})
+    assert grads["a"].data.reshape(-1, 3)[:, 0].tolist() == [1.0, 0.0, 0.0, 1.0]
+    assert grads["b"].data[:, 0].tolist() == [1.0, 1.0]
+    assert not grads["c"].data.any()
+
+
+def test_clip_losses_match_their_chains_bit_for_bit():
+    # the fused clip losses against the per-keyframe chains they replace:
+    # clip 0 spans slices of both stacks, clip 1 a single slice
+    rng = np.random.default_rng(43)
+    clips = [[(0, 1), (1, 0), (0, 0)], [(1, 1)]]
+    logits = [ng.Tensor(rng.uniform(-3, 3, size=(2, 3, 4)), requires_grad=True),
+              ng.Tensor(rng.uniform(-3, 3, size=(2, 3, 4)), requires_grad=True)]
+    labels = [(rng.uniform(size=(2, 3, 4)) < 0.5).astype(float) for _ in range(2)]
+    relations = [ng.Tensor(rng.uniform(-3, 3, size=(2, 3, 2)), requires_grad=True), None]
+    rel_labels = [(rng.uniform(size=(2, 3, 2)) < 0.5).astype(float), None]
+    onehots = [np.eye(4)[rng.integers(0, 4, size=(2, 3))] for _ in range(2)]
+    params = {"l0": logits[0], "l1": logits[1], "r0": relations[0]}
+
+    def chained(per_keyframe, clip_total):
+        with ng.Tape() as tape:
+            total = None
+            for clip in clips:
+                term = clip_total(clip, [per_keyframe(k, j) for k, j in clip])
+                total = term if total is None else ng.add(total, term)
+        return total, ng.grad(tape, total, params)
+
+    def fused(build):
+        with ng.Tape() as tape:
+            total = build()
+        return total, ng.grad(tape, total, params)
+
+    def rows(k, j):
+        return ng.gather_rows(logits[k], j * 3 + np.arange(3))
+
+    def bce_clip(clip, parts):
+        targets = np.concatenate([labels[k][j] for k, j in clip])
+        return ng.bce_with_logits_mean(ng.concat_rows(parts), ng.Tensor(targets))
+
+    def sg_keyframe(k, j):
+        obj = ng.scale(ng.softmax_xent_mean(rows(k, j), ng.Tensor(onehots[k][j])), 0.5)
+        if relations[k] is None:
+            return obj
+        rel = ng.gather_rows(relations[k], j * 3 + np.arange(3))
+        return ng.add(obj, ng.bce_with_logits_mean(rel, ng.Tensor(rel_labels[k][j])))
+
+    def sg_clip(clip, parts):
+        total = parts[0]
+        for part in parts[1:]:
+            total = ng.add(total, part)
+        return ng.scale(total, 1.0 / len(parts))
+
+    for want, got in [
+        (chained(rows, bce_clip), fused(lambda: ng.clip_bce_sum(logits, labels, clips))),
+        (chained(sg_keyframe, sg_clip), fused(lambda: ng.clip_scene_graph_sum(
+            logits, onehots, relations, rel_labels, clips, 0.5))),
+    ]:
+        assert got[0].data.tobytes() == want[0].data.tobytes()
+        for name in params:
+            assert got[1][name].data.tobytes() == want[1][name].data.tobytes(), name

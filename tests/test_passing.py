@@ -8,6 +8,7 @@ from stgraph import passing as pa
 from stgraph.errors import ConfigError, NumericError, ValidationError
 from stgraph.numgrad import Tensor
 
+import small_primitives as sp
 from reference_eval import reference_inference
 
 
@@ -226,7 +227,7 @@ def test_update_zero_message_is_layer_norm_not_identity():
     scale = Tensor(np.ones(6))
     shift = Tensor(np.zeros(6))
     out = pa.update_node(h, Tensor(np.zeros(6)), scale, shift)
-    hn = ng.layer_norm(h, scale, shift)
+    hn = sp.layer_norm(h, scale, shift)
     assert np.max(np.abs(out.data - hn.data)) <= 1e-15
     assert np.max(np.abs(out.data - h.data)) > 1e-3
 
@@ -242,8 +243,8 @@ def test_update_cancelling_message_returns_shift():
 def test_attention_invariant_to_constant_score_shift():
     rng = np.random.default_rng(18)
     x = rng.uniform(-1, 1, size=(4, 7))
-    a = ng.softmax(Tensor(x)).data
-    b = ng.softmax(Tensor(x + 123.456)).data
+    a = sp.softmax(Tensor(x)).data
+    b = sp.softmax(Tensor(x + 123.456)).data
     assert np.max(np.abs(a - b)) <= 1e-12
 
 
@@ -407,16 +408,22 @@ def test_node_relabeling_equivariance():
 
 
 def reference_gaps(g, params, cfg):
-    """Max deviation from the loop-based oracle, one per keyframe position."""
+    """Max deviation from the loop-based oracle, one per keyframe position.
+
+    The oracle runs every clip of g on its own.
+    """
     res = pa.run_inference(g, params, cfg)
-    fg0 = [kf.fg_states.data for kf in g.keyframes]
-    ctx0 = [kf.ctx_states.data for kf in g.keyframes]
     weights = {name: t.data for name, t in params.items()}
     ref_cfg = dict(state_dim=cfg.state_dim, heads=cfg.heads, iterations=cfg.iterations,
                    message_fns=list(cfg.message_fns), tau_c=cfg.tau_c, tau_s=cfg.tau_s,
                    ln_eps=cfg.ln_eps)
-    want = reference_inference(fg0, ctx0, weights, ref_cfg)
-    return [np.max(np.abs(res.fg_states[pos].data - want[pos])) for pos in range(len(g.keyframes))]
+    gaps = []
+    for span in g.clips:
+        keyframes = [g.keyframes[pos] for pos in span]
+        want = reference_inference([kf.fg_states.data for kf in keyframes],
+                                   [kf.ctx_states.data for kf in keyframes], weights, ref_cfg)
+        gaps += [np.max(np.abs(res.fg_states[pos].data - w)) for pos, w in zip(span, want)]
+    return gaps
 
 
 @pytest.mark.parametrize("cfg_kw,scene", [
@@ -436,9 +443,10 @@ def test_run_inference_matches_reference(cfg_kw, scene):
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(
-    # per keyframe: boxes, proposals, grid height, grid width
-    keyframes=st.lists(st.tuples(st.integers(1, 4), st.integers(0, 2),
-                                 st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=5),
+    # per clip, per keyframe: boxes, proposals, grid height, grid width
+    clips=st.lists(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 2),
+                                      st.integers(1, 3), st.integers(1, 3)),
+                            min_size=1, max_size=5), min_size=1, max_size=3),
     tau_c=st.sampled_from([1, 3, 5]),
     tau_s=st.sampled_from([1, 2]),
     message_fns=st.sampled_from([(pa.FN_NONLOCAL,), (pa.FN_GAT,), (pa.FN_NONLOCAL, pa.FN_GAT),
@@ -447,13 +455,18 @@ def test_run_inference_matches_reference(cfg_kw, scene):
     iterations=st.integers(1, 2),
     seed=st.integers(0, 2**16),
 )
-def test_random_ragged_graphs_match_reference(keyframes, tau_c, tau_s, message_fns, heads,
+def test_random_ragged_graphs_match_reference(clips, tau_c, tau_s, message_fns, heads,
                                               iterations, seed):
+    # a batch of 1-3 ragged clips, each checked against the oracle on its own
     cfg = make_config(state_dim=4, message_fns=message_fns, heads=heads, iterations=iterations,
                       tau_c=tau_c, tau_s=tau_s)
-    boxes, props, hs, ws = zip(*keyframes)
-    g, params, _ = build(cfg, seed=seed, keyframes=len(keyframes), n_boxes=boxes,
-                         n_props=props, hw=list(zip(hs, ws)))
+    params = random_params(cfg, seed)
+    frames = []
+    for c, keyframes in enumerate(clips):
+        boxes, props, hs, ws = zip(*keyframes)
+        frames.append(make_frames(cfg, seed + c, keyframes=len(keyframes), n_boxes=boxes,
+                                  n_props=props, hw=list(zip(hs, ws))))
+    g = gr.build_batch(frames, params, cfg)
     assert max(reference_gaps(g, params, cfg)) <= 1e-8
 
 
@@ -467,7 +480,7 @@ def test_inference_gradients_match_finite_differences():
         graph = gr.build_graph(frames, p, cfg)
         res = pa.run_inference(graph, p, cfg)
         out = ng.concat_rows([res.fg_states[pos] for pos in sorted(res.fg_states)])
-        return ng.mean_all(out)
+        return sp.mean_all(out)
 
     with ng.Tape() as tape:
         loss = forward(params)

@@ -1,5 +1,6 @@
 """Schedule, SGD, initialization, training loop, and checkpoint tests."""
 
+import ctypes
 import json
 import math
 
@@ -11,7 +12,8 @@ from stgraph import data, train
 from stgraph.errors import ConfigError, NumericError, ValidationError
 from stgraph.graph import Box, FeatureGrid, featurize_keyframe
 from stgraph.numgrad import Tape, Tensor, grad
-from stgraph.passing import ModelConfig, param_shapes
+from stgraph.heads import action_readout
+from stgraph.passing import ModelConfig, param_shapes, run_inference
 from stgraph.train import (Schedule, SgdState, effective_batch_size, init_params,
                            load_checkpoint, lr_at, save_checkpoint, sgd_step, train_loop)
 
@@ -406,13 +408,15 @@ def test_clip_loss_tape_length_independent_of_box_count():
     assert tape_length(4) == tape_length(16)
 
 
-def test_clip_loss_tape_length_of_wide_clip():
-    # The wide scene-graph clip: 8 keyframes of 16 boxes, 4 heads of
-    # nonlocal and GAT, tau_c = 3.  Width, box count and grid size do not
-    # change the count, so a narrow model stands in for d = 64.
-    config = small_config(heads=4, message_fns=("nonlocal", "gat"), tau_c=3, task="scenegraph",
-                          feature_channels=4, object_classes=5, relation_classes=3)
-    params = init_params(config, seed=0)
+def wide_config(**overrides) -> ModelConfig:
+    """The benchmark's wide scene-graph model: 4 heads of nonlocal and GAT, tau_c = 3."""
+    return small_config(**{**dict(heads=4, message_fns=("nonlocal", "gat"), tau_c=3,
+                                  task="scenegraph", feature_channels=4, object_classes=5,
+                                  relation_classes=3), **overrides})
+
+
+def wide_clip() -> data.ClipFeatures:
+    """8 keyframes of 16 boxes over a 7x7 grid of 4 channels."""
     rng = np.random.default_rng(5)
     frames, classes, relations = [], [], []
     for k in range(8):
@@ -421,17 +425,130 @@ def test_clip_loss_tape_length_of_wide_clip():
         frames.append(featurize_keyframe(grid, [Box(x, y, x + 0.4, y + 0.4) for x, y in corners]))
         classes.append(rng.integers(0, 5, size=16))
         relations.append([(1, 0, 2)])
-    clip = data.ClipFeatures(clip_id="w", frames=frames, object_classes=classes,
+    return data.ClipFeatures(clip_id="w", frames=frames, object_classes=classes,
                              relations=relations)
+
+
+def test_clip_loss_tape_length_of_wide_clip():
+    # Width, box count and grid size do not change the count, so a narrow
+    # model stands in for d = 64.
+    config = wide_config()
+    params = init_params(config, seed=0)
+    clip = wide_clip()
     with Tape() as tape:
         train.clip_loss(clip, params, config)
-    projection = 8 * 2                  # foreground and context matmuls
-    per_keyframe_phase = 4 + 4 + 1 + 1  # one per nonlocal and GAT head, the gate, the update
-    neighbor_stacks = 8 + 6             # spatial [own; context], temporal with two neighbors
-    readout = 8 * 7                     # object logits 2, relation logits 5
-    loss = 8 * 4 + 7 + 1                # per keyframe 4, then the sum and the mean
-    assert len(tape) == (projection + 2 * 8 * per_keyframe_phase
-                         + neighbor_stacks + readout + loss) == 286
+    # all 8 keyframes are one (16 boxes, 49 cells, no proposal) block
+    projection = 2                 # foreground and context matmuls
+    slots_gate_update = 4 + 4 + 1 + 1
+    spatial = 1 + slots_gate_update  # [own; context] per keyframe, as one stack
+    # every keyframe has a temporal neighbor, so the temporal phase runs on
+    # that block too; the two edge keyframes (one neighbor) and the six
+    # interior ones (two) only gather their neighbor rows apart
+    temporal = 2 + slots_gate_update
+    readout = 2 + 5                # object logits 2; relation gathers 2, concat, logits 2
+    loss = 1
+    assert len(tape) == projection + spatial + temporal + readout + loss == 33
+
+
+def test_training_steps_reuse_freed_memory():
+    # At d = 64 a wide clip's stacked arrays reach 1 MB.  With glibc's
+    # adaptive heap thresholds, a step gave the top of the heap back to
+    # the kernel when its tape was freed and the next step faulted it in
+    # again, over 500 page faults per step.
+    resource = pytest.importorskip("resource")
+    if not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("no glibc mallopt")
+    config = wide_config(state_dim=64)
+    params = init_params(config, seed=0)
+    clip = wide_clip()
+
+    def step():
+        with Tape() as tape:
+            loss = train.clip_loss(clip, params, config)
+        grad(tape, loss, params)
+
+    step()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        step()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 3 * 50
+
+
+def overfit_config() -> ModelConfig:
+    """The benchmark's overfit model: two nonlocal heads, spatial only."""
+    return small_config(state_dim=16, heads=2, feature_channels=8, action_classes=3)
+
+
+def test_batch_tape_length_does_not_depend_on_clip_count(tmp_path):
+    # overfit clips are uniform (2 keyframes of 2 boxes, 16 cells and one
+    # proposal), so a batch of any size is one block
+    config = overfit_config()
+    clips = tiny_clips(tmp_path, clips=8, classes=3, channels=8)
+    params = init_params(config, seed=0)
+
+    def tape_length(count):
+        batch = clips[:count]
+        with Tape() as tape:
+            graph = train.build_batch([c.frames for c in batch], params, config)
+            train._batch_loss(batch, graph, params, config)
+        return len(tape)
+
+    projection = 3 + 1        # foreground, context and proposal matmuls, [cells; proposals]
+    spatial = 1 + 2 + 1 + 1   # [own; context], two heads, the gate, the update
+    readout, loss = 2, 1      # logits and bias, then every clip's loss at once
+    assert [tape_length(n) for n in (1, 4, 8)] == [projection + spatial + readout + loss] * 3
+
+
+def ragged_clips(seed, config):
+    """Clips of 1-4 keyframes with 1-3 boxes, 0-2 proposals and 1x1-2x3 grids."""
+    rng = np.random.default_rng(seed)
+    clips = []
+    for c in range(4):
+        frames, labels = [], []
+        for k in range(int(rng.integers(1, 5))):
+            h, w = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+            grid = FeatureGrid(values=Tensor(rng.uniform(-1, 1, size=(1, h, w, 6))),
+                               keyframe_id=k)
+            corners = rng.uniform(0.0, 0.5, size=(int(rng.integers(1, 4)), 2))
+            props = [Box(0.2, 0.2, 0.8, 0.8)] * int(rng.integers(0, 3))
+            frames.append(featurize_keyframe(grid, [Box(x, y, x + 0.4, y + 0.4)
+                                                    for x, y in corners], props))
+            labels.append((rng.uniform(size=(len(corners), 2)) < 0.5).astype(float))
+        clips.append(data.ClipFeatures(clip_id=f"c{c}", frames=frames, action_labels=labels))
+    return clips
+
+
+def test_batch_mates_do_not_change_a_clip():
+    # a clip's states, logits and loss have the same bytes alone and in a
+    # ragged batch; only the batch gradient's sums may round differently
+    config = small_config(heads=2, message_fns=("nonlocal", "gat"), tau_c=3)
+    params = init_params(config, seed=3)
+    clips = ragged_clips(3, config)
+    weight, bias = params["readout.action.weight"], params["readout.action.bias"]
+
+    def outputs(result, positions):
+        states = [result.fg_states[p].data for p in positions]
+        return states, [action_readout(Tensor(s), weight, bias).data for s in states]
+
+    batch_graph = train.build_batch([c.frames for c in clips], params, config)
+    in_batch = run_inference(batch_graph, params, config)
+    summed, total = None, None
+    for clip, span in zip(clips, batch_graph.clips):
+        alone = run_inference(train.build_graph(clip.frames, params, config), params, config)
+        for got, want in zip(outputs(in_batch, span), outputs(alone, range(len(clip.frames)))):
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        with Tape() as tape:
+            loss = train.clip_loss(clip, params, config)
+        grads = grad(tape, loss, params)
+        summed = {n: g.data if summed is None else summed[n] + g.data for n, g in grads.items()}
+        total = loss.data if total is None else total + loss.data
+    with Tape() as tape:
+        batch_graph = train.build_batch([c.frames for c in clips], params, config)
+        batch_loss = train._batch_loss(clips, batch_graph, params, config)
+    batch_grads = grad(tape, batch_loss, params)
+    assert batch_loss.data.tobytes() == total.tobytes()
+    worst = max(float(np.abs(batch_grads[n].data - summed[n]).max()) for n in params)
+    assert worst <= 1e-12
 
 
 def test_train_loss_gradient_matches_finite_differences(tmp_path):
