@@ -11,8 +11,6 @@ Subcommands:
 
 Reports and checkpoints are canonical JSON (sorted keys, shortest float
 representation, no timestamps), so identical runs produce identical bytes.
-STGRAPH_THREADS must be a positive integer if set, but evaluation runs
-in one thread whatever it says.
 """
 
 import argparse
@@ -135,17 +133,6 @@ def write_report(out_dir: str, payload: dict) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def _eval_workers() -> int:
-    raw = os.environ.get("STGRAPH_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigError(f"STGRAPH_THREADS must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ConfigError(f"STGRAPH_THREADS must be at least 1, got {workers}")
-    return workers
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -201,18 +188,15 @@ def cmd_eval(args) -> int:
     info, records = data_mod.load_dataset(args.data)
     _check_dataset_matches(config, info)
     clips = [data_mod.featurize_clip(r, info, mode=data_mod.EVAL_MODE) for r in records]
-    workers = _eval_workers()
     payload: dict = {"command": "eval", "clips": len(clips), "config": config.to_dict()}
     if config.task == TASK_ACTION:
-        per_class, mean_ap = evaluate_action(clips, params, config,
-                                             iou_threshold=args.iou, workers=workers)
+        per_class, mean_ap = evaluate_action(clips, params, config, iou_threshold=args.iou)
         payload["map"] = mean_ap
         payload["ap"] = {str(cls): ap for cls, ap in per_class.items()}
         print(f"frame mAP {mean_ap!r} over {len(clips)} clips")
     else:
         ks = tuple(args.k) if args.k else (20, 50)
-        recalls = evaluate_scenegraph(clips, params, config, ks=ks, mode=args.mode,
-                                      workers=workers)
+        recalls = evaluate_scenegraph(clips, params, config, ks=ks, mode=args.mode)
         # with K at or above a keyframe's candidate count, recall@K ranks
         # nothing: every candidate is in the top K
         candidates = max(len(pair_index(len(f.fg_boxes))) * config.relation_classes

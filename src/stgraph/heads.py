@@ -1,9 +1,18 @@
-"""Readout heads and losses on final foreground states.
+"""Readout heads and the two task losses, on final foreground states.
 
-Action detection: per-node multi-label logits with a mean binary cross
-entropy over classes.  Scene graphs: a softmax class head per node plus
-a relation head over ordered node pairs (i, j) with i > j, scored from
-the concatenated pair states.
+Action detection: per-node multi-label logits.  Scene graphs: a softmax
+class head per node plus a relation head over ordered node pairs (i, j)
+with i > j, scored from the concatenated pair states.
+
+The task losses are defined here and nowhere else.  Action: a clip's
+loss is the sigmoid cross entropy averaged over every (box, class) logit
+of all its keyframes.  Scene graph: a keyframe's loss is lam times its
+object softmax cross entropy averaged over nodes, plus its predicate
+sigmoid cross entropy averaged over (pair, predicate) slots, which a
+keyframe with a single node does not have; a clip's loss is the mean
+over its keyframes.  Both losses read the stacked logits of a graph's
+blocks and return the sum of the clips' losses, in clip order, as one
+tape entry.
 """
 
 import math
@@ -12,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numgrad as ng
-from .errors import ValidationError
+from .errors import ShapeError, ValidationError
 from .numgrad import Tensor
 
 # weight of the object term against the relation term of the scene-graph loss
@@ -22,23 +31,13 @@ OBJECT_WEIGHT = 0.5
 def action_readout(states: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Linear logits per state row: states @ weight + bias.
 
-    states is one state (d,), a matrix of rows (n, d) or a stack of B
-    keyframes' rows (B, n, d).
+    states is a matrix of rows (n, d) or a stack of B keyframes' rows
+    (B, n, d).
     """
     with ng.checked("action readout"):
-        logits = ng.matmul(states, weight)
-        logits = ng.add(logits, bias) if logits.ndim == 1 else ng.add_rowvec(logits, bias)
+        logits = ng.add_rowvec(ng.matmul(states, weight), bias)
     ng.check_finite("action readout", logits)
     return logits
-
-
-def action_loss(logits: Tensor, labels: Tensor) -> Tensor:
-    """Mean sigmoid cross entropy over every logit.
-
-    Accepts one node (C,) or a batch (n, C); the gradient with respect to
-    the logits is exactly (sigmoid(x) - y) / count.
-    """
-    return ng.bce_with_logits_mean(logits, labels)
 
 
 def pair_index(n: int) -> list[tuple[int, int]]:
@@ -84,24 +83,107 @@ def sg_readout(states: Tensor, object_weight: Tensor, object_bias: Tensor,
     return SceneGraphPrediction(object_logits, pairs, relation_logits)
 
 
-def sg_loss(object_logits: Tensor, relation_logits: Tensor | None,
-            object_onehot: Tensor, relation_targets: Tensor | None,
-            lam: float = OBJECT_WEIGHT) -> Tensor:
-    """Weighted scene-graph loss: lam * object loss + relation loss.
+def _bce_terms(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Per-element binary cross entropy from logits, finite for saturated logits."""
+    return np.maximum(x, 0.0) - x * z + np.log1p(np.exp(-np.abs(x)))
 
-    The object term is softmax cross entropy averaged over nodes; the
-    relation term is sigmoid cross entropy averaged over all pair/relation
-    slots.  With a single node there are no pairs and the relation term
-    vanishes.
+
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _clip_slices(stacks: list[np.ndarray], clips: list[list[tuple[int, int]]]) -> None:
+    """Check that clips cover every slice of the stacks exactly once."""
+    seen = sorted(pair for clip in clips for pair in clip)
+    if seen != [(k, j) for k, s in enumerate(stacks) for j in range(s.shape[0])]:
+        raise ShapeError("clip losses: clips must cover every stacked keyframe once")
+
+
+def action_loss(logits: list[Tensor], targets: list[np.ndarray],
+                clips: list[list[tuple[int, int]]]) -> Tensor:
+    """Sum over clips of each clip's action loss, as one tape entry.
+
+    logits[k] is a (B, n, C) stack of keyframe logits and targets[k] its
+    0/1 labels.  A clip lists the (stack, slice) pairs of its keyframes in
+    order.  Its loss is the mean of max(x, 0) - x z + log(1 + exp(-|x|))
+    over those slices' rows laid end to end, and the clip losses are added
+    in clip order.  The gradient with respect to a logit is exactly
+    (sigmoid(x) - z) / count, count being its clip's number of logits.
     """
-    ng.check_one_hot(object_onehot.data)
-    if object_logits.shape != object_onehot.shape:
-        raise ValidationError(
-            f"object logits {object_logits.shape} and targets {object_onehot.shape} differ")
-    obj = ng.softmax_xent_mean(object_logits, object_onehot)
-    if relation_logits is None:
-        return ng.scale(obj, lam)
-    if relation_targets is None or relation_logits.shape != relation_targets.shape:
-        raise ValidationError("relation logits and targets must have matching shapes")
-    rel = ng.bce_with_logits_mean(relation_logits, relation_targets)
-    return ng.add(ng.scale(obj, lam), rel)
+    xs = [t.data for t in logits]
+    if any(x.ndim != 3 or x.shape != z.shape for x, z in zip(xs, targets)):
+        raise ShapeError("action_loss: logits must be (B, n, C) stacks shaped as their targets")
+    _clip_slices(xs, clips)
+    terms = [_bce_terms(x, z) for x, z in zip(xs, targets)]
+    counts = [np.zeros(x.shape[0]) for x in xs]
+    total = None
+    for clip in clips:
+        rows = np.concatenate([terms[k][j] for k, j in clip])
+        total = rows.mean() if total is None else total + rows.mean()
+        for k, j in clip:
+            counts[k][j] = rows.size
+
+    def backward(g):
+        return tuple(float(g) * (ng.sigmoid_values(x) - z) / count[:, None, None]
+                     for x, z, count in zip(xs, targets, counts))
+
+    return ng._emit(total, tuple(logits), backward)
+
+
+def sg_loss(object_logits: list[Tensor], object_targets: list[np.ndarray],
+            relation_logits: list[Tensor | None], relation_targets: list[np.ndarray | None],
+            clips: list[list[tuple[int, int]]], lam: float = OBJECT_WEIGHT) -> Tensor:
+    """Sum over clips of each clip's scene-graph loss, as one tape entry.
+
+    Stack k holds (B, n, classes) object logits with one-hot targets, and
+    (B, pairs, predicates) relation logits with multi-hot targets, or None
+    when its keyframes have a single node.  A clip lists the (stack, slice)
+    pairs of its keyframes in order; its loss is the sum of theirs in that
+    order divided by their count, and the clip losses are added in clip
+    order.  The object gradient is lam (softmax(x) - y) / nodes and the
+    relation gradient (sigmoid(r) - z) / slots, each over the keyframe's
+    count in its clip.
+    """
+    xs = [t.data for t in object_logits]
+    rels = [None if t is None else t.data for t in relation_logits]
+    if any(x.ndim != 3 or x.shape != y.shape for x, y in zip(xs, object_targets)):
+        raise ShapeError("sg_loss: object logits must be (B, n, C) stacks "
+                         "shaped as their targets")
+    if any((r is None) != (z is None) or (r is not None and (r.ndim != 3 or r.shape != z.shape))
+           for r, z in zip(rels, relation_targets)):
+        raise ShapeError("sg_loss: relation logits and targets must match")
+    if any(not np.all((y == 0.0) | (y == 1.0)) or not np.all(y.sum(axis=-1) == 1.0)
+           for y in object_targets):
+        raise ValidationError("object targets must be one-hot rows of zeros with a single one")
+    _clip_slices(xs, clips)
+    logps = [_log_softmax(x) for x in xs]
+    frame_losses = []
+    for logp, y, r, z in zip(logps, object_targets, rels, relation_targets):
+        loss = -(y * logp).sum(axis=-1).mean(axis=-1) * lam
+        if r is not None:
+            loss = loss + _bce_terms(r, z).mean(axis=(-2, -1))
+        frame_losses.append(loss)
+    weights = [np.zeros(x.shape[0]) for x in xs]
+    total = None
+    for clip in clips:
+        acc = None
+        for k, j in clip:
+            acc = frame_losses[k][j] if acc is None else acc + frame_losses[k][j]
+            weights[k][j] = 1.0 / len(clip)
+        acc = acc * (1.0 / len(clip))
+        total = acc if total is None else total + acc
+
+    def backward(g):
+        dobject, drelation = [], []
+        for x, logp, y, r, z, w in zip(xs, logps, object_targets, rels, relation_targets,
+                                       weights):
+            per_frame = float(g) * w
+            dobject.append((per_frame * lam)[:, None, None] * (np.exp(logp) - y) / x.shape[1])
+            if r is not None:
+                count = r.shape[1] * r.shape[2]
+                drelation.append(per_frame[:, None, None] * (ng.sigmoid_values(r) - z) / count)
+        return (*dobject, *drelation)
+
+    inputs = (*object_logits, *(t for t in relation_logits if t is not None))
+    return ng._emit(total, inputs, backward)

@@ -1,6 +1,7 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The model code in this package is expressed through the primitives below.
+This module holds task-agnostic primitives and fused message-passing
+blocks; the task losses live in stgraph.heads and record through _emit.
 Each primitive computes its forward value with numpy and, when a Tape is
 active and any input requires a gradient, records a closure that maps the
 output cotangent to input cotangents.  Replaying the tape in reverse from
@@ -30,7 +31,7 @@ import threading
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, ValidationError
+from .errors import NumericError, ShapeError
 
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
@@ -446,16 +447,6 @@ def sigmoid_values(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _bce_terms(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Per-element binary cross entropy from logits, finite for saturated logits."""
-    return np.maximum(x, 0.0) - x * z + np.log1p(np.exp(-np.abs(x)))
-
-
-def _log_softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 # ---------------------------------------------------------------------------
 # primitives.  Matrix inputs may carry a leading block axis: a (B, n, d)
 # stack is B independent (n, d) matrices, and a 2-d input is a stack of
@@ -479,27 +470,14 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
     return _emit(m.data + v.data, (m, v), lambda g: (g, g.sum(axis=-2)))
 
 
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _emit(x.data * c, (x,), lambda g: (g * c,))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; also covers a stack @ matrix, vector @ matrix and matrix @ vector."""
+    """Matrix product of a matrix or stack with a matrix."""
     ad, bd = a.data, b.data
-    if ad.ndim in (2, 3) and bd.ndim == 2:
-        if ad.shape[-1] != bd.shape[0]:
-            raise ShapeError(f"matmul: shapes {ad.shape} and {bd.shape} do not align")
-        return _emit(ad @ bd, (a, b), lambda g: _matmul_grads(ad, bd, g))
-    if ad.ndim == 1 and bd.ndim == 2:
-        if ad.shape[0] != bd.shape[0]:
-            raise ShapeError(f"matmul: shapes {ad.shape} and {bd.shape} do not align")
-        return _emit(ad @ bd, (a, b), lambda g: (bd @ g, np.outer(ad, g)))
-    if ad.ndim == 2 and bd.ndim == 1:
-        if ad.shape[1] != bd.shape[0]:
-            raise ShapeError(f"matmul: shapes {ad.shape} and {bd.shape} do not align")
-        return _emit(ad @ bd, (a, b), lambda g: (np.outer(g, bd), ad.T @ g))
-    raise ShapeError(f"matmul: unsupported ranks {ad.shape} @ {bd.shape}")
+    if ad.ndim not in (2, 3) or bd.ndim != 2:
+        raise ShapeError(f"matmul: unsupported ranks {ad.shape} @ {bd.shape}")
+    if ad.shape[-1] != bd.shape[0]:
+        raise ShapeError(f"matmul: shapes {ad.shape} and {bd.shape} do not align")
+    return _emit(ad @ bd, (a, b), lambda g: _matmul_grads(ad, bd, g))
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:
@@ -596,9 +574,9 @@ def unstack(x: Tensor) -> list[Tensor]:
 
 
 # ---------------------------------------------------------------------------
-# fused blocks: each records one tape entry for what would otherwise be a
-# chain of small primitives (tests/small_primitives.py keeps that chain's
-# primitives).  The forward evaluates the chain's numpy expressions, and the
+# fused message-passing blocks: each records one tape entry for what would
+# otherwise be a chain of small primitives (tests/small_primitives.py keeps
+# that chain's primitives, and the chains of heads' losses).  The forward evaluates the chain's numpy expressions, and the
 # backward runs the chain's backward rules in reverse order.  An input used
 # more than once is listed once per use, in the order the chain's entries
 # would have handed it cotangent pieces, so grad() accumulates the same
@@ -792,145 +770,6 @@ def residual_layer_norm(state: Tensor, message: Tensor, scale_: Tensor, shift: T
     return _emit(out, (scale_, shift, state, message), backward)
 
 
-# ---------------------------------------------------------------------------
-# losses
-
-
-def bce_with_logits_mean(logits: Tensor, targets: Tensor) -> Tensor:
-    """Mean binary cross entropy over all elements, from raw logits.
-
-    Uses max(x,0) - x*z + log(1 + exp(-|x|)) so saturated logits stay
-    finite.  The gradient is exactly (sigmoid(x) - z) / count.
-    """
-    x, z = logits.data, targets.data
-    if x.shape != z.shape:
-        raise ShapeError(f"bce_with_logits_mean: shapes {x.shape} and {z.shape} differ")
-    out = _bce_terms(x, z).mean()
-    count = x.size
-
-    def backward(g):
-        return (float(g) * (sigmoid_values(x) - z) / count, None)
-
-    return _emit(out, (logits, targets), backward)
-
-
-def softmax_xent_mean(logits: Tensor, onehot: Tensor) -> Tensor:
-    """Mean softmax cross entropy over rows against one-hot targets.
-
-    The gradient is exactly (softmax(x) - y) / rows.
-    """
-    if logits.data.ndim != 2:
-        raise ShapeError(f"softmax_xent_mean logits must have 2 dimensions, "
-                         f"got shape {logits.data.shape}")
-    x, y = logits.data, onehot.data
-    if x.shape != y.shape:
-        raise ShapeError(f"softmax_xent_mean: shapes {x.shape} and {y.shape} differ")
-    logp = _log_softmax(x)
-    out = -(y * logp).sum(axis=1).mean()
-    n = x.shape[0]
-    p = np.exp(logp)
-
-    def backward(g):
-        return (float(g) * (p - y) / n, None)
-
-    return _emit(out, (logits, onehot), backward)
-
-
-def _clip_slices(stacks: list[np.ndarray], clips: list[list[tuple[int, int]]]) -> None:
-    """Check that clips cover every slice of the stacks exactly once."""
-    seen = sorted(pair for clip in clips for pair in clip)
-    if seen != [(k, j) for k, s in enumerate(stacks) for j in range(s.shape[0])]:
-        raise ShapeError("clip losses: clips must cover every stacked keyframe once")
-
-
-def clip_bce_sum(logits: list[Tensor], targets: list[np.ndarray],
-                 clips: list[list[tuple[int, int]]]) -> Tensor:
-    """Sum over clips of each clip's mean binary cross entropy, as one tape entry.
-
-    logits[k] is a (B, n, C) stack of keyframe logits and targets[k] its
-    0/1 labels.  A clip lists the (stack, slice) pairs of its keyframes in
-    order.  Its loss is bce_with_logits_mean over those slices' rows laid
-    end to end, and the clip losses are added in clip order, as a chain of
-    add entries would add them.
-    """
-    xs = [t.data for t in logits]
-    if any(x.ndim != 3 or x.shape != z.shape for x, z in zip(xs, targets)):
-        raise ShapeError("clip_bce_sum: logits must be (B, n, C) stacks shaped as their targets")
-    _clip_slices(xs, clips)
-    terms = [_bce_terms(x, z) for x, z in zip(xs, targets)]
-    counts = [np.zeros(x.shape[0]) for x in xs]
-    total = None
-    for clip in clips:
-        rows = np.concatenate([terms[k][j] for k, j in clip])
-        total = rows.mean() if total is None else total + rows.mean()
-        for k, j in clip:
-            counts[k][j] = rows.size
-
-    def backward(g):
-        return tuple(float(g) * (sigmoid_values(x) - z) / count[:, None, None]
-                     for x, z, count in zip(xs, targets, counts))
-
-    return _emit(total, tuple(logits), backward)
-
-
-def clip_scene_graph_sum(object_logits: list[Tensor], object_targets: list[np.ndarray],
-                         relation_logits: list[Tensor | None],
-                         relation_targets: list[np.ndarray | None],
-                         clips: list[list[tuple[int, int]]], lam: float) -> Tensor:
-    """Sum over clips of each clip's mean scene-graph loss, as one tape entry.
-
-    Stack k holds (B, n, classes) object logits with one-hot targets, and
-    (B, pairs, predicates) relation logits with multi-hot targets, or None
-    when its keyframes have a single node.  A keyframe's loss is lam times
-    its softmax cross entropy averaged over nodes, plus its relation binary
-    cross entropy averaged over pair/predicate slots.  A clip lists the
-    (stack, slice) pairs of its keyframes in order; its loss is the sum of
-    theirs in that order divided by their count, and the clip losses are
-    added in clip order.  This is the chain softmax_xent_mean, scale,
-    bce_with_logits_mean, add per keyframe, then add and scale per clip,
-    with the same numbers.
-    """
-    xs = [t.data for t in object_logits]
-    rels = [None if t is None else t.data for t in relation_logits]
-    if any(x.ndim != 3 or x.shape != y.shape for x, y in zip(xs, object_targets)):
-        raise ShapeError("clip_scene_graph_sum: object logits must be (B, n, C) stacks "
-                         "shaped as their targets")
-    if any((r is None) != (z is None) or (r is not None and (r.ndim != 3 or r.shape != z.shape))
-           for r, z in zip(rels, relation_targets)):
-        raise ShapeError("clip_scene_graph_sum: relation logits and targets must match")
-    _clip_slices(xs, clips)
-    logps = [_log_softmax(x) for x in xs]
-    frame_losses = []
-    for logp, y, r, z in zip(logps, object_targets, rels, relation_targets):
-        loss = -(y * logp).sum(axis=-1).mean(axis=-1) * lam
-        if r is not None:
-            loss = loss + _bce_terms(r, z).mean(axis=(-2, -1))
-        frame_losses.append(loss)
-    weights = [np.zeros(x.shape[0]) for x in xs]
-    total = None
-    for clip in clips:
-        acc = None
-        for k, j in clip:
-            acc = frame_losses[k][j] if acc is None else acc + frame_losses[k][j]
-            weights[k][j] = 1.0 / len(clip)
-        acc = acc * (1.0 / len(clip))
-        total = acc if total is None else total + acc
-
-    def backward(g):
-        dobject, drelation = [], []
-        for x, logp, y, r, z, w in zip(xs, logps, object_targets, rels, relation_targets,
-                                       weights):
-            per_frame = float(g) * w
-            dobject.append((per_frame * lam)[:, None, None] * (np.exp(logp) - y) / x.shape[1])
-            if r is not None:
-                count = r.shape[1] * r.shape[2]
-                drelation.append(per_frame[:, None, None] * (sigmoid_values(r) - z) / count)
-        return (*dobject, *drelation)
-
-    inputs = (*object_logits, *(t for t in relation_logits if t is not None))
-    return _emit(total, inputs, backward)
-
-
 def finite_difference_grads(f, params: dict[str, Tensor], step: float = 1e-5) -> dict[str, np.ndarray]:
     """Central-difference gradient of ``f(params) -> float`` per parameter.
 
@@ -967,11 +806,3 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float =
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float((np.abs(a - b) / denom).max())
 
-
-def check_one_hot(y: np.ndarray) -> None:
-    """Raise unless every row of y is exactly one-hot."""
-    arr = np.asarray(y, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValidationError(f"one-hot targets must be a matrix, got shape {arr.shape}")
-    if not np.all((arr == 0.0) | (arr == 1.0)) or not np.all(arr.sum(axis=1) == 1.0):
-        raise ValidationError("targets must be one-hot rows of zeros with a single one")

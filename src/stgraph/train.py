@@ -11,7 +11,7 @@ from .data import ClipFeatures, one_hot, relation_target_matrix
 from .errors import ConfigError, NumericError, ValidationError
 from .graph import (Box, FeatureGrid, SpatioTemporalGraph, build_batch, build_graph,
                     featurize_keyframe)
-from .heads import OBJECT_WEIGHT, SceneGraphPrediction, action_readout, sg_readout
+from .heads import SceneGraphPrediction, action_loss, action_readout, sg_loss, sg_readout
 from .metrics import Detection, GroundTruthBox, Triplet, frame_ap, recall_at_k
 from .numgrad import Tape, Tensor, grad, sigmoid_values
 from .passing import ModelConfig, param_shapes, run_inference
@@ -125,9 +125,7 @@ def init_params(config: ModelConfig, seed: int | None = None) -> dict[str, Tenso
 def clip_loss(clip: ClipFeatures, params: dict[str, Tensor], config: ModelConfig) -> Tensor:
     """Scalar task loss for one clip: the batch loss of a batch of one.
 
-    Action: one binary cross entropy over the logits of every node in the
-    clip.  Scene graph: mean over keyframes of the combined object/relation
-    loss.
+    heads.action_loss and heads.sg_loss define the loss of each task.
     """
     return _batch_loss([clip], build_graph(clip.frames, params, config), params, config)
 
@@ -141,7 +139,7 @@ def _batch_loss(clips: list[ClipFeatures], graph: SpatioTemporalGraph,
                 params: dict[str, Tensor], config: ModelConfig) -> Tensor:
     """Sum of the clips' losses, in clip order, from their batch graph.
 
-    Each clip's loss is its own, as clip_loss defines it; the readout runs
+    Each clip's loss is its own, as heads defines it; the readout runs
     once per block and the loss is one tape entry, however many clips.
     """
     result = run_inference(graph, params, config)
@@ -152,7 +150,7 @@ def _batch_loss(clips: list[ClipFeatures], graph: SpatioTemporalGraph,
             logits = [action_readout(states, params["readout.action.weight"],
                                      params["readout.action.bias"]) for states in result.states]
             labels = [np.asarray(y, dtype=np.float64) for clip in clips for y in clip.action_labels]
-            loss = ng.clip_bce_sum(logits, _stacked(graph, labels), per_clip)
+            loss = action_loss(logits, _stacked(graph, labels), per_clip)
         else:
             preds = [sg_readout(states,
                                 params["readout.object.weight"], params["readout.object.bias"],
@@ -166,9 +164,8 @@ def _batch_loss(clips: list[ClipFeatures], graph: SpatioTemporalGraph,
                     relation_target_matrix(pred.pairs, relations[pos], config.relation_classes)
                     for pos in block.positions])
                 for pred, block in zip(preds, graph.blocks)]
-            loss = ng.clip_scene_graph_sum(
-                [p.object_logits for p in preds], _stacked(graph, onehots),
-                [p.relation_logits for p in preds], relation_targets, per_clip, OBJECT_WEIGHT)
+            loss = sg_loss([p.object_logits for p in preds], _stacked(graph, onehots),
+                           [p.relation_logits for p in preds], relation_targets, per_clip)
     ng.check_finite("loss", loss)
     return loss
 

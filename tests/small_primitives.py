@@ -1,9 +1,10 @@
 """Standalone numgrad primitives that the library itself no longer calls.
 
-The fused blocks in stgraph.numgrad each replace a chain of these small
-primitives; the tests keep them to check the fused blocks against their
-chains bit for bit, and to run the gradient checks of single operations.
-Each records one tape entry through numgrad's own recording path.
+The fused blocks in stgraph.numgrad and the clip losses in stgraph.heads
+each replace a chain of these small primitives; the tests keep them to
+check the fused blocks and losses against their chains bit for bit, and
+to run the gradient checks of single operations.  Each records one tape
+entry through numgrad's own recording path.
 """
 
 import numpy as np
@@ -17,6 +18,11 @@ def transpose(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"transpose input must have 2 dimensions, got shape {x.data.shape}")
     return ng._emit(x.data.T, (x,), lambda g: (g.T,))
+
+
+def scale(x: Tensor, c: float) -> Tensor:
+    c = float(c)
+    return ng._emit(x.data * c, (x,), lambda g: (g * c,))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -59,3 +65,44 @@ def sum_all(x: Tensor) -> Tensor:
 def mean_all(x: Tensor) -> Tensor:
     n = x.data.size
     return ng._emit(x.data.mean(), (x,), lambda g: (np.full_like(x.data, float(g) / n),))
+
+
+def bce_with_logits_mean(logits: Tensor, targets: Tensor) -> Tensor:
+    """Mean binary cross entropy over all elements, from raw logits.
+
+    Uses max(x,0) - x*z + log(1 + exp(-|x|)) so saturated logits stay
+    finite.  The gradient is exactly (sigmoid(x) - z) / count.
+    """
+    x, z = logits.data, targets.data
+    if x.shape != z.shape:
+        raise ShapeError(f"bce_with_logits_mean: shapes {x.shape} and {z.shape} differ")
+    out = (np.maximum(x, 0.0) - x * z + np.log1p(np.exp(-np.abs(x)))).mean()
+    count = x.size
+
+    def backward(g):
+        return (float(g) * (ng.sigmoid_values(x) - z) / count, None)
+
+    return ng._emit(out, (logits, targets), backward)
+
+
+def softmax_xent_mean(logits: Tensor, onehot: Tensor) -> Tensor:
+    """Mean softmax cross entropy over rows against one-hot targets.
+
+    The gradient is exactly (softmax(x) - y) / rows.
+    """
+    if logits.data.ndim != 2:
+        raise ShapeError(f"softmax_xent_mean logits must have 2 dimensions, "
+                         f"got shape {logits.data.shape}")
+    x, y = logits.data, onehot.data
+    if x.shape != y.shape:
+        raise ShapeError(f"softmax_xent_mean: shapes {x.shape} and {y.shape} differ")
+    shifted = x - x.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    out = -(y * logp).sum(axis=1).mean()
+    n = x.shape[0]
+    p = np.exp(logp)
+
+    def backward(g):
+        return (float(g) * (p - y) / n, None)
+
+    return ng._emit(out, (logits, onehot), backward)

@@ -166,33 +166,36 @@ def test_criterion_04_learning_rate_schedule_is_exact():
 
 def test_criterion_05_loss_hand_values_and_weighting():
     """Frozen loss values to 1e-12 and the object/relation mix honored."""
+    # each loss over one clip of one keyframe: a stack of one (n, C) slice
+    one_keyframe = [[(0, 0)]]
     # binary cross entropy at zero logits is ln 2 regardless of labels
-    logits = Tensor(np.zeros((2, 3)))
-    labels = Tensor(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
-    assert abs(action_loss(logits, labels).item() - math.log(2.0)) <= 1e-12
+    logits = Tensor(np.zeros((1, 2, 3)))
+    labels = np.array([[[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]])
+    assert abs(action_loss([logits], [labels], one_keyframe).item() - math.log(2.0)) <= 1e-12
     # frozen two-element case: x=[1,-1], z=[1,0] -> mean log1p(exp(-1))
-    v = action_loss(Tensor(np.array([[1.0, -1.0]])), Tensor(np.array([[1.0, 0.0]]))).item()
+    v = action_loss([Tensor(np.array([[[1.0, -1.0]]]))], [np.array([[[1.0, 0.0]]])],
+                    one_keyframe).item()
     assert abs(v - math.log1p(math.exp(-1.0))) <= 1e-12
 
     # scene graph: uniform object logits give ln C, zero relation logits ln 2
-    obj = Tensor(np.zeros((2, 7)))
-    onehot = Tensor(np.array([[1.0] + [0.0] * 6, [0.0] * 6 + [1.0]]))
-    rel = Tensor(np.zeros((1, 4)))
-    rel_t = Tensor(np.zeros((1, 4)))
+    obj = [Tensor(np.zeros((1, 2, 7)))]
+    onehot = [np.array([[[1.0] + [0.0] * 6, [0.0] * 6 + [1.0]]])]
+    rel = [Tensor(np.zeros((1, 1, 4)))]
+    rel_t = [np.zeros((1, 1, 4))]
     for lam in (0.0, 0.25, 0.5, 1.0):
-        got = sg_loss(obj, rel, onehot, rel_t, lam=lam).item()
+        got = sg_loss(obj, onehot, rel, rel_t, one_keyframe, lam=lam).item()
         want = lam * math.log(7.0) + math.log(2.0)
         assert abs(got - want) <= 1e-12, f"lam={lam}"
     # without a relation term the object part stands alone
-    got = sg_loss(obj, None, onehot, None, lam=0.5).item()
+    got = sg_loss(obj, onehot, [None], [None], one_keyframe, lam=0.5).item()
     assert abs(got - 0.5 * math.log(7.0)) <= 1e-12
 
     # gradient of the stable form is exactly (sigmoid(x) - z) / count
-    x = np.array([[0.7, -1.3], [2.0, 0.0]])
-    z = np.array([[1.0, 0.0], [0.0, 1.0]])
+    x = np.array([[[0.7, -1.3], [2.0, 0.0]]])
+    z = np.array([[[1.0, 0.0], [0.0, 1.0]]])
     xt = Tensor(x, requires_grad=True, name="x")
     with ng.Tape() as tape:
-        loss = action_loss(xt, Tensor(z))
+        loss = action_loss([xt], [z], one_keyframe)
     g = ng.grad(tape, loss, {"x": xt})["x"].data
     assert np.max(np.abs(g - (sigmoid_values(x) - z) / 4.0)) <= 1e-12
 

@@ -57,28 +57,6 @@ def test_identical_runs_are_byte_identical(action_ds, tmp_path):
         assert a == b, name
 
 
-def test_eval_thread_count_does_not_change_bytes(action_ds, tmp_path, monkeypatch):
-    ckpt = train_once(action_ds, str(tmp_path / "run"))
-    monkeypatch.setenv("STGRAPH_THREADS", "1")
-    assert run_cli("eval", "--data", action_ds, "--checkpoint", ckpt,
-                   "--out", str(tmp_path / "e1")) == 0
-    monkeypatch.setenv("STGRAPH_THREADS", "4")
-    assert run_cli("eval", "--data", action_ds, "--checkpoint", ckpt,
-                   "--out", str(tmp_path / "e4")) == 0
-    a = open(str(tmp_path / "e1" / "report.json"), "rb").read()
-    b = open(str(tmp_path / "e4" / "report.json"), "rb").read()
-    assert a == b
-
-
-def test_bad_thread_env_fails_cleanly(action_ds, tmp_path, monkeypatch, capsys):
-    ckpt = train_once(action_ds, str(tmp_path / "run"))
-    monkeypatch.setenv("STGRAPH_THREADS", "zero")
-    code = run_cli("eval", "--data", action_ds, "--checkpoint", ckpt,
-                   "--out", str(tmp_path / "ev"))
-    assert code == 1
-    assert "STGRAPH_THREADS" in capsys.readouterr().err
-
-
 def test_missing_manifest_exits_one(tmp_path, capsys):
     code = run_cli("train", "--data", str(tmp_path / "nope.jsonl"),
                    "--out", str(tmp_path / "run"))

@@ -13,37 +13,55 @@ def test_action_readout_hand_values():
     bias = Tensor([0.5, -0.5, 0.0])
     logits = hd.action_readout(states, weight, bias)
     assert logits.data.tolist() == [[1.5, 1.5, 0.0], [0.5, -1.5, 1.0]]
-    single = hd.action_readout(Tensor([1.0, 2.0]), weight, bias)
-    assert single.data.tolist() == [1.5, 1.5, 0.0]
+
+
+# one clip of one keyframe: each stack holds a single (n, C) slice
+ONE_KEYFRAME = [[(0, 0)]]
 
 
 def test_action_loss_zero_logits_is_ln2():
-    logits = Tensor(np.zeros(4))
-    labels = Tensor([1.0, 0.0, 1.0, 0.0])
-    assert abs(hd.action_loss(logits, labels).item() - np.log(2.0)) <= 1e-12
+    logits = Tensor(np.zeros((1, 1, 4)))
+    labels = np.array([[[1.0, 0.0, 1.0, 0.0]]])
+    assert abs(hd.action_loss([logits], [labels], ONE_KEYFRAME).item() - np.log(2.0)) <= 1e-12
 
 
 def test_action_loss_frozen_example():
     # C=2, x=[1,-1], y=[1,0]: both terms equal ln(1 + e^-1)
-    loss = hd.action_loss(Tensor([1.0, -1.0]), Tensor([1.0, 0.0]))
+    loss = hd.action_loss([Tensor([[[1.0, -1.0]]])], [np.array([[[1.0, 0.0]]])], ONE_KEYFRAME)
     assert abs(loss.item() - np.log1p(np.exp(-1.0))) <= 1e-12
 
 
 def test_action_loss_saturated_correct_logits_vanishes():
-    logits = Tensor([40.0, -40.0, 35.0])
-    labels = Tensor([1.0, 0.0, 1.0])
-    assert hd.action_loss(logits, labels).item() < 1e-8
+    logits = Tensor([[[40.0, -40.0, 35.0]]])
+    labels = np.array([[[1.0, 0.0, 1.0]]])
+    assert hd.action_loss([logits], [labels], ONE_KEYFRAME).item() < 1e-8
 
 
 def test_action_loss_gradient_identity():
     rng = np.random.default_rng(0)
-    x = Tensor(rng.uniform(-4, 4, size=6), requires_grad=True)
-    y = Tensor((rng.uniform(size=6) > 0.5).astype(float))
+    x = Tensor(rng.uniform(-4, 4, size=(1, 1, 6)), requires_grad=True)
+    y = (rng.uniform(size=(1, 1, 6)) > 0.5).astype(float)
     with ng.Tape() as tape:
-        loss = hd.action_loss(x, y)
+        loss = hd.action_loss([x], [y], ONE_KEYFRAME)
     g = ng.grad(tape, loss, {"x": x})["x"].data
     sig = 1.0 / (1.0 + np.exp(-x.data))
-    assert np.max(np.abs(g - (sig - y.data) / 6.0)) <= 1e-12
+    assert np.max(np.abs(g - (sig - y) / 6.0)) <= 1e-12
+
+
+def test_action_loss_of_a_ragged_clip_averages_all_its_rows():
+    # one clip over two blocks: zero logits on a 1-box keyframe and
+    # saturated correct logits on a 2-box one.  The clip's loss is the mean
+    # over its three rows, ln 2 / 3, not the mean of keyframe means, ln 2 / 2.
+    one_box = Tensor(np.zeros((1, 1, 2)), requires_grad=True)
+    two_boxes = Tensor([[[40.0, -40.0], [-40.0, 40.0]]], requires_grad=True)
+    labels = [np.array([[[1.0, 0.0]]]), np.array([[[1.0, 0.0], [0.0, 1.0]]])]
+    with ng.Tape() as tape:
+        loss = hd.action_loss([one_box, two_boxes], labels, [[(0, 0), (1, 0)]])
+    assert abs(loss.item() - np.log(2.0) / 3.0) <= 1e-12
+    grads = ng.grad(tape, loss, {"a": one_box, "b": two_boxes})
+    for name, x, y in zip("ab", (one_box, two_boxes), labels):
+        want = (1.0 / (1.0 + np.exp(-x.data)) - y) / 6.0
+        assert np.max(np.abs(grads[name].data - want)) <= 1e-12
 
 
 def test_pair_index_order():
@@ -86,55 +104,71 @@ def test_sg_readout_pair_inputs_are_concatenated_states():
 
 def test_sg_loss_uniform_object_logits():
     # equal logits: softmax cross entropy is ln(num classes), any one-hot target
-    obj = Tensor(np.zeros((4, 7)))
-    y = Tensor(np.eye(7)[[0, 3, 5, 6]])
-    loss = hd.sg_loss(obj, None, y, None, lam=1.0)
+    obj = Tensor(np.zeros((1, 4, 7)))
+    y = np.eye(7)[[[0, 3, 5, 6]]]
+    loss = hd.sg_loss([obj], [y], [None], [None], ONE_KEYFRAME, lam=1.0)
     assert abs(loss.item() - np.log(7.0)) <= 1e-12
 
 
 def test_sg_loss_zero_relation_logits_is_ln2():
-    obj = Tensor(np.zeros((2, 3)))
-    y = Tensor(np.eye(3)[[0, 1]])
-    rel = Tensor(np.zeros((1, 4)))
-    z = Tensor(np.array([[1.0, 0.0, 1.0, 0.0]]))
-    loss = hd.sg_loss(obj, rel, y, z, lam=0.0)
+    obj = Tensor(np.zeros((1, 2, 3)))
+    y = np.eye(3)[[[0, 1]]]
+    rel = Tensor(np.zeros((1, 1, 4)))
+    z = np.array([[[1.0, 0.0, 1.0, 0.0]]])
+    loss = hd.sg_loss([obj], [y], [rel], [z], ONE_KEYFRAME, lam=0.0)
     assert abs(loss.item() - np.log(2.0)) <= 1e-12
 
 
 def test_sg_loss_weighted_sum():
     rng = np.random.default_rng(4)
-    obj = Tensor(rng.uniform(-1, 1, size=(3, 4)))
-    y = Tensor(np.eye(4)[[0, 1, 2]])
-    rel = Tensor(rng.uniform(-1, 1, size=(3, 2)))
-    z = Tensor((rng.uniform(size=(3, 2)) > 0.5).astype(float))
-    obj_only = hd.sg_loss(obj, rel, y, z, lam=1.0).item() - hd.sg_loss(obj, rel, y, z, lam=0.0).item()
-    half = hd.sg_loss(obj, rel, y, z, lam=0.5).item()
-    rel_only = hd.sg_loss(obj, rel, y, z, lam=0.0).item()
-    assert abs(half - (0.5 * obj_only + rel_only)) <= 1e-12
+    obj = [Tensor(rng.uniform(-1, 1, size=(1, 3, 4)))]
+    y = [np.eye(4)[[[0, 1, 2]]]]
+    rel = [Tensor(rng.uniform(-1, 1, size=(1, 3, 2)))]
+    z = [(rng.uniform(size=(1, 3, 2)) > 0.5).astype(float)]
+
+    def loss(lam):
+        return hd.sg_loss(obj, y, rel, z, ONE_KEYFRAME, lam=lam).item()
+
+    obj_only = loss(1.0) - loss(0.0)
+    assert abs(loss(0.5) - (0.5 * obj_only + loss(0.0))) <= 1e-12
+
+
+def test_sg_loss_of_a_ragged_clip_averages_its_keyframes():
+    # one clip over two blocks: a 2-box keyframe with one pair and a 1-box
+    # keyframe with none, all logits uniform.  The first keyframe's loss is
+    # lam ln 7 + ln 2, the second's lam ln 7, and the clip's their mean.
+    obj = [Tensor(np.zeros((1, 2, 7))), Tensor(np.zeros((1, 1, 7)))]
+    y = [np.eye(7)[[[0, 6]]], np.eye(7)[[[3]]]]
+    rel = [Tensor(np.zeros((1, 1, 4))), None]
+    z = [np.array([[[1.0, 0.0, 0.0, 1.0]]]), None]
+    for lam in (0.0, 0.25, 0.5, 1.0):
+        got = hd.sg_loss(obj, y, rel, z, [[(0, 0), (1, 0)]], lam=lam).item()
+        want = (2.0 * lam * np.log(7.0) + np.log(2.0)) / 2.0
+        assert abs(got - want) <= 1e-12, f"lam={lam}"
 
 
 def test_sg_loss_rejects_non_one_hot():
-    obj = Tensor(np.zeros((2, 3)))
-    rel = Tensor(np.zeros((1, 2)))
-    z = Tensor(np.zeros((1, 2)))
+    obj = [Tensor(np.zeros((1, 2, 3)))]
+    rel = [Tensor(np.zeros((1, 1, 2)))]
+    z = [np.zeros((1, 1, 2))]
     with pytest.raises(ValidationError):
-        hd.sg_loss(obj, rel, Tensor([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]), z)
+        hd.sg_loss(obj, [np.array([[[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]])], rel, z, ONE_KEYFRAME)
     with pytest.raises(ValidationError):
-        hd.sg_loss(obj, rel, Tensor([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]]), z)
+        hd.sg_loss(obj, [np.array([[[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]]])], rel, z, ONE_KEYFRAME)
 
 
 def test_sg_loss_lambda_zero_ignores_object_labels():
     rng = np.random.default_rng(5)
-    obj = Tensor(rng.uniform(-1, 1, size=(3, 4)), requires_grad=True, name="obj")
-    rel = Tensor(rng.uniform(-1, 1, size=(3, 2)))
-    z = Tensor(np.zeros((3, 2)))
-    y1 = Tensor(np.eye(4)[[0, 1, 2]])
-    y2 = Tensor(np.eye(4)[[3, 2, 0]])
-    a = hd.sg_loss(obj, rel, y1, z, lam=0.0).item()
-    b = hd.sg_loss(obj, rel, y2, z, lam=0.0).item()
+    obj = Tensor(rng.uniform(-1, 1, size=(1, 3, 4)), requires_grad=True, name="obj")
+    rel = [Tensor(rng.uniform(-1, 1, size=(1, 3, 2)))]
+    z = [np.zeros((1, 3, 2))]
+    y1 = [np.eye(4)[[[0, 1, 2]]]]
+    y2 = [np.eye(4)[[[3, 2, 0]]]]
+    a = hd.sg_loss([obj], y1, rel, z, ONE_KEYFRAME, lam=0.0).item()
+    b = hd.sg_loss([obj], y2, rel, z, ONE_KEYFRAME, lam=0.0).item()
     assert a == b
     with ng.Tape() as tape:
-        loss = hd.sg_loss(obj, rel, y1, z, lam=0.0)
+        loss = hd.sg_loss([obj], y1, rel, z, ONE_KEYFRAME, lam=0.0)
     g = ng.grad(tape, loss, {"obj": obj})["obj"].data
     assert np.all(g == 0.0)
 
@@ -142,18 +176,19 @@ def test_sg_loss_lambda_zero_ignores_object_labels():
 def test_sg_loss_gradients_match_finite_differences():
     rng = np.random.default_rng(6)
     params = {
-        "states": Tensor(rng.uniform(-1, 1, size=(3, 4)), requires_grad=True),
+        "states": Tensor(rng.uniform(-1, 1, size=(1, 3, 4)), requires_grad=True),
         "ow": Tensor(rng.uniform(-1, 1, size=(4, 5)), requires_grad=True),
         "ob": Tensor(rng.uniform(-1, 1, size=5), requires_grad=True),
         "rw": Tensor(rng.uniform(-1, 1, size=(8, 2)), requires_grad=True),
         "rb": Tensor(rng.uniform(-1, 1, size=2), requires_grad=True),
     }
-    y = Tensor(np.eye(5)[[0, 2, 4]])
-    z = Tensor((rng.uniform(size=(3, 2)) > 0.5).astype(float))
+    y = np.eye(5)[[[0, 2, 4]]]
+    z = (rng.uniform(size=(1, 3, 2)) > 0.5).astype(float)
 
     def forward(p):
         pred = hd.sg_readout(p["states"], p["ow"], p["ob"], p["rw"], p["rb"])
-        return hd.sg_loss(pred.object_logits, pred.relation_logits, y, z, lam=0.5)
+        return hd.sg_loss([pred.object_logits], [y], [pred.relation_logits], [z],
+                          ONE_KEYFRAME, lam=0.5)
 
     with ng.Tape() as tape:
         loss = forward(params)
