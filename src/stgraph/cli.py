@@ -63,32 +63,50 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args, forced: dict | None = None,
                       base: dict | None = None) -> ModelConfig:
+    """The model config from base, the --config file, flags and forced values, in that order.
+
+    An error caused by a value from the file starts with the file's path.
+    """
     settings: dict = dict(base or {})
-    if getattr(args, "config", None):
+    path = getattr(args, "config", None)
+    from_file: set = set()
+    if path:
         try:
-            with open(args.config) as f:
+            with open(path) as f:
                 loaded = json.load(f)
-        except (OSError, json.JSONDecodeError) as err:
-            raise ConfigError(f"cannot read config file {args.config}: {err}") from None
+        except (OSError, ValueError, RecursionError) as err:
+            raise ConfigError(f"{path}: cannot read config file: {err}") from None
         if not isinstance(loaded, dict):
-            raise ConfigError(f"{args.config}: config file must hold a JSON object")
+            raise ConfigError(f"{path}: config file must hold a JSON object")
+        unknown = set(loaded) - set(ModelConfig.__dataclass_fields__)
+        if unknown:
+            raise ConfigError(f"{path}: unknown config fields: {sorted(unknown)}")
         settings.update(loaded)
-    for key in _CONFIG_FLAGS:
-        value = getattr(args, key, None)
+        from_file = set(loaded)
+    flags = {key: getattr(args, key, None) for key in _CONFIG_FLAGS}
+    if getattr(args, "message_fn", None):
+        flags["message_fns"] = tuple(args.message_fn)
+    for key, value in flags.items():
         if value is not None:
             settings[key] = value
-    if getattr(args, "message_fn", None):
-        settings["message_fns"] = tuple(args.message_fn)
+            from_file.discard(key)
     for key, value in (forced or {}).items():
         if key in settings and settings[key] != value:
+            where = f"{path}: " if key in from_file else ""
             raise ConfigError(
-                f"{key} is {value!r} in the dataset but {settings[key]!r} was requested")
+                f"{where}{key} is {value!r} in the dataset but {settings[key]!r} was requested")
         settings[key] = value
-    unknown = set(settings) - set(ModelConfig.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        from_file.discard(key)
     config = ModelConfig(**settings)
-    config.validate()
+    try:
+        config.validate()
+    except ConfigError as err:
+        if not from_file:
+            raise
+        # what the flags get wrong on their own is reported as it is; the
+        # rest fails only with the file's values
+        ModelConfig(**{k: v for k, v in settings.items() if k not in from_file}).validate()
+        raise ConfigError(f"{path}: {err}") from None
     return config
 
 

@@ -16,12 +16,12 @@ def _attention_macs(fn: str, n_queries: int, n_kv: int, d: int) -> int:
         project = n_queries * d * d + 2 * n_kv * d * d
         mix = 2 * n_queries * n_kv * d
         return project + mix
-    # scoring reads the 2d concatenation per neighbor, aggregation sums
-    # d-vectors, and the output transform is one d x d matmul per node
-    score = n_kv * 2 * d
-    aggregate = n_kv * d
-    transform = d * d
-    return n_queries * (score + aggregate) + n_queries * transform
+    # the score halves h_v . a1 and h_j . a2 once per row, the
+    # attention-weighted sum of neighbor rows, and the output transform
+    score = (n_queries + n_kv) * d
+    aggregate = n_queries * n_kv * d
+    transform = n_queries * d * d
+    return score + aggregate + transform
 
 
 def estimate_flops(config: ModelConfig, n_fg: int, n_context: int, keyframes: int) -> dict:
@@ -42,22 +42,19 @@ def estimate_flops(config: ModelConfig, n_fg: int, n_context: int, keyframes: in
 
     input_projection = keyframes * (n_fg + n_context) * c * d
 
-    spatial_kv = n_fg + n_context
-    temporal_kv = (config.tau_c - 1) * n_fg
-    spatial = 0
+    # every (iteration, head, keyframe) runs each function on the same shapes
+    repeats = config.iterations * config.heads * keyframes
+    spatial = repeats * sum(_attention_macs(fn, n_fg, n_fg + n_context, d)
+                            for fn in config.message_fns)
     temporal = 0
+    if config.tau_c > 1:
+        temporal = repeats * sum(_attention_macs(fn, n_fg, (config.tau_c - 1) * n_fg, d)
+                                 for fn in config.message_fns)
     gating = 0
-    num_messages = config.num_messages
-    for _ in range(config.iterations):
-        for fn in config.message_fns:
-            for _ in range(config.heads):
-                spatial += keyframes * _attention_macs(fn, n_fg, spatial_kv, d)
-                if config.tau_c > 1:
-                    temporal += keyframes * _attention_macs(fn, n_fg, temporal_kv, d)
-        if num_messages > 1:
-            per_node = num_messages * 2 * d + num_messages * d
-            phases = 2 if config.tau_c > 1 else 1
-            gating += phases * keyframes * n_fg * per_node
+    if config.num_messages > 1:
+        # h_v . g1 once, m_k . g2 per slot, then the weighted sum of the slots
+        per_node = (2 * config.num_messages + 1) * d
+        gating = config.iterations * len(config.phases()) * keyframes * n_fg * per_node
 
     if config.task == TASK_ACTION:
         readout = keyframes * n_fg * d * config.action_classes

@@ -153,11 +153,10 @@ class Block:
 
 @dataclass
 class KeyframeNodes:
-    """Metadata of one keyframe, and where its states live.
+    """Metadata of one keyframe; its states live in the graph's blocks (see where).
 
     Ids run from first_id over the foreground boxes, then the grid cells
     (row-major), then the proposals; they restart at 0 in every clip.
-    The keyframe's states are slice ``slot`` of ``block``.
     """
 
     keyframe_id: int
@@ -165,18 +164,6 @@ class KeyframeNodes:
     fg_boxes: list[Box]
     grid_hw: tuple[int, int]
     prop_boxes: list[Box]
-    block: Block
-    slot: int
-
-    @property
-    def fg_states(self) -> Tensor:
-        """Projected foreground states (n, d): a view of the block, on no tape."""
-        return Tensor(self.block.fg_states.data[self.slot])
-
-    @property
-    def ctx_states(self) -> Tensor:
-        """Projected context states (h*w + p, d): a view of the block, on no tape."""
-        return Tensor(self.block.ctx_states.data[self.slot])
 
     @property
     def fg_ids(self) -> list[int]:
@@ -272,15 +259,13 @@ def build_batch(clips: list[list[KeyframeFeatures]], params, config) -> SpatioTe
         shapes.setdefault((f.fg_feats.shape[0], f.ctx_feats.shape[0], props), []).append(pos)
     blocks = [project_block([frames[p] for p in positions], positions, params)
               for positions in shapes.values()]
-    slot_of = {pos: (block, j) for block in blocks for j, pos in enumerate(block.positions)}
     keyframes = []
     for clip in clips:
         next_id = 0
         for f in clip:
-            block, j = slot_of[len(keyframes)]
             keyframes.append(KeyframeNodes(
                 keyframe_id=f.keyframe_id, first_id=next_id, fg_boxes=list(f.fg_boxes),
-                grid_hw=f.grid_hw, prop_boxes=list(f.prop_boxes), block=block, slot=j))
+                grid_hw=f.grid_hw, prop_boxes=list(f.prop_boxes)))
             next_id += len(f.fg_boxes) + f.ctx_feats.shape[0] + len(f.prop_boxes)
     return SpatioTemporalGraph(keyframes, blocks, [len(c) for c in clips],
                                config.tau_c, config.tau_s)

@@ -370,7 +370,7 @@ def _layer_norm_values(x: np.ndarray, scale_: np.ndarray, shift: np.ndarray, eps
 
 
 def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, scale_: np.ndarray):
-    """Cotangents (of x, of scale, of shift) of a layer norm of a vector, rows or a stack.
+    """Cotangents (of x, of scale, of shift) of a layer norm of rows or a stack.
 
     For a stack, scale and shift get one piece per slice.
     """
@@ -378,8 +378,6 @@ def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, scale_: 
     m1 = gh.mean(axis=-1, keepdims=True)
     m2 = (gh * xhat).mean(axis=-1, keepdims=True)
     dx = (gh - m1 - xhat * m2) * inv
-    if xhat.ndim == 1:
-        return dx, g * xhat, g
     return dx, (g * xhat).sum(axis=-2), g.sum(axis=-2)
 
 
@@ -588,19 +586,25 @@ def unstack(x: Tensor) -> list[Tensor]:
 
 
 def _kv_groups(query: Tensor, kv, what: str) -> list[tuple]:
-    """kv as (query slices, neighbor stack) pairs; a plain kv is one pair over every slice."""
+    """kv as (query slices, neighbor stack) pairs; a plain kv is one pair over every slice.
+
+    Every receiver needs at least one neighbor row.
+    """
     _need_stack(query, f"{what} receivers")
     if isinstance(kv, Tensor):
         _need_stack(kv, f"{what} neighbors")
         if query.data.shape[:-2] != kv.data.shape[:-2]:
             raise ShapeError(f"{what}: receivers {query.data.shape} and neighbors "
                              f"{kv.data.shape} differ in stack size")
-        return [(slice(None), kv)]
-    groups = [(np.asarray(slices, dtype=np.intp), t) for slices, t in kv]
-    covered = np.sort(np.concatenate([slices for slices, _ in groups]))
-    if (query.data.ndim != 3 or not np.array_equal(covered, np.arange(query.data.shape[0]))
-            or any(t.data.ndim != 3 or t.data.shape[0] != len(slices) for slices, t in groups)):
-        raise ShapeError(f"{what}: neighbor stacks must cover every receiver slice once")
+        groups = [(slice(None), kv)]
+    else:
+        groups = [(np.asarray(slices, dtype=np.intp), t) for slices, t in kv]
+        covered = np.sort(np.concatenate([slices for slices, _ in groups] or [[]]))
+        if (query.data.ndim != 3 or not np.array_equal(covered, np.arange(query.data.shape[0]))
+                or any(t.data.ndim != 3 or t.data.shape[0] != len(slices) for slices, t in groups)):
+            raise ShapeError(f"{what}: neighbor stacks must cover every receiver slice once")
+    if any(t.data.shape[-2] == 0 for _, t in groups):
+        raise ShapeError(f"{what}: empty neighborhood")
     return groups
 
 
@@ -752,14 +756,12 @@ def residual_layer_norm(state: Tensor, message: Tensor, scale_: Tensor, shift: T
                         eps: float = 1e-5) -> Tensor:
     """layer_norm(state + message, scale, shift, eps) as one tape entry.
 
-    Works on a single state vector, a matrix of state rows or a stack.
+    Works on a matrix of state rows or a stack.
     """
+    _need_stack(state, "residual_layer_norm state")
     if state.data.shape != message.data.shape:
         raise ShapeError(f"residual_layer_norm: shapes {state.data.shape} and "
                          f"{message.data.shape} differ")
-    if state.data.ndim not in (1, 2, 3):
-        raise ShapeError(f"residual_layer_norm expects 1 to 3 dimensions, "
-                         f"got shape {state.data.shape}")
     _need_affine(state, scale_, shift, "residual_layer_norm")
     out, xhat, inv = _layer_norm_values(state.data + message.data, scale_.data, shift.data, eps)
 

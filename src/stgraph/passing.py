@@ -13,16 +13,18 @@ keyframes whose row counts match, from one clip or from many, without
 padding: the n foreground states of each of its B keyframes attend to
 their s neighbor states through a (B, n, s) attention stack, and the gate
 scores all K message slots of every receiver as a (B, n, K) stack.  The
-spatial phase runs on the graph's blocks.  The temporal phase gathers
-each receiver's neighbor rows into (B, s, d) stacks, grouping keyframes
-by (n, s), so edge and interior keyframes form separate blocks, and then
-gathers the updated states back into the graph's blocks.  The additive
-scores relu(a . [h_v || h_j]) are evaluated as relu(h_v . a1 + h_j . a2),
-a column plus a row, so no per-receiver pair matrix is ever built.  Each
-slot, the gate and the residual update is one fused numgrad primitive per
-block, so the tape grows with iterations x phases x blocks x slots, not
-with the number of keyframes, clips or nodes.  Per-node Python runs only
-to copy attention and gate rows into trace records.
+spatial phase runs on the graph's blocks.  The temporal phase stacks
+the keyframes that have temporal neighbors by receiver count n, and
+inside each slot's entry gathers their neighbor rows into one (B, s, d)
+stack per neighbor count s, so edge and interior keyframes share the
+entry; it then gathers the updated states back into the graph's blocks.
+The additive scores relu(a . [h_v || h_j]) are evaluated as
+relu(h_v . a1 + h_j . a2), a column plus a row, so no per-receiver pair
+matrix is ever built.  Each slot, the gate and the residual update is one
+fused numgrad primitive per block (a single slot needs no gate), so the
+tape grows with iterations x phases x blocks x slots, not with the number
+of keyframes, clips or nodes.  Per-node Python runs only to copy
+attention and gate rows into trace records.
 
 Each (iteration, phase) runs inside one numgrad.checked span, and its
 updated states are checked for finiteness once, so a NaN or infinity
@@ -32,14 +34,14 @@ Parameters are stored in a flat name -> Tensor mapping and are untied:
 every (iteration, phase, function, head) tuple owns its own weights.
 """
 
-import math
+import sys
 from dataclasses import dataclass, asdict
 from functools import cached_property
 
 import numpy as np
 
 from . import numgrad as ng
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError
 from .graph import PROJ_CONTEXT, PROJ_FOREGROUND, PROJ_PROPOSAL, SpatioTemporalGraph
 from .numgrad import Tensor
 
@@ -84,8 +86,9 @@ class ModelConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        # compared, not converted: float() of a huge JSON integer overflows
         if (isinstance(self.ln_eps, bool) or not isinstance(self.ln_eps, (int, float))
-                or not math.isfinite(self.ln_eps) or self.ln_eps <= 0):
+                or not 0 < self.ln_eps <= sys.float_info.max):
             raise ConfigError(f"ln_eps must be a finite positive number, got {self.ln_eps!r}")
         if (not isinstance(self.message_fns, tuple)
                 or not all(isinstance(fn, str) for fn in self.message_fns)):
@@ -134,19 +137,6 @@ class ModelConfig:
         return cls(**d)
 
 
-@dataclass(frozen=True)
-class NonLocalWeights:
-    query: Tensor  # (d, d)
-    key: Tensor    # (d, d)
-    value: Tensor  # (d, d)
-
-
-@dataclass(frozen=True)
-class GatWeights:
-    transform: Tensor  # (d, d)
-    score: Tensor      # (2d,)
-
-
 def _mp(iteration: int, phase: str, rest: str) -> str:
     return f"mp.iter{iteration}.{phase}.{rest}"
 
@@ -185,87 +175,6 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def message_weights(params, iteration: int, phase: str, fn: str, head: int):
-    """View into the flat parameter mapping for one message slot."""
-    if fn == FN_NONLOCAL:
-        return NonLocalWeights(
-            query=params[_mp(iteration, phase, f"nonlocal.head{head}.query")],
-            key=params[_mp(iteration, phase, f"nonlocal.head{head}.key")],
-            value=params[_mp(iteration, phase, f"nonlocal.head{head}.value")],
-        )
-    return GatWeights(
-        transform=params[_mp(iteration, phase, f"gat.head{head}.transform")],
-        score=params[_mp(iteration, phase, f"gat.head{head}.score")],
-    )
-
-
-def _check_neighbors(what: str, receivers: Tensor, neighbors) -> None:
-    stacks = [neighbors] if isinstance(neighbors, Tensor) else [t for _, t in neighbors]
-    if receivers.ndim not in (2, 3) or any(t.ndim not in (2, 3) for t in stacks):
-        raise ValidationError(f"{what} expects state matrices or stacks")
-    if any(t.shape[-2] == 0 for t in stacks):
-        raise ValidationError(f"{what}: empty neighborhood")
-
-
-def nonlocal_messages(query_states: Tensor, key_value_states,
-                      weights: NonLocalWeights) -> tuple[Tensor, Tensor]:
-    """Scaled dot-product attention messages.
-
-    Queries come from the receiving states, keys and values from the
-    neighbor states.  Returns (messages (n, d), attention (n, s)) with
-    each attention row summing to one, or (B, n, d) and (B, n, s) for
-    stacks of B keyframes.  For a stack, key_value_states may be a list of
-    (slices, neighbor stack) pairs, one per neighbor count, and the
-    attention is then one stack per pair (see numgrad.nonlocal_attention).
-    """
-    _check_neighbors("nonlocal_messages", query_states, key_value_states)
-    return ng.nonlocal_attention(query_states, key_value_states,
-                                 weights.query, weights.key, weights.value)
-
-
-def gat_messages(receivers: Tensor, neighbor_states,
-                 weights: GatWeights) -> tuple[Tensor, Tensor]:
-    """Additive attention messages for every receiving node at once.
-
-    The score of receiver v for neighbor j is relu(score . [h_v || h_j]),
-    computed as relu(h_v . a1 + h_j . a2) with score = [a1 || a2] so that
-    it broadcasts to an (n, s) matrix; rows are normalized with a softmax
-    and each message is relu of the transformed attention-weighted sum.
-    Returns (messages (n, d), attention (n, s)), or stacks of them;
-    neighbor_states may be a list of pairs, as for nonlocal_messages.
-    """
-    _check_neighbors("gat_messages", receivers, neighbor_states)
-    return ng.additive_attention(receivers, neighbor_states, weights.transform, weights.score)
-
-
-def combine_parallel(messages: list[Tensor], receivers: Tensor,
-                     gate: Tensor | None) -> tuple[Tensor, Tensor]:
-    """Per-receiver convex combination of parallel messages, by a learned gate.
-
-    For receiver v, weight k is softmax over k of relu(gate . [h_v || m_k]),
-    computed as relu(h_v . g1 + m_k . g2) with gate = [g1 || g2].  Each
-    message is an (n, d) matrix with one row per receiver, or a stack of
-    them.  Returns (combined (n, d), weights (n, K)), or stacks; a single
-    message is returned unchanged with weights of one.
-    """
-    if not messages:
-        raise ValidationError("combine_parallel: no messages")
-    if len(messages) == 1 and gate is None:
-        return messages[0], Tensor(np.ones(receivers.shape[:-1] + (1,)))
-    if gate is None:
-        raise ValidationError("combine_parallel: gate vector required for parallel messages")
-    return ng.gated_mix(messages, receivers, gate)
-
-
-def update_node(state: Tensor, message: Tensor, scale: Tensor, shift: Tensor,
-                eps: float = 1e-5) -> Tensor:
-    """Residual update followed by layer normalization.
-
-    With a zero message this is layer_norm(state), not the identity.
-    """
-    return ng.residual_layer_norm(state, message, scale, shift, eps)
-
-
 @dataclass
 class AttentionRecord:
     """One attention vector: who node_id listened to in one slot."""
@@ -293,10 +202,10 @@ class GateRecord:
 class InferenceResult:
     """Final foreground states, one stack per graph block, plus traces.
 
-    states[k] is the (B, n, d) stack of graph.blocks[k].  fg_states and
-    ctx_states map each flat position to its own (n, d) tensor.  They are
-    made on first access: views of the stacks, or, under an active tape,
-    one split entry per position, through which gradients reach the stack.
+    states[k] is the (B, n, d) stack of graph.blocks[k].  fg_states maps
+    each flat position to its own (n, d) tensor.  It is made on first
+    access: views of the stacks, or, under an active tape, one split entry
+    per position, through which gradients reach the stack.
     """
 
     def __init__(self, graph: SpatioTemporalGraph, states: list[Tensor],
@@ -308,18 +217,10 @@ class InferenceResult:
 
     @cached_property
     def fg_states(self) -> dict[int, Tensor]:
-        return _by_position(self.graph, self.states)
-
-    @cached_property
-    def ctx_states(self) -> dict[int, Tensor]:
-        return _by_position(self.graph, [b.ctx_states for b in self.graph.blocks])
-
-
-def _by_position(graph: SpatioTemporalGraph, stacks: list[Tensor]) -> dict[int, Tensor]:
-    slices = {}
-    for block, stack in zip(graph.blocks, stacks):
-        slices.update(zip(block.positions, ng.unstack(stack)))
-    return dict(sorted(slices.items()))
+        slices = {}
+        for block, stack in zip(self.graph.blocks, self.states):
+            slices.update(zip(block.positions, ng.unstack(stack)))
+        return dict(sorted(slices.items()))
 
 
 @dataclass
@@ -412,13 +313,22 @@ def _keyframe_traces(graph: SpatioTemporalGraph, iteration: int, phase: str, pos
     else:
         kv_ids = [j for p in graph.temporal[pos] for j in graph.keyframes[p].fg_ids]
     records = [AttentionRecord(iteration, phase, fn, h, node_id, list(kv_ids), row.copy())
-               for (fn, h, _), rows in zip(slots, attention)
+               for (fn, h), rows in zip(slots, attention)
                for node_id, row in zip(kf.fg_ids, rows)]
     if mix is None:
         return records, []
-    names = [f"{fn}.head{h}" for fn, h, _ in slots]
+    names = [f"{fn}.head{h}" for fn, h in slots]
     return records, [GateRecord(iteration, phase, node_id, list(names), row.copy())
                      for node_id, row in zip(kf.fg_ids, mix)]
+
+
+def _slot(params, iteration: int, phase: str, fn: str, head: int, own: Tensor, kv):
+    """(messages, attention) of one message slot, with the weights _mp names for it."""
+    def weight(part):
+        return params[_mp(iteration, phase, f"{fn}.head{head}.{part}")]
+    if fn == FN_NONLOCAL:
+        return ng.nonlocal_attention(own, kv, weight("query"), weight("key"), weight("value"))
+    return ng.additive_attention(own, kv, weight("transform"), weight("score"))
 
 
 def run_inference(graph: SpatioTemporalGraph, params, config: ModelConfig,
@@ -446,9 +356,8 @@ def run_inference(graph: SpatioTemporalGraph, params, config: ModelConfig,
             where = f"iteration {i} {phase} phase"
             traced: dict[int, tuple[list, list]] = {}
             with ng.checked(where):
-                slots = [(fn, h, message_weights(params, i, phase, fn, h))
-                         for fn in config.message_fns for h in range(config.heads)]
-                gate = params.get(_mp(i, phase, "gate")) if config.num_messages > 1 else None
+                slots = [(fn, h) for fn in config.message_fns for h in range(config.heads)]
+                gate = params[_mp(i, phase, "gate")] if len(slots) > 1 else None
                 if phase == PHASE_SPATIAL:
                     blocks = [(b.positions, own, ng.concat_rows([own, b.ctx_states]))
                               for b, own in zip(graph.blocks, states)]
@@ -460,22 +369,22 @@ def run_inference(graph: SpatioTemporalGraph, params, config: ModelConfig,
                 updated = []
                 for positions, own, kv in blocks:
                     messages, atts = [], []
-                    for fn, h, w in slots:
-                        slot_fn = nonlocal_messages if fn == FN_NONLOCAL else gat_messages
-                        msgs, att = slot_fn(own, kv, w)
+                    for fn, h in slots:
+                        msgs, att = _slot(params, i, phase, fn, h, own, kv)
                         messages.append(msgs)
                         if record_traces:
                             atts.append(_slice_rows(kv, att, len(positions)))
-                    combined, mix = combine_parallel(messages, own, gate)
+                    combined, mix = ((messages[0], None) if gate is None
+                                     else ng.gated_mix(messages, own, gate))
                     if record_traces:
                         for u, pos in enumerate(positions):
                             traced[pos] = _keyframe_traces(
                                 graph, i, phase, pos, slots, [a[u] for a in atts],
-                                None if gate is None else mix.data[u])
-                    updated.append(update_node(own, combined,
-                                               params[_mp(i, phase, "norm.scale")],
-                                               params[_mp(i, phase, "norm.shift")],
-                                               config.ln_eps))
+                                None if mix is None else mix.data[u])
+                    updated.append(ng.residual_layer_norm(own, combined,
+                                                          params[_mp(i, phase, "norm.scale")],
+                                                          params[_mp(i, phase, "norm.shift")],
+                                                          config.ln_eps))
                 if phase == PHASE_SPATIAL:
                     states = updated
                 else:

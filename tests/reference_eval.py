@@ -8,6 +8,13 @@ initial states as raw arrays plus a flat name -> ndarray weight dict.
 import numpy as np
 
 
+def keyframe_states(graph, pos):
+    """(foreground, context) state arrays of keyframe pos, as its block holds them."""
+    k, j = graph.where[pos]
+    block = graph.blocks[k]
+    return block.fg_states.data[j], block.ctx_states.data[j]
+
+
 def softmax_vec(x):
     e = np.exp(x - x.max())
     return e / e.sum()

@@ -45,13 +45,13 @@ def softmax(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, scale_: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance, then affine.
+    """Normalize each row to zero mean and unit variance, then affine.
 
     y = scale * (x - mean) / sqrt(var + eps) + shift, with the population
-    variance over the last axis.
+    variance over the row.
     """
-    if x.data.ndim not in (1, 2):
-        raise ShapeError(f"layer_norm expects 1 or 2 dimensions, got shape {x.data.shape}")
+    if x.data.ndim != 2:
+        raise ShapeError(f"layer_norm expects a (rows, d) matrix, got shape {x.data.shape}")
     ng._need_affine(x, scale_, shift, "layer_norm")
     out, xhat, inv = ng._layer_norm_values(x.data, scale_.data, shift.data, eps)
     return ng._emit(out, (x, scale_, shift),

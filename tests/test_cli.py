@@ -1,10 +1,14 @@
 """Exit codes, report determinism, and attention dump checks for the CLI."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stgraph import data
 from stgraph.cli import main
@@ -286,7 +290,8 @@ def test_config_file_rejects_unknown_fields(action_ds, tmp_path, capsys):
     code = run_cli("train", "--data", action_ds, "--out", str(tmp_path / "run"),
                    "--config", cfg_path, "--epochs", "1")
     assert code == 1
-    assert "hidden_size" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {cfg_path}: unknown config fields: "
+                                              f"['hidden_size']")
 
 
 @pytest.mark.parametrize("settings", [
@@ -302,7 +307,53 @@ def test_config_file_rejects_wrong_types(action_ds, tmp_path, capsys, settings):
                    "--config", cfg_path, "--epochs", "1")
     assert code == 1
     [name] = settings
-    assert f"error: {name} must be" in capsys.readouterr().err
+    assert f"error: {cfg_path}: {name} must be" in capsys.readouterr().err
+
+
+def test_config_errors_name_the_file_only_for_its_values(tmp_path, capsys):
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as f:
+        json.dump({"state_dim": "x", "tau_c": 2}, f)
+    flops = ("flops", "--fg", "2", "--context", "3", "--keyframes", "1", "--config", cfg_path)
+    # a flag's error is the flag's, whatever the file holds
+    assert run_cli(*flops, "--heads", "0") == 1
+    assert capsys.readouterr().err == "error: heads must be positive, got 0\n"
+    # a flag overriding the file's bad value leaves the file's other one to blame
+    assert run_cli(*flops, "--state-dim", "4") == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg_path}: tau_c must be odd")
+    assert run_cli(*flops, "--state-dim", "4", "--tau-c", "3") == 0
+    # bytes that are not UTF-8, and nesting deeper than the JSON decoder recurses
+    for blob in (b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000):
+        with open(cfg_path, "wb") as f:
+            f.write(blob)
+        assert run_cli(*flops) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg_path}: cannot read config file")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+CONFIG_FIELDS = st.sampled_from(sorted(ModelConfig.__dataclass_fields__)) | st.text(max_size=6)
+FIELD_VALUES = (JSON_VALUES | st.integers(-2, 6)
+                | st.sampled_from(["nonlocal", "gat", "action", "scenegraph", 1e-5])
+                | st.lists(st.sampled_from(["nonlocal", "gat", "x"]), max_size=3))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(config=JSON_VALUES | st.dictionaries(CONFIG_FIELDS, FIELD_VALUES, max_size=5))
+def test_random_config_files_work_or_name_the_file(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "cfg.json")
+        with open(cfg_path, "w") as f:
+            json.dump(config, f)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_cli("flops", "--fg", "2", "--context", "3", "--keyframes", "2",
+                           "--config", cfg_path)
+    assert (code, err.getvalue()) == (0, "") or (
+        code == 1 and err.getvalue().startswith(f"error: {cfg_path}: ")), err.getvalue()
 
 
 def test_dump_attention_neighbor_metadata(tmp_path):

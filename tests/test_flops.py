@@ -7,6 +7,13 @@ from stgraph.flops import estimate_flops
 from stgraph.passing import ModelConfig
 
 
+def matmul_macs(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """Multiply-accumulates of an (m, k) @ (k, n) product."""
+    (m, k), (k2, n) = a, b
+    assert k == k2
+    return m * k * n
+
+
 def cfg(**overrides) -> ModelConfig:
     base = dict(state_dim=4, heads=1, iterations=1, message_fns=("nonlocal",),
                 tau_c=3, tau_s=1, task="action", feature_channels=3,
@@ -32,8 +39,14 @@ def test_nonlocal_counts_by_hand():
 
 def test_gat_counts_by_hand():
     out = estimate_flops(cfg(message_fns=("gat",), tau_c=1), n_fg=2, n_context=3, keyframes=2)
-    # per node: scores 5 neighbors * 2d=8, aggregate 5*4, transform 16
-    per_kf = 2 * (5 * 8 + 5 * 4) + 2 * 16
+    # numgrad.additive_attention with receivers (n, d) = (2, 4), neighbors
+    # (s, d) = (5, 4), transform (4, 4) and score [a1 || a2] of 2 x 4
+    n, s, d = 2, 5, 4
+    per_kf = (matmul_macs((n, d), (d, 1))      # receivers @ a1
+              + matmul_macs((s, d), (d, 1))    # neighbors @ a2
+              + matmul_macs((n, s), (s, d))    # attention @ neighbors
+              + matmul_macs((n, d), (d, d)))   # pooled @ transform
+    assert per_kf == 100
     assert out["spatial_messages"] == 2 * per_kf
     assert out["temporal_messages"] == 0
 
@@ -42,10 +55,16 @@ def test_gating_counts_only_with_parallel_messages():
     single = estimate_flops(cfg(), n_fg=2, n_context=3, keyframes=1)
     assert single["gating"] == 0
     double = estimate_flops(cfg(message_fns=("nonlocal", "gat")), n_fg=2, n_context=3, keyframes=1)
-    # 2 slots: scores 2*2d + combine 2*d per node per phase, 2 phases
-    assert double["gating"] == 2 * 1 * 2 * (2 * 8 + 2 * 4)
+    # numgrad.gated_mix of K = 2 messages (n, d) = (2, 4) for receivers
+    # (2, 4), with gate [g1 || g2] of 2 x 4, once per phase, 2 phases
+    k, n, d = 2, 2, 4
+    per_phase = (matmul_macs((n, d), (d, 1))        # receivers @ g1
+                 + k * matmul_macs((n, d), (d, 1))  # each message @ g2
+                 + k * n * d)                       # sum of weight * message
+    assert per_phase == 40
+    assert double["gating"] == 2 * per_phase
     heads2 = estimate_flops(cfg(heads=2), n_fg=2, n_context=3, keyframes=1)
-    assert heads2["gating"] == 2 * 1 * 2 * (2 * 8 + 2 * 4)
+    assert heads2["gating"] == 2 * per_phase
 
 
 def test_scenegraph_readout_counts():

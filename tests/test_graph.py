@@ -10,6 +10,8 @@ from stgraph.errors import ConfigError, ValidationError
 from stgraph.numgrad import Tensor
 from stgraph.passing import ModelConfig
 
+from reference_eval import keyframe_states
+
 
 def make_grid(values, keyframe_id=0):
     return gr.FeatureGrid(values=Tensor(np.asarray(values, dtype=float)), keyframe_id=keyframe_id)
@@ -59,10 +61,9 @@ def test_pool_closed_interval_includes_boundary_center():
 
 
 def project(grid, boxes, props, params):
-    """The keyframe of a one-keyframe graph."""
-    [kf] = gr.build_graph([gr.featurize_keyframe(grid, boxes, props)], params,
-                          SimpleNamespace(tau_c=1, tau_s=1)).keyframes
-    return kf
+    """A one-keyframe graph."""
+    return gr.build_graph([gr.featurize_keyframe(grid, boxes, props)], params,
+                          SimpleNamespace(tau_c=1, tau_s=1))
 
 
 def test_init_nodes_counts_and_kinds():
@@ -70,7 +71,8 @@ def test_init_nodes_counts_and_kinds():
     grid = make_grid(rng.uniform(-1, 1, size=(2, 2, 3, 4)), keyframe_id=9)
     boxes = [gr.Box(0.0, 0.0, 0.5, 0.5), gr.Box(0.4, 0.4, 0.9, 0.9)]
     props = [gr.Box(0.1, 0.1, 0.8, 0.8)]
-    kf = project(grid, boxes, props, identity_params(4))
+    g = project(grid, boxes, props, identity_params(4))
+    [kf] = g.keyframes
     assert kf.fg_ids == [0, 1]
     assert kf.ctx_ids == list(range(2, 2 + 2 * 3 + 1))
     described = [kf.describe(row) for row in range(9)]
@@ -79,8 +81,9 @@ def test_init_nodes_counts_and_kinds():
     assert [box for _, box, _ in described] == boxes + [None] * 6 + props
     assert [cell for _, _, cell in described] == (
         [None] * 2 + [(i, j) for i in range(2) for j in range(3)] + [None])
-    assert kf.fg_states.shape == (2, 4)
-    assert kf.ctx_states.shape == (7, 4)
+    fg, ctx = keyframe_states(g, 0)
+    assert fg.shape == (2, 4)
+    assert ctx.shape == (7, 4)
     assert kf.keyframe_id == 9
     # ids run on through a clip and restart in the next clip of a batch
     frame = gr.featurize_keyframe(grid, boxes, props)
@@ -104,9 +107,10 @@ def test_implicit_context_is_temporal_mean_per_cell():
     vals[1, 0, 0] = [3.0, 4.0, 5.0]
     vals[0, 0, 1] = [10.0, 10.0, 10.0]
     vals[1, 0, 1] = [20.0, 20.0, 20.0]
-    kf = project(make_grid(vals), [gr.Box(0.0, 0.0, 1.0, 1.0)], [], identity_params(3))
-    assert kf.ctx_states.data[0].tolist() == [2.0, 3.0, 4.0]
-    assert kf.ctx_states.data[1].tolist() == [15.0, 15.0, 15.0]
+    g = project(make_grid(vals), [gr.Box(0.0, 0.0, 1.0, 1.0)], [], identity_params(3))
+    _, ctx = keyframe_states(g, 0)
+    assert ctx[0].tolist() == [2.0, 3.0, 4.0]
+    assert ctx[1].tolist() == [15.0, 15.0, 15.0]
 
 
 def spatial_records(frames, c=4):
@@ -197,11 +201,11 @@ def test_node_ids_are_sequential_and_deterministic():
     b = build_clip_graph(seed=3)
     ids = [i for kf in a.keyframes for i in kf.fg_ids + kf.ctx_ids]
     assert ids == list(range(3 * (2 + 4 + 1)))
-    for ka, kb in zip(a.keyframes, b.keyframes):
+    for pos, (ka, kb) in enumerate(zip(a.keyframes, b.keyframes)):
         assert ka.first_id == kb.first_id
         assert [ka.describe(r) for r in range(7)] == [kb.describe(r) for r in range(7)]
-        assert ka.fg_states.data.tobytes() == kb.fg_states.data.tobytes()
-        assert ka.ctx_states.data.tobytes() == kb.ctx_states.data.tobytes()
+        for sa, sb in zip(keyframe_states(a, pos), keyframe_states(b, pos)):
+            assert sa.tobytes() == sb.tobytes()
 
 
 def test_spatial_size_property_random_scenes():

@@ -77,11 +77,11 @@ def test_softmax_extreme_logits_stay_finite():
 
 
 def test_layer_norm_frozen_example():
-    x = ng.Tensor([1.0, -1.0])
+    x = ng.Tensor([[1.0, -1.0]])
     one = ng.Tensor([1.0, 1.0])
     zero = ng.Tensor([0.0, 0.0])
     out = sp.layer_norm(x, one, zero, eps=0.0)
-    assert np.max(np.abs(out.data - [1.0, -1.0])) <= 1e-12
+    assert np.max(np.abs(out.data - [[1.0, -1.0]])) <= 1e-12
 
 
 def test_layer_norm_matches_hand_formula():
@@ -99,7 +99,7 @@ def test_layer_norm_matches_hand_formula():
 
 
 def test_layer_norm_constant_row_finite():
-    out = sp.layer_norm(ng.Tensor([2.0, 2.0, 2.0]), ng.Tensor(np.ones(3)), ng.Tensor(np.zeros(3)))
+    out = sp.layer_norm(ng.Tensor([[2.0, 2.0, 2.0]]), ng.Tensor(np.ones(3)), ng.Tensor(np.zeros(3)))
     assert np.all(np.isfinite(out.data))
 
 
@@ -258,10 +258,6 @@ def test_finite_differences_per_primitive():
             {"a": t(3, 4), "b": t(3, 4), "r": t(3, 4), "g": t(8)},
             lambda p: sp.sum_all(sp.relu(ng.gated_mix([p["a"], p["b"], p["a"]], p["r"], p["g"])[0])),
         ),
-        "residual_layer_norm_1d": (
-            {"x": t(6), "m": t(6), "s": t(6), "b": t(6)},
-            lambda p: sp.sum_all(sp.relu(ng.residual_layer_norm(p["x"], p["m"], p["s"], p["b"]))),
-        ),
         "residual_layer_norm_2d": (
             {"x": t(3, 6), "m": t(3, 6), "s": t(6), "b": t(6)},
             lambda p: sp.sum_all(sp.relu(ng.residual_layer_norm(p["x"], p["m"], p["s"], p["b"]))),
@@ -310,6 +306,18 @@ def test_fused_primitives_reject_bad_shapes():
         ng.residual_layer_norm(m, ng.Tensor(np.ones((2, 2))), ng.Tensor(np.ones(2)), ng.Tensor(np.zeros(2)))
     with pytest.raises(ShapeError):
         ng.residual_layer_norm(m, m, ng.Tensor(np.ones(3)), ng.Tensor(np.zeros(3)))
+    with pytest.raises(ShapeError):
+        ng.residual_layer_norm(v4, v4, v4, v4)
+    # an empty neighbor stack, plain or as one of a stack's (slices, stack) pairs
+    empty, stack = ng.Tensor(np.zeros((0, 2))), ng.Tensor(np.ones((2, 3, 2)))
+    pairs = [([0], ng.Tensor(np.ones((1, 4, 2)))), ([1], ng.Tensor(np.zeros((1, 0, 2))))]
+    for kv, query in ((empty, m), (pairs, stack)):
+        with pytest.raises(ShapeError, match="empty neighborhood"):
+            ng.nonlocal_attention(query, kv, w, w, w)
+        with pytest.raises(ShapeError, match="empty neighborhood"):
+            ng.additive_attention(query, kv, w, v4)
+    with pytest.raises(ShapeError):
+        ng.nonlocal_attention(stack, [], w, w, w)
 
 
 def _composed_nonlocal(query, kv, wq, wk, wv):
@@ -332,7 +340,7 @@ def test_fused_blocks_match_their_composition_bit_for_bit(with_context):
     def t(*shape):
         return ng.Tensor(rng.uniform(-1, 1, size=shape), requires_grad=True)
 
-    p = {"h": t(3, 4), "ctx": t(2, 4), "s": t(4), "b": t(4), "row": t(4), "row_msg": t(4)}
+    p = {"h": t(3, 4), "ctx": t(2, 4), "s": t(4), "b": t(4), "row": t(1, 4), "row_msg": t(1, 4)}
     for head in range(2):
         for part in ("wq", "wk", "wv"):
             p[f"{part}{head}"] = t(4, 4)

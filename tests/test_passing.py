@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 from stgraph import graph as gr
 from stgraph import numgrad as ng
 from stgraph import passing as pa
-from stgraph.errors import ConfigError, NumericError, ValidationError
+from stgraph.errors import ConfigError, NumericError, ShapeError
 from stgraph.numgrad import Tensor
 
 import small_primitives as sp
-from reference_eval import reference_inference
+from reference_eval import keyframe_states, reference_inference
 
 
 def make_config(**kw):
@@ -60,19 +60,20 @@ def build(config, seed=0, **kw):
 
 
 def nl_weights(d, seed=0, zero_query=False):
+    """(query, key, value) weights of one nonlocal slot."""
     rng = np.random.default_rng(seed)
     q = np.zeros((d, d)) if zero_query else rng.uniform(-1, 1, size=(d, d))
-    return pa.NonLocalWeights(Tensor(q), Tensor(rng.uniform(-1, 1, size=(d, d))),
-                              Tensor(rng.uniform(-1, 1, size=(d, d))))
+    return (Tensor(q), Tensor(rng.uniform(-1, 1, size=(d, d))),
+            Tensor(rng.uniform(-1, 1, size=(d, d))))
 
 
 def test_nonlocal_single_node_attends_to_itself():
-    w = nl_weights(4, seed=1)
+    wq, wk, wv = nl_weights(4, seed=1)
     h = Tensor(np.random.default_rng(2).uniform(-1, 1, size=(1, 4)))
-    msgs, att = pa.nonlocal_messages(h, h, w)
+    msgs, att = ng.nonlocal_attention(h, h, wq, wk, wv)
     assert att.data.shape == (1, 1)
     assert att.data[0, 0] == 1.0
-    want = h.data @ w.value.data
+    want = h.data @ wv.data
     assert np.max(np.abs(msgs.data - want)) <= 1e-12
 
 
@@ -80,46 +81,46 @@ def test_nonlocal_zero_query_gives_uniform_attention():
     rng = np.random.default_rng(3)
     q = Tensor(rng.uniform(-1, 1, size=(2, 4)))
     kv = Tensor(rng.uniform(-1, 1, size=(5, 4)))
-    _, att = pa.nonlocal_messages(q, kv, nl_weights(4, seed=4, zero_query=True))
+    _, att = ng.nonlocal_attention(q, kv, *nl_weights(4, seed=4, zero_query=True))
     assert np.max(np.abs(att.data - 0.2)) <= 1e-15
 
 
 def test_nonlocal_matches_formula():
     rng = np.random.default_rng(5)
     d = 6
-    w = nl_weights(d, seed=6)
+    wq, wk, wv = nl_weights(d, seed=6)
     q_states = rng.uniform(-1, 1, size=(3, d))
     kv_states = rng.uniform(-1, 1, size=(7, d))
-    msgs, att = pa.nonlocal_messages(Tensor(q_states), Tensor(kv_states), w)
+    msgs, att = ng.nonlocal_attention(Tensor(q_states), Tensor(kv_states), wq, wk, wv)
     for r in range(3):
         logits = np.array([
-            (q_states[r] @ w.query.data) @ (kv_states[j] @ w.key.data) for j in range(7)
+            (q_states[r] @ wq.data) @ (kv_states[j] @ wk.data) for j in range(7)
         ]) / np.sqrt(d)
         e = np.exp(logits - logits.max())
         a = e / e.sum()
         assert np.max(np.abs(att.data[r] - a)) <= 1e-10
-        want = sum(a[j] * (kv_states[j] @ w.value.data) for j in range(7))
+        want = sum(a[j] * (kv_states[j] @ wv.data) for j in range(7))
         assert np.max(np.abs(msgs.data[r] - want)) <= 1e-10
 
 
 def test_nonlocal_empty_neighborhood_rejected():
-    w = nl_weights(4)
-    with pytest.raises(ValidationError):
-        pa.nonlocal_messages(Tensor(np.ones((1, 4))), Tensor(np.zeros((0, 4))), w)
+    with pytest.raises(ShapeError):
+        ng.nonlocal_attention(Tensor(np.ones((1, 4))), Tensor(np.zeros((0, 4))), *nl_weights(4))
 
 
 def gat_weights(d, seed=0, zero_score=False):
+    """(transform, score) weights of one GAT slot."""
     rng = np.random.default_rng(seed)
     score = np.zeros(2 * d) if zero_score else rng.uniform(-1, 1, size=2 * d)
-    return pa.GatWeights(Tensor(rng.uniform(-1, 1, size=(d, d))), Tensor(score))
+    return Tensor(rng.uniform(-1, 1, size=(d, d))), Tensor(score)
 
 
-def gat_formula(h_v, nbrs, w):
+def gat_formula(h_v, nbrs, transform, score):
     """One receiver's GAT attention and message, straight from the definition."""
-    scores = np.array([max(0.0, np.concatenate([h_v, nb]) @ w.score.data) for nb in nbrs])
+    scores = np.array([max(0.0, np.concatenate([h_v, nb]) @ score.data) for nb in nbrs])
     e = np.exp(scores - scores.max())
     a = e / e.sum()
-    return a, np.maximum(sum(a[j] * nbrs[j] for j in range(len(nbrs))) @ w.transform.data, 0.0)
+    return a, np.maximum(sum(a[j] * nbrs[j] for j in range(len(nbrs))) @ transform.data, 0.0)
 
 
 def gate_formula(h_v, msgs, gate):
@@ -134,10 +135,10 @@ def test_gat_single_neighbor_full_attention():
     rng = np.random.default_rng(7)
     h = Tensor(rng.uniform(-1, 1, size=(3, 4)))
     nbr = Tensor(rng.uniform(-1, 1, size=(1, 4)))
-    w = gat_weights(4, seed=8)
-    msgs, att = pa.gat_messages(h, nbr, w)
+    transform, score = gat_weights(4, seed=8)
+    msgs, att = ng.additive_attention(h, nbr, transform, score)
     assert att.data.tolist() == [[1.0]] * 3
-    want = np.maximum(nbr.data[0] @ w.transform.data, 0.0)
+    want = np.maximum(nbr.data[0] @ transform.data, 0.0)
     for r in range(3):
         assert np.max(np.abs(msgs.data[r] - want)) <= 1e-12
 
@@ -146,16 +147,16 @@ def test_gat_zero_score_gives_uniform_attention():
     rng = np.random.default_rng(9)
     h = Tensor(rng.uniform(-1, 1, size=(3, 4)))
     nbrs = Tensor(rng.uniform(-1, 1, size=(4, 4)))
-    _, att = pa.gat_messages(h, nbrs, gat_weights(4, seed=10, zero_score=True))
+    _, att = ng.additive_attention(h, nbrs, *gat_weights(4, seed=10, zero_score=True))
     assert att.data.shape == (3, 4)
     assert np.max(np.abs(att.data - 0.25)) <= 1e-15
 
 
 def test_gat_empty_neighborhood_rejected():
-    with pytest.raises(ValidationError):
-        pa.gat_messages(Tensor(np.ones((3, 4))), Tensor(np.zeros((0, 4))), gat_weights(4))
-    with pytest.raises(ValidationError):
-        pa.gat_messages(Tensor(np.ones(4)), Tensor(np.ones((2, 4))), gat_weights(4))
+    with pytest.raises(ShapeError):
+        ng.additive_attention(Tensor(np.ones((3, 4))), Tensor(np.zeros((0, 4))), *gat_weights(4))
+    with pytest.raises(ShapeError):
+        ng.additive_attention(Tensor(np.ones(4)), Tensor(np.ones((2, 4))), *gat_weights(4))
 
 
 def test_gat_matches_formula():
@@ -164,20 +165,12 @@ def test_gat_matches_formula():
     w = gat_weights(d, seed=12)
     h = rng.uniform(-1, 1, size=(4, d))
     nbrs = rng.uniform(-1, 1, size=(6, d))
-    msgs, att = pa.gat_messages(Tensor(h), Tensor(nbrs), w)
+    msgs, att = ng.additive_attention(Tensor(h), Tensor(nbrs), *w)
     assert msgs.data.shape == (4, d) and att.data.shape == (4, 6)
     for r in range(4):
-        a, want = gat_formula(h[r], nbrs, w)
+        a, want = gat_formula(h[r], nbrs, *w)
         assert np.max(np.abs(att.data[r] - a)) <= 1e-10
         assert np.max(np.abs(msgs.data[r] - want)) <= 1e-10
-
-
-def test_combine_single_message_is_exact():
-    rng = np.random.default_rng(13)
-    m = Tensor(rng.uniform(-1, 1, size=(3, 6)))
-    out, wts = pa.combine_parallel([m], Tensor(rng.uniform(-1, 1, size=(3, 6))), None)
-    assert out is m
-    assert wts.data.tolist() == [[1.0]] * 3
 
 
 def test_combine_identical_messages_returns_them():
@@ -185,7 +178,7 @@ def test_combine_identical_messages_returns_them():
     m = Tensor(rng.uniform(-1, 1, size=(3, 6)))
     h = Tensor(rng.uniform(-1, 1, size=(3, 6)))
     gate = Tensor(rng.uniform(-1, 1, size=12))
-    out, wts = pa.combine_parallel([m, m, m], h, gate)
+    out, wts = ng.gated_mix([m, m, m], h, gate)
     assert wts.data.shape == (3, 3)
     assert np.max(np.abs(wts.data.sum(axis=1) - 1.0)) <= 1e-12
     assert np.max(np.abs(out.data - m.data)) <= 1e-12
@@ -195,7 +188,7 @@ def test_combine_zero_gate_is_elementwise_mean():
     rng = np.random.default_rng(15)
     msgs = [Tensor(rng.uniform(-1, 1, size=(3, 4))) for _ in range(3)]
     h = Tensor(rng.uniform(-1, 1, size=(3, 4)))
-    out, wts = pa.combine_parallel(msgs, h, Tensor(np.zeros(8)))
+    out, wts = ng.gated_mix(msgs, h, Tensor(np.zeros(8)))
     assert np.max(np.abs(wts.data - 1.0 / 3.0)) <= 1e-15
     mean = np.mean([m.data for m in msgs], axis=0)
     assert np.max(np.abs(out.data - mean)) <= 1e-12
@@ -207,7 +200,7 @@ def test_combine_matches_formula():
     msgs = [rng.uniform(-1, 1, size=(n, d)) for _ in range(3)]
     h = rng.uniform(-1, 1, size=(n, d))
     gate = rng.uniform(-1, 1, size=2 * d)
-    out, wts = pa.combine_parallel([Tensor(m) for m in msgs], Tensor(h), Tensor(gate))
+    out, wts = ng.gated_mix([Tensor(m) for m in msgs], Tensor(h), Tensor(gate))
     assert out.data.shape == (n, d) and wts.data.shape == (n, 3)
     for r in range(n):
         a, want = gate_formula(h[r], [m[r] for m in msgs], gate)
@@ -215,18 +208,12 @@ def test_combine_matches_formula():
         assert np.max(np.abs(out.data[r] - want)) <= 1e-10
 
 
-def test_combine_requires_gate_for_parallel():
-    msgs = [Tensor(np.ones((3, 3))), Tensor(np.zeros((3, 3)))]
-    with pytest.raises(ValidationError):
-        pa.combine_parallel(msgs, Tensor(np.ones((3, 3))), None)
-
-
 def test_update_zero_message_is_layer_norm_not_identity():
     rng = np.random.default_rng(16)
-    h = Tensor(rng.uniform(1.0, 2.0, size=6))
+    h = Tensor(rng.uniform(1.0, 2.0, size=(1, 6)))
     scale = Tensor(np.ones(6))
     shift = Tensor(np.zeros(6))
-    out = pa.update_node(h, Tensor(np.zeros(6)), scale, shift)
+    out = ng.residual_layer_norm(h, Tensor(np.zeros((1, 6))), scale, shift)
     hn = sp.layer_norm(h, scale, shift)
     assert np.max(np.abs(out.data - hn.data)) <= 1e-15
     assert np.max(np.abs(out.data - h.data)) > 1e-3
@@ -234,9 +221,9 @@ def test_update_zero_message_is_layer_norm_not_identity():
 
 def test_update_cancelling_message_returns_shift():
     rng = np.random.default_rng(17)
-    h = rng.uniform(-1, 1, size=6)
+    h = rng.uniform(-1, 1, size=(1, 6))
     shift = rng.uniform(-1, 1, size=6)
-    out = pa.update_node(Tensor(h), Tensor(-h), Tensor(np.ones(6)), Tensor(shift))
+    out = ng.residual_layer_norm(Tensor(h), Tensor(-h), Tensor(np.ones(6)), Tensor(shift))
     assert np.max(np.abs(out.data - shift)) <= 1e-15
 
 
@@ -334,11 +321,9 @@ def test_run_inference_trace_order():
 def test_context_states_bit_identical():
     cfg = make_config(tau_c=3, iterations=2)
     g, params, _ = build(cfg, seed=21)
-    before = {pos: g.keyframes[pos].ctx_states.data.tobytes() for pos in range(len(g.keyframes))}
-    res = pa.run_inference(g, params, cfg)
-    for pos, blob in before.items():
-        assert res.ctx_states[pos].data.tobytes() == blob
-        assert g.keyframes[pos].ctx_states.data.tobytes() == blob
+    before = [keyframe_states(g, pos)[1].tobytes() for pos in range(len(g.keyframes))]
+    pa.run_inference(g, params, cfg)
+    assert [keyframe_states(g, pos)[1].tobytes() for pos in range(len(g.keyframes))] == before
 
 
 def test_window_one_ignores_stride_and_other_keyframes():
@@ -419,9 +404,8 @@ def reference_gaps(g, params, cfg):
                    ln_eps=cfg.ln_eps)
     gaps = []
     for span in g.clips:
-        keyframes = [g.keyframes[pos] for pos in span]
-        want = reference_inference([kf.fg_states.data for kf in keyframes],
-                                   [kf.ctx_states.data for kf in keyframes], weights, ref_cfg)
+        fg0, ctx0 = zip(*[keyframe_states(g, pos) for pos in span])
+        want = reference_inference(fg0, ctx0, weights, ref_cfg)
         gaps += [np.max(np.abs(res.fg_states[pos].data - w)) for pos, w in zip(span, want)]
     return gaps
 
@@ -522,11 +506,11 @@ def test_overflow_hidden_by_relu_is_still_caught():
     frames = [gr.featurize_keyframe(grid, [gr.Box(0.0, 0.0, 0.6, 0.6), gr.Box(0.4, 0.4, 1.0, 1.0)])]
     g = gr.build_graph(frames, params, config)
 
-    kf = g.keyframes[0]
-    weights = pa.message_weights(params, 0, pa.PHASE_SPATIAL, pa.FN_GAT, 0)
+    fg, ctx = keyframe_states(g, 0)
     with np.errstate(over="ignore"):
-        msgs, att = pa.gat_messages(kf.fg_states, ng.concat_rows([kf.fg_states, kf.ctx_states]),
-                                    weights)
+        msgs, att = ng.additive_attention(Tensor(fg), Tensor(np.concatenate([fg, ctx])),
+                                          params["mp.iter0.spatial.gat.head0.transform"],
+                                          params["mp.iter0.spatial.gat.head0.score"])
     assert np.all(np.isfinite(msgs.data))
     assert np.all(att.data == att.data[0, 0])
 
