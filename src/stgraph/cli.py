@@ -25,7 +25,7 @@ from .flops import estimate_flops
 from .graph import build_graph
 from .heads import pair_index
 from .passing import (FN_GAT, FN_NONLOCAL, TASK_ACTION, TASK_SCENEGRAPH, ModelConfig,
-                      run_inference)
+                      param_shapes, run_inference)
 from .train import (Schedule, evaluate_action, evaluate_scenegraph, gradient_check,
                     load_checkpoint, save_checkpoint, train_loop)
 
@@ -61,11 +61,13 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--relation-classes", type=int)
 
 
-def _config_from_args(args, forced: dict | None = None,
-                      base: dict | None = None) -> ModelConfig:
+def _config_from_args(args, forced: dict | None = None, base: dict | None = None,
+                      check=param_shapes) -> ModelConfig:
     """The model config from base, the --config file, flags and forced values, in that order.
 
-    An error caused by a value from the file starts with the file's path.
+    check validates it: param_shapes, which also bounds the parameter
+    count, unless the caller allocates no parameters.  An error caused by
+    a value from the file starts with the file's path.
     """
     settings: dict = dict(base or {})
     path = getattr(args, "config", None)
@@ -99,13 +101,13 @@ def _config_from_args(args, forced: dict | None = None,
         from_file.discard(key)
     config = ModelConfig(**settings)
     try:
-        config.validate()
+        check(config)
     except ConfigError as err:
         if not from_file:
             raise
         # what the flags get wrong on their own is reported as it is; the
         # rest fails only with the file's values
-        ModelConfig(**{k: v for k, v in settings.items() if k not in from_file}).validate()
+        check(ModelConfig(**{k: v for k, v in settings.items() if k not in from_file}))
         raise ConfigError(f"{path}: {err}") from None
     return config
 
@@ -307,7 +309,7 @@ def cmd_dump_attention(args) -> int:
 
 
 def cmd_flops(args) -> int:
-    config = _config_from_args(args)
+    config = _config_from_args(args, check=ModelConfig.validate)
     out = estimate_flops(config, n_fg=args.fg, n_context=args.context,
                          keyframes=args.keyframes)
     for key in sorted(out):

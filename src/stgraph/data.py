@@ -20,6 +20,7 @@ with subject index > object index.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -57,24 +58,27 @@ def read_grid(path: str) -> FeatureGrid:
     raw = np.fromfile(path, dtype="<f4")
     if raw.size < 8:
         raise ValidationError(f"{path}: truncated grid header")
-    magic, version, t, h, w, c, keyframe_id, checksum = raw[:8]
+    magic, version, checksum = raw[0], raw[1], raw[7]
     if magic != np.float32(GRID_MAGIC):
         raise ValidationError(f"{path}: bad grid magic {magic!r}")
     if version != np.float32(GRID_VERSION):
         raise ValidationError(f"{path}: unsupported grid version {version!r}")
-    shape = tuple(int(v) for v in (t, h, w, c))
+    fields = raw[2:7].tolist()  # t, h, w, c and keyframe id as Python floats
+    if not all(v.is_integer() for v in fields):  # False for NaN and infinities too
+        raise ValidationError(f"{path}: grid shape and keyframe id must be integers, got {fields}")
+    shape = tuple(int(v) for v in fields[:4])
     if any(v < 1 for v in shape):
         raise ValidationError(f"{path}: invalid grid shape {shape}")
     body = raw[8:]
-    if body.size != int(np.prod(shape)):
+    if body.size != math.prod(shape):
         raise ValidationError(
-            f"{path}: grid holds {body.size} values, header promises {int(np.prod(shape))}")
+            f"{path}: grid holds {body.size} values, header promises {math.prod(shape)}")
     if not np.all(np.isfinite(body)):
         raise ValidationError(f"{path}: grid contains non-finite values")
     if np.float32(body.astype(np.float64).sum()) != checksum:
         raise ValidationError(f"{path}: grid checksum mismatch")
     values = body.astype(np.float64).reshape(shape)
-    return FeatureGrid(values=Tensor(values), keyframe_id=int(keyframe_id))
+    return FeatureGrid(values=Tensor(values), keyframe_id=int(fields[4]))
 
 
 @dataclass
@@ -117,7 +121,7 @@ def _box_from(coords, where: str) -> Box:
         raise ValidationError(f"{where}: box must be [x1, y1, x2, y2] numbers, got {coords!r}")
     try:
         return Box(*(float(v) for v in coords))
-    except ValidationError as err:
+    except (ValidationError, OverflowError) as err:  # float() of a huge JSON integer
         raise ValidationError(f"{where}: {err}") from None
 
 
@@ -145,7 +149,7 @@ def _parse_keyframe(obj, info: DatasetInfo, base_dir: str, where: str) -> Keyfra
     kid = obj["keyframe_id"]
     if not _is_int(kid):
         raise ValidationError(f"{where}: keyframe_id must be an integer, got {kid!r}")
-    if not isinstance(obj["grid"], str):
+    if not isinstance(obj["grid"], str) or "\0" in obj["grid"]:
         raise ValidationError(f"{where}: grid must be a file name, got {obj['grid']!r}")
     try:
         grid = read_grid(os.path.join(base_dir, obj["grid"]))
@@ -215,7 +219,7 @@ def load_dataset(manifest_path: str) -> tuple[DatasetInfo, list[ClipRecord]]:
     """
     base_dir = os.path.dirname(os.path.abspath(manifest_path))
     try:
-        with open(manifest_path) as f:
+        with open(manifest_path, "rb") as f:
             lines = f.read().splitlines()
     except OSError as err:
         raise ValidationError(f"cannot read manifest: {err}") from None
@@ -229,8 +233,9 @@ def load_dataset(manifest_path: str) -> tuple[DatasetInfo, list[ClipRecord]]:
             continue
         where = f"{manifest_path}:{lineno}"
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as err:
+            obj = json.loads(line.decode("utf-8"))
+        except (ValueError, RecursionError) as err:
+            # ValueError covers bad UTF-8 and bad JSON alike
             raise ValidationError(f"{where}: invalid JSON: {err}") from None
         if not isinstance(obj, dict):
             raise ValidationError(f"{where}: record must be a JSON object")

@@ -207,6 +207,7 @@ def temporal_offsets(tau_c: int) -> list[int]:
     return [t for t in range(-half, half + 1) if t != 0]
 
 
+@dataclass(eq=False)
 class SpatioTemporalGraph:
     """The keyframes of one clip or of a batch of clips, plus temporal adjacency.
 
@@ -215,30 +216,18 @@ class SpatioTemporalGraph:
     attends spatially to all nodes of its own keyframe.  temporal[pos]
     lists, ascending, the positions pos + t * tau_s for each window offset
     t that fall inside pos's clip; it is empty everywhere when tau_c is 1.
-    blocks group the keyframes whose row counts match, and where[pos] is
-    the (block, slice) that holds keyframe pos.
+    blocks group the keyframes whose row counts match and whose temporal
+    neighborhoods are all empty or all not, and where[pos] is the
+    (block, slice) that holds keyframe pos.
     """
 
-    def __init__(self, keyframes: list[KeyframeNodes], blocks: list[Block],
-                 clip_sizes: list[int], tau_c: int, tau_s: int):
-        if not keyframes or 0 in clip_sizes or sum(clip_sizes) != len(keyframes):
-            raise ValidationError("graph needs at least one keyframe with foreground nodes "
-                                  "in every clip")
-        if tau_s < 1:
-            raise ConfigError(f"temporal stride tau_s must be positive, got {tau_s}")
-        offsets = temporal_offsets(tau_c)
-        self.keyframes = list(keyframes)
-        self.blocks = list(blocks)
-        self.tau_c = tau_c
-        self.tau_s = tau_s
-        ends = np.cumsum(clip_sizes).tolist()
-        self.clips = [range(end - size, end) for end, size in zip(ends, clip_sizes)]
-        self.temporal = [[pos + t * tau_s for t in offsets if pos + t * tau_s in clip]
-                         for clip in self.clips for pos in clip]
-        self.where = [(0, 0)] * len(self.keyframes)
-        for k, block in enumerate(self.blocks):
-            for j, pos in enumerate(block.positions):
-                self.where[pos] = (k, j)
+    keyframes: list[KeyframeNodes]
+    blocks: list[Block]
+    clips: list[range]
+    temporal: list[list[int]]
+    where: list[tuple[int, int]]
+    tau_c: int
+    tau_s: int
 
 
 def build_batch(clips: list[list[KeyframeFeatures]], params, config) -> SpatioTemporalGraph:
@@ -247,18 +236,33 @@ def build_batch(clips: list[list[KeyframeFeatures]], params, config) -> SpatioTe
     Keyframes are positioned by list order, clip after clip; temporal
     strides count positions inside a clip, not raw keyframe ids.
     Keyframes with the same numbers of boxes, grid cells and proposals
-    share a block, whichever clip they belong to, and are projected
-    together; blocks are never padded.
+    share a block, whichever clip they belong to, unless one has temporal
+    neighbors and the other none; a block's keyframes are projected
+    together, and blocks are never padded.
     """
+    if not clips or not all(clips):
+        raise ValidationError("graph needs at least one keyframe with foreground nodes "
+                              "in every clip")
+    if config.tau_s < 1:
+        raise ConfigError(f"temporal stride tau_s must be positive, got {config.tau_s}")
+    offsets = [t * config.tau_s for t in temporal_offsets(config.tau_c)]
+    ends = np.cumsum([len(c) for c in clips]).tolist()
+    spans = [range(end - len(clip), end) for end, clip in zip(ends, clips)]
+    temporal = [[pos + t for t in offsets if pos + t in span] for span in spans for pos in span]
     frames = [f for clip in clips for f in clip]
-    shapes: dict[tuple[int, int, int], list[int]] = {}
+    shapes: dict[tuple[int, int, int, bool], list[int]] = {}
     for pos, f in enumerate(frames):
         if f.fg_feats.shape[0] == 0:
             raise ValidationError(f"keyframe {f.keyframe_id}: no foreground boxes")
         props = 0 if f.prop_feats is None else f.prop_feats.shape[0]
-        shapes.setdefault((f.fg_feats.shape[0], f.ctx_feats.shape[0], props), []).append(pos)
+        key = (f.fg_feats.shape[0], f.ctx_feats.shape[0], props, bool(temporal[pos]))
+        shapes.setdefault(key, []).append(pos)
     blocks = [project_block([frames[p] for p in positions], positions, params)
               for positions in shapes.values()]
+    where = [(0, 0)] * len(frames)
+    for k, positions in enumerate(shapes.values()):
+        for j, pos in enumerate(positions):
+            where[pos] = (k, j)
     keyframes = []
     for clip in clips:
         next_id = 0
@@ -267,7 +271,7 @@ def build_batch(clips: list[list[KeyframeFeatures]], params, config) -> SpatioTe
                 keyframe_id=f.keyframe_id, first_id=next_id, fg_boxes=list(f.fg_boxes),
                 grid_hw=f.grid_hw, prop_boxes=list(f.prop_boxes)))
             next_id += len(f.fg_boxes) + f.ctx_feats.shape[0] + len(f.prop_boxes)
-    return SpatioTemporalGraph(keyframes, blocks, [len(c) for c in clips],
+    return SpatioTemporalGraph(keyframes, blocks, spans, temporal, where,
                                config.tau_c, config.tau_s)
 
 

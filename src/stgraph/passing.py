@@ -12,12 +12,12 @@ Every step is batched over blocks of keyframes.  A block stacks the
 keyframes whose row counts match, from one clip or from many, without
 padding: the n foreground states of each of its B keyframes attend to
 their s neighbor states through a (B, n, s) attention stack, and the gate
-scores all K message slots of every receiver as a (B, n, K) stack.  The
-spatial phase runs on the graph's blocks.  The temporal phase stacks
-the keyframes that have temporal neighbors by receiver count n, and
-inside each slot's entry gathers their neighbor rows into one (B, s, d)
-stack per neighbor count s, so edge and interior keyframes share the
-entry; it then gathers the updated states back into the graph's blocks.
+scores all K message slots of every receiver as a (B, n, K) stack.  Both
+phases run on the graph's blocks, whose keyframes all have temporal
+neighbors or all have none.  The temporal phase skips the blocks with
+none, and inside each slot's entry gathers a block's neighbor rows into
+one stack per neighbor count s, so edge and interior keyframes share the
+entry.
 The additive scores relu(a . [h_v || h_j]) are evaluated as
 relu(h_v . a1 + h_j . a2), a column plus a row, so no per-receiver pair
 matrix is ever built.  Each slot, the gate and the residual update is one
@@ -56,6 +56,9 @@ TASK_SCENEGRAPH = "scenegraph"
 
 _INT_FIELDS = ("state_dim", "heads", "iterations", "tau_c", "tau_s", "feature_channels",
                "action_classes", "object_classes", "relation_classes", "seed")
+# param_shapes counts the values a config's parameters would hold before it
+# lists any name, and rejects more than this (800 MB as float64)
+MAX_PARAM_VALUES = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -132,10 +135,6 @@ class ModelConfig:
         d["message_fns"] = list(self.message_fns)
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
-
 
 def _mp(iteration: int, phase: str, rest: str) -> str:
     return f"mp.iter{iteration}.{phase}.{rest}"
@@ -145,6 +144,14 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Every parameter name with its shape, in deterministic order."""
     config.validate()
     d, c = config.state_dim, config.feature_channels
+    per_head = sum(3 * d * d if fn == FN_NONLOCAL else d * d + 2 * d for fn in config.message_fns)
+    per_phase = config.heads * per_head + (4 * d if config.num_messages > 1 else 2 * d)
+    readout = ((d + 1) * config.action_classes if config.task == TASK_ACTION
+               else (d + 1) * config.object_classes + (2 * d + 1) * config.relation_classes)
+    total = 3 * c * d + config.iterations * len(config.phases()) * per_phase + readout
+    if total > MAX_PARAM_VALUES:
+        raise ConfigError(f"state_dim, heads, iterations, feature_channels and class counts "
+                          f"give {total} parameter values, more than {MAX_PARAM_VALUES}")
     shapes: dict[str, tuple[int, ...]] = {
         PROJ_FOREGROUND: (c, d),
         PROJ_CONTEXT: (c, d),
@@ -199,6 +206,7 @@ class GateRecord:
     weights: np.ndarray
 
 
+@dataclass(eq=False)
 class InferenceResult:
     """Final foreground states, one stack per graph block, plus traces.
 
@@ -208,12 +216,10 @@ class InferenceResult:
     per position, through which gradients reach the stack.
     """
 
-    def __init__(self, graph: SpatioTemporalGraph, states: list[Tensor],
-                 attention: list[AttentionRecord], gates: list[GateRecord]):
-        self.graph = graph
-        self.states = states
-        self.attention = attention
-        self.gates = gates
+    graph: SpatioTemporalGraph
+    states: list[Tensor]
+    attention: list[AttentionRecord]
+    gates: list[GateRecord]
 
     @cached_property
     def fg_states(self) -> dict[int, Tensor]:
@@ -223,74 +229,31 @@ class InferenceResult:
         return dict(sorted(slices.items()))
 
 
-@dataclass
-class TemporalBlock:
-    """Keyframes with temporal neighbors and n receivers each, run as one stack.
+def _temporal_neighbors(graph: SpatioTemporalGraph) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """Per graph block, the (slices, rows) groups its temporal phase reads.
 
-    Rows count the foreground rows of the graph's blocks laid end to end.
-    receivers gives the rows of the keyframes' states (B, n), or the index
-    of the graph block that holds exactly these keyframes, in order.
-    neighbors pairs the slices that share a neighbor count s with the rows
-    of their neighbors' states (slices, s).
-    """
-
-    positions: list[int]
-    receivers: np.ndarray | int
-    neighbors: list[tuple[np.ndarray, np.ndarray]]
-
-
-def _take(sources: list[Tensor], rows: np.ndarray | int) -> Tensor:
-    """Rows of the sources laid end to end, or a whole source given by its index."""
-    return sources[rows] if isinstance(rows, int) else ng.gather_rows(sources, rows)
-
-
-def _temporal_layout(graph: SpatioTemporalGraph):
-    """The temporal blocks, and for each graph block how to rebuild it after the phase.
-
-    A graph block is rebuilt from [temporal block outputs..., its own
-    states before the phase]: from the rows given, or, given an index, as
-    that source whole.
+    A group's slices share a neighbor count s; its rows (slices, s) index
+    their neighbors' states in the graph blocks' foreground rows laid end
+    to end.  A block whose keyframes have no temporal neighbors gets none.
     """
     starts = np.cumsum([0] + [b.fg_states.shape[0] * b.fg_states.shape[1]
                               for b in graph.blocks]).tolist()
 
-    def rows(pos, start=None):
-        """Rows of keyframe pos's states, in the graph's blocks laid end to end
-        or in a copy of its own block whose first row is start."""
+    def rows(pos):
         k, j = graph.where[pos]
         n = graph.blocks[k].fg_states.shape[1]
-        return (starts[k] if start is None else start) + j * n + np.arange(n)
+        return starts[k] + j * n + np.arange(n)
 
-    by_n: dict[int, list[int]] = {}
-    for pos, nbrs in enumerate(graph.temporal):
-        if nbrs:
-            by_n.setdefault(len(graph.keyframes[pos].fg_boxes), []).append(pos)
-    blocks, out_rows, at = [], {}, 0
-    for n, positions in by_n.items():
-        by_s: dict[int, list[int]] = {}
-        for u, pos in enumerate(positions):
-            s = sum(len(graph.keyframes[q].fg_boxes) for q in graph.temporal[pos])
-            by_s.setdefault(s, []).append(u)
-        neighbors = [(np.array(slices),
-                      np.stack([np.concatenate([rows(q) for q in graph.temporal[positions[u]]])
-                                for u in slices]))
-                     for slices in by_s.values()]
-        k = graph.where[positions[0]][0]
-        receivers = (k if graph.blocks[k].positions == positions
-                     else np.stack([rows(p) for p in positions]))
-        blocks.append(TemporalBlock(positions, receivers, neighbors))
-        for pos in positions:
-            out_rows[pos] = at + np.arange(n)
-            at += n
-    merges = []
-    for b in graph.blocks:
-        same = [t for t, block in enumerate(blocks) if block.positions == b.positions]
-        if same or not any(p in out_rows for p in b.positions):
-            merges.append(same[0] if same else len(blocks))
-        else:
-            merges.append(np.stack([out_rows[p] if p in out_rows else rows(p, at)
-                                    for p in b.positions]))
-    return blocks, merges
+    layout = []
+    for block in graph.blocks:
+        by_s: dict[int, list[tuple[int, np.ndarray]]] = {}
+        for u, pos in enumerate(block.positions):
+            if graph.temporal[pos]:
+                neighbors = np.concatenate([rows(q) for q in graph.temporal[pos]])
+                by_s.setdefault(len(neighbors), []).append((u, neighbors))
+        layout.append([(np.array([u for u, _ in group]), np.stack([r for _, r in group]))
+                       for group in by_s.values()])
+    return layout
 
 
 def _slice_rows(kv, attention, count: int) -> list[np.ndarray]:
@@ -347,7 +310,7 @@ def run_inference(graph: SpatioTemporalGraph, params, config: ModelConfig,
             f"graph built with tau_c={graph.tau_c}, tau_s={graph.tau_s} but config has "
             f"tau_c={config.tau_c}, tau_s={config.tau_s}")
     states = [b.fg_states for b in graph.blocks]
-    temporal, merges = _temporal_layout(graph) if config.tau_c > 1 else ([], [])
+    neighbors = _temporal_neighbors(graph) if config.tau_c > 1 else []
     attention: list[AttentionRecord] = []
     gates: list[GateRecord] = []
 
@@ -359,15 +322,15 @@ def run_inference(graph: SpatioTemporalGraph, params, config: ModelConfig,
                 slots = [(fn, h) for fn in config.message_fns for h in range(config.heads)]
                 gate = params[_mp(i, phase, "gate")] if len(slots) > 1 else None
                 if phase == PHASE_SPATIAL:
-                    blocks = [(b.positions, own, ng.concat_rows([own, b.ctx_states]))
-                              for b, own in zip(graph.blocks, states)]
+                    blocks = [(k, ng.concat_rows([own, b.ctx_states]))
+                              for k, (b, own) in enumerate(zip(graph.blocks, states))]
                 else:
-                    blocks = [(t.positions, _take(states, t.receivers),
-                               [(slices, ng.gather_rows(states, rows))
-                                for slices, rows in t.neighbors])
-                              for t in temporal]
-                updated = []
-                for positions, own, kv in blocks:
+                    blocks = [(k, [(slices, ng.gather_rows(states, rows))
+                                   for slices, rows in groups])
+                              for k, groups in enumerate(neighbors) if groups]
+                updated = list(states)
+                for k, kv in blocks:
+                    positions, own = graph.blocks[k].positions, states[k]
                     messages, atts = [], []
                     for fn, h in slots:
                         msgs, att = _slot(params, i, phase, fn, h, own, kv)
@@ -381,14 +344,11 @@ def run_inference(graph: SpatioTemporalGraph, params, config: ModelConfig,
                             traced[pos] = _keyframe_traces(
                                 graph, i, phase, pos, slots, [a[u] for a in atts],
                                 None if mix is None else mix.data[u])
-                    updated.append(ng.residual_layer_norm(own, combined,
-                                                          params[_mp(i, phase, "norm.scale")],
-                                                          params[_mp(i, phase, "norm.shift")],
-                                                          config.ln_eps))
-                if phase == PHASE_SPATIAL:
-                    states = updated
-                else:
-                    states = [_take(updated + [own], rows) for own, rows in zip(states, merges)]
+                    updated[k] = ng.residual_layer_norm(own, combined,
+                                                        params[_mp(i, phase, "norm.scale")],
+                                                        params[_mp(i, phase, "norm.shift")],
+                                                        config.ln_eps)
+                states = updated
             ng.check_finite(where, *states)
             for pos in sorted(traced):
                 attention.extend(traced[pos][0])

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numgrad as ng
-from .data import ClipFeatures, one_hot, relation_target_matrix
+from .data import _JSON_INTEGERS, _JSON_NUMBERS, ClipFeatures, one_hot, relation_target_matrix
 from .errors import ConfigError, NumericError, ValidationError
 from .graph import (Box, FeatureGrid, SpatioTemporalGraph, build_batch, build_graph,
                     featurize_keyframe)
@@ -431,18 +431,19 @@ def save_checkpoint(path: str, params: dict[str, Tensor], config: ModelConfig,
 def load_checkpoint(path: str) -> tuple[dict[str, Tensor], ModelConfig, dict]:
     """Load a checkpoint, failing loudly on any name or shape mismatch."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             payload = json.load(f)
-    except (OSError, json.JSONDecodeError) as err:
-        raise ValidationError(f"cannot read checkpoint {path}: {err}") from None
+    except (OSError, ValueError, RecursionError) as err:
+        # ValueError covers bad UTF-8 and bad JSON alike
+        raise ValidationError(f"{path}: cannot read checkpoint: {err}") from None
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValidationError(f"{path}: not a model checkpoint")
-    if payload.get("version") != CHECKPOINT_VERSION:
+    if type(payload.get("version")) is not int or payload["version"] != CHECKPOINT_VERSION:
         raise ValidationError(f"{path}: unsupported checkpoint version {payload.get('version')!r}")
     if not isinstance(payload.get("config"), dict):
         raise ValidationError(f"{path}: 'config' must be an object")
     try:
-        config = ModelConfig.from_dict(payload["config"])
+        config = ModelConfig(**payload["config"])
         expected = param_shapes(config)
     except (ConfigError, KeyError, TypeError, ValueError) as err:
         raise ValidationError(f"{path}: invalid config: {err}") from None
@@ -460,15 +461,24 @@ def load_checkpoint(path: str) -> tuple[dict[str, Tensor], ModelConfig, dict]:
         entry = stored[name]
         if not isinstance(entry, dict) or "shape" not in entry or "values" not in entry:
             raise ValidationError(f"{path}: {name!r} must be an object with 'shape' and 'values'")
-        try:
-            stored_shape = tuple(entry["shape"])
-            data = np.array(entry["values"], dtype=np.float64)
-        except (TypeError, ValueError) as err:
-            raise ValidationError(f"{path}: {name!r} holds no valid tensor: {err}") from None
-        if stored_shape != shape or data.size != math.prod(shape):
+        stored_shape, values = entry["shape"], entry["values"]
+        # np.array would also take strings and booleans as numbers
+        if (not isinstance(stored_shape, list) or not isinstance(values, list)
+                or not _JSON_INTEGERS.issuperset(map(type, stored_shape))
+                or not _JSON_NUMBERS.issuperset(map(type, values))):
+            raise ValidationError(f"{path}: {name!r} needs a list of integers as 'shape' "
+                                  f"and a list of numbers as 'values'")
+        if tuple(stored_shape) != shape or len(values) != math.prod(shape):
             raise ValidationError(
-                f"{path}: {name!r} has shape {stored_shape} and {data.size} values, "
+                f"{path}: {name!r} has shape {tuple(stored_shape)} and {len(values)} values, "
                 f"expected {shape}")
+        try:
+            data = np.array(values, dtype=np.float64)
+            finite = np.isfinite(data).all()
+        except OverflowError:  # a JSON integer beyond float range
+            finite = False
+        if not finite:
+            raise ValidationError(f"{path}: {name!r} holds non-finite values")
         params[name] = Tensor(data.reshape(shape), requires_grad=True, name=name)
     meta = {"seed": payload.get("seed"), "log": payload.get("log")}
     return params, config, meta

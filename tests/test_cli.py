@@ -330,6 +330,61 @@ def test_config_errors_name_the_file_only_for_its_values(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: {cfg_path}: cannot read config file")
 
 
+HUGE = "4000000000000000000000"
+
+
+def test_huge_state_dim_from_config_file_names_the_file(action_ds, tmp_path, capsys):
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as f:
+        json.dump({"state_dim": 100_000_000_000}, f)
+    for argv in (("train", "--data", action_ds, "--out", str(tmp_path / "run")),
+                 ("gradcheck",)):
+        assert run_cli(*argv, "--config", cfg_path) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg_path}: state_dim, heads, ")
+    # flops allocates nothing, so it takes any size
+    assert run_cli("flops", "--fg", "2", "--context", "3", "--keyframes", "1",
+                   "--config", cfg_path) == 0
+
+
+def test_huge_state_dim_flag_fails_cleanly(action_ds, tmp_path, capsys):
+    for argv in (("train", "--data", action_ds, "--out", str(tmp_path / "run")),
+                 ("gradcheck",)):
+        assert run_cli(*argv, "--state-dim", HUGE) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: state_dim, heads, ") and "more than 100000000" in err
+    assert run_cli("flops", "--fg", "2", "--context", "3", "--keyframes", "1",
+                   "--state-dim", HUGE) == 0
+
+
+def test_unreadable_manifest_grid_and_checkpoint_bytes_fail_cleanly(action_ds, tmp_path,
+                                                                     capsys):
+    ckpt = train_once(action_ds, str(tmp_path / "run"))
+    with open(ckpt) as f:
+        payload = json.load(f)
+    payload["params"]["input.context.weight"]["values"][0] = "0.5"
+    for blob in (b"[" * 100_000, b'{"format": "\xff"}', json.dumps(payload).encode()):
+        with open(ckpt, "wb") as f:
+            f.write(blob)
+        assert run_cli("eval", "--data", action_ds, "--checkpoint", ckpt,
+                       "--out", str(tmp_path / "ev")) == 1
+        assert capsys.readouterr().err.startswith(f"error: {ckpt}: ")
+    # a NaN or infinite shape field in a grid header, then a manifest byte that is not UTF-8
+    with open(action_ds) as f:
+        grid = os.path.join(os.path.dirname(action_ds),
+                            json.loads(f.read().splitlines()[1])["keyframes"][0]["grid"])
+    header = np.fromfile(grid, dtype="<f4")
+    for field in (np.nan, np.inf):
+        header[2] = field
+        header.tofile(grid)
+        assert run_cli("train", "--data", action_ds, "--out", str(tmp_path / "run2")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {action_ds}:2: ") and f"{grid}: grid shape" in err
+    with open(action_ds, "ab") as f:
+        f.write(b"\xff\xfe\n")
+    assert run_cli("train", "--data", action_ds, "--out", str(tmp_path / "run2")) == 1
+    assert capsys.readouterr().err.startswith(f"error: {action_ds}:2: ")
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,

@@ -5,12 +5,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stgraph import data
-from stgraph.data import (DatasetInfo, load_dataset, one_hot, read_grid,
+from stgraph.data import (GRID_MAGIC, GRID_VERSION, DatasetInfo, load_dataset, one_hot, read_grid,
                           relation_target_matrix, save_dataset, write_grid)
 from stgraph.errors import ValidationError
 from stgraph.graph import Box
+
+from json_fuzz import json_values, pick_path, set_at
 
 
 def test_grid_round_trip_is_exact(tmp_path):
@@ -313,3 +316,122 @@ def test_synth_generators_are_deterministic(tmp_path):
         a = open(os.path.join(str(tmp_path / "x"), "grids", name), "rb").read()
         b = open(os.path.join(str(tmp_path / "y"), "grids", name), "rb").read()
         assert a == b
+
+
+# -- fuzzed inputs: a mutated manifest line or grid blob either loads or
+# fails with a ValidationError that names the file; nothing else escapes
+
+FUZZ_VALUES = json_values(10 ** 400, -1, 0.5, True, "", "grids/missing.grid", "bad\x00path")
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A two-clip action dataset with proposals and detections, and its manifest lines."""
+    out = str(tmp_path_factory.mktemp("fuzz"))
+    manifest = data.synth_action_overfit(out, seed=0, clips=2, classes=2, keyframes=2,
+                                         channels=3, grid_hw=(2, 2))
+    with open(manifest, "rb") as f:
+        lines = f.read().splitlines()
+    clip = json.loads(lines[1])
+    kf = clip["keyframes"][0]
+    kf["proposals"] = [[0.2, 0.2, 0.6, 0.6]]
+    kf["detections"] = [kf["foreground"][0]["box"]]
+    lines[1] = json.dumps(clip).encode()
+    return out, lines
+
+
+def _load_everything(manifest: str) -> None:
+    info, records = load_dataset(manifest)
+    for record in records:
+        for mode in (data.TRAIN_MODE, data.EVAL_MODE):
+            data.featurize_clip(record, info, mode=mode)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(line=st.integers(0, 2), pick=st.integers(0, 10 ** 4),
+       value=FUZZ_VALUES, junk=st.binary(min_size=1, max_size=3), at=st.integers(0, 10 ** 4),
+       as_bytes=st.booleans())
+def test_mutated_manifest_lines_load_or_name_the_file(fuzz_base, line, pick, value, junk, at,
+                                                      as_bytes):
+    out, lines = fuzz_base
+    lines = list(lines)
+    if as_bytes:
+        # splice raw bytes (not UTF-8 more often than not) into the line
+        at %= len(lines[line]) + 1
+        lines[line] = lines[line][:at] + junk + lines[line][at:]
+    else:
+        obj = json.loads(lines[line])
+        lines[line] = json.dumps(set_at(obj, pick_path(obj, pick), value)).encode()
+    manifest = os.path.join(out, "mutated.jsonl")
+    with open(manifest, "wb") as f:
+        f.write(b"\n".join(lines) + b"\n")
+    try:
+        _load_everything(manifest)
+    except ValidationError as err:
+        assert str(err).startswith(f"{manifest}:"), str(err)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(kind=st.sampled_from(["truncate", "flip", "field"]), at=st.integers(0, 10 ** 4),
+       bit=st.integers(0, 7),
+       field=st.floats(width=32) | st.sampled_from([float("nan"), float("inf"), 2.0 ** 32]))
+def test_damaged_grid_blobs_load_or_name_the_file(fuzz_base, kind, at, bit, field):
+    out, lines = fuzz_base
+    grid_rel = json.loads(lines[1])["keyframes"][0]["grid"]
+    with open(os.path.join(out, grid_rel), "rb") as f:
+        blob = bytearray(f.read())
+    if kind == "truncate":
+        blob = blob[:at % len(blob)]
+    elif kind == "flip":
+        blob[at % len(blob)] ^= 1 << bit
+    else:
+        # one header field after magic and version: t, h, w, c, keyframe id or checksum
+        start = 4 * (2 + at % 6)
+        blob[start:start + 4] = np.array([field], dtype="<f4").tobytes()
+    path = os.path.join(out, "damaged.grid")
+    with open(path, "wb") as f:
+        f.write(bytes(blob))
+    try:
+        read_grid(path)
+    except ValidationError as err:
+        assert str(err).startswith(f"{path}: "), str(err)
+
+
+@pytest.mark.parametrize("index,field", [(2, float("nan")), (2, float("inf")), (3, 2.5),
+                                         (6, float("nan")), (6, float("inf")), (6, 0.5)])
+def test_grid_header_needs_integer_shape_and_id(tmp_path, index, field):
+    path = str(tmp_path / "a.grid")
+    write_grid(path, np.zeros((1, 2, 2, 2)), keyframe_id=0)
+    raw = np.fromfile(path, dtype="<f4")
+    raw[index] = field
+    raw.tofile(path)
+    with pytest.raises(ValidationError, match=f"^{path}: grid shape and keyframe id"):
+        read_grid(path)
+
+
+def test_grid_size_is_checked_without_overflow(tmp_path):
+    # 2**32 * 2**32 wraps to 0 in int64, which an empty body would match
+    path = str(tmp_path / "a.grid")
+    np.array([GRID_MAGIC, GRID_VERSION, 2.0 ** 32, 2.0 ** 32, 1, 1, 0, 0], dtype="<f4").tofile(path)
+    with pytest.raises(ValidationError, match="header promises 18446744073709551616"):
+        read_grid(path)
+
+
+def test_manifest_rejects_non_utf8_and_deep_nesting(tmp_path):
+    path = make_manifest(tmp_path, [HEADER, clip_obj(tmp_path)])
+    for line in (b'{"record": "clip", "clip_id": "c\xff"}', b"[" * 100_000):
+        with open(path, "wb") as f:
+            f.write(json.dumps(HEADER).encode() + b"\n" + line + b"\n")
+        with pytest.raises(ValidationError, match=f"^{path}:2: invalid JSON"):
+            load_dataset(path)
+
+
+def test_manifest_rejects_huge_box_coordinate_and_nul_grid_name(tmp_path):
+    huge = clip_obj(tmp_path)
+    huge["keyframes"][0]["foreground"][0]["box"][2] = 10 ** 400
+    nul = clip_obj(tmp_path)
+    nul["keyframes"][0]["grid"] = "grids/c0\x00_k0.grid"
+    for clip in (huge, nul):
+        path = make_manifest(tmp_path, [HEADER, clip])
+        with pytest.raises(ValidationError, match=f"^{path}:2: clip c0"):
+            load_dataset(path)

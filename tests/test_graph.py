@@ -172,7 +172,7 @@ def test_temporal_stride_validation():
         build_clip_graph(keyframes=1, tau_c=3, tau_s=0)
 
 
-def build_clip_graph(seed=0, keyframes=3, tau_c=3, tau_s=1, c=4):
+def build_clip_graph_frames(seed=0, keyframes=3, c=4):
     rng = np.random.default_rng(seed)
     frames = []
     for k in range(keyframes):
@@ -180,8 +180,12 @@ def build_clip_graph(seed=0, keyframes=3, tau_c=3, tau_s=1, c=4):
         boxes = [gr.Box(0.0, 0.0, 0.5, 0.5), gr.Box(0.5, 0.5, 1.0, 1.0)]
         props = [gr.Box(0.25, 0.25, 0.75, 0.75)]
         frames.append(gr.featurize_keyframe(grid, boxes, props))
+    return frames
+
+
+def build_clip_graph(seed=0, keyframes=3, tau_c=3, tau_s=1, c=4):
     config = SimpleNamespace(tau_c=tau_c, tau_s=tau_s)
-    return gr.build_graph(frames, identity_params(c), config)
+    return gr.build_graph(build_clip_graph_frames(seed, keyframes, c), identity_params(c), config)
 
 
 def test_build_graph_structure():
@@ -194,6 +198,22 @@ def test_build_graph_structure():
     assert g.keyframes[1].ctx_ids == list(range(9, 14))
     # middle keyframe sees both sides, edges see one
     assert g.temporal == [[1], [0, 2], [1]]
+
+
+def test_blocks_do_not_mix_keyframes_with_and_without_temporal_neighbors():
+    # four keyframes of one shape, as a 3-keyframe and a 1-keyframe clip: at
+    # tau_c=3 the lone keyframe has no temporal neighbors and a block of its own
+    frames = build_clip_graph_frames(keyframes=4)
+    params = identity_params(4)
+    g = gr.build_batch([frames[:3], frames[3:]], params, SimpleNamespace(tau_c=3, tau_s=1))
+    assert g.temporal == [[1], [0, 2], [1], []]
+    assert [b.positions for b in g.blocks] == [[0, 1, 2], [3]]
+    for block in g.blocks:
+        assert len({bool(g.temporal[pos]) for pos in block.positions}) == 1
+    assert g.where == [(0, 0), (0, 1), (0, 2), (1, 0)]
+    # at tau_c=1 no keyframe has temporal neighbors, and all four share a block
+    g1 = gr.build_batch([frames[:3], frames[3:]], params, SimpleNamespace(tau_c=1, tau_s=1))
+    assert [b.positions for b in g1.blocks] == [[0, 1, 2, 3]]
 
 
 def test_node_ids_are_sequential_and_deterministic():

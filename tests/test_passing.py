@@ -1,7 +1,11 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stgraph import data, train
 from stgraph import graph as gr
 from stgraph import numgrad as ng
 from stgraph import passing as pa
@@ -252,6 +256,27 @@ def test_param_shapes_untied_and_conditional():
     assert sg_shapes["readout.relation.weight"] == (12, 3)
 
 
+@pytest.mark.parametrize("task", [pa.TASK_ACTION, pa.TASK_SCENEGRAPH])
+@pytest.mark.parametrize("message_fns", [(pa.FN_NONLOCAL,), (pa.FN_GAT,),
+                                         (pa.FN_NONLOCAL, pa.FN_GAT)])
+def test_param_shapes_bound_counts_every_value(monkeypatch, task, message_fns):
+    for d, heads, iterations, tau_c in itertools.product((1, 3), (1, 2), (1, 2), (1, 3)):
+        cfg = make_config(state_dim=d, heads=heads, iterations=iterations, tau_c=tau_c,
+                          message_fns=message_fns, task=task, feature_channels=5,
+                          action_classes=4, object_classes=3, relation_classes=2)
+        monkeypatch.undo()
+        total = sum(math.prod(shape) for shape in pa.param_shapes(cfg).values())
+        monkeypatch.setattr(pa, "MAX_PARAM_VALUES", total)
+        pa.param_shapes(cfg)
+        monkeypatch.setattr(pa, "MAX_PARAM_VALUES", total - 1)
+        with pytest.raises(ConfigError, match=f" give {total} parameter values, more than "):
+            pa.param_shapes(cfg)
+    monkeypatch.undo()
+    # counted, not listed: a trillion heads fail at once
+    with pytest.raises(ConfigError, match="parameter values"):
+        pa.param_shapes(make_config(heads=10 ** 12, message_fns=message_fns, task=task))
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         make_config(tau_c=2).validate()
@@ -470,6 +495,36 @@ def test_inference_gradients_match_finite_differences():
         loss = forward(params)
     analytic = ng.grad(tape, loss, params)
     numeric = ng.finite_difference_grads(lambda p: forward(p).item(), params, step=1e-5)
+    for name in params:
+        err = ng.max_relative_error(analytic[name].data, numeric[name])
+        assert err <= 1e-4, f"{name}: rel err {err:.3e}"
+
+
+def test_multi_block_batch_loss_gradients_match_finite_differences():
+    # a 4-keyframe clip with proposals 0, 0, 0, 1 and a 1-keyframe clip make
+    # three blocks: keyframes 0-2 (two neighbor counts, and keyframe 2's
+    # neighbor lives in another block), keyframe 3, and the lone keyframe,
+    # which has no temporal neighbors and skips the temporal phase
+    cfg = make_config(state_dim=4, feature_channels=3, heads=1, tau_c=3,
+                      message_fns=(pa.FN_NONLOCAL, pa.FN_GAT))
+    params = random_params(cfg, seed=31)
+    rng = np.random.default_rng(31)
+    clips = []
+    for c, frames in enumerate([
+            make_frames(cfg, seed=31, keyframes=4, n_boxes=1, n_props=[0, 0, 0, 1], hw=(1, 2)),
+            make_frames(cfg, seed=32, keyframes=1, n_boxes=1, n_props=0, hw=(1, 2))]):
+        labels = [(rng.uniform(size=(1, cfg.action_classes)) < 0.5).astype(float) for _ in frames]
+        clips.append(data.ClipFeatures(clip_id=f"c{c}", frames=frames, action_labels=labels))
+
+    def batch_loss(p):
+        return train._batch_loss(clips, gr.build_batch([c.frames for c in clips], p, cfg), p, cfg)
+
+    graph = gr.build_batch([c.frames for c in clips], params, cfg)
+    assert [b.positions for b in graph.blocks] == [[0, 1, 2], [3], [4]]
+    with ng.Tape() as tape:
+        loss = batch_loss(params)
+    analytic = ng.grad(tape, loss, params)
+    numeric = ng.finite_difference_grads(lambda p: batch_loss(p).item(), params, step=1e-5)
     for name in params:
         err = ng.max_relative_error(analytic[name].data, numeric[name])
         assert err <= 1e-4, f"{name}: rel err {err:.3e}"

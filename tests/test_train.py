@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stgraph.numgrad as ng
 from stgraph import data, train
@@ -16,6 +17,8 @@ from stgraph.heads import action_readout
 from stgraph.passing import ModelConfig, param_shapes, run_inference
 from stgraph.train import (Schedule, SgdState, effective_batch_size, init_params,
                            load_checkpoint, lr_at, save_checkpoint, sgd_step, train_loop)
+
+from json_fuzz import json_values, pick_path, set_at
 
 
 def small_config(**overrides) -> ModelConfig:
@@ -383,6 +386,79 @@ def test_checkpoint_rejects_missing_param(tmp_path):
     with pytest.raises(ValidationError) as err:
         load_checkpoint(path)
     assert "readout.action.bias" in str(err.value)
+
+
+CHECKPOINT_VALUES = json_values(None, True, "0.5", 0.5, 10 ** 400, float("nan"), -1, 1, [], {},
+                                [2, 2], [0.5, "x"])
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """A checkpoint of a tiny model, and its text."""
+    config = small_config(state_dim=2, feature_channels=2)
+    path = str(tmp_path_factory.mktemp("checkpoint") / "model.json")
+    save_checkpoint(path, init_params(config, seed=0), config, seed=0)
+    with open(path) as f:
+        return path, f.read()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(pick=st.integers(0, 10 ** 4), how=st.sampled_from(["drop", "add", "replace"]),
+       value=CHECKPOINT_VALUES, key=st.text(max_size=4))
+def test_mutated_checkpoints_load_or_name_the_file(small_checkpoint, pick, how, value, key):
+    # a field goes missing, an extra one appears, or one takes a wrong-typed value
+    path, text = small_checkpoint
+    payload = json.loads(text)
+    where = pick_path(payload, pick)
+    if how == "replace" or not where:
+        payload = set_at(payload, where, value)
+    else:
+        parent = payload
+        for step in where[:-1]:
+            parent = parent[step]
+        if how == "drop":
+            del parent[where[-1]]
+        elif isinstance(parent[where[-1]], dict):
+            parent[where[-1]][key] = value
+        elif isinstance(parent[where[-1]], list):
+            parent[where[-1]].append(value)
+    with open(path, "w") as f:
+        json.dump(payload, f)
+    try:
+        params, loaded_config, _ = load_checkpoint(path)
+    except ValidationError as err:
+        assert str(err).startswith(f"{path}: "), str(err)
+    else:
+        assert loaded_config == ModelConfig(**payload["config"])
+        assert all(np.isfinite(p.data).all() for p in params.values())
+
+
+def test_checkpoint_rejects_unreadable_and_non_numeric_files(tmp_path):
+    config = small_config(state_dim=2, feature_channels=2)
+    path = str(tmp_path / "model.json")
+    save_checkpoint(path, init_params(config, seed=0), config, seed=0)
+    with open(path) as f:
+        payload = json.load(f)
+    blobs = [b"[" * 100_000, b'{"format": "\xff"}']
+    for value in ("0.5", True, float("nan"), 10 ** 400):
+        entry = payload["params"]["input.context.weight"]
+        bad = json.loads(json.dumps(payload))
+        bad["params"]["input.context.weight"]["values"] = [value] + entry["values"][1:]
+        blobs.append(json.dumps(bad).encode())
+    bad = json.loads(json.dumps(payload))
+    bad["version"] = True
+    blobs.append(json.dumps(bad).encode())
+    for blob in blobs:
+        with open(path, "wb") as f:
+            f.write(blob)
+        with pytest.raises(ValidationError, match=f"^{path}: "):
+            load_checkpoint(path)
+    # a config too large to lay out is an invalid config, found before any allocation
+    payload["config"]["state_dim"] = 100_000_000_000
+    with open(path, "w") as f:
+        json.dump(payload, f)
+    with pytest.raises(ValidationError, match=f"^{path}: invalid config: state_dim, heads, "):
+        load_checkpoint(path)
 
 
 def test_clip_loss_tape_length_independent_of_box_count():
