@@ -9,14 +9,18 @@ truth box.
 
 Triplet recall ranks all (subject, object, predicate) candidates of a
 keyframe by the product of their three probabilities and reports the
-fraction of ground-truth triplets found in the top K.
+fraction of ground-truth triplets found in the top K.  The candidates
+are enumerated in heads.pair_index order, (1,0), (2,0), (2,1), ..., and
+within a pair by predicate.  One stable sort of a keyframe's scores
+serves every K: tied scores keep that enumeration order, so the reports
+are byte-identical to those of a loop that sorts scored tuples per K.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ShapeError, ValidationError
 from .graph import Box
 from .heads import SceneGraphPrediction
 from .numgrad import sigmoid_values
@@ -162,45 +166,69 @@ def triplet_score(subject_prob: float, predicate_prob: float, object_prob: float
     return subject_prob * predicate_prob * object_prob
 
 
-def recall_at_k(prediction: SceneGraphPrediction, gt_triplets: list[Triplet], k: int,
-                mode: str, gt_object_classes=None) -> float:
-    """Fraction of ground-truth triplets recovered in the top-k candidates.
+def triplet_recall(object_logits: np.ndarray, relation_logits: np.ndarray | None,
+                   gt: np.ndarray, ks, mode: str, gt_object_classes=None) -> dict[int, float]:
+    """Fraction of one keyframe's ground-truth triplets in the top-k candidates, per k.
 
-    sgcls scores subjects and objects with their own predicted class and
-    probability; predcls pins both to the ground-truth classes with
-    probability one, ranking by predicate confidence alone.  A keyframe
+    object_logits is (n, classes) and relation_logits (pairs, predicates),
+    its rows in heads.pair_index(n) order, or None for a single node.  gt
+    is an int (m, 5) array of (subject, object, subject class, object
+    class, predicate) rows.  sgcls scores subjects and objects with their
+    own predicted class and probability; predcls pins both to the
+    ground-truth classes with probability one, ranking by predicate
+    confidence alone.  A row that names no candidate (subject not above
+    object, a node or predicate out of range) is a miss, and a keyframe
     without ground truth counts as fully recalled.
     """
-    if k < 1:
-        raise ConfigError(f"recall cutoff k must be positive, got {k}")
+    for k in ks:
+        if k < 1:
+            raise ConfigError(f"recall cutoff k must be positive, got {k}")
     if mode not in (MODE_SGCLS, MODE_PREDCLS):
         raise ConfigError(f"unknown recall mode {mode!r}")
-    if not gt_triplets:
-        return 1.0
-    n = prediction.object_logits.shape[0]
+    gt = np.asarray(gt, dtype=np.int64)
+    if not gt.size:
+        return {k: 1.0 for k in ks}
+    if gt.ndim != 2 or gt.shape[1] != 5:
+        raise ShapeError(f"ground-truth triplets must be (m, 5), got shape {gt.shape}")
+    n = object_logits.shape[0]
     if mode == MODE_PREDCLS:
         if gt_object_classes is None or len(gt_object_classes) != n:
             raise ValidationError("predcls mode needs one ground-truth class per node")
-        node_class = [int(c) for c in gt_object_classes]
-        node_prob = [1.0] * n
+        node_class = np.asarray(gt_object_classes).astype(np.int64)
+        node_prob = np.ones(n)
     else:
-        logits = prediction.object_logits.data
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-        node_class = [int(np.argmax(probs[i])) for i in range(n)]
-        node_prob = [float(probs[i, node_class[i]]) for i in range(n)]
+        e = np.exp(object_logits - object_logits.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
+        node_class = probs.argmax(axis=1)
+        node_prob = probs[np.arange(n), node_class]
+    if relation_logits is None:
+        return {k: 0.0 for k in ks}
+    # heads.pair_index order: subject i comes i times, with objects 0 .. i-1
+    subjects = np.repeat(np.arange(n), np.arange(n))
+    objects = np.arange(len(subjects)) - subjects * (subjects - 1) // 2
+    if relation_logits.shape[0] != len(subjects):
+        raise ShapeError(f"{n} nodes need {len(subjects)} relation rows, "
+                         f"got {relation_logits.shape[0]}")
+    predicates = relation_logits.shape[1]
+    # (p_s * p_r) * p_o, the multiplication order of triplet_score
+    rel_probs = sigmoid_values(relation_logits)
+    scores = (node_prob[subjects, None] * rel_probs) * node_prob[objects, None]
+    order = np.argsort(-scores.ravel(), kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    s, o, _, _, r = gt.T
+    named = (0 <= o) & (o < s) & (s < n) & (0 <= r) & (r < predicates)
+    s, o, s_class, o_class, r = gt[named].T
+    found = rank[(s * (s - 1) // 2 + o) * predicates + r]
+    found = found[(node_class[s] == s_class) & (node_class[o] == o_class)]
+    return {k: int(np.count_nonzero(found < k)) / len(gt) for k in ks}
 
-    candidates = []  # (score, subject, object, subj_class, obj_class, predicate)
-    if prediction.relation_logits is not None:
-        rel_probs = sigmoid_values(prediction.relation_logits.data)
-        for row, (i, j) in enumerate(prediction.pairs):
-            for r in range(rel_probs.shape[1]):
-                score = triplet_score(node_prob[i], float(rel_probs[row, r]), node_prob[j])
-                candidates.append((score, i, j, node_class[i], node_class[j], r))
-    candidates.sort(key=lambda c: -c[0])  # stable: enumeration order breaks ties
-    top = {(c[1], c[2], c[3], c[4], c[5]) for c in candidates[:k]}
-    hits = sum(
-        1 for t in gt_triplets
-        if (t.subject_index, t.object_index, t.subject_class, t.object_class, t.predicate_class) in top
-    )
-    return hits / len(gt_triplets)
+
+def recall_at_k(prediction: SceneGraphPrediction, gt_triplets: list[Triplet], k: int,
+                mode: str, gt_object_classes=None) -> float:
+    """triplet_recall at one k of a prediction whose pairs are heads.pair_index's."""
+    gt = np.array([(t.subject_index, t.object_index, t.subject_class, t.object_class,
+                    t.predicate_class) for t in gt_triplets], dtype=np.int64)
+    relations = None if prediction.relation_logits is None else prediction.relation_logits.data
+    return triplet_recall(prediction.object_logits.data, relations, gt, (k,), mode,
+                          gt_object_classes)[k]

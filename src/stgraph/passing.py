@@ -59,6 +59,8 @@ _INT_FIELDS = ("state_dim", "heads", "iterations", "tau_c", "tau_s", "feature_ch
 # param_shapes counts the values a config's parameters would hold before it
 # lists any name, and rejects more than this (800 MB as float64)
 MAX_PARAM_VALUES = 100_000_000
+# and the tensors, one dict entry each, so that many heads of width 1 fail too
+MAX_PARAM_TENSORS = 100_000
 
 
 @dataclass(frozen=True)
@@ -152,6 +154,13 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     if total > MAX_PARAM_VALUES:
         raise ConfigError(f"state_dim, heads, iterations, feature_channels and class counts "
                           f"give {total} parameter values, more than {MAX_PARAM_VALUES}")
+    phase_tensors = (config.heads * sum(3 if fn == FN_NONLOCAL else 2 for fn in config.message_fns)
+                     + (3 if config.num_messages > 1 else 2))
+    tensors = (3 + config.iterations * len(config.phases()) * phase_tensors
+               + (2 if config.task == TASK_ACTION else 4))
+    if tensors > MAX_PARAM_TENSORS:
+        raise ConfigError(f"iterations, tau_c, message_fns and heads give {tensors} parameter "
+                          f"tensors, more than {MAX_PARAM_TENSORS}")
     shapes: dict[str, tuple[int, ...]] = {
         PROJ_FOREGROUND: (c, d),
         PROJ_CONTEXT: (c, d),

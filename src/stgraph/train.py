@@ -11,8 +11,8 @@ from .data import _JSON_INTEGERS, _JSON_NUMBERS, ClipFeatures, one_hot, relation
 from .errors import ConfigError, NumericError, ValidationError
 from .graph import (Box, FeatureGrid, SpatioTemporalGraph, build_batch, build_graph,
                     featurize_keyframe)
-from .heads import SceneGraphPrediction, action_loss, action_readout, sg_loss, sg_readout
-from .metrics import Detection, GroundTruthBox, Triplet, frame_ap, recall_at_k
+from .heads import action_loss, action_readout, sg_loss, sg_readout
+from .metrics import Detection, GroundTruthBox, frame_ap, triplet_recall
 from .numgrad import Tape, Tensor, grad, sigmoid_values
 from .passing import ModelConfig, param_shapes, run_inference
 
@@ -316,34 +316,32 @@ def evaluate_scenegraph(clips: list[ClipFeatures], params: dict[str, Tensor],
         raise ValidationError("no clips to evaluate")
 
     def score(chunk: list[ClipFeatures], graph: SpatioTemporalGraph, states: list[Tensor]):
-        by_position = []
-        for stack in states:
-            pred = sg_readout(stack,
-                              params["readout.object.weight"], params["readout.object.bias"],
-                              params["readout.relation.weight"], params["readout.relation.bias"])
-            relations = ([None] * stack.shape[0] if pred.relation_logits is None
-                         else ng.unstack(pred.relation_logits))
-            by_position.append([SceneGraphPrediction(objects, pred.pairs, rels) for objects, rels
-                                in zip(ng.unstack(pred.object_logits), relations)])
-        rows = []
+        preds = [sg_readout(stack,
+                            params["readout.object.weight"], params["readout.object.bias"],
+                            params["readout.relation.weight"], params["readout.relation.bias"])
+                 for stack in states]
+        recalls = []
         for clip, span in zip(chunk, graph.clips):
             for local, pos in enumerate(span):
                 k, j = graph.where[pos]
-                gt_classes = np.asarray(clip.object_classes[local], dtype=int)
-                gt = [Triplet(subject_index=s, object_index=o,
-                              subject_class=int(gt_classes[s]), object_class=int(gt_classes[o]),
-                              predicate_class=r) for s, o, r in clip.relations[local]]
-                rows.append((by_position[k][j], gt, gt_classes))
-        return rows
+                pred = preds[k]
+                classes = np.asarray(clip.object_classes[local], dtype=np.int64)
+                s, o, r = np.array(clip.relations[local], dtype=np.int64).reshape(-1, 3).T
+                gt = np.stack([s, o, classes[s], classes[o], r], axis=1)
+                relations = None if pred.relation_logits is None else pred.relation_logits.data[j]
+                recalls.append(triplet_recall(pred.object_logits.data[j], relations, gt, ks, mode,
+                                              gt_object_classes=classes))
+        return recalls
 
     scored = _over_chunks(score, clips, params, config)
-    totals = {k: 0.0 for k in ks}
+    # each distinct K once, however often ks names it
+    totals = dict.fromkeys(ks, 0.0)
     count = 0
-    for rows in scored:
-        for pred, gt, gt_classes in rows:
+    for recalls in scored:
+        for recall in recalls:
             count += 1
-            for k in ks:
-                totals[k] += recall_at_k(pred, gt, k, mode, gt_object_classes=gt_classes)
+            for k in totals:
+                totals[k] += recall[k]
     return {k: totals[k] / count for k in ks}
 
 

@@ -1,4 +1,4 @@
-"""Scripted plain-numpy evaluation of the message passing stack.
+"""Scripted plain-numpy evaluation of the message passing stack and of recall@K.
 
 Used as an independent oracle: no tape, no shared helpers, explicit
 per-node loops, neighborhoods re-derived from first principles.  Takes
@@ -97,3 +97,38 @@ def reference_inference(fg0, ctx0, weights, cfg):
                     )
             states = new
     return states
+
+
+def reference_recall(object_logits, relation_logits, gt, k, mode, gt_object_classes=None):
+    """Recall@k of one keyframe from a sort of scored candidate tuples.
+
+    The oracle for metrics.triplet_recall.  gt lists (subject, object,
+    subject class, object class, predicate) tuples; relation rows follow
+    the pairs (1,0), (2,0), (2,1), ...  mode is "sgcls" (each node's own
+    arg-max class and probability) or "predcls" (the given classes, with
+    probability one).  A keyframe without ground truth scores 1.
+    """
+    if not gt:
+        return 1.0
+    n = object_logits.shape[0]
+    if mode == "predcls":
+        node_class = [int(c) for c in gt_object_classes]
+        node_prob = [1.0] * n
+    else:
+        shifted = object_logits - object_logits.max(axis=1, keepdims=True)
+        probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+        node_class = [int(np.argmax(probs[i])) for i in range(n)]
+        node_prob = [float(probs[i, node_class[i]]) for i in range(n)]
+    candidates = []  # (score, subject, object, subject class, object class, predicate)
+    if relation_logits is not None:
+        # the exp(-|x|) sigmoid, so scores and their ties are the program's bits
+        e = np.exp(-np.abs(relation_logits))
+        rel_probs = np.where(relation_logits >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        pairs = [(i, j) for i in range(n) for j in range(i)]
+        for row, (i, j) in enumerate(pairs):
+            for r in range(rel_probs.shape[1]):
+                score = node_prob[i] * float(rel_probs[row, r]) * node_prob[j]
+                candidates.append((score, i, j, node_class[i], node_class[j], r))
+    candidates.sort(key=lambda c: -c[0])  # stable: enumeration order breaks ties
+    top = {c[1:] for c in candidates[:k]}
+    return sum(1 for t in gt if tuple(int(v) for v in t) in top) / len(gt)

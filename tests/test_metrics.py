@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stgraph import metrics as mt
-from stgraph.errors import ConfigError, ValidationError
+from stgraph.errors import ConfigError, ShapeError, ValidationError
 from stgraph.graph import Box
 from stgraph.heads import SceneGraphPrediction, pair_index
 from stgraph.numgrad import Tensor, sigmoid_values
+
+from reference_eval import reference_recall
 
 
 def test_iou_frozen_example():
@@ -231,3 +235,113 @@ def test_recall_non_decreasing_in_k():
             assert r >= prev - 1e-15
             prev = r
         assert prev == 1.0  # k above the candidate count finds everything
+
+
+@st.composite
+def scored_keyframes(draw):
+    """One keyframe's logits, classes, ground truth, cutoffs and mode.
+
+    Logits on a coarse grid make tied scores common.  Ground truth rows
+    mostly name a node pair and predicate of the keyframe, but may take
+    node indices from -2 to n + 1 and predicates from -1 to the predicate
+    count, so some name no candidate; half of them carry the classes the
+    mode scores, so some are hits, and rows repeat.
+    """
+    n = draw(st.integers(1, 6))
+    classes, predicates = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    mode = draw(st.sampled_from([mt.MODE_SGCLS, mt.MODE_PREDCLS]))
+    def matrix(rows, cols):
+        return draw(arrays(np.int64, (rows, cols), elements=st.integers(-6, 6))) / 3
+
+    object_logits = matrix(n, classes)
+    pairs = n * (n - 1) // 2
+    relation_logits = matrix(pairs, predicates) if pairs else None
+    gt_classes = draw(st.lists(st.integers(0, classes - 1), min_size=n, max_size=n))
+    scored_class = gt_classes if mode == mt.MODE_PREDCLS else list(object_logits.argmax(axis=1))
+    candidate = (st.tuples(st.sampled_from(pair_index(n)), st.integers(0, predicates - 1))
+                 .map(lambda c: (*c[0], c[1])) if pairs else st.nothing())
+    node = st.integers(-2, n + 1)
+    stray = st.tuples(node, node, st.integers(-1, predicates))
+    gt = []
+    for (s, o, r), own in draw(st.lists(st.tuples(candidate | stray, st.booleans()),
+                                        min_size=1, max_size=8)):
+        if own and 0 <= s < n and 0 <= o < n:
+            cs, co = int(scored_class[s]), int(scored_class[o])
+        else:
+            cs, co = draw(st.integers(-1, classes)), draw(st.integers(-1, classes))
+        gt.append((s, o, cs, co, r))
+    gt += gt[:draw(st.integers(0, len(gt)))]
+    ks = draw(st.lists(st.integers(1, pairs * predicates + 3), min_size=1, max_size=4))
+    return object_logits, relation_logits, gt, ks, mode, gt_classes
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(case=scored_keyframes())
+def test_triplet_recall_equals_loop_reference(case):
+    object_logits, relation_logits, gt, ks, mode, gt_classes = case
+    want = {k: reference_recall(object_logits, relation_logits, gt, k, mode, gt_classes)
+            for k in ks}
+    gt_array = np.array(gt, dtype=np.int64).reshape(-1, 5)
+    assert mt.triplet_recall(object_logits, relation_logits, gt_array, ks, mode,
+                             gt_object_classes=gt_classes) == want
+    pred = SceneGraphPrediction(Tensor(object_logits), pair_index(len(object_logits)),
+                                None if relation_logits is None else Tensor(relation_logits))
+    triplets = [mt.Triplet(*t) for t in gt]
+    for k in ks:
+        assert mt.recall_at_k(pred, triplets, k, mode, gt_object_classes=gt_classes) == want[k]
+
+
+def test_triplet_recall_validates_before_scoring():
+    obj = np.zeros((3, 2))
+    rel = np.zeros((3, 2))
+    gt = np.array([[1, 0, 0, 0, 0]])
+    with pytest.raises(ConfigError, match="cutoff"):
+        mt.triplet_recall(obj, rel, np.zeros((0, 5), dtype=int), (5, 0), mt.MODE_SGCLS)
+    with pytest.raises(ConfigError, match="mode"):
+        mt.triplet_recall(obj, rel, gt, (5,), "sgdet")
+    with pytest.raises(ShapeError):
+        mt.triplet_recall(obj, rel, np.array([[1, 0, 0]]), (5,), mt.MODE_SGCLS)
+    with pytest.raises(ShapeError):
+        mt.triplet_recall(obj, rel[:2], gt, (5,), mt.MODE_SGCLS)
+    assert mt.triplet_recall(obj, rel, np.zeros((0, 5), dtype=int), (1, 5),
+                             mt.MODE_PREDCLS) == {1: 1.0, 5: 1.0}
+    # every score ties, so enumeration order decides: (1,0) r0, (1,0) r1, (2,0) r0, ...
+    late = np.array([[2, 1, 0, 0, 1], [1, 0, 0, 0, 1]])
+    assert mt.triplet_recall(obj, rel, late, (1, 2, 5, 6), mt.MODE_SGCLS) == {
+        1: 0.0, 2: 0.5, 5: 0.5, 6: 1.0}
+
+
+def test_triplet_recall_ranks_by_triplet_score_bits():
+    # Pairs (1,0) and (2,1) score p1 p_r p0 and p0 p_r p1, equal in exact
+    # arithmetic; (p1 p_r) p0 is one ulp above (p0 p_r) p1, while the
+    # other association, p1 (p_r p0), would put (2,1) first.
+    obj = np.array([[2.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    rel = np.array([[8 / 3], [-3.0], [8 / 3]])
+    probs = _softmax_rows(obj)[:, 0]
+    p_r = sigmoid_values(np.array(8 / 3))
+    assert mt.triplet_score(probs[1], p_r, probs[0]) > mt.triplet_score(probs[0], p_r, probs[1])
+    gt = np.array([[1, 0, 0, 0, 0]])
+    assert mt.triplet_recall(obj, rel, gt, (1,), mt.MODE_SGCLS) == {1: 1.0}
+    assert reference_recall(obj, rel, [(1, 0, 0, 0, 0)], 1, mt.MODE_SGCLS) == 1.0
+
+
+def test_triplet_recall_matches_reference_on_tied_wide_keyframes():
+    # 16 nodes give 360 candidates, enough that an unstable sort would
+    # reorder ties; logits on a grid of five values tie many scores
+    rng = np.random.default_rng(6)
+    partial = 0
+    for mode in (mt.MODE_SGCLS, mt.MODE_PREDCLS):
+        for _ in range(10):
+            obj = rng.integers(-2, 3, size=(16, 5)) / 2
+            rel = rng.integers(-2, 3, size=(120, 3)) / 2
+            classes = list(rng.integers(0, 5, size=16))
+            scored = classes if mode == mt.MODE_PREDCLS else list(obj.argmax(axis=1))
+            pairs = pair_index(16)
+            gt = [(s, o, int(scored[s]), int(scored[o]), int(rng.integers(3)))
+                  for s, o in (pairs[p] for p in rng.integers(0, 120, size=30))]
+            ks = (1, 20, 50, 100, 200)
+            want = {k: reference_recall(obj, rel, gt, k, mode, classes) for k in ks}
+            partial += 0.0 < want[50] < 1.0
+            assert mt.triplet_recall(obj, rel, np.array(gt), ks, mode,
+                                     gt_object_classes=classes) == want
+    assert partial >= 15

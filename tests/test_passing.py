@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -275,6 +276,30 @@ def test_param_shapes_bound_counts_every_value(monkeypatch, task, message_fns):
     # counted, not listed: a trillion heads fail at once
     with pytest.raises(ConfigError, match="parameter values"):
         pa.param_shapes(make_config(heads=10 ** 12, message_fns=message_fns, task=task))
+
+
+@pytest.mark.parametrize("task", [pa.TASK_ACTION, pa.TASK_SCENEGRAPH])
+@pytest.mark.parametrize("message_fns", [(pa.FN_NONLOCAL,), (pa.FN_GAT,),
+                                         (pa.FN_NONLOCAL, pa.FN_GAT)])
+def test_param_shapes_bound_counts_every_tensor(monkeypatch, task, message_fns):
+    for heads, iterations, tau_c in itertools.product((1, 2), (1, 2), (1, 3)):
+        cfg = make_config(state_dim=2, heads=heads, iterations=iterations, tau_c=tau_c,
+                          message_fns=message_fns, task=task)
+        monkeypatch.undo()
+        count = len(pa.param_shapes(cfg))
+        monkeypatch.setattr(pa, "MAX_PARAM_TENSORS", count)
+        pa.param_shapes(cfg)
+        monkeypatch.setattr(pa, "MAX_PARAM_TENSORS", count - 1)
+        with pytest.raises(ConfigError, match=f" give {count} parameter tensors, more than "):
+            pa.param_shapes(cfg)
+
+
+def test_param_shapes_rejects_many_narrow_heads_at_once():
+    cfg = pa.ModelConfig(state_dim=1, heads=300_000, feature_channels=1, action_classes=1)
+    started = time.perf_counter()
+    with pytest.raises(ConfigError, match="heads give 900008 parameter tensors"):
+        pa.param_shapes(cfg)
+    assert time.perf_counter() - started < 0.5
 
 
 def test_config_validation():

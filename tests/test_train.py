@@ -11,14 +11,15 @@ from hypothesis import given, settings, strategies as st
 import stgraph.numgrad as ng
 from stgraph import data, train
 from stgraph.errors import ConfigError, NumericError, ValidationError
-from stgraph.graph import Box, FeatureGrid, featurize_keyframe
+from stgraph.graph import Box, FeatureGrid, build_batch, build_graph, featurize_keyframe
 from stgraph.numgrad import Tape, Tensor, grad
-from stgraph.heads import action_readout
+from stgraph.heads import action_readout, sg_readout
 from stgraph.passing import ModelConfig, param_shapes, run_inference
 from stgraph.train import (Schedule, SgdState, effective_batch_size, init_params,
                            load_checkpoint, lr_at, save_checkpoint, sgd_step, train_loop)
 
 from json_fuzz import json_values, pick_path, set_at
+from reference_eval import reference_recall
 
 
 def small_config(**overrides) -> ModelConfig:
@@ -322,6 +323,71 @@ def test_evaluate_scenegraph_modes(tmp_path):
     # predcls uses ground-truth classes, so recall at a huge K is total
     pred = train.evaluate_scenegraph(clips, params, config, ks=(50,), mode="predcls")
     assert pred[50] == 1.0
+
+
+def ragged_scenegraph_clips():
+    """Three clips whose keyframes hold 4, 4, 4, 1 / 5, 2, 5 / 4 boxes;
+    the 1-box keyframe and the 2-box one have no relations."""
+    rng = np.random.default_rng(11)
+    clips = []
+    for c, counts in enumerate([(4, 4, 4, 1), (5, 2, 5), (4,)]):
+        frames, classes, relations = [], [], []
+        for k, n in enumerate(counts):
+            grid = FeatureGrid(values=Tensor(rng.uniform(-1, 1, size=(1, 3, 3, 4))),
+                               keyframe_id=k)
+            corners = rng.uniform(0.0, 0.5, size=(n, 2))
+            frames.append(featurize_keyframe(grid, [Box(x, y, x + 0.4, y + 0.4)
+                                                    for x, y in corners]))
+            classes.append(rng.integers(0, 3, size=n))
+            pairs = [(i, j) for i in range(n) for j in range(i)]
+            picked = rng.permutation(len(pairs))[:4] if n > 2 else []
+            relations.append([(*pairs[p], int(rng.integers(3))) for p in picked])
+        clips.append(data.ClipFeatures(clip_id=f"c{c}", frames=frames, object_classes=classes,
+                                       relations=relations))
+    return clips
+
+
+@pytest.mark.parametrize("mode", ["sgcls", "predcls"])
+def test_ragged_evaluation_matches_reference_recall_per_clip(mode):
+    config = small_config(heads=2, message_fns=("nonlocal", "gat"), tau_c=3, task="scenegraph",
+                          feature_channels=4, object_classes=3, relation_classes=3)
+    params = init_params(config, seed=1)
+    clips = ragged_scenegraph_clips()
+    # blocks of three 4-box and two 5-box keyframes, and three of one keyframe
+    blocks = build_batch([c.frames for c in clips], params, config).blocks
+    assert sorted(len(block.positions) for block in blocks) == [1, 1, 1, 2, 3]
+    ks = (1, 3, 8, 50)
+    totals, count = dict.fromkeys(ks, 0.0), 0
+    for clip in clips:
+        # each clip alone, read back per keyframe
+        graph = build_graph(clip.frames, params, config)
+        preds = [sg_readout(stack, params["readout.object.weight"],
+                            params["readout.object.bias"], params["readout.relation.weight"],
+                            params["readout.relation.bias"])
+                 for stack in run_inference(graph, params, config).states]
+        for pos, (classes, relations) in enumerate(zip(clip.object_classes, clip.relations)):
+            k, j = graph.where[pos]
+            rel = preds[k].relation_logits
+            gt = [(s, o, int(classes[s]), int(classes[o]), r) for s, o, r in relations]
+            count += 1
+            for cutoff in ks:
+                totals[cutoff] += reference_recall(preds[k].object_logits.data[j],
+                                                   None if rel is None else rel.data[j], gt,
+                                                   cutoff, mode, classes)
+    want = {cutoff: totals[cutoff] / count for cutoff in ks}
+    assert 0.0 < want[1] < want[50]
+    assert train.evaluate_scenegraph(clips, params, config, ks=ks, mode=mode) == want
+
+
+def test_evaluate_scenegraph_counts_a_repeated_k_once():
+    config = small_config(task="scenegraph", feature_channels=4, object_classes=3,
+                          relation_classes=3)
+    params = init_params(config, seed=1)
+    clips = ragged_scenegraph_clips()
+    once = train.evaluate_scenegraph(clips, params, config, ks=(50, 3), mode="predcls")
+    assert train.evaluate_scenegraph(clips, params, config, ks=(50, 3, 50),
+                                     mode="predcls") == once
+    assert once[50] == 1.0
 
 
 # ---------------------------------------------------------------------------
