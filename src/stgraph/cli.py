@@ -29,19 +29,9 @@ from .passing import (FN_GAT, FN_NONLOCAL, TASK_ACTION, TASK_SCENEGRAPH, ModelCo
 from .train import (Schedule, evaluate_action, evaluate_scenegraph, gradient_check,
                     load_checkpoint, save_checkpoint, train_loop)
 
-_CONFIG_FLAGS = {
-    "state_dim": int,
-    "heads": int,
-    "iterations": int,
-    "tau_c": int,
-    "tau_s": int,
-    "seed": int,
-    "feature_channels": int,
-    "action_classes": int,
-    "object_classes": int,
-    "relation_classes": int,
-    "task": str,
-}
+# the ModelConfig fields set by a flag of the same name
+_CONFIG_FLAGS = ("state_dim", "heads", "iterations", "tau_c", "tau_s", "seed", "feature_channels",
+                 "action_classes", "object_classes", "relation_classes", "task")
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -240,6 +230,8 @@ def cmd_gradcheck(args) -> int:
     # model is deliberately tiny; explicit flags or a config file still win
     small = dict(state_dim=6, heads=1, feature_channels=4,
                  action_classes=2, object_classes=3, relation_classes=2)
+    if not 0 <= args.tolerance <= sys.float_info.max:
+        raise ConfigError(f"tolerance must be finite and non-negative, got {args.tolerance}")
     config = _config_from_args(args, base=small)
     errors = gradient_check(config, seed=config.seed, step=args.step)
     for name in sorted(errors):
@@ -257,13 +249,10 @@ def cmd_dump_attention(args) -> int:
     params, config, _ = load_checkpoint(args.checkpoint)
     info, records = data_mod.load_dataset(args.data)
     _check_dataset_matches(config, info)
-    if args.clip is not None:
-        matching = [r for r in records if r.clip_id == args.clip]
-        if not matching:
-            raise ConfigError(f"no clip named {args.clip!r} in {args.data}")
-        record = matching[0]
-    else:
-        record = records[0]
+    matching = [r for r in records if args.clip in (None, r.clip_id)]
+    if not matching:
+        raise ConfigError(f"no clip named {args.clip!r} in {args.data}")
+    record = matching[0]
     clip = data_mod.featurize_clip(record, info, mode=data_mod.EVAL_MODE)
     graph = build_graph(clip.frames, params, config)
     result = run_inference(graph, params, config, record_traces=True)

@@ -427,6 +427,13 @@ def featurize_clip(clip: ClipRecord, info: DatasetInfo, mode: str = TRAIN_MODE) 
 # synthetic datasets
 
 
+def _check_at_least(**bounds: tuple[int, int]) -> None:
+    """Raise ValidationError for the first name=(value, minimum) whose value is below it."""
+    for name, (value, minimum) in bounds.items():
+        if value < minimum:
+            raise ValidationError(f"{name} must be at least {minimum}, got {value}")
+
+
 def _cell_box(i0: int, j0: int, i1: int, j1: int, h: int, w: int) -> Box:
     """Box spanning grid cells [i0, i1) x [j0, j1), snapped to cell edges."""
     return Box(j0 / w, i0 / h, j1 / w, i1 / h)
@@ -435,6 +442,8 @@ def _cell_box(i0: int, j0: int, i1: int, j1: int, h: int, w: int) -> Box:
 def synth_action_overfit(out_dir: str, seed: int = 0, clips: int = 24, classes: int = 3,
                          keyframes: int = 2, channels: int = 8, grid_hw: tuple[int, int] = (4, 4)) -> str:
     """Separable multi-label action clips: class signatures mixed into box cells."""
+    _check_at_least(seed=(seed, 0), clips=(clips, 1), classes=(classes, 1),
+                    keyframes=(keyframes, 1), channels=(channels, 1))
     rng = np.random.default_rng(seed)
     h, w = grid_hw
     signatures = rng.normal(0.0, 1.0, size=(classes, channels)) * 2.0
@@ -481,6 +490,13 @@ def synth_temporal_pairs(out_dir: str, seed: int = 0, split: int = 0, clips: int
     seed and the split, so split 0 and split 1 are train and held-out
     samples of the same generative family.
     """
+    _check_at_least(seed=(seed, 0), split=(split, 0), clips=(clips, 1), channels=(channels, 1),
+                    tau_s=(tau_s, 1))
+    # with no neighbor at +-tau_s, or such a margin, the sampler below would redraw forever
+    if keyframes < 2 * tau_s:
+        raise ValidationError(f"keyframes must be at least 2 * tau_s = {2 * tau_s}, got {keyframes}")
+    if not 0 <= margin < 1:
+        raise ValidationError(f"margin must be in [0, 1), got {margin}")
     rng = np.random.default_rng([seed, 11, split])
     h = w = 2
     dir_rng = np.random.default_rng([seed, 7])
@@ -518,6 +534,8 @@ def synth_temporal_pairs(out_dir: str, seed: int = 0, split: int = 0, clips: int
 def synth_scenegraph(out_dir: str, seed: int = 0, clips: int = 12, keyframes: int = 2,
                      objects: int = 4, relations: int = 3, channels: int = 8) -> str:
     """Scene-graph clips with class signatures and a class-derived relation rule."""
+    _check_at_least(seed=(seed, 0), clips=(clips, 1), keyframes=(keyframes, 1),
+                    objects=(objects, 1), relations=(relations, 1), channels=(channels, 1))
     rng = np.random.default_rng(seed)
     h = w = 3
     signatures = rng.normal(0.0, 1.0, size=(objects, channels)) * 2.0

@@ -120,6 +120,8 @@ def frame_ap(detections: list[Detection], ground_truth: list[GroundTruthBox],
     Classes without any ground truth are excluded from the mean; an empty
     ground truth list leaves the metric undefined and raises.
     """
+    if not 0 < iou_threshold <= 1:
+        raise ConfigError(f"IoU threshold must be in (0, 1], got {iou_threshold}")
     if not ground_truth:
         raise ValidationError("frame AP is undefined without ground truth boxes")
     classes = sorted({g.class_id for g in ground_truth})

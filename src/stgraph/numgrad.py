@@ -31,7 +31,7 @@ import threading
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
@@ -586,39 +586,37 @@ def unstack(x: Tensor) -> list[Tensor]:
 
 
 def _kv_groups(query: Tensor, kv, what: str) -> list[tuple]:
-    """kv as (query slices, neighbor stack) pairs; a plain kv is one pair over every slice.
+    """kv's pairs as (index, neighbor stack), checked to cover every query slice once.
 
+    Consecutive slices, such as the spatial phase's pair over a whole
+    block, are indexed by a basic slice, so numpy takes views, not copies.
     Every receiver needs at least one neighbor row.
     """
-    _need_stack(query, f"{what} receivers")
-    if isinstance(kv, Tensor):
-        _need_stack(kv, f"{what} neighbors")
-        if query.data.shape[:-2] != kv.data.shape[:-2]:
-            raise ShapeError(f"{what}: receivers {query.data.shape} and neighbors "
-                             f"{kv.data.shape} differ in stack size")
-        groups = [(slice(None), kv)]
-    else:
-        groups = [(np.asarray(slices, dtype=np.intp), t) for slices, t in kv]
-        covered = np.sort(np.concatenate([slices for slices, _ in groups] or [[]]))
-        if (query.data.ndim != 3 or not np.array_equal(covered, np.arange(query.data.shape[0]))
-                or any(t.data.ndim != 3 or t.data.shape[0] != len(slices) for slices, t in groups)):
-            raise ShapeError(f"{what}: neighbor stacks must cover every receiver slice once")
+    groups, covered, fits = [], [], query.data.ndim == 3
+    for slices, t in kv:
+        run = np.asarray(slices, dtype=np.intp).tolist()
+        lo = run[0] if run else 0
+        index = slice(lo, lo + len(run)) if run == list(range(lo, lo + len(run))) else np.array(run)
+        groups.append((index, t))
+        covered += run
+        fits = fits and t.data.ndim == 3 and t.data.shape[0] == len(run)
+    if not fits or sorted(covered) != list(range(query.data.shape[0])):
+        raise ShapeError(f"{what}: need a (B, n, d) receiver stack with each slice in one pair")
     if any(t.data.shape[-2] == 0 for _, t in groups):
         raise ShapeError(f"{what}: empty neighborhood")
     return groups
 
 
-def nonlocal_attention(query: Tensor, kv, wq: Tensor, wk: Tensor,
-                       wv: Tensor) -> tuple[Tensor, Tensor | list[Tensor]]:
+def nonlocal_attention(query: Tensor, kv: list[tuple], wq: Tensor, wk: Tensor,
+                       wv: Tensor) -> tuple[Tensor, list[Tensor]]:
     """Scaled dot-product attention of query rows over kv rows, as one tape entry.
 
-    With q = query @ wq, k = kv @ wk and v = kv @ wv, returns
-    (softmax(q k^T / sqrt(width of k)) @ v, attention), slice by slice for
-    stacks.  The attention is returned for inspection only; it is not on
-    the tape.  For a (B, n, d) query stack, kv may instead be a list of
-    (slices, stack) pairs: the query slices listed attend over that
-    stack's rows, so keyframes with different neighbor counts share one
-    entry, and the attention comes back as one tensor per pair.
+    query is a (B, n, d) stack and kv a list of (slices, stack) pairs, as
+    both message-passing phases hand them: the query slices a pair lists
+    attend over the rows of its (len(slices), s, d) stack, and each slice
+    is listed once.  With q = query @ wq, k = kv @ wk and v = kv @ wv,
+    returns (softmax(q k^T / sqrt(width of k)) @ v, one attention tensor
+    per pair), slice by slice; the attention is not on the tape.
     """
     groups = _kv_groups(query, kv, "nonlocal_attention")
     qd, wqd, wkd, wvd = query.data, wq.data, wk.data, wv.data
@@ -659,19 +657,19 @@ def nonlocal_attention(query: Tensor, kv, wq: Tensor, wk: Tensor,
     kvs = tuple(t for _, t in groups)
     out = _emit(out, (*kvs, wv, *kvs, wk, query, wq), backward)
     attention = [_wrap(part[-1]) for part in parts]
-    return out, attention[0] if isinstance(kv, Tensor) else attention
+    return out, attention
 
 
-def additive_attention(receivers: Tensor, neighbors, transform: Tensor,
-                       score: Tensor) -> tuple[Tensor, Tensor | list[Tensor]]:
+def additive_attention(receivers: Tensor, neighbors: list[tuple], transform: Tensor,
+                       score: Tensor) -> tuple[Tensor, list[Tensor]]:
     """GAT-style attention of every receiver over the neighbor rows, as one tape entry.
 
-    With score = [a1 || a2], attention row v is softmax over j of
-    relu(h_v . a1 + h_j . a2), and the message is
-    relu((attention @ neighbors) @ transform), slice by slice for stacks.
-    Returns (messages, attention); the attention is not on the tape.
-    neighbors may be a list of (slices, stack) pairs, as the kv of
-    nonlocal_attention.
+    receivers is a (B, n, d) stack and neighbors a list of (slices, stack)
+    pairs, as the kv of nonlocal_attention.  With score = [a1 || a2],
+    attention row v is softmax over j of relu(h_v . a1 + h_j . a2), and
+    the message is relu((attention @ neighbors) @ transform), slice by
+    slice.  Returns (messages, one attention tensor per pair); the
+    attention is not on the tape.
     """
     groups = _kv_groups(receivers, neighbors, "additive_attention")
     rd, wd, a = receivers.data, transform.data, score.data
@@ -712,7 +710,7 @@ def additive_attention(receivers: Tensor, neighbors, transform: Tensor,
     nbrs = tuple(t for _, t in groups for _use in (0, 1))
     out = _emit(out, (transform, *nbrs, receivers, score), backward)
     attention = [_wrap(part[4]) for part in parts]
-    return out, attention[0] if isinstance(neighbors, Tensor) else attention
+    return out, attention
 
 
 def gated_mix(messages: list[Tensor], receivers: Tensor, gate: Tensor) -> tuple[Tensor, Tensor]:
@@ -776,8 +774,10 @@ def finite_difference_grads(f, params: dict[str, Tensor], step: float = 1e-5) ->
     """Central-difference gradient of ``f(params) -> float`` per parameter.
 
     Independent of the tape: f is re-evaluated with each coordinate nudged
-    by +/- step.  Used to cross-check grad().
+    by +/- step, a finite positive number.  Used to cross-check grad().
     """
+    if not 0 < step < math.inf:
+        raise ConfigError(f"finite-difference step must be finite and positive, got {step}")
     out = {}
     for name, p in params.items():
         base = p.data

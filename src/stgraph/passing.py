@@ -14,10 +14,10 @@ padding: the n foreground states of each of its B keyframes attend to
 their s neighbor states through a (B, n, s) attention stack, and the gate
 scores all K message slots of every receiver as a (B, n, K) stack.  Both
 phases run on the graph's blocks, whose keyframes all have temporal
-neighbors or all have none.  The temporal phase skips the blocks with
-none, and inside each slot's entry gathers a block's neighbor rows into
-one stack per neighbor count s, so edge and interior keyframes share the
-entry.
+neighbors or all have none.  Both phases hand each slot (slices, stack)
+neighbor pairs: the spatial phase one per block (own rows, then context),
+the temporal phase, which skips blocks without temporal neighbors, one per
+neighbor count s, so edge and interior keyframes share the entry.
 The additive scores relu(a . [h_v || h_j]) are evaluated as
 relu(h_v . a1 + h_j . a2), a column plus a row, so no per-receiver pair
 matrix is ever built.  Each slot, the gate and the residual update is one
@@ -100,13 +100,9 @@ class ModelConfig:
             raise ConfigError(f"message_fns must be a list of strings, got {self.message_fns!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.state_dim < 1 or self.feature_channels < 1:
-            raise ConfigError(f"state_dim/feature_channels must be positive, got "
-                              f"{self.state_dim}/{self.feature_channels}")
-        if self.heads < 1:
-            raise ConfigError(f"heads must be positive, got {self.heads}")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be positive, got {self.iterations}")
+        for name in ("state_dim", "feature_channels", "heads", "iterations", "tau_s"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if not self.message_fns:
             raise ConfigError("at least one message function is required")
         for fn in self.message_fns:
@@ -116,8 +112,6 @@ class ModelConfig:
             raise ConfigError(f"duplicate message functions in {self.message_fns}")
         if self.tau_c < 1 or self.tau_c % 2 == 0:
             raise ConfigError(f"tau_c must be odd and positive, got {self.tau_c}")
-        if self.tau_s < 1:
-            raise ConfigError(f"tau_s must be positive, got {self.tau_s}")
         if self.task not in (TASK_ACTION, TASK_SCENEGRAPH):
             raise ConfigError(f"unknown task {self.task!r}")
         if self.task == TASK_ACTION and self.action_classes < 1:
@@ -266,9 +260,7 @@ def _temporal_neighbors(graph: SpatioTemporalGraph) -> list[list[tuple[np.ndarra
 
 
 def _slice_rows(kv, attention, count: int) -> list[np.ndarray]:
-    """Each slice's attention matrix, from one stack or from one per neighbor group."""
-    if isinstance(kv, Tensor):
-        return list(attention.data)
+    """Each slice's attention matrix, from the stacks of its (slices, stack) pairs."""
     rows = [None] * count
     for (slices, _), att in zip(kv, attention):
         for u, matrix in zip(slices, att.data):
@@ -331,7 +323,8 @@ def run_inference(graph: SpatioTemporalGraph, params, config: ModelConfig,
                 slots = [(fn, h) for fn in config.message_fns for h in range(config.heads)]
                 gate = params[_mp(i, phase, "gate")] if len(slots) > 1 else None
                 if phase == PHASE_SPATIAL:
-                    blocks = [(k, ng.concat_rows([own, b.ctx_states]))
+                    blocks = [(k, [(np.arange(len(b.positions)),
+                                    ng.concat_rows([own, b.ctx_states]))])
                               for k, (b, own) in enumerate(zip(graph.blocks, states))]
                 else:
                     blocks = [(k, [(slices, ng.gather_rows(states, rows))

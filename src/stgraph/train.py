@@ -37,12 +37,13 @@ class Schedule:
         object.__setattr__(self, "decay_epochs", tuple(self.decay_epochs))
 
     def validate(self) -> None:
-        if self.base_lr <= 0 or self.warmup_start_lr <= 0:
-            raise ConfigError("learning rates must be positive")
-        if self.warmup_epochs < 0 or self.total_epochs <= 0:
-            raise ConfigError("epoch counts must be positive")
-        if self.decay_factor <= 1:
-            raise ConfigError("decay_factor must exceed 1")
+        # written as ranges, so that NaN fails them too
+        if not (0 < self.base_lr < math.inf and 0 < self.warmup_start_lr < math.inf):
+            raise ConfigError("learning rates must be finite and positive")
+        if not (0 <= self.warmup_epochs < math.inf and 0 < self.total_epochs < math.inf):
+            raise ConfigError("epoch counts must be finite, and total_epochs positive")
+        if not 1 < self.decay_factor < math.inf:
+            raise ConfigError("decay_factor must be finite and exceed 1")
         if list(self.decay_epochs) != sorted(self.decay_epochs):
             raise ConfigError("decay_epochs must be sorted")
         if self.decay_epochs and self.decay_epochs[0] < self.warmup_epochs:
@@ -50,8 +51,8 @@ class Schedule:
 
     def scaled(self, total_epochs: float) -> "Schedule":
         """Stretch or shrink every breakpoint proportionally to a new length."""
-        if total_epochs <= 0:
-            raise ConfigError("total_epochs must be positive")
+        if not 0 < total_epochs < math.inf:
+            raise ConfigError(f"total_epochs must be finite and positive, got {total_epochs}")
         r = total_epochs / self.total_epochs
         return replace(
             self,
@@ -299,8 +300,7 @@ def evaluate_action(clips: list[ClipFeatures], params: dict[str, Tensor], config
                             box=box, class_id=cls, score=float(probs[k][j, row, cls])))
         return detections
 
-    batches = _over_chunks(detect, clips, params, config)
-    detections = [d for batch in batches for d in batch]
+    detections = [d for chunk in _over_chunks(detect, clips, params, config) for d in chunk]
     return frame_ap(detections, ground_truth, iou_threshold=iou_threshold)
 
 
@@ -333,16 +333,13 @@ def evaluate_scenegraph(clips: list[ClipFeatures], params: dict[str, Tensor],
                                               gt_object_classes=classes))
         return recalls
 
-    scored = _over_chunks(score, clips, params, config)
+    recalls = [r for chunk in _over_chunks(score, clips, params, config) for r in chunk]
     # each distinct K once, however often ks names it
     totals = dict.fromkeys(ks, 0.0)
-    count = 0
-    for recalls in scored:
-        for recall in recalls:
-            count += 1
-            for k in totals:
-                totals[k] += recall[k]
-    return {k: totals[k] / count for k in ks}
+    for recall in recalls:
+        for k in totals:
+            totals[k] += recall[k]
+    return {k: totals[k] / len(recalls) for k in ks}
 
 
 # ---------------------------------------------------------------------------

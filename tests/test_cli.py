@@ -270,6 +270,39 @@ def test_gradcheck_exit_codes(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("--step", "0"), ("--step", "nan"), ("--tolerance", "nan"), ("--tolerance=-1",),
+])
+def test_gradcheck_rejects_bad_step_and_tolerance(capsys, argv):
+    code = run_cli("gradcheck", "--state-dim", "5", "--heads", "1", *argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert ("step" if argv[0] == "--step" else "tolerance") in err
+
+
+@pytest.mark.parametrize("epochs", ["nan", "inf", "-inf"])
+def test_train_rejects_non_finite_epochs(action_ds, tmp_path, capsys, epochs):
+    out = tmp_path / "run"
+    code = run_cli("train", "--data", action_ds, "--out", str(out), f"--epochs={epochs}")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: total_epochs must be finite and positive")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("iou", ["nan", "2", "-1", "0"])
+def test_eval_rejects_iou_outside_unit_interval(action_ds, tmp_path, capsys, iou):
+    config = ModelConfig(state_dim=4, heads=1, feature_channels=6, action_classes=2)
+    ckpt = str(tmp_path / "checkpoint.json")
+    save_checkpoint(ckpt, init_params(config, seed=0), config, seed=0)
+    out = tmp_path / "ev"
+    code = run_cli("eval", "--data", action_ds, "--checkpoint", ckpt, "--out", str(out),
+                   f"--iou={iou}")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: IoU threshold must be in (0, 1]")
+    assert not out.exists()
+
+
 def test_config_file_merging(action_ds, tmp_path):
     cfg_path = str(tmp_path / "cfg.json")
     with open(cfg_path, "w") as f:
@@ -531,6 +564,30 @@ def test_synth_prints_manifest_path(tmp_path, capsys):
     assert code == 0
     path = capsys.readouterr().out.strip()
     assert os.path.exists(path)
+
+
+@pytest.mark.parametrize("argv", [
+    # no keyframe has a neighbor at +-tau_s: the label sampler used to loop forever
+    ("temporal-pairs", "--keyframes", "1"),
+    ("temporal-pairs", "--keyframes", "3", "--tau-s", "3"),
+    ("temporal-pairs", "--keyframes", "3", "--tau-s", "2"),
+    ("temporal-pairs", "--tau-s", "0"),
+    ("temporal-pairs", "--split", "-1"),
+    ("action-overfit", "--classes", "0"),
+    ("action-overfit", "--seed", "-1"),
+    ("action-overfit", "--clips", "0"),
+    ("scenegraph", "--objects", "0"),
+    ("scenegraph", "--relations", "0"),
+    ("scenegraph", "--keyframes", "0"),
+    ("scenegraph", "--channels", "0"),
+])
+def test_synth_rejects_bad_counts_before_writing(tmp_path, capsys, argv):
+    out = tmp_path / "ds"
+    code = run_cli("synth", *argv, "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be at least" in err
+    assert not out.exists()
 
 
 def test_scenegraph_eval_reports_recall(tmp_path):

@@ -261,6 +261,19 @@ def test_synth_temporal_pairs_structure(tmp_path):
             assert kf.action_labels.sum() == 1.0
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(keyframes=1), dict(keyframes=3, tau_s=2), dict(margin=1.0), dict(margin=float("nan")),
+    dict(clips=0), dict(split=-1),
+])
+def test_synth_temporal_pairs_rejects_settings_it_cannot_sample(tmp_path, kwargs):
+    # with no neighbor at +-tau_s, or a margin no code sum reaches, the
+    # label sampler would redraw forever; the check runs before any draw
+    out = tmp_path / "tp"
+    with pytest.raises(ValidationError):
+        data.synth_temporal_pairs(str(out), **kwargs)
+    assert not out.exists()
+
+
 def test_synth_temporal_pairs_splits_share_direction(tmp_path):
     # labels are recoverable from the codes at +-tau_s in both splits using
     # the direction recovered from split 0

@@ -119,6 +119,13 @@ def test_frame_ap_requires_ground_truth():
         mt.frame_ap([_det(0, BOX_A, 0.5)], [])
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), 2.0, -1.0, 0.0, float("inf")])
+def test_frame_ap_rejects_threshold_outside_unit_interval(threshold):
+    with pytest.raises(ConfigError, match=r"\(0, 1\]"):
+        mt.frame_ap([_det(0, BOX_A, 0.5)], [_gt(0, BOX_A)], iou_threshold=threshold)
+    assert mt.frame_ap([_det(0, BOX_A, 0.5)], [_gt(0, BOX_A)], iou_threshold=1.0)[1] == 1.0
+
+
 def test_frame_ap_ignores_classes_without_ground_truth():
     gts = [_gt(0, BOX_A, cls=0)]
     dets = [_det(0, BOX_A, 0.9, cls=0), _det(0, BOX_B, 0.8, cls=7)]

@@ -5,7 +5,7 @@ import pytest
 
 from stgraph import heads as hd
 from stgraph import numgrad as ng
-from stgraph.errors import NumericError, ShapeError
+from stgraph.errors import ConfigError, NumericError, ShapeError
 
 import small_primitives as sp
 
@@ -216,6 +216,13 @@ def _fd_check(build, params, tol=1e-4):
         assert err <= tol, f"{name}: rel err {err:.3e}"
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-5, float("nan"), float("inf")])
+def test_finite_difference_step_must_be_finite_and_positive(step):
+    x = {"x": ng.Tensor(np.ones(2), requires_grad=True)}
+    with pytest.raises(ConfigError, match="step"):
+        ng.finite_difference_grads(lambda p: float(p["x"].data.sum()), x, step=step)
+
+
 def test_finite_differences_per_primitive():
     rng = np.random.default_rng(17)
 
@@ -239,20 +246,22 @@ def test_finite_differences_per_primitive():
         "concat_rows": ({"a": t(2, 3), "b": t(4, 3)}, lambda p: sp.sum_all(sp.relu(ng.concat_rows([p["a"], p["b"]])))),
         "concat_cols": ({"a": t(3, 2), "b": t(3, 4)}, lambda p: sp.sum_all(sp.relu(ng.concat_cols([p["a"], p["b"]])))),
         "nonlocal_attention": (
-            {"q": t(3, 4), "kv": t(5, 4), "wq": t(4, 4), "wk": t(4, 4), "wv": t(4, 4)},
-            lambda p: sp.sum_all(sp.relu(ng.nonlocal_attention(p["q"], p["kv"], p["wq"], p["wk"], p["wv"])[0])),
+            {"q": t(1, 3, 4), "kv": t(1, 5, 4), "wq": t(4, 4), "wk": t(4, 4), "wv": t(4, 4)},
+            lambda p: sp.sum_all(sp.relu(ng.nonlocal_attention(
+                p["q"], [([0], p["kv"])], p["wq"], p["wk"], p["wv"])[0])),
         ),
         "nonlocal_attention_kv_is_query": (
-            {"h": t(3, 4), "wq": t(4, 4), "wk": t(4, 4), "wv": t(4, 4)},
-            lambda p: sp.sum_all(sp.relu(ng.nonlocal_attention(p["h"], p["h"], p["wq"], p["wk"], p["wv"])[0])),
+            {"h": t(1, 3, 4), "wq": t(4, 4), "wk": t(4, 4), "wv": t(4, 4)},
+            lambda p: sp.sum_all(sp.relu(ng.nonlocal_attention(
+                p["h"], [([0], p["h"])], p["wq"], p["wk"], p["wv"])[0])),
         ),
         "additive_attention": (
-            {"r": t(3, 4), "n": t(5, 4), "w": t(4, 4), "a": t(8)},
-            lambda p: sp.sum_all(sp.relu(ng.additive_attention(p["r"], p["n"], p["w"], p["a"])[0])),
+            {"r": t(1, 3, 4), "n": t(1, 5, 4), "w": t(4, 4), "a": t(8)},
+            lambda p: sp.sum_all(sp.relu(ng.additive_attention(p["r"], [([0], p["n"])], p["w"], p["a"])[0])),
         ),
         "additive_attention_one_receiver_one_neighbor": (
-            {"r": t(1, 4), "n": t(1, 4), "w": t(4, 4), "a": t(8)},
-            lambda p: sp.sum_all(ng.additive_attention(p["r"], p["n"], p["w"], p["a"])[0]),
+            {"r": t(1, 1, 4), "n": t(1, 1, 4), "w": t(4, 4), "a": t(8)},
+            lambda p: sp.sum_all(ng.additive_attention(p["r"], [([0], p["n"])], p["w"], p["a"])[0]),
         ),
         "gated_mix": (
             {"a": t(3, 4), "b": t(3, 4), "r": t(3, 4), "g": t(8)},
@@ -284,18 +293,22 @@ def test_finite_differences_per_primitive():
 def test_fused_primitives_reject_bad_shapes():
     m, w = ng.Tensor(np.ones((3, 2))), ng.Tensor(np.ones((2, 2)))
     v4, v5 = ng.Tensor(np.ones(4)), ng.Tensor(np.ones(5))
+    # the attention blocks take a stack of receivers and (slices, stack) pairs
+    one, pair = ng.Tensor(np.ones((1, 3, 2))), [([0], ng.Tensor(np.ones((1, 3, 2))))]
     with pytest.raises(ShapeError):
-        ng.nonlocal_attention(m, ng.Tensor(np.ones((4, 3))), w, w, w)
+        ng.nonlocal_attention(one, [([0], ng.Tensor(np.ones((1, 4, 3))))], w, w, w)
     with pytest.raises(ShapeError):
-        ng.nonlocal_attention(m, m, w, ng.Tensor(np.ones((2, 3))), w)
+        ng.nonlocal_attention(one, pair, w, ng.Tensor(np.ones((2, 3))), w)
     with pytest.raises(ShapeError):
-        ng.nonlocal_attention(v4, m, w, w, w)
+        ng.nonlocal_attention(v4, pair, w, w, w)
     with pytest.raises(ShapeError):
-        ng.additive_attention(m, m, w, v5)
+        ng.additive_attention(one, pair, w, v5)
     with pytest.raises(ShapeError):
-        ng.additive_attention(m, m, w, ng.Tensor(np.ones((2, 2))))
+        ng.additive_attention(one, pair, w, ng.Tensor(np.ones((2, 2))))
     with pytest.raises(ShapeError):
-        ng.additive_attention(m, ng.Tensor(np.ones((3, 3))), w, v4)
+        ng.additive_attention(one, [([0], ng.Tensor(np.ones((1, 3, 3))))], w, v4)
+    with pytest.raises(ShapeError):
+        ng.additive_attention(m, pair, w, v4)
     with pytest.raises(ShapeError):
         ng.gated_mix([m, ng.Tensor(np.ones((2, 2)))], m, v4)
     with pytest.raises(ShapeError):
@@ -308,16 +321,24 @@ def test_fused_primitives_reject_bad_shapes():
         ng.residual_layer_norm(m, m, ng.Tensor(np.ones(3)), ng.Tensor(np.zeros(3)))
     with pytest.raises(ShapeError):
         ng.residual_layer_norm(v4, v4, v4, v4)
-    # an empty neighbor stack, plain or as one of a stack's (slices, stack) pairs
-    empty, stack = ng.Tensor(np.zeros((0, 2))), ng.Tensor(np.ones((2, 3, 2)))
+    # an empty neighbor stack, alone or as one of a stack's (slices, stack) pairs
+    empty, stack = [([0], ng.Tensor(np.zeros((1, 0, 2))))], ng.Tensor(np.ones((2, 3, 2)))
     pairs = [([0], ng.Tensor(np.ones((1, 4, 2)))), ([1], ng.Tensor(np.zeros((1, 0, 2))))]
-    for kv, query in ((empty, m), (pairs, stack)):
+    for kv, query in ((empty, one), (pairs, stack)):
         with pytest.raises(ShapeError, match="empty neighborhood"):
             ng.nonlocal_attention(query, kv, w, w, w)
         with pytest.raises(ShapeError, match="empty neighborhood"):
             ng.additive_attention(query, kv, w, v4)
     with pytest.raises(ShapeError):
         ng.nonlocal_attention(stack, [], w, w, w)
+    # a pair list must cover every receiver slice exactly once
+    with pytest.raises(ShapeError):
+        ng.nonlocal_attention(stack, [([0, 0], ng.Tensor(np.ones((2, 4, 2))))], w, w, w)
+
+
+def _fused_nonlocal(query, kv, wq, wk, wv):
+    out, [attention] = ng.nonlocal_attention(query, [([0], kv)], wq, wk, wv)
+    return out, attention
 
 
 def _composed_nonlocal(query, kv, wq, wk, wv):
@@ -345,7 +366,10 @@ def test_fused_blocks_match_their_composition_bit_for_bit(with_context):
         for part in ("wq", "wk", "wv"):
             p[f"{part}{head}"] = t(4, 4)
 
-    def run(attend, residual):
+    # the fused block takes (B, n, d) stacks: h and ctx as stacks of one
+    stacked = {**p, **{k: ng.Tensor(p[k].data[None], requires_grad=True) for k in ("h", "ctx")}}
+
+    def run(p, attend, residual):
         with ng.Tape() as tape:
             kv = ng.concat_rows([p["h"], p["ctx"]]) if with_context else p["h"]
             heads = [attend(p["h"], kv, p[f"wq{k}"], p[f"wk{k}"], p[f"wv{k}"]) for k in range(2)]
@@ -355,8 +379,8 @@ def test_fused_blocks_match_their_composition_bit_for_bit(with_context):
         outputs = [states, row, loss] + [att for _, att in heads]
         return [x.data for x in outputs], ng.grad(tape, loss, p)
 
-    fused_outputs, fused_grads = run(ng.nonlocal_attention, ng.residual_layer_norm)
-    outputs, grads = run(_composed_nonlocal, _composed_residual)
+    fused_outputs, fused_grads = run(stacked, _fused_nonlocal, ng.residual_layer_norm)
+    outputs, grads = run(p, _composed_nonlocal, _composed_residual)
     for got, want in zip(fused_outputs, outputs):
         assert got.tobytes() == want.tobytes()
     for name in p:
@@ -403,6 +427,21 @@ def _pair_rows(m):
     return ng.gather_rows(m, first + [2, 0, 0, 1, 2, 2])
 
 
+def _nonlocal_messages(q, kv, wq, wk, wv):
+    return ng.nonlocal_attention(q, kv, wq, wk, wv)[0]
+
+
+def _additive_messages(r, n, w, a):
+    return ng.additive_attention(r, n, w, a)[0]
+
+
+# The attention blocks' neighbors are (slices, stack) pairs, given below as
+# (slices, shape of each slice's neighbors): one pair over every slice, as
+# the spatial phase hands them, or slices permuted and interleaved over
+# pairs of different neighbor counts, as the temporal phase may.
+_ONE_PAIR = [(range(9), (5, 4))]
+_PERMUTED_PAIRS = [([2, 0, 7, 5, 4], (3, 4)), ([1, 8, 3, 6], (5, 4))]
+
 # name: (shapes of the per-slice inputs, shapes of the shared inputs, primitive)
 STACKED = {
     "matmul": ({"x": (3, 4)}, {"w": (4, 2)}, lambda x, w: ng.matmul(x, w)),
@@ -413,11 +452,15 @@ STACKED = {
     "concat_cols": ({"a": (3, 2), "b": (3, 4)}, {}, lambda a, b: ng.concat_cols([a, b])),
     "gather_rows": ({"m": (3, 4)}, {}, _pair_rows),
     "nonlocal_attention": (
-        {"q": (3, 4), "kv": (5, 4)}, {"wq": (4, 4), "wk": (4, 4), "wv": (4, 4)},
-        lambda q, kv, wq, wk, wv: ng.nonlocal_attention(q, kv, wq, wk, wv)[0]),
+        {"q": (3, 4), "kv": _ONE_PAIR}, {"wq": (4, 4), "wk": (4, 4), "wv": (4, 4)},
+        _nonlocal_messages),
+    "nonlocal_attention_permuted_pairs": (
+        {"q": (3, 4), "kv": _PERMUTED_PAIRS}, {"wq": (4, 4), "wk": (4, 4), "wv": (4, 4)},
+        _nonlocal_messages),
     "additive_attention": (
-        {"r": (3, 4), "n": (5, 4)}, {"w": (4, 4), "a": (8,)},
-        lambda r, n, w, a: ng.additive_attention(r, n, w, a)[0]),
+        {"r": (3, 4), "n": _ONE_PAIR}, {"w": (4, 4), "a": (8,)}, _additive_messages),
+    "additive_attention_permuted_pairs": (
+        {"r": (3, 4), "n": _PERMUTED_PAIRS}, {"w": (4, 4), "a": (8,)}, _additive_messages),
     "gated_mix": (
         {"a": (3, 4), "b": (3, 4), "r": (3, 4)}, {"g": (8,)},
         lambda a, b, r, g: ng.gated_mix([a, b, a], r, g)[0]),
@@ -432,35 +475,60 @@ def test_stacked_primitive_matches_its_slices_bit_for_bit(name):
     # One call on a (B, ...) stack against B calls on its slices, recorded
     # in slice order: outputs, slice gradients and the shared inputs'
     # folded gradients must have the same bytes.  B = 9 exceeds the 8
-    # elements from which numpy's own sums go pairwise.
+    # elements from which numpy's own sums go pairwise.  A primitive with
+    # paired inputs takes stacks only: slice b is called as a stack of
+    # one, with the single pair ([0], its row of its pair's stack).
     sliced, shared, primitive = STACKED[name]
     rng = np.random.default_rng(37)
     blocks = 9
-    stacks = {k: rng.uniform(-1, 1, size=(blocks,) + shape) for k, shape in sliced.items()}
+    paired = [k for k, spec in sliced.items() if isinstance(spec, list)]
+    stacks = {k: [rng.uniform(-1, 1, size=(len(slices),) + shape) for slices, shape in spec]
+              if k in paired else rng.uniform(-1, 1, size=(blocks,) + spec)
+              for k, spec in sliced.items()}
     params = {k: ng.Tensor(rng.uniform(-1, 1, size=shape), requires_grad=True)
               for k, shape in shared.items()}
+    # (pair, row of its stack) of every slice b of each paired input
+    rows = {k: {b: (i, row) for i, (slices, _) in enumerate(sliced[k])
+                for row, b in enumerate(slices)} for k in paired}
 
     with ng.Tape() as tape:
-        xs = {k: ng.Tensor(v, requires_grad=True) for k, v in stacks.items()}
-        out = primitive(**xs, **params)
+        xs = {k: ng.Tensor(v, requires_grad=True) for k, v in stacks.items() if k not in paired}
+        xs.update({f"{k}.{i}": ng.Tensor(v, requires_grad=True)
+                   for k in paired for i, v in enumerate(stacks[k])})
+        args = {k: [(slices, xs[f"{k}.{i}"]) for i, (slices, _) in enumerate(sliced[k])]
+                if k in paired else xs[k] for k in sliced}
+        out = primitive(**args, **params)
         loss = sp.sum_all(sp.relu(out))
     grads = ng.grad(tape, loss, {**xs, **params})
 
+    def slice_of(k, b):
+        if k in paired:
+            i, row = rows[k][b]
+            return stacks[k][i][row:row + 1]
+        return stacks[k][b:b + 1] if paired else stacks[k][b]
+
     with ng.Tape() as tape:
-        per_slice = [{k: ng.Tensor(v[b], requires_grad=True) for k, v in stacks.items()}
+        per_slice = [{k: ng.Tensor(slice_of(k, b), requires_grad=True) for k in sliced}
                      for b in range(blocks)]
         outs, total = [], None
         for xs_b in per_slice:
-            outs.append(primitive(**xs_b, **params))
+            args = {k: [([0], t)] if k in paired else t for k, t in xs_b.items()}
+            outs.append(primitive(**args, **params))
             term = sp.sum_all(sp.relu(outs[-1]))
             total = term if total is None else ng.add(total, term)
     slice_inputs = {f"{k}{b}": t for b, xs_b in enumerate(per_slice) for k, t in xs_b.items()}
     slice_grads = ng.grad(tape, total, {**slice_inputs, **params})
 
+    def stacked_grad(k, b):
+        if k in paired:
+            i, row = rows[k][b]
+            return grads[f"{k}.{i}"].data[row]
+        return grads[k].data[b]
+
     for b in range(blocks):
         assert out.data[b].tobytes() == outs[b].data.tobytes()
-        for k in stacks:
-            assert grads[k].data[b].tobytes() == slice_grads[f"{k}{b}"].data.tobytes(), (k, b)
+        for k in sliced:
+            assert stacked_grad(k, b).tobytes() == slice_grads[f"{k}{b}"].data.tobytes(), (k, b)
     for k in params:
         assert grads[k].data.tobytes() == slice_grads[k].data.tobytes(), k
         assert np.any(grads[k].data != 0.0)

@@ -72,21 +72,26 @@ def nl_weights(d, seed=0, zero_query=False):
             Tensor(rng.uniform(-1, 1, size=(d, d))))
 
 
+def one_pair(receivers: np.ndarray, neighbors: np.ndarray):
+    """(n, d) receivers and (s, d) neighbors as a stack of one and its single (slices, stack) pair."""
+    return Tensor(receivers[None]), [([0], Tensor(neighbors[None]))]
+
+
 def test_nonlocal_single_node_attends_to_itself():
     wq, wk, wv = nl_weights(4, seed=1)
-    h = Tensor(np.random.default_rng(2).uniform(-1, 1, size=(1, 4)))
-    msgs, att = ng.nonlocal_attention(h, h, wq, wk, wv)
-    assert att.data.shape == (1, 1)
-    assert att.data[0, 0] == 1.0
-    want = h.data @ wv.data
-    assert np.max(np.abs(msgs.data - want)) <= 1e-12
+    h = np.random.default_rng(2).uniform(-1, 1, size=(1, 4))
+    msgs, [att] = ng.nonlocal_attention(*one_pair(h, h), wq, wk, wv)
+    assert att.data.shape == (1, 1, 1)
+    assert att.data[0, 0, 0] == 1.0
+    want = h @ wv.data
+    assert np.max(np.abs(msgs.data[0] - want)) <= 1e-12
 
 
 def test_nonlocal_zero_query_gives_uniform_attention():
     rng = np.random.default_rng(3)
-    q = Tensor(rng.uniform(-1, 1, size=(2, 4)))
-    kv = Tensor(rng.uniform(-1, 1, size=(5, 4)))
-    _, att = ng.nonlocal_attention(q, kv, *nl_weights(4, seed=4, zero_query=True))
+    q = rng.uniform(-1, 1, size=(2, 4))
+    kv = rng.uniform(-1, 1, size=(5, 4))
+    _, [att] = ng.nonlocal_attention(*one_pair(q, kv), *nl_weights(4, seed=4, zero_query=True))
     assert np.max(np.abs(att.data - 0.2)) <= 1e-15
 
 
@@ -96,21 +101,22 @@ def test_nonlocal_matches_formula():
     wq, wk, wv = nl_weights(d, seed=6)
     q_states = rng.uniform(-1, 1, size=(3, d))
     kv_states = rng.uniform(-1, 1, size=(7, d))
-    msgs, att = ng.nonlocal_attention(Tensor(q_states), Tensor(kv_states), wq, wk, wv)
+    msgs, [att] = ng.nonlocal_attention(*one_pair(q_states, kv_states), wq, wk, wv)
+    msgs, att = msgs.data[0], att.data[0]
     for r in range(3):
         logits = np.array([
             (q_states[r] @ wq.data) @ (kv_states[j] @ wk.data) for j in range(7)
         ]) / np.sqrt(d)
         e = np.exp(logits - logits.max())
         a = e / e.sum()
-        assert np.max(np.abs(att.data[r] - a)) <= 1e-10
+        assert np.max(np.abs(att[r] - a)) <= 1e-10
         want = sum(a[j] * (kv_states[j] @ wv.data) for j in range(7))
-        assert np.max(np.abs(msgs.data[r] - want)) <= 1e-10
+        assert np.max(np.abs(msgs[r] - want)) <= 1e-10
 
 
 def test_nonlocal_empty_neighborhood_rejected():
     with pytest.raises(ShapeError):
-        ng.nonlocal_attention(Tensor(np.ones((1, 4))), Tensor(np.zeros((0, 4))), *nl_weights(4))
+        ng.nonlocal_attention(*one_pair(np.ones((1, 4)), np.zeros((0, 4))), *nl_weights(4))
 
 
 def gat_weights(d, seed=0, zero_score=False):
@@ -138,30 +144,31 @@ def gate_formula(h_v, msgs, gate):
 
 def test_gat_single_neighbor_full_attention():
     rng = np.random.default_rng(7)
-    h = Tensor(rng.uniform(-1, 1, size=(3, 4)))
-    nbr = Tensor(rng.uniform(-1, 1, size=(1, 4)))
+    h = rng.uniform(-1, 1, size=(3, 4))
+    nbr = rng.uniform(-1, 1, size=(1, 4))
     transform, score = gat_weights(4, seed=8)
-    msgs, att = ng.additive_attention(h, nbr, transform, score)
-    assert att.data.tolist() == [[1.0]] * 3
-    want = np.maximum(nbr.data[0] @ transform.data, 0.0)
+    msgs, [att] = ng.additive_attention(*one_pair(h, nbr), transform, score)
+    assert att.data.tolist() == [[[1.0]] * 3]
+    want = np.maximum(nbr[0] @ transform.data, 0.0)
     for r in range(3):
-        assert np.max(np.abs(msgs.data[r] - want)) <= 1e-12
+        assert np.max(np.abs(msgs.data[0, r] - want)) <= 1e-12
 
 
 def test_gat_zero_score_gives_uniform_attention():
     rng = np.random.default_rng(9)
-    h = Tensor(rng.uniform(-1, 1, size=(3, 4)))
-    nbrs = Tensor(rng.uniform(-1, 1, size=(4, 4)))
-    _, att = ng.additive_attention(h, nbrs, *gat_weights(4, seed=10, zero_score=True))
-    assert att.data.shape == (3, 4)
+    h = rng.uniform(-1, 1, size=(3, 4))
+    nbrs = rng.uniform(-1, 1, size=(4, 4))
+    _, [att] = ng.additive_attention(*one_pair(h, nbrs), *gat_weights(4, seed=10, zero_score=True))
+    assert att.data.shape == (1, 3, 4)
     assert np.max(np.abs(att.data - 0.25)) <= 1e-15
 
 
 def test_gat_empty_neighborhood_rejected():
     with pytest.raises(ShapeError):
-        ng.additive_attention(Tensor(np.ones((3, 4))), Tensor(np.zeros((0, 4))), *gat_weights(4))
+        ng.additive_attention(*one_pair(np.ones((3, 4)), np.zeros((0, 4))), *gat_weights(4))
     with pytest.raises(ShapeError):
-        ng.additive_attention(Tensor(np.ones(4)), Tensor(np.ones((2, 4))), *gat_weights(4))
+        ng.additive_attention(Tensor(np.ones(4)), [([0], Tensor(np.ones((1, 2, 4))))],
+                              *gat_weights(4))
 
 
 def test_gat_matches_formula():
@@ -170,12 +177,13 @@ def test_gat_matches_formula():
     w = gat_weights(d, seed=12)
     h = rng.uniform(-1, 1, size=(4, d))
     nbrs = rng.uniform(-1, 1, size=(6, d))
-    msgs, att = ng.additive_attention(Tensor(h), Tensor(nbrs), *w)
-    assert msgs.data.shape == (4, d) and att.data.shape == (4, 6)
+    msgs, [att] = ng.additive_attention(*one_pair(h, nbrs), *w)
+    assert msgs.data.shape == (1, 4, d) and att.data.shape == (1, 4, 6)
+    msgs, att = msgs.data[0], att.data[0]
     for r in range(4):
         a, want = gat_formula(h[r], nbrs, *w)
-        assert np.max(np.abs(att.data[r] - a)) <= 1e-10
-        assert np.max(np.abs(msgs.data[r] - want)) <= 1e-10
+        assert np.max(np.abs(att[r] - a)) <= 1e-10
+        assert np.max(np.abs(msgs[r] - want)) <= 1e-10
 
 
 def test_combine_identical_messages_returns_them():
@@ -588,11 +596,11 @@ def test_overflow_hidden_by_relu_is_still_caught():
 
     fg, ctx = keyframe_states(g, 0)
     with np.errstate(over="ignore"):
-        msgs, att = ng.additive_attention(Tensor(fg), Tensor(np.concatenate([fg, ctx])),
-                                          params["mp.iter0.spatial.gat.head0.transform"],
-                                          params["mp.iter0.spatial.gat.head0.score"])
+        msgs, [att] = ng.additive_attention(*one_pair(fg, np.concatenate([fg, ctx])),
+                                            params["mp.iter0.spatial.gat.head0.transform"],
+                                            params["mp.iter0.spatial.gat.head0.score"])
     assert np.all(np.isfinite(msgs.data))
-    assert np.all(att.data == att.data[0, 0])
+    assert np.all(att.data == att.data[0, 0, 0])
 
     with pytest.raises(NumericError) as err:
         pa.run_inference(g, params, config)

@@ -78,6 +78,16 @@ def test_schedule_scaling_is_proportional():
         assert abs(lr_at(2.0 * e, s) - lr_at(e, base)) < 1e-15
 
 
+def test_schedule_rejects_non_finite_values():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            Schedule().scaled(bad)
+        for name in ("base_lr", "warmup_start_lr", "warmup_epochs", "total_epochs",
+                     "decay_factor"):
+            with pytest.raises(ConfigError, match="finite"):
+                Schedule(**{name: bad}).validate()
+
+
 def test_schedule_validation():
     with pytest.raises(ConfigError):
         Schedule(base_lr=0.0).validate()
