@@ -14,7 +14,6 @@ representation, no timestamps), so identical runs produce identical bytes.
 """
 
 import argparse
-import bisect
 import json
 import os
 import sys
@@ -22,7 +21,7 @@ import sys
 from . import data as data_mod
 from .errors import ConfigError, GraphModelError
 from .flops import estimate_flops
-from .graph import build_graph
+from .graph import build_graph, node_ids
 from .heads import pair_index
 from .passing import (FN_GAT, FN_NONLOCAL, TASK_ACTION, TASK_SCENEGRAPH, ModelConfig,
                       param_shapes, run_inference)
@@ -172,9 +171,9 @@ def cmd_train(args) -> int:
     init_from = None
     if args.init_from:
         init_from, _, _ = load_checkpoint(args.init_from)
+    os.makedirs(args.out, exist_ok=True)  # an unusable --out fails before training
     result = train_loop(clips, config, schedule, seed=config.seed,
                         batch_size=args.batch_size, init_from=init_from)
-    os.makedirs(args.out, exist_ok=True)
     save_checkpoint(os.path.join(args.out, "checkpoint.json"),
                     result.params, config, seed=config.seed, log=result.log)
     payload = {
@@ -256,20 +255,19 @@ def cmd_dump_attention(args) -> int:
     clip = data_mod.featurize_clip(record, info, mode=data_mod.EVAL_MODE)
     graph = build_graph(clip.frames, params, config)
     result = run_inference(graph, params, config, record_traces=True)
-    first_ids = [kf.first_id for kf in graph.keyframes]
-    lines = []
-    for rec in result.attention:
-        neighbors = []
-        for nid in rec.neighbor_ids:
-            kf = graph.keyframes[bisect.bisect_right(first_ids, nid) - 1]
-            kind, box, cell = kf.describe(nid - kf.first_id)
-            neighbors.append({
+    nodes = {}
+    for pos, frame in enumerate(graph.keyframes):
+        for row, nid in enumerate(node_ids(graph, pos, context=True)):
+            kind, box, cell = frame.describe(row)
+            nodes[nid] = {
                 "node": nid,
                 "kind": kind,
-                "keyframe_id": kf.keyframe_id,
+                "keyframe_id": frame.keyframe_id,
                 "box": box.as_list() if box is not None else None,
                 "cell": list(cell) if cell is not None else None,
-            })
+            }
+    lines = []
+    for rec in result.attention:
         lines.append(_canonical_json({
             "record": "attention",
             "clip_id": record.clip_id,
@@ -278,7 +276,7 @@ def cmd_dump_attention(args) -> int:
             "phase": rec.phase,
             "function": rec.function,
             "head": rec.head,
-            "neighbors": neighbors,
+            "neighbors": [nodes[nid] for nid in rec.neighbor_ids],
             "weights": [float(w) for w in rec.weights],
         }))
     for g in result.gates:
@@ -382,6 +380,10 @@ def main(argv=None) -> int:
         return args.run(args)
     except GraphModelError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except OSError as err:  # an output path that cannot be created or written
+        where = f"{err.filename}: " if err.filename else ""
+        print(f"error: {where}{err.strerror or err}", file=sys.stderr)
         return 1
 
 

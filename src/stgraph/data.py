@@ -41,11 +41,19 @@ EVAL_MODE = "eval"
 
 
 def write_grid(path: str, values: np.ndarray, keyframe_id: int) -> None:
-    """Store a (t, h, w, c) feature grid as a little-endian float32 blob."""
-    arr = np.asarray(values, dtype="<f4")
-    if arr.ndim != 4:
-        raise ValidationError(f"grid values must be 4-d (t, h, w, c), got {arr.shape}")
-    checksum = np.float32(arr.astype(np.float64).sum())
+    """Store a (t, h, w, c) grid as a little-endian float32 blob, refusing one read_grid would."""
+    wide = np.asarray(values, dtype=np.float64)
+    if wide.ndim != 4:
+        raise ValidationError(f"{path}: grid values must be 4-d (t, h, w, c), got {wide.shape}")
+    if not np.all(np.abs(wide) <= np.finfo(np.float32).max):  # False for NaN too
+        raise ValidationError(f"{path}: grid values must be finite and within float32 range")
+    for v in (*wide.shape, keyframe_id):  # np.float32 of an int above 2**127 overflows
+        if not (abs(v) <= 2 ** 127 and int(np.float32(v)) == v):
+            raise ValidationError(f"{path}: grid header value {v} is not exact in float32")
+    arr = wide.astype("<f4")
+    checksum = arr.astype(np.float64).sum()
+    if not abs(checksum) <= np.finfo(np.float32).max:
+        raise ValidationError(f"{path}: grid checksum {checksum!r} is beyond float32 range")
     header = np.array(
         [GRID_MAGIC, GRID_VERSION, *arr.shape, float(keyframe_id), checksum], dtype="<f4")
     with open(path, "wb") as f:

@@ -114,6 +114,15 @@ class KeyframeFeatures:
     prop_boxes: list[Box] = field(default_factory=list)
     prop_feats: np.ndarray | None = None  # (p, c)
 
+    def describe(self, row: int) -> tuple[str, Box | None, tuple[int, int] | None]:
+        """(kind, box, cell) of the keyframe's node at row (see node_ids)."""
+        n, (h, w) = len(self.fg_boxes), self.grid_hw
+        if row < n:
+            return FOREGROUND, self.fg_boxes[row], None
+        if row < n + h * w:
+            return CONTEXT_IMPLICIT, None, divmod(row - n, w)
+        return CONTEXT_EXPLICIT, self.prop_boxes[row - n - h * w], None
+
 
 def featurize_keyframe(grid: FeatureGrid, fg_boxes, proposals=()) -> KeyframeFeatures:
     """Pool per-box and per-cell features for one keyframe."""
@@ -151,39 +160,6 @@ class Block:
     ctx_states: Tensor
 
 
-@dataclass
-class KeyframeNodes:
-    """Metadata of one keyframe; its states live in the graph's blocks (see where).
-
-    Ids run from first_id over the foreground boxes, then the grid cells
-    (row-major), then the proposals; they restart at 0 in every clip.
-    """
-
-    keyframe_id: int
-    first_id: int
-    fg_boxes: list[Box]
-    grid_hw: tuple[int, int]
-    prop_boxes: list[Box]
-
-    @property
-    def fg_ids(self) -> list[int]:
-        return list(range(self.first_id, self.first_id + len(self.fg_boxes)))
-
-    @property
-    def ctx_ids(self) -> list[int]:
-        (h, w), start = self.grid_hw, self.first_id + len(self.fg_boxes)
-        return list(range(start, start + h * w + len(self.prop_boxes)))
-
-    def describe(self, row: int) -> tuple[str, Box | None, tuple[int, int] | None]:
-        """(kind, box, cell) of the node with id first_id + row."""
-        n, (h, w) = len(self.fg_boxes), self.grid_hw
-        if row < n:
-            return FOREGROUND, self.fg_boxes[row], None
-        if row < n + h * w:
-            return CONTEXT_IMPLICIT, None, divmod(row - n, w)
-        return CONTEXT_EXPLICIT, self.prop_boxes[row - n - h * w], None
-
-
 def project_block(frames: list[KeyframeFeatures], positions: list[int], params) -> Block:
     """Project the pooled features of same-shaped keyframes, one matmul per node kind."""
     with ng.checked("input projection"):
@@ -211,17 +187,19 @@ def temporal_offsets(tau_c: int) -> list[int]:
 class SpatioTemporalGraph:
     """The keyframes of one clip or of a batch of clips, plus temporal adjacency.
 
-    keyframes is flat: every clip's keyframes in order, clip after clip,
-    and clips[c] is the range of clip c's positions.  Every foreground node
-    attends spatially to all nodes of its own keyframe.  temporal[pos]
-    lists, ascending, the positions pos + t * tau_s for each window offset
-    t that fall inside pos's clip; it is empty everywhere when tau_c is 1.
-    blocks group the keyframes whose row counts match and whose temporal
-    neighborhoods are all empty or all not, and where[pos] is the
+    keyframes is flat: the KeyframeFeatures passed in, every clip's in order,
+    clip after clip, and clips[c] is the range of clip c's positions.
+    first_ids[pos] is keyframe pos's first node id (see node_ids).  Every
+    foreground node attends spatially to all nodes of its own keyframe.
+    temporal[pos] lists, ascending, the positions pos + t * tau_s for each
+    window offset t that fall inside pos's clip; it is empty everywhere when
+    tau_c is 1.  blocks group the keyframes whose row counts match and whose
+    temporal neighborhoods are all empty or all not, and where[pos] is the
     (block, slice) that holds keyframe pos.
     """
 
-    keyframes: list[KeyframeNodes]
+    keyframes: list[KeyframeFeatures]
+    first_ids: list[int]
     blocks: list[Block]
     clips: list[range]
     temporal: list[list[int]]
@@ -263,16 +241,21 @@ def build_batch(clips: list[list[KeyframeFeatures]], params, config) -> SpatioTe
     for k, positions in enumerate(shapes.values()):
         for j, pos in enumerate(positions):
             where[pos] = (k, j)
-    keyframes = []
-    for clip in clips:
-        next_id = 0
-        for f in clip:
-            keyframes.append(KeyframeNodes(
-                keyframe_id=f.keyframe_id, first_id=next_id, fg_boxes=list(f.fg_boxes),
-                grid_hw=f.grid_hw, prop_boxes=list(f.prop_boxes)))
-            next_id += len(f.fg_boxes) + f.ctx_feats.shape[0] + len(f.prop_boxes)
-    return SpatioTemporalGraph(keyframes, blocks, spans, temporal, where,
+    sizes = [len(f.fg_boxes) + f.ctx_feats.shape[0] + len(f.prop_boxes) for f in frames]
+    first_ids = [sum(sizes[span.start:pos]) for span in spans for pos in span]
+    return SpatioTemporalGraph(frames, first_ids, blocks, spans, temporal, where,
                                config.tau_c, config.tau_s)
+
+
+def node_ids(graph: SpatioTemporalGraph, pos: int, context: bool = False) -> list[int]:
+    """Ids of keyframe pos's foreground nodes, then, with context, of its context nodes.
+
+    A clip's ids run from 0 keyframe by keyframe, each over its boxes, grid
+    cells (row-major) and proposals; describe(id - first_ids[pos]) names one.
+    """
+    f = graph.keyframes[pos]
+    count = len(f.fg_boxes) + (f.ctx_feats.shape[0] + len(f.prop_boxes) if context else 0)
+    return list(range(graph.first_ids[pos], graph.first_ids[pos] + count))
 
 
 def build_graph(frames: list[KeyframeFeatures], params, config) -> SpatioTemporalGraph:

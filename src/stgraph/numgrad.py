@@ -785,10 +785,15 @@ def finite_difference_grads(f, params: dict[str, Tensor], step: float = 1e-5) ->
         flat = fd.reshape(-1)
         for k in range(base.size):
             bumped = base.copy().reshape(-1)
-            bumped[k] += step
-            hi = f({**params, name: Tensor(bumped.reshape(base.shape), requires_grad=True, name=name)})
-            bumped[k] -= 2.0 * step
-            lo = f({**params, name: Tensor(bumped.reshape(base.shape), requires_grad=True, name=name)})
+            try:
+                bumped[k] += step
+                hi = f({**params, name: Tensor(bumped.reshape(base.shape), requires_grad=True,
+                                               name=name)})
+                bumped[k] -= 2.0 * step
+                lo = f({**params, name: Tensor(bumped.reshape(base.shape), requires_grad=True,
+                                               name=name)})
+            except NumericError as err:  # name the nudge, not only the layer that overflowed
+                raise NumericError(f"{name}[{k}] nudged by step {step!r}: {err}") from None
             flat[k] = (hi - lo) / (2.0 * step)
         out[name] = fd
     return out

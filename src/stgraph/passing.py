@@ -42,7 +42,7 @@ import numpy as np
 
 from . import numgrad as ng
 from .errors import ConfigError
-from .graph import PROJ_CONTEXT, PROJ_FOREGROUND, PROJ_PROPOSAL, SpatioTemporalGraph
+from .graph import PROJ_CONTEXT, PROJ_FOREGROUND, PROJ_PROPOSAL, SpatioTemporalGraph, node_ids
 from .numgrad import Tensor
 
 PHASE_SPATIAL = "spatial"
@@ -271,19 +271,19 @@ def _slice_rows(kv, attention, count: int) -> list[np.ndarray]:
 def _keyframe_traces(graph: SpatioTemporalGraph, iteration: int, phase: str, pos: int,
                      slots, attention: list[np.ndarray], mix: np.ndarray | None):
     """Attention records, slot by slot and node by node, and gate records of one keyframe."""
-    kf = graph.keyframes[pos]
+    fg_ids = node_ids(graph, pos)
     if phase == PHASE_SPATIAL:
-        kv_ids = kf.fg_ids + kf.ctx_ids
+        kv_ids = node_ids(graph, pos, context=True)
     else:
-        kv_ids = [j for p in graph.temporal[pos] for j in graph.keyframes[p].fg_ids]
+        kv_ids = [j for p in graph.temporal[pos] for j in node_ids(graph, p)]
     records = [AttentionRecord(iteration, phase, fn, h, node_id, list(kv_ids), row.copy())
                for (fn, h), rows in zip(slots, attention)
-               for node_id, row in zip(kf.fg_ids, rows)]
+               for node_id, row in zip(fg_ids, rows)]
     if mix is None:
         return records, []
     names = [f"{fn}.head{h}" for fn, h in slots]
     return records, [GateRecord(iteration, phase, node_id, list(names), row.copy())
-                     for node_id, row in zip(kf.fg_ids, mix)]
+                     for node_id, row in zip(fg_ids, mix)]
 
 
 def _slot(params, iteration: int, phase: str, fn: str, head: int, own: Tensor, kv):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stgraph import data
+from stgraph import cli, data
 from stgraph.cli import main
 from stgraph.graph import build_graph
 from stgraph.passing import ModelConfig, run_inference
@@ -272,6 +272,8 @@ def test_gradcheck_exit_codes(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("--step", "0"), ("--step", "nan"), ("--tolerance", "nan"), ("--tolerance=-1",),
+    # finite and positive, but the nudged forward pass overflows
+    ("--step", "1e308"),
 ])
 def test_gradcheck_rejects_bad_step_and_tolerance(capsys, argv):
     code = run_cli("gradcheck", "--state-dim", "5", "--heads", "1", *argv)
@@ -279,6 +281,8 @@ def test_gradcheck_rejects_bad_step_and_tolerance(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert ("step" if argv[0] == "--step" else "tolerance") in err
+    if argv == ("--step", "1e308"):
+        assert err.startswith("error: input.foreground.weight[0] nudged by step 1e+308: ")
 
 
 @pytest.mark.parametrize("epochs", ["nan", "inf", "-inf"])
@@ -556,6 +560,29 @@ def test_flops_command_writes_json(tmp_path, capsys):
     assert code == 0
     payload = json.load(open(out_path))
     assert payload["total"] == 2288
+
+
+@pytest.mark.parametrize("command,out", [
+    ("synth", "file"), ("train", "file"), ("eval", "file"),
+    ("dump-attention", "missing/att.jsonl"), ("flops", "missing/flops.json"),
+])
+def test_unusable_output_path_exits_one(action_ds, tmp_path, capsys, monkeypatch, command, out):
+    monkeypatch.setattr(cli, "train_loop", lambda *args, **kwargs: pytest.fail("trained"))
+    config = ModelConfig(state_dim=4, heads=1, feature_channels=6, action_classes=2)
+    ckpt = str(tmp_path / "checkpoint.json")
+    save_checkpoint(ckpt, init_params(config, seed=0), config, seed=0)
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / out)
+    argv = {
+        "synth": ["synth", "action-overfit"],
+        "train": ["train", "--data", action_ds, "--epochs", "1", "--state-dim", "4"],
+        "eval": ["eval", "--data", action_ds, "--checkpoint", ckpt],
+        "dump-attention": ["dump-attention", "--data", action_ds, "--checkpoint", ckpt],
+        "flops": ["flops", "--fg", "1", "--context", "1", "--keyframes", "1"],
+    }[command]
+    code = run_cli(*argv, "--out", out)
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {out}")
 
 
 def test_synth_prints_manifest_path(tmp_path, capsys):

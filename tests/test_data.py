@@ -27,6 +27,20 @@ def test_grid_round_trip_is_exact(tmp_path):
     assert np.array_equal(grid.values.data, values)
 
 
+@pytest.mark.parametrize("values,keyframe_id,match", [
+    (np.zeros((1, 1, 1, 2)), 16777217, "exact in float32"),  # would read back as 16777216
+    (np.full((1, 1, 1, 2), 1e39), 0, "within float32 range"),  # would be stored as inf
+    (np.full((1, 1, 1, 2), np.nan), 0, "within float32 range"),
+    (np.full((1, 1, 1, 2), 3e38), 0, "checksum"),  # each value fits, their sum does not
+    (np.zeros((1, 1, 2)), 0, "4-d"),
+])
+def test_write_grid_refuses_what_read_grid_would(tmp_path, values, keyframe_id, match):
+    path = tmp_path / "a.grid"
+    with pytest.raises(ValidationError, match=f"^{path}: .*{match}"):
+        write_grid(str(path), values, keyframe_id=keyframe_id)
+    assert not path.exists()
+
+
 def test_grid_rejects_bad_magic(tmp_path):
     path = str(tmp_path / "a.grid")
     write_grid(path, np.zeros((1, 1, 1, 2)), keyframe_id=0)

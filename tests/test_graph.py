@@ -71,10 +71,13 @@ def test_init_nodes_counts_and_kinds():
     grid = make_grid(rng.uniform(-1, 1, size=(2, 2, 3, 4)), keyframe_id=9)
     boxes = [gr.Box(0.0, 0.0, 0.5, 0.5), gr.Box(0.4, 0.4, 0.9, 0.9)]
     props = [gr.Box(0.1, 0.1, 0.8, 0.8)]
-    g = project(grid, boxes, props, identity_params(4))
+    frame = gr.featurize_keyframe(grid, boxes, props)
+    g = gr.build_graph([frame], identity_params(4), SimpleNamespace(tau_c=1, tau_s=1))
     [kf] = g.keyframes
-    assert kf.fg_ids == [0, 1]
-    assert kf.ctx_ids == list(range(2, 2 + 2 * 3 + 1))
+    assert kf is frame  # the graph keeps the frames it was built from
+    assert g.first_ids == [0]
+    assert gr.node_ids(g, 0) == [0, 1]
+    assert gr.node_ids(g, 0, context=True) == list(range(2 + 2 * 3 + 1))
     described = [kf.describe(row) for row in range(9)]
     assert [kind for kind, _, _ in described] == (
         [gr.FOREGROUND] * 2 + [gr.CONTEXT_IMPLICIT] * 6 + [gr.CONTEXT_EXPLICIT])
@@ -86,12 +89,12 @@ def test_init_nodes_counts_and_kinds():
     assert ctx.shape == (7, 4)
     assert kf.keyframe_id == 9
     # ids run on through a clip and restart in the next clip of a batch
-    frame = gr.featurize_keyframe(grid, boxes, props)
     batch = gr.build_batch([[frame, frame], [frame]], identity_params(4),
                            SimpleNamespace(tau_c=1, tau_s=1))
-    assert [k.first_id for k in batch.keyframes] == [0, 9, 0]
-    assert batch.keyframes[1].fg_ids == [9, 10]
-    assert batch.keyframes[1].ctx_ids == list(range(11, 18))
+    assert batch.first_ids == [0, 9, 0]
+    assert gr.node_ids(batch, 1) == [9, 10]
+    assert gr.node_ids(batch, 1, context=True) == list(range(9, 18))
+    assert gr.node_ids(batch, 2, context=True) == list(range(9))
 
 
 def test_init_nodes_requires_foreground():
@@ -127,14 +130,13 @@ def test_spatial_neighborhoods_cover_whole_keyframe():
     grid = make_grid(rng.uniform(-1, 1, size=(1, 2, 2, 4)))
     boxes = [gr.Box(0.0, 0.0, 0.5, 0.5), gr.Box(0.5, 0.5, 1.0, 1.0)]
     g, records = spatial_records([gr.featurize_keyframe(grid, boxes, [gr.Box(0.2, 0.2, 0.7, 0.7)])])
-    [kf] = g.keyframes
     n_total = 2 + 4 + 1
     # only foreground nodes receive, one record each
-    assert [r.node_id for r in records] == kf.fg_ids
+    assert [r.node_id for r in records] == gr.node_ids(g, 0) == [0, 1]
     for r in records:
         assert len(r.neighbor_ids) == n_total
         assert r.node_id in r.neighbor_ids  # self included
-        assert r.neighbor_ids == kf.fg_ids + kf.ctx_ids
+        assert r.neighbor_ids == gr.node_ids(g, 0, context=True) == list(range(n_total))
 
 
 def test_temporal_offsets_examples():
@@ -192,10 +194,10 @@ def test_build_graph_structure():
     g = build_clip_graph()
     assert len(g.keyframes) == 3
     # ids run keyframe after keyframe: 2 boxes, 4 cells and 1 proposal each
-    assert [kf.first_id for kf in g.keyframes] == [0, 7, 14]
+    assert g.first_ids == [0, 7, 14]
     assert [kf.keyframe_id for kf in g.keyframes] == [0, 5, 10]
-    assert g.keyframes[1].fg_ids == [7, 8]
-    assert g.keyframes[1].ctx_ids == list(range(9, 14))
+    assert gr.node_ids(g, 1) == [7, 8]
+    assert gr.node_ids(g, 1, context=True) == list(range(7, 14))
     # middle keyframe sees both sides, edges see one
     assert g.temporal == [[1], [0, 2], [1]]
 
@@ -219,10 +221,10 @@ def test_blocks_do_not_mix_keyframes_with_and_without_temporal_neighbors():
 def test_node_ids_are_sequential_and_deterministic():
     a = build_clip_graph(seed=3)
     b = build_clip_graph(seed=3)
-    ids = [i for kf in a.keyframes for i in kf.fg_ids + kf.ctx_ids]
+    ids = [i for pos in range(3) for i in gr.node_ids(a, pos, context=True)]
     assert ids == list(range(3 * (2 + 4 + 1)))
+    assert a.first_ids == b.first_ids
     for pos, (ka, kb) in enumerate(zip(a.keyframes, b.keyframes)):
-        assert ka.first_id == kb.first_id
         assert [ka.describe(r) for r in range(7)] == [kb.describe(r) for r in range(7)]
         for sa, sb in zip(keyframe_states(a, pos), keyframe_states(b, pos)):
             assert sa.tobytes() == sb.tobytes()

@@ -358,15 +358,15 @@ def test_run_inference_trace_order():
     for i in range(2):
         for phase in (pa.PHASE_SPATIAL, pa.PHASE_TEMPORAL):
             for pos in range(len(g.keyframes)):
-                kf = g.keyframes[pos]
+                fg_ids = gr.node_ids(g, pos)
                 if phase == pa.PHASE_SPATIAL:
-                    nbrs = kf.fg_ids + kf.ctx_ids
+                    nbrs = gr.node_ids(g, pos, context=True)
                 else:
-                    nbrs = [j for p in g.temporal[pos] for j in g.keyframes[p].fg_ids]
+                    nbrs = [j for p in g.temporal[pos] for j in gr.node_ids(g, p)]
                 for fn in cfg.message_fns:
                     for h in range(cfg.heads):
-                        want_att += [(i, phase, fn, h, v, nbrs) for v in kf.fg_ids]
-                want_gates += [(i, phase, v) for v in kf.fg_ids]
+                        want_att += [(i, phase, fn, h, v, nbrs) for v in fg_ids]
+                want_gates += [(i, phase, v) for v in fg_ids]
     got_att = [(r.iteration, r.phase, r.function, r.head, r.node_id, r.neighbor_ids)
                for r in res.attention]
     assert got_att == want_att
