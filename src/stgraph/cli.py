@@ -9,8 +9,10 @@ Subcommands:
     dump-attention  write per-node attention and gate records for one clip
     flops           print the multiply-accumulate estimate for a config
 
-Reports and checkpoints are canonical JSON (sorted keys, shortest float
-representation, no timestamps), so identical runs produce identical bytes.
+Reports and checkpoints are canonical JSON (sorted keys, no timestamps), so
+identical runs produce identical bytes.  Reports write floats in their
+shortest representation; checkpoints write each tensor as base64 of its
+little-endian float64 bytes.
 """
 
 import argparse
@@ -23,6 +25,7 @@ from .errors import ConfigError, GraphModelError
 from .flops import estimate_flops
 from .graph import build_graph, node_ids
 from .heads import pair_index
+from .metrics import check_iou_threshold
 from .passing import (FN_GAT, FN_NONLOCAL, TASK_ACTION, TASK_SCENEGRAPH, ModelConfig,
                       param_shapes, run_inference)
 from .train import (Schedule, evaluate_action, evaluate_scenegraph, gradient_check,
@@ -194,8 +197,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params, config, _ = load_checkpoint(args.checkpoint)
+    if config.task == TASK_ACTION:
+        check_iou_threshold(args.iou)
     info, records = data_mod.load_dataset(args.data)
     _check_dataset_matches(config, info)
+    os.makedirs(args.out, exist_ok=True)  # an unusable --out fails before evaluation
     clips = [data_mod.featurize_clip(r, info, mode=data_mod.EVAL_MODE) for r in records]
     payload: dict = {"command": "eval", "clips": len(clips), "config": config.to_dict()}
     if config.task == TASK_ACTION:
@@ -299,11 +305,11 @@ def cmd_flops(args) -> int:
     config = _config_from_args(args, check=ModelConfig.validate)
     out = estimate_flops(config, n_fg=args.fg, n_context=args.context,
                          keyframes=args.keyframes)
-    for key in sorted(out):
-        print(f"{key} = {out[key]}")
-    if args.out:
+    if args.out:  # an unusable --out fails before anything is printed
         with open(args.out, "w") as f:
             f.write(_canonical_json(out))
+    for key in sorted(out):
+        print(f"{key} = {out[key]}")
     return 0
 
 

@@ -113,6 +113,11 @@ def _average_precision(tp_flags: list[bool], num_gt: int) -> float:
     return float(ap)
 
 
+def check_iou_threshold(threshold: float) -> None:
+    if not 0 < threshold <= 1:
+        raise ConfigError(f"IoU threshold must be in (0, 1], got {threshold}")
+
+
 def frame_ap(detections: list[Detection], ground_truth: list[GroundTruthBox],
              iou_threshold: float = 0.5) -> tuple[dict[int, float], float]:
     """Per-class average precision and its mean over annotated classes.
@@ -120,8 +125,7 @@ def frame_ap(detections: list[Detection], ground_truth: list[GroundTruthBox],
     Classes without any ground truth are excluded from the mean; an empty
     ground truth list leaves the metric undefined and raises.
     """
-    if not 0 < iou_threshold <= 1:
-        raise ConfigError(f"IoU threshold must be in (0, 1], got {iou_threshold}")
+    check_iou_threshold(iou_threshold)
     if not ground_truth:
         raise ValidationError("frame AP is undefined without ground truth boxes")
     classes = sorted({g.class_id for g in ground_truth})

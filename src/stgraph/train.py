@@ -1,5 +1,6 @@
 """Learning-rate schedule, SGD with momentum, training loop, evaluation, checkpoints."""
 
+import base64
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -7,7 +8,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numgrad as ng
-from .data import _JSON_INTEGERS, _JSON_NUMBERS, ClipFeatures, one_hot, relation_target_matrix
+from .data import _JSON_INTEGERS, ClipFeatures, one_hot, relation_target_matrix
 from .errors import ConfigError, NumericError, ValidationError
 from .graph import (Box, FeatureGrid, SpatioTemporalGraph, build_batch, build_graph,
                     featurize_keyframe)
@@ -17,7 +18,7 @@ from .numgrad import Tape, Tensor, grad, sigmoid_values
 from .passing import ModelConfig, param_shapes, run_inference
 
 CHECKPOINT_FORMAT = "stgraph-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 # clips scored together as one batch by evaluate_action/evaluate_scenegraph
 EVAL_CHUNK = 16
 
@@ -401,8 +402,11 @@ def save_checkpoint(path: str, params: dict[str, Tensor], config: ModelConfig,
                     seed: int, log: list[dict] | None = None) -> None:
     """Versioned JSON checkpoint: config echo, seed, and named tensors.
 
-    Serialization uses sorted keys and shortest-round-trip floats, so the
-    same state always produces the same bytes.
+    Each tensor is stored as its shape and the base64 text of its
+    little-endian float64 bytes in C order.  Keys are sorted and nothing
+    depends on the clock, so the same state always produces the same bytes.
+    load_checkpoint validates the config, then each tensor's name, shape,
+    base64 length and alphabet, decoded byte count and finiteness.
     """
     payload = {
         "format": CHECKPOINT_FORMAT,
@@ -410,7 +414,8 @@ def save_checkpoint(path: str, params: dict[str, Tensor], config: ModelConfig,
         "seed": seed,
         "config": config.to_dict(),
         "params": {
-            name: {"shape": list(t.shape), "values": t.data.reshape(-1).tolist()}
+            name: {"shape": list(t.shape),
+                   "data": base64.b64encode(t.data.astype("<f8", copy=False).tobytes()).decode()}
             for name, t in params.items()
         },
     }
@@ -454,25 +459,27 @@ def load_checkpoint(path: str) -> tuple[dict[str, Tensor], ModelConfig, dict]:
     params: dict[str, Tensor] = {}
     for name, shape in expected.items():
         entry = stored[name]
-        if not isinstance(entry, dict) or "shape" not in entry or "values" not in entry:
-            raise ValidationError(f"{path}: {name!r} must be an object with 'shape' and 'values'")
-        stored_shape, values = entry["shape"], entry["values"]
-        # np.array would also take strings and booleans as numbers
-        if (not isinstance(stored_shape, list) or not isinstance(values, list)
-                or not _JSON_INTEGERS.issuperset(map(type, stored_shape))
-                or not _JSON_NUMBERS.issuperset(map(type, values))):
-            raise ValidationError(f"{path}: {name!r} needs a list of integers as 'shape' "
-                                  f"and a list of numbers as 'values'")
-        if tuple(stored_shape) != shape or len(values) != math.prod(shape):
-            raise ValidationError(
-                f"{path}: {name!r} has shape {tuple(stored_shape)} and {len(values)} values, "
-                f"expected {shape}")
+        if not isinstance(entry, dict) or "shape" not in entry or "data" not in entry:
+            raise ValidationError(f"{path}: {name!r} must be an object with 'shape' and 'data'")
+        stored_shape, text = entry["shape"], entry["data"]
+        # [True, 2] and [1.0, 2] compare equal to (1, 2), hence the type check
+        if (not isinstance(stored_shape, list) or tuple(stored_shape) != shape
+                or not _JSON_INTEGERS.issuperset(map(type, stored_shape))):
+            raise ValidationError(f"{path}: {name!r} has shape {stored_shape!r}, expected {shape}")
+        size = 8 * math.prod(shape)
+        chars = 4 * -(-size // 3)  # padded base64 of size bytes
+        if not isinstance(text, str) or len(text) != chars:
+            raise ValidationError(f"{path}: {name!r} needs 'data' as a string of {chars} "
+                                  f"base64 characters for {size} bytes")
         try:
-            data = np.array(values, dtype=np.float64)
-            finite = np.isfinite(data).all()
-        except OverflowError:  # a JSON integer beyond float range
-            finite = False
-        if not finite:
+            raw = base64.b64decode(text, validate=True)
+        except ValueError as err:  # binascii.Error, or a character outside ASCII
+            raise ValidationError(f"{path}: {name!r} is not valid base64: {err}") from None
+        if len(raw) != size:
+            raise ValidationError(
+                f"{path}: {name!r} decodes to {len(raw)} bytes, expected {size}")
+        data = np.frombuffer(raw, dtype="<f8")
+        if not np.isfinite(data).all():
             raise ValidationError(f"{path}: {name!r} holds non-finite values")
         params[name] = Tensor(data.reshape(shape), requires_grad=True, name=name)
     meta = {"seed": payload.get("seed"), "log": payload.get("log")}

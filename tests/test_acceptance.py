@@ -370,5 +370,5 @@ def test_criterion_10_training_and_reports_are_byte_deterministic(tmp_path):
     # and the checkpoint is valid, versioned JSON with a config echo
     payload = json.loads(outputs["first"]["checkpoint"])
     assert payload["format"] == "stgraph-checkpoint"
-    assert payload["version"] == 1
+    assert payload["version"] == 2
     assert payload["config"]["state_dim"] == 10

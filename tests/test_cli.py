@@ -398,7 +398,8 @@ def test_unreadable_manifest_grid_and_checkpoint_bytes_fail_cleanly(action_ds, t
     ckpt = train_once(action_ds, str(tmp_path / "run"))
     with open(ckpt) as f:
         payload = json.load(f)
-    payload["params"]["input.context.weight"]["values"][0] = "0.5"
+    entry = payload["params"]["input.context.weight"]
+    entry["data"] = "-" + entry["data"][1:]  # right length, a character outside base64
     for blob in (b"[" * 100_000, b'{"format": "\xff"}', json.dumps(payload).encode()):
         with open(ckpt, "wb") as f:
             f.write(blob)
@@ -582,7 +583,10 @@ def test_unusable_output_path_exits_one(action_ds, tmp_path, capsys, monkeypatch
     }[command]
     code = run_cli(*argv, "--out", out)
     assert code == 1
-    assert capsys.readouterr().err.startswith(f"error: {out}")
+    printed = capsys.readouterr()
+    assert printed.err.startswith(f"error: {out}")
+    # no result (eval's mAP, flops' estimate) is printed before the failure
+    assert printed.out == ""
 
 
 def test_synth_prints_manifest_path(tmp_path, capsys):

@@ -1,8 +1,11 @@
 """Schedule, SGD, initialization, training loop, and checkpoint tests."""
 
+import base64
 import ctypes
 import json
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -404,6 +407,10 @@ def test_evaluate_scenegraph_counts_a_repeated_k_once():
 # checkpoints
 
 
+def _b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode()
+
+
 def test_checkpoint_round_trip(tmp_path):
     config = small_config(heads=2, message_fns=("nonlocal", "gat"), tau_c=3)
     params = init_params(config, seed=9)
@@ -440,14 +447,18 @@ def test_checkpoint_rejects_tampered_shape(tmp_path):
     params = init_params(config, seed=0)
     path = str(tmp_path / "model.json")
     save_checkpoint(path, params, config, seed=0)
-    payload = json.load(open(path))
-    payload["params"]["input.foreground.weight"]["shape"] = [1, 1]
-    payload["params"]["input.foreground.weight"]["values"] = [0.0]
-    with open(path, "w") as f:
-        json.dump(payload, f)
-    with pytest.raises(ValidationError) as err:
-        load_checkpoint(path)
-    assert "input.foreground.weight" in str(err.value)
+    saved = json.load(open(path))["params"]["input.foreground.weight"]
+    # a smaller shape with matching data, and the right shape written as floats
+    for shape, data in (([1, 1], _b64(struct.pack("<d", 0.0))),
+                        ([float(n) for n in saved["shape"]], saved["data"])):
+        payload = json.load(open(path))
+        payload["params"]["input.foreground.weight"].update(shape=shape, data=data)
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "w") as f:
+            json.dump(payload, f)
+        with pytest.raises(ValidationError) as err:
+            load_checkpoint(bad)
+        assert "input.foreground.weight" in str(err.value)
 
 
 def test_checkpoint_rejects_missing_param(tmp_path):
@@ -465,7 +476,7 @@ def test_checkpoint_rejects_missing_param(tmp_path):
 
 
 CHECKPOINT_VALUES = json_values(None, True, "0.5", 0.5, 10 ** 400, float("nan"), -1, 1, [], {},
-                                [2, 2], [0.5, "x"])
+                                [2, 2], [0.5, "x"], "AAAA", "====", "")
 
 
 @pytest.fixture(scope="module")
@@ -516,10 +527,12 @@ def test_checkpoint_rejects_unreadable_and_non_numeric_files(tmp_path):
     with open(path) as f:
         payload = json.load(f)
     blobs = [b"[" * 100_000, b'{"format": "\xff"}']
-    for value in ("0.5", True, float("nan"), 10 ** 400):
-        entry = payload["params"]["input.context.weight"]
+    entry = payload["params"]["input.context.weight"]
+    for value in ([0.5, 0.5, 0.5, 0.5], 12, None, "*" + entry["data"][1:],
+                  _b64(struct.pack("<4d", math.nan, 0.5, 0.5, 0.5)),
+                  _b64(struct.pack("<4d", 0.5, 0.5, 0.5, math.inf))):
         bad = json.loads(json.dumps(payload))
-        bad["params"]["input.context.weight"]["values"] = [value] + entry["values"][1:]
+        bad["params"]["input.context.weight"]["data"] = value
         blobs.append(json.dumps(bad).encode())
     bad = json.loads(json.dumps(payload))
     bad["version"] = True
@@ -535,6 +548,101 @@ def test_checkpoint_rejects_unreadable_and_non_numeric_files(tmp_path):
         json.dump(payload, f)
     with pytest.raises(ValidationError, match=f"^{path}: invalid config: state_dim, heads, "):
         load_checkpoint(path)
+
+
+def _tiny_checkpoint(tmp_path, data: dict[str, str]) -> str:
+    """Save a tiny model's checkpoint with some tensors' 'data' replaced; its path."""
+    config = small_config(state_dim=2, feature_channels=2)
+    path = str(tmp_path / "model.json")
+    save_checkpoint(path, init_params(config, seed=0), config, seed=0)
+    with open(path) as f:
+        payload = json.load(f)
+    for name, text in data.items():
+        payload["params"][name]["data"] = text
+    with open(path, "w") as f:
+        json.dump(payload, f)
+    return path
+
+
+def test_checkpoint_rejects_version_1(tmp_path):
+    # a version-1 file stored each tensor as a list of JSON numbers
+    config = small_config(state_dim=2, feature_channels=2)
+    path = str(tmp_path / "model.json")
+    payload = {"format": "stgraph-checkpoint", "version": 1, "seed": 0,
+               "config": config.to_dict(),
+               "params": {name: {"shape": list(t.shape), "values": t.data.ravel().tolist()}
+                          for name, t in init_params(config, seed=0).items()}}
+    with open(path, "w") as f:
+        json.dump(payload, f)
+    with pytest.raises(ValidationError, match=f"^{re.escape(path)}: unsupported checkpoint "
+                                              f"version 1$"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("raw,message", [
+    # the length is checked before decoding, the decoded byte count after
+    (struct.pack("<3d", 0.5, 0.5, 0.5), "needs 'data' as a string of 44 base64 characters "
+                                         "for 32 bytes"),
+    (struct.pack("<5d", *[0.5] * 5), "needs 'data' as a string of 44 base64 characters "
+                                     "for 32 bytes"),
+    (struct.pack("<4d", *[0.5] * 4) + b"\0", "decodes to 33 bytes, expected 32"),
+], ids=["value-short", "value-extra", "byte-extra"])
+def test_checkpoint_rejects_wrong_byte_counts(tmp_path, raw, message):
+    path = _tiny_checkpoint(tmp_path, {"input.context.weight": _b64(raw)})
+    with pytest.raises(ValidationError,
+                       match=f"^{re.escape(path)}: 'input.context.weight' {message}$"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("char", [" ", "\n", "-", "_", "=", "\u00e9"])
+def test_checkpoint_rejects_characters_outside_base64(tmp_path, char):
+    good = _b64(struct.pack("<4d", 0.5, 0.25, -1.0, 2.0))
+    for text in (good[:7] + char + good[8:], good[:7] + char + good[7:-1]):
+        path = _tiny_checkpoint(tmp_path, {"input.context.weight": text})
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(path)}: 'input.context.weight' is not valid base64"):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_checkpoint_rejects_non_finite_bytes(tmp_path, value):
+    path = _tiny_checkpoint(tmp_path, {"readout.action.bias": _b64(struct.pack("<2d", 0.5, value))})
+    with pytest.raises(ValidationError,
+                       match=f"^{re.escape(path)}: 'readout.action.bias' holds non-finite values"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_loads_the_largest_finite_value(tmp_path):
+    top = 1.7976931348623157e308
+    path = _tiny_checkpoint(tmp_path, {"readout.action.bias": _b64(struct.pack("<2d", top, -top))})
+    params, _, _ = load_checkpoint(path)
+    assert params["readout.action.bias"].data.tolist() == [top, -top]
+
+
+def test_checkpoint_round_trips_zero_sign_and_subnormals_bit_for_bit(tmp_path):
+    config = small_config(state_dim=2, feature_channels=2)
+    params = init_params(config, seed=0)
+    special = np.array([[-0.0, 5e-324], [2.2250738585072014e-308, -5e-324]])
+    params["input.context.weight"] = Tensor(special, requires_grad=True,
+                                            name="input.context.weight")
+    path = str(tmp_path / "model.json")
+    save_checkpoint(path, params, config, seed=0)
+    loaded, _, _ = load_checkpoint(path)
+    for name in params:
+        assert loaded[name].data.tobytes() == params[name].data.tobytes(), name
+
+
+def test_checkpoint_stores_little_endian_float64_in_c_order(tmp_path):
+    config = small_config(state_dim=2, feature_channels=2)
+    params = init_params(config, seed=0)
+    params["input.context.weight"] = Tensor([[1.0, -2.5], [0.1, 3e-300]], requires_grad=True,
+                                            name="input.context.weight")
+    path = str(tmp_path / "model.json")
+    save_checkpoint(path, params, config, seed=0)
+    with open(path) as f:
+        entry = json.load(f)["params"]["input.context.weight"]
+    assert entry["shape"] == [2, 2]
+    assert base64.b64decode(entry["data"]) == struct.pack("<4d", 1.0, -2.5, 0.1, 3e-300)
 
 
 def test_clip_loss_tape_length_independent_of_box_count():
