@@ -25,11 +25,11 @@ from .errors import ConfigError, GraphModelError
 from .flops import estimate_flops
 from .graph import build_graph, node_ids
 from .heads import pair_index
-from .metrics import check_iou_threshold
+from .metrics import check_iou_threshold, check_recall_cutoffs
 from .passing import (FN_GAT, FN_NONLOCAL, TASK_ACTION, TASK_SCENEGRAPH, ModelConfig,
                       param_shapes, run_inference)
-from .train import (Schedule, evaluate_action, evaluate_scenegraph, gradient_check,
-                    load_checkpoint, save_checkpoint, train_loop)
+from .train import (Schedule, effective_batch_size, evaluate_action, evaluate_scenegraph,
+                    gradient_check, load_checkpoint, save_checkpoint, train_loop)
 
 # the ModelConfig fields set by a flag of the same name
 _CONFIG_FLAGS = ("state_dim", "heads", "iterations", "tau_c", "tau_s", "seed", "feature_channels",
@@ -57,9 +57,9 @@ def _config_from_args(args, forced: dict | None = None, base: dict | None = None
                       check=param_shapes) -> ModelConfig:
     """The model config from base, the --config file, flags and forced values, in that order.
 
-    check validates it: param_shapes, which also bounds the parameter
-    count, unless the caller allocates no parameters.  An error caused by
-    a value from the file starts with the file's path.
+    A ModelConfig validates itself, and check runs on it too: param_shapes
+    bounds the parameter count for callers that allocate parameters.  An
+    error caused by a value from the file starts with the file's path.
     """
     settings: dict = dict(base or {})
     path = getattr(args, "config", None)
@@ -91,8 +91,8 @@ def _config_from_args(args, forced: dict | None = None, base: dict | None = None
                 f"{where}{key} is {value!r} in the dataset but {settings[key]!r} was requested")
         settings[key] = value
         from_file.discard(key)
-    config = ModelConfig(**settings)
     try:
+        config = ModelConfig(**settings)
         check(config)
     except ConfigError as err:
         if not from_file:
@@ -171,6 +171,7 @@ def cmd_train(args) -> int:
     config = _config_from_args(args, forced=_forced_from_dataset(info))
     clips = [data_mod.featurize_clip(r, info, mode=data_mod.TRAIN_MODE) for r in records]
     schedule = Schedule() if args.epochs is None else Schedule().scaled(args.epochs)
+    effective_batch_size(args.batch_size, config.tau_c)  # a bad --batch-size fails before --out
     init_from = None
     if args.init_from:
         init_from, _, _ = load_checkpoint(args.init_from)
@@ -197,8 +198,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params, config, _ = load_checkpoint(args.checkpoint)
+    ks = tuple(args.k) if args.k else (20, 50)
     if config.task == TASK_ACTION:
         check_iou_threshold(args.iou)
+    else:
+        check_recall_cutoffs(ks)
     info, records = data_mod.load_dataset(args.data)
     _check_dataset_matches(config, info)
     os.makedirs(args.out, exist_ok=True)  # an unusable --out fails before evaluation
@@ -210,7 +214,6 @@ def cmd_eval(args) -> int:
         payload["ap"] = {str(cls): ap for cls, ap in per_class.items()}
         print(f"frame mAP {mean_ap!r} over {len(clips)} clips")
     else:
-        ks = tuple(args.k) if args.k else (20, 50)
         recalls = evaluate_scenegraph(clips, params, config, ks=ks, mode=args.mode)
         # with K at or above a keyframe's candidate count, recall@K ranks
         # nothing: every candidate is in the top K
@@ -259,50 +262,50 @@ def cmd_dump_attention(args) -> int:
         raise ConfigError(f"no clip named {args.clip!r} in {args.data}")
     record = matching[0]
     clip = data_mod.featurize_clip(record, info, mode=data_mod.EVAL_MODE)
-    graph = build_graph(clip.frames, params, config)
-    result = run_inference(graph, params, config, record_traces=True)
-    nodes = {}
-    for pos, frame in enumerate(graph.keyframes):
-        for row, nid in enumerate(node_ids(graph, pos, context=True)):
-            kind, box, cell = frame.describe(row)
-            nodes[nid] = {
-                "node": nid,
-                "kind": kind,
-                "keyframe_id": frame.keyframe_id,
-                "box": box.as_list() if box is not None else None,
-                "cell": list(cell) if cell is not None else None,
-            }
-    lines = []
-    for rec in result.attention:
-        lines.append(_canonical_json({
-            "record": "attention",
-            "clip_id": record.clip_id,
-            "node": rec.node_id,
-            "iteration": rec.iteration,
-            "phase": rec.phase,
-            "function": rec.function,
-            "head": rec.head,
-            "neighbors": [nodes[nid] for nid in rec.neighbor_ids],
-            "weights": [float(w) for w in rec.weights],
-        }))
-    for g in result.gates:
-        lines.append(_canonical_json({
-            "record": "gate",
-            "clip_id": record.clip_id,
-            "node": g.node_id,
-            "iteration": g.iteration,
-            "phase": g.phase,
-            "slots": list(g.slots),
-            "weights": [float(w) for w in g.weights],
-        }))
-    with open(args.out, "w") as f:
+    with open(args.out, "w") as f:  # an unusable --out fails before inference
+        graph = build_graph(clip.frames, params, config)
+        result = run_inference(graph, params, config, record_traces=True)
+        nodes = {}
+        for pos, frame in enumerate(graph.keyframes):
+            for row, nid in enumerate(node_ids(graph, pos, context=True)):
+                kind, box, cell = frame.describe(row)
+                nodes[nid] = {
+                    "node": nid,
+                    "kind": kind,
+                    "keyframe_id": frame.keyframe_id,
+                    "box": box.as_list() if box is not None else None,
+                    "cell": list(cell) if cell is not None else None,
+                }
+        lines = []
+        for rec in result.attention:
+            lines.append(_canonical_json({
+                "record": "attention",
+                "clip_id": record.clip_id,
+                "node": rec.node_id,
+                "iteration": rec.iteration,
+                "phase": rec.phase,
+                "function": rec.function,
+                "head": rec.head,
+                "neighbors": [nodes[nid] for nid in rec.neighbor_ids],
+                "weights": [float(w) for w in rec.weights],
+            }))
+        for g in result.gates:
+            lines.append(_canonical_json({
+                "record": "gate",
+                "clip_id": record.clip_id,
+                "node": g.node_id,
+                "iteration": g.iteration,
+                "phase": g.phase,
+                "slots": list(g.slots),
+                "weights": [float(w) for w in g.weights],
+            }))
         f.write("".join(lines))
     print(f"wrote {len(lines)} records to {args.out}")
     return 0
 
 
 def cmd_flops(args) -> int:
-    config = _config_from_args(args, check=ModelConfig.validate)
+    config = _config_from_args(args, check=lambda config: None)  # allocates no parameters
     out = estimate_flops(config, n_fg=args.fg, n_context=args.context,
                          keyframes=args.keyframes)
     if args.out:  # an unusable --out fails before anything is printed

@@ -96,7 +96,6 @@ class DatasetInfo:
     object_classes: int | None = None
     relation_classes: int | None = None
     grid_shape: tuple[int, int, int] | None = None  # shared (h, w, c)
-    version: int = MANIFEST_VERSION
 
 
 @dataclass

@@ -30,7 +30,6 @@ def estimate_flops(config: ModelConfig, n_fg: int, n_context: int, keyframes: in
     n_fg and n_context are per-keyframe node counts; the estimate assumes
     they are uniform across the clip.
     """
-    config.validate()
     if n_fg < 1:
         raise ConfigError(f"n_fg must be at least 1, got {n_fg}")
     if n_context < 0:

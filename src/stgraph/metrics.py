@@ -118,6 +118,12 @@ def check_iou_threshold(threshold: float) -> None:
         raise ConfigError(f"IoU threshold must be in (0, 1], got {threshold}")
 
 
+def check_recall_cutoffs(ks) -> None:
+    for k in ks:
+        if k < 1:
+            raise ConfigError(f"recall cutoff k must be positive, got {k}")
+
+
 def frame_ap(detections: list[Detection], ground_truth: list[GroundTruthBox],
              iou_threshold: float = 0.5) -> tuple[dict[int, float], float]:
     """Per-class average precision and its mean over annotated classes.
@@ -186,9 +192,7 @@ def triplet_recall(object_logits: np.ndarray, relation_logits: np.ndarray | None
     object, a node or predicate out of range) is a miss, and a keyframe
     without ground truth counts as fully recalled.
     """
-    for k in ks:
-        if k < 1:
-            raise ConfigError(f"recall cutoff k must be positive, got {k}")
+    check_recall_cutoffs(ks)
     if mode not in (MODE_SGCLS, MODE_PREDCLS):
         raise ConfigError(f"unknown recall mode {mode!r}")
     gt = np.asarray(gt, dtype=np.int64)

@@ -555,22 +555,6 @@ def gather_rows(m: Tensor | list[Tensor], index) -> Tensor:
     return _emit(rows[idx], tuple(sources), backward)
 
 
-def unstack(x: Tensor) -> list[Tensor]:
-    """The slices of x along its leading axis, each a view of x's data.
-
-    Under a tape each slice is its own entry, whose gradient fills that
-    slice of a zero stack.
-    """
-    def take(i):
-        def backward(g):
-            dx = np.zeros_like(x.data)
-            dx[i] = g
-            return (dx,)
-        return _emit(x.data[i], (x,), backward)
-
-    return [take(i) for i in range(x.data.shape[0])]
-
-
 # ---------------------------------------------------------------------------
 # fused message-passing blocks: each records one tape entry for what would
 # otherwise be a chain of small primitives (tests/small_primitives.py keeps

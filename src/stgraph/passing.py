@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from . import numgrad as ng
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .graph import PROJ_CONTEXT, PROJ_FOREGROUND, PROJ_PROPOSAL, SpatioTemporalGraph, node_ids
 from .numgrad import Tensor
 
@@ -65,7 +65,7 @@ MAX_PARAM_TENSORS = 100_000
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Shape and schedule of one model instance."""
+    """Shape and schedule of one model instance, validated when it is made."""
 
     state_dim: int = 64
     heads: int = 4
@@ -85,6 +85,7 @@ class ModelConfig:
         # tolerate lists from JSON round trips
         if isinstance(self.message_fns, list):
             object.__setattr__(self, "message_fns", tuple(self.message_fns))
+        self.validate()
 
     def validate(self) -> None:
         for name in _INT_FIELDS:
@@ -138,7 +139,6 @@ def _mp(iteration: int, phase: str, rest: str) -> str:
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Every parameter name with its shape, in deterministic order."""
-    config.validate()
     d, c = config.state_dim, config.feature_channels
     per_head = sum(3 * d * d if fn == FN_NONLOCAL else d * d + 2 * d for fn in config.message_fns)
     per_phase = config.heads * per_head + (4 * d if config.num_messages > 1 else 2 * d)
@@ -213,10 +213,10 @@ class GateRecord:
 class InferenceResult:
     """Final foreground states, one stack per graph block, plus traces.
 
-    states[k] is the (B, n, d) stack of graph.blocks[k].  fg_states maps
-    each flat position to its own (n, d) tensor.  It is made on first
-    access: views of the stacks, or, under an active tape, one split entry
-    per position, through which gradients reach the stack.
+    states[k] is the (B, n, d) stack of graph.blocks[k]; keyframe pos ends
+    at states[k].data[j], (k, j) = graph.where[pos].  fg_states maps each
+    pos to a read-only view of those rows, off the tape: a loss built from
+    it would get no gradient, so it raises under an active tape.
     """
 
     graph: SpatioTemporalGraph
@@ -224,12 +224,16 @@ class InferenceResult:
     attention: list[AttentionRecord]
     gates: list[GateRecord]
 
-    @cached_property
+    @property
     def fg_states(self) -> dict[int, Tensor]:
-        slices = {}
-        for block, stack in zip(self.graph.blocks, self.states):
-            slices.update(zip(block.positions, ng.unstack(stack)))
-        return dict(sorted(slices.items()))
+        if ng._active_tape() is not None:
+            raise ValidationError("fg_states is off the tape; differentiate through states, "
+                                  "at (k, j) = graph.where[pos]")
+        return self._views
+
+    @cached_property
+    def _views(self) -> dict[int, Tensor]:
+        return {pos: ng._wrap(self.states[k].data[j]) for pos, (k, j) in enumerate(self.graph.where)}
 
 
 def _temporal_neighbors(graph: SpatioTemporalGraph) -> list[list[tuple[np.ndarray, np.ndarray]]]:
@@ -305,7 +309,6 @@ def run_inference(graph: SpatioTemporalGraph, params, config: ModelConfig,
     only when record_traces is set, in the order iteration, phase,
     keyframe, function, head, node.
     """
-    config.validate()
     if graph.tau_c != config.tau_c or graph.tau_s != config.tau_s:
         raise ConfigError(
             f"graph built with tau_c={graph.tau_c}, tau_s={graph.tau_s} but config has "

@@ -25,7 +25,7 @@ EVAL_CHUNK = 16
 
 @dataclass(frozen=True)
 class Schedule:
-    """Linear warmup followed by step decays, addressed by fractional epoch."""
+    """Linear warmup then step decays, by fractional epoch; validated when made."""
 
     base_lr: float = 0.1
     warmup_start_lr: float = 1.25e-4
@@ -36,6 +36,7 @@ class Schedule:
 
     def __post_init__(self):
         object.__setattr__(self, "decay_epochs", tuple(self.decay_epochs))
+        self.validate()
 
     def validate(self) -> None:
         # written as ranges, so that NaN fails them too
@@ -216,8 +217,6 @@ def train_loop(clips: list[ClipFeatures], config: ModelConfig, schedule: Schedul
     """
     if not clips:
         raise ValidationError("no clips to train on")
-    config.validate()
-    schedule.validate()
     seed = config.seed if seed is None else seed
     params = init_params(config, seed)
     if init_from is not None:

@@ -294,6 +294,34 @@ def test_train_rejects_non_finite_epochs(action_ds, tmp_path, capsys, epochs):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("batch_size", ["0", "-2"])
+def test_train_rejects_bad_batch_size_before_making_out(action_ds, tmp_path, capsys, batch_size):
+    out = tmp_path / "run"
+    code = run_cli("train", "--data", action_ds, "--out", str(out), "--epochs", "1",
+                   f"--batch-size={batch_size}")
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: batch_size must be positive, got {batch_size}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_scenegraph_eval_rejects_bad_k_before_making_out(tmp_path, capsys, monkeypatch, k):
+    monkeypatch.setattr(cli, "evaluate_scenegraph", lambda *a, **kw: pytest.fail("evaluated"))
+    manifest = data.synth_scenegraph(str(tmp_path / "sg"), seed=0, clips=2, keyframes=1,
+                                     objects=3, relations=2, channels=5)
+    config = ModelConfig(state_dim=4, heads=1, task="scenegraph", feature_channels=5,
+                         object_classes=3, relation_classes=2)
+    ckpt = str(tmp_path / "checkpoint.json")
+    save_checkpoint(ckpt, init_params(config, seed=0), config, seed=0)
+    out = tmp_path / "ev"
+    code = run_cli("eval", "--data", manifest, "--checkpoint", ckpt, "--out", str(out),
+                   "--k", "1", f"--k={k}")
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: recall cutoff k must be positive, got {k}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("iou", ["nan", "2", "-1", "0"])
 def test_eval_rejects_iou_outside_unit_interval(action_ds, tmp_path, capsys, iou):
     config = ModelConfig(state_dim=4, heads=1, feature_channels=6, action_classes=2)
@@ -569,6 +597,7 @@ def test_flops_command_writes_json(tmp_path, capsys):
 ])
 def test_unusable_output_path_exits_one(action_ds, tmp_path, capsys, monkeypatch, command, out):
     monkeypatch.setattr(cli, "train_loop", lambda *args, **kwargs: pytest.fail("trained"))
+    monkeypatch.setattr(cli, "run_inference", lambda *args, **kwargs: pytest.fail("inferred"))
     config = ModelConfig(state_dim=4, heads=1, feature_channels=6, action_classes=2)
     ckpt = str(tmp_path / "checkpoint.json")
     save_checkpoint(ckpt, init_params(config, seed=0), config, seed=0)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -10,7 +11,7 @@ from stgraph import data, train
 from stgraph import graph as gr
 from stgraph import numgrad as ng
 from stgraph import passing as pa
-from stgraph.errors import ConfigError, NumericError, ShapeError
+from stgraph.errors import ConfigError, NumericError, ShapeError, ValidationError
 from stgraph.numgrad import Tensor
 
 import small_primitives as sp
@@ -311,16 +312,49 @@ def test_param_shapes_rejects_many_narrow_heads_at_once():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        make_config(tau_c=2).validate()
-    with pytest.raises(ConfigError):
-        make_config(message_fns=()).validate()
-    with pytest.raises(ConfigError):
-        make_config(message_fns=("fancy",)).validate()
-    with pytest.raises(ConfigError):
-        make_config(iterations=0).validate()
-    with pytest.raises(ConfigError):
-        make_config(tau_s=0).validate()
+    # a config checks itself when it is made
+    for kw, message in [
+        (dict(tau_c=2), "tau_c must be odd and positive, got 2"),
+        (dict(message_fns=()), "at least one message function is required"),
+        (dict(message_fns=("fancy",)), "unknown message function 'fancy'"),
+        (dict(iterations=0), "iterations must be positive, got 0"),
+        (dict(tau_s=0), "tau_s must be positive, got 0"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            make_config(**kw)
+
+
+def test_config_replace_validates():
+    with pytest.raises(ConfigError, match="tau_c must be odd and positive, got 2"):
+        dataclasses.replace(make_config(), tau_c=2)
+
+
+def test_fg_states_are_read_only_views_of_states():
+    # a ragged batch of two clips, whose keyframes spread over several blocks
+    cfg = make_config(tau_c=3, iterations=2)
+    params = random_params(cfg, seed=29)
+    clips = [make_frames(cfg, seed=29, keyframes=3, n_boxes=(1, 3, 2), n_props=(1, 0, 1)),
+             make_frames(cfg, seed=30, keyframes=2, n_boxes=(3, 1))]
+    g = gr.build_batch(clips, params, cfg)
+    res = pa.run_inference(g, params, cfg)
+    assert len(res.states) > 1
+    views = res.fg_states
+    assert sorted(views) == list(range(len(g.keyframes)))
+    for pos, view in views.items():
+        k, j = g.where[pos]
+        assert view.data.tobytes() == res.states[k].data[j].tobytes()
+        assert np.shares_memory(view.data, res.states[k].data)
+        assert not view.data.flags.writeable
+        assert not view.requires_grad
+
+
+def test_fg_states_under_a_tape_raises():
+    cfg = make_config(tau_c=3)
+    g, params, _ = build(cfg, seed=30)
+    with ng.Tape():
+        res = pa.run_inference(g, params, cfg)
+        with pytest.raises(ValidationError, match="differentiate through states"):
+            res.fg_states
 
 
 def test_run_inference_attention_rows_normalized():
@@ -521,8 +555,8 @@ def test_inference_gradients_match_finite_differences():
     def forward(p):
         graph = gr.build_graph(frames, p, cfg)
         res = pa.run_inference(graph, p, cfg)
-        out = ng.concat_rows([res.fg_states[pos] for pos in sorted(res.fg_states)])
-        return sp.mean_all(out)
+        rows = sum(s.shape[0] * s.shape[1] for s in res.states)
+        return sp.mean_all(ng.gather_rows(res.states, np.arange(rows)))
 
     with ng.Tape() as tape:
         loss = forward(params)

@@ -88,18 +88,19 @@ def test_schedule_rejects_non_finite_values():
         for name in ("base_lr", "warmup_start_lr", "warmup_epochs", "total_epochs",
                      "decay_factor"):
             with pytest.raises(ConfigError, match="finite"):
-                Schedule(**{name: bad}).validate()
+                Schedule(**{name: bad})
 
 
 def test_schedule_validation():
-    with pytest.raises(ConfigError):
-        Schedule(base_lr=0.0).validate()
-    with pytest.raises(ConfigError):
-        Schedule(decay_factor=1.0).validate()
-    with pytest.raises(ConfigError):
-        Schedule(decay_epochs=(15.0, 10.0)).validate()
-    with pytest.raises(ConfigError):
-        Schedule(decay_epochs=(3.0,)).validate()
+    # a schedule checks itself when it is made
+    with pytest.raises(ConfigError, match="^learning rates must be finite and positive$"):
+        Schedule(base_lr=0.0)
+    with pytest.raises(ConfigError, match="^decay_factor must be finite and exceed 1$"):
+        Schedule(decay_factor=1.0)
+    with pytest.raises(ConfigError, match="^decay_epochs must be sorted$"):
+        Schedule(decay_epochs=(15.0, 10.0))
+    with pytest.raises(ConfigError, match="^decays must not start before warmup ends$"):
+        Schedule(decay_epochs=(3.0,))
     with pytest.raises(ConfigError):
         Schedule().scaled(0.0)
     with pytest.raises(ConfigError):
@@ -292,6 +293,13 @@ def test_train_loop_warm_start_shape_mismatch_fails(tmp_path):
     donor = {"input.foreground.weight": Tensor(np.zeros((3, 3)))}
     with pytest.raises(ValidationError):
         train_loop(clips, small_config(), Schedule().scaled(1.0), seed=0, init_from=donor)
+
+
+def test_gradient_check_config_fails_when_built():
+    # it used to get as far as numpy's "negative dimensions are not allowed"
+    # while drawing the random clip
+    with pytest.raises(ConfigError, match="^feature_channels must be positive, got -1$"):
+        train.gradient_check(ModelConfig(feature_channels=-1, state_dim=4, heads=1))
 
 
 def test_gradient_check_both_tasks():

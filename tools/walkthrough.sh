@@ -1,8 +1,10 @@
 #!/bin/sh
 # Run the README CLI walkthrough, plus a tau_c 3 action run with proposals,
-# a tau_c 3 nonlocal+GAT scene-graph run and a GAT temporal-pairs run, with
-# the package from SRC.  Every file and every printed line lands under OUT,
-# so two source trees compare with one diff:
+# a tau_c 3 nonlocal+GAT scene-graph run, a GAT temporal-pairs run scored on
+# a held-out split, and train and flops runs from a --config file (one of
+# them failing on a value from the file), with the package from SRC.  Every
+# file, every printed line and the failing run's stderr and exit status land
+# under OUT, so two source trees compare with one diff:
 #   tools/walkthrough.sh old/src a && tools/walkthrough.sh src b && diff -r a b
 set -eu
 [ $# -eq 2 ] || { echo "usage: $0 SRC OUT" >&2; exit 2; }
@@ -27,3 +29,12 @@ st sgdump dump-attention --data sg/manifest.jsonl --checkpoint sgrun/checkpoint.
 st tpsynth synth temporal-pairs --out tp --seed 0 --clips 8
 st tptrain train --data tp/manifest.jsonl --out tprun $small --message-fn gat --tau-c 3 --epochs 4
 st tpdump dump-attention --data tp/manifest.jsonl --checkpoint tprun/checkpoint.json --out tpattention.jsonl
+st tpsynth1 synth temporal-pairs --out tp1 --seed 0 --clips 8 --split 1
+st tpeval eval --data tp1/manifest.jsonl --checkpoint tprun/checkpoint.json --out tpeval
+echo '{"state_dim": 8, "heads": 1, "iterations": 2, "message_fns": ["gat", "nonlocal"], "tau_c": 3, "seed": 3}' > cfg.json
+st cfgtrain train --data ds4/manifest.jsonl --out cfgrun --config cfg.json --epochs 2
+st cfgflops flops --config cfg.json --tau-c 5 --fg 4 --context 17 --keyframes 8
+echo '{"state_dim": 8, "tau_c": 2}' > badcfg.json
+status=0
+st badcfg train --data ds/manifest.jsonl --out badrun --config badcfg.json 2> badcfg.err || status=$?
+echo "exit $status" > badcfg.status
