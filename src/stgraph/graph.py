@@ -13,6 +13,7 @@ window of tau_c keyframes centered on their own.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -183,6 +184,24 @@ def temporal_offsets(tau_c: int) -> list[int]:
     return [t for t in range(-half, half + 1) if t != 0]
 
 
+class TemporalGroup(NamedTuple):
+    """Slices of one block whose keyframes read the same number s of temporal neighbour rows.
+
+    rows[i] (s entries) indexes the foreground rows of keyframe slices[i]'s
+    temporal neighbours, ascending by position, in the graph blocks'
+    foreground states laid end to end.  rounds[i, c] is minus the window
+    offset, in positions, through which rows[i, c] is read: the round in
+    which numgrad.gather_rows' backward adds its gradient.  At one offset
+    pos -> pos + t * tau_s is one-to-one, so no row repeats within a
+    round; and the receivers of a row sit at ascending positions, which is
+    ascending rounds, so the rounds add each row's pieces in index order.
+    """
+
+    slices: np.ndarray
+    rows: np.ndarray
+    rounds: np.ndarray
+
+
 @dataclass(eq=False)
 class SpatioTemporalGraph:
     """The keyframes of one clip or of a batch of clips, plus temporal adjacency.
@@ -195,7 +214,10 @@ class SpatioTemporalGraph:
     window offset t that fall inside pos's clip; it is empty everywhere when
     tau_c is 1.  blocks group the keyframes whose row counts match and whose
     temporal neighborhoods are all empty or all not, and where[pos] is the
-    (block, slice) that holds keyframe pos.
+    (block, slice) that holds keyframe pos.  temporal_groups[k] lists the
+    TemporalGroups of block k's keyframes, grouped by neighbour row count
+    in order of first slice; it is empty for a block without temporal
+    neighbours.
     """
 
     keyframes: list[KeyframeFeatures]
@@ -204,8 +226,44 @@ class SpatioTemporalGraph:
     clips: list[range]
     temporal: list[list[int]]
     where: list[tuple[int, int]]
+    temporal_groups: list[list[TemporalGroup]]
     tau_c: int
     tau_s: int
+
+
+def _temporal_groups(blocks: list[Block], temporal: list[list[int]]) -> list[list[TemporalGroup]]:
+    """Every block's TemporalGroups, from plain lists made into arrays once per group.
+
+    A clip or a training batch has a few keyframes of a few rows each, and
+    a numpy call costs more than the handful of rows it would build:
+    whole-batch array operations took twice as long as these lists on one
+    clip, and won only on evaluation chunks of 16 clips.
+    """
+    first, n = [0] * len(temporal), [0] * len(temporal)
+    at = 0
+    for block in blocks:
+        count, m = block.fg_states.shape[:2]
+        for j, pos in enumerate(block.positions):
+            first[pos], n[pos] = at + j * m, m
+        at += count * m
+    layout = []
+    for block in blocks:
+        by_width: dict[int, list[int]] = {}
+        for u, pos in enumerate(block.positions):
+            if temporal[pos]:
+                by_width.setdefault(sum(n[q] for q in temporal[pos]), []).append(u)
+        groups = []
+        for width, slices in by_width.items():
+            rows, rounds = [], []
+            for pos in (block.positions[u] for u in slices):
+                for q in temporal[pos]:
+                    rows += range(first[q], first[q] + n[q])
+                    rounds += [pos - q] * n[q]
+            shape = (len(slices), width)
+            groups.append(TemporalGroup(np.array(slices), np.array(rows).reshape(shape),
+                                        np.array(rounds).reshape(shape)))
+        layout.append(groups)
+    return layout
 
 
 def build_batch(clips: list[list[KeyframeFeatures]], params, config) -> SpatioTemporalGraph:
@@ -244,6 +302,7 @@ def build_batch(clips: list[list[KeyframeFeatures]], params, config) -> SpatioTe
     sizes = [len(f.fg_boxes) + f.ctx_feats.shape[0] + len(f.prop_boxes) for f in frames]
     first_ids = [sum(sizes[span.start:pos]) for span in spans for pos in span]
     return SpatioTemporalGraph(frames, first_ids, blocks, spans, temporal, where,
+                               _temporal_groups(blocks, temporal),
                                config.tau_c, config.tau_s)
 
 

@@ -15,7 +15,8 @@ computed at once, each with the same bits as on its own.
 
 Finiteness is checked where values enter and at layer boundaries, not
 after every primitive.  The public Tensor constructor rejects NaN and
-infinity, so parameters, inputs and labels are finite.  Primitive outputs
+infinity, so inputs, labels and initial parameters are finite, and
+train.sgd_step scans each update it makes.  Primitive outputs
 skip that check; instead each layer runs its primitives inside
 ``checked(where)``, which turns a floating-point overflow, invalid
 operation or division by zero into a NumericError naming the layer, and
@@ -198,14 +199,14 @@ def _active_tape() -> Tape | None:
     return stack[-1] if stack else None
 
 
-def _wrap(value) -> Tensor:
+def _wrap(value, requires_grad: bool = False, name: str | None = None) -> Tensor:
     """A read-only float64 Tensor around value, without the finiteness check."""
     arr = np.asarray(value, dtype=np.float64)
     arr.flags.writeable = False
     out = Tensor.__new__(Tensor)
     out.data = arr
-    out.requires_grad = False
-    out.name = None
+    out.requires_grad = requires_grad
+    out.name = name
     return out
 
 
@@ -417,24 +418,34 @@ def _relu_values(x: np.ndarray):
     return np.where(mask, x, 0.0), mask
 
 
-def _scatter_rows(g: np.ndarray, index: np.ndarray, rows: int) -> np.ndarray:
+def _run_bounds(ordered: np.ndarray) -> np.ndarray:
+    """The start of each run of equal values in a sorted array, then the array's length."""
+    return np.concatenate(([0], np.flatnonzero(ordered[1:] != ordered[:-1]) + 1, [ordered.size]))
+
+
+def _scatter_rows(g: np.ndarray, index: np.ndarray, rows: int,
+                  rounds: np.ndarray | None = None) -> np.ndarray:
     """Rows of g added into a (rows, d) zero matrix at index, duplicates in index order.
 
-    The same numbers as np.add.at(zeros, index, g), faster: the k-th
-    occurrences of every index are added together in round k, so each row
+    The same numbers as np.add.at(zeros, index, g), faster: the pieces are
+    added in rounds, each a duplicate-free fancy-index add, so each row
     sums its pieces one at a time, in index order, starting from zero.
+    rounds labels each entry of index with its round, and the rounds run
+    in ascending label order; by default an entry's label is how many
+    times its index occurs before it, which takes two argsorts.
     """
     out = np.zeros((rows, g.shape[-1]))
     if not index.size:
         return out
-    order = np.argsort(index, kind="stable")
-    ordered = index[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    rank = np.arange(index.size) - np.repeat(starts, np.diff(np.r_[starts, index.size]))
-    by_rank = np.argsort(rank, kind="stable")
-    bounds = np.searchsorted(rank[by_rank], np.arange(rank.max() + 2))
+    if rounds is None:
+        order = np.argsort(index, kind="stable")
+        bounds = _run_bounds(index[order])
+        rounds = np.empty_like(order)
+        rounds[order] = np.arange(index.size) - np.repeat(bounds[:-1], np.diff(bounds))
+    by_round = np.argsort(rounds, kind="stable")
+    bounds = _run_bounds(rounds[by_round])
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        pick = order[by_rank[lo:hi]]
+        pick = by_round[lo:hi]
         out[index[pick]] += g[pick]
     return out
 
@@ -521,14 +532,19 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     return _emit(out, tuple(parts), backward)
 
 
-def gather_rows(m: Tensor | list[Tensor], index) -> Tensor:
+def gather_rows(m: Tensor | list[Tensor], index, rounds=None) -> Tensor:
     """Rows picked by integer index, as one tape entry.
 
     m is a tensor, or a list of tensors of one width, read as rows: a
     (rows, d) matrix as itself, a (B, rows, d) stack slice after slice, and
     a list as its tensors' rows end to end.  index may have any shape, and
     the result has shape index.shape + (d,).  Duplicate indices accumulate
-    their gradients in index order.
+    their gradients in index order.  rounds, an integer array of index's
+    shape, may label each entry with a round, as graph.TemporalGroup does:
+    no index may repeat within a round, and an index's entries must carry
+    ascending labels in index order.  The backward then adds the gradient
+    round by round instead of numbering each index's occurrences (see
+    _scatter_rows).
     """
     sources = [m] if isinstance(m, Tensor) else list(m)
     if not sources:
@@ -543,9 +559,12 @@ def gather_rows(m: Tensor | list[Tensor], index) -> Tensor:
     idx = np.asarray(index, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= rows.shape[0]):
         raise ShapeError(f"gather_rows: index out of range for {rows.shape[0]} rows")
+    if rounds is not None and np.shape(rounds) != idx.shape:
+        raise ShapeError(f"gather_rows: rounds {np.shape(rounds)} and index {idx.shape} differ")
 
     def backward(g):
-        dm = _scatter_rows(g.reshape(-1, width), idx.reshape(-1), rows.shape[0])
+        dm = _scatter_rows(g.reshape(-1, width), idx.reshape(-1), rows.shape[0],
+                           None if rounds is None else np.reshape(rounds, -1))
         bounds = np.cumsum([0] + [f.shape[0] for f in flat])
         # a source no index reaches gets no piece, not a piece of zeros
         return tuple(dm[lo:hi].reshape(s.data.shape)
@@ -572,15 +591,19 @@ def gather_rows(m: Tensor | list[Tensor], index) -> Tensor:
 def _kv_groups(query: Tensor, kv, what: str) -> list[tuple]:
     """kv's pairs as (index, neighbor stack), checked to cover every query slice once.
 
-    Consecutive slices, such as the spatial phase's pair over a whole
+    Consecutive slices, such as the spatial phase's range over a whole
     block, are indexed by a basic slice, so numpy takes views, not copies.
     Every receiver needs at least one neighbor row.
     """
     groups, covered, fits = [], [], query.data.ndim == 3
     for slices, t in kv:
-        run = np.asarray(slices, dtype=np.intp).tolist()
-        lo = run[0] if run else 0
-        index = slice(lo, lo + len(run)) if run == list(range(lo, lo + len(run))) else np.array(run)
+        if isinstance(slices, range) and slices.step == 1:
+            run, index = slices, slice(slices.start, slices.stop)
+        else:
+            run = np.asarray(slices, dtype=np.intp).tolist()
+            lo = run[0] if run else 0
+            index = (slice(lo, lo + len(run)) if run == list(range(lo, lo + len(run)))
+                     else np.array(run))
         groups.append((index, t))
         covered += run
         fits = fits and t.data.ndim == 3 and t.data.shape[0] == len(run)

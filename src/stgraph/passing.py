@@ -17,7 +17,10 @@ phases run on the graph's blocks, whose keyframes all have temporal
 neighbors or all have none.  Both phases hand each slot (slices, stack)
 neighbor pairs: the spatial phase one per block (own rows, then context),
 the temporal phase, which skips blocks without temporal neighbors, one per
-neighbor count s, so edge and interior keyframes share the entry.
+neighbor count s, so edge and interior keyframes share the entry.  The
+temporal pairs gather their rows by the graph's temporal_groups, built
+once per graph, and the gather's backward adds its cotangent one window
+offset at a time (see graph.TemporalGroup).
 The additive scores relu(a . [h_v || h_j]) are evaluated as
 relu(h_v . a1 + h_j . a2), a column plus a row, so no per-receiver pair
 matrix is ever built.  Each slot, the gate and the residual update is one
@@ -236,33 +239,6 @@ class InferenceResult:
         return {pos: ng._wrap(self.states[k].data[j]) for pos, (k, j) in enumerate(self.graph.where)}
 
 
-def _temporal_neighbors(graph: SpatioTemporalGraph) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-    """Per graph block, the (slices, rows) groups its temporal phase reads.
-
-    A group's slices share a neighbor count s; its rows (slices, s) index
-    their neighbors' states in the graph blocks' foreground rows laid end
-    to end.  A block whose keyframes have no temporal neighbors gets none.
-    """
-    starts = np.cumsum([0] + [b.fg_states.shape[0] * b.fg_states.shape[1]
-                              for b in graph.blocks]).tolist()
-
-    def rows(pos):
-        k, j = graph.where[pos]
-        n = graph.blocks[k].fg_states.shape[1]
-        return starts[k] + j * n + np.arange(n)
-
-    layout = []
-    for block in graph.blocks:
-        by_s: dict[int, list[tuple[int, np.ndarray]]] = {}
-        for u, pos in enumerate(block.positions):
-            if graph.temporal[pos]:
-                neighbors = np.concatenate([rows(q) for q in graph.temporal[pos]])
-                by_s.setdefault(len(neighbors), []).append((u, neighbors))
-        layout.append([(np.array([u for u, _ in group]), np.stack([r for _, r in group]))
-                       for group in by_s.values()])
-    return layout
-
-
 def _slice_rows(kv, attention, count: int) -> list[np.ndarray]:
     """Each slice's attention matrix, from the stacks of its (slices, stack) pairs."""
     rows = [None] * count
@@ -314,7 +290,6 @@ def run_inference(graph: SpatioTemporalGraph, params, config: ModelConfig,
             f"graph built with tau_c={graph.tau_c}, tau_s={graph.tau_s} but config has "
             f"tau_c={config.tau_c}, tau_s={config.tau_s}")
     states = [b.fg_states for b in graph.blocks]
-    neighbors = _temporal_neighbors(graph) if config.tau_c > 1 else []
     attention: list[AttentionRecord] = []
     gates: list[GateRecord] = []
 
@@ -326,13 +301,13 @@ def run_inference(graph: SpatioTemporalGraph, params, config: ModelConfig,
                 slots = [(fn, h) for fn in config.message_fns for h in range(config.heads)]
                 gate = params[_mp(i, phase, "gate")] if len(slots) > 1 else None
                 if phase == PHASE_SPATIAL:
-                    blocks = [(k, [(np.arange(len(b.positions)),
+                    blocks = [(k, [(range(len(b.positions)),
                                     ng.concat_rows([own, b.ctx_states]))])
                               for k, (b, own) in enumerate(zip(graph.blocks, states))]
                 else:
-                    blocks = [(k, [(slices, ng.gather_rows(states, rows))
-                                   for slices, rows in groups])
-                              for k, groups in enumerate(neighbors) if groups]
+                    blocks = [(k, [(group.slices, ng.gather_rows(states, group.rows, group.rounds))
+                                   for group in groups])
+                              for k, groups in enumerate(graph.temporal_groups) if groups]
                 updated = list(states)
                 for k, kv in blocks:
                     positions, own = graph.blocks[k].positions, states[k]

@@ -3,13 +3,13 @@
 import base64
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import numgrad as ng
 from .data import _JSON_INTEGERS, ClipFeatures, one_hot, relation_target_matrix
-from .errors import ConfigError, NumericError, ValidationError
+from .errors import ConfigError, NumericError, ShapeError, ValidationError
 from .graph import (Box, FeatureGrid, SpatioTemporalGraph, build_batch, build_graph,
                     featurize_keyframe)
 from .heads import action_loss, action_readout, sg_loss, sg_readout
@@ -77,27 +77,60 @@ def lr_at(epoch: float, schedule: Schedule) -> float:
 
 @dataclass
 class SgdState:
-    """Momentum buffers plus a step counter for error reporting."""
+    """Momentum as one vector over the parameters in params order, plus a step counter.
+
+    velocity stays None until the first step.
+    """
 
     momentum: float = 0.9
     weight_decay: float = 1e-7
     step: int = 0
-    velocity: dict[str, np.ndarray] = field(default_factory=dict)
+    velocity: np.ndarray | None = None
 
 
 def sgd_step(params: dict[str, Tensor], grads: dict[str, Tensor], lr: float,
              state: SgdState) -> None:
-    """One in-place SGD update: v <- m*v + (g + wd*p); p <- p - lr*v."""
-    for name, p in params.items():
-        g = grads[name].data
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for {name!r} at step {state.step}")
-        v = state.velocity.get(name)
-        if v is None:
-            v = np.zeros_like(p.data)
-        v = state.momentum * v + (g + state.weight_decay * p.data)
-        state.velocity[name] = v
-        params[name] = Tensor(p.data - lr * v, requires_grad=True, name=name)
+    """One SGD update of params in place: v <- m*v + (g + wd*p); p <- p - lr*v.
+
+    The update runs over all parameters at once, as vectors concatenated
+    in params order, with the operations of the per-tensor formula, so each
+    value gets the same bits.  Each new parameter is a read-only view of
+    its slice of a new vector; tensors held from before the step keep
+    their values.  A non-finite gradient or updated value raises
+    NumericError naming the parameter and the step before anything changes.
+    """
+    names = list(params)
+    for name in names:
+        if grads[name].shape != params[name].shape:
+            raise ShapeError(f"gradient for {name!r} has shape {grads[name].shape}, "
+                             f"expected {params[name].shape}")
+    sizes = [params[name].data.size for name in names]
+    ends = np.cumsum(sizes, dtype=np.intp)
+    velocity = np.zeros(ends[-1]) if state.velocity is None else state.velocity
+
+    def check(values: np.ndarray, what: str) -> None:
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            name = names[int(np.searchsorted(ends, bad[0], side="right"))]
+            raise NumericError(f"non-finite {what} for {name!r} at step {state.step}")
+
+    g = np.concatenate([grads[name].data.reshape(-1) for name in names])
+    check(g, "gradient")
+    p = np.concatenate([params[name].data.reshape(-1) for name in names])
+    # g turns into g + wd*p, buf into m*v + that, then g into the new parameters
+    with np.errstate(over="ignore", invalid="ignore"):
+        buf = np.multiply(p, state.weight_decay)
+        np.add(g, buf, out=g)
+        np.multiply(velocity, state.momentum, out=buf)
+        np.add(buf, g, out=buf)
+        np.multiply(buf, lr, out=g)
+        np.subtract(p, g, out=g)
+    check(g, "update")
+    g.flags.writeable = False
+    for name, size, end in zip(names, sizes, ends):
+        params[name] = ng._wrap(g[end - size:end].reshape(params[name].shape),
+                                requires_grad=True, name=name)
+    state.velocity = buf
     state.step += 1
 
 
@@ -238,7 +271,11 @@ def train_loop(clips: list[ClipFeatures], config: ModelConfig, schedule: Schedul
                 total = _batch_loss(members, build_batch([c.frames for c in members], params,
                                                          config), params, config)
             grads = grad(tape, total, params)
+            # free the step's activations before the update allocates its
+            # vectors, and its gradients before the next step's forward pass
+            del tape
             sgd_step(params, grads, lr, state)
+            del grads
             epoch_loss += total.item()
         log.append({"epoch": epoch, "lr": lr_at(float(epoch), schedule),
                     "loss": epoch_loss / len(clips)})

@@ -597,6 +597,61 @@ def test_multi_block_batch_loss_gradients_match_finite_differences():
         assert err <= 1e-4, f"{name}: rel err {err:.3e}"
 
 
+@pytest.mark.parametrize("tau_c,tau_s,clip_boxes", [
+    # the edge keyframes read the middle one's rows through offsets +1 and -1
+    (3, 1, [[2, 2, 2]]),
+    # mixed box counts: several blocks and neighbor counts, offsets +-2 and
+    # +-4; keyframes 4-12 of the long clip share a group, so keyframe 8's
+    # rows get four pieces there, whose sum depends on their order
+    (5, 2, [[2] * 17, [3, 2, 3, 3, 2], [2]]),
+])
+def test_temporal_gathers_by_offset_match_scatter_rows(monkeypatch, tau_c, tau_s, clip_boxes):
+    # the per-offset backward against _scatter_rows' numbered occurrences,
+    # bit for bit: per group on leaf states, then through a whole batch loss
+    cfg = make_config(state_dim=4, feature_channels=3, tau_c=tau_c, tau_s=tau_s)
+    params = random_params(cfg, seed=44)
+    rng = np.random.default_rng(44)
+    clips = []
+    for c, boxes in enumerate(clip_boxes):
+        frames = make_frames(cfg, seed=44 + c, keyframes=len(boxes), n_boxes=boxes)
+        labels = [(rng.uniform(size=(n, cfg.action_classes)) < 0.5).astype(float) for n in boxes]
+        clips.append(data.ClipFeatures(clip_id=f"c{c}", frames=frames, action_labels=labels))
+    graph = gr.build_batch([c.frames for c in clips], params, cfg)
+    groups = [group for groups in graph.temporal_groups for group in groups]
+    if len(clip_boxes) == 1:
+        [edges] = [group for group in groups if group.slices.tolist() == [0, 2]]
+        assert edges.rows[0].tolist() == edges.rows[1].tolist()
+        assert edges.rounds.tolist() == [[-1, -1], [1, 1]]
+    else:
+        assert len(graph.blocks) > 2 and len(groups) > 3
+        assert sorted(set(np.concatenate([g.rounds.ravel() for g in groups]).tolist())) == [
+            -4, -2, 2, 4]
+
+    states = [Tensor(b.fg_states.data, requires_grad=True) for b in graph.blocks]
+    for group in groups:
+        pieces = []
+        for rounds in (group.rounds, None):
+            with ng.Tape() as tape:
+                ng.gather_rows(states, group.rows, rounds)
+            [(_, _, backward)] = tape._entries
+            g = np.random.default_rng(45).normal(size=group.rows.shape + (cfg.state_dim,))
+            g[..., ::3, :] = -0.0
+            pieces.append([None if d is None else d.tobytes() for d in backward(g)])
+        assert pieces[0] == pieces[1]
+        assert any(d is not None for d in pieces[0])
+
+    def batch_grads():
+        with ng.Tape() as tape:
+            loss = train._batch_loss(clips, gr.build_batch([c.frames for c in clips], params, cfg),
+                                     params, cfg)
+        return {name: t.data.tobytes() for name, t in ng.grad(tape, loss, params).items()}
+
+    by_offset = batch_grads()
+    gather = ng.gather_rows
+    monkeypatch.setattr(ng, "gather_rows", lambda m, index, rounds=None: gather(m, index))
+    assert batch_grads() == by_offset
+
+
 @pytest.mark.parametrize("iteration,phase", [(0, pa.PHASE_SPATIAL), (0, pa.PHASE_TEMPORAL),
                                              (1, pa.PHASE_SPATIAL), (1, pa.PHASE_TEMPORAL)])
 def test_overflow_inside_a_phase_names_iteration_and_phase(iteration, phase):

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,89 @@ def test_sgd_rejects_non_finite_gradient():
     with pytest.raises(NumericError) as err:
         sgd_step(params, {"w": bad}, lr=0.1, state=state)
     assert "'w'" in str(err.value) and "7" in str(err.value)
+
+
+@pytest.mark.parametrize("stepped", [False, True])
+def test_sgd_rejected_gradient_changes_nothing(stepped):
+    # a NaN in the second tensor's gradient must not leave the first updated
+    params = {"a": Tensor([1.0, 2.0], requires_grad=True, name="a"),
+              "b": Tensor([3.0], requires_grad=True, name="b")}
+    state = SgdState()
+    if stepped:
+        sgd_step(params, {"a": Tensor([0.5, -0.5]), "b": Tensor([0.25])}, lr=0.1, state=state)
+    before = dict(params)
+    velocity = None if state.velocity is None else state.velocity.copy()
+    grads = {"a": Tensor([1.0, 1.0]), "b": ng._wrap(np.array([np.nan]))}
+    with pytest.raises(NumericError, match=rf"^non-finite gradient for 'b' at step {int(stepped)}$"):
+        sgd_step(params, grads, lr=0.1, state=state)
+    assert all(params[name] is before[name] for name in before)
+    assert state.step == int(stepped)
+    if stepped:
+        assert state.velocity.tobytes() == velocity.tobytes()
+    else:
+        assert state.velocity is None
+
+
+def test_sgd_overflowing_update_names_parameter_and_step():
+    params = {"v": Tensor([0.0], requires_grad=True, name="v"),
+              "w": Tensor([1e308], requires_grad=True, name="w")}
+    state = SgdState()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        with pytest.raises(NumericError, match=r"^non-finite update for 'w' at step 0$"):
+            sgd_step(params, {"v": Tensor([1.0]), "w": Tensor([-1e308])}, lr=10.0, state=state)
+    assert params["v"].data.tolist() == [0.0] and params["w"].data.tolist() == [1e308]
+    assert state.velocity is None and state.step == 0
+
+
+def test_sgd_step_keeps_held_tensors_and_makes_read_only_views():
+    rng = np.random.default_rng(5)
+    params = init_params(small_config(tau_c=3))
+    held = dict(params)
+    values = {name: t.data.copy() for name, t in held.items()}
+    state = SgdState()
+    for _ in range(2):
+        sgd_step(params, {name: Tensor(rng.normal(size=t.shape)) for name, t in params.items()},
+                 lr=0.1, state=state)
+    for name, t in params.items():
+        assert held[name].data.tobytes() == values[name].tobytes()
+        assert t.data.shape == held[name].shape and t.name == name and t.requires_grad
+        assert not t.data.flags.writeable
+        with pytest.raises(ValueError):
+            t.data[...] = 0.0
+    assert state.velocity.shape == (sum(t.data.size for t in params.values()),)
+
+
+def test_train_loop_matches_per_tensor_sgd_reference(tmp_path):
+    # the flat-vector update against momentum SGD written tensor by tensor
+    manifest = data.synth_temporal_pairs(str(tmp_path / "tp"), seed=2, clips=6, keyframes=4,
+                                         channels=6)
+    info, records = data.load_dataset(manifest)
+    clips = [data.featurize_clip(r, info, mode="train") for r in records]
+    config = small_config(tau_c=3)
+    schedule = Schedule().scaled(3.0)
+    trained = train_loop(clips, config, schedule, seed=4, batch_size=6).params
+
+    params = init_params(config, 4)
+    velocity = {name: np.zeros(t.shape) for name, t in params.items()}
+    batch = effective_batch_size(6, config.tau_c)
+    steps = math.ceil(len(clips) / batch)
+    shuffle = np.random.default_rng([4, 9173])
+    for epoch in range(3):
+        order = shuffle.permutation(len(clips))
+        for b in range(steps):
+            members = [clips[i] for i in order[b * batch:(b + 1) * batch]]
+            with Tape() as tape:
+                loss = train._batch_loss(members, build_batch([c.frames for c in members],
+                                                              params, config), params, config)
+            grads = grad(tape, loss, params)
+            lr = lr_at(epoch + b / steps, schedule)
+            for name, p in params.items():
+                velocity[name] = 0.9 * velocity[name] + (grads[name].data + 1e-7 * p.data)
+                params[name] = Tensor(p.data - lr * velocity[name], requires_grad=True, name=name)
+    assert list(trained) == list(params)
+    for name, t in params.items():
+        assert trained[name].data.tobytes() == t.data.tobytes(), name
 
 
 def test_grad_names_parameter_with_non_finite_gradient():

@@ -1,10 +1,12 @@
 #!/bin/sh
 # Run the README CLI walkthrough, plus a tau_c 3 action run with proposals,
 # a tau_c 3 nonlocal+GAT scene-graph run, a GAT temporal-pairs run scored on
-# a held-out split, and train and flops runs from a --config file (one of
-# them failing on a value from the file), with the package from SRC.  Every
-# file, every printed line and the failing run's stderr and exit status land
-# under OUT, so two source trees compare with one diff:
+# a held-out split, a tau_c 5, tau_s 2 temporal-pairs run (several window
+# offsets at a stride above 1) with its attention dump, and train and flops
+# runs from a --config file (one of them failing on a value from the file),
+# with the package from SRC.  Every file, every printed line and the failing
+# run's stderr and exit status land under OUT, so two source trees compare
+# with one diff:
 #   tools/walkthrough.sh old/src a && tools/walkthrough.sh src b && diff -r a b
 set -eu
 [ $# -eq 2 ] || { echo "usage: $0 SRC OUT" >&2; exit 2; }
@@ -31,6 +33,10 @@ st tptrain train --data tp/manifest.jsonl --out tprun $small --message-fn gat --
 st tpdump dump-attention --data tp/manifest.jsonl --checkpoint tprun/checkpoint.json --out tpattention.jsonl
 st tpsynth1 synth temporal-pairs --out tp1 --seed 0 --clips 8 --split 1
 st tpeval eval --data tp1/manifest.jsonl --checkpoint tprun/checkpoint.json --out tpeval
+st tp7synth synth temporal-pairs --out tp7 --seed 0 --clips 6 --keyframes 7 --tau-s 2
+st tp7train train --data tp7/manifest.jsonl --out tp7run $small \
+  --message-fn nonlocal --message-fn gat --tau-c 5 --tau-s 2 --epochs 3
+st tp7dump dump-attention --data tp7/manifest.jsonl --checkpoint tp7run/checkpoint.json --out tp7attention.jsonl
 echo '{"state_dim": 8, "heads": 1, "iterations": 2, "message_fns": ["gat", "nonlocal"], "tau_c": 3, "seed": 3}' > cfg.json
 st cfgtrain train --data ds4/manifest.jsonl --out cfgrun --config cfg.json --epochs 2
 st cfgflops flops --config cfg.json --tau-c 5 --fg 4 --context 17 --keyframes 8
