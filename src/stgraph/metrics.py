@@ -1,11 +1,15 @@
 """Evaluation: box overlap, label assignment, frame AP, and triplet recall.
 
-Frame AP follows the standard detection protocol: per class, detections
-are sorted by descending score (input order breaks ties), matched
-greedily to unmatched ground truth of the same keyframe at IoU >= 0.5,
-and the precision/recall curve is integrated with all-point
-interpolation.  The mean runs over classes with at least one ground
-truth box.
+Frame AP follows the standard detection protocol on arrays, one row per
+scored (box, class) and one per ground-truth (box, class).  Per class,
+detections rank by descending score in one stable sort, so tied scores
+keep input order.  Each detection looks only at its best slot, the
+first ground truth of its frame and class with the highest IoU; it is a
+true positive when that IoU reaches the threshold and no higher-ranked
+detection claimed the slot first.  A detection whose best slot is taken
+is a false positive and does not fall back to its second-best slot.
+The precision/recall curve is integrated with all-point interpolation,
+and the mean runs over classes with at least one ground truth box.
 
 Triplet recall ranks all (subject, object, predicate) candidates of a
 keyframe by the product of their three probabilities and reports the
@@ -37,6 +41,12 @@ def iou(a: Box, b: Box) -> float:
         return 0.0
     inter = ix * iy
     return inter / (a.area() + b.area() - inter)
+
+
+def box_array(boxes) -> np.ndarray:
+    """(n, 4) float array of the boxes' x1, y1, x2, y2, from one flat list."""
+    return np.array([c for b in boxes for c in (b.x1, b.y1, b.x2, b.y2)],
+                    dtype=np.float64).reshape(-1, 4)
 
 
 def assign_labels(pred_boxes, gt_boxes, gt_labels: np.ndarray, threshold: float = 0.75) -> np.ndarray:
@@ -94,23 +104,19 @@ class GroundTruthBox:
     class_id: int
 
 
-def _average_precision(tp_flags: list[bool], num_gt: int) -> float:
-    """All-point interpolated AP from ordered true-positive flags."""
-    if num_gt == 0:
-        return 0.0
-    tp = np.cumsum([1.0 if f else 0.0 for f in tp_flags])
-    fp = np.cumsum([0.0 if f else 1.0 for f in tp_flags])
-    recall = tp / num_gt
-    precision = tp / np.maximum(tp + fp, 1e-12)
-    mrec = np.concatenate([[0.0], recall, [1.0]])
-    mpre = np.concatenate([[0.0], precision, [0.0]])
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
-    ap = 0.0
-    for i in range(1, len(mrec)):
-        if mrec[i] != mrec[i - 1]:
-            ap += (mrec[i] - mrec[i - 1]) * mpre[i]
-    return float(ap)
+def _average_precision(tp: np.ndarray, num_gt: int) -> float:
+    """All-point interpolated AP from true-positive flags in rank order.
+
+    The precision envelope and the sum over recall steps run in the
+    order of a loop over the curve, so the result has that loop's bits.
+    """
+    hits = np.cumsum(tp, dtype=np.float64)
+    recall = np.concatenate([[0.0], hits / num_gt, [1.0]])
+    precision = np.concatenate([[0.0], hits / np.arange(1, tp.size + 1), [0.0]])
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    step = recall[1:] != recall[:-1]
+    terms = (recall[1:] - recall[:-1])[step] * envelope[1:][step]
+    return float(np.cumsum(terms)[-1])
 
 
 def check_iou_threshold(threshold: float) -> None:
@@ -124,42 +130,97 @@ def check_recall_cutoffs(ks) -> None:
             raise ConfigError(f"recall cutoff k must be positive, got {k}")
 
 
-def frame_ap(detections: list[Detection], ground_truth: list[GroundTruthBox],
-             iou_threshold: float = 0.5) -> tuple[dict[int, float], float]:
-    """Per-class average precision and its mean over annotated classes.
+def frame_ap_arrays(det_frame, det_boxes, det_classes, det_scores, gt_frame, gt_boxes,
+                    gt_classes, iou_threshold: float = 0.5) -> tuple[dict[int, float], float]:
+    """Per-class average precision and its mean over annotated classes, from arrays.
 
-    Classes without any ground truth are excluded from the mean; an empty
-    ground truth list leaves the metric undefined and raises.
+    Each detection row is one scored (box, class): an int frame id, a box
+    (x1, y1, x2, y2) in an (n, 4) array, a class id and a score.  Each
+    ground-truth row is one (frame, box, class).  Rows with equal frame
+    ids belong to one frame.  Classes without any ground truth are
+    excluded; no ground truth at all, or a non-finite score, raises.
     """
     check_iou_threshold(iou_threshold)
-    if not ground_truth:
+    gt_classes = np.asarray(gt_classes, dtype=np.int64)
+    if not gt_classes.size:
         raise ValidationError("frame AP is undefined without ground truth boxes")
-    classes = sorted({g.class_id for g in ground_truth})
-    per_class: dict[int, float] = {}
-    for cls in classes:
-        gts = [g for g in ground_truth if g.class_id == cls]
-        num_gt = len(gts)
-        by_frame: dict[tuple, list] = {}
-        for g in gts:
-            by_frame.setdefault((g.clip_id, g.keyframe_id), []).append([g.box, False])
-        dets = sorted((d for d in detections if d.class_id == cls),
-                      key=lambda d: -d.score)
-        flags: list[bool] = []
-        for d in dets:
-            slots = by_frame.get((d.clip_id, d.keyframe_id), [])
-            best, best_iou = -1, 0.0
-            for s, (box, _) in enumerate(slots):
-                ov = iou(d.box, box)
-                if ov > best_iou:
-                    best, best_iou = s, ov
-            if best >= 0 and best_iou >= iou_threshold and not slots[best][1]:
-                slots[best][1] = True
-                flags.append(True)
-            else:
-                flags.append(False)
-        per_class[cls] = _average_precision(flags, num_gt)
-    mean = float(np.mean([per_class[c] for c in classes]))
-    return per_class, mean
+    scores = np.asarray(det_scores, dtype=np.float64)
+    det_boxes = np.asarray(det_boxes, dtype=np.float64)
+    gt_boxes = np.asarray(gt_boxes, dtype=np.float64)
+    if (det_boxes.shape != (scores.size, 4) or len(det_frame) != scores.size
+            or len(det_classes) != scores.size):
+        raise ShapeError(f"{scores.size} detection scores need as many frames, classes "
+                         f"and (x1, y1, x2, y2) boxes")
+    if gt_boxes.shape != (gt_classes.size, 4) or len(gt_frame) != gt_classes.size:
+        raise ShapeError(f"{gt_classes.size} ground truth classes need as many frames "
+                         f"and (x1, y1, x2, y2) boxes")
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise ValidationError(f"detection {bad[0]} has non-finite score {float(scores[bad[0]])}")
+    classes, gt_class = np.unique(gt_classes, return_inverse=True)
+    det_classes = np.asarray(det_classes, dtype=np.int64)
+    det_class = np.minimum(np.searchsorted(classes, det_classes), classes.size - 1)
+    # detections of a class without ground truth score nothing
+    keep = np.flatnonzero(classes[det_class] == det_classes)
+    det_class, scores, det_boxes = det_class[keep], scores[keep], det_boxes[keep]
+    # the slots of a (frame, class), in ground-truth order
+    gt_key = np.asarray(gt_frame, dtype=np.int64) * classes.size + gt_class
+    det_key = np.asarray(det_frame, dtype=np.int64)[keep] * classes.size + det_class
+    slot_order = np.argsort(gt_key, kind="stable")
+    begin = np.searchsorted(gt_key[slot_order], det_key, side="left")
+    counts = np.searchsorted(gt_key[slot_order], det_key, side="right") - begin
+    starts = np.cumsum(counts) - counts
+    pair_det = np.repeat(np.arange(det_key.size), counts)
+    pair_gt = slot_order[np.repeat(begin - starts, counts) + np.arange(pair_det.size)]
+    # metrics.iou's operations, detection box first
+    a, b = det_boxes[pair_det].T, gt_boxes[pair_gt].T
+    ix = np.minimum(a[2], b[2]) - np.maximum(a[0], b[0])
+    iy = np.minimum(a[3], b[3]) - np.maximum(a[1], b[1])
+    inter = ix * iy
+    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
+    # two negative extents make a positive product, so divide only where they overlap
+    overlap = np.divide(inter, union, out=np.zeros(inter.size), where=(ix > 0.0) & (iy > 0.0))
+    # each detection's best slot is the first at its highest IoU; it is a
+    # hit when that IoU reaches the threshold, above 0
+    best = np.zeros(det_key.size)
+    best[counts > 0] = np.maximum.reduceat(overlap, starts[counts > 0])
+    at_best = np.flatnonzero((overlap == best[pair_det]) & (best[pair_det] >= iou_threshold))
+    at_best = at_best[np.diff(pair_det[at_best], prepend=-1) != 0]
+    # a hit is a true positive when no hit ranked above it claims its slot
+    order = np.argsort(-scores, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    hit, slot = pair_det[at_best], pair_gt[at_best]
+    first_claim = np.full(gt_key.size, order.size)
+    np.minimum.at(first_claim, slot, rank[hit])
+    tp = np.zeros(det_key.size, dtype=bool)
+    tp[hit] = first_claim[slot] == rank[hit]
+    by_class = order[np.argsort(det_class[order], kind="stable")]
+    bounds = np.searchsorted(det_class[by_class], np.arange(classes.size + 1))
+    num_gt = np.bincount(gt_class, minlength=classes.size)
+    per_class = {int(cls): _average_precision(tp[by_class[bounds[c]:bounds[c + 1]]],
+                                              int(num_gt[c]))
+                 for c, cls in enumerate(classes)}
+    return per_class, float(np.mean(list(per_class.values())))
+
+
+def frame_ap(detections: list[Detection], ground_truth: list[GroundTruthBox],
+             iou_threshold: float = 0.5) -> tuple[dict[int, float], float]:
+    """frame_ap_arrays of Detection and GroundTruthBox lists.
+
+    Boxes with the same (clip_id, keyframe_id) belong to one frame, and a
+    non-finite score raises naming the detection's index in the list.
+    """
+    frames: dict[tuple[str, int], int] = {}
+
+    def columns(items):
+        return ([frames.setdefault((x.clip_id, x.keyframe_id), len(frames)) for x in items],
+                box_array(x.box for x in items), [x.class_id for x in items])
+
+    det_frame, det_boxes, det_classes = columns(detections)
+    gt_frame, gt_boxes, gt_classes = columns(ground_truth)
+    return frame_ap_arrays(det_frame, det_boxes, det_classes, [d.score for d in detections],
+                           gt_frame, gt_boxes, gt_classes, iou_threshold)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from .errors import ConfigError, NumericError, ShapeError, ValidationError
 from .graph import (Box, FeatureGrid, SpatioTemporalGraph, build_batch, build_graph,
                     featurize_keyframe)
 from .heads import action_loss, action_readout, sg_loss, sg_readout
-from .metrics import Detection, GroundTruthBox, frame_ap, triplet_recall
+from .metrics import box_array, frame_ap_arrays, triplet_recall
 from .numgrad import Tape, Tensor, grad, sigmoid_values
 from .passing import ModelConfig, param_shapes, run_inference
 
@@ -313,32 +313,38 @@ def evaluate_action(clips: list[ClipFeatures], params: dict[str, Tensor], config
     """
     if not clips:
         raise ValidationError("no clips to evaluate")
-    ground_truth = []
-    for clip in clips:
-        for pos, kid in enumerate(clip.keyframe_ids):
-            labels = clip.gt_action_labels[pos]
-            for row, box in enumerate(clip.gt_boxes[pos]):
-                for cls in np.flatnonzero(labels[row]):
-                    ground_truth.append(GroundTruthBox(
-                        clip_id=clip.clip_id, keyframe_id=kid, box=box, class_id=int(cls)))
+    # rows of one (clip_id, keyframe_id) share a frame id
+    frame_ids: dict[tuple[str, int], int] = {}
+    annotated = [(frame_ids.setdefault((clip.clip_id, kid), len(frame_ids)), clip.gt_boxes[pos],
+                  clip.gt_action_labels[pos])
+                 for clip in clips for pos, kid in enumerate(clip.keyframe_ids)]
+    gt_frame = np.repeat([frame for frame, _, _ in annotated], [len(b) for _, b, _ in annotated])
+    labels = np.concatenate([y for _, _, y in annotated]) if annotated else np.zeros((0, 0))
+    if labels.shape[0] != gt_frame.size:
+        raise ValidationError(f"{gt_frame.size} ground truth boxes but {labels.shape[0]} label rows")
+    # one ground truth per (clip, keyframe, box, class) labelled 1, in that order
+    rows, gt_classes = np.nonzero(labels)
+    gt_boxes = box_array(b for _, boxes, _ in annotated for b in boxes)
+
+    # one detection per (clip, keyframe, box, class), in that order
+    scored = [(frame_ids.setdefault((clip.clip_id, f.keyframe_id), len(frame_ids)), f.fg_boxes)
+              for clip in clips for f in clip.frames]
+    classes = config.action_classes
+    det_frame = np.repeat([frame for frame, _ in scored], [len(b) * classes for _, b in scored])
+    det_boxes = box_array(b for _, boxes in scored for b in boxes)
 
     def detect(chunk: list[ClipFeatures], graph: SpatioTemporalGraph, states: list[Tensor]):
         probs = [sigmoid_values(action_readout(s, params["readout.action.weight"],
                                                params["readout.action.bias"]).data)
                  for s in states]
-        detections = []
-        for clip, span in zip(chunk, graph.clips):
-            for pos, frame in zip(span, clip.frames):
-                k, j = graph.where[pos]
-                for row, box in enumerate(frame.fg_boxes):
-                    for cls in range(config.action_classes):
-                        detections.append(Detection(
-                            clip_id=clip.clip_id, keyframe_id=frame.keyframe_id,
-                            box=box, class_id=cls, score=float(probs[k][j, row, cls])))
-        return detections
+        return [probs[k][j].reshape(-1) for span in graph.clips
+                for k, j in (graph.where[pos] for pos in span)]
 
-    detections = [d for chunk in _over_chunks(detect, clips, params, config) for d in chunk]
-    return frame_ap(detections, ground_truth, iou_threshold=iou_threshold)
+    scores = np.concatenate([p for chunk in _over_chunks(detect, clips, params, config)
+                             for p in chunk])
+    return frame_ap_arrays(det_frame, np.repeat(det_boxes, classes, axis=0),
+                           np.tile(np.arange(classes), len(det_boxes)), scores,
+                           gt_frame[rows], gt_boxes[rows], gt_classes, iou_threshold)
 
 
 def evaluate_scenegraph(clips: list[ClipFeatures], params: dict[str, Tensor],

@@ -1,4 +1,4 @@
-"""Scripted plain-numpy evaluation of the message passing stack and of recall@K.
+"""Scripted plain-numpy evaluation of the message passing stack, recall@K and frame AP.
 
 Used as an independent oracle: no tape, no shared helpers, explicit
 per-node loops, neighborhoods re-derived from first principles.  Takes
@@ -132,3 +132,65 @@ def reference_recall(object_logits, relation_logits, gt, k, mode, gt_object_clas
     candidates.sort(key=lambda c: -c[0])  # stable: enumeration order breaks ties
     top = {c[1:] for c in candidates[:k]}
     return sum(1 for t in gt if tuple(int(v) for v in t) in top) / len(gt)
+
+
+def reference_iou(a, b):
+    """Intersection over union of two boxes with x1, y1, x2, y2; 0 when apart."""
+    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
+    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
+    if ix <= 0.0 or iy <= 0.0:
+        return 0.0
+    inter = ix * iy
+    return inter / ((a.x2 - a.x1) * (a.y2 - a.y1) + (b.x2 - b.x1) * (b.y2 - b.y1) - inter)
+
+
+def reference_average_precision(tp_flags, num_gt):
+    """All-point interpolated AP from ordered true-positive flags."""
+    tp = np.cumsum([1.0 if f else 0.0 for f in tp_flags])
+    fp = np.cumsum([0.0 if f else 1.0 for f in tp_flags])
+    recall = tp / num_gt
+    precision = tp / np.maximum(tp + fp, 1e-12)
+    mrec = np.concatenate([[0.0], recall, [1.0]])
+    mpre = np.concatenate([[0.0], precision, [0.0]])
+    for i in range(len(mpre) - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    ap = 0.0
+    for i in range(1, len(mrec)):
+        if mrec[i] != mrec[i - 1]:
+            ap += (mrec[i] - mrec[i - 1]) * mpre[i]
+    return float(ap)
+
+
+def reference_frame_ap(detections, ground_truth, iou_threshold=0.5):
+    """(per-class AP, mean) from per-class loops over detection objects.
+
+    The oracle for metrics.frame_ap.  Detections have clip_id,
+    keyframe_id, box, class_id and score; ground truth the same without
+    score.  Per class, detections sort by descending score (input order
+    among equals), and each is matched to the first ground truth of its
+    keyframe with the highest IoU; a hit needs IoU >= the threshold and
+    that ground truth still unmatched.
+    """
+    classes = sorted({g.class_id for g in ground_truth})
+    per_class = {}
+    for cls in classes:
+        gts = [g for g in ground_truth if g.class_id == cls]
+        by_frame = {}
+        for g in gts:
+            by_frame.setdefault((g.clip_id, g.keyframe_id), []).append([g.box, False])
+        dets = sorted((d for d in detections if d.class_id == cls), key=lambda d: -d.score)
+        flags = []
+        for d in dets:
+            slots = by_frame.get((d.clip_id, d.keyframe_id), [])
+            best, best_iou = -1, 0.0
+            for s, (box, _) in enumerate(slots):
+                ov = reference_iou(d.box, box)
+                if ov > best_iou:
+                    best, best_iou = s, ov
+            if best >= 0 and best_iou >= iou_threshold and not slots[best][1]:
+                slots[best][1] = True
+                flags.append(True)
+            else:
+                flags.append(False)
+        per_class[cls] = reference_average_precision(flags, len(gts))
+    return per_class, float(np.mean([per_class[c] for c in classes]))

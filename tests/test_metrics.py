@@ -9,7 +9,7 @@ from stgraph.graph import Box
 from stgraph.heads import SceneGraphPrediction, pair_index
 from stgraph.numgrad import Tensor, sigmoid_values
 
-from reference_eval import reference_recall
+from reference_eval import reference_frame_ap, reference_recall
 
 
 def test_iou_frozen_example():
@@ -157,6 +157,121 @@ def test_frame_ap_invariant_to_monotone_score_transforms():
                               float(transform(d.score))) for d in dets]
         _, m = mt.frame_ap(moved, gts)
         assert m == base
+
+
+def _agrees_with_loops(dets, gts, threshold=0.5):
+    got = mt.frame_ap(dets, gts, iou_threshold=threshold)
+    assert repr(got) == repr(reference_frame_ap(dets, gts, threshold))
+    return got
+
+
+BOX_A_SLIM = Box(0.0, 0.0, 0.5, 0.45)  # IoU 0.9 with BOX_A
+
+
+@pytest.mark.parametrize("first, second, want", [
+    (BOX_FAR, BOX_A, 0.5),   # tied scores: the miss ranks first
+    (BOX_A, BOX_FAR, 1.0),   # and here the hit
+])
+@pytest.mark.parametrize("score", [0.7, 0.0])
+def test_frame_ap_tied_scores_keep_input_order(first, second, want, score):
+    gts = [_gt(0, BOX_A)]
+    per_class, _ = _agrees_with_loops([_det(0, first, score), _det(0, second, score)], gts)
+    assert per_class == {0: want}
+
+
+def test_frame_ap_taken_best_slot_is_a_false_positive():
+    # the 0.8 detection's best slot is BOX_A, taken by the 0.9 one; its
+    # second-best, BOX_A_SLIM at IoU 0.9, does not rescue it
+    gts = [_gt(0, BOX_A), _gt(0, BOX_A_SLIM)]
+    per_class, _ = _agrees_with_loops([_det(0, BOX_A, 0.9), _det(0, BOX_A, 0.8)], gts)
+    assert per_class == {0: 0.5}
+    # a detection whose best slot is the free one takes it
+    _, mean = _agrees_with_loops([_det(0, BOX_A, 0.9), _det(0, BOX_A_SLIM, 0.8)], gts)
+    assert mean == 1.0
+
+
+def test_frame_ap_first_slot_wins_equal_overlaps():
+    # both ground truths overlap the detection by 0.5; the first is its slot
+    left, right = Box(0.0, 0.0, 0.5, 1.0), Box(0.5, 0.0, 1.0, 1.0)
+    whole = Box(0.0, 0.0, 1.0, 1.0)
+    dets = [_det(0, whole, 0.9), _det(0, left, 0.8), _det(0, right, 0.7)]
+    per_class, _ = _agrees_with_loops(dets, [_gt(0, left), _gt(0, right)])
+    # TP, FP (left was taken), TP
+    assert abs(per_class[0] - (0.5 + 0.5 * 2 / 3)) <= 1e-15
+
+
+@pytest.mark.parametrize("score", [float("nan"), float("inf"), -float("inf")])
+def test_frame_ap_rejects_non_finite_scores(score):
+    dets = [_det(0, BOX_A, 0.5), _det(1, BOX_B, 0.4), _det(0, BOX_B, score)]
+    with pytest.raises(ValidationError, match="detection 2 has non-finite score"):
+        mt.frame_ap(dets, [_gt(0, BOX_A)])
+
+
+# coordinates on a coarse grid: boxes repeat, touch, nest and miss
+_coord_pairs = st.sampled_from([(i / 8, (i + w) / 8) for i in range(8) for w in range(1, 5)
+                                if i + w <= 8])
+grid_boxes = st.tuples(_coord_pairs, _coord_pairs).map(
+    lambda xy: Box(xy[0][0], xy[1][0], xy[0][1], xy[1][1]))
+
+
+def _nudged(box, side, step):
+    """box with one far side moved by step, or box itself where that leaves the unit square."""
+    x2, y2 = box.x2 + step * (side == 0), box.y2 + step * (side == 1)
+    if not (box.x1 < x2 <= 1.0 and box.y1 < y2 <= 1.0):
+        return box
+    return Box(box.x1, box.y1, x2, y2)
+
+
+@st.composite
+def scored_frames(draw):
+    """Ground truth and detections over a few frames of two clips.
+
+    Ground truth takes classes 0-2 and detections 0-3, so some classes
+    have no detections and some no ground truth, and some frames hold no
+    ground truth.  Half the boxes copy an earlier ground truth's frame,
+    class and box, the box possibly nudged by 1/8, so ground truths
+    overlap, several detections claim one box, and a claimed best box
+    can have a free second best.  Scores come from a few values, 0.0 and
+    -0.0 among them, so ties are common.
+    """
+    frame = st.tuples(st.sampled_from(["a", "b"]), st.integers(0, 2))
+    nudge = st.tuples(st.integers(0, 1), st.sampled_from([-0.125, 0.0, 0.125]))
+
+    def box_of(items, classes):
+        if items and draw(st.booleans()):
+            g = items[draw(st.integers(0, len(items) - 1))]
+            return (g.clip_id, g.keyframe_id), _nudged(g.box, *draw(nudge)), g.class_id
+        return draw(frame), draw(grid_boxes), draw(st.integers(0, classes - 1))
+
+    gts = []
+    for _ in range(draw(st.integers(1, 8))):
+        f, box, cls = box_of(gts, 3)
+        gts.append(mt.GroundTruthBox(*f, box, cls))
+    score = st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.9]) | st.floats(-2.0, 2.0)
+    dets = [mt.Detection(*f, box, cls, draw(score))
+            for f, box, cls in (box_of(gts, 4) for _ in range(draw(st.integers(0, 16))))]
+    threshold = draw(st.sampled_from([0.5, 1.0, 1e-4, 0.3, 0.75]))
+    return dets, gts, threshold
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(case=scored_frames())
+def test_frame_ap_equals_loop_reference(case):
+    dets, gts, threshold = case
+    per_class, mean = _agrees_with_loops(dets, gts, threshold)
+    assert all(type(c) is int for c in per_class)
+    assert all(type(v) is float for v in per_class.values()) and type(mean) is float
+
+
+def test_frame_ap_arrays_take_frame_ids():
+    boxes = np.array([BOX_A.as_list(), BOX_FAR.as_list(), BOX_B.as_list()])
+    per_class, mean = mt.frame_ap_arrays([0, 0, 1], boxes, [0, 0, 0], [0.9, 0.6, 0.3],
+                                         [0, 1], boxes[[0, 2]], [0, 0])
+    assert abs(mean - 5.0 / 6.0) <= 1e-12 and list(per_class) == [0]
+    with pytest.raises(ShapeError, match="3 detection scores"):
+        mt.frame_ap_arrays([0, 0], boxes, [0, 0, 0], [0.9, 0.6, 0.3], [0], boxes[:1], [0])
+    with pytest.raises(ShapeError, match="2 ground truth classes"):
+        mt.frame_ap_arrays([0], boxes[:1], [0], [0.9], [0, 1], boxes[:1], [0, 0])
 
 
 def test_triplet_score_frozen_example():

@@ -2,6 +2,7 @@
 
 import base64
 import ctypes
+import dataclasses
 import json
 import math
 import re
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stgraph.numgrad as ng
-from stgraph import data, train
+from stgraph import data, metrics, train
 from stgraph.errors import ConfigError, NumericError, ValidationError
 from stgraph.graph import Box, FeatureGrid, build_batch, build_graph, featurize_keyframe
 from stgraph.numgrad import Tape, Tensor, grad
@@ -23,7 +24,7 @@ from stgraph.train import (Schedule, SgdState, effective_batch_size, init_params
                            load_checkpoint, lr_at, save_checkpoint, sgd_step, train_loop)
 
 from json_fuzz import json_values, pick_path, set_at
-from reference_eval import reference_recall
+from reference_eval import reference_frame_ap, reference_iou, reference_recall
 
 
 def small_config(**overrides) -> ModelConfig:
@@ -412,6 +413,60 @@ def test_evaluate_action_perfect_and_threading(tmp_path):
     per_class2, mean_ap2 = train.evaluate_action(clips, res.params, config, workers=4)
     assert mean_ap2 == mean_ap
     assert per_class2 == per_class
+
+
+def test_evaluate_action_scores_detections_like_the_loops(tmp_path):
+    # evaluation mode scores each keyframe's detections, here three
+    # shifted copies of every annotated box, so overlaps fall below 1 and
+    # some below the threshold; 18 clips make two evaluation chunks
+    manifest = data.synth_action_overfit(str(tmp_path / "ds"), seed=3, clips=18, classes=3,
+                                         channels=6)
+    info, records = data.load_dataset(manifest)
+    shifts = [(0.05, 0.0), (-0.1, 0.05), (0.2, 0.2)]
+    for clip in records:
+        clip.keyframes = [dataclasses.replace(kf, detections=[
+            Box(max(b.x1 + dx, 0.0), max(b.y1 + dy, 0.0), min(b.x2 + dx, 1.0), min(b.y2 + dy, 1.0))
+            for b in kf.fg_boxes for dx, dy in shifts]) for kf in clip.keyframes]
+    clips = [data.featurize_clip(c, info, mode=data.EVAL_MODE) for c in records]
+    config = small_config(action_classes=3)
+    params = train_loop([data.featurize_clip(c, info) for c in records], config,
+                        Schedule().scaled(2.0), seed=0, batch_size=4).params
+
+    per_class, mean_ap = train.evaluate_action(clips, params, config)
+
+    # the per-object loops this evaluation replaced, one clip at a time
+    detections, truth = [], []
+    for clip in clips:
+        graph = build_graph(clip.frames, params, config)
+        states = run_inference(graph, params, config).states
+        for pos, frame in enumerate(clip.frames):
+            k, j = graph.where[pos]
+            probs = ng.sigmoid_values(action_readout(
+                states[k], params["readout.action.weight"], params["readout.action.bias"]).data)
+            for row, box in enumerate(frame.fg_boxes):
+                for cls in range(config.action_classes):
+                    detections.append(metrics.Detection(clip.clip_id, frame.keyframe_id, box,
+                                                        cls, float(probs[j, row, cls])))
+            for row, box in enumerate(clip.gt_boxes[pos]):
+                for cls in np.flatnonzero(clip.gt_action_labels[pos][row]):
+                    truth.append(metrics.GroundTruthBox(clip.clip_id, clip.keyframe_ids[pos],
+                                                        box, int(cls)))
+    assert repr((per_class, mean_ap)) == repr(reference_frame_ap(detections, truth))
+    overlaps = [reference_iou(d.box, g.box) for d in detections[::3] for g in truth
+                if (d.clip_id, d.keyframe_id) == (g.clip_id, g.keyframe_id)]
+    assert min(o for o in overlaps if o > 0.0) < 0.5 and max(overlaps) < 1.0
+    assert 0.0 < mean_ap < 1.0
+    # cmd_eval prints mean_ap with repr, so a numpy scalar would change its bytes
+    assert [type(c) for c in per_class] == [int] * 3
+    assert {type(v) for v in per_class.values()} == {float} and type(mean_ap) is float
+
+
+def test_evaluate_action_needs_one_label_row_per_box(tmp_path):
+    clips = tiny_clips(tmp_path, clips=2)
+    clips[1].gt_action_labels[0] = clips[1].gt_action_labels[0][:1]
+    config = small_config()
+    with pytest.raises(ValidationError, match="8 ground truth boxes but 7 label rows"):
+        train.evaluate_action(clips, init_params(config), config)
 
 
 def test_evaluate_scenegraph_modes(tmp_path):

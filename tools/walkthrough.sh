@@ -1,12 +1,13 @@
 #!/bin/sh
 # Run the README CLI walkthrough, plus a tau_c 3 action run with proposals,
 # a tau_c 3 nonlocal+GAT scene-graph run, a GAT temporal-pairs run scored on
-# a held-out split, a tau_c 5, tau_s 2 temporal-pairs run (several window
-# offsets at a stride above 1) with its attention dump, and train and flops
-# runs from a --config file (one of them failing on a value from the file),
-# with the package from SRC.  Every file, every printed line and the failing
-# run's stderr and exit status land under OUT, so two source trees compare
-# with one diff:
+# a held-out split, a 1-epoch one whose held-out mAP stays below 1 (so the
+# diff sees a precision/recall curve short of perfect), a tau_c 5, tau_s 2
+# temporal-pairs run (several window offsets at a stride above 1) with its
+# attention dump, and train and flops runs from a --config file (one of
+# them failing on a value from the file), with the package from SRC.
+# Every file, every printed line and the failing run's stderr and exit
+# status land under OUT, so two source trees compare with one diff:
 #   tools/walkthrough.sh old/src a && tools/walkthrough.sh src b && diff -r a b
 set -eu
 [ $# -eq 2 ] || { echo "usage: $0 SRC OUT" >&2; exit 2; }
@@ -33,6 +34,8 @@ st tptrain train --data tp/manifest.jsonl --out tprun $small --message-fn gat --
 st tpdump dump-attention --data tp/manifest.jsonl --checkpoint tprun/checkpoint.json --out tpattention.jsonl
 st tpsynth1 synth temporal-pairs --out tp1 --seed 0 --clips 8 --split 1
 st tpeval eval --data tp1/manifest.jsonl --checkpoint tprun/checkpoint.json --out tpeval
+st tptrain1 train --data tp/manifest.jsonl --out tprun1 $small --message-fn gat --tau-c 3 --epochs 1
+st tpeval1 eval --data tp1/manifest.jsonl --checkpoint tprun1/checkpoint.json --out tpeval1
 st tp7synth synth temporal-pairs --out tp7 --seed 0 --clips 6 --keyframes 7 --tau-s 2
 st tp7train train --data tp7/manifest.jsonl --out tp7run $small \
   --message-fn nonlocal --message-fn gat --tau-c 5 --tau-s 2 --epochs 3
