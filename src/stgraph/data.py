@@ -353,15 +353,16 @@ def one_hot(classes: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-def relation_target_matrix(pairs: list[tuple[int, int]], relations, num_relations: int) -> np.ndarray:
-    """Multi-hot (num pairs, num relations) targets from (s, o, r) triples."""
-    row_of = {pair: row for row, pair in enumerate(pairs)}
-    out = np.zeros((len(pairs), num_relations))
+def relation_target_matrix(n: int, relations, num_relations: int) -> np.ndarray:
+    """Multi-hot targets from (s, o, r) triples over n nodes, one row per heads.pair_index pair.
+
+    Pair (s, o), s > o, sits at row s * (s - 1) // 2 + o.
+    """
+    out = np.zeros((n * (n - 1) // 2, num_relations))
     for s, o, r in relations:
-        row = row_of.get((s, o))
-        if row is None:
+        if not 0 <= o < s < n:
             raise ValidationError(f"relation ({s}, {o}, {r}) does not match any node pair")
-        out[row, r] = 1.0
+        out[s * (s - 1) // 2 + o, r] = 1.0
     return out
 
 

@@ -189,17 +189,20 @@ class TemporalGroup(NamedTuple):
 
     rows[i] (s entries) indexes the foreground rows of keyframe slices[i]'s
     temporal neighbours, ascending by position, in the graph blocks'
-    foreground states laid end to end.  rounds[i, c] is minus the window
-    offset, in positions, through which rows[i, c] is read: the round in
-    which numgrad.gather_rows' backward adds its gradient.  At one offset
-    pos -> pos + t * tau_s is one-to-one, so no row repeats within a
-    round; and the receivers of a row sit at ascending positions, which is
-    ascending rounds, so the rounds add each row's pieces in index order.
+    foreground states laid end to end.  plan is the scatter plan of
+    numgrad.gather_rows' backward, built in the same pass as rows: for
+    each window offset, largest first, the list of entries of the
+    flattened rows read through that offset, one round each.  At one
+    offset pos -> pos + t * tau_s is one-to-one, so no row repeats within
+    a round; and the receivers of a row sit at ascending positions, which
+    is descending offsets, so the rounds add each row's pieces in index
+    order.  The entries stay Python lists until a backward needs them, so
+    a forward pass without a tape makes no arrays for them.
     """
 
     slices: np.ndarray
     rows: np.ndarray
-    rounds: np.ndarray
+    plan: tuple[list[int], ...]
 
 
 @dataclass(eq=False)
@@ -232,12 +235,14 @@ class SpatioTemporalGraph:
 
 
 def _temporal_groups(blocks: list[Block], temporal: list[list[int]]) -> list[list[TemporalGroup]]:
-    """Every block's TemporalGroups, from plain lists made into arrays once per group.
+    """Every block's TemporalGroups, built from plain lists.
 
-    A clip or a training batch has a few keyframes of a few rows each, and
-    a numpy call costs more than the handful of rows it would build:
-    whole-batch array operations took twice as long as these lists on one
-    clip, and won only on evaluation chunks of 16 clips.
+    rows and slices become arrays once per group, and the plan stays lists
+    (see TemporalGroup).  A clip or a training batch has a few keyframes
+    of a few rows each, and a numpy call costs more than the handful of
+    rows it would build: whole-batch array operations took twice as long
+    as these lists on one clip, and won only on evaluation chunks of 16
+    clips.
     """
     first, n = [0] * len(temporal), [0] * len(temporal)
     at = 0
@@ -254,14 +259,15 @@ def _temporal_groups(blocks: list[Block], temporal: list[list[int]]) -> list[lis
                 by_width.setdefault(sum(n[q] for q in temporal[pos]), []).append(u)
         groups = []
         for width, slices in by_width.items():
-            rows, rounds = [], []
+            rows: list[int] = []
+            by_offset: dict[int, list[int]] = {}
             for pos in (block.positions[u] for u in slices):
                 for q in temporal[pos]:
+                    by_offset.setdefault(q - pos, []).extend(range(len(rows), len(rows) + n[q]))
                     rows += range(first[q], first[q] + n[q])
-                    rounds += [pos - q] * n[q]
-            shape = (len(slices), width)
-            groups.append(TemporalGroup(np.array(slices), np.array(rows).reshape(shape),
-                                        np.array(rounds).reshape(shape)))
+            plan = tuple(by_offset[t] for t in sorted(by_offset, reverse=True))
+            groups.append(TemporalGroup(np.array(slices),
+                                        np.array(rows).reshape(len(slices), width), plan))
         layout.append(groups)
     return layout
 

@@ -13,6 +13,16 @@ reductions such as softmax and layer norm act over the last axis.  Matrix
 inputs may carry a leading block axis: a (B, n, d) stack is B matrices
 computed at once, each with the same bits as on its own.
 
+A backward rule computes only what grad() keeps: matmul, the one rule
+that meets a constant input (graph.project_block's feature stack),
+returns None for an operand that does not require a gradient instead of
+a product that would be dropped.  The rules run the same IEEE operations
+as the chains of small primitives they stand for, in fewer numpy calls:
+x.swapaxes(-1, -2) for np.swapaxes, x.sum(axis=-1, keepdims=True) / d
+for a mean over d entries, and a rank-1 piece g_j v^T formed as
+g_j * v^T + 0.0, where the + 0.0 turns a -0.0 product into the +0.0
+that a k=1 matrix product, which adds to a zero, gives.
+
 Finiteness is checked where values enter and at layer boundaries, not
 after every primitive.  The public Tensor constructor rejects NaN and
 infinity, so inputs, labels and initial parameters are finite, and
@@ -341,12 +351,14 @@ def _add_slices(held: np.ndarray | None, pieces: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray):
-    """Cotangents (of a, of b) of a @ b, where a may be a stack.
+def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray,
+                  need_a: bool = True, need_b: bool = True):
+    """Cotangents (of a, of b) of a @ b, where a may be a stack; None for one not needed.
 
     For a stack a and a matrix b, b gets one piece per slice.
     """
-    return g @ np.swapaxes(b, -1, -2), np.swapaxes(a, -1, -2) @ g
+    return (g @ b.swapaxes(-1, -2) if need_a else None,
+            a.swapaxes(-1, -2) @ g if need_b else None)
 
 
 def _softmax_values(x: np.ndarray) -> np.ndarray:
@@ -363,8 +375,10 @@ def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _layer_norm_values(x: np.ndarray, scale_: np.ndarray, shift: np.ndarray, eps: float):
     """Layer norm over the last axis: (output, normalized x, inverse deviation)."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    # sum / d is what ndarray.mean computes, without its Python-level wrapper
+    d = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / d
+    var = ((x - mu) ** 2).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x - mu) * inv
     return scale_ * xhat + shift, xhat, inv
@@ -375,9 +389,10 @@ def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, scale_: 
 
     For a stack, scale and shift get one piece per slice.
     """
+    d = g.shape[-1]
     gh = g * scale_
-    m1 = gh.mean(axis=-1, keepdims=True)
-    m2 = (gh * xhat).mean(axis=-1, keepdims=True)
+    m1 = gh.sum(axis=-1, keepdims=True) / d
+    m2 = (gh * xhat).sum(axis=-1, keepdims=True) / d
     dx = (gh - m1 - xhat * m2) * inv
     return dx, (g * xhat).sum(axis=-2), g.sum(axis=-2)
 
@@ -393,18 +408,20 @@ def _slice_scores_grads(parts: list[np.ndarray], v: np.ndarray, start: int, stop
     """Cotangents of _slice_scores: one per part, and v's per slice, zero outside [start, stop).
 
     v's cotangent keeps the parts' leading block axis: one piece per slice.
+    A part's cotangent is the rank-1 product of its column of g with the
+    row v[start:stop], formed elementwise + 0.0 (see the module docstring).
     """
-    col = v[start:stop, None]
+    row = v[None, start:stop]
     cols = [g[..., j:j + 1] for j in range(len(parts))]
     # sum the parts' contributions last part first, as separate products
     # recorded in part order would accumulate them
     dcol = None
     for p, gj in zip(reversed(parts), reversed(cols)):
-        piece = np.swapaxes(p, -1, -2) @ gj
+        piece = p.swapaxes(-1, -2) @ gj
         dcol = piece if dcol is None else dcol + piece
     dv = np.zeros(dcol.shape[:-2] + v.shape)
     dv[..., start:stop] = dcol[..., 0]
-    return [gj @ col.T for gj in cols], dv
+    return [gj * row + 0.0 for gj in cols], dv
 
 
 def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -423,30 +440,30 @@ def _run_bounds(ordered: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.flatnonzero(ordered[1:] != ordered[:-1]) + 1, [ordered.size]))
 
 
-def _scatter_rows(g: np.ndarray, index: np.ndarray, rows: int,
-                  rounds: np.ndarray | None = None) -> np.ndarray:
+def _scatter_rows(g: np.ndarray, index: np.ndarray, rows: int, plan=None) -> np.ndarray:
     """Rows of g added into a (rows, d) zero matrix at index, duplicates in index order.
 
     The same numbers as np.add.at(zeros, index, g), faster: the pieces are
     added in rounds, each a duplicate-free fancy-index add, so each row
     sums its pieces one at a time, in index order, starting from zero.
-    rounds labels each entry of index with its round, and the rounds run
-    in ascending label order; by default an entry's label is how many
-    times its index occurs before it, which takes two argsorts.
+    plan lists the rounds in the order they run, each as the entries of
+    index it adds; by default round r holds each index's r-th occurrence,
+    which takes two argsorts to find.
     """
     out = np.zeros((rows, g.shape[-1]))
     if not index.size:
         return out
-    if rounds is None:
+    if plan is None:
         order = np.argsort(index, kind="stable")
         bounds = _run_bounds(index[order])
         rounds = np.empty_like(order)
         rounds[order] = np.arange(index.size) - np.repeat(bounds[:-1], np.diff(bounds))
-    by_round = np.argsort(rounds, kind="stable")
-    bounds = _run_bounds(rounds[by_round])
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        pick = by_round[lo:hi]
-        out[index[pick]] += g[pick]
+        by_round = np.argsort(rounds, kind="stable")
+        bounds = _run_bounds(rounds[by_round])
+        plan = [by_round[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    for entries in plan:
+        entries = np.asarray(entries, dtype=np.intp)
+        out[index[entries]] += g[entries]
     return out
 
 
@@ -486,7 +503,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: unsupported ranks {ad.shape} @ {bd.shape}")
     if ad.shape[-1] != bd.shape[0]:
         raise ShapeError(f"matmul: shapes {ad.shape} and {bd.shape} do not align")
-    return _emit(ad @ bd, (a, b), lambda g: _matmul_grads(ad, bd, g))
+    need = a.requires_grad, b.requires_grad
+    return _emit(ad @ bd, (a, b), lambda g: _matmul_grads(ad, bd, g, *need))
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:
@@ -532,19 +550,20 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     return _emit(out, tuple(parts), backward)
 
 
-def gather_rows(m: Tensor | list[Tensor], index, rounds=None) -> Tensor:
+def gather_rows(m: Tensor | list[Tensor], index, plan=None) -> Tensor:
     """Rows picked by integer index, as one tape entry.
 
     m is a tensor, or a list of tensors of one width, read as rows: a
     (rows, d) matrix as itself, a (B, rows, d) stack slice after slice, and
     a list as its tensors' rows end to end.  index may have any shape, and
     the result has shape index.shape + (d,).  Duplicate indices accumulate
-    their gradients in index order.  rounds, an integer array of index's
-    shape, may label each entry with a round, as graph.TemporalGroup does:
-    no index may repeat within a round, and an index's entries must carry
-    ascending labels in index order.  The backward then adds the gradient
-    round by round instead of numbering each index's occurrences (see
-    _scatter_rows).
+    their gradients in index order.  plan, as graph.TemporalGroup builds
+    it, may list the rounds in which the backward adds the gradient, in
+    the order they run, each as a sequence of entries of the flattened
+    index.  Every entry must sit in one round, no row may repeat within a
+    round, and a row's entries must come round after round in index
+    order.  The backward then adds the rounds as they stand instead of
+    numbering each index's occurrences (see _scatter_rows).
     """
     sources = [m] if isinstance(m, Tensor) else list(m)
     if not sources:
@@ -559,14 +578,16 @@ def gather_rows(m: Tensor | list[Tensor], index, rounds=None) -> Tensor:
     idx = np.asarray(index, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= rows.shape[0]):
         raise ShapeError(f"gather_rows: index out of range for {rows.shape[0]} rows")
-    if rounds is not None and np.shape(rounds) != idx.shape:
-        raise ShapeError(f"gather_rows: rounds {np.shape(rounds)} and index {idx.shape} differ")
+    if plan is not None and sum(map(len, plan)) != idx.size:
+        raise ShapeError(f"gather_rows: plan does not cover the {idx.size} index entries")
 
     def backward(g):
-        dm = _scatter_rows(g.reshape(-1, width), idx.reshape(-1), rows.shape[0],
-                           None if rounds is None else np.reshape(rounds, -1))
+        dm = _scatter_rows(g.reshape(-1, width), idx.reshape(-1), rows.shape[0], plan)
+        # a source no index reaches gets no piece, not a piece of zeros; a
+        # lone source, as every gather of a one-block graph reads, holds them all
+        if len(flat) == 1:
+            return (dm.reshape(sources[0].data.shape) if idx.size else None,)
         bounds = np.cumsum([0] + [f.shape[0] for f in flat])
-        # a source no index reaches gets no piece, not a piece of zeros
         return tuple(dm[lo:hi].reshape(s.data.shape)
                      if ((idx >= lo) & (idx < hi)).any() else None
                      for s, lo, hi in zip(sources, bounds[:-1], bounds[1:]))
@@ -640,7 +661,7 @@ def nonlocal_attention(query: Tensor, kv: list[tuple], wq: Tensor, wk: Tensor,
     for slices, t in groups:
         kvd = t.data
         v = kvd @ wvd
-        kt = np.swapaxes(kvd @ wkd, -1, -2)
+        kt = (kvd @ wkd).swapaxes(-1, -2)
         attention = _softmax_values((q[slices] @ kt) * c)
         out[slices] = attention @ v
         parts.append((slices, kvd, v, kt, attention))
@@ -655,7 +676,7 @@ def nonlocal_attention(query: Tensor, kv: list[tuple], wq: Tensor, wk: Tensor,
             dq[slices], dkt = _matmul_grads(q[slices], kt,
                                             _softmax_grad(attention, dattention) * c)
             piece_v, dwv[slices] = _matmul_grads(kvd, wvd, dv)
-            piece_k, dwk[slices] = _matmul_grads(kvd, wkd, np.swapaxes(dkt, -1, -2))
+            piece_k, dwk[slices] = _matmul_grads(kvd, wkd, dkt.swapaxes(-1, -2))
             dkv_v.append(piece_v)
             dkv_k.append(piece_k)
         dquery, dwq = _matmul_grads(qd, wqd, dq)
@@ -691,7 +712,7 @@ def additive_attention(receivers: Tensor, neighbors: list[tuple], transform: Ten
     parts = []
     for slices, t in groups:
         nd = t.data
-        other_t = np.swapaxes(_slice_scores([nd], a, d, 2 * d), -1, -2)
+        other_t = _slice_scores([nd], a, d, 2 * d).swapaxes(-1, -2)
         raw, raw_mask = _relu_values(own[slices] + other_t)
         attention = _softmax_values(raw)
         pooled = attention @ nd
@@ -708,7 +729,7 @@ def additive_attention(receivers: Tensor, neighbors: list[tuple], transform: Ten
             dattention, dnbr = _matmul_grads(attention, nd, dpooled)
             draw = _softmax_grad(attention, dattention) * raw_mask
             (dnbr_score,), dscore_other[slices] = _slice_scores_grads(
-                [nd], a, d, 2 * d, np.swapaxes(_sum_to(draw, other_shape), -1, -2))
+                [nd], a, d, 2 * d, _sum_to(draw, other_shape).swapaxes(-1, -2))
             draw_own[slices] = _sum_to(draw, own.shape)
             dnbrs += [dnbr, dnbr_score]
         (dreceivers,), dscore_own = _slice_scores_grads([rd], a, 0, d, draw_own)

@@ -305,7 +305,7 @@ def run_inference(graph: SpatioTemporalGraph, params, config: ModelConfig,
                                     ng.concat_rows([own, b.ctx_states]))])
                               for k, (b, own) in enumerate(zip(graph.blocks, states))]
                 else:
-                    blocks = [(k, [(group.slices, ng.gather_rows(states, group.rows, group.rounds))
+                    blocks = [(k, [(group.slices, ng.gather_rows(states, group.rows, group.plan))
                                    for group in groups])
                               for k, groups in enumerate(graph.temporal_groups) if groups]
                 updated = list(states)

@@ -197,7 +197,8 @@ def _batch_loss(clips: list[ClipFeatures], graph: SpatioTemporalGraph,
             relations = [r for clip in clips for r in clip.relations]
             relation_targets = [
                 None if pred.relation_logits is None else np.stack([
-                    relation_target_matrix(pred.pairs, relations[pos], config.relation_classes)
+                    relation_target_matrix(block.fg_states.shape[1],
+                                           relations[pos], config.relation_classes)
                     for pos in block.positions])
                 for pred, block in zip(preds, graph.blocks)]
             loss = sg_loss([p.object_logits for p in preds], _stacked(graph, onehots),

@@ -58,6 +58,38 @@ def layer_norm(x: Tensor, scale_: Tensor, shift: Tensor, eps: float = 1e-5) -> T
                     lambda g: ng._layer_norm_grads(g, xhat, inv, scale_.data))
 
 
+def column(v: Tensor, start: int, stop: int) -> Tensor:
+    """The slice v[start:stop] of a vector as a (stop - start, 1) column."""
+    def backward(g):
+        out = np.zeros(v.data.shape)
+        out[start:stop] = g[:, 0]
+        return (out,)
+
+    return ng._emit(v.data[start:stop, None], (v,), backward)
+
+
+def pick_column(x: Tensor, j: int) -> Tensor:
+    """Column j of a matrix, as an (n, 1) matrix."""
+    def backward(g):
+        out = np.zeros(x.data.shape)
+        out[:, j:j + 1] = g
+        return (out,)
+
+    return ng._emit(x.data[:, j:j + 1], (x,), backward)
+
+
+def add_broadcast(a: Tensor, b: Tensor) -> Tensor:
+    """a + b where either may have a length-1 axis that numpy broadcasts."""
+    return ng._emit(a.data + b.data, (a, b),
+                    lambda g: (ng._sum_to(g, a.data.shape), ng._sum_to(g, b.data.shape)))
+
+
+def scale_rows(c: Tensor, m: Tensor) -> Tensor:
+    """Row v of m times c[v, 0], for an (n, 1) column c."""
+    return ng._emit(c.data * m.data, (c, m),
+                    lambda g: ((g * m.data).sum(axis=-1, keepdims=True), c.data * g))
+
+
 def sum_all(x: Tensor) -> Tensor:
     return ng._emit(x.data.sum(), (x,), lambda g: (np.full_like(x.data, float(g)),))
 

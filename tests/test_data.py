@@ -12,6 +12,7 @@ from stgraph.data import (GRID_MAGIC, GRID_VERSION, DatasetInfo, load_dataset, o
                           relation_target_matrix, save_dataset, write_grid)
 from stgraph.errors import ValidationError
 from stgraph.graph import Box
+from stgraph.heads import pair_index
 
 from json_fuzz import json_values, pick_path, set_at
 
@@ -226,11 +227,21 @@ def test_one_hot_and_range_check():
 
 
 def test_relation_target_matrix_placement():
-    pairs = [(1, 0), (2, 0), (2, 1)]
-    out = relation_target_matrix(pairs, [(2, 0, 1), (1, 0, 0)], num_relations=2)
+    # rows in heads.pair_index(3) order: (1, 0), (2, 0), (2, 1)
+    out = relation_target_matrix(3, [(2, 0, 1), (1, 0, 0)], num_relations=2)
     assert np.array_equal(out, [[1, 0], [0, 1], [0, 0]])
     with pytest.raises(ValidationError):
-        relation_target_matrix(pairs, [(0, 1, 0)], num_relations=2)
+        relation_target_matrix(3, [(0, 1, 0)], num_relations=2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_relation_target_rows_follow_pair_index(n):
+    pairs = pair_index(n)
+    out = relation_target_matrix(n, [(s, o, (s + o) % 3) for s, o in pairs], num_relations=3)
+    assert out.tolist() == [[float(r == (s + o) % 3) for r in range(3)] for s, o in pairs]
+    for bad in [(n, 0, 0), (1, 1, 0), (1, -1, 0)]:
+        with pytest.raises(ValidationError, match="does not match any node pair"):
+            relation_target_matrix(n, [bad], num_relations=3)
 
 
 def test_featurize_train_mode_appends_detections(tmp_path):

@@ -388,6 +388,93 @@ def test_fused_blocks_match_their_composition_bit_for_bit(with_context):
     assert np.all(fused_grads["h"].data != 0.0)
 
 
+def _composed_gated_mix(messages, receivers, gate):
+    d = receivers.shape[-1]
+    own = ng.matmul(receivers, sp.column(gate, 0, d))
+    slot = ng.concat_cols([ng.matmul(m, sp.column(gate, d, 2 * d)) for m in messages])
+    weights = sp.softmax(sp.relu(sp.add_broadcast(own, slot)))
+    mix = None
+    for j, m in enumerate(messages):
+        term = sp.scale_rows(sp.pick_column(weights, j), m)
+        mix = term if mix is None else ng.add(mix, term)
+    return mix
+
+
+def _composed_additive(receivers, neighbors, transform, score):
+    d = receivers.shape[-1]
+    own = ng.matmul(receivers, sp.column(score, 0, d))
+    other = sp.transpose(ng.matmul(neighbors, sp.column(score, d, 2 * d)))
+    attention = sp.softmax(sp.relu(sp.add_broadcast(own, other)))
+    return sp.relu(ng.matmul(ng.matmul(attention, neighbors), transform))
+
+
+@pytest.mark.parametrize("block", ["gated_mix", "additive_attention"])
+def test_rank_one_pieces_keep_the_zero_signs_of_their_chain(block):
+    # Receiver 0's scores are all negative, so relu zeroes them and its
+    # score cotangent is a zero.  The receiver half of the gate or score
+    # vector holds negative entries and both signed zeros, so a rank-1
+    # piece formed as a plain product would hold -0.0 where the chain's
+    # k=1 matrix product gives +0.0.  Every other receiver has a nonzero
+    # cotangent, whose product with +0.0 or -0.0 also makes signed zeros.
+    rng = np.random.default_rng(47)
+    d = 4
+    half = np.array([-0.7, 0.0, -0.0, 0.4])
+    receivers = rng.uniform(-1, 1, size=(3, d))
+    receivers[0] = [10.0, 1.0, -1.0, -10.0]
+    others = rng.uniform(-1, 1, size=(2, 3, d))
+    vector = np.concatenate([half, rng.uniform(-0.5, 0.5, size=d)])
+    transform = rng.uniform(-1, 1, size=(d, d))
+    readout = ng.Tensor(rng.uniform(-1, 1, size=(d, 2)))
+
+    def grads(fused):
+        p = {"r": ng.Tensor(receivers[None] if fused else receivers, requires_grad=True),
+             "v": ng.Tensor(vector, requires_grad=True),
+             "w": ng.Tensor(transform, requires_grad=True)}
+        p.update({f"o{k}": ng.Tensor(o[None] if fused else o, requires_grad=True)
+                  for k, o in enumerate(others)})
+        with ng.Tape() as tape:
+            if block == "gated_mix":
+                messages = [p["o0"], p["o1"]]
+                out = (ng.gated_mix(messages, p["r"], p["v"])[0] if fused
+                       else _composed_gated_mix(messages, p["r"], p["v"]))
+            else:
+                out = (ng.additive_attention(p["r"], [([0], p["o0"])], p["w"], p["v"])[0]
+                       if fused else _composed_additive(p["r"], p["o0"], p["w"], p["v"]))
+            # a constant readout hands every output row a nonzero cotangent
+            loss = sp.sum_all(ng.matmul(out, readout))
+        return {name: t.data.reshape(t.shape[-2:] if name != "v" else t.shape)
+                for name, t in ng.grad(tape, loss, p).items()}
+
+    fused, chain = grads(True), grads(False)
+    # the relu mask zeroes receiver 0's gradient; the zero half entries zero two columns
+    assert not chain["r"][0].any() and not chain["r"][:, 1:3].any()
+    for name in chain:
+        assert fused[name].tobytes() == chain[name].tobytes(), name
+
+
+def test_matmul_hands_a_constant_operand_no_gradient():
+    # project_block's product of a constant feature stack with a weight
+    rng = np.random.default_rng(53)
+    features = rng.uniform(-1, 1, size=(3, 4, 5))
+    weight = ng.Tensor(rng.uniform(-1, 1, size=(5, 6)), requires_grad=True)
+    other = ng.Tensor(rng.uniform(-1, 1, size=(6, 2)), requires_grad=True)
+
+    def run(x):
+        with ng.Tape() as tape:
+            loss = sp.sum_all(sp.relu(ng.matmul(ng.matmul(x, weight), other)))
+        return tape, ng.grad(tape, loss, {"x": x, "weight": weight, "other": other})
+
+    tape, constant = run(ng.Tensor(features))
+    out, _, backward = tape._entries[0]
+    dx, dweight = backward(np.ones(out.shape))
+    assert dx is None and dweight.shape == (3, 5, 6)
+    assert not constant["x"].data.any()
+    _, tracked = run(ng.Tensor(features, requires_grad=True))
+    assert tracked["x"].data.any()
+    for name in ("weight", "other"):
+        assert constant[name].data.tobytes() == tracked[name].data.tobytes(), name
+
+
 def test_composite_chain_finite_differences():
     # exercise a chain resembling one inference step end to end
     rng = np.random.default_rng(23)

@@ -617,22 +617,41 @@ def test_temporal_gathers_by_offset_match_scatter_rows(monkeypatch, tau_c, tau_s
         labels = [(rng.uniform(size=(n, cfg.action_classes)) < 0.5).astype(float) for n in boxes]
         clips.append(data.ClipFeatures(clip_id=f"c{c}", frames=frames, action_labels=labels))
     graph = gr.build_batch([c.frames for c in clips], params, cfg)
-    groups = [group for groups in graph.temporal_groups for group in groups]
+    # the position of every foreground row, blocks end to end
+    pos_of_row = np.concatenate([np.repeat(b.positions, b.fg_states.shape[1])
+                                 for b in graph.blocks])
+    groups, offsets = [], []
+    for block, block_groups in zip(graph.blocks, graph.temporal_groups):
+        for group in block_groups:
+            flat = group.rows.reshape(-1)
+            receivers = np.repeat(np.array(block.positions)[group.slices], group.rows.shape[1])
+            rounds = []
+            for entries in group.plan:
+                targets = flat[entries]
+                # no row repeats within a round, which reads through one offset
+                assert len(set(targets.tolist())) == targets.size
+                [offset] = set((pos_of_row[targets] - receivers[entries]).tolist())
+                rounds.append(offset)
+            # the rounds run largest offset first, and every entry sits in one
+            assert rounds == sorted(set(rounds), reverse=True)
+            assert sorted(sum(group.plan, [])) == list(range(flat.size))
+            groups.append(group)
+            offsets.append(rounds)
     if len(clip_boxes) == 1:
-        [edges] = [group for group in groups if group.slices.tolist() == [0, 2]]
+        [(edges, rounds)] = [(g, r) for g, r in zip(groups, offsets) if g.slices.tolist() == [0, 2]]
         assert edges.rows[0].tolist() == edges.rows[1].tolist()
-        assert edges.rounds.tolist() == [[-1, -1], [1, 1]]
+        assert rounds == [1, -1]
+        assert edges.plan == ([0, 1], [2, 3])
     else:
         assert len(graph.blocks) > 2 and len(groups) > 3
-        assert sorted(set(np.concatenate([g.rounds.ravel() for g in groups]).tolist())) == [
-            -4, -2, 2, 4]
+        assert sorted(set(sum(offsets, []))) == [-4, -2, 2, 4]
 
     states = [Tensor(b.fg_states.data, requires_grad=True) for b in graph.blocks]
     for group in groups:
         pieces = []
-        for rounds in (group.rounds, None):
+        for plan in (group.plan, None):
             with ng.Tape() as tape:
-                ng.gather_rows(states, group.rows, rounds)
+                ng.gather_rows(states, group.rows, plan)
             [(_, _, backward)] = tape._entries
             g = np.random.default_rng(45).normal(size=group.rows.shape + (cfg.state_dim,))
             g[..., ::3, :] = -0.0
@@ -648,7 +667,7 @@ def test_temporal_gathers_by_offset_match_scatter_rows(monkeypatch, tau_c, tau_s
 
     by_offset = batch_grads()
     gather = ng.gather_rows
-    monkeypatch.setattr(ng, "gather_rows", lambda m, index, rounds=None: gather(m, index))
+    monkeypatch.setattr(ng, "gather_rows", lambda m, index, plan=None: gather(m, index))
     assert batch_grads() == by_offset
 
 

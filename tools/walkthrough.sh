@@ -4,8 +4,10 @@
 # a held-out split, a 1-epoch one whose held-out mAP stays below 1 (so the
 # diff sees a precision/recall curve short of perfect), a tau_c 5, tau_s 2
 # temporal-pairs run (several window offsets at a stride above 1) with its
-# attention dump, and train and flops runs from a --config file (one of
-# them failing on a value from the file), with the package from SRC.
+# attention dump, a tau_c 5, tau_s 2 gradient check (a stride-2 temporal
+# gather next to a block without temporal neighbours), and train and flops
+# runs from a --config file (one of them failing on a value from the
+# file), with the package from SRC.
 # Every file, every printed line and the failing run's stderr and exit
 # status land under OUT, so two source trees compare with one diff:
 #   tools/walkthrough.sh old/src a && tools/walkthrough.sh src b && diff -r a b
@@ -40,6 +42,7 @@ st tp7synth synth temporal-pairs --out tp7 --seed 0 --clips 6 --keyframes 7 --ta
 st tp7train train --data tp7/manifest.jsonl --out tp7run $small \
   --message-fn nonlocal --message-fn gat --tau-c 5 --tau-s 2 --epochs 3
 st tp7dump dump-attention --data tp7/manifest.jsonl --checkpoint tp7run/checkpoint.json --out tp7attention.jsonl
+st gradcheck5 gradcheck --task action --tau-c 5 --tau-s 2 --message-fn nonlocal --message-fn gat
 echo '{"state_dim": 8, "heads": 1, "iterations": 2, "message_fns": ["gat", "nonlocal"], "tau_c": 3, "seed": 3}' > cfg.json
 st cfgtrain train --data ds4/manifest.jsonl --out cfgrun --config cfg.json --epochs 2
 st cfgflops flops --config cfg.json --tau-c 5 --fg 4 --context 17 --keyframes 8
