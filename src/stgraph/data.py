@@ -21,11 +21,14 @@ with subject index > object index.
 
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
+from . import numgrad as ng
 from .errors import ValidationError
 from .graph import Box, FeatureGrid, KeyframeFeatures, featurize_keyframe
 from .heads import pair_index
@@ -63,7 +66,9 @@ def write_grid(path: str, values: np.ndarray, keyframe_id: int) -> None:
 
 def read_grid(path: str) -> FeatureGrid:
     """Load a grid blob, verifying magic, version, shape, and checksum."""
-    raw = np.fromfile(path, dtype="<f4")
+    with open(path, "rb") as f:
+        blob = f.read()
+    raw = np.frombuffer(blob, dtype="<f4", count=len(blob) // 4)  # as np.fromfile, drop a partial value
     if raw.size < 8:
         raise ValidationError(f"{path}: truncated grid header")
     magic, version, checksum = raw[0], raw[1], raw[7]
@@ -81,12 +86,13 @@ def read_grid(path: str) -> FeatureGrid:
     if body.size != math.prod(shape):
         raise ValidationError(
             f"{path}: grid holds {body.size} values, header promises {math.prod(shape)}")
-    if not np.all(np.isfinite(body)):
+    values = body.astype(np.float64)
+    if not np.isfinite(values).all():
         raise ValidationError(f"{path}: grid contains non-finite values")
-    if np.float32(body.astype(np.float64).sum()) != checksum:
+    if np.float32(values.sum()) != checksum:
         raise ValidationError(f"{path}: grid checksum mismatch")
-    values = body.astype(np.float64).reshape(shape)
-    return FeatureGrid(values=Tensor(values), keyframe_id=int(fields[4]))
+    # checked finite just above, so the Tensor skips its own scan
+    return FeatureGrid(values=ng._wrap(values.reshape(shape)), keyframe_id=int(fields[4]))
 
 
 @dataclass
@@ -150,7 +156,51 @@ def _list_field(obj: dict, key: str, where: str) -> list:
     return value
 
 
+def _relations_at_once(entries: list, nodes: int, info: DatasetInfo):
+    """(subject, object, predicate) tuples of relation entries, None if any is bad or repeats."""
+    if not entries:
+        return []
+    if (info.task != "scenegraph" or not {list}.issuperset(map(type, entries))
+            or not {3}.issuperset(map(len, entries))
+            or not _JSON_INTEGERS.issuperset(map(type, chain.from_iterable(entries)))):
+        return None
+    subjects, objects, predicates = zip(*entries)
+    if (min(objects) < 0 or max(subjects) >= nodes or not all(map(operator.lt, objects, subjects))
+            or min(predicates) < 0 or max(predicates) >= info.relation_classes):
+        return None
+    relations = list(map(tuple, entries))
+    return relations if len(set(relations)) == len(relations) else None
+
+
+def _relations_one_by_one(entries: list, nodes: int, info: DatasetInfo, here: str):
+    """_relations_at_once entry by entry, raising for the first bad entry."""
+    relations, seen = [], set()
+    for entry in entries:
+        spot = f"{here} relation {entry!r}"
+        if info.task != "scenegraph":
+            raise ValidationError(f"{spot}: relations only belong to scene-graph datasets")
+        if (not isinstance(entry, list) or len(entry) != 3
+                or not _JSON_INTEGERS.issuperset(map(type, entry))):
+            raise ValidationError(f"{spot}: need [subject, object, predicate] integers")
+        s, o, r = entry
+        if not (0 <= o < s < nodes):
+            raise ValidationError(
+                f"{spot}: need object index < subject index < {nodes} foreground boxes")
+        if not 0 <= r < info.relation_classes:
+            raise ValidationError(f"{spot}: predicate must be in [0, {info.relation_classes})")
+        if (s, o, r) in seen:
+            raise ValidationError(f"{spot} listed twice")
+        seen.add((s, o, r))
+        relations.append((s, o, r))
+    return relations
+
+
 def _parse_keyframe(obj, info: DatasetInfo, base_dir: str, where: str) -> KeyframeRecord:
+    """One keyframe's record.
+
+    Its relations are checked all at once, and only when that finds a
+    fault entry by entry, so that the error names the first bad one.
+    """
     if not isinstance(obj, dict) or "keyframe_id" not in obj or "grid" not in obj:
         raise ValidationError(f"{where}: keyframe needs 'keyframe_id' and 'grid'")
     kid = obj["keyframe_id"]
@@ -188,21 +238,10 @@ def _parse_keyframe(obj, info: DatasetInfo, base_dir: str, where: str) -> Keyfra
                 raise ValidationError(
                     f"{spot}: object_class must be an int in [0, {info.object_classes})")
             object_classes.append(cls)
-    relations = []
-    for entry in _list_field(obj, "relations", here):
-        spot = f"{here} relation {entry!r}"
-        if info.task != "scenegraph":
-            raise ValidationError(f"{spot}: relations only belong to scene-graph datasets")
-        if (not isinstance(entry, list) or len(entry) != 3
-                or not _JSON_INTEGERS.issuperset(map(type, entry))):
-            raise ValidationError(f"{spot}: need [subject, object, predicate] integers")
-        s, o, r = entry
-        if not (0 <= o < s < len(boxes)):
-            raise ValidationError(
-                f"{spot}: need object index < subject index < {len(boxes)} foreground boxes")
-        if not 0 <= r < info.relation_classes:
-            raise ValidationError(f"{spot}: predicate must be in [0, {info.relation_classes})")
-        relations.append((s, o, r))
+    rel_entries = _list_field(obj, "relations", here)
+    relations = _relations_at_once(rel_entries, len(boxes), info)
+    if relations is None:
+        relations = _relations_one_by_one(rel_entries, len(boxes), info, here)
     proposals = [_box_from(b, f"{here} proposal {i}")
                  for i, b in enumerate(_list_field(obj, "proposals", here))]
     detections = [_box_from(b, f"{here} detection {i}")

@@ -12,7 +12,10 @@ nodes to the foreground nodes of keyframes at stride tau_s inside a
 window of tau_c keyframes centered on their own.
 """
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +45,7 @@ class Box:
 
     def __post_init__(self):
         vals = (self.x1, self.y1, self.x2, self.y2)
-        if not all(np.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise ValidationError(f"box coordinates must be finite, got {vals}")
         if not (0.0 <= self.x1 and self.x2 <= 1.0 and 0.0 <= self.y1 and self.y2 <= 1.0):
             raise ValidationError(f"box coordinates must lie in [0, 1], got {vals}")
@@ -74,33 +77,46 @@ class FeatureGrid:
         return self.values.shape
 
 
-def pool_box_features(grid: FeatureGrid, box: Box) -> np.ndarray:
-    """Average grid features over the cells whose centers fall in the box.
+@lru_cache(maxsize=64)
+def _cell_centers(n: int) -> tuple[float, ...]:
+    """Centers of n equal cells across [0, 1], ascending."""
+    return tuple(((np.arange(n) + 0.5) / n).tolist())
+
+
+def _pool_boxes(grid: FeatureGrid, boxes) -> np.ndarray:
+    """Average grid features over the cells whose centers fall in each box, shape (n, c).
 
     The mean runs over every time step and every covered cell.  A box too
     small to contain any cell center falls back to the single cell whose
-    center is nearest the box center (row-major on ties).
+    center is nearest the box center (row-major on ties).  A box's values
+    are added cell by cell in row-major order, each cell's time steps in
+    turn, and then divided by their count.
     """
     arr = grid.values.data
     t, h, w, c = arr.shape
-    cx = (np.arange(w) + 0.5) / w
-    cy = (np.arange(h) + 0.5) / h
-    in_x = (cx >= box.x1) & (cx <= box.x2)
-    in_y = (cy >= box.y1) & (cy <= box.y2)
-    mask = np.outer(in_y, in_x)
-    if mask.any():
-        return arr[:, mask, :].mean(axis=(0, 1))
-    bx, by = (box.x1 + box.x2) / 2.0, (box.y1 + box.y2) / 2.0
-    d2 = (cy[:, None] - by) ** 2 + (cx[None, :] - bx) ** 2
-    i, j = np.unravel_index(np.argmin(d2), d2.shape)
-    return arr[:, i, j, :].mean(axis=0)
+    xs, ys = _cell_centers(w), _cell_centers(h)
+    cells = arr.transpose(1, 2, 0, 3)  # (h, w, t, c)
+    out = np.empty((len(boxes), c))
+    for b, box in enumerate(boxes):
+        # the centers ascend, so the box covers rows [i0, i1) times columns [j0, j1)
+        i0, i1 = bisect_left(ys, box.y1), bisect_right(ys, box.y2)
+        j0, j1 = bisect_left(xs, box.x1), bisect_right(xs, box.x2)
+        if i0 == i1 or j0 == j1:
+            bx, by = (box.x1 + box.x2) / 2.0, (box.y1 + box.y2) / 2.0
+            d2 = (np.array(ys)[:, None] - by) ** 2 + (np.array(xs)[None, :] - bx) ** 2
+            i0, j0 = divmod(int(np.argmin(d2)), w)
+            i1, j1 = i0 + 1, j0 + 1
+        region = cells[i0:i1, j0:j1].reshape(-1, c)
+        out[b] = np.add.reduce(region, axis=0) / len(region)
+    return out
 
 
 def grid_cell_features(grid: FeatureGrid) -> np.ndarray:
     """Temporally averaged features per cell, row-major, shape (h*w, c)."""
     arr = grid.values.data
     t, h, w, c = arr.shape
-    return arr.mean(axis=0).reshape(h * w, c)
+    # the sum and division of arr.mean(axis=0), without its Python wrapper
+    return (np.add.reduce(arr, axis=0) / t).reshape(h * w, c)
 
 
 @dataclass
@@ -130,20 +146,14 @@ def featurize_keyframe(grid: FeatureGrid, fg_boxes, proposals=()) -> KeyframeFea
     t, h, w, c = grid.shape
     fg_boxes = list(fg_boxes)
     proposals = list(proposals)
-    fg = (
-        np.stack([pool_box_features(grid, b) for b in fg_boxes])
-        if fg_boxes
-        else np.zeros((0, c))
-    )
-    props = np.stack([pool_box_features(grid, b) for b in proposals]) if proposals else None
     return KeyframeFeatures(
         keyframe_id=grid.keyframe_id,
         fg_boxes=fg_boxes,
-        fg_feats=fg,
+        fg_feats=_pool_boxes(grid, fg_boxes),
         ctx_feats=grid_cell_features(grid),
         grid_hw=(h, w),
         prop_boxes=proposals,
-        prop_feats=props,
+        prop_feats=_pool_boxes(grid, proposals) if proposals else None,
     )
 
 

@@ -17,6 +17,7 @@ tape entry.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,9 +41,20 @@ def action_readout(states: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return logits
 
 
+@lru_cache(maxsize=64)
+def pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index arrays (i, j) of pair_index(n)'s pairs, in its order."""
+    # subject i comes i times, with objects 0 .. i-1
+    i = np.repeat(np.arange(n), np.arange(n))
+    j = np.arange(i.size) - i * (i - 1) // 2
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def pair_index(n: int) -> list[tuple[int, int]]:
     """Ordered pairs (i, j) with i > j: (1,0), (2,0), (2,1), ..."""
-    return [(i, j) for i in range(1, n) for j in range(i)]
+    i, j = pair_arrays(n)
+    return list(zip(i.tolist(), j.tolist()))
 
 
 @dataclass
@@ -66,21 +78,21 @@ def sg_readout(states: Tensor, object_weight: Tensor, object_bias: Tensor,
     if states.ndim not in (2, 3) or states.shape[-2] < 1:
         raise ValidationError(f"sg_readout expects at least one state row, got {states.shape}")
     n, lead = states.shape[-2], states.shape[:-2]
-    pairs = pair_index(n)
+    subjects, objects = pair_arrays(n)
     relation_logits = None
     with ng.checked("scene-graph readout"):
         object_logits = ng.add_rowvec(ng.matmul(states, object_weight), object_bias)
-        if pairs:
+        if n > 1:
             # row r of slice b is row b * n + r of the stack
             first = np.arange(math.prod(lead)).reshape(lead + (1,)) * n
-            heads_i = ng.gather_rows(states, first + [i for i, _ in pairs])
-            heads_j = ng.gather_rows(states, first + [j for _, j in pairs])
+            heads_i = ng.gather_rows(states, first + subjects)
+            heads_j = ng.gather_rows(states, first + objects)
             pair_states = ng.concat_cols([heads_i, heads_j])
             relation_logits = ng.add_rowvec(ng.matmul(pair_states, relation_weight), relation_bias)
     ng.check_finite("scene-graph readout", object_logits)
     if relation_logits is not None:
         ng.check_finite("scene-graph readout", relation_logits)
-    return SceneGraphPrediction(object_logits, pairs, relation_logits)
+    return SceneGraphPrediction(object_logits, pair_index(n), relation_logits)
 
 
 def _bce_terms(x: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, ValidationError
 from .graph import Box
-from .heads import SceneGraphPrediction
+from .heads import SceneGraphPrediction, pair_arrays
 from .numgrad import sigmoid_values
 
 MODE_SGCLS = "sgcls"
@@ -274,9 +274,7 @@ def triplet_recall(object_logits: np.ndarray, relation_logits: np.ndarray | None
         node_prob = probs[np.arange(n), node_class]
     if relation_logits is None:
         return {k: 0.0 for k in ks}
-    # heads.pair_index order: subject i comes i times, with objects 0 .. i-1
-    subjects = np.repeat(np.arange(n), np.arange(n))
-    objects = np.arange(len(subjects)) - subjects * (subjects - 1) // 2
+    subjects, objects = pair_arrays(n)
     if relation_logits.shape[0] != len(subjects):
         raise ShapeError(f"{n} nodes need {len(subjects)} relation rows, "
                          f"got {relation_logits.shape[0]}")

@@ -194,11 +194,96 @@ def test_scenegraph_relations_validated(tmp_path):
     path = make_manifest(tmp_path, [header, sg_clip([[1, 0, 5]])])
     with pytest.raises(ValidationError):
         load_dataset(path)
+    # the same triple twice would be counted twice by recall@K
+    path = make_manifest(tmp_path, [header, sg_clip([[1, 0, 1], [1, 0, 0], [1, 0, 1]])])
+    with pytest.raises(ValidationError, match=r"relation \[1, 0, 1\] listed twice$"):
+        load_dataset(path)
     # a valid one loads
     path = make_manifest(tmp_path, [header, sg_clip([[1, 0, 1]])])
     info, clips = load_dataset(path)
     assert clips[0].keyframes[0].relations == [(1, 0, 1)]
     assert info.object_classes == 3
+
+
+SG_HEADER = {"record": "header", "version": 1, "task": "scenegraph",
+             "object_classes": 5, "relation_classes": 3}
+
+
+def sg_keyframe_clip(tmp_path, boxes=16):
+    """A scene-graph clip of one keyframe: boxes boxes, every pair related."""
+    write_grid(str(tmp_path / "grids/sg.grid"), np.zeros((1, 4, 4, 3)), keyframe_id=0)
+    foreground = [{"box": [0.05 * b, 0.02 * b, 0.05 * b + 0.2, 0.02 * b + 0.5],
+                   "object_class": b % 5} for b in range(boxes)]
+    relations = [[s, o, (s + o) % 3] for s, o in pair_index(boxes)]
+    return {"record": "clip", "clip_id": "c0", "keyframes": [{
+        "keyframe_id": 0, "grid": "grids/sg.grid", "foreground": foreground,
+        "relations": relations}]}
+
+
+@pytest.mark.parametrize("at,bad,message", [
+    (119, [15, 15, 0],
+     "relation [15, 15, 0]: need object index < subject index < 16 foreground boxes"),
+    (57, [11, 1, 3], "relation [11, 1, 3]: predicate must be in [0, 3)"),
+    (90, [13, 12, 1.0], "relation [13, 12, 1.0]: need [subject, object, predicate] integers"),
+    (110, [14, 9, 2], "relation [14, 9, 2] listed twice"),  # entry 100 holds it first
+])
+def test_relation_error_names_the_bad_one_among_many(tmp_path, at, bad, message):
+    os.makedirs(tmp_path / "grids", exist_ok=True)
+    clip = sg_keyframe_clip(tmp_path)
+    relations = clip["keyframes"][0]["relations"]
+    assert len(relations) == 120
+    relations[at] = bad
+    path = make_manifest(tmp_path, [SG_HEADER, clip])
+    with pytest.raises(ValidationError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"{path}:2: clip c0: keyframe 0 {message}"
+
+
+@pytest.mark.parametrize("at,field,value,message", [
+    (15, "box", [0.5, 0.1, 0.4, 0.6],
+     "foreground 15: degenerate box: need x1 < x2 and y1 < y2, got (0.5, 0.1, 0.4, 0.6)"),
+    (9, "box", [0.1, 0.1, 0.4, "0.6"],
+     "foreground 9: box must be [x1, y1, x2, y2] numbers, got [0.1, 0.1, 0.4, '0.6']"),
+    (12, "box", [0.1, 0.1, 1.5, 0.6],
+     "foreground 12: box coordinates must lie in [0, 1], got (0.1, 0.1, 1.5, 0.6)"),
+    (4, "object_class", 5, "foreground 4: object_class must be an int in [0, 5)"),
+    (7, "object_class", True, "foreground 7: object_class must be an int in [0, 5)"),
+])
+def test_foreground_error_names_the_bad_one_among_many(tmp_path, at, field, value, message):
+    os.makedirs(tmp_path / "grids", exist_ok=True)
+    clip = sg_keyframe_clip(tmp_path)
+    clip["keyframes"][0]["foreground"][at][field] = value
+    path = make_manifest(tmp_path, [SG_HEADER, clip])
+    with pytest.raises(ValidationError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"{path}:2: clip c0: keyframe 0 {message}"
+
+
+def test_many_relations_load_as_listed(tmp_path):
+    os.makedirs(tmp_path / "grids", exist_ok=True)
+    clip = sg_keyframe_clip(tmp_path)
+    path = make_manifest(tmp_path, [SG_HEADER, clip])
+    _, [record] = load_dataset(path)
+    assert record.keyframes[0].relations == [tuple(r) for r in clip["keyframes"][0]["relations"]]
+
+
+def test_relations_checked_at_once_as_one_by_one():
+    # every pair related, plus one entry put in anywhere: a triple at or past a
+    # bound, an entry of the wrong shape or type, or a repeat
+    for task in ("action", "scenegraph"):
+        info = DatasetInfo(task=task, object_classes=3, relation_classes=2)
+        for nodes in range(1, 5):
+            valid = [[s, o, (s * o) % 2] for s, o in pair_index(nodes)]
+            extras = [[nodes, 0, 0], [nodes - 1, nodes - 1, 0], [1, -1, 0], [1, 0, 2], [1, 0, -1],
+                      [1.0, 0, 0], [1, 0, True], [2 ** 70, 0, 0], [1, 0], [1, 0, 0, 0], None, 7,
+                      *valid[:1]]
+            for entries in [valid] + [valid[:at] + [extra] + valid[at:]
+                                      for at in range(len(valid) + 1) for extra in extras]:
+                try:
+                    expected = data._relations_one_by_one(entries, nodes, info, "kf")
+                except ValidationError:
+                    expected = None  # refused at once, then named entry by entry
+                assert data._relations_at_once(entries, nodes, info) == expected, entries
 
 
 def test_dataset_save_load_round_trip(tmp_path):

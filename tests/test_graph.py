@@ -32,10 +32,15 @@ def test_box_validation():
     gr.Box(0.0, 0.0, 1.0, 1.0)
 
 
+def pool(grid, box):
+    """The pooled features of one box, through featurize_keyframe."""
+    return gr.featurize_keyframe(grid, [box]).fg_feats[0]
+
+
 def test_pool_frozen_example():
     # 1x2x2x1 grid [[1,2],[3,4]]; box covering the left column averages 1 and 3
     grid = make_grid(np.array([[[[1.0], [2.0]], [[3.0], [4.0]]]]))
-    out = gr.pool_box_features(grid, gr.Box(0.0, 0.0, 0.5, 1.0))
+    out = pool(grid, gr.Box(0.0, 0.0, 0.5, 1.0))
     assert out.tolist() == [2.0]
 
 
@@ -43,21 +48,83 @@ def test_pool_covers_all_time_steps():
     vals = np.zeros((2, 2, 2, 1))
     vals[0] = [[[1.0], [2.0]], [[3.0], [4.0]]]
     vals[1] = [[[5.0], [6.0]], [[7.0], [8.0]]]
-    out = gr.pool_box_features(make_grid(vals), gr.Box(0.0, 0.0, 0.5, 1.0))
+    out = pool(make_grid(vals), gr.Box(0.0, 0.0, 0.5, 1.0))
     assert out.tolist() == [4.0]  # mean of 1,3,5,7
 
 
 def test_pool_empty_box_falls_back_to_nearest_center():
     grid = make_grid(np.array([[[[1.0], [2.0]], [[3.0], [4.0]]]]))
     # strictly inside the top-right cell but missing its center (0.75, 0.25)
-    out = gr.pool_box_features(grid, gr.Box(0.8, 0.3, 0.95, 0.45))
+    out = pool(grid, gr.Box(0.8, 0.3, 0.95, 0.45))
     assert out.tolist() == [2.0]
 
 
 def test_pool_closed_interval_includes_boundary_center():
     grid = make_grid(np.array([[[[1.0], [2.0]]]]))  # 1x1x2x1, centers x = 0.25, 0.75
-    out = gr.pool_box_features(grid, gr.Box(0.0, 0.0, 0.25, 1.0))
+    out = pool(grid, gr.Box(0.0, 0.0, 0.25, 1.0))
     assert out.tolist() == [1.0]
+
+
+def reference_pool(arr, box):
+    """One box's features as a per-box mask and mean compute them."""
+    t, h, w, c = arr.shape
+    cx = (np.arange(w) + 0.5) / w
+    cy = (np.arange(h) + 0.5) / h
+    mask = np.outer((cy >= box.y1) & (cy <= box.y2), (cx >= box.x1) & (cx <= box.x2))
+    if mask.any():
+        return arr[:, mask, :].mean(axis=(0, 1))
+    bx, by = (box.x1 + box.x2) / 2.0, (box.y1 + box.y2) / 2.0
+    d2 = (cy[:, None] - by) ** 2 + (cx[None, :] - bx) ** 2
+    i, j = np.unravel_index(np.argmin(d2), d2.shape)
+    return arr[:, i, j, :].mean(axis=0)
+
+
+def random_span(rng, n):
+    """An interval inside [0, 1] over n cells: random, ending on cell centers, or missing them."""
+    centers = (np.arange(n) + 0.5) / n
+    kind = rng.integers(4)
+    if kind == 0:
+        lo, hi = np.sort(rng.uniform(0.0, 1.0, size=2))
+    elif kind == 1:  # both ends on centers, or one end on the only center
+        a, b = np.sort(rng.choice(n, size=2)) if n > 1 else (0, 0)
+        lo, hi = (centers[a], centers[b]) if a < b else (centers[a], 1.0)
+    elif kind == 2:  # between a cell's edge and its center
+        j = rng.integers(n)
+        lo, hi = (j + np.sort(rng.uniform(0.05, 0.45, size=2))) / n
+    else:  # around a cell edge, equally far from two centers
+        edge = rng.integers(n + 1) / n
+        lo, hi = max(edge - 0.2 / n, 0.0), min(edge + 0.2 / n, 1.0)
+    if hi <= lo:
+        lo, hi = 0.0, 1.0
+    return float(lo), float(hi)
+
+
+def test_pooling_matches_per_box_means_byte_for_byte():
+    rng = np.random.default_rng(2024)
+    fallbacks = on_centers = 0
+    for _ in range(300):
+        t, h, w = (int(v) for v in rng.integers(1, 9, size=3))
+        c = int(rng.integers(1, 17))
+        values = rng.normal(size=(t, h, w, c)) * 10.0 ** rng.integers(-6, 7, size=(t, h, w, c))
+        grid = make_grid(values)
+        boxes = []
+        for _ in range(int(rng.integers(1, 9))):
+            (x1, x2), (y1, y2) = random_span(rng, w), random_span(rng, h)
+            boxes.append(gr.Box(x1, y1, x2, y2))
+        props = boxes[: int(rng.integers(0, 3))]
+        frame = gr.featurize_keyframe(grid, boxes[::-1], props)
+        assert frame.fg_feats.tobytes() == np.stack(
+            [reference_pool(values, b) for b in boxes[::-1]]).tobytes()
+        if props:
+            assert frame.prop_feats.tobytes() == np.stack(
+                [reference_pool(values, b) for b in props]).tobytes()
+        cx, cy = (np.arange(w) + 0.5) / w, (np.arange(h) + 0.5) / h
+        for b in boxes:
+            in_x = (cx >= b.x1) & (cx <= b.x2)
+            in_y = (cy >= b.y1) & (cy <= b.y2)
+            fallbacks += not (in_x.any() and in_y.any())
+            on_centers += bool(np.isin([b.x1, b.x2], cx).any() or np.isin([b.y1, b.y2], cy).any())
+    assert fallbacks > 100 and on_centers > 100  # both edge cases were exercised
 
 
 def project(grid, boxes, props, params):

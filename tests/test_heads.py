@@ -68,6 +68,11 @@ def test_pair_index_order():
     assert hd.pair_index(1) == []
     assert hd.pair_index(3) == [(1, 0), (2, 0), (2, 1)]
     assert len(hd.pair_index(5)) == 10
+    for n in range(8):
+        assert hd.pair_index(n) == [(i, j) for i in range(1, n) for j in range(i)]
+        # the index arrays behind it are built once per n, and read-only
+        i, j = hd.pair_arrays(n)
+        assert hd.pair_arrays(n)[0] is i and not i.flags.writeable and not j.flags.writeable
 
 
 def sg_weights(d, n_obj, n_rel, seed=0):

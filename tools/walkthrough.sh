@@ -1,5 +1,9 @@
 #!/bin/sh
-# Run the README CLI walkthrough, plus a tau_c 3 action run with proposals,
+# Run the README CLI walkthrough, plus an evaluation and attention dump of a
+# hand-written manifest over the walkthrough's grids whose boxes exercise
+# pooling's edge cases (boxes that miss every cell center, one smaller than
+# a cell, one centered between four cells, edges on cell centers, small
+# proposals and detections), a tau_c 3 action run with proposals,
 # a tau_c 3 nonlocal+GAT scene-graph run, a GAT temporal-pairs run scored on
 # a held-out split, a 1-epoch one whose held-out mAP stays below 1 (so the
 # diff sees a precision/recall curve short of perfect), a tau_c 5, tau_s 2
@@ -22,6 +26,14 @@ st synth synth action-overfit --out ds --seed 0
 st train train --data ds/manifest.jsonl --out run $small --message-fn nonlocal --tau-c 1
 st eval eval --data ds/manifest.jsonl --checkpoint run/checkpoint.json --out eval
 st dump dump-attention --data ds/manifest.jsonl --checkpoint run/checkpoint.json --out attention.jsonl
+# ds's grids are 2x4x4x8, with cell centers at 0.125, 0.375, 0.625 and 0.875 on both axes
+cat > ds/edges.jsonl <<'END'
+{"record": "header", "version": 1, "task": "action", "action_classes": 3}
+{"record": "clip", "clip_id": "edges0", "keyframes": [{"keyframe_id": 0, "grid": "grids/clip000_k0.grid", "foreground": [{"box": [0.0, 0.0, 0.1, 0.1], "labels": [1, 0, 0]}, {"box": [0.55, 0.3, 0.6, 0.35], "labels": [0, 1, 0]}, {"box": [0.125, 0.375, 0.625, 0.875], "labels": [0, 0, 1]}, {"box": [0.45, 0.45, 0.55, 0.55], "labels": [1, 1, 0]}], "proposals": [[0.3, 0.3, 0.4, 0.4], [0.0, 0.5, 1.0, 1.0]]}, {"keyframe_id": 1, "grid": "grids/clip000_k1.grid", "foreground": [{"box": [0.0, 0.0, 0.5, 0.5], "labels": [1, 0, 1]}], "proposals": [[0.875, 0.0, 1.0, 0.125], [0.0, 0.0, 1.0, 1.0]], "detections": [[0.9, 0.9, 1.0, 1.0], [0.0, 0.0, 0.5, 0.5], [0.6, 0.1, 0.7, 0.2]]}]}
+{"record": "clip", "clip_id": "edges1", "keyframes": [{"keyframe_id": 0, "grid": "grids/clip001_k0.grid", "foreground": [{"box": [0.126, 0.0, 0.374, 1.0], "labels": [0, 1, 1]}, {"box": [0.375, 0.125, 0.875, 0.375], "labels": [1, 0, 0]}], "proposals": [[0.2, 0.2, 0.3, 0.3], [0.0, 0.0, 1.0, 1.0]]}]}
+END
+st edgeeval eval --data ds/edges.jsonl --checkpoint run/checkpoint.json --out edgeeval
+st edgedump dump-attention --data ds/edges.jsonl --checkpoint run/checkpoint.json --out edgeattention.jsonl
 st flops flops --state-dim 16 --heads 2 --message-fn nonlocal --fg 4 --context 17 --keyframes 8
 st gradcheck gradcheck --task scenegraph --tau-c 3 --tolerance 1e-4
 st synth4 synth action-overfit --out ds4 --seed 1 --clips 6 --keyframes 4
