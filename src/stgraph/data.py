@@ -399,8 +399,9 @@ def relation_target_matrix(n: int, relations, num_relations: int) -> np.ndarray:
     """
     out = np.zeros((n * (n - 1) // 2, num_relations))
     for s, o, r in relations:
-        if not 0 <= o < s < n:
-            raise ValidationError(f"relation ({s}, {o}, {r}) does not match any node pair")
+        if not (0 <= o < s < n and 0 <= r < num_relations):
+            what = f"any of {num_relations} predicates" if 0 <= o < s < n else "any node pair"
+            raise ValidationError(f"relation ({s}, {o}, {r}) does not match {what}")
         out[s * (s - 1) // 2 + o, r] = 1.0
     return out
 

@@ -1,6 +1,7 @@
 """Learning-rate schedule, SGD with momentum, training loop, evaluation, checkpoints."""
 
 import base64
+import binascii
 import json
 import math
 from dataclasses import dataclass, replace
@@ -446,29 +447,32 @@ def save_checkpoint(path: str, params: dict[str, Tensor], config: ModelConfig,
     """Versioned JSON checkpoint: config echo, seed, and named tensors.
 
     Each tensor is stored as its shape and the base64 text of its
-    little-endian float64 bytes in C order.  Keys are sorted and nothing
+    little-endian float64 bytes in C order.  The file is, byte for byte,
+    json.dumps(payload, sort_keys=True, separators=(",", ":")) plus a
+    newline, but it is composed around each tensor's base64, so that text
+    is never scanned for characters to escape (base64 has none).  Nothing
     depends on the clock, so the same state always produces the same bytes.
     load_checkpoint validates the config, then each tensor's name, shape,
     base64 length and alphabet, decoded byte count and finiteness.
     """
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "seed": seed,
-        "config": config.to_dict(),
-        "params": {
-            name: {"shape": list(t.shape),
-                   "data": base64.b64encode(t.data.astype("<f8", copy=False).tobytes()).decode()}
-            for name, t in params.items()
-        },
-    }
+    def dumps(obj) -> bytes:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+    # top-level keys sort as config < format < log < params < seed < version
+    head = {"config": config.to_dict(), "format": CHECKPOINT_FORMAT}
     if log is not None:
-        payload["log"] = log
-    # json.dumps runs the C encoder; json.dump(payload, f) would stream
-    # through the pure-Python one
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    with open(path, "w") as f:
-        f.write(text + "\n")
+        head["log"] = log
+    parts = [dumps(head)[:-1], b',"params":{']
+    for i, name in enumerate(sorted(params)):
+        t = params[name]
+        # b2a_base64 reads a C-contiguous buffer in place
+        data = np.ascontiguousarray(t.data, dtype="<f8")
+        parts += [b"," if i else b"", dumps(name), b':{"data":"',
+                  binascii.b2a_base64(data, newline=False),
+                  b'","shape":', dumps(list(t.shape)), b"}"]
+    parts += [b"},", dumps({"seed": seed, "version": CHECKPOINT_VERSION})[1:], b"\n"]
+    with open(path, "wb") as f:
+        f.write(b"".join(parts))
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, Tensor], ModelConfig, dict]:
@@ -524,6 +528,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, Tensor], ModelConfig, dict]:
         data = np.frombuffer(raw, dtype="<f8")
         if not np.isfinite(data).all():
             raise ValidationError(f"{path}: {name!r} holds non-finite values")
-        params[name] = Tensor(data.reshape(shape), requires_grad=True, name=name)
+        # checked just above, so the constructor's finiteness scan is skipped
+        params[name] = ng._wrap(data.reshape(shape), requires_grad=True, name=name)
     meta = {"seed": payload.get("seed"), "log": payload.get("log")}
     return params, config, meta

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -317,6 +318,11 @@ def test_relation_target_matrix_placement():
     assert np.array_equal(out, [[1, 0], [0, 1], [0, 0]])
     with pytest.raises(ValidationError):
         relation_target_matrix(3, [(0, 1, 0)], num_relations=2)
+    # a predicate out of range, negative or too large, is refused like a bad pair
+    for bad in [(1, 0, -1), (2, 1, 2)]:
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"relation {bad} does not match any of 2 predicates")):
+            relation_target_matrix(3, [(2, 0, 1), bad], num_relations=2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])

@@ -792,6 +792,59 @@ def test_checkpoint_stores_little_endian_float64_in_c_order(tmp_path):
     assert base64.b64decode(entry["data"]) == struct.pack("<4d", 1.0, -2.5, 0.1, 3e-300)
 
 
+def _reference_checkpoint_bytes(params, config, seed, log=None) -> bytes:
+    """A checkpoint's bytes as one json.dumps of the whole payload writes them."""
+    payload = {
+        "format": "stgraph-checkpoint", "version": 2, "seed": seed, "config": config.to_dict(),
+        "params": {name: {"shape": list(t.shape),
+                          "data": base64.b64encode(t.data.astype("<f8").tobytes()).decode()}
+                   for name, t in params.items()},
+    }
+    if log is not None:
+        payload["log"] = log
+    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+CHECKPOINT_LOG = [{"epoch": 0, "lr": 1.25e-4, "loss": 0.1 + 0.2},
+                  {"epoch": 1, "lr": 0.1, "loss": 5e-324}]
+
+
+@pytest.mark.parametrize("log", [None, CHECKPOINT_LOG], ids=["no-log", "log"])
+@pytest.mark.parametrize("config", [
+    small_config(heads=2, message_fns=("nonlocal", "gat"), tau_c=3),
+    small_config(task="scenegraph", feature_channels=4, object_classes=3, relation_classes=3,
+                 message_fns=("gat",), iterations=2),
+], ids=["action", "scenegraph"])
+def test_checkpoint_bytes_are_the_sorted_compact_json_of_the_payload(tmp_path, config, log):
+    params = init_params(config, seed=5)
+    path = str(tmp_path / "model.json")
+    save_checkpoint(path, params, config, seed=5, log=log)
+    with open(path, "rb") as f:
+        assert f.read() == _reference_checkpoint_bytes(params, config, 5, log)
+
+
+def test_checkpoint_writes_non_contiguous_tensors_in_c_order(tmp_path):
+    config = small_config(state_dim=3, feature_channels=2)
+    params = init_params(config, seed=0)
+    rng = np.random.default_rng(3)
+    fortran = np.asfortranarray(rng.uniform(-1, 1, size=params["input.context.weight"].shape))
+    transposed = rng.uniform(-1, 1, size=params["input.foreground.weight"].shape[::-1]).T
+    assert not fortran.flags.c_contiguous and not transposed.flags.c_contiguous
+    params["input.context.weight"] = Tensor(fortran, requires_grad=True,
+                                            name="input.context.weight")
+    params["input.foreground.weight"] = Tensor(transposed, requires_grad=True,
+                                               name="input.foreground.weight")
+    path = str(tmp_path / "model.json")
+    save_checkpoint(path, params, config, seed=0, log=CHECKPOINT_LOG)
+    with open(path, "rb") as f:
+        assert f.read() == _reference_checkpoint_bytes(params, config, 0, CHECKPOINT_LOG)
+    loaded, _, _ = load_checkpoint(path)
+    for name, t in loaded.items():
+        assert t.data.tobytes() == params[name].data.tobytes(), name
+        assert t.data.dtype == np.float64 and not t.data.flags.writeable, name
+        assert t.name == name and t.requires_grad, name
+
+
 def test_clip_loss_tape_length_independent_of_box_count():
     # message passing is batched per keyframe, so more boxes add no tape entries
     config = small_config(heads=2, message_fns=("nonlocal", "gat"), tau_c=3)

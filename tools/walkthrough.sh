@@ -1,5 +1,6 @@
 #!/bin/sh
-# Run the README CLI walkthrough, plus an evaluation and attention dump of a
+# Run the README CLI walkthrough, plus a tau_c 3 run warm-started from the
+# walkthrough's spatial-only checkpoint, an evaluation and attention dump of a
 # hand-written manifest over the walkthrough's grids whose boxes exercise
 # pooling's edge cases (boxes that miss every cell center, one smaller than
 # a cell, one centered between four cells, edges on cell centers, small
@@ -26,6 +27,9 @@ st synth synth action-overfit --out ds --seed 0
 st train train --data ds/manifest.jsonl --out run $small --message-fn nonlocal --tau-c 1
 st eval eval --data ds/manifest.jsonl --checkpoint run/checkpoint.json --out eval
 st dump dump-attention --data ds/manifest.jsonl --checkpoint run/checkpoint.json --out attention.jsonl
+# resume the spatial-only run as a model with temporal phases
+st warmtrain train --data ds/manifest.jsonl --out warmrun $small --message-fn nonlocal --tau-c 3 \
+  --init-from run/checkpoint.json
 # ds's grids are 2x4x4x8, with cell centers at 0.125, 0.375, 0.625 and 0.875 on both axes
 cat > ds/edges.jsonl <<'END'
 {"record": "header", "version": 1, "task": "action", "action_classes": 3}
