@@ -1,7 +1,8 @@
 """Closed-form multiply-accumulate counts for one clip forward pass.
 
-Counts cover projections, message passing, gating, and readout; cheap
-elementwise work (softmax, ReLU, layer norm) is excluded.  Every keyframe
+Counts cover projections, message passing, gating, and readout, in the
+association the code runs; cheap elementwise work (softmax, ReLU, layer
+norm, the pair sums of the relation readout) is excluded.  Every keyframe
 is treated as interior, so the temporal key/value set always holds
 (tau_c - 1) * n_fg rows and the total is exactly linear in the number of
 keyframes and independent of the temporal stride.
@@ -13,7 +14,10 @@ from .passing import FN_GAT, FN_NONLOCAL, TASK_ACTION, ModelConfig
 
 def _attention_macs(fn: str, n_queries: int, n_kv: int, d: int) -> int:
     if fn == FN_NONLOCAL:
-        project = n_queries * d * d + 2 * n_kv * d * d
+        # numgrad.nonlocal_attention projects only the query rows, by wq,
+        # wk^T and wv; the scores and the pooling read the neighbor rows
+        # as they are
+        project = 3 * n_queries * d * d
         mix = 2 * n_queries * n_kv * d
         return project + mix
     # the score halves h_v . a1 and h_j . a2 once per row, the
@@ -58,9 +62,10 @@ def estimate_flops(config: ModelConfig, n_fg: int, n_context: int, keyframes: in
     if config.task == TASK_ACTION:
         readout = keyframes * n_fg * d * config.action_classes
     else:
-        pairs = n_fg * (n_fg - 1) // 2
+        # heads.pair_logits projects each node by both halves of the
+        # relation weight, then adds projected rows per pair
         readout = keyframes * (n_fg * d * config.object_classes
-                               + pairs * 2 * d * config.relation_classes)
+                               + 2 * n_fg * d * config.relation_classes)
 
     components = {
         "input_projection": input_projection,

@@ -2,7 +2,8 @@
 
 Action detection: per-node multi-label logits.  Scene graphs: a softmax
 class head per node plus a relation head over ordered node pairs (i, j)
-with i > j, scored from the concatenated pair states.
+with i > j, scored from the concatenated pair states, each state
+projected once (pair_logits).
 
 The task losses are defined here and nowhere else.  Action: a clip's
 loss is the sigmoid cross entropy averaged over every (box, class) logit
@@ -15,7 +16,6 @@ blocks and return the sum of the clips' losses, in clip order, as one
 tape entry.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -66,29 +66,57 @@ class SceneGraphPrediction:
     relation_logits: Tensor | None   # (len(pairs), relation_classes); None if n == 1
 
 
+def pair_logits(states: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Relation logits of every pair_index pair, as one tape entry.
+
+    states is (n, d), or a (B, n, d) stack, which gives a (B, pairs, R)
+    stack.  Row (i, j) is [h_i || h_j] @ weight + bias, computed as
+    (h @ weight[:d])[i] + (h @ weight[d:])[j] + bias: every state is
+    projected once, and R-wide rows are picked instead of 2d-wide pair
+    rows, so a keyframe costs 2 n d R multiply-accumulates.  The backward
+    lays the (pairs, R) cotangent into the lower triangle of an (n, n, R)
+    array, whose row sums are the subject projections' cotangent and
+    whose column sums are the object projections'.  The weight and bias
+    get one piece per slice of a stack.
+    """
+    h, w, b = states.data, weight.data, bias.data
+    d = h.shape[-1]
+    if h.ndim not in (2, 3) or w.ndim != 2 or w.shape[0] != 2 * d or b.shape != w.shape[1:]:
+        raise ShapeError(f"pair_logits: states {h.shape}, weight {w.shape} and bias {b.shape} "
+                         f"do not align")
+    n = h.shape[-2]
+    subjects, objects = pair_arrays(n)
+    top, bottom = w[:d], w[d:]
+    out = (h @ top)[..., subjects, :] + (h @ bottom)[..., objects, :] + b
+
+    def backward(g):
+        triangle = np.zeros(g.shape[:-2] + (n, n, g.shape[-1]))
+        triangle[..., subjects, objects, :] = g
+        dsubject, dobject = triangle.sum(axis=-2), triangle.sum(axis=-3)
+        ht = h.swapaxes(-1, -2)
+        dweight = np.concatenate([ht @ dsubject, ht @ dobject], axis=-2)
+        return dsubject @ top.T + dobject @ bottom.T, dweight, g.sum(axis=-2)
+
+    return ng._emit(out, (states, weight, bias), backward)
+
+
 def sg_readout(states: Tensor, object_weight: Tensor, object_bias: Tensor,
                relation_weight: Tensor, relation_bias: Tensor) -> SceneGraphPrediction:
     """Object and relation logits for all foreground nodes of a keyframe.
 
     The relation input for pair (i, j) is the concatenation of the two
-    final states, put through a single linear layer.  states is (n, d), or
-    a (B, n, d) stack of keyframes with n nodes each, which gives stacked
-    logits.
+    final states, put through a single linear layer, which pair_logits
+    computes projection first.  states is (n, d), or a (B, n, d) stack of
+    keyframes with n nodes each, which gives stacked logits.
     """
     if states.ndim not in (2, 3) or states.shape[-2] < 1:
         raise ValidationError(f"sg_readout expects at least one state row, got {states.shape}")
-    n, lead = states.shape[-2], states.shape[:-2]
-    subjects, objects = pair_arrays(n)
+    n = states.shape[-2]
     relation_logits = None
     with ng.checked("scene-graph readout"):
         object_logits = ng.add_rowvec(ng.matmul(states, object_weight), object_bias)
         if n > 1:
-            # row r of slice b is row b * n + r of the stack
-            first = np.arange(math.prod(lead)).reshape(lead + (1,)) * n
-            heads_i = ng.gather_rows(states, first + subjects)
-            heads_j = ng.gather_rows(states, first + objects)
-            pair_states = ng.concat_cols([heads_i, heads_j])
-            relation_logits = ng.add_rowvec(ng.matmul(pair_states, relation_weight), relation_bias)
+            relation_logits = pair_logits(states, relation_weight, relation_bias)
     ng.check_finite("scene-graph readout", object_logits)
     if relation_logits is not None:
         ng.check_finite("scene-graph readout", relation_logits)

@@ -435,32 +435,19 @@ def _relu_values(x: np.ndarray):
     return np.where(mask, x, 0.0), mask
 
 
-def _run_bounds(ordered: np.ndarray) -> np.ndarray:
-    """The start of each run of equal values in a sorted array, then the array's length."""
-    return np.concatenate(([0], np.flatnonzero(ordered[1:] != ordered[:-1]) + 1, [ordered.size]))
-
-
 def _scatter_rows(g: np.ndarray, index: np.ndarray, rows: int, plan=None) -> np.ndarray:
     """Rows of g added into a (rows, d) zero matrix at index, duplicates in index order.
 
-    The same numbers as np.add.at(zeros, index, g), faster: the pieces are
-    added in rounds, each a duplicate-free fancy-index add, so each row
-    sums its pieces one at a time, in index order, starting from zero.
-    plan lists the rounds in the order they run, each as the entries of
-    index it adds; by default round r holds each index's r-th occurrence,
-    which takes two argsorts to find.
+    The same numbers as np.add.at(zeros, index, g), which runs when there
+    is no plan.  A plan lists the rounds in the order they run, each as
+    the entries of index it adds without a repeated row: each round is one
+    fancy-index add, so each row sums its pieces one at a time, in index
+    order, starting from zero, faster than np.add.at.
     """
     out = np.zeros((rows, g.shape[-1]))
-    if not index.size:
-        return out
     if plan is None:
-        order = np.argsort(index, kind="stable")
-        bounds = _run_bounds(index[order])
-        rounds = np.empty_like(order)
-        rounds[order] = np.arange(index.size) - np.repeat(bounds[:-1], np.diff(bounds))
-        by_round = np.argsort(rounds, kind="stable")
-        bounds = _run_bounds(rounds[by_round])
-        plan = [by_round[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        np.add.at(out, index, g)
+        return out
     for entries in plan:
         entries = np.asarray(entries, dtype=np.intp)
         out[index[entries]] += g[entries]
@@ -529,27 +516,6 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
     return _emit(out, tuple(parts), backward)
 
 
-def concat_cols(parts: list[Tensor]) -> Tensor:
-    """Concatenate along the last axis; works for vectors, matrices and stacks."""
-    if not parts:
-        raise ShapeError("concat_cols: empty input")
-    lead = parts[0].data.shape[:-1]
-    if len(lead) > 2 or any(p.data.shape[:-1] != lead for p in parts):
-        raise ShapeError("concat_cols: parts must share every axis but the last, "
-                         "and have at most 3")
-    out = np.concatenate([p.data for p in parts], axis=-1)
-    sizes = [p.data.shape[-1] for p in parts]
-
-    def backward(g):
-        pieces, at = [], 0
-        for n in sizes:
-            pieces.append(g[..., at:at + n])
-            at += n
-        return tuple(pieces)
-
-    return _emit(out, tuple(parts), backward)
-
-
 def gather_rows(m: Tensor | list[Tensor], index, plan=None) -> Tensor:
     """Rows picked by integer index, as one tape entry.
 
@@ -562,8 +528,8 @@ def gather_rows(m: Tensor | list[Tensor], index, plan=None) -> Tensor:
     the order they run, each as a sequence of entries of the flattened
     index.  Every entry must sit in one round, no row may repeat within a
     round, and a row's entries must come round after round in index
-    order.  The backward then adds the rounds as they stand instead of
-    numbering each index's occurrences (see _scatter_rows).
+    order.  The backward then adds the rounds as they stand; without a
+    plan it adds with np.add.at (see _scatter_rows).
     """
     sources = [m] if isinstance(m, Tensor) else list(m)
     if not sources:
@@ -642,9 +608,17 @@ def nonlocal_attention(query: Tensor, kv: list[tuple], wq: Tensor, wk: Tensor,
     query is a (B, n, d) stack and kv a list of (slices, stack) pairs, as
     both message-passing phases hand them: the query slices a pair lists
     attend over the rows of its (len(slices), s, d) stack, and each slice
-    is listed once.  With q = query @ wq, k = kv @ wk and v = kv @ wv,
-    returns (softmax(q k^T / sqrt(width of k)) @ v, one attention tensor
-    per pair), slice by slice; the attention is not on the tape.
+    is listed once.  Returns (softmax(q k^T / sqrt(width of k)) @ v, one
+    attention tensor per pair) for q = query @ wq, k = kv @ wk and
+    v = kv @ wv, slice by slice; the attention is not on the tape.
+
+    The products run reassociated, so the s neighbor rows are never
+    projected: u = (query @ wq) @ wk^T once per block, then per pair the
+    scores (u @ kv^T) * c and the messages (attention @ kv) @ wv.  That is
+    3 n d^2 + 2 n s d multiply-accumulates per slice instead of
+    (n + 2 s) d^2 + 2 n s d.  The chain it stands for is matmul(query, wq),
+    matmul(., transpose(wk)), matmul(., transpose(kv)), scale, softmax,
+    matmul(attention, kv), matmul(., wv).
     """
     groups = _kv_groups(query, kv, "nonlocal_attention")
     qd, wqd, wkd, wvd = query.data, wq.data, wk.data, wv.data
@@ -656,31 +630,31 @@ def nonlocal_attention(query: Tensor, kv: list[tuple], wq: Tensor, wk: Tensor,
                          f"{wqd.shape}/{wkd.shape}/{wvd.shape} do not align")
     c = 1.0 / math.sqrt(wqd.shape[1])
     q = qd @ wqd
+    u = q @ wkd.T
     out = np.empty(qd.shape[:-1] + wvd.shape[1:])
     parts = []
     for slices, t in groups:
         kvd = t.data
-        v = kvd @ wvd
-        kt = (kvd @ wkd).swapaxes(-1, -2)
-        attention = _softmax_values((q[slices] @ kt) * c)
-        out[slices] = attention @ v
-        parts.append((slices, kvd, v, kt, attention))
+        kvt = kvd.swapaxes(-1, -2)
+        attention = _softmax_values((u[slices] @ kvt) * c)
+        pooled = attention @ kvd
+        out[slices] = pooled @ wvd
+        parts.append((slices, kvd, kvt, pooled, attention))
 
     def backward(g):
-        dq = np.empty_like(q)
+        du = np.empty_like(u)
         dwv = np.empty(qd.shape[:-2] + wvd.shape)
-        dwk = np.empty(qd.shape[:-2] + wkd.shape)
         dkv_v, dkv_k = [], []
-        for slices, kvd, v, kt, attention in parts:
-            dattention, dv = _matmul_grads(attention, v, g[slices])
-            dq[slices], dkt = _matmul_grads(q[slices], kt,
-                                            _softmax_grad(attention, dattention) * c)
-            piece_v, dwv[slices] = _matmul_grads(kvd, wvd, dv)
-            piece_k, dwk[slices] = _matmul_grads(kvd, wkd, dkt.swapaxes(-1, -2))
+        for slices, kvd, kvt, pooled, attention in parts:
+            dpooled, dwv[slices] = _matmul_grads(pooled, wvd, g[slices])
+            dattention, piece_v = _matmul_grads(attention, kvd, dpooled)
+            du[slices], dkvt = _matmul_grads(u[slices], kvt,
+                                             _softmax_grad(attention, dattention) * c)
             dkv_v.append(piece_v)
-            dkv_k.append(piece_k)
+            dkv_k.append(dkvt.swapaxes(-1, -2))
+        dq, dwkt = _matmul_grads(q, wkd.T, du)
         dquery, dwq = _matmul_grads(qd, wqd, dq)
-        return (*dkv_v, dwv, *dkv_k, dwk, dquery, dwq)
+        return (*dkv_v, dwv, *dkv_k, dwkt.swapaxes(-1, -2), dquery, dwq)
 
     kvs = tuple(t for _, t in groups)
     out = _emit(out, (*kvs, wv, *kvs, wk, query, wq), backward)

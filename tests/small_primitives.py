@@ -1,7 +1,7 @@
 """Standalone numgrad primitives that the library itself no longer calls.
 
-The fused blocks in stgraph.numgrad and the clip losses in stgraph.heads
-each replace a chain of these small primitives; the tests keep them to
+The fused blocks in stgraph.numgrad and the relation head and clip losses
+in stgraph.heads each replace a chain of these small primitives; the tests keep them to
 check the fused blocks and losses against their chains bit for bit, and
 to run the gradient checks of single operations.  Each records one tape
 entry through numgrad's own recording path.
@@ -56,6 +56,27 @@ def layer_norm(x: Tensor, scale_: Tensor, shift: Tensor, eps: float = 1e-5) -> T
     out, xhat, inv = ng._layer_norm_values(x.data, scale_.data, shift.data, eps)
     return ng._emit(out, (x, scale_, shift),
                     lambda g: ng._layer_norm_grads(g, xhat, inv, scale_.data))
+
+
+def concat_cols(parts: list[Tensor]) -> Tensor:
+    """Concatenate along the last axis; works for vectors, matrices and stacks."""
+    if not parts:
+        raise ShapeError("concat_cols: empty input")
+    lead = parts[0].data.shape[:-1]
+    if len(lead) > 2 or any(p.data.shape[:-1] != lead for p in parts):
+        raise ShapeError("concat_cols: parts must share every axis but the last, "
+                         "and have at most 3")
+    out = np.concatenate([p.data for p in parts], axis=-1)
+    sizes = [p.data.shape[-1] for p in parts]
+
+    def backward(g):
+        pieces, at = [], 0
+        for n in sizes:
+            pieces.append(g[..., at:at + n])
+            at += n
+        return tuple(pieces)
+
+    return ng._emit(out, tuple(parts), backward)
 
 
 def column(v: Tensor, start: int, stop: int) -> Tensor:

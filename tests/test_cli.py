@@ -582,13 +582,14 @@ def test_flops_command_writes_json(tmp_path, capsys):
                    "--action-classes", "2", "--tau-c", "3")
     assert code == 0
     printed = capsys.readouterr().out
-    assert "total = 2288" in printed
+    # the criterion 9 configuration: 240 + 704 + 640 + 0 + 64
+    assert "total = 1648" in printed
     code = run_cli("flops", "--fg", "2", "--context", "3", "--keyframes", "4",
                    "--state-dim", "4", "--heads", "1", "--feature-channels", "3",
                    "--action-classes", "2", "--tau-c", "3", "--out", out_path)
     assert code == 0
     payload = json.load(open(out_path))
-    assert payload["total"] == 2288
+    assert payload["total"] == 1648
 
 
 @pytest.mark.parametrize("command,out", [

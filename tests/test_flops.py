@@ -27,14 +27,15 @@ def test_nonlocal_counts_by_hand():
     out = estimate_flops(cfg(), n_fg=2, n_context=3, keyframes=4)
     # input: (2+3) nodes * 3 channels * 4 dims per keyframe
     assert out["input_projection"] == 4 * 5 * 3 * 4
-    # spatial per keyframe: Q 2*16, K 5*16, V 5*16, logits 2*5*4, mix 2*5*4
-    assert out["spatial_messages"] == 4 * (32 + 80 + 80 + 40 + 40)
+    # spatial per keyframe, reassociated: q = h wq 2*16, u = q wk^T 2*16,
+    # logits u kv^T 2*5*4, pooled A kv 2*5*4, message pooled wv 2*16
+    assert out["spatial_messages"] == 4 * (32 + 32 + 40 + 40 + 32)
     # temporal kv rows = (3-1)*2 = 4 on every keyframe
-    assert out["temporal_messages"] == 4 * (32 + 64 + 64 + 32 + 32)
+    assert out["temporal_messages"] == 4 * (32 + 32 + 32 + 32 + 32)
     assert out["gating"] == 0
     assert out["readout"] == 4 * 2 * 4 * 2
     assert out["total"] == sum(v for k, v in out.items() if k != "total")
-    assert out["total"] == 240 + 1088 + 896 + 0 + 64
+    assert out["total"] == 240 + 704 + 640 + 0 + 64
 
 
 def test_gat_counts_by_hand():
@@ -69,9 +70,11 @@ def test_gating_counts_only_with_parallel_messages():
 
 def test_scenegraph_readout_counts():
     config = cfg(task="scenegraph", object_classes=5, relation_classes=3, tau_c=1)
-    out = estimate_flops(config, n_fg=3, n_context=2, keyframes=2)
-    pairs = 3
-    assert out["readout"] == 2 * (3 * 4 * 5 + pairs * 2 * 4 * 3)
+    out = estimate_flops(config, n_fg=4, n_context=2, keyframes=2)
+    # objects n*d*O; relations project each node by both weight halves,
+    # 2*n*d*R, not each of the 6 pairs' 2d-wide rows
+    n, d = 4, 4
+    assert out["readout"] == 2 * (n * d * 5 + 2 * n * d * 3)
 
 
 def test_total_is_linear_in_keyframes():

@@ -3,8 +3,10 @@ import pytest
 
 from stgraph import heads as hd
 from stgraph import numgrad as ng
-from stgraph.errors import ValidationError
+from stgraph.errors import ShapeError, ValidationError
 from stgraph.numgrad import Tensor
+
+import small_primitives as sp
 
 
 def test_action_readout_hand_values():
@@ -88,7 +90,6 @@ def sg_weights(d, n_obj, n_rel, seed=0):
 def test_sg_readout_single_node_has_no_pairs():
     states = Tensor(np.random.default_rng(1).uniform(-1, 1, size=(1, 4)))
     pred = hd.sg_readout(states, *sg_weights(4, 5, 3))
-    assert pred.pairs == []
     assert pred.relation_logits is None
     assert pred.object_logits.shape == (1, 5)
 
@@ -98,13 +99,62 @@ def test_sg_readout_pair_inputs_are_concatenated_states():
     states = rng.uniform(-1, 1, size=(3, 4))
     ow, ob, rw, rb = sg_weights(4, 5, 3, seed=3)
     pred = hd.sg_readout(Tensor(states), ow, ob, rw, rb)
-    assert pred.pairs == [(1, 0), (2, 0), (2, 1)]
     assert pred.relation_logits.shape == (3, 3)
-    for row, (i, j) in enumerate(pred.pairs):
+    for row, (i, j) in enumerate(hd.pair_index(3)):
         want = np.concatenate([states[i], states[j]]) @ rw.data + rb.data
         assert np.max(np.abs(pred.relation_logits.data[row] - want)) <= 1e-12
     want_obj = states @ ow.data + ob.data
     assert np.max(np.abs(pred.object_logits.data - want_obj)) <= 1e-12
+
+
+def _concat_pair_logits(states, weight, bias):
+    """The relation head as the concatenation reads: gathered [h_i || h_j] rows, one matmul."""
+    n, lead = states.shape[-2], states.shape[:-2]
+    subjects, objects = hd.pair_arrays(n)
+    # row r of slice b is row b * n + r of the stack
+    first = np.arange(int(np.prod(lead))).reshape(lead + (1,)) * n
+    pair_states = sp.concat_cols([ng.gather_rows(states, first + subjects),
+                                  ng.gather_rows(states, first + objects)])
+    return ng.add_rowvec(ng.matmul(pair_states, weight), bias)
+
+
+@pytest.mark.parametrize("shape", [(16, 8), (3, 16, 8), (2, 2, 5)])
+def test_pair_logits_agree_with_concatenated_pair_states(shape):
+    # projecting first reassociates [h_i || h_j] W as h_i W_a + h_j W_b, so
+    # logits and gradients agree with the concatenated form up to rounding
+    rng = np.random.default_rng(8)
+    d, classes = shape[-1], 3
+    params = {"h": Tensor(rng.uniform(-1, 1, size=shape), requires_grad=True),
+              "w": Tensor(rng.uniform(-1, 1, size=(2 * d, classes)), requires_grad=True),
+              "b": Tensor(rng.uniform(-1, 1, size=classes), requires_grad=True)}
+    pairs = shape[-2] * (shape[-2] - 1) // 2
+    cotangent = rng.uniform(-1, 1, size=shape[:-2] + (pairs, classes))
+
+    def run(logits_of):
+        with ng.Tape() as tape:
+            logits = logits_of(params["h"], params["w"], params["b"])
+            # a linear loss hands the logits the cotangent as it stands
+            loss = ng._emit((logits.data * cotangent).sum(), (logits,),
+                            lambda g: (float(g) * cotangent,))
+        return logits.data, ng.grad(tape, loss, params)
+
+    got, got_grads = run(hd.pair_logits)
+    want, want_grads = run(_concat_pair_logits)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    for name in params:
+        g, w = got_grads[name].data, want_grads[name].data
+        assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max(), name
+
+
+def test_pair_logits_reject_misaligned_weights():
+    states = Tensor(np.ones((3, 4)))
+    with pytest.raises(ShapeError):
+        hd.pair_logits(states, Tensor(np.ones((4, 2))), Tensor(np.ones(2)))
+    with pytest.raises(ShapeError):
+        hd.pair_logits(states, Tensor(np.ones((8, 2))), Tensor(np.ones(3)))
+    with pytest.raises(ShapeError):
+        hd.pair_logits(Tensor(np.ones(4)), Tensor(np.ones((8, 2))), Tensor(np.ones(2)))
 
 
 def test_sg_loss_uniform_object_logits():

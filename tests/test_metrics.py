@@ -348,11 +348,12 @@ def test_recall_non_decreasing_in_k():
         pred = make_prediction(rng, n=n, n_obj=3, n_rel=4)
         probs = _softmax_rows(pred.object_logits.data)
         cls = probs.argmax(axis=1)
+        pairs = pair_index(n)
         gt = []
-        for (i, j) in pred.pairs[: int(rng.integers(1, len(pred.pairs) + 1))]:
+        for (i, j) in pairs[: int(rng.integers(1, len(pairs) + 1))]:
             gt.append(mt.Triplet(i, j, int(cls[i]), int(cls[j]), int(rng.integers(4))))
         prev = 0.0
-        for k in range(1, len(pred.pairs) * 4 + 2):
+        for k in range(1, len(pairs) * 4 + 2):
             r = mt.recall_at_k(pred, gt, k, mt.MODE_SGCLS)
             assert r >= prev - 1e-15
             prev = r

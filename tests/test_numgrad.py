@@ -244,7 +244,7 @@ def test_finite_differences_per_primitive():
             lambda p: sp.sum_all(sp.relu(sp.layer_norm(p["x"], p["s"], p["b"]))),
         ),
         "concat_rows": ({"a": t(2, 3), "b": t(4, 3)}, lambda p: sp.sum_all(sp.relu(ng.concat_rows([p["a"], p["b"]])))),
-        "concat_cols": ({"a": t(3, 2), "b": t(3, 4)}, lambda p: sp.sum_all(sp.relu(ng.concat_cols([p["a"], p["b"]])))),
+        "concat_cols": ({"a": t(3, 2), "b": t(3, 4)}, lambda p: sp.sum_all(sp.relu(sp.concat_cols([p["a"], p["b"]])))),
         "nonlocal_attention": (
             {"q": t(1, 3, 4), "kv": t(1, 5, 4), "wq": t(4, 4), "wk": t(4, 4), "wv": t(4, 4)},
             lambda p: sp.sum_all(sp.relu(ng.nonlocal_attention(
@@ -272,6 +272,14 @@ def test_finite_differences_per_primitive():
             lambda p: sp.sum_all(sp.relu(ng.residual_layer_norm(p["x"], p["m"], p["s"], p["b"]))),
         ),
         "gather_rows": ({"m": t(4, 3)}, lambda p: sp.sum_all(sp.relu(ng.gather_rows(p["m"], [0, 2, 2, 1])))),
+        "pair_logits": (
+            {"h": t(4, 3), "w": t(6, 2), "b": t(2)},
+            lambda p: sp.sum_all(sp.relu(hd.pair_logits(p["h"], p["w"], p["b"]))),
+        ),
+        "pair_logits_stacked": (
+            {"h": t(2, 3, 3), "w": t(6, 2), "b": t(2)},
+            lambda p: sp.sum_all(sp.relu(hd.pair_logits(p["h"], p["w"], p["b"]))),
+        ),
         "mean_all": ({"x": t(3, 3)}, lambda p: sp.mean_all(sp.relu(p["x"]))),
         "bce": (
             {"x": t(3, 4)},
@@ -342,9 +350,11 @@ def _fused_nonlocal(query, kv, wq, wk, wv):
 
 
 def _composed_nonlocal(query, kv, wq, wk, wv):
-    q, k, v = ng.matmul(query, wq), ng.matmul(kv, wk), ng.matmul(kv, wv)
-    attention = sp.softmax(sp.scale(ng.matmul(q, sp.transpose(k)), 1.0 / math.sqrt(wq.shape[1])))
-    return ng.matmul(attention, v), attention
+    # the reassociated chain: ((query wq) wk^T) kv^T scores, (attention kv) wv messages
+    u = ng.matmul(ng.matmul(query, wq), sp.transpose(wk))
+    scores = ng.matmul(u, sp.transpose(kv))
+    attention = sp.softmax(sp.scale(scores, 1.0 / math.sqrt(wq.shape[1])))
+    return ng.matmul(ng.matmul(attention, kv), wv), attention
 
 
 def _composed_residual(state, message, scale, shift, eps):
@@ -391,7 +401,7 @@ def test_fused_blocks_match_their_composition_bit_for_bit(with_context):
 def _composed_gated_mix(messages, receivers, gate):
     d = receivers.shape[-1]
     own = ng.matmul(receivers, sp.column(gate, 0, d))
-    slot = ng.concat_cols([ng.matmul(m, sp.column(gate, d, 2 * d)) for m in messages])
+    slot = sp.concat_cols([ng.matmul(m, sp.column(gate, d, 2 * d)) for m in messages])
     weights = sp.softmax(sp.relu(sp.add_broadcast(own, slot)))
     mix = None
     for j, m in enumerate(messages):
@@ -536,7 +546,7 @@ STACKED = {
     "add_rowvec": ({"x": (3, 4)}, {"v": (4,)}, lambda x, v: ng.add_rowvec(x, v)),
     "add_rowvec_one_class": ({"x": (3, 1)}, {"v": (1,)}, lambda x, v: ng.add_rowvec(x, v)),
     "concat_rows": ({"a": (2, 4), "b": (3, 4)}, {}, lambda a, b: ng.concat_rows([a, b])),
-    "concat_cols": ({"a": (3, 2), "b": (3, 4)}, {}, lambda a, b: ng.concat_cols([a, b])),
+    "concat_cols": ({"a": (3, 2), "b": (3, 4)}, {}, lambda a, b: sp.concat_cols([a, b])),
     "gather_rows": ({"m": (3, 4)}, {}, _pair_rows),
     "nonlocal_attention": (
         {"q": (3, 4), "kv": _ONE_PAIR}, {"wq": (4, 4), "wk": (4, 4), "wv": (4, 4)},
@@ -554,6 +564,11 @@ STACKED = {
     "residual_layer_norm": (
         {"x": (3, 6), "m": (3, 6)}, {"s": (6,), "b": (6,)},
         lambda x, m, s, b: ng.residual_layer_norm(x, m, s, b)),
+    "pair_logits": ({"h": (4, 3)}, {"w": (6, 2), "b": (2,)},
+                    lambda h, w, b: hd.pair_logits(h, w, b)),
+    # a single predicate with 9 rows: numpy sums the triangle's rows pairwise
+    "pair_logits_one_predicate": ({"h": (9, 3)}, {"w": (6, 1), "b": (1,)},
+                                  lambda h, w, b: hd.pair_logits(h, w, b)),
 }
 
 

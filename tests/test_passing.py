@@ -606,7 +606,7 @@ def test_multi_block_batch_loss_gradients_match_finite_differences():
     (5, 2, [[2] * 17, [3, 2, 3, 3, 2], [2]]),
 ])
 def test_temporal_gathers_by_offset_match_scatter_rows(monkeypatch, tau_c, tau_s, clip_boxes):
-    # the per-offset backward against _scatter_rows' numbered occurrences,
+    # the per-offset backward against the planless one, np.add.at's,
     # bit for bit: per group on leaf states, then through a whole batch loss
     cfg = make_config(state_dim=4, feature_channels=3, tau_c=tau_c, tau_s=tau_s)
     params = random_params(cfg, seed=44)

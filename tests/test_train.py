@@ -905,9 +905,9 @@ def test_clip_loss_tape_length_of_wide_clip():
     # that block too; the two edge keyframes (one neighbor) and the six
     # interior ones (two) only gather their neighbor rows apart
     temporal = 2 + slots_gate_update
-    readout = 2 + 5                # object logits 2; relation gathers 2, concat, logits 2
+    readout = 2 + 1                # object logits 2; relation logits of every pair 1
     loss = 1
-    assert len(tape) == projection + spatial + temporal + readout + loss == 33
+    assert len(tape) == projection + spatial + temporal + readout + loss == 29
 
 
 def test_training_steps_reuse_freed_memory():
