@@ -412,7 +412,11 @@ class ClipFeatures:
 
     frames holds the boxes the model scores (training may append labeled
     detections; evaluation scores detections when present).  gt_* keeps
-    the raw annotations for metrics.
+    the raw annotations for metrics.  The scene-graph targets are built
+    from object_classes and relations on first use and kept, read-only,
+    per class count, so a training run builds each keyframe's once; they
+    are not built here, where every clip would pay for them before its
+    first step, nor rebuilt if those fields change afterwards.
     """
 
     clip_id: str
@@ -423,6 +427,28 @@ class ClipFeatures:
     gt_boxes: list[list[Box]] = field(default_factory=list)
     gt_action_labels: list[np.ndarray] | None = None
     keyframe_ids: list[int] = field(default_factory=list)
+    _targets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def one_hots(self, num_classes: int) -> list[np.ndarray]:
+        """one_hot of every keyframe's object classes, in keyframe order."""
+        key = ("objects", num_classes)
+        if key not in self._targets:
+            self._targets[key] = [_read_only(one_hot(c, num_classes))
+                                  for c in self.object_classes]
+        return self._targets[key]
+
+    def relation_targets(self, local: int, num_relations: int) -> np.ndarray:
+        """relation_target_matrix of keyframe local's relations over its boxes."""
+        built = self._targets.setdefault(("relations", num_relations), {})
+        if local not in built:
+            built[local] = _read_only(relation_target_matrix(
+                self.frames[local].fg_feats.shape[0], self.relations[local], num_relations))
+        return built[local]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def featurize_clip(clip: ClipRecord, info: DatasetInfo, mode: str = TRAIN_MODE) -> ClipFeatures:

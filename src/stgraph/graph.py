@@ -10,12 +10,17 @@ Spatial neighborhoods connect every foreground node to all nodes of its
 own keyframe, itself included.  Temporal neighborhoods connect foreground
 nodes to the foreground nodes of keyframes at stride tau_s inside a
 window of tau_c keyframes centered on their own.
+
+Who attends to whom is fixed by the boxes, the grid cells and the window,
+never by the weights, so build_batch lays a batch out once, in one pass
+over its keyframes, and checks each block's neighbour layout there (see
+SpatioTemporalGraph); message passing then reads the layouts unchecked.
 """
 
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -171,15 +176,28 @@ class Block:
     ctx_states: Tensor
 
 
+def stack_arrays(arrays: list[np.ndarray]) -> np.ndarray:
+    """np.stack(arrays), by one concatenate and a reshape when they share a shape.
+
+    The arrays of one block's keyframes share a shape, and then this skips
+    np.stack's per-array Python: 31 instead of 65 us for 112 (1, 6)
+    arrays on one x86-64 core.
+    """
+    shape = arrays[0].shape
+    if shape and all(a.shape == shape for a in arrays):
+        return np.concatenate(arrays).reshape((len(arrays),) + shape)
+    return np.stack(arrays)
+
+
 def project_block(frames: list[KeyframeFeatures], positions: list[int], params) -> Block:
     """Project the pooled features of same-shaped keyframes, one matmul per node kind."""
     with ng.checked("input projection"):
-        fg_states = ng.matmul(Tensor(np.stack([f.fg_feats for f in frames])),
+        fg_states = ng.matmul(Tensor(stack_arrays([f.fg_feats for f in frames])),
                               params[PROJ_FOREGROUND])
-        ctx_states = ng.matmul(Tensor(np.stack([f.ctx_feats for f in frames])),
+        ctx_states = ng.matmul(Tensor(stack_arrays([f.ctx_feats for f in frames])),
                                params[PROJ_CONTEXT])
         if frames[0].prop_feats is not None:
-            props = ng.matmul(Tensor(np.stack([f.prop_feats for f in frames])),
+            props = ng.matmul(Tensor(stack_arrays([f.prop_feats for f in frames])),
                               params[PROJ_PROPOSAL])
             ctx_states = ng.concat_rows([ctx_states, props])
     ng.check_finite("input projection", fg_states, ctx_states)
@@ -197,22 +215,22 @@ def temporal_offsets(tau_c: int) -> list[int]:
 class TemporalGroup(NamedTuple):
     """Slices of one block whose keyframes read the same number s of temporal neighbour rows.
 
-    rows[i] (s entries) indexes the foreground rows of keyframe slices[i]'s
-    temporal neighbours, ascending by position, in the graph blocks'
-    foreground states laid end to end.  plan is the scatter plan of
-    numgrad.gather_rows' backward, built in the same pass as rows: for
-    each window offset, largest first, the list of entries of the
-    flattened rows read through that offset, one round each.  At one
+    gather.rows[i] (s entries) indexes the foreground rows of keyframe
+    slices[i]'s temporal neighbours, ascending by position, in the graph
+    blocks' foreground states laid end to end.  gather.plan is the scatter
+    plan of numgrad.gather_rows' backward, built in the same pass as the
+    rows: for each window offset, largest first, the list of entries of
+    the flattened rows read through that offset, one round each.  At one
     offset pos -> pos + t * tau_s is one-to-one, so no row repeats within
     a round; and the receivers of a row sit at ascending positions, which
     is descending offsets, so the rounds add each row's pieces in index
-    order.  The entries stay Python lists until a backward needs them, so
-    a forward pass without a tape makes no arrays for them.
+    order.  The gather checked its rows and plan when it was made, and the
+    plan stays Python lists until a backward needs them, so a forward pass
+    without a tape makes no arrays for them.
     """
 
-    slices: np.ndarray
-    rows: np.ndarray
-    plan: tuple[list[int], ...]
+    slices: list[int]
+    gather: ng.Gather
 
 
 @dataclass(eq=False)
@@ -221,65 +239,105 @@ class SpatioTemporalGraph:
 
     keyframes is flat: the KeyframeFeatures passed in, every clip's in order,
     clip after clip, and clips[c] is the range of clip c's positions.
-    first_ids[pos] is keyframe pos's first node id (see node_ids).  Every
-    foreground node attends spatially to all nodes of its own keyframe.
-    temporal[pos] lists, ascending, the positions pos + t * tau_s for each
-    window offset t that fall inside pos's clip; it is empty everywhere when
-    tau_c is 1.  blocks group the keyframes whose row counts match and whose
+    Every foreground node attends spatially to all nodes of its own
+    keyframe.  blocks group the keyframes whose row counts match and whose
     temporal neighborhoods are all empty or all not, and where[pos] is the
     (block, slice) that holds keyframe pos.  temporal_groups[k] lists the
     TemporalGroups of block k's keyframes, grouped by neighbour row count
     in order of first slice; it is empty for a block without temporal
-    neighbours.
+    neighbours.  layouts[k] is block k's (spatial, temporal) numgrad.KvLayout:
+    one pair of every slice over its own rows then its context rows, and
+    one pair per TemporalGroup, or None without temporal neighbours.
+
+    first_ids and temporal are derived on first access, since only traces,
+    node_ids and tests read them: first_ids[pos] is keyframe pos's first
+    node id (see node_ids), and temporal[pos] lists, ascending, the
+    positions pos + t * tau_s for each window offset t that fall inside
+    pos's clip; it is empty everywhere when tau_c is 1.
     """
 
     keyframes: list[KeyframeFeatures]
-    first_ids: list[int]
     blocks: list[Block]
     clips: list[range]
-    temporal: list[list[int]]
     where: list[tuple[int, int]]
     temporal_groups: list[list[TemporalGroup]]
+    layouts: list[tuple[ng.KvLayout, ng.KvLayout | None]]
     tau_c: int
     tau_s: int
 
+    @cached_property
+    def first_ids(self) -> list[int]:
+        first = []
+        for span in self.clips:
+            at = 0
+            for f in self.keyframes[span.start:span.stop]:
+                first.append(at)
+                at += len(f.fg_boxes) + f.ctx_feats.shape[0] + len(f.prop_boxes)
+        return first
 
-def _temporal_groups(blocks: list[Block], temporal: list[list[int]]) -> list[list[TemporalGroup]]:
-    """Every block's TemporalGroups, built from plain lists.
+    @cached_property
+    def temporal(self) -> list[list[int]]:
+        offsets = [t * self.tau_s for t in temporal_offsets(self.tau_c)]
+        return [[pos + t for t in offsets if pos + t in span]
+                for span in self.clips for pos in span]
 
-    rows and slices become arrays once per group, and the plan stays lists
-    (see TemporalGroup).  A clip or a training batch has a few keyframes
-    of a few rows each, and a numpy call costs more than the handful of
-    rows it would build: whole-batch array operations took twice as long
-    as these lists on one clip, and won only on evaluation chunks of 16
-    clips.
+
+def _temporal_groups(blocks: list[Block], clips: list[range], where: list[tuple[int, int]],
+                     offsets: list[int], linked: list[bool]) -> list[list[TemporalGroup]]:
+    """The TemporalGroups of every block, linked[k] telling whether block k has any.
+
+    One pass over the keyframes, clip by clip, finds each keyframe's
+    neighbours by the window offsets and adds its slice, rows and plan
+    entries to its block's group of its neighbour row count.  The rows
+    become an array once per group, and the plan stays lists (see
+    TemporalGroup).  A clip has a few keyframes of a few rows each, and a
+    numpy call costs more than the handful of rows it would build: a
+    numpy version of this pass built a 16-clip `temporal` evaluation
+    chunk faster (919 -> 508 us) but one clip slower (155 -> 361 us),
+    on two x86-64 cores with Python 3.11 and numpy 2.4.
     """
-    first, n = [0] * len(temporal), [0] * len(temporal)
-    at = 0
-    for block in blocks:
-        count, m = block.fg_states.shape[:2]
-        for j, pos in enumerate(block.positions):
-            first[pos], n[pos] = at + j * m, m
-        at += count * m
-    layout = []
-    for block in blocks:
-        by_width: dict[int, list[int]] = {}
-        for u, pos in enumerate(block.positions):
-            if temporal[pos]:
-                by_width.setdefault(sum(n[q] for q in temporal[pos]), []).append(u)
-        groups = []
-        for width, slices in by_width.items():
-            rows: list[int] = []
-            by_offset: dict[int, list[int]] = {}
-            for pos in (block.positions[u] for u in slices):
-                for q in temporal[pos]:
-                    by_offset.setdefault(q - pos, []).extend(range(len(rows), len(rows) + n[q]))
-                    rows += range(first[q], first[q] + n[q])
-            plan = tuple(by_offset[t] for t in sorted(by_offset, reverse=True))
-            groups.append(TemporalGroup(np.array(slices),
-                                        np.array(rows).reshape(len(slices), width), plan))
-        layout.append(groups)
-    return layout
+    widths = [block.fg_states.data.shape[1] for block in blocks]
+    starts, at = [], 0
+    for block, m in zip(blocks, widths):
+        starts.append(at)
+        at += len(block.positions) * m
+    # each keyframe's first foreground row and row count
+    first = [starts[k] + j * widths[k] for k, j in where]
+    n = [widths[k] for k, _ in where]
+    pending: list[dict | None] = [{} if flag else None for flag in linked]
+    for span in clips:
+        for pos in span:
+            k, u = where[pos]
+            by_width = pending[k]
+            if by_width is None:
+                continue
+            reads = [q for q in [pos + t for t in offsets] if q in span]
+            width = 0
+            for q in reads:
+                width += n[q]
+            group = by_width.get(width)
+            if group is None:
+                group = by_width[width] = ([], [], {})
+            slices, rows, by_offset = group
+            slices.append(u)
+            for q in reads:
+                m, size = n[q], len(rows)
+                entries = by_offset.get(q - pos)
+                if entries is None:
+                    entries = by_offset[q - pos] = []
+                # appending a one-box keyframe's row costs a third of extending by a range
+                if m == 1:
+                    entries.append(size)
+                    rows.append(first[q])
+                else:
+                    entries += range(size, size + m)
+                    rows += range(first[q], first[q] + m)
+    return [[] if by_width is None else
+            [TemporalGroup(slices, ng.Gather(
+                np.array(rows, dtype=np.intp).reshape(len(slices), width),
+                tuple(by_offset[t] for t in sorted(by_offset, reverse=True)), at))
+             for width, (slices, rows, by_offset) in by_width.items()]
+            for by_width in pending]
 
 
 def build_batch(clips: list[list[KeyframeFeatures]], params, config) -> SpatioTemporalGraph:
@@ -290,36 +348,49 @@ def build_batch(clips: list[list[KeyframeFeatures]], params, config) -> SpatioTe
     Keyframes with the same numbers of boxes, grid cells and proposals
     share a block, whichever clip they belong to, unless one has temporal
     neighbors and the other none; a block's keyframes are projected
-    together, and blocks are never padded.
+    together, and blocks are never padded.  Every block's neighbour
+    layouts are built and checked here, once, for every phase that reads
+    them (see numgrad.KvLayout and numgrad.Gather).
     """
     if not clips or not all(clips):
         raise ValidationError("graph needs at least one keyframe with foreground nodes "
                               "in every clip")
-    if config.tau_s < 1:
-        raise ConfigError(f"temporal stride tau_s must be positive, got {config.tau_s}")
-    offsets = [t * config.tau_s for t in temporal_offsets(config.tau_c)]
-    ends = np.cumsum([len(c) for c in clips]).tolist()
-    spans = [range(end - len(clip), end) for end, clip in zip(ends, clips)]
-    temporal = [[pos + t for t in offsets if pos + t in span] for span in spans for pos in span]
-    frames = [f for clip in clips for f in clip]
-    shapes: dict[tuple[int, int, int, bool], list[int]] = {}
-    for pos, f in enumerate(frames):
-        if f.fg_feats.shape[0] == 0:
-            raise ValidationError(f"keyframe {f.keyframe_id}: no foreground boxes")
-        props = 0 if f.prop_feats is None else f.prop_feats.shape[0]
-        key = (f.fg_feats.shape[0], f.ctx_feats.shape[0], props, bool(temporal[pos]))
-        shapes.setdefault(key, []).append(pos)
+    tau_s = config.tau_s
+    if tau_s < 1:
+        raise ConfigError(f"temporal stride tau_s must be positive, got {tau_s}")
+    offsets = [t * tau_s for t in temporal_offsets(config.tau_c)]
+    frames: list[KeyframeFeatures] = []
+    spans, where = [], []
+    # (boxes, cells, proposals, has temporal neighbours) -> (block, its positions)
+    shapes: dict[tuple[int, int, int, bool], tuple[int, list[int]]] = {}
+    for clip in clips:
+        span = range(len(frames), len(frames) + len(clip))
+        spans.append(span)
+        for pos, f in zip(span, clip):
+            n = f.fg_feats.shape[0]
+            if n == 0:
+                raise ValidationError(f"keyframe {f.keyframe_id}: no foreground boxes")
+            props = 0 if f.prop_feats is None else f.prop_feats.shape[0]
+            # the nearest offsets, +-tau_s, are the last to leave the clip
+            linked = bool(offsets) and (pos - tau_s in span or pos + tau_s in span)
+            key = (n, f.ctx_feats.shape[0], props, linked)
+            block = shapes.get(key)
+            if block is None:
+                block = shapes[key] = (len(shapes), [])
+            where.append((block[0], len(block[1])))
+            block[1].append(pos)
+            frames.append(f)
     blocks = [project_block([frames[p] for p in positions], positions, params)
-              for positions in shapes.values()]
-    where = [(0, 0)] * len(frames)
-    for k, positions in enumerate(shapes.values()):
-        for j, pos in enumerate(positions):
-            where[pos] = (k, j)
-    sizes = [len(f.fg_boxes) + f.ctx_feats.shape[0] + len(f.prop_boxes) for f in frames]
-    first_ids = [sum(sizes[span.start:pos]) for span in spans for pos in span]
-    return SpatioTemporalGraph(frames, first_ids, blocks, spans, temporal, where,
-                               _temporal_groups(blocks, temporal),
-                               config.tau_c, config.tau_s)
+              for _, positions in shapes.values()]
+    groups = _temporal_groups(blocks, spans, where, offsets, [key[3] for key in shapes])
+    layouts = [(ng.KvLayout(len(b.positions), [range(len(b.positions))],
+                            [b.fg_states.shape[1] + b.ctx_states.shape[1]]),
+                ng.KvLayout(len(b.positions), [g.slices for g in block_groups],
+                            [g.gather.rows.shape[1] for g in block_groups])
+                if block_groups else None)
+               for b, block_groups in zip(blocks, groups)]
+    return SpatioTemporalGraph(frames, blocks, spans, where, groups, layouts,
+                               config.tau_c, tau_s)
 
 
 def node_ids(graph: SpatioTemporalGraph, pos: int, context: bool = False) -> list[int]:

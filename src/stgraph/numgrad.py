@@ -39,6 +39,7 @@ import ctypes.util
 import math
 import platform
 import threading
+from typing import NamedTuple
 
 import numpy as np
 
@@ -516,6 +517,35 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
     return _emit(out, tuple(parts), backward)
 
 
+def _checked_index(index, plan, rows: int) -> np.ndarray:
+    """index as an intp array, checked to lie in [0, rows) and, with a plan, to be covered by it."""
+    idx = np.asarray(index, dtype=np.intp)
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise ShapeError(f"gather_rows: index out of range for {rows} rows")
+    if plan is not None and sum(map(len, plan)) != idx.size:
+        raise ShapeError(f"gather_rows: plan does not cover the {idx.size} index entries")
+    return idx
+
+
+class Gather:
+    """A gather_rows index and plan over sources of a fixed row count, checked once, when made.
+
+    rows becomes a read-only intp array, each entry in [0, sources), and
+    plan, when given, must hold as many entries as rows, as gather_rows
+    requires.  gather_rows then takes both as they stand and checks only
+    that its sources hold `sources` rows; graph.build_batch makes one per
+    temporal group.
+    """
+
+    __slots__ = ("rows", "plan", "sources")
+
+    def __init__(self, rows, plan: tuple[list[int], ...] | None, sources: int):
+        self.rows = _checked_index(np.array(rows, dtype=np.intp), plan, sources)
+        self.rows.flags.writeable = False
+        self.plan = plan
+        self.sources = sources
+
+
 def gather_rows(m: Tensor | list[Tensor], index, plan=None) -> Tensor:
     """Rows picked by integer index, as one tape entry.
 
@@ -529,7 +559,8 @@ def gather_rows(m: Tensor | list[Tensor], index, plan=None) -> Tensor:
     index.  Every entry must sit in one round, no row may repeat within a
     round, and a row's entries must come round after round in index
     order.  The backward then adds the rounds as they stand; without a
-    plan it adds with np.add.at (see _scatter_rows).
+    plan it adds with np.add.at (see _scatter_rows).  index may also be a
+    Gather, which brings its plan and was checked when it was made.
     """
     sources = [m] if isinstance(m, Tensor) else list(m)
     if not sources:
@@ -541,11 +572,13 @@ def gather_rows(m: Tensor | list[Tensor], index, plan=None) -> Tensor:
         raise ShapeError("gather_rows: sources differ in width")
     flat = [s.data.reshape(-1, width) for s in sources]
     rows = flat[0] if len(flat) == 1 else np.concatenate(flat)
-    idx = np.asarray(index, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= rows.shape[0]):
-        raise ShapeError(f"gather_rows: index out of range for {rows.shape[0]} rows")
-    if plan is not None and sum(map(len, plan)) != idx.size:
-        raise ShapeError(f"gather_rows: plan does not cover the {idx.size} index entries")
+    if isinstance(index, Gather):
+        if plan is not None or index.sources != rows.shape[0]:
+            raise ShapeError(f"gather_rows: a Gather over {index.sources} rows, with its own "
+                             f"plan, cannot read {rows.shape[0]} rows")
+        idx, plan = index.rows, index.plan
+    else:
+        idx = _checked_index(index, plan, rows.shape[0])
 
     def backward(g):
         dm = _scatter_rows(g.reshape(-1, width), idx.reshape(-1), rows.shape[0], plan)
@@ -575,26 +608,79 @@ def gather_rows(m: Tensor | list[Tensor], index, plan=None) -> Tensor:
 # so adding them first gives the bits of adding them one after the other.
 
 
-def _kv_groups(query: Tensor, kv, what: str) -> list[tuple]:
-    """kv's pairs as (index, neighbor stack), checked to cover every query slice once.
+def _slice_index(slices) -> tuple:
+    """(slices as a list or range, the index that picks them).
 
     Consecutive slices, such as the spatial phase's range over a whole
     block, are indexed by a basic slice, so numpy takes views, not copies.
-    Every receiver needs at least one neighbor row.
     """
-    groups, covered, fits = [], [], query.data.ndim == 3
+    if isinstance(slices, range) and slices.step == 1:
+        return slices, slice(slices.start, slices.stop)
+    run = np.asarray(slices, dtype=np.intp).tolist()
+    lo = run[0] if run else 0
+    return run, (slice(lo, lo + len(run)) if run == list(range(lo, lo + len(run)))
+                 else np.array(run))
+
+
+def _covers(runs, count: int) -> bool:
+    return sorted([u for run in runs for u in run]) == list(range(count))
+
+
+class KvLayout:
+    """Which slices of a (count, n, d) receiver stack read which neighbor stack; checked when made.
+
+    An attention entry reads its neighbors as (slices, stack) pairs.  A
+    layout fixes count, each pair's slices and each pair's neighbor row
+    count widths[i] once, when a graph is built, and checks there what
+    the entries would check on every call: every slice sits in exactly one
+    pair and every width is positive.  index[i] picks pair i's slices as
+    _slice_index does, and shapes[i] is the (slices, widths[i]) lead of the
+    stack it reads.  Neighbors(layout, stacks) hands it to an entry, which
+    then checks only that the receivers and stacks have those shapes.
+    """
+
+    __slots__ = ("count", "slices", "index", "shapes")
+
+    def __init__(self, count: int, slices, widths):
+        runs, index = zip(*map(_slice_index, slices)) if slices else ((), ())
+        if len(runs) != len(widths) or not _covers(runs, count):
+            raise ShapeError(f"KvLayout: each of {count} receiver slices must sit in one pair")
+        if not all(w > 0 for w in widths):
+            raise ShapeError("KvLayout: empty neighborhood")
+        self.count = count
+        self.slices = runs
+        self.index = index
+        self.shapes = [(len(run), w) for run, w in zip(runs, widths)]
+
+
+class Neighbors(NamedTuple):
+    """Neighbor stacks, one per pair of a KvLayout, as the attention entries take them."""
+
+    layout: KvLayout
+    stacks: list[Tensor]
+
+
+def _kv_groups(query: Tensor, kv, what: str) -> list[tuple]:
+    """kv's pairs as (index, neighbor stack), checked to cover every query slice once.
+
+    Every receiver needs at least one neighbor row.  Neighbors were
+    checked when their layout was made, so only their shapes are checked.
+    """
+    if isinstance(kv, Neighbors):
+        layout, stacks = kv
+        if (query.data.ndim != 3 or query.data.shape[0] != layout.count
+                or len(stacks) != len(layout.shapes)
+                or any(t.data.ndim != 3 or t.data.shape[:2] != shape
+                       for t, shape in zip(stacks, layout.shapes))):
+            raise ShapeError(f"{what}: need a (B, n, d) receiver stack with each slice in one pair")
+        return list(zip(layout.index, stacks))
+    groups, runs, fits = [], [], query.data.ndim == 3
     for slices, t in kv:
-        if isinstance(slices, range) and slices.step == 1:
-            run, index = slices, slice(slices.start, slices.stop)
-        else:
-            run = np.asarray(slices, dtype=np.intp).tolist()
-            lo = run[0] if run else 0
-            index = (slice(lo, lo + len(run)) if run == list(range(lo, lo + len(run)))
-                     else np.array(run))
+        run, index = _slice_index(slices)
         groups.append((index, t))
-        covered += run
+        runs.append(run)
         fits = fits and t.data.ndim == 3 and t.data.shape[0] == len(run)
-    if not fits or sorted(covered) != list(range(query.data.shape[0])):
+    if not fits or not _covers(runs, query.data.shape[0]):
         raise ShapeError(f"{what}: need a (B, n, d) receiver stack with each slice in one pair")
     if any(t.data.shape[-2] == 0 for _, t in groups):
         raise ShapeError(f"{what}: empty neighborhood")
@@ -605,10 +691,10 @@ def nonlocal_attention(query: Tensor, kv: list[tuple], wq: Tensor, wk: Tensor,
                        wv: Tensor) -> tuple[Tensor, list[Tensor]]:
     """Scaled dot-product attention of query rows over kv rows, as one tape entry.
 
-    query is a (B, n, d) stack and kv a list of (slices, stack) pairs, as
-    both message-passing phases hand them: the query slices a pair lists
-    attend over the rows of its (len(slices), s, d) stack, and each slice
-    is listed once.  Returns (softmax(q k^T / sqrt(width of k)) @ v, one
+    query is a (B, n, d) stack and kv a list of (slices, stack) pairs, or
+    Neighbors, as both message-passing phases hand them: the query slices
+    a pair lists attend over the rows of its (len(slices), s, d) stack, and
+    each slice is listed once.  Returns (softmax(q k^T / sqrt(width of k)) @ v, one
     attention tensor per pair) for q = query @ wq, k = kv @ wk and
     v = kv @ wv, slice by slice; the attention is not on the tape.
 

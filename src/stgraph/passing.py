@@ -15,12 +15,13 @@ their s neighbor states through a (B, n, s) attention stack, and the gate
 scores all K message slots of every receiver as a (B, n, K) stack.  Both
 phases run on the graph's blocks, whose keyframes all have temporal
 neighbors or all have none.  Both phases hand each slot (slices, stack)
-neighbor pairs: the spatial phase one per block (own rows, then context),
-the temporal phase, which skips blocks without temporal neighbors, one per
-neighbor count s, so edge and interior keyframes share the entry.  The
-temporal pairs gather their rows by the graph's temporal_groups, built
-once per graph, and the gather's backward adds its cotangent one window
-offset at a time (see graph.TemporalGroup).
+neighbor pairs as numgrad.Neighbors over the block's layout, which the
+graph built and checked once: the spatial phase one pair per block (own
+rows, then context), the temporal phase, which skips blocks without
+temporal neighbors, one per neighbor count s, so edge and interior
+keyframes share the entry.  The temporal pairs gather their rows by the
+graph's temporal_groups, and the gather's backward adds its cotangent
+one window offset at a time (see graph.TemporalGroup).
 The additive scores relu(a . [h_v || h_j]) are evaluated as
 relu(h_v . a1 + h_j . a2), a column plus a row, so no per-receiver pair
 matrix is ever built.  Each slot, the gate and the residual update is one
@@ -239,10 +240,10 @@ class InferenceResult:
         return {pos: ng._wrap(self.states[k].data[j]) for pos, (k, j) in enumerate(self.graph.where)}
 
 
-def _slice_rows(kv, attention, count: int) -> list[np.ndarray]:
-    """Each slice's attention matrix, from the stacks of its (slices, stack) pairs."""
+def _slice_rows(layout: ng.KvLayout, attention, count: int) -> list[np.ndarray]:
+    """Each slice's attention matrix, from the stacks of its layout's pairs."""
     rows = [None] * count
-    for (slices, _), att in zip(kv, attention):
+    for slices, att in zip(layout.slices, attention):
         for u, matrix in zip(slices, att.data):
             rows[u] = matrix
     return rows
@@ -301,12 +302,13 @@ def run_inference(graph: SpatioTemporalGraph, params, config: ModelConfig,
                 slots = [(fn, h) for fn in config.message_fns for h in range(config.heads)]
                 gate = params[_mp(i, phase, "gate")] if len(slots) > 1 else None
                 if phase == PHASE_SPATIAL:
-                    blocks = [(k, [(range(len(b.positions)),
-                                    ng.concat_rows([own, b.ctx_states]))])
-                              for k, (b, own) in enumerate(zip(graph.blocks, states))]
+                    blocks = [(k, ng.Neighbors(layout, [ng.concat_rows([own, b.ctx_states])]))
+                              for k, (b, own, (layout, _)) in enumerate(
+                                  zip(graph.blocks, states, graph.layouts))]
                 else:
-                    blocks = [(k, [(group.slices, ng.gather_rows(states, group.rows, group.plan))
-                                   for group in groups])
+                    blocks = [(k, ng.Neighbors(graph.layouts[k][1],
+                                               [ng.gather_rows(states, group.gather)
+                                                for group in groups]))
                               for k, groups in enumerate(graph.temporal_groups) if groups]
                 updated = list(states)
                 for k, kv in blocks:
@@ -316,7 +318,7 @@ def run_inference(graph: SpatioTemporalGraph, params, config: ModelConfig,
                         msgs, att = _slot(params, i, phase, fn, h, own, kv)
                         messages.append(msgs)
                         if record_traces:
-                            atts.append(_slice_rows(kv, att, len(positions)))
+                            atts.append(_slice_rows(kv.layout, att, len(positions)))
                     combined, mix = ((messages[0], None) if gate is None
                                      else ng.gated_mix(messages, own, gate))
                     if record_traces:

@@ -4,15 +4,18 @@ import base64
 import binascii
 import json
 import math
-from dataclasses import dataclass, replace
+import operator
+from bisect import bisect_right
+from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
 from . import numgrad as ng
-from .data import _JSON_INTEGERS, ClipFeatures, one_hot, relation_target_matrix
+from .data import _JSON_INTEGERS, ClipFeatures
 from .errors import ConfigError, NumericError, ShapeError, ValidationError
 from .graph import (Box, FeatureGrid, SpatioTemporalGraph, build_batch, build_graph,
-                    featurize_keyframe)
+                    featurize_keyframe, stack_arrays)
 from .heads import action_loss, action_readout, sg_loss, sg_readout
 from .metrics import box_array, frame_ap_arrays, triplet_recall
 from .numgrad import Tape, Tensor, grad, sigmoid_values
@@ -87,6 +90,9 @@ class SgdState:
     weight_decay: float = 1e-7
     step: int = 0
     velocity: np.ndarray | None = None
+    # the last step's parameter vector, the arrays it handed out as views
+    # of it, and their end offsets (see sgd_step)
+    _flat: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def sgd_step(params: dict[str, Tensor], grads: dict[str, Tensor], lr: float,
@@ -97,27 +103,37 @@ def sgd_step(params: dict[str, Tensor], grads: dict[str, Tensor], lr: float,
     in params order, with the operations of the per-tensor formula, so each
     value gets the same bits.  Each new parameter is a read-only view of
     its slice of a new vector; tensors held from before the step keep
-    their values.  A non-finite gradient or updated value raises
-    NumericError naming the parameter and the step before anything changes.
+    their values.  While params still holds exactly the views the last
+    step made, in their order, that vector is already the parameters laid
+    end to end, and it is read as it stands instead of concatenated again.
+    A non-finite gradient or updated value raises NumericError naming the
+    parameter and the step before anything changes.
     """
     names = list(params)
-    for name in names:
-        if grads[name].shape != params[name].shape:
-            raise ShapeError(f"gradient for {name!r} has shape {grads[name].shape}, "
-                             f"expected {params[name].shape}")
-    sizes = [params[name].data.size for name in names]
-    ends = np.cumsum(sizes, dtype=np.intp)
-    velocity = np.zeros(ends[-1]) if state.velocity is None else state.velocity
+    arrays = [params[name].data for name in names]
+    shapes = [a.shape for a in arrays]
+    if [grads[name].data.shape for name in names] != shapes:
+        for name in names:
+            if grads[name].shape != params[name].shape:
+                raise ShapeError(f"gradient for {name!r} has shape {grads[name].shape}, "
+                                 f"expected {params[name].shape}")
+    made = state._flat
+    if made is not None and len(made[1]) == len(arrays) and all(map(operator.is_, arrays, made[1])):
+        p, ends = made[0], made[2]
+    else:
+        p = np.concatenate(arrays, axis=None)
+        ends = list(accumulate(a.size for a in arrays))
+    velocity = np.zeros(p.size) if state.velocity is None else state.velocity
 
     def check(values: np.ndarray, what: str) -> None:
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            name = names[int(np.searchsorted(ends, bad[0], side="right"))]
+        finite = np.isfinite(values)
+        if not finite.all():
+            # argmin of the mask is the first non-finite value
+            name = names[bisect_right(ends, int(finite.argmin()))]
             raise NumericError(f"non-finite {what} for {name!r} at step {state.step}")
 
-    g = np.concatenate([grads[name].data.reshape(-1) for name in names])
+    g = np.concatenate([grads[name].data for name in names], axis=None)
     check(g, "gradient")
-    p = np.concatenate([params[name].data.reshape(-1) for name in names])
     # g turns into g + wd*p, buf into m*v + that, then g into the new parameters
     with np.errstate(over="ignore", invalid="ignore"):
         buf = np.multiply(p, state.weight_decay)
@@ -128,10 +144,12 @@ def sgd_step(params: dict[str, Tensor], grads: dict[str, Tensor], lr: float,
         np.subtract(p, g, out=g)
     check(g, "update")
     g.flags.writeable = False
-    for name, size, end in zip(names, sizes, ends):
-        params[name] = ng._wrap(g[end - size:end].reshape(params[name].shape),
-                                requires_grad=True, name=name)
+    views = [g[start:end].reshape(shape)
+             for start, end, shape in zip([0, *ends], ends, shapes)]
+    for name, view in zip(names, views):
+        params[name] = ng._wrap(view, requires_grad=True, name=name)
     state.velocity = buf
+    state._flat = (g, views, ends)
     state.step += 1
 
 
@@ -169,7 +187,7 @@ def clip_loss(clip: ClipFeatures, params: dict[str, Tensor], config: ModelConfig
 
 def _stacked(graph: SpatioTemporalGraph, per_position: list[np.ndarray]) -> list[np.ndarray]:
     """Per-keyframe arrays, flat positions in order, stacked as the graph's blocks."""
-    return [np.stack([per_position[p] for p in block.positions]) for block in graph.blocks]
+    return [stack_arrays([per_position[p] for p in block.positions]) for block in graph.blocks]
 
 
 def _batch_loss(clips: list[ClipFeatures], graph: SpatioTemporalGraph,
@@ -193,14 +211,12 @@ def _batch_loss(clips: list[ClipFeatures], graph: SpatioTemporalGraph,
                                 params["readout.object.weight"], params["readout.object.bias"],
                                 params["readout.relation.weight"], params["readout.relation.bias"])
                      for states in result.states]
-            onehots = [one_hot(classes, config.object_classes)
-                       for clip in clips for classes in clip.object_classes]
-            relations = [r for clip in clips for r in clip.relations]
+            onehots = [t for clip in clips for t in clip.one_hots(config.object_classes)]
+            keyframes = [(clip, local) for clip in clips for local in range(len(clip.frames))]
             relation_targets = [
-                None if pred.relation_logits is None else np.stack([
-                    relation_target_matrix(block.fg_states.shape[1],
-                                           relations[pos], config.relation_classes)
-                    for pos in block.positions])
+                None if pred.relation_logits is None else stack_arrays([
+                    clip.relation_targets(local, config.relation_classes)
+                    for clip, local in (keyframes[pos] for pos in block.positions)])
                 for pred, block in zip(preds, graph.blocks)]
             loss = sg_loss([p.object_logits for p in preds], _stacked(graph, onehots),
                            [p.relation_logits for p in preds], relation_targets, per_clip)

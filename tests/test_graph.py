@@ -2,6 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stgraph import graph as gr
 from stgraph import passing as pa
@@ -11,6 +12,7 @@ from stgraph.numgrad import Tensor
 from stgraph.passing import ModelConfig
 
 from reference_eval import keyframe_states
+from reference_layout import reference_layout
 
 
 def make_grid(values, keyframe_id=0):
@@ -313,3 +315,53 @@ def test_spatial_size_property_random_scenes():
         assert len(records) == n
         for r in records:
             assert len(r.neighbor_ids) == n + h * w + p
+
+
+# a keyframe as (boxes, grid rows, grid columns, proposals)
+_KEYFRAME = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(clips=st.lists(st.lists(_KEYFRAME, min_size=1, max_size=6), min_size=1, max_size=4),
+       tau_c=st.sampled_from([1, 3, 5]), tau_s=st.sampled_from([1, 2]), seed=st.integers(0, 99))
+def test_layout_matches_the_per_keyframe_oracle(clips, tau_c, tau_s, seed):
+    # the one-pass build against the keyframe-by-keyframe one, on ragged
+    # batches: every list equal, every group's slices, rows and plan equal,
+    # and every block stack byte for byte
+    rng = np.random.default_rng(seed)
+    c, d = 3, 4
+    box = gr.Box(0.0, 0.0, 1.0, 1.0)
+    frames = [[gr.KeyframeFeatures(
+        keyframe_id=i, fg_boxes=[box] * n, fg_feats=rng.normal(size=(n, c)),
+        ctx_feats=rng.normal(size=(h * w, c)), grid_hw=(h, w), prop_boxes=[box] * p,
+        prop_feats=rng.normal(size=(p, c)) if p else None)
+        for i, (n, h, w, p) in enumerate(clip)] for clip in clips]
+    weights = {"foreground": rng.normal(size=(c, d)), "context": rng.normal(size=(c, d)),
+               "proposal": rng.normal(size=(c, d))}
+    params = {gr.PROJ_FOREGROUND: Tensor(weights["foreground"]),
+              gr.PROJ_CONTEXT: Tensor(weights["context"]),
+              gr.PROJ_PROPOSAL: Tensor(weights["proposal"])}
+    g = gr.build_batch(frames, params, SimpleNamespace(tau_c=tau_c, tau_s=tau_s))
+    want = reference_layout(frames, weights, tau_c, tau_s)
+
+    assert g.clips == want["spans"]
+    assert g.where == want["where"]
+    assert [b.positions for b in g.blocks] == want["positions"]
+    assert g.temporal == want["temporal"]
+    assert g.first_ids == want["first_ids"]
+    assert [[(group.slices, group.gather.rows.tolist(), group.gather.plan) for group in groups]
+            for groups in g.temporal_groups] == want["groups"]
+    for block, (fg, ctx) in zip(g.blocks, want["stacks"]):
+        assert block.fg_states.data.tobytes() == fg.tobytes()
+        assert block.ctx_states.data.tobytes() == ctx.tobytes()
+    # each block's layouts list the groups' slices and widths, and its own rows then context
+    rows = sum(b.fg_states.shape[0] * b.fg_states.shape[1] for b in g.blocks)
+    for block, groups, (spatial, temporal) in zip(g.blocks, g.temporal_groups, g.layouts):
+        count, n = block.fg_states.shape[:2]
+        assert spatial.shapes == [(count, n + block.ctx_states.shape[1])]
+        if not groups:
+            assert temporal is None
+            continue
+        assert [list(s) for s in temporal.slices] == [group.slices for group in groups]
+        assert temporal.shapes == [group.gather.rows.shape for group in groups]
+        assert all(group.gather.sources == rows for group in groups)

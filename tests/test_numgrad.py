@@ -528,6 +528,88 @@ def _nonlocal_messages(q, kv, wq, wk, wv):
     return ng.nonlocal_attention(q, kv, wq, wk, wv)[0]
 
 
+
+def _attention_entries(query, kv):
+    w, a = ng.Tensor(np.ones((2, 2))), ng.Tensor(np.ones(4))
+    return (lambda: ng.nonlocal_attention(query, kv, w, w, w),
+            lambda: ng.additive_attention(query, kv, w, a))
+
+
+def test_layout_faults_fail_direct_callers_with_the_same_messages():
+    # plain (slices, stack) pairs and plain indices are checked on every
+    # call, with the messages they always had
+    stack = ng.Tensor(np.ones((2, 3, 2)))
+    uncovered = [([0], ng.Tensor(np.ones((1, 4, 2))))]
+    empty = [([0, 1], ng.Tensor(np.zeros((2, 0, 2))))]
+    for kv, message in ((uncovered, "need a (B, n, d) receiver stack with each slice in one pair"),
+                        (empty, "empty neighborhood")):
+        for name, call in zip(("nonlocal_attention", "additive_attention"),
+                              _attention_entries(stack, kv)):
+            with pytest.raises(ShapeError) as err:
+                call()
+            assert str(err.value) == f"{name}: {message}"
+    m = ng.Tensor(np.ones((3, 2)))
+    with pytest.raises(ShapeError) as err:
+        ng.gather_rows(m, [[0, 3]])
+    assert str(err.value) == "gather_rows: index out of range for 3 rows"
+    with pytest.raises(ShapeError) as err:
+        ng.gather_rows(m, [0, 1, 2], plan=([0, 1],))
+    assert str(err.value) == "gather_rows: plan does not cover the 3 index entries"
+
+
+def test_layout_faults_are_refused_when_the_layout_is_made():
+    with pytest.raises(ShapeError, match="each of 2 receiver slices must sit in one pair"):
+        ng.KvLayout(2, [[0]], [4])
+    with pytest.raises(ShapeError, match="each of 2 receiver slices must sit in one pair"):
+        ng.KvLayout(2, [[0, 1], [1]], [4, 4])
+    with pytest.raises(ShapeError, match="empty neighborhood"):
+        ng.KvLayout(2, [[1], [0]], [3, 0])
+    with pytest.raises(ShapeError, match="index out of range for 3 rows"):
+        ng.Gather([[0, 3]], None, 3)
+    with pytest.raises(ShapeError, match="index out of range for 3 rows"):
+        ng.Gather([[-1, 0]], None, 3)
+    with pytest.raises(ShapeError, match="plan does not cover the 3 index entries"):
+        ng.Gather([0, 1, 2], ([0, 1],), 3)
+    # a layout picks consecutive slices by a basic slice, others by an array
+    layout = ng.KvLayout(4, [[2, 0], range(1, 2), [3]], [1, 2, 2])
+    assert [i.tolist() if isinstance(i, np.ndarray) else i for i in layout.index] == [
+        [2, 0], slice(1, 2), slice(3, 4)]
+    assert layout.shapes == [(2, 1), (1, 2), (1, 2)]
+
+
+def test_checked_layouts_match_plain_pairs_and_still_check_shapes():
+    rng = np.random.default_rng(46)
+    query = ng.Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
+    kvs = [ng.Tensor(rng.normal(size=(2, 4, 2))), ng.Tensor(rng.normal(size=(1, 1, 2)))]
+    slices = [[2, 0], [1]]
+    layout = ng.KvLayout(3, slices, [4, 1])
+    for plain, checked in zip(_attention_entries(query, list(zip(slices, kvs))),
+                              _attention_entries(query, ng.Neighbors(layout, kvs))):
+        (out, att), (out2, att2) = plain(), checked()
+        assert out.data.tobytes() == out2.data.tobytes()
+        assert [a.data.tobytes() for a in att] == [a.data.tobytes() for a in att2]
+    # stacks, or receivers, that do not have the shapes the layout fixed
+    for query_, stacks in ((query, kvs[:1]), (query, kvs[::-1]),
+                           (ng.Tensor(np.ones((2, 2, 2))), kvs)):
+        for call in _attention_entries(query_, ng.Neighbors(layout, stacks)):
+            with pytest.raises(ShapeError, match="each slice in one pair"):
+                call()
+    # a Gather reads sources of the row count it was checked against, with its own plan
+    m = ng.Tensor(rng.normal(size=(2, 3, 2)), requires_grad=True)
+    gather = ng.Gather([[5, 0], [3, 3]], ([0, 1, 2], [3]), 6)
+    assert gather.rows.dtype == np.intp and not gather.rows.flags.writeable
+    with ng.Tape() as tape:
+        out = ng.gather_rows(m, gather)
+    assert out.data.tobytes() == m.data.reshape(6, 2)[[[5, 0], [3, 3]]].tobytes()
+    [(_, _, backward)] = tape._entries
+    g = rng.normal(size=(2, 2, 2))
+    want = np.zeros((6, 2))
+    np.add.at(want, [5, 0, 3, 3], g.reshape(-1, 2))
+    assert backward(g)[0].tobytes() == want.reshape(2, 3, 2).tobytes()
+    for source, plan in ((ng.Tensor(np.ones((5, 2))), None), (m, gather.plan)):
+        with pytest.raises(ShapeError, match="cannot read"):
+            ng.gather_rows(source, gather, plan)
+
 def _additive_messages(r, n, w, a):
     return ng.additive_attention(r, n, w, a)[0]
 

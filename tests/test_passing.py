@@ -623,10 +623,11 @@ def test_temporal_gathers_by_offset_match_scatter_rows(monkeypatch, tau_c, tau_s
     groups, offsets = [], []
     for block, block_groups in zip(graph.blocks, graph.temporal_groups):
         for group in block_groups:
-            flat = group.rows.reshape(-1)
-            receivers = np.repeat(np.array(block.positions)[group.slices], group.rows.shape[1])
+            flat = group.gather.rows.reshape(-1)
+            receivers = np.repeat(np.array(block.positions)[group.slices],
+                                  group.gather.rows.shape[1])
             rounds = []
-            for entries in group.plan:
+            for entries in group.gather.plan:
                 targets = flat[entries]
                 # no row repeats within a round, which reads through one offset
                 assert len(set(targets.tolist())) == targets.size
@@ -634,14 +635,14 @@ def test_temporal_gathers_by_offset_match_scatter_rows(monkeypatch, tau_c, tau_s
                 rounds.append(offset)
             # the rounds run largest offset first, and every entry sits in one
             assert rounds == sorted(set(rounds), reverse=True)
-            assert sorted(sum(group.plan, [])) == list(range(flat.size))
+            assert sorted(sum(group.gather.plan, [])) == list(range(flat.size))
             groups.append(group)
             offsets.append(rounds)
     if len(clip_boxes) == 1:
-        [(edges, rounds)] = [(g, r) for g, r in zip(groups, offsets) if g.slices.tolist() == [0, 2]]
-        assert edges.rows[0].tolist() == edges.rows[1].tolist()
+        [(edges, rounds)] = [(g, r) for g, r in zip(groups, offsets) if g.slices == [0, 2]]
+        assert edges.gather.rows[0].tolist() == edges.gather.rows[1].tolist()
         assert rounds == [1, -1]
-        assert edges.plan == ([0, 1], [2, 3])
+        assert edges.gather.plan == ([0, 1], [2, 3])
     else:
         assert len(graph.blocks) > 2 and len(groups) > 3
         assert sorted(set(sum(offsets, []))) == [-4, -2, 2, 4]
@@ -649,11 +650,12 @@ def test_temporal_gathers_by_offset_match_scatter_rows(monkeypatch, tau_c, tau_s
     states = [Tensor(b.fg_states.data, requires_grad=True) for b in graph.blocks]
     for group in groups:
         pieces = []
-        for plan in (group.plan, None):
+        # the checked Gather, with its plan, against its rows given plainly, without one
+        for index in (group.gather, group.gather.rows):
             with ng.Tape() as tape:
-                ng.gather_rows(states, group.rows, plan)
+                ng.gather_rows(states, index)
             [(_, _, backward)] = tape._entries
-            g = np.random.default_rng(45).normal(size=group.rows.shape + (cfg.state_dim,))
+            g = np.random.default_rng(45).normal(size=group.gather.rows.shape + (cfg.state_dim,))
             g[..., ::3, :] = -0.0
             pieces.append([None if d is None else d.tobytes() for d in backward(g)])
         assert pieces[0] == pieces[1]
@@ -667,7 +669,7 @@ def test_temporal_gathers_by_offset_match_scatter_rows(monkeypatch, tau_c, tau_s
 
     by_offset = batch_grads()
     gather = ng.gather_rows
-    monkeypatch.setattr(ng, "gather_rows", lambda m, index, plan=None: gather(m, index))
+    monkeypatch.setattr(ng, "gather_rows", lambda m, index, plan=None: gather(m, index.rows))
     assert batch_grads() == by_offset
 
 

@@ -213,6 +213,21 @@ def test_sgd_step_keeps_held_tensors_and_makes_read_only_views():
     assert state.velocity.shape == (sum(t.data.size for t in params.values()),)
 
 
+
+def test_sgd_step_reads_a_parameter_replaced_between_steps():
+    # after a step the parameters are views of one vector, which the next
+    # step reads as it stands; a tensor swapped in between must be read instead
+    params = {"a": Tensor([1.0, 2.0], requires_grad=True, name="a"),
+              "b": Tensor([3.0], requires_grad=True, name="b")}
+    grads = {"a": Tensor([0.5, -0.5]), "b": Tensor([0.25])}
+    state = SgdState()
+    sgd_step(params, grads, lr=0.1, state=state)
+    params["b"] = Tensor([-4.0], requires_grad=True, name="b")
+    p = np.concatenate([params["a"].data, [-4.0]])
+    v = 0.9 * state.velocity + (np.array([0.5, -0.5, 0.25]) + 1e-7 * p)
+    sgd_step(params, grads, lr=0.1, state=state)
+    assert np.concatenate([params["a"].data, params["b"].data]).tobytes() == (p - 0.1 * v).tobytes()
+
 def test_train_loop_matches_per_tensor_sgd_reference(tmp_path):
     # the flat-vector update against momentum SGD written tensor by tensor
     manifest = data.synth_temporal_pairs(str(tmp_path / "tp"), seed=2, clips=6, keyframes=4,
@@ -888,6 +903,30 @@ def wide_clip() -> data.ClipFeatures:
     return data.ClipFeatures(clip_id="w", frames=frames, object_classes=classes,
                              relations=relations)
 
+
+
+def test_scene_graph_targets_are_built_once_per_keyframe(monkeypatch):
+    config = wide_config()
+    params = init_params(config, seed=0)
+    clip = wide_clip()
+    calls = []
+    build = data.relation_target_matrix
+    monkeypatch.setattr(data, "relation_target_matrix",
+                        lambda *args: calls.append(args) or build(*args))
+    losses = [train.clip_loss(clip, params, config).item() for _ in range(2)]
+    assert losses[0] == losses[1] and len(calls) == len(clip.frames)
+    for local, (n, relations, classes) in enumerate(calls):
+        target = clip.relation_targets(local, config.relation_classes)
+        assert target.tobytes() == build(n, relations, classes).tobytes()
+        assert not target.flags.writeable
+    assert all(not t.flags.writeable for t in clip.one_hots(config.object_classes))
+    # a bad predicate fails at first use, and again at the next, with its message
+    clip = wide_clip()
+    clip.relations[3] = [(1, 0, 3)]
+    for _ in range(2):
+        with pytest.raises(ValidationError, match=r"^relation \(1, 0, 3\) does not match "
+                                                  r"any of 3 predicates$"):
+            train.clip_loss(clip, params, config)
 
 def test_clip_loss_tape_length_of_wide_clip():
     # Width, box count and grid size do not change the count, so a narrow
