@@ -14,9 +14,9 @@ from .passing import FN_GAT, FN_NONLOCAL, TASK_ACTION, ModelConfig
 
 def _attention_macs(fn: str, n_queries: int, n_kv: int, d: int) -> int:
     if fn == FN_NONLOCAL:
-        # numgrad.nonlocal_attention projects only the query rows, by wq,
-        # wk^T and wv; the scores and the pooling read the neighbor rows
-        # as they are
+        # numgrad.nonlocal_attention projects only the query rows, by each
+        # head's wq, wk^T and wv; the scores and the pooling read the
+        # neighbor rows as they are, for all heads' stacked rows at once
         project = 3 * n_queries * d * d
         mix = 2 * n_queries * n_kv * d
         return project + mix

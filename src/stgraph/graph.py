@@ -190,14 +190,19 @@ def stack_arrays(arrays: list[np.ndarray]) -> np.ndarray:
 
 
 def project_block(frames: list[KeyframeFeatures], positions: list[int], params) -> Block:
-    """Project the pooled features of same-shaped keyframes, one matmul per node kind."""
+    """Project the pooled features of same-shaped keyframes, one matmul per node kind.
+
+    The feature stacks are not scanned for NaN or infinity: features are
+    pooled from grids checked when they were loaded, and a non-finite
+    feature makes the projection fail its check, naming the input projection.
+    """
     with ng.checked("input projection"):
-        fg_states = ng.matmul(Tensor(stack_arrays([f.fg_feats for f in frames])),
+        fg_states = ng.matmul(ng._wrap(stack_arrays([f.fg_feats for f in frames])),
                               params[PROJ_FOREGROUND])
-        ctx_states = ng.matmul(Tensor(stack_arrays([f.ctx_feats for f in frames])),
+        ctx_states = ng.matmul(ng._wrap(stack_arrays([f.ctx_feats for f in frames])),
                                params[PROJ_CONTEXT])
         if frames[0].prop_feats is not None:
-            props = ng.matmul(Tensor(stack_arrays([f.prop_feats for f in frames])),
+            props = ng.matmul(ng._wrap(stack_arrays([f.prop_feats for f in frames])),
                               params[PROJ_PROPOSAL])
             ctx_states = ng.concat_rows([ctx_states, props])
     ng.check_finite("input projection", fg_states, ctx_states)
@@ -289,12 +294,12 @@ def _temporal_groups(blocks: list[Block], clips: list[range], where: list[tuple[
     One pass over the keyframes, clip by clip, finds each keyframe's
     neighbours by the window offsets and adds its slice, rows and plan
     entries to its block's group of its neighbour row count.  The rows
-    become an array once per group, and the plan stays lists (see
-    TemporalGroup).  A clip has a few keyframes of a few rows each, and a
-    numpy call costs more than the handful of rows it would build: a
-    numpy version of this pass built a 16-clip `temporal` evaluation
-    chunk faster (919 -> 508 us) but one clip slower (155 -> 361 us),
-    on two x86-64 cores with Python 3.11 and numpy 2.4.
+    are checked as a list and become an array once per group, and the
+    plan stays lists (see TemporalGroup).  A clip has a few keyframes of a
+    few rows each, and a numpy call costs more than the handful of rows it
+    would build: a numpy version of this pass built a 16-clip `temporal`
+    evaluation chunk faster (919 -> 508 us) but one clip slower (155 ->
+    361 us), on two x86-64 cores with Python 3.11 and numpy 2.4.
     """
     widths = [block.fg_states.data.shape[1] for block in blocks]
     starts, at = [], 0
@@ -334,8 +339,8 @@ def _temporal_groups(blocks: list[Block], clips: list[range], where: list[tuple[
                     rows += range(first[q], first[q] + m)
     return [[] if by_width is None else
             [TemporalGroup(slices, ng.Gather(
-                np.array(rows, dtype=np.intp).reshape(len(slices), width),
-                tuple(by_offset[t] for t in sorted(by_offset, reverse=True)), at))
+                rows, tuple(by_offset[t] for t in sorted(by_offset, reverse=True)), at,
+                shape=(len(slices), width)))
              for width, (slices, rows, by_offset) in by_width.items()]
             for by_width in pending]
 

@@ -16,12 +16,14 @@ computed at once, each with the same bits as on its own.
 A backward rule computes only what grad() keeps: matmul, the one rule
 that meets a constant input (graph.project_block's feature stack),
 returns None for an operand that does not require a gradient instead of
-a product that would be dropped.  The rules run the same IEEE operations
-as the chains of small primitives they stand for, in fewer numpy calls:
-x.swapaxes(-1, -2) for np.swapaxes, x.sum(axis=-1, keepdims=True) / d
-for a mean over d entries, and a rank-1 piece g_j v^T formed as
-g_j * v^T + 0.0, where the + 0.0 turns a -0.0 product into the +0.0
-that a k=1 matrix product, which adds to a zero, gives.
+a product that would be dropped.  At one attention head, the rules run
+the same IEEE operations as the chains of small primitives they stand
+for, in fewer numpy calls: x.swapaxes(-1, -2) for np.swapaxes,
+x.sum(axis=-1, keepdims=True) / d for a mean over d entries, and a
+rank-1 piece g_j v^T formed as g_j * v^T + 0.0, where the + 0.0 turns a
+-0.0 product into the +0.0 that a k=1 matrix product, which adds to a
+zero, gives.  What several heads change is said where the fused blocks
+begin.
 
 Finiteness is checked where values enter and at layer boundaries, not
 after every primitive.  The public Tensor constructor rejects NaN and
@@ -36,6 +38,7 @@ relu and softmax can map an infinite intermediate to a finite output.
 
 import ctypes
 import ctypes.util
+import itertools
 import math
 import platform
 import threading
@@ -285,9 +288,11 @@ def grad(tape: Tape, loss: Tensor, params: dict[str, Tensor]) -> dict[str, Tenso
 
     The replay flushes subnormal values to zero, as ``checked`` does.
     Pieces are added one at a time, in the order the replay hands them
-    out.  A piece with one more axis than its tensor holds per-slice
-    pieces of an input shared by the slices of a stack; they are added
-    last slice first, as the pieces of one entry per slice would be.
+    out; a backward that is a generator forms each piece after the one
+    before was added and let go.  A piece with one more axis than its
+    tensor holds per-slice pieces of an input shared by the slices of a
+    stack; they are added last slice first, as the pieces of one entry per
+    slice would be.
     """
     if loss.data.shape != ():
         raise ShapeError(f"loss must be a scalar, got shape {loss.data.shape}")
@@ -298,14 +303,14 @@ def grad(tape: Tape, loss: Tensor, params: dict[str, Tensor]) -> dict[str, Tenso
             if g is None:
                 continue
             for tensor, piece in zip(inputs, backward(g)):
-                if piece is None or not tensor.requires_grad:
-                    continue
-                key = id(tensor)
-                held = partials.get(key)
-                if piece.ndim > tensor.data.ndim:
-                    partials[key] = _add_slices(held, piece)
-                else:
-                    partials[key] = piece if held is None else held + piece
+                if piece is not None and tensor.requires_grad:
+                    key = id(tensor)
+                    held = partials.get(key)
+                    if piece.ndim > tensor.data.ndim:
+                        partials[key] = _add_slices(held, piece)
+                    else:
+                        partials[key] = piece if held is None else held + piece
+                del piece  # let it go before a generator forms the next
     result = {}
     for name, p in params.items():
         acc = partials.get(id(p))
@@ -352,16 +357,6 @@ def _add_slices(held: np.ndarray | None, pieces: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray,
-                  need_a: bool = True, need_b: bool = True):
-    """Cotangents (of a, of b) of a @ b, where a may be a stack; None for one not needed.
-
-    For a stack a and a matrix b, b gets one piece per slice.
-    """
-    return (g @ b.swapaxes(-1, -2) if need_a else None,
-            a.swapaxes(-1, -2) @ g if need_b else None)
-
-
 def _softmax_values(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis with max subtraction for stability."""
     e = np.exp(x - x.max(axis=-1, keepdims=True))
@@ -396,38 +391,6 @@ def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, scale_: 
     m2 = (gh * xhat).sum(axis=-1, keepdims=True) / d
     dx = (gh - m1 - xhat * m2) * inv
     return dx, (g * xhat).sum(axis=-2), g.sum(axis=-2)
-
-
-def _slice_scores(parts: list[np.ndarray], v: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Each (..., n, d) part times the column v[start:stop], side by side: (..., n, parts)."""
-    col = v[start:stop, None]
-    return np.concatenate([p @ col for p in parts], axis=-1)
-
-
-def _slice_scores_grads(parts: list[np.ndarray], v: np.ndarray, start: int, stop: int,
-                        g: np.ndarray):
-    """Cotangents of _slice_scores: one per part, and v's per slice, zero outside [start, stop).
-
-    v's cotangent keeps the parts' leading block axis: one piece per slice.
-    A part's cotangent is the rank-1 product of its column of g with the
-    row v[start:stop], formed elementwise + 0.0 (see the module docstring).
-    """
-    row = v[None, start:stop]
-    cols = [g[..., j:j + 1] for j in range(len(parts))]
-    # sum the parts' contributions last part first, as separate products
-    # recorded in part order would accumulate them
-    dcol = None
-    for p, gj in zip(reversed(parts), reversed(cols)):
-        piece = p.swapaxes(-1, -2) @ gj
-        dcol = piece if dcol is None else dcol + piece
-    dv = np.zeros(dcol.shape[:-2] + v.shape)
-    dv[..., start:stop] = dcol[..., 0]
-    return [gj * row + 0.0 for gj in cols], dv
-
-
-def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce a cotangent broadcast over the last two axes back to an operand's shape."""
-    return g.sum(axis=tuple(axis for axis in (-2, -1) if shape[axis] == 1), keepdims=True)
 
 
 def _relu_values(x: np.ndarray):
@@ -491,8 +454,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: unsupported ranks {ad.shape} @ {bd.shape}")
     if ad.shape[-1] != bd.shape[0]:
         raise ShapeError(f"matmul: shapes {ad.shape} and {bd.shape} do not align")
-    need = a.requires_grad, b.requires_grad
-    return _emit(ad @ bd, (a, b), lambda g: _matmul_grads(ad, bd, g, *need))
+    need_a, need_b = a.requires_grad, b.requires_grad
+    # for a stack a and a matrix b, b gets one piece per slice
+    return _emit(ad @ bd, (a, b), lambda g: (g @ bd.swapaxes(-1, -2) if need_a else None,
+                                             ad.swapaxes(-1, -2) @ g if need_b else None))
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:
@@ -517,13 +482,18 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
     return _emit(out, tuple(parts), backward)
 
 
+def _check_index(low, high, size: int, plan, rows: int) -> None:
+    """Raise unless size entries from low to high lie in [0, rows) and, with a plan, sit in it."""
+    if low < 0 or high >= rows:
+        raise ShapeError(f"gather_rows: index out of range for {rows} rows")
+    if plan is not None and sum(map(len, plan)) != size:
+        raise ShapeError(f"gather_rows: plan does not cover the {size} index entries")
+
+
 def _checked_index(index, plan, rows: int) -> np.ndarray:
     """index as an intp array, checked to lie in [0, rows) and, with a plan, to be covered by it."""
     idx = np.asarray(index, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= rows):
-        raise ShapeError(f"gather_rows: index out of range for {rows} rows")
-    if plan is not None and sum(map(len, plan)) != idx.size:
-        raise ShapeError(f"gather_rows: plan does not cover the {idx.size} index entries")
+    _check_index(idx.min(initial=0), idx.max(initial=-1), idx.size, plan, rows)
     return idx
 
 
@@ -534,13 +504,20 @@ class Gather:
     plan, when given, must hold as many entries as rows, as gather_rows
     requires.  gather_rows then takes both as they stand and checks only
     that its sources hold `sources` rows; graph.build_batch makes one per
-    temporal group.
+    temporal group.  With shape, rows is a flat list of Python ints, as
+    build_batch collects them: the list is checked as it stands and
+    becomes one array of that shape, without numpy reductions or a copy.
     """
 
     __slots__ = ("rows", "plan", "sources")
 
-    def __init__(self, rows, plan: tuple[list[int], ...] | None, sources: int):
-        self.rows = _checked_index(np.array(rows, dtype=np.intp), plan, sources)
+    def __init__(self, rows, plan: tuple[list[int], ...] | None, sources: int,
+                 shape: tuple[int, ...] | None = None):
+        if shape is None:
+            self.rows = _checked_index(np.array(rows, dtype=np.intp), plan, sources)
+        else:
+            _check_index(min(rows, default=0), max(rows, default=-1), len(rows), plan, sources)
+            self.rows = np.array(rows, dtype=np.intp).reshape(shape)
         self.rows.flags.writeable = False
         self.plan = plan
         self.sources = sources
@@ -597,15 +574,35 @@ def gather_rows(m: Tensor | list[Tensor], index, plan=None) -> Tensor:
 # ---------------------------------------------------------------------------
 # fused message-passing blocks: each records one tape entry for what would
 # otherwise be a chain of small primitives (tests/small_primitives.py keeps
-# that chain's primitives, and the chains of heads' losses).  The forward evaluates the chain's numpy expressions, and the
-# backward runs the chain's backward rules in reverse order.  An input used
-# more than once is listed once per use, in the order the chain's entries
-# would have handed it cotangent pieces, so grad() accumulates the same
-# pieces in the same order and every number is bit-identical to the
-# chain's.  The one exception is a parameter vector used twice per slice
-# (the GAT score, the gate): it is listed once, with the sum of its two
-# pieces.  The pieces fill disjoint halves of the vector, zeros elsewhere,
-# so adding them first gives the bits of adding them one after the other.
+# that chain's primitives, and the chains of heads' losses).  The forward
+# evaluates the chain's numpy expressions, and the backward runs the
+# chain's backward rules in reverse order.  The attention blocks' and the
+# gate's backward is a generator: it hands grad() one input's piece at a
+# time, in input order, and forms each only when grad() asks for it, so
+# grad() folds a per-slice weight piece before the next one exists.
+#
+# Each input is listed once.  Where the chain would hand an input several
+# pieces, the block adds them first: an attention block's neighbor stack
+# gets one piece per pair, and a message function's output one piece from
+# gated_mix.  An input that no later entry has handed a piece yet, as the
+# gate's messages and the last message function's neighbor stack, keeps
+# the chain's bits at one head; otherwise the sum may move its last bit.
+# A parameter vector used twice per slice (the GAT score, the gate) gets
+# the sum of its two pieces, which fill disjoint halves of the vector,
+# zeros elsewhere, so adding them first gives the bits of adding them one
+# after the other.
+#
+# The attention blocks take the H heads of one message function as
+# sequences of per-head weights.  The d x d products stay per head, with
+# the shapes of a lone head's.  Between them, everything runs once over a
+# (b, H n, .) row stack, head h in rows h n ... (h + 1) n: the scores,
+# softmax, relu and pooling, and backward their cotangents; the neighbor
+# stack's piece sums the heads inside its products, and the receivers'
+# piece sums them one after the other.  So with several heads the bits
+# may move in the last place against one chain per head, and every
+# product still runs per slice.  The messages come back as column blocks,
+# head h in columns h f ... (h + 1) f of a (B, n, H f) stack, which
+# gated_mix reads as its message slots.
 
 
 def _slice_index(slices) -> tuple:
@@ -613,10 +610,14 @@ def _slice_index(slices) -> tuple:
 
     Consecutive slices, such as the spatial phase's range over a whole
     block, are indexed by a basic slice, so numpy takes views, not copies.
+    A list of Python ints, as a graph builds, is taken as it stands.
     """
     if isinstance(slices, range) and slices.step == 1:
         return slices, slice(slices.start, slices.stop)
-    run = np.asarray(slices, dtype=np.intp).tolist()
+    if type(slices) is list and all(type(u) is int for u in slices):
+        run = slices
+    else:
+        run = np.asarray(slices, dtype=np.intp).tolist()
     lo = run[0] if run else 0
     return run, (slice(lo, lo + len(run)) if run == list(range(lo, lo + len(run)))
                  else np.array(run))
@@ -668,10 +669,9 @@ def _kv_groups(query: Tensor, kv, what: str) -> list[tuple]:
     """
     if isinstance(kv, Neighbors):
         layout, stacks = kv
-        if (query.data.ndim != 3 or query.data.shape[0] != layout.count
-                or len(stacks) != len(layout.shapes)
-                or any(t.data.ndim != 3 or t.data.shape[:2] != shape
-                       for t, shape in zip(stacks, layout.shapes))):
+        # a (B, n, d) receiver stack's shape[:-2] is (B,), a (b, s, d) stack's shape[:-1] (b, s)
+        if (query.data.shape[:-2] != (layout.count,)
+                or [t.data.shape[:-1] for t in stacks] != layout.shapes):
             raise ShapeError(f"{what}: need a (B, n, d) receiver stack with each slice in one pair")
         return list(zip(layout.index, stacks))
     groups, runs, fits = [], [], query.data.ndim == 3
@@ -687,154 +687,277 @@ def _kv_groups(query: Tensor, kv, what: str) -> list[tuple]:
     return groups
 
 
-def nonlocal_attention(query: Tensor, kv: list[tuple], wq: Tensor, wk: Tensor,
-                       wv: Tensor) -> tuple[Tensor, list[Tensor]]:
-    """Scaled dot-product attention of query rows over kv rows, as one tape entry.
+def _row_stack(products: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Each head's product a @ b, stacked along axis -2 in head order.
+
+    The products are written into their rows of the stack; a lone head's
+    product is the stack.
+    """
+    if len(products) == 1:
+        a, b = products[0]
+        return a @ b
+    a, b = products[0]
+    n = a.shape[-2]
+    out = np.empty(a.shape[:-2] + (len(products) * n, b.shape[-1]))
+    for h, (a, b) in enumerate(products):
+        np.matmul(a, b, out=out[..., h * n:(h + 1) * n, :])
+    return out
+
+
+def _blocks(x: np.ndarray, heads: int, axis: int) -> list[np.ndarray]:
+    """Views of x's equal blocks along axis -2 (rows) or -1 (columns), one per head.
+
+    One head's block is x itself.
+    """
+    if heads == 1:
+        return [x]
+    size = x.shape[axis] // heads
+    if axis == -2:
+        return [x[..., h * size:(h + 1) * size, :] for h in range(heads)]
+    return [x[..., h * size:(h + 1) * size] for h in range(heads)]
+
+
+def _by_slice(count: int, pieces: list[tuple]) -> np.ndarray:
+    """The (count, ...) stack from (slices, piece) pairs whose slices cover it once.
+
+    A single pair over a basic slice covers the whole stack: its piece is the stack.
+    """
+    if len(pieces) == 1 and isinstance(pieces[0][0], slice):
+        return pieces[0][1]
+    out = np.empty((count,) + pieces[0][1].shape[1:])
+    for slices, piece in pieces:
+        out[slices] = piece
+    return out
+
+
+def _head_arrays(what: str, *weights) -> list[list[np.ndarray]]:
+    """The arrays of each sequence of per-head weights, checked to hold one or more heads alike.
+
+    Every sequence holds the same number of heads, and the weights of one
+    sequence share a shape.
+    """
+    try:
+        arrays = [[w.data for w in ws] for ws in weights]
+    except (TypeError, AttributeError):
+        raise ShapeError(f"{what}: weights must be sequences of per-head tensors") from None
+    heads = len(arrays[0])
+    if (not heads or [len(a) for a in arrays] != [heads] * len(arrays)
+            or heads > 1 and any(len({w.shape for w in a}) > 1 for a in arrays)):
+        raise ShapeError(f"{what}: need one or more heads, alike in number and shape, got "
+                         f"{[[w.shape for w in a] for a in arrays]}")
+    return arrays
+
+
+def nonlocal_attention(query: Tensor, kv, wq, wk, wv) -> tuple[Tensor, list[Tensor]]:
+    """Scaled dot-product attention of query rows over kv rows, H heads as one tape entry.
 
     query is a (B, n, d) stack and kv a list of (slices, stack) pairs, or
     Neighbors, as both message-passing phases hand them: the query slices
     a pair lists attend over the rows of its (len(slices), s, d) stack, and
-    each slice is listed once.  Returns (softmax(q k^T / sqrt(width of k)) @ v, one
-    attention tensor per pair) for q = query @ wq, k = kv @ wk and
-    v = kv @ wv, slice by slice; the attention is not on the tape.
+    each slice is listed once.  wq, wk and wv are sequences of the H
+    heads' weights.  Head h's message is softmax(q k^T / sqrt(width of k))
+    @ v for q = query @ wq[h], k = kv @ wk[h] and v = kv @ wv[h], slice by
+    slice, and fills columns h f ... (h + 1) f of the (B, n, H f) result,
+    f the width of wv[h].  Returns (messages, one (b, H n, s) attention
+    tensor per pair, head h in rows h n ... (h + 1) n); the attention is
+    not on the tape.
 
     The products run reassociated, so the s neighbor rows are never
-    projected: u = (query @ wq) @ wk^T once per block, then per pair the
-    scores (u @ kv^T) * c and the messages (attention @ kv) @ wv.  That is
-    3 n d^2 + 2 n s d multiply-accumulates per slice instead of
-    (n + 2 s) d^2 + 2 n s d.  The chain it stands for is matmul(query, wq),
-    matmul(., transpose(wk)), matmul(., transpose(kv)), scale, softmax,
-    matmul(attention, kv), matmul(., wv).
+    projected: u = (query @ wq[h]) @ wk[h]^T once per block and head, then
+    per pair the scores (u @ kv^T) * c and the messages
+    (attention @ kv) @ wv[h].  That is 3 n d^2 + 2 n s d multiply-accumulates
+    per slice and head instead of (n + 2 s) d^2 + 2 n s d.  The chain it
+    stands for, per head, is matmul(query, wq), matmul(., transpose(wk)),
+    matmul(., transpose(kv)), scale, softmax, matmul(attention, kv),
+    matmul(., wv).
     """
     groups = _kv_groups(query, kv, "nonlocal_attention")
-    qd, wqd, wkd, wvd = query.data, wq.data, wk.data, wv.data
-    d = qd.shape[-1]
-    if (wqd.ndim != 2 or wqd.shape != wkd.shape or wvd.ndim != 2 or wqd.shape[0] != d
-            or wvd.shape[0] != d or any(t.data.shape[-1] != d for _, t in groups)):
+    qd = query.data
+    wqs, wks, wvs = _head_arrays("nonlocal_attention", wq, wk, wv)
+    d, heads = qd.shape[-1], len(wqs)
+    if (wqs[0].ndim != 2 or wqs[0].shape != wks[0].shape or wvs[0].ndim != 2
+            or wqs[0].shape[0] != d or wvs[0].shape[0] != d
+            or any(t.data.shape[-1] != d for _, t in groups)):
         raise ShapeError(f"nonlocal_attention: query {qd.shape}, kv "
                          f"{[t.data.shape for _, t in groups]} and weights "
-                         f"{wqd.shape}/{wkd.shape}/{wvd.shape} do not align")
-    c = 1.0 / math.sqrt(wqd.shape[1])
-    q = qd @ wqd
-    u = q @ wkd.T
-    out = np.empty(qd.shape[:-1] + wvd.shape[1:])
+                         f"{wqs[0].shape}/{wks[0].shape}/{wvs[0].shape} do not align")
+    c = 1.0 / math.sqrt(wqs[0].shape[1])
+    q = [qd @ w for w in wqs]
+    u = _row_stack([(qh, w.T) for qh, w in zip(q, wks)])
+    out = np.empty(qd.shape[:-1] + (heads * wvs[0].shape[1],))
+    out_heads = _blocks(out, heads, -1)
     parts = []
     for slices, t in groups:
         kvd = t.data
         kvt = kvd.swapaxes(-1, -2)
         attention = _softmax_values((u[slices] @ kvt) * c)
-        pooled = attention @ kvd
-        out[slices] = pooled @ wvd
+        pooled = _blocks(attention @ kvd, heads, -2)
+        for o, p, w in zip(out_heads, pooled, wvs):
+            o[slices] = p @ w
         parts.append((slices, kvd, kvt, pooled, attention))
 
     def backward(g):
         du = np.empty_like(u)
-        dwv = np.empty(qd.shape[:-2] + wvd.shape)
-        dkv_v, dkv_k = [], []
-        for slices, kvd, kvt, pooled, attention in parts:
-            dpooled, dwv[slices] = _matmul_grads(pooled, wvd, g[slices])
-            dattention, piece_v = _matmul_grads(attention, kvd, dpooled)
-            du[slices], dkvt = _matmul_grads(u[slices], kvt,
-                                             _softmax_grad(attention, dattention) * c)
-            dkv_v.append(piece_v)
-            dkv_k.append(dkvt.swapaxes(-1, -2))
-        dq, dwkt = _matmul_grads(q, wkd.T, du)
-        dquery, dwq = _matmul_grads(qd, wqd, dq)
-        return (*dkv_v, dwv, *dkv_k, dwkt.swapaxes(-1, -2), dquery, dwq)
+        g_heads = []
+        for slices, kvd, kvt, _, attention in parts:
+            g_heads.append(_blocks(g[slices], heads, -1))
+            dpooled = _row_stack([(gh, w.T) for gh, w in zip(g_heads[-1], wvs)])
+            dscores = _softmax_grad(attention, dpooled @ kvt) * c
+            du[slices] = dscores @ kvd
+            dkvt = u[slices].swapaxes(-1, -2) @ dscores
+            yield attention.swapaxes(-1, -2) @ dpooled + dkvt.swapaxes(-1, -2)
+        for h in range(heads):
+            yield _by_slice(len(qd), [(part[0], part[3][h].swapaxes(-1, -2) @ gh[h])
+                                      for part, gh in zip(parts, g_heads)])
+        du_heads = _blocks(du, heads, -2)
+        for qh, duh in zip(q, du_heads):
+            yield (qh.swapaxes(-1, -2) @ duh).swapaxes(-1, -2)
+        dq = [duh @ w for duh, w in zip(du_heads, wks)]
+        dquery = dq[0] @ wqs[0].T
+        for dqh, w in zip(dq[1:], wqs[1:]):
+            dquery += dqh @ w.T
+        yield dquery
+        for dqh in dq:
+            yield qd.swapaxes(-1, -2) @ dqh
 
     kvs = tuple(t for _, t in groups)
-    out = _emit(out, (*kvs, wv, *kvs, wk, query, wq), backward)
-    attention = [_wrap(part[-1]) for part in parts]
-    return out, attention
+    out = _emit(out, (*kvs, *wv, *wk, query, *wq), backward)
+    return out, [_wrap(part[4]) for part in parts]
 
 
-def additive_attention(receivers: Tensor, neighbors: list[tuple], transform: Tensor,
-                       score: Tensor) -> tuple[Tensor, list[Tensor]]:
-    """GAT-style attention of every receiver over the neighbor rows, as one tape entry.
+def _score_columns(vectors: list[np.ndarray], start: int, stop: int) -> np.ndarray:
+    """The (stop - start, H) matrix whose column h is vectors[h][start:stop]."""
+    if len(vectors) == 1:
+        return vectors[0][start:stop, None]
+    return np.stack([v[start:stop] for v in vectors], axis=1)
+
+
+def additive_attention(receivers: Tensor, neighbors, transform,
+                       score) -> tuple[Tensor, list[Tensor]]:
+    """GAT-style attention of every receiver over the neighbor rows, H heads as one tape entry.
 
     receivers is a (B, n, d) stack and neighbors a list of (slices, stack)
-    pairs, as the kv of nonlocal_attention.  With score = [a1 || a2],
-    attention row v is softmax over j of relu(h_v . a1 + h_j . a2), and
-    the message is relu((attention @ neighbors) @ transform), slice by
-    slice.  Returns (messages, one attention tensor per pair); the
-    attention is not on the tape.
+    pairs, as the kv of nonlocal_attention; transform and score are
+    sequences of the H heads' weights.  With score[h] = [a1 || a2], head
+    h's attention row v is softmax over j of relu(h_v . a1 + h_j . a2), and
+    its message relu((attention @ neighbors) @ transform[h]), slice by
+    slice, in columns h f ... (h + 1) f of the (B, n, H f) result.  The
+    score halves of all heads are one product each: receivers @ [a1_0 ...]
+    and neighbors @ [a2_0 ...].  Returns (messages, one (b, H n, s)
+    attention tensor per pair, as nonlocal_attention's); the attention is
+    not on the tape.
     """
     groups = _kv_groups(receivers, neighbors, "additive_attention")
-    rd, wd, a = receivers.data, transform.data, score.data
-    d = rd.shape[-1]
-    if (wd.ndim != 2 or wd.shape[0] != d or a.shape != (2 * d,)
+    rd = receivers.data
+    ws, scores = _head_arrays("additive_attention", transform, score)
+    d, heads = rd.shape[-1], len(ws)
+    if (ws[0].ndim != 2 or ws[0].shape[0] != d or scores[0].shape != (2 * d,)
             or any(t.data.shape[-1] != d for _, t in groups)):
         raise ShapeError(f"additive_attention: receivers {rd.shape}, neighbors "
-                         f"{[t.data.shape for _, t in groups]}, transform {wd.shape} and "
-                         f"score {a.shape} do not align")
-    own = _slice_scores([rd], a, 0, d)
-    out = np.empty(rd.shape[:-1] + wd.shape[1:])
+                         f"{[t.data.shape for _, t in groups]}, transform {ws[0].shape} and "
+                         f"score {scores[0].shape} do not align")
+    n = rd.shape[-2]
+    a1, a2 = _score_columns(scores, 0, d), _score_columns(scores, d, 2 * d)
+    own = rd @ a1
+    pre = np.empty(rd.shape[:-1] + (heads * ws[0].shape[1],))
+    pre_heads = _blocks(pre, heads, -1)
     parts = []
     for slices, t in groups:
         nd = t.data
-        other_t = _slice_scores([nd], a, d, 2 * d).swapaxes(-1, -2)
-        raw, raw_mask = _relu_values(own[slices] + other_t)
+        # (b, H, n, 1) + (b, H, 1, s): head h's scores, in rows h n ... (h + 1) n
+        raw = own[slices].swapaxes(-1, -2)[..., None] + (nd @ a2).swapaxes(-1, -2)[..., None, :]
+        raw, raw_mask = _relu_values(raw.reshape(len(nd), heads * n, nd.shape[1]))
         attention = _softmax_values(raw)
-        pooled = attention @ nd
-        out[slices], out_mask = _relu_values(pooled @ wd)
-        parts.append((slices, nd, other_t.shape, raw_mask, attention, pooled, out_mask))
+        pooled = _blocks(attention @ nd, heads, -2)
+        for o, p, w in zip(pre_heads, pooled, ws):
+            o[slices] = p @ w
+        parts.append((slices, nd, raw_mask, attention, pooled))
+    out, out_mask = _relu_values(pre)
 
     def backward(g):
-        dtransform = np.empty(rd.shape[:-2] + wd.shape)
-        dscore_other = np.empty(rd.shape[:-2] + a.shape)
+        gm = g * out_mask
+        g_heads = [_blocks(gm[part[0]], heads, -1) for part in parts]
+        for h in range(heads):
+            yield _by_slice(len(rd), [(part[0], part[4][h].swapaxes(-1, -2) @ gh[h])
+                                      for part, gh in zip(parts, g_heads)])
         draw_own = np.empty_like(own)
-        dnbrs = []
-        for slices, nd, other_shape, raw_mask, attention, pooled, out_mask in parts:
-            dpooled, dtransform[slices] = _matmul_grads(pooled, wd, g[slices] * out_mask)
-            dattention, dnbr = _matmul_grads(attention, nd, dpooled)
-            draw = _softmax_grad(attention, dattention) * raw_mask
-            (dnbr_score,), dscore_other[slices] = _slice_scores_grads(
-                [nd], a, d, 2 * d, _sum_to(draw, other_shape).swapaxes(-1, -2))
-            draw_own[slices] = _sum_to(draw, own.shape)
-            dnbrs += [dnbr, dnbr_score]
-        (dreceivers,), dscore_own = _slice_scores_grads([rd], a, 0, d, draw_own)
-        return (dtransform, *dnbrs, dreceivers, dscore_other + dscore_own)
+        dscore_other = np.empty(rd.shape[:-2] + a2.shape)
+        for (slices, nd, raw_mask, attention, _), gh in zip(parts, g_heads):
+            dpooled = _row_stack([(x, w.T) for x, w in zip(gh, ws)])
+            draw = _softmax_grad(attention, dpooled @ nd.swapaxes(-1, -2)) * raw_mask
+            draw = draw.reshape(len(nd), heads, n, nd.shape[1])
+            dother = draw.sum(axis=-2).swapaxes(-1, -2)
+            draw_own[slices] = draw.sum(axis=-1).swapaxes(-1, -2)
+            dscore_other[slices] = nd.swapaxes(-1, -2) @ dother
+            yield attention.swapaxes(-1, -2) @ dpooled + dother @ a2.T
+        yield draw_own @ a1.T
+        # + 0.0 gives a -0.0 entry the sign that adding the zero half gives
+        dscore = np.concatenate([rd.swapaxes(-1, -2) @ draw_own, dscore_other], axis=-2) + 0.0
+        for h in range(heads):
+            yield dscore[..., h]
 
-    nbrs = tuple(t for _, t in groups for _use in (0, 1))
-    out = _emit(out, (transform, *nbrs, receivers, score), backward)
-    attention = [_wrap(part[4]) for part in parts]
-    return out, attention
+    nbrs = tuple(t for _, t in groups)
+    out = _emit(out, (*transform, *nbrs, receivers, *score), backward)
+    return out, [_wrap(part[3]) for part in parts]
 
 
 def gated_mix(messages: list[Tensor], receivers: Tensor, gate: Tensor) -> tuple[Tensor, Tensor]:
     """Per-receiver convex mix of K parallel messages, as one tape entry.
 
-    With gate = [g1 || g2], weight k of receiver v is softmax over k of
-    relu(h_v . g1 + m_k[v] . g2), and row v of the result is
-    sum_k weight[v, k] * m_k[v], slice by slice for stacks.  Returns
-    (mix, weights (..., n, K)); the weights are not on the tape.
+    messages are (..., n, k d) stacks, each read as k message slots of
+    width d, side by side: a message function's heads as the attention
+    entries return them.  With gate = [g1 || g2], weight k of receiver v
+    is softmax over k of relu(h_v . g1 + m_k[v] . g2), and row v of the
+    result is sum_k weight[v, k] * m_k[v], slice by slice for stacks.
+    Returns (mix, weights (..., n, K)); the weights are not on the tape.
+
+    A message's slot scores are one product of its (..., n k, d) rows with
+    g2, and its cotangent pieces are formed for all its slots at once; the
+    slots' shares of g2's cotangent are one product per message, added last
+    message first.
     """
     _need_stack(receivers, "gated_mix receivers")
     if not messages:
         raise ShapeError("gated_mix: no messages")
     rd, gd = receivers.data, gate.data
-    parts = [m.data for m in messages]
     d = rd.shape[-1]
-    if gd.shape != (2 * d,) or any(p.shape != rd.shape for p in parts):
-        raise ShapeError(f"gated_mix: messages {[p.shape for p in parts]}, receivers {rd.shape} "
-                         f"and gate {gd.shape} do not align")
-    slot = _slice_scores(parts, gd, d, 2 * d)
-    own = _slice_scores([rd], gd, 0, d)
+    if (gd.shape != (2 * d,)
+            or any(m.data.shape[:-1] != rd.shape[:-1] or m.data.shape[-1] % d
+                   or not m.data.shape[-1] for m in messages)):
+        raise ShapeError(f"gated_mix: messages {[m.data.shape for m in messages]}, receivers "
+                         f"{rd.shape} and gate {gd.shape} do not align")
+    # each message as (..., n, k, d): its slot j is [..., j, :], a column block
+    slots = [m.data.reshape(rd.shape[:-1] + (-1, d)) for m in messages]
+    rows = rd.shape[:-2] + (-1, d)  # a message's slots as rows, row i k + j
+    own = rd @ gd[:d, None]
+    slot = np.concatenate([(s.reshape(rows) @ gd[d:, None]).reshape(s.shape[:-1])
+                           for s in slots], axis=-1)
     raw, mask = _relu_values(own + slot)
     w = _softmax_values(raw)
+    parts = [s[..., j, :] for s in slots for j in range(s.shape[-2])]
     acc = w[..., 0:1] * parts[0]
     for j in range(1, len(parts)):
         acc = acc + w[..., j:j + 1] * parts[j]
 
     def backward(g):
-        dw = np.stack([(g * p).sum(axis=-1) for p in parts], axis=-1)
-        dmix = [w[..., j:j + 1] * g for j in range(len(parts))]
+        dw = np.concatenate([(s * g[..., None, :]).sum(axis=-1) for s in slots], axis=-1)
         draw = _softmax_grad(w, dw) * mask
-        (dreceivers,), dgate_own = _slice_scores_grads([rd], gd, 0, d, _sum_to(draw, own.shape))
-        dslot, dgate_slot = _slice_scores_grads(parts, gd, d, 2 * d, _sum_to(draw, slot.shape))
-        return (*dmix, dreceivers, *dslot, dgate_own + dgate_slot)
+        bounds = [0, *itertools.accumulate(s.shape[-2] for s in slots)]
+        spans = list(zip(slots, bounds, bounds[1:]))  # each message's columns of draw
+        for s, lo, hi in spans:
+            # w_j g plus the rank-1 score piece of each slot, + 0.0 as the module docstring says
+            piece = w[..., lo:hi, None] * g[..., None, :] + (draw[..., lo:hi, None] * gd[d:] + 0.0)
+            yield piece.reshape(g.shape[:-1] + (-1,))
+        gown = draw.sum(axis=-1, keepdims=True)
+        yield gown * gd[None, :d] + 0.0
+        dslot = None
+        for s, lo, hi in reversed(spans):
+            col = s.reshape(rows).swapaxes(-1, -2) @ draw[..., lo:hi].reshape(rows[:-1] + (1,))
+            dslot = col if dslot is None else dslot + col
+        dgate = np.concatenate([rd.swapaxes(-1, -2) @ gown, dslot], axis=-2)[..., 0]
+        yield dgate + 0.0
 
-    out = _emit(acc, (*messages, receivers, *messages, gate), backward)
+    out = _emit(acc, (*messages, receivers, gate), backward)
     return out, _wrap(w)
 
 

@@ -2,19 +2,20 @@
 
 Each inference iteration runs a spatial phase and, when the temporal
 window is wider than one keyframe, a temporal phase.  A phase computes
-one message per configured message function per head, combines parallel
-messages with an attention gate, and applies a residual layer-norm
-update.  Only foreground nodes update; context nodes are read-only
-senders.  Phases are synchronous: every message in a phase is computed
-from the states as they were when the phase started.
+one message per configured message function per head (a message slot),
+combines parallel messages with an attention gate, and applies a
+residual layer-norm update.  Only foreground nodes update; context nodes
+are read-only senders.  Phases are synchronous: every message in a phase
+is computed from the states as they were when the phase started.
 
 Every step is batched over blocks of keyframes.  A block stacks the
 keyframes whose row counts match, from one clip or from many, without
 padding: the n foreground states of each of its B keyframes attend to
-their s neighbor states through a (B, n, s) attention stack, and the gate
-scores all K message slots of every receiver as a (B, n, K) stack.  Both
-phases run on the graph's blocks, whose keyframes all have temporal
-neighbors or all have none.  Both phases hand each slot (slices, stack)
+their s neighbor states through a (B, H n, s) attention stack, head h in
+rows h n ... (h + 1) n, and the gate scores all K message slots of every
+receiver as a (B, n, K) stack.  Both phases run on the graph's blocks,
+whose keyframes all have temporal neighbors or all have none.  Both
+phases hand each message function's entry (slices, stack)
 neighbor pairs as numgrad.Neighbors over the block's layout, which the
 graph built and checked once: the spatial phase one pair per block (own
 rows, then context), the temporal phase, which skips blocks without
@@ -24,11 +25,14 @@ graph's temporal_groups, and the gather's backward adds its cotangent
 one window offset at a time (see graph.TemporalGroup).
 The additive scores relu(a . [h_v || h_j]) are evaluated as
 relu(h_v . a1 + h_j . a2), a column plus a row, so no per-receiver pair
-matrix is ever built.  Each slot, the gate and the residual update is one
-fused numgrad primitive per block (a single slot needs no gate), so the
-tape grows with iterations x phases x blocks x slots, not with the number
-of keyframes, clips or nodes.  Per-node Python runs only to copy
-attention and gate rows into trace records.
+matrix is ever built.  Each message function, all H heads at once, the
+gate and the residual update is one fused numgrad primitive per block (a
+single slot needs no gate); a function's entry returns its heads'
+messages side by side, a (B, n, H d) stack that the gate reads as H
+slots.  So the tape grows with iterations x phases x blocks x message
+functions, not with the number of heads, keyframes, clips or nodes.
+Per-node Python runs only to copy attention and gate rows into trace
+records.
 
 Each (iteration, phase) runs inside one numgrad.checked span, and its
 updated states are checked for finiteness once, so a NaN or infinity
@@ -40,7 +44,7 @@ every (iteration, phase, function, head) tuple owns its own weights.
 
 import sys
 from dataclasses import dataclass, asdict
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -141,6 +145,18 @@ def _mp(iteration: int, phase: str, rest: str) -> str:
     return f"mp.iter{iteration}.{phase}.{rest}"
 
 
+# each message function's per-head weights, in the order its attention entry takes them
+_PARTS = {FN_NONLOCAL: ("query", "key", "value"), FN_GAT: ("transform", "score")}
+_ENTRIES = {FN_NONLOCAL: ng.nonlocal_attention, FN_GAT: ng.additive_attention}
+
+
+@lru_cache(maxsize=256)
+def _head_names(iteration: int, phase: str, fn: str, heads: int) -> tuple[tuple[str, ...], ...]:
+    """The names of fn's per-head weights, one tuple of heads per part, as _PARTS orders them."""
+    return tuple(tuple(_mp(iteration, phase, f"{fn}.head{h}.{part}") for h in range(heads))
+                 for part in _PARTS[fn])
+
+
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Every parameter name with its shape, in deterministic order."""
     d, c = config.state_dim, config.feature_channels
@@ -168,12 +184,9 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         for phase in config.phases():
             for fn in config.message_fns:
                 for h in range(config.heads):
-                    if fn == FN_NONLOCAL:
-                        for part in ("query", "key", "value"):
-                            shapes[_mp(i, phase, f"nonlocal.head{h}.{part}")] = (d, d)
-                    else:
-                        shapes[_mp(i, phase, f"gat.head{h}.transform")] = (d, d)
-                        shapes[_mp(i, phase, f"gat.head{h}.score")] = (2 * d,)
+                    for part in _PARTS[fn]:
+                        shapes[_mp(i, phase, f"{fn}.head{h}.{part}")] = (
+                            (2 * d,) if part == "score" else (d, d))
             shapes[_mp(i, phase, "norm.scale")] = (d,)
             shapes[_mp(i, phase, "norm.shift")] = (d,)
             if config.num_messages > 1:
@@ -250,30 +263,26 @@ def _slice_rows(layout: ng.KvLayout, attention, count: int) -> list[np.ndarray]:
 
 
 def _keyframe_traces(graph: SpatioTemporalGraph, iteration: int, phase: str, pos: int,
-                     slots, attention: list[np.ndarray], mix: np.ndarray | None):
-    """Attention records, slot by slot and node by node, and gate records of one keyframe."""
+                     functions, heads: int, attention: list[np.ndarray], mix: np.ndarray | None):
+    """Attention records, function by function, head by head and node by node, and gate records.
+
+    attention[f] is the keyframe's (heads n, s) attention of functions[f],
+    head h in rows h n ... (h + 1) n, as the attention entries stack it.
+    """
     fg_ids = node_ids(graph, pos)
     if phase == PHASE_SPATIAL:
         kv_ids = node_ids(graph, pos, context=True)
     else:
         kv_ids = [j for p in graph.temporal[pos] for j in node_ids(graph, p)]
     records = [AttentionRecord(iteration, phase, fn, h, node_id, list(kv_ids), row.copy())
-               for (fn, h), rows in zip(slots, attention)
-               for node_id, row in zip(fg_ids, rows)]
+               for fn, rows in zip(functions, attention)
+               for h in range(heads)
+               for node_id, row in zip(fg_ids, rows[h * len(fg_ids):])]
     if mix is None:
         return records, []
-    names = [f"{fn}.head{h}" for fn, h in slots]
+    names = [f"{fn}.head{h}" for fn in functions for h in range(heads)]
     return records, [GateRecord(iteration, phase, node_id, list(names), row.copy())
                      for node_id, row in zip(fg_ids, mix)]
-
-
-def _slot(params, iteration: int, phase: str, fn: str, head: int, own: Tensor, kv):
-    """(messages, attention) of one message slot, with the weights _mp names for it."""
-    def weight(part):
-        return params[_mp(iteration, phase, f"{fn}.head{head}.{part}")]
-    if fn == FN_NONLOCAL:
-        return ng.nonlocal_attention(own, kv, weight("query"), weight("key"), weight("value"))
-    return ng.additive_attention(own, kv, weight("transform"), weight("score"))
 
 
 def run_inference(graph: SpatioTemporalGraph, params, config: ModelConfig,
@@ -299,8 +308,10 @@ def run_inference(graph: SpatioTemporalGraph, params, config: ModelConfig,
             where = f"iteration {i} {phase} phase"
             traced: dict[int, tuple[list, list]] = {}
             with ng.checked(where):
-                slots = [(fn, h) for fn in config.message_fns for h in range(config.heads)]
-                gate = params[_mp(i, phase, "gate")] if len(slots) > 1 else None
+                weights = [[[params[name] for name in names]
+                             for names in _head_names(i, phase, fn, config.heads)]
+                           for fn in config.message_fns]
+                gate = params[_mp(i, phase, "gate")] if config.num_messages > 1 else None
                 if phase == PHASE_SPATIAL:
                     blocks = [(k, ng.Neighbors(layout, [ng.concat_rows([own, b.ctx_states])]))
                               for k, (b, own, (layout, _)) in enumerate(
@@ -314,8 +325,8 @@ def run_inference(graph: SpatioTemporalGraph, params, config: ModelConfig,
                 for k, kv in blocks:
                     positions, own = graph.blocks[k].positions, states[k]
                     messages, atts = [], []
-                    for fn, h in slots:
-                        msgs, att = _slot(params, i, phase, fn, h, own, kv)
+                    for fn, w in zip(config.message_fns, weights):
+                        msgs, att = _ENTRIES[fn](own, kv, *w)
                         messages.append(msgs)
                         if record_traces:
                             atts.append(_slice_rows(kv.layout, att, len(positions)))
@@ -324,8 +335,8 @@ def run_inference(graph: SpatioTemporalGraph, params, config: ModelConfig,
                     if record_traces:
                         for u, pos in enumerate(positions):
                             traced[pos] = _keyframe_traces(
-                                graph, i, phase, pos, slots, [a[u] for a in atts],
-                                None if mix is None else mix.data[u])
+                                graph, i, phase, pos, config.message_fns, config.heads,
+                                [a[u] for a in atts], None if mix is None else mix.data[u])
                     updated[k] = ng.residual_layer_norm(own, combined,
                                                         params[_mp(i, phase, "norm.scale")],
                                                         params[_mp(i, phase, "norm.shift")],

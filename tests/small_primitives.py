@@ -99,10 +99,15 @@ def pick_column(x: Tensor, j: int) -> Tensor:
     return ng._emit(x.data[:, j:j + 1], (x,), backward)
 
 
+def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Reduce a cotangent broadcast over the last two axes back to an operand's shape."""
+    return g.sum(axis=tuple(axis for axis in (-2, -1) if shape[axis] == 1), keepdims=True)
+
+
 def add_broadcast(a: Tensor, b: Tensor) -> Tensor:
     """a + b where either may have a length-1 axis that numpy broadcasts."""
     return ng._emit(a.data + b.data, (a, b),
-                    lambda g: (ng._sum_to(g, a.data.shape), ng._sum_to(g, b.data.shape)))
+                    lambda g: (_sum_to(g, a.data.shape), _sum_to(g, b.data.shape)))
 
 
 def scale_rows(c: Tensor, m: Tensor) -> Tensor:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from stgraph import graph as gr
 from stgraph import passing as pa
 from stgraph import train
-from stgraph.errors import ConfigError, ValidationError
+from stgraph.errors import ConfigError, NumericError, ValidationError
 from stgraph.numgrad import Tensor
 from stgraph.passing import ModelConfig
 
@@ -315,6 +315,25 @@ def test_spatial_size_property_random_scenes():
         assert len(records) == n
         for r in records:
             assert len(r.neighbor_ids) == n + h * w + p
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("kind", ["fg_feats", "ctx_feats", "prop_feats"])
+def test_non_finite_features_fail_the_input_projection(kind, bad):
+    # the feature stacks are not scanned on their way in; the projection's
+    # checks name the layer, whatever the weights (a zero weight row included)
+    box = gr.Box(0.0, 0.0, 1.0, 1.0)
+    feats = {"fg_feats": np.ones((2, 3)), "ctx_feats": np.ones((4, 3)),
+             "prop_feats": np.ones((1, 3))}
+    feats[kind][-1, 1] = bad
+    frame = gr.KeyframeFeatures(keyframe_id=0, fg_boxes=[box] * 2, grid_hw=(2, 2),
+                                prop_boxes=[box], **feats)
+    weights = np.ones((3, 4))
+    weights[1, 0] = 0.0
+    params = {name: Tensor(weights) for name in (gr.PROJ_FOREGROUND, gr.PROJ_CONTEXT,
+                                                  gr.PROJ_PROPOSAL)}
+    with pytest.raises(NumericError, match="input projection"):
+        gr.build_graph([frame], params, SimpleNamespace(tau_c=1, tau_s=1))
 
 
 # a keyframe as (boxes, grid rows, grid columns, proposals)

@@ -248,24 +248,52 @@ def test_finite_differences_per_primitive():
         "nonlocal_attention": (
             {"q": t(1, 3, 4), "kv": t(1, 5, 4), "wq": t(4, 4), "wk": t(4, 4), "wv": t(4, 4)},
             lambda p: sp.sum_all(sp.relu(ng.nonlocal_attention(
-                p["q"], [([0], p["kv"])], p["wq"], p["wk"], p["wv"])[0])),
+                p["q"], [([0], p["kv"])], [p["wq"]], [p["wk"]], [p["wv"]])[0])),
         ),
         "nonlocal_attention_kv_is_query": (
             {"h": t(1, 3, 4), "wq": t(4, 4), "wk": t(4, 4), "wv": t(4, 4)},
             lambda p: sp.sum_all(sp.relu(ng.nonlocal_attention(
-                p["h"], [([0], p["h"])], p["wq"], p["wk"], p["wv"])[0])),
+                p["h"], [([0], p["h"])], [p["wq"]], [p["wk"]], [p["wv"]])[0])),
+        ),
+        # two heads over two pairs of different neighbor counts, slices out of order
+        "nonlocal_attention_two_heads": (
+            {"q": t(2, 3, 4), "kv0": t(1, 5, 4), "kv1": t(1, 2, 4),
+             **{f"{w}{h}": t(4, 4) for w in ("wq", "wk", "wv") for h in range(2)}},
+            lambda p: sp.sum_all(sp.relu(ng.nonlocal_attention(
+                p["q"], [([1], p["kv0"]), ([0], p["kv1"])],
+                *([p[f"{w}{h}"] for h in range(2)] for w in ("wq", "wk", "wv")))[0])),
+        ),
+        "nonlocal_attention_two_heads_kv_is_query": (
+            {"h": t(1, 3, 4), **{f"{w}{h}": t(4, 4) for w in ("wq", "wk", "wv") for h in range(2)}},
+            lambda p: sp.sum_all(sp.relu(ng.nonlocal_attention(
+                p["h"], [([0], p["h"])],
+                *([p[f"{w}{h}"] for h in range(2)] for w in ("wq", "wk", "wv")))[0])),
         ),
         "additive_attention": (
             {"r": t(1, 3, 4), "n": t(1, 5, 4), "w": t(4, 4), "a": t(8)},
-            lambda p: sp.sum_all(sp.relu(ng.additive_attention(p["r"], [([0], p["n"])], p["w"], p["a"])[0])),
+            lambda p: sp.sum_all(sp.relu(ng.additive_attention(
+                p["r"], [([0], p["n"])], [p["w"]], [p["a"]])[0])),
         ),
         "additive_attention_one_receiver_one_neighbor": (
             {"r": t(1, 1, 4), "n": t(1, 1, 4), "w": t(4, 4), "a": t(8)},
-            lambda p: sp.sum_all(ng.additive_attention(p["r"], [([0], p["n"])], p["w"], p["a"])[0]),
+            lambda p: sp.sum_all(ng.additive_attention(
+                p["r"], [([0], p["n"])], [p["w"]], [p["a"]])[0]),
+        ),
+        "additive_attention_two_heads": (
+            {"r": t(2, 3, 4), "n0": t(1, 5, 4), "n1": t(1, 2, 4),
+             "w0": t(4, 4), "w1": t(4, 4), "a0": t(8), "a1": t(8)},
+            lambda p: sp.sum_all(sp.relu(ng.additive_attention(
+                p["r"], [([1], p["n0"]), ([0], p["n1"])], [p["w0"], p["w1"]],
+                [p["a0"], p["a1"]])[0])),
         ),
         "gated_mix": (
             {"a": t(3, 4), "b": t(3, 4), "r": t(3, 4), "g": t(8)},
             lambda p: sp.sum_all(sp.relu(ng.gated_mix([p["a"], p["b"], p["a"]], p["r"], p["g"])[0])),
+        ),
+        # two slots of one two-head function and one of another
+        "gated_mix_two_heads": (
+            {"ab": t(3, 8), "c": t(3, 4), "r": t(3, 4), "g": t(8)},
+            lambda p: sp.sum_all(sp.relu(ng.gated_mix([p["ab"], p["c"]], p["r"], p["g"])[0])),
         ),
         "residual_layer_norm_2d": (
             {"x": t(3, 6), "m": t(3, 6), "s": t(6), "b": t(6)},
@@ -304,25 +332,40 @@ def test_fused_primitives_reject_bad_shapes():
     # the attention blocks take a stack of receivers and (slices, stack) pairs
     one, pair = ng.Tensor(np.ones((1, 3, 2))), [([0], ng.Tensor(np.ones((1, 3, 2))))]
     with pytest.raises(ShapeError):
-        ng.nonlocal_attention(one, [([0], ng.Tensor(np.ones((1, 4, 3))))], w, w, w)
+        ng.nonlocal_attention(one, [([0], ng.Tensor(np.ones((1, 4, 3))))], [w], [w], [w])
     with pytest.raises(ShapeError):
-        ng.nonlocal_attention(one, pair, w, ng.Tensor(np.ones((2, 3))), w)
+        ng.nonlocal_attention(one, pair, [w], [ng.Tensor(np.ones((2, 3)))], [w])
     with pytest.raises(ShapeError):
-        ng.nonlocal_attention(v4, pair, w, w, w)
+        ng.nonlocal_attention(v4, pair, [w], [w], [w])
     with pytest.raises(ShapeError):
-        ng.additive_attention(one, pair, w, v5)
+        ng.additive_attention(one, pair, [w], [v5])
     with pytest.raises(ShapeError):
-        ng.additive_attention(one, pair, w, ng.Tensor(np.ones((2, 2))))
+        ng.additive_attention(one, pair, [w], [ng.Tensor(np.ones((2, 2)))])
     with pytest.raises(ShapeError):
-        ng.additive_attention(one, [([0], ng.Tensor(np.ones((1, 3, 3))))], w, v4)
+        ng.additive_attention(one, [([0], ng.Tensor(np.ones((1, 3, 3))))], [w], [v4])
     with pytest.raises(ShapeError):
-        ng.additive_attention(m, pair, w, v4)
+        ng.additive_attention(m, pair, [w], [v4])
+    # heads: as sequences, as many of each weight, of one shape
+    with pytest.raises(ShapeError, match="sequences of per-head tensors"):
+        ng.nonlocal_attention(one, pair, w, w, w)
+    with pytest.raises(ShapeError, match="one or more heads"):
+        ng.additive_attention(one, pair, [], [])
+    with pytest.raises(ShapeError):
+        ng.nonlocal_attention(one, pair, [w, w], [w], [w, w])
+    with pytest.raises(ShapeError):
+        ng.nonlocal_attention(one, pair, [w, w], [w, w], [w, ng.Tensor(np.ones((2, 3)))])
+    with pytest.raises(ShapeError):
+        ng.additive_attention(one, pair, [w, w], [v4])
     with pytest.raises(ShapeError):
         ng.gated_mix([m, ng.Tensor(np.ones((2, 2)))], m, v4)
     with pytest.raises(ShapeError):
         ng.gated_mix([m, m], m, v5)
     with pytest.raises(ShapeError):
         ng.gated_mix([], m, v4)
+    with pytest.raises(ShapeError):
+        ng.gated_mix([ng.Tensor(np.ones((3, 3)))], m, v4)
+    with pytest.raises(ShapeError):
+        ng.gated_mix([ng.Tensor(np.ones((3, 0)))], m, v4)
     with pytest.raises(ShapeError):
         ng.residual_layer_norm(m, ng.Tensor(np.ones((2, 2))), ng.Tensor(np.ones(2)), ng.Tensor(np.zeros(2)))
     with pytest.raises(ShapeError):
@@ -334,19 +377,25 @@ def test_fused_primitives_reject_bad_shapes():
     pairs = [([0], ng.Tensor(np.ones((1, 4, 2)))), ([1], ng.Tensor(np.zeros((1, 0, 2))))]
     for kv, query in ((empty, one), (pairs, stack)):
         with pytest.raises(ShapeError, match="empty neighborhood"):
-            ng.nonlocal_attention(query, kv, w, w, w)
+            ng.nonlocal_attention(query, kv, [w], [w], [w])
         with pytest.raises(ShapeError, match="empty neighborhood"):
-            ng.additive_attention(query, kv, w, v4)
+            ng.additive_attention(query, kv, [w], [v4])
     with pytest.raises(ShapeError):
-        ng.nonlocal_attention(stack, [], w, w, w)
+        ng.nonlocal_attention(stack, [], [w], [w], [w])
     # a pair list must cover every receiver slice exactly once
     with pytest.raises(ShapeError):
-        ng.nonlocal_attention(stack, [([0, 0], ng.Tensor(np.ones((2, 4, 2))))], w, w, w)
+        ng.nonlocal_attention(stack, [([0, 0], ng.Tensor(np.ones((2, 4, 2))))], [w], [w], [w])
 
 
 def _fused_nonlocal(query, kv, wq, wk, wv):
     out, [attention] = ng.nonlocal_attention(query, [([0], kv)], wq, wk, wv)
-    return out, attention
+    return out, list(attention.data[0].reshape(len(wq), -1, attention.shape[-1]))
+
+
+def _composed_heads(query, kv, wq, wk, wv):
+    # one chain per head, messages side by side as the fused entry returns them
+    heads = [_composed_nonlocal(query, kv, *w) for w in zip(wq, wk, wv)]
+    return sp.concat_cols([m for m, _ in heads]), [a.data for _, a in heads]
 
 
 def _composed_nonlocal(query, kv, wq, wk, wv):
@@ -361,41 +410,65 @@ def _composed_residual(state, message, scale, shift, eps):
     return sp.layer_norm(ng.add(state, message), scale, shift, eps)
 
 
+def _ulps_apart(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest |got - want| in units of the spacing of want's largest magnitude."""
+    return float(np.abs(got - want).max() / np.spacing(np.abs(want).max()))
+
+
+# "a few ulps": the re-summed pieces below deviate by at most 1
+ULPS = 4
+
+
 @pytest.mark.parametrize("with_context", [False, True])
 def test_fused_blocks_match_their_composition_bit_for_bit(with_context):
-    # two heads attend over one shared kv, so the fused entries must hand
-    # kv (and, without context, the query states too) their gradient
-    # pieces in the order the separate entries did
+    # The nonlocal entry and the residual update against their chains of
+    # small primitives, for one head and for two.  At one head every byte
+    # matches, except, without context, the states h, which are also kv:
+    # the chain hands h its kv pieces one by one after the update's piece,
+    # while the entry adds them first.  At two heads the entry sums the
+    # heads' kv and query pieces inside its products, so those and all that
+    # follow from them agree within a few ulps.
     rng = np.random.default_rng(31)
 
     def t(*shape):
         return ng.Tensor(rng.uniform(-1, 1, size=shape), requires_grad=True)
 
-    p = {"h": t(3, 4), "ctx": t(2, 4), "s": t(4), "b": t(4), "row": t(1, 4), "row_msg": t(1, 4)}
-    for head in range(2):
-        for part in ("wq", "wk", "wv"):
-            p[f"{part}{head}"] = t(4, 4)
+    for heads in (1, 2):
+        p = {"h": t(3, 4), "ctx": t(2, 4), "s": t(4), "b": t(4), "row": t(1, 4),
+             "row_msg": t(1, 4), "mix": t(4 * heads, 4)}
+        for head in range(heads):
+            for part in ("wq", "wk", "wv"):
+                p[f"{part}{head}"] = t(4, 4)
 
-    # the fused block takes (B, n, d) stacks: h and ctx as stacks of one
-    stacked = {**p, **{k: ng.Tensor(p[k].data[None], requires_grad=True) for k in ("h", "ctx")}}
+        # the fused block takes (B, n, d) stacks: h and ctx as stacks of one
+        stacked = {**p, **{k: ng.Tensor(p[k].data[None], requires_grad=True)
+                           for k in ("h", "ctx")}}
 
-    def run(p, attend, residual):
-        with ng.Tape() as tape:
-            kv = ng.concat_rows([p["h"], p["ctx"]]) if with_context else p["h"]
-            heads = [attend(p["h"], kv, p[f"wq{k}"], p[f"wk{k}"], p[f"wv{k}"]) for k in range(2)]
-            states = residual(p["h"], ng.add(heads[0][0], heads[1][0]), p["s"], p["b"], 1e-5)
-            row = residual(p["row"], p["row_msg"], p["s"], p["b"], 1e-5)
-            loss = ng.add(sp.sum_all(sp.relu(states)), sp.sum_all(sp.relu(row)))
-        outputs = [states, row, loss] + [att for _, att in heads]
-        return [x.data for x in outputs], ng.grad(tape, loss, p)
+        def run(p, attend, residual):
+            with ng.Tape() as tape:
+                kv = ng.concat_rows([p["h"], p["ctx"]]) if with_context else p["h"]
+                messages, attention = attend(p["h"], kv, *([p[f"{part}{k}"] for k in range(heads)]
+                                                           for part in ("wq", "wk", "wv")))
+                states = residual(p["h"], ng.matmul(messages, p["mix"]), p["s"], p["b"], 1e-5)
+                row = residual(p["row"], p["row_msg"], p["s"], p["b"], 1e-5)
+                loss = ng.add(sp.sum_all(sp.relu(states)), sp.sum_all(sp.relu(row)))
+            outputs = [x.data for x in (states, row, loss)] + attention
+            return outputs, ng.grad(tape, loss, p)
 
-    fused_outputs, fused_grads = run(stacked, _fused_nonlocal, ng.residual_layer_norm)
-    outputs, grads = run(p, _composed_nonlocal, _composed_residual)
-    for got, want in zip(fused_outputs, outputs):
-        assert got.tobytes() == want.tobytes()
-    for name in p:
-        assert fused_grads[name].data.tobytes() == grads[name].data.tobytes(), name
-    assert np.all(fused_grads["h"].data != 0.0)
+        fused_outputs, fused_grads = run(stacked, _fused_nonlocal, ng.residual_layer_norm)
+        outputs, grads = run(p, _composed_heads, _composed_residual)
+        assert len(fused_outputs) == len(outputs) == 3 + heads
+        for got, want in zip(fused_outputs, outputs):
+            got = got.reshape(want.shape)
+            if heads == 1:
+                assert got.tobytes() == want.tobytes()
+            assert _ulps_apart(got, want) <= ULPS
+        for name in p:
+            got, want = fused_grads[name].data.reshape(grads[name].shape), grads[name].data
+            if heads == 1 and (with_context or name != "h"):
+                assert got.tobytes() == want.tobytes(), name
+            assert _ulps_apart(got, want) <= ULPS, (heads, name, _ulps_apart(got, want))
+        assert np.all(fused_grads["h"].data != 0.0)
 
 
 def _composed_gated_mix(messages, receivers, gate):
@@ -448,7 +521,7 @@ def test_rank_one_pieces_keep_the_zero_signs_of_their_chain(block):
                 out = (ng.gated_mix(messages, p["r"], p["v"])[0] if fused
                        else _composed_gated_mix(messages, p["r"], p["v"]))
             else:
-                out = (ng.additive_attention(p["r"], [([0], p["o0"])], p["w"], p["v"])[0]
+                out = (ng.additive_attention(p["r"], [([0], p["o0"])], [p["w"]], [p["v"]])[0]
                        if fused else _composed_additive(p["r"], p["o0"], p["w"], p["v"]))
             # a constant readout hands every output row a nonzero cotangent
             loss = sp.sum_all(ng.matmul(out, readout))
@@ -524,13 +597,8 @@ def _pair_rows(m):
     return ng.gather_rows(m, first + [2, 0, 0, 1, 2, 2])
 
 
-def _nonlocal_messages(q, kv, wq, wk, wv):
-    return ng.nonlocal_attention(q, kv, wq, wk, wv)[0]
-
-
-
 def _attention_entries(query, kv):
-    w, a = ng.Tensor(np.ones((2, 2))), ng.Tensor(np.ones(4))
+    w, a = [ng.Tensor(np.ones((2, 2)))], [ng.Tensor(np.ones(4))]
     return (lambda: ng.nonlocal_attention(query, kv, w, w, w),
             lambda: ng.additive_attention(query, kv, w, a))
 
@@ -610,8 +678,19 @@ def test_checked_layouts_match_plain_pairs_and_still_check_shapes():
         with pytest.raises(ShapeError, match="cannot read"):
             ng.gather_rows(source, gather, plan)
 
-def _additive_messages(r, n, w, a):
-    return ng.additive_attention(r, n, w, a)[0]
+
+def _head_lists(weights: dict, parts, heads: int) -> list[list]:
+    """Per-head weights named part0, part1, ..., as one list per part."""
+    return [[weights[f"{part}{h}"] for h in range(heads)] for part in parts]
+
+
+def _nonlocal_messages(heads: int):
+    return lambda q, kv, **w: ng.nonlocal_attention(
+        q, kv, *_head_lists(w, ("wq", "wk", "wv"), heads))[0]
+
+
+def _additive_messages(heads: int):
+    return lambda r, n, **w: ng.additive_attention(r, n, *_head_lists(w, ("w", "a"), heads))[0]
 
 
 # The attention blocks' neighbors are (slices, stack) pairs, given below as
@@ -630,19 +709,13 @@ STACKED = {
     "concat_rows": ({"a": (2, 4), "b": (3, 4)}, {}, lambda a, b: ng.concat_rows([a, b])),
     "concat_cols": ({"a": (3, 2), "b": (3, 4)}, {}, lambda a, b: sp.concat_cols([a, b])),
     "gather_rows": ({"m": (3, 4)}, {}, _pair_rows),
-    "nonlocal_attention": (
-        {"q": (3, 4), "kv": _ONE_PAIR}, {"wq": (4, 4), "wk": (4, 4), "wv": (4, 4)},
-        _nonlocal_messages),
-    "nonlocal_attention_permuted_pairs": (
-        {"q": (3, 4), "kv": _PERMUTED_PAIRS}, {"wq": (4, 4), "wk": (4, 4), "wv": (4, 4)},
-        _nonlocal_messages),
-    "additive_attention": (
-        {"r": (3, 4), "n": _ONE_PAIR}, {"w": (4, 4), "a": (8,)}, _additive_messages),
-    "additive_attention_permuted_pairs": (
-        {"r": (3, 4), "n": _PERMUTED_PAIRS}, {"w": (4, 4), "a": (8,)}, _additive_messages),
     "gated_mix": (
         {"a": (3, 4), "b": (3, 4), "r": (3, 4)}, {"g": (8,)},
         lambda a, b, r, g: ng.gated_mix([a, b, a], r, g)[0]),
+    # two slots side by side in one message stack, as a two-head function returns them
+    "gated_mix_two_heads": (
+        {"ab": (3, 8), "c": (3, 4), "r": (3, 4)}, {"g": (8,)},
+        lambda ab, c, r, g: ng.gated_mix([ab, c], r, g)[0]),
     "residual_layer_norm": (
         {"x": (3, 6), "m": (3, 6)}, {"s": (6,), "b": (6,)},
         lambda x, m, s, b: ng.residual_layer_norm(x, m, s, b)),
@@ -652,6 +725,19 @@ STACKED = {
     "pair_logits_one_predicate": ({"h": (9, 3)}, {"w": (6, 1), "b": (1,)},
                                   lambda h, w, b: hd.pair_logits(h, w, b)),
 }
+
+# the attention entries with 1, 2 and 4 heads, over one pair and over permuted pairs
+for _heads in (1, 2, 4):
+    _suffix = "" if _heads == 1 else f"_{_heads}_heads"
+    for _label, _pairs in (("", _ONE_PAIR), ("_permuted_pairs", _PERMUTED_PAIRS)):
+        STACKED[f"nonlocal_attention{_label}{_suffix}"] = (
+            {"q": (3, 4), "kv": _pairs},
+            {f"{part}{h}": (4, 4) for part in ("wq", "wk", "wv") for h in range(_heads)},
+            _nonlocal_messages(_heads))
+        STACKED[f"additive_attention{_label}{_suffix}"] = (
+            {"r": (3, 4), "n": _pairs},
+            {**{f"w{h}": (4, 4) for h in range(_heads)}, **{f"a{h}": (8,) for h in range(_heads)}},
+            _additive_messages(_heads))
 
 
 @pytest.mark.parametrize("name", sorted(STACKED))
@@ -716,6 +802,54 @@ def test_stacked_primitive_matches_its_slices_bit_for_bit(name):
     for k in params:
         assert grads[k].data.tobytes() == slice_grads[k].data.tobytes(), k
         assert np.any(grads[k].data != 0.0)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("entry", ["nonlocal_attention", "additive_attention"])
+def test_attention_pieces_do_not_depend_on_batch_mates(entry, heads):
+    # Rule (c) piece by piece: given the same cotangent rows, a slice's
+    # outputs, attention and backward pieces (its rows of the receiver and
+    # neighbor pieces, its slice of each weight's per-slice piece) are the
+    # same in a stack of 9 as alone, over one pair of a basic slice and over
+    # index-array pairs of different neighbor counts.
+    rng = np.random.default_rng(59)
+    d, n, count = 4, 3, 9
+    parts = ("wq", "wk", "wv") if entry == "nonlocal_attention" else ("w", "a")
+    weights = [[ng.Tensor(rng.uniform(-1, 1, size=(2 * d,) if part == "a" else (d, d)),
+                          requires_grad=True) for _ in range(heads)] for part in parts]
+
+    def run(query, kv, g):
+        with ng.Tape() as tape:
+            out, attention = getattr(ng, entry)(query, kv, *weights)
+        [(_, inputs, backward)] = tape._entries
+        return out.data, [a.data for a in attention], inputs, list(backward(g))
+
+    def tensor(values):
+        return ng.Tensor(values, requires_grad=True)
+
+    for pairs in (_ONE_PAIR, _PERMUTED_PAIRS):
+        query = tensor(rng.uniform(-1, 1, size=(count, n, d)))
+        stacks = [tensor(rng.uniform(-1, 1, size=(len(slices),) + shape))
+                  for slices, shape in pairs]
+        g = rng.normal(size=(count, n, heads * d))
+        out, attention, inputs, pieces = run(query, [(slices, t) for (slices, _), t in
+                                                     zip(pairs, stacks)], g)
+        assert out.shape == (count, n, heads * d) and len(pieces) == len(inputs)
+        for i, (slices, (s, _)) in enumerate(pairs):
+            assert attention[i].shape == (len(slices), heads * n, s)
+            for row, b in enumerate(slices):
+                kv = tensor(stacks[i].data[row:row + 1])
+                alone, alone_attention, alone_inputs, alone_pieces = run(
+                    tensor(query.data[b:b + 1]), [([0], kv)], g[b:b + 1])
+                assert alone[0].tobytes() == out[b].tobytes()
+                assert alone_attention[0][0].tobytes() == attention[i][row].tobytes()
+                # every input but the other pairs' neighbors, in the order alone lists them
+                kept = [(t, piece) for t, piece in zip(inputs, pieces)
+                        if t is stacks[i] or all(t is not other for other in stacks)]
+                assert len(kept) == len(alone_pieces)
+                for (t, piece), mine in zip(kept, alone_pieces):
+                    want = piece[row] if t is stacks[i] else piece[b]
+                    assert mine[0].tobytes() == want.tobytes(), (i, b)
 
 
 @pytest.mark.parametrize("stacked", [False, True])

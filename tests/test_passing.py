@@ -66,11 +66,11 @@ def build(config, seed=0, **kw):
 
 
 def nl_weights(d, seed=0, zero_query=False):
-    """(query, key, value) weights of one nonlocal slot."""
+    """(query, key, value) weights of a one-head nonlocal function, one list each."""
     rng = np.random.default_rng(seed)
     q = np.zeros((d, d)) if zero_query else rng.uniform(-1, 1, size=(d, d))
-    return (Tensor(q), Tensor(rng.uniform(-1, 1, size=(d, d))),
-            Tensor(rng.uniform(-1, 1, size=(d, d))))
+    return ([Tensor(q)], [Tensor(rng.uniform(-1, 1, size=(d, d)))],
+            [Tensor(rng.uniform(-1, 1, size=(d, d)))])
 
 
 def one_pair(receivers: np.ndarray, neighbors: np.ndarray):
@@ -84,7 +84,7 @@ def test_nonlocal_single_node_attends_to_itself():
     msgs, [att] = ng.nonlocal_attention(*one_pair(h, h), wq, wk, wv)
     assert att.data.shape == (1, 1, 1)
     assert att.data[0, 0, 0] == 1.0
-    want = h @ wv.data
+    want = h @ wv[0].data
     assert np.max(np.abs(msgs.data[0] - want)) <= 1e-12
 
 
@@ -104,6 +104,7 @@ def test_nonlocal_matches_formula():
     kv_states = rng.uniform(-1, 1, size=(7, d))
     msgs, [att] = ng.nonlocal_attention(*one_pair(q_states, kv_states), wq, wk, wv)
     msgs, att = msgs.data[0], att.data[0]
+    wq, wk, wv = wq[0], wk[0], wv[0]
     for r in range(3):
         logits = np.array([
             (q_states[r] @ wq.data) @ (kv_states[j] @ wk.data) for j in range(7)
@@ -121,14 +122,15 @@ def test_nonlocal_empty_neighborhood_rejected():
 
 
 def gat_weights(d, seed=0, zero_score=False):
-    """(transform, score) weights of one GAT slot."""
+    """(transform, score) weights of a one-head GAT function, one list each."""
     rng = np.random.default_rng(seed)
     score = np.zeros(2 * d) if zero_score else rng.uniform(-1, 1, size=2 * d)
-    return Tensor(rng.uniform(-1, 1, size=(d, d))), Tensor(score)
+    return [Tensor(rng.uniform(-1, 1, size=(d, d)))], [Tensor(score)]
 
 
 def gat_formula(h_v, nbrs, transform, score):
     """One receiver's GAT attention and message, straight from the definition."""
+    transform, score = transform[0], score[0]
     scores = np.array([max(0.0, np.concatenate([h_v, nb]) @ score.data) for nb in nbrs])
     e = np.exp(scores - scores.max())
     a = e / e.sum()
@@ -150,7 +152,7 @@ def test_gat_single_neighbor_full_attention():
     transform, score = gat_weights(4, seed=8)
     msgs, [att] = ng.additive_attention(*one_pair(h, nbr), transform, score)
     assert att.data.tolist() == [[[1.0]] * 3]
-    want = np.maximum(nbr[0] @ transform.data, 0.0)
+    want = np.maximum(nbr[0] @ transform[0].data, 0.0)
     for r in range(3):
         assert np.max(np.abs(msgs.data[0, r] - want)) <= 1e-12
 
@@ -707,8 +709,8 @@ def test_overflow_hidden_by_relu_is_still_caught():
     fg, ctx = keyframe_states(g, 0)
     with np.errstate(over="ignore"):
         msgs, [att] = ng.additive_attention(*one_pair(fg, np.concatenate([fg, ctx])),
-                                            params["mp.iter0.spatial.gat.head0.transform"],
-                                            params["mp.iter0.spatial.gat.head0.score"])
+                                            [params["mp.iter0.spatial.gat.head0.transform"]],
+                                            [params["mp.iter0.spatial.gat.head0.score"]])
     assert np.all(np.isfinite(msgs.data))
     assert np.all(att.data == att.data[0, 0, 0])
 

@@ -938,7 +938,8 @@ def test_clip_loss_tape_length_of_wide_clip():
         train.clip_loss(clip, params, config)
     # all 8 keyframes are one (16 boxes, 49 cells, no proposal) block
     projection = 2                 # foreground and context matmuls
-    slots_gate_update = 4 + 4 + 1 + 1
+    # one entry per message function, all four heads in it, then the gate and the update
+    slots_gate_update = 1 + 1 + 1 + 1
     spatial = 1 + slots_gate_update  # [own; context] per keyframe, as one stack
     # every keyframe has a temporal neighbor, so the temporal phase runs on
     # that block too; the two edge keyframes (one neighbor) and the six
@@ -946,7 +947,7 @@ def test_clip_loss_tape_length_of_wide_clip():
     temporal = 2 + slots_gate_update
     readout = 2 + 1                # object logits 2; relation logits of every pair 1
     loss = 1
-    assert len(tape) == projection + spatial + temporal + readout + loss == 29
+    assert len(tape) == projection + spatial + temporal + readout + loss == 17
 
 
 def test_training_steps_reuse_freed_memory():
@@ -993,7 +994,7 @@ def test_batch_tape_length_does_not_depend_on_clip_count(tmp_path):
         return len(tape)
 
     projection = 3 + 1        # foreground, context and proposal matmuls, [cells; proposals]
-    spatial = 1 + 2 + 1 + 1   # [own; context], two heads, the gate, the update
+    spatial = 1 + 1 + 1 + 1   # [own; context], both heads in one entry, the gate, the update
     readout, loss = 2, 1      # logits and bias, then every clip's loss at once
     assert [tape_length(n) for n in (1, 4, 8)] == [projection + spatial + readout + loss] * 3
 
