@@ -16,6 +16,7 @@ blocks and return the sum of the clips' losses, in clip order, as one
 tape entry.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,12 +58,18 @@ def pair_index(n: int) -> list[tuple[int, int]]:
     return list(zip(i.tolist(), j.tolist()))
 
 
+@lru_cache(maxsize=64)
+def _pair_tuple(n: int) -> tuple[tuple[int, int], ...]:
+    """pair_index(n) as one tuple, shared by every prediction with n nodes."""
+    return tuple(pair_index(n))
+
+
 @dataclass
 class SceneGraphPrediction:
     """Logits for one keyframe: per-node classes and per-pair relations."""
 
     object_logits: Tensor            # (n, object_classes), or (B, n, ...) for a stack
-    pairs: list[tuple[int, int]]     # row order of relation_logits
+    pairs: Sequence[tuple[int, int]]  # row order of relation_logits
     relation_logits: Tensor | None   # (len(pairs), relation_classes); None if n == 1
 
 
@@ -120,7 +127,7 @@ def sg_readout(states: Tensor, object_weight: Tensor, object_bias: Tensor,
     ng.check_finite("scene-graph readout", object_logits)
     if relation_logits is not None:
         ng.check_finite("scene-graph readout", relation_logits)
-    return SceneGraphPrediction(object_logits, pair_index(n), relation_logits)
+    return SceneGraphPrediction(object_logits, _pair_tuple(n), relation_logits)
 
 
 def _bce_terms(x: np.ndarray, z: np.ndarray) -> np.ndarray:

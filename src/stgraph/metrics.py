@@ -18,6 +18,10 @@ are enumerated in heads.pair_index order, (1,0), (2,0), (2,1), ..., and
 within a pair by predicate.  One stable sort of a keyframe's scores
 serves every K: tied scores keep that enumeration order, so the reports
 are byte-identical to those of a loop that sorts scored tuples per K.
+Recall scores a block of keyframes with n nodes each at once: one
+stable sort along the rows of its (B, pairs * predicates) scores, each
+row sorted as its keyframe alone would be, and one lookup of every
+keyframe's ground truth; a single keyframe is a block of one.
 """
 
 from dataclasses import dataclass
@@ -239,6 +243,67 @@ def triplet_score(subject_prob: float, predicate_prob: float, object_prob: float
     return subject_prob * predicate_prob * object_prob
 
 
+def triplet_recall_block(object_logits: np.ndarray, relation_logits: np.ndarray | None,
+                         gt: np.ndarray, counts, ks, mode: str,
+                         gt_object_classes=None) -> list[dict[int, float]]:
+    """triplet_recall of each keyframe of a block: B keyframes with n nodes each.
+
+    object_logits is (B, n, classes) and relation_logits (B, pairs,
+    predicates) or None for single nodes; gt holds the keyframes' (m, 5)
+    ground-truth rows one after the other, counts[b] of them for keyframe
+    b, and gt_object_classes is (B, n) for predcls.  Returns one dict per
+    keyframe, in block order.
+    """
+    check_recall_cutoffs(ks)
+    if mode not in (MODE_SGCLS, MODE_PREDCLS):
+        raise ConfigError(f"unknown recall mode {mode!r}")
+    gt = np.asarray(gt, dtype=np.int64)
+    blocks, n = object_logits.shape[:2]
+    if not gt.size:
+        return [dict.fromkeys(ks, 1.0) for _ in range(blocks)]
+    if gt.ndim != 2 or gt.shape[1] != 5:
+        raise ShapeError(f"ground-truth triplets must be (m, 5), got shape {gt.shape}")
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.shape != (blocks,) or counts.sum() != len(gt):
+        raise ShapeError(f"{blocks} keyframes need one count each, summing to {len(gt)} rows")
+    if mode == MODE_PREDCLS:
+        if (gt_object_classes is None or len(gt_object_classes) != blocks
+                or any(len(c) != n for c in gt_object_classes)):
+            raise ValidationError("predcls mode needs one ground-truth class per node")
+        node_class = np.asarray(gt_object_classes).astype(np.int64)
+        node_prob = np.ones((blocks, n))
+    else:
+        e = np.exp(object_logits - object_logits.max(axis=-1, keepdims=True))
+        probs = e / e.sum(axis=-1, keepdims=True)
+        node_class = probs.argmax(axis=-1)
+        node_prob = probs.max(axis=-1)
+    if relation_logits is None:
+        return [dict.fromkeys(ks, 0.0 if m else 1.0) for m in counts.tolist()]
+    subjects, objects = pair_arrays(n)
+    if relation_logits.shape[:2] != (blocks, len(subjects)):
+        raise ShapeError(f"{blocks} keyframes of {n} nodes need {len(subjects)} relation "
+                         f"rows each, got {relation_logits.shape[:2]}")
+    predicates = relation_logits.shape[2]
+    # (p_s * p_r) * p_o, the multiplication order of triplet_score
+    rel_probs = sigmoid_values(relation_logits)
+    scores = (node_prob[:, subjects, None] * rel_probs) * node_prob[:, objects, None]
+    # a row's stable sort is its keyframe's own: ties keep enumeration order
+    order = np.argsort(-scores.reshape(blocks, -1), axis=-1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(order.shape[1]), axis=-1)
+    frame = np.repeat(np.arange(blocks), counts)
+    s, o, _, _, r = gt.T
+    named = (0 <= o) & (o < s) & (s < n) & (0 <= r) & (r < predicates)
+    frame, (s, o, s_class, o_class, r) = frame[named], gt[named].T
+    found = rank[frame, (s * (s - 1) // 2 + o) * predicates + r]
+    hit = (node_class[frame, s] == s_class) & (node_class[frame, o] == o_class)
+    frame, found = frame[hit], found[hit]
+    hits = {k: np.bincount(frame[found < k], minlength=blocks).tolist() for k in ks}
+    # a keyframe without ground truth counts as fully recalled
+    return [{k: hits[k][b] / m for k in ks} if m else dict.fromkeys(ks, 1.0)
+            for b, m in enumerate(counts.tolist())]
+
+
 def triplet_recall(object_logits: np.ndarray, relation_logits: np.ndarray | None,
                    gt: np.ndarray, ks, mode: str, gt_object_classes=None) -> dict[int, float]:
     """Fraction of one keyframe's ground-truth triplets in the top-k candidates, per k.
@@ -251,46 +316,14 @@ def triplet_recall(object_logits: np.ndarray, relation_logits: np.ndarray | None
     ground-truth classes with probability one, ranking by predicate
     confidence alone.  A row that names no candidate (subject not above
     object, a node or predicate out of range) is a miss, and a keyframe
-    without ground truth counts as fully recalled.
+    without ground truth counts as fully recalled.  This is
+    triplet_recall_block of a block of one.
     """
-    check_recall_cutoffs(ks)
-    if mode not in (MODE_SGCLS, MODE_PREDCLS):
-        raise ConfigError(f"unknown recall mode {mode!r}")
     gt = np.asarray(gt, dtype=np.int64)
-    if not gt.size:
-        return {k: 1.0 for k in ks}
-    if gt.ndim != 2 or gt.shape[1] != 5:
-        raise ShapeError(f"ground-truth triplets must be (m, 5), got shape {gt.shape}")
-    n = object_logits.shape[0]
-    if mode == MODE_PREDCLS:
-        if gt_object_classes is None or len(gt_object_classes) != n:
-            raise ValidationError("predcls mode needs one ground-truth class per node")
-        node_class = np.asarray(gt_object_classes).astype(np.int64)
-        node_prob = np.ones(n)
-    else:
-        e = np.exp(object_logits - object_logits.max(axis=1, keepdims=True))
-        probs = e / e.sum(axis=1, keepdims=True)
-        node_class = probs.argmax(axis=1)
-        node_prob = probs[np.arange(n), node_class]
-    if relation_logits is None:
-        return {k: 0.0 for k in ks}
-    subjects, objects = pair_arrays(n)
-    if relation_logits.shape[0] != len(subjects):
-        raise ShapeError(f"{n} nodes need {len(subjects)} relation rows, "
-                         f"got {relation_logits.shape[0]}")
-    predicates = relation_logits.shape[1]
-    # (p_s * p_r) * p_o, the multiplication order of triplet_score
-    rel_probs = sigmoid_values(relation_logits)
-    scores = (node_prob[subjects, None] * rel_probs) * node_prob[objects, None]
-    order = np.argsort(-scores.ravel(), kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    s, o, _, _, r = gt.T
-    named = (0 <= o) & (o < s) & (s < n) & (0 <= r) & (r < predicates)
-    s, o, s_class, o_class, r = gt[named].T
-    found = rank[(s * (s - 1) // 2 + o) * predicates + r]
-    found = found[(node_class[s] == s_class) & (node_class[o] == o_class)]
-    return {k: int(np.count_nonzero(found < k)) / len(gt) for k in ks}
+    return triplet_recall_block(
+        object_logits[None], None if relation_logits is None else relation_logits[None], gt,
+        gt.shape[:1], ks, mode,
+        None if gt_object_classes is None else [gt_object_classes])[0]
 
 
 def recall_at_k(prediction: SceneGraphPrediction, gt_triplets: list[Triplet], k: int,

@@ -373,10 +373,10 @@ def _layer_norm_values(x: np.ndarray, scale_: np.ndarray, shift: np.ndarray, eps
     """Layer norm over the last axis: (output, normalized x, inverse deviation)."""
     # sum / d is what ndarray.mean computes, without its Python-level wrapper
     d = x.shape[-1]
-    mu = x.sum(axis=-1, keepdims=True) / d
-    var = ((x - mu) ** 2).sum(axis=-1, keepdims=True) / d
+    centered = x - x.sum(axis=-1, keepdims=True) / d
+    var = (centered ** 2).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    xhat = centered * inv
     return scale_ * xhat + shift, xhat, inv
 
 
@@ -394,9 +394,16 @@ def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, scale_: 
 
 
 def _relu_values(x: np.ndarray):
-    """(max(x, 0), mask of positive entries)."""
-    mask = x > 0.0
-    return np.where(mask, x, 0.0), mask
+    """(max(x, 0), mask of positive entries).
+
+    np.maximum returns x at x = -0.0, and adding 0.0 makes that +0.0, so
+    the result has the bytes of np.where(x > 0, x, 0.0) for every input
+    but NaN.  Inside checked() no NaN reaches here: the operation that
+    would make one raises its invalid flag first.
+    """
+    out = np.maximum(x, 0.0)
+    out += 0.0
+    return out, x > 0.0
 
 
 def _scatter_rows(g: np.ndarray, index: np.ndarray, rows: int, plan=None) -> np.ndarray:
@@ -596,7 +603,9 @@ def gather_rows(m: Tensor | list[Tensor], index, plan=None) -> Tensor:
 # sequences of per-head weights.  The d x d products stay per head, with
 # the shapes of a lone head's.  Between them, everything runs once over a
 # (b, H n, .) row stack, head h in rows h n ... (h + 1) n: the scores,
-# softmax, relu and pooling, and backward their cotangents; the neighbor
+# softmax, relu and pooling, and backward their cotangents.  GAT sums its
+# scores straight into a C-ordered (b, H, n, s) array, so that stack is a
+# view of it and relu and softmax read contiguous rows.  The neighbor
 # stack's piece sums the heads inside its products, and the receivers'
 # piece sums them one after the other.  So with several heads the bits
 # may move in the last place against one chain per head, and every
@@ -864,8 +873,11 @@ def additive_attention(receivers: Tensor, neighbors, transform,
     parts = []
     for slices, t in groups:
         nd = t.data
-        # (b, H, n, 1) + (b, H, 1, s): head h's scores, in rows h n ... (h + 1) n
-        raw = own[slices].swapaxes(-1, -2)[..., None] + (nd @ a2).swapaxes(-1, -2)[..., None, :]
+        # (b, H, n, 1) + (b, H, 1, s) into a C-ordered (b, H, n, s) array, so
+        # the (b, H n, s) stack, head h's scores in rows h n ... (h + 1) n, is a view
+        raw = np.add(own[slices].swapaxes(-1, -2)[..., None],
+                     (nd @ a2).swapaxes(-1, -2)[..., None, :],
+                     out=np.empty((len(nd), heads, n, nd.shape[1])))
         raw, raw_mask = _relu_values(raw.reshape(len(nd), heads * n, nd.shape[1]))
         attention = _softmax_values(raw)
         pooled = _blocks(attention @ nd, heads, -2)

@@ -7,7 +7,7 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .errors import ConfigError, NumericError, ShapeError, ValidationError
 from .graph import (Box, FeatureGrid, SpatioTemporalGraph, build_batch, build_graph,
                     featurize_keyframe, stack_arrays)
 from .heads import action_loss, action_readout, sg_loss, sg_readout
-from .metrics import box_array, frame_ap_arrays, triplet_recall
+from .metrics import box_array, frame_ap_arrays, triplet_recall_block
 from .numgrad import Tape, Tensor, grad, sigmoid_values
 from .passing import ModelConfig, param_shapes, run_inference
 
@@ -377,22 +377,34 @@ def evaluate_scenegraph(clips: list[ClipFeatures], params: dict[str, Tensor],
         raise ValidationError("no clips to evaluate")
 
     def score(chunk: list[ClipFeatures], graph: SpatioTemporalGraph, states: list[Tensor]):
-        preds = [sg_readout(stack,
-                            params["readout.object.weight"], params["readout.object.bias"],
-                            params["readout.relation.weight"], params["readout.relation.bias"])
-                 for stack in states]
-        recalls = []
-        for clip, span in zip(chunk, graph.clips):
-            for local, pos in enumerate(span):
-                k, j = graph.where[pos]
-                pred = preds[k]
-                classes = np.asarray(clip.object_classes[local], dtype=np.int64)
-                s, o, r = np.array(clip.relations[local], dtype=np.int64).reshape(-1, 3).T
-                gt = np.stack([s, o, classes[s], classes[o], r], axis=1)
-                relations = None if pred.relation_logits is None else pred.relation_logits.data[j]
-                recalls.append(triplet_recall(pred.object_logits.data[j], relations, gt, ks, mode,
-                                              gt_object_classes=classes))
-        return recalls
+        # the chunk's keyframes block by block, slice by slice; slots[i] is
+        # the report position of the i-th
+        frames = [(clip.object_classes[local], clip.relations[local])
+                  for clip in chunk for local in range(len(clip.frames))]
+        slots = sorted(range(len(frames)), key=graph.where.__getitem__)
+        classes = [np.asarray(frames[pos][0]).astype(np.int64) for pos in slots]
+        relations = [frames[pos][1] for pos in slots]
+        counts = list(map(len, relations))
+        s, o, r = np.fromiter(chain.from_iterable(chain.from_iterable(relations)),
+                              dtype=np.int64).reshape(-1, 3).T
+        # each row's node classes, from its keyframe's run of the flat class
+        # list; a subject or object outside that run reads some other class,
+        # and recall counts the row a miss anyway
+        first = np.repeat(np.cumsum([0] + [len(c) for c in classes[:-1]]), counts)
+        flat = np.concatenate(classes)
+        gt = np.stack([s, o, flat.take(first + s, mode="clip"),
+                       flat.take(first + o, mode="clip"), r], axis=1)
+        recalls, bounds, at = [], [0, *accumulate(counts)], 0
+        for stack in states:
+            pred = sg_readout(stack, params["readout.object.weight"], params["readout.object.bias"],
+                              params["readout.relation.weight"], params["readout.relation.bias"])
+            rel = None if pred.relation_logits is None else pred.relation_logits.data
+            b = len(stack.data)
+            recalls += triplet_recall_block(pred.object_logits.data, rel,
+                                            gt[bounds[at]:bounds[at + b]], counts[at:at + b], ks,
+                                            mode, gt_object_classes=classes[at:at + b])
+            at += b
+        return [recalls[i] for i in np.argsort(slots)]
 
     recalls = [r for chunk in _over_chunks(score, clips, params, config) for r in chunk]
     # each distinct K once, however often ks names it

@@ -164,3 +164,63 @@ def softmax_xent_mean(logits: Tensor, onehot: Tensor) -> Tensor:
         return (float(g) * (p - y) / n, None)
 
     return ng._emit(out, (logits, onehot), backward)
+
+
+def where_relu(x: np.ndarray):
+    """numgrad._relu_values as np.where wrote it: (x where x > 0, else 0.0; the mask)."""
+    mask = x > 0.0
+    return np.where(mask, x, 0.0), mask
+
+
+def additive_attention_reference(receivers: Tensor, neighbors, transform, score):
+    """numgrad.additive_attention with its scores summed in broadcasting's layout.
+
+    The earlier form of the block, kept to pin the current one byte for
+    byte: the (b, H, n, 1) + (b, H, 1, s) sum comes out in (b, n, s, H)
+    memory order, its reshape to the (b, H n, s) stack copies, and relu is
+    where_relu.  Takes and returns what the block does.
+    """
+    groups = ng._kv_groups(receivers, neighbors, "additive_attention")
+    rd = receivers.data
+    ws, scores = ng._head_arrays("additive_attention", transform, score)
+    d, heads, n = rd.shape[-1], len(ws), rd.shape[-2]
+    a1, a2 = ng._score_columns(scores, 0, d), ng._score_columns(scores, d, 2 * d)
+    own = rd @ a1
+    pre = np.empty(rd.shape[:-1] + (heads * ws[0].shape[1],))
+    pre_heads = ng._blocks(pre, heads, -1)
+    parts = []
+    for slices, t in groups:
+        nd = t.data
+        raw = own[slices].swapaxes(-1, -2)[..., None] + (nd @ a2).swapaxes(-1, -2)[..., None, :]
+        raw, raw_mask = where_relu(raw.reshape(len(nd), heads * n, nd.shape[1]))
+        attention = ng._softmax_values(raw)
+        pooled = ng._blocks(attention @ nd, heads, -2)
+        for o, p, w in zip(pre_heads, pooled, ws):
+            o[slices] = p @ w
+        parts.append((slices, nd, raw_mask, attention, pooled))
+    out, out_mask = where_relu(pre)
+
+    def backward(g):
+        gm = g * out_mask
+        g_heads = [ng._blocks(gm[part[0]], heads, -1) for part in parts]
+        for h in range(heads):
+            yield ng._by_slice(len(rd), [(part[0], part[4][h].swapaxes(-1, -2) @ gh[h])
+                                         for part, gh in zip(parts, g_heads)])
+        draw_own = np.empty_like(own)
+        dscore_other = np.empty(rd.shape[:-2] + a2.shape)
+        for (slices, nd, raw_mask, attention, _), gh in zip(parts, g_heads):
+            dpooled = ng._row_stack([(x, w.T) for x, w in zip(gh, ws)])
+            draw = ng._softmax_grad(attention, dpooled @ nd.swapaxes(-1, -2)) * raw_mask
+            draw = draw.reshape(len(nd), heads, n, nd.shape[1])
+            dother = draw.sum(axis=-2).swapaxes(-1, -2)
+            draw_own[slices] = draw.sum(axis=-1).swapaxes(-1, -2)
+            dscore_other[slices] = nd.swapaxes(-1, -2) @ dother
+            yield attention.swapaxes(-1, -2) @ dpooled + dother @ a2.T
+        yield draw_own @ a1.T
+        dscore = np.concatenate([rd.swapaxes(-1, -2) @ draw_own, dscore_other], axis=-2) + 0.0
+        for h in range(heads):
+            yield dscore[..., h]
+
+    nbrs = tuple(t for _, t in groups)
+    out = ng._emit(out, (*transform, *nbrs, receivers, *score), backward)
+    return out, [ng._wrap(part[3]) for part in parts]

@@ -107,6 +107,17 @@ def test_sg_readout_pair_inputs_are_concatenated_states():
     assert np.max(np.abs(pred.object_logits.data - want_obj)) <= 1e-12
 
 
+def test_sg_readout_shares_one_pairs_tuple_per_node_count():
+    # every prediction of n nodes carries the same immutable pair_index(n)
+    weights = sg_weights(4, 5, 3)
+    rng = np.random.default_rng(4)
+    for n in (1, 3, 16):
+        first, second = (hd.sg_readout(Tensor(rng.uniform(-1, 1, size=shape)), *weights)
+                         for shape in ((n, 4), (2, n, 4)))
+        assert first.pairs is second.pairs
+        assert first.pairs == tuple(hd.pair_index(n)) and isinstance(first.pairs, tuple)
+
+
 def _concat_pair_logits(states, weight, bias):
     """The relation head as the concatenation reads: gathered [h_i || h_j] rows, one matmul."""
     n, lead = states.shape[-2], states.shape[:-2]

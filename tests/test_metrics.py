@@ -468,3 +468,101 @@ def test_triplet_recall_matches_reference_on_tied_wide_keyframes():
             assert mt.triplet_recall(obj, rel, np.array(gt), ks, mode,
                                      gt_object_classes=classes) == want
     assert partial >= 15
+
+
+def keyframe_recall(object_logits, relation_logits, gt, ks, mode, gt_object_classes=None):
+    """triplet_recall as it ran keyframe by keyframe, before recall took whole blocks."""
+    gt = np.asarray(gt, dtype=np.int64)
+    if not gt.size:
+        return {k: 1.0 for k in ks}
+    n = object_logits.shape[0]
+    if mode == mt.MODE_PREDCLS:
+        node_class = np.asarray(gt_object_classes).astype(np.int64)
+        node_prob = np.ones(n)
+    else:
+        e = np.exp(object_logits - object_logits.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
+        node_class = probs.argmax(axis=1)
+        node_prob = probs[np.arange(n), node_class]
+    if relation_logits is None:
+        return {k: 0.0 for k in ks}
+    subjects, objects = np.array(pair_index(n), dtype=np.int64).reshape(-1, 2).T
+    predicates = relation_logits.shape[1]
+    rel_probs = sigmoid_values(relation_logits)
+    scores = (node_prob[subjects, None] * rel_probs) * node_prob[objects, None]
+    order = np.argsort(-scores.ravel(), kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    s, o, _, _, r = gt.T
+    named = (0 <= o) & (o < s) & (s < n) & (0 <= r) & (r < predicates)
+    s, o, s_class, o_class, r = gt[named].T
+    found = rank[(s * (s - 1) // 2 + o) * predicates + r]
+    found = found[(node_class[s] == s_class) & (node_class[o] == o_class)]
+    return {k: int(np.count_nonzero(found < k)) / len(gt) for k in ks}
+
+
+@st.composite
+def scored_blocks(draw):
+    """A block of 1 to 5 keyframes with n nodes each, scored as scored_keyframes scores one.
+
+    Each keyframe has its own logits, classes and 0 to 6 ground-truth
+    rows, so blocks are ragged and some keyframes have no ground truth.
+    """
+    n, blocks = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    classes, predicates = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    mode = draw(st.sampled_from([mt.MODE_SGCLS, mt.MODE_PREDCLS]))
+    pairs = n * (n - 1) // 2
+    grid = st.integers(-4, 4)
+    object_logits = draw(arrays(np.int64, (blocks, n, classes), elements=grid)) / 2
+    relation_logits = (draw(arrays(np.int64, (blocks, pairs, predicates), elements=grid)) / 2
+                       if pairs else None)
+    gt_classes = draw(arrays(np.int64, (blocks, n), elements=st.integers(0, classes - 1)))
+    scored_class = gt_classes if mode == mt.MODE_PREDCLS else object_logits.argmax(axis=-1)
+    node, predicate = st.integers(-1, n), st.integers(-1, predicates)
+    rows = []
+    for b in range(blocks):
+        rows.append([])
+        for s, o, r, own in draw(st.lists(st.tuples(node, node, predicate, st.booleans()),
+                                          max_size=6)):
+            if own and 0 <= s < n and 0 <= o < n:
+                cs, co = int(scored_class[b, s]), int(scored_class[b, o])
+            else:
+                cs, co = draw(st.integers(-1, classes)), draw(st.integers(-1, classes))
+            rows[-1].append((s, o, cs, co, r))
+    ks = draw(st.lists(st.integers(1, pairs * predicates + 2), min_size=1, max_size=4))
+    return object_logits, relation_logits, rows, ks, mode, gt_classes
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(case=scored_blocks())
+def test_block_recall_equals_a_loop_over_its_keyframes(case):
+    object_logits, relation_logits, rows, ks, mode, gt_classes = case
+    gt = np.array([row for frame in rows for row in frame], dtype=np.int64).reshape(-1, 5)
+    got = mt.triplet_recall_block(object_logits, relation_logits, gt, [len(f) for f in rows],
+                                  ks, mode, gt_object_classes=gt_classes)
+    want = [keyframe_recall(object_logits[b], None if relation_logits is None
+                            else relation_logits[b], np.array(frame, dtype=np.int64), ks, mode,
+                            gt_classes[b]) for b, frame in enumerate(rows)]
+    assert got == want
+    assert repr(got) == repr(want)
+    for recall, frame, b in zip(got, rows, range(len(rows))):
+        assert all(type(v) is float for v in recall.values())
+        assert recall == {k: reference_recall(object_logits[b], None if relation_logits is None
+                                              else relation_logits[b], frame, k, mode,
+                                              gt_classes[b]) for k in ks}
+
+
+def test_block_recall_checks_its_counts_and_classes():
+    obj, rel = np.zeros((2, 3, 2)), np.zeros((2, 3, 2))
+    gt = np.array([[1, 0, 0, 0, 0], [2, 1, 0, 0, 1]])
+    with pytest.raises(ShapeError, match="count"):
+        mt.triplet_recall_block(obj, rel, gt, [1], (5,), mt.MODE_SGCLS)
+    with pytest.raises(ShapeError, match="count"):
+        mt.triplet_recall_block(obj, rel, gt, [1, 2], (5,), mt.MODE_SGCLS)
+    with pytest.raises(ValidationError):
+        mt.triplet_recall_block(obj, rel, gt, [1, 1], (5,), mt.MODE_PREDCLS, [[0, 0, 0]])
+    with pytest.raises(ShapeError):
+        mt.triplet_recall_block(obj, rel[:, :2], gt, [1, 1], (5,), mt.MODE_SGCLS)
+    # every score ties, so each keyframe ranks by enumeration order
+    assert mt.triplet_recall_block(obj, rel, gt, [0, 2], (1, 6), mt.MODE_SGCLS) == [
+        {1: 1.0, 6: 1.0}, {1: 0.5, 6: 1.0}]

@@ -1,4 +1,7 @@
+import contextlib
 import math
+import operator
+import sys
 
 import numpy as np
 import pytest
@@ -109,6 +112,94 @@ def test_relu_gradient_at_zero_is_zero():
         loss = sp.sum_all(sp.relu(x))
     grads = ng.grad(tape, loss, {"x": x})
     assert grads["x"].data.tolist() == [0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("inside_checked", [False, True])
+def test_relu_values_are_np_where_byte_for_byte(inside_checked):
+    # signed zeros, infinities, the smallest normal, subnormals and random
+    # values; inside checked() subnormals read as zero
+    tiny = np.finfo(np.float64).tiny
+    special = [0.0, -0.0, np.inf, -np.inf, tiny, -tiny, tiny / 4, -tiny / 4, 5e-324, -5e-324]
+    x = np.concatenate([special, np.random.default_rng(3).normal(size=(200,))]).reshape(3, -1, 7)
+    with ng.checked("relu") if inside_checked else contextlib.nullcontext():
+        got, mask = ng._relu_values(x)
+        want, want_mask = sp.where_relu(x)
+    assert got.tobytes() == want.tobytes()
+    assert mask.tobytes() == want_mask.tobytes()
+    head = got.reshape(-1)[:len(special)]
+    assert head[[2, 4]].tolist() == [np.inf, tiny] and not np.signbit(head).any()
+    if inside_checked and ng._FENV is not None:
+        assert not head[6:].any()
+
+
+def _gat_case(rng, heads, pairs):
+    """additive_attention's arguments for a (9, 3, 4) receiver stack over pairs."""
+    def tensor(*shape):
+        return ng.Tensor(rng.uniform(-1, 1, size=shape), requires_grad=True)
+
+    transform = [tensor(4, 4) for _ in range(heads)]
+    score = [tensor(8) for _ in range(heads)]
+    neighbors = [(slices, tensor(len(slices), *shape)) for slices, shape in pairs]
+    return tensor(9, 3, 4), neighbors, transform, score
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_additive_attention_equals_its_reference_block_byte_for_byte(heads):
+    # the block against sp.additive_attention_reference, which sums the
+    # scores in numpy's broadcast layout, copies them into the stack and
+    # takes relu with np.where: output, attention and every backward piece
+    rng = np.random.default_rng(61)
+    for pairs in (_ONE_PAIR, _PERMUTED_PAIRS):
+        args = _gat_case(rng, heads, pairs)
+        g = rng.normal(size=(9, 3, 4 * heads))
+        runs = []
+        for entry in (ng.additive_attention, sp.additive_attention_reference):
+            with ng.Tape() as tape:
+                out, attention = entry(*args)
+            [(_, inputs, backward)] = tape._entries
+            runs.append(([out.data] + [a.data for a in attention], inputs, list(backward(g))))
+        (outputs, inputs, pieces), (want_outputs, want_inputs, want_pieces) = runs
+        assert len(inputs) == len(want_inputs) and all(map(operator.is_, inputs, want_inputs))
+        assert [a.tobytes() for a in outputs] == [a.tobytes() for a in want_outputs]
+        assert len(pieces) == len(want_pieces) == len(inputs)
+        for piece, want in zip(pieces, want_pieces):
+            assert piece.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("heads", [2, 4])
+def test_gat_score_stack_is_a_view_of_a_c_ordered_sum(heads, monkeypatch):
+    # Summed as broadcasting lays it out, the (b, H, n, s) score array is
+    # in (b, n, s, H) memory order, and its reshape to the (b, H n, s)
+    # stack is a C-ordered copy.  The block writes the sum in C order, so
+    # the stack relu reads is a view of the very array it was summed into,
+    # and softmax reads contiguous rows.
+    relu, softmax = ng._relu_values, ng._softmax_values
+    seen = {"relu": [], "softmax": []}
+
+    def spy_relu(x):
+        # the arrays of additive_attention's frame that hold x's memory
+        holders = sys._getframe(1).f_locals.values()
+        seen["relu"].append((x, [a for a in holders if isinstance(a, np.ndarray)
+                                 and a.ndim == 4 and np.shares_memory(a, x)]))
+        return relu(x)
+
+    def spy_softmax(x):
+        seen["softmax"].append(x.flags.c_contiguous)
+        return softmax(x)
+
+    monkeypatch.setattr(ng, "_relu_values", spy_relu)
+    monkeypatch.setattr(ng, "_softmax_values", spy_softmax)
+    rng = np.random.default_rng(67)
+    for pairs in (_ONE_PAIR, _PERMUTED_PAIRS):
+        seen["relu"].clear()
+        ng.additive_attention(*_gat_case(rng, heads, pairs))
+        # one score stack per pair, then the messages
+        assert len(seen["relu"]) == len(pairs) + 1
+        for (x, holders), (slices, (s, _)) in zip(seen["relu"], pairs):
+            assert x.shape == (len(slices), heads * 3, s)
+            assert [(a.shape, a.flags.c_contiguous) for a in holders] == [
+                ((len(slices), heads, 3, s), True)]
+    assert seen["softmax"] and all(seen["softmax"])
 
 
 def test_non_finite_input_raises():

@@ -532,9 +532,20 @@ def test_ragged_evaluation_matches_reference_recall_per_clip(mode):
     blocks = build_batch([c.frames for c in clips], params, config).blocks
     assert sorted(len(block.positions) for block in blocks) == [1, 1, 1, 2, 3]
     ks = (1, 3, 8, 50)
+    want = _mean_keyframe_recall(clips, params, config, ks, lambda *args: {
+        cutoff: reference_recall(*args[:3], cutoff, mode, args[3]) for cutoff in ks})
+    assert 0.0 < want[1] < want[50]
+    assert train.evaluate_scenegraph(clips, params, config, ks=ks, mode=mode) == want
+
+
+def _mean_keyframe_recall(clips, params, config, ks, recall) -> dict:
+    """Mean of recall(object logits, relation logits, gt rows, classes) over keyframes.
+
+    Each clip runs alone and is read back keyframe by keyframe; the
+    recalls are added in keyframe order.
+    """
     totals, count = dict.fromkeys(ks, 0.0), 0
     for clip in clips:
-        # each clip alone, read back per keyframe
         graph = build_graph(clip.frames, params, config)
         preds = [sg_readout(stack, params["readout.object.weight"],
                             params["readout.object.bias"], params["readout.relation.weight"],
@@ -544,14 +555,32 @@ def test_ragged_evaluation_matches_reference_recall_per_clip(mode):
             k, j = graph.where[pos]
             rel = preds[k].relation_logits
             gt = [(s, o, int(classes[s]), int(classes[o]), r) for s, o, r in relations]
+            got = recall(preds[k].object_logits.data[j], None if rel is None else rel.data[j],
+                         gt, classes)
             count += 1
-            for cutoff in ks:
-                totals[cutoff] += reference_recall(preds[k].object_logits.data[j],
-                                                   None if rel is None else rel.data[j], gt,
-                                                   cutoff, mode, classes)
-    want = {cutoff: totals[cutoff] / count for cutoff in ks}
-    assert 0.0 < want[1] < want[50]
-    assert train.evaluate_scenegraph(clips, params, config, ks=ks, mode=mode) == want
+            for cutoff in totals:
+                totals[cutoff] += got[cutoff]
+    return {cutoff: totals[cutoff] / count for cutoff in ks}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, train.EVAL_CHUNK])
+@pytest.mark.parametrize("mode", ["sgcls", "predcls"])
+def test_scenegraph_report_equals_one_keyframe_recall_in_repr(mode, chunk, monkeypatch):
+    # recall scores a chunk's blocks at once; the report must be what
+    # scoring keyframe by keyframe gives, Python floats added in keyframe
+    # order, with chunks that split clips' blocks apart or hold them all
+    config = small_config(heads=2, message_fns=("nonlocal", "gat"), tau_c=3, task="scenegraph",
+                          feature_channels=4, object_classes=3, relation_classes=3)
+    params = init_params(config, seed=2)
+    clips = ragged_scenegraph_clips()
+    ks = (2, 8, 1, 8)
+    want = _mean_keyframe_recall(clips, params, config, ks, lambda obj, rel, gt, classes: (
+        metrics.triplet_recall(obj, rel, np.array(gt, dtype=np.int64).reshape(-1, 5), ks, mode,
+                               gt_object_classes=classes)))
+    monkeypatch.setattr(train, "EVAL_CHUNK", chunk)
+    got = train.evaluate_scenegraph(clips, params, config, ks=ks, mode=mode)
+    assert repr(got) == repr(want)
+    assert all(type(v) is float for v in got.values()) and 0.0 < got[1] < 1.0
 
 
 def test_evaluate_scenegraph_counts_a_repeated_k_once():
