@@ -24,6 +24,7 @@ row sorted as its keyframe alone would be, and one lookup of every
 keyframe's ground truth; a single keyframe is a block of one.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,7 +130,16 @@ def check_iou_threshold(threshold: float) -> None:
 
 
 def check_recall_cutoffs(ks) -> None:
+    """At least one cutoff, each an integer of 1 or more, and not a bool.
+
+    Recall counts the ground truth ranked below k, so 2.5 would report
+    top-3 recall under the key 2.5 and True top-1 recall under True.
+    """
+    if not len(ks):
+        raise ConfigError("recall needs at least one cutoff k")
     for k in ks:
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise ConfigError(f"recall cutoff k must be an integer, got {k!r}")
         if k < 1:
             raise ConfigError(f"recall cutoff k must be positive, got {k}")
 

@@ -713,6 +713,20 @@ def _row_stack(products: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     return out
 
 
+def _col_stack(arrays: list[np.ndarray], weights: list[np.ndarray]) -> np.ndarray:
+    """Each head's product arrays[h] @ weights[h], side by side along the last axis.
+
+    A lone head's product is the stack.
+    """
+    if len(arrays) == 1:
+        return arrays[0] @ weights[0]
+    f = weights[0].shape[-1]
+    out = np.empty(arrays[0].shape[:-1] + (len(arrays) * f,))
+    for h, (a, w) in enumerate(zip(arrays, weights)):
+        out[..., h * f:(h + 1) * f] = a @ w
+    return out
+
+
 def _blocks(x: np.ndarray, heads: int, axis: int) -> list[np.ndarray]:
     """Views of x's equal blocks along axis -2 (rows) or -1 (columns), one per head.
 
@@ -793,32 +807,28 @@ def nonlocal_attention(query: Tensor, kv, wq, wk, wv) -> tuple[Tensor, list[Tens
     c = 1.0 / math.sqrt(wqs[0].shape[1])
     q = [qd @ w for w in wqs]
     u = _row_stack([(qh, w.T) for qh, w in zip(q, wks)])
-    out = np.empty(qd.shape[:-1] + (heads * wvs[0].shape[1],))
-    out_heads = _blocks(out, heads, -1)
-    parts = []
+    parts, messages = [], []
     for slices, t in groups:
         kvd = t.data
         kvt = kvd.swapaxes(-1, -2)
         attention = _softmax_values((u[slices] @ kvt) * c)
         pooled = _blocks(attention @ kvd, heads, -2)
-        for o, p, w in zip(out_heads, pooled, wvs):
-            o[slices] = p @ w
+        messages.append((slices, _col_stack(pooled, wvs)))
         parts.append((slices, kvd, kvt, pooled, attention))
 
     def backward(g):
-        du = np.empty_like(u)
-        g_heads = []
+        du, g_heads = [], []
         for slices, kvd, kvt, _, attention in parts:
             g_heads.append(_blocks(g[slices], heads, -1))
             dpooled = _row_stack([(gh, w.T) for gh, w in zip(g_heads[-1], wvs)])
             dscores = _softmax_grad(attention, dpooled @ kvt) * c
-            du[slices] = dscores @ kvd
+            du.append((slices, dscores @ kvd))
             dkvt = u[slices].swapaxes(-1, -2) @ dscores
             yield attention.swapaxes(-1, -2) @ dpooled + dkvt.swapaxes(-1, -2)
         for h in range(heads):
             yield _by_slice(len(qd), [(part[0], part[3][h].swapaxes(-1, -2) @ gh[h])
                                       for part, gh in zip(parts, g_heads)])
-        du_heads = _blocks(du, heads, -2)
+        du_heads = _blocks(_by_slice(len(u), du), heads, -2)
         for qh, duh in zip(q, du_heads):
             yield (qh.swapaxes(-1, -2) @ duh).swapaxes(-1, -2)
         dq = [duh @ w for duh, w in zip(du_heads, wks)]
@@ -830,7 +840,7 @@ def nonlocal_attention(query: Tensor, kv, wq, wk, wv) -> tuple[Tensor, list[Tens
             yield qd.swapaxes(-1, -2) @ dqh
 
     kvs = tuple(t for _, t in groups)
-    out = _emit(out, (*kvs, *wv, *wk, query, *wq), backward)
+    out = _emit(_by_slice(len(qd), messages), (*kvs, *wv, *wk, query, *wq), backward)
     return out, [_wrap(part[4]) for part in parts]
 
 
@@ -868,9 +878,7 @@ def additive_attention(receivers: Tensor, neighbors, transform,
     n = rd.shape[-2]
     a1, a2 = _score_columns(scores, 0, d), _score_columns(scores, d, 2 * d)
     own = rd @ a1
-    pre = np.empty(rd.shape[:-1] + (heads * ws[0].shape[1],))
-    pre_heads = _blocks(pre, heads, -1)
-    parts = []
+    parts, pre = [], []
     for slices, t in groups:
         nd = t.data
         # (b, H, n, 1) + (b, H, 1, s) into a C-ordered (b, H, n, s) array, so
@@ -881,10 +889,9 @@ def additive_attention(receivers: Tensor, neighbors, transform,
         raw, raw_mask = _relu_values(raw.reshape(len(nd), heads * n, nd.shape[1]))
         attention = _softmax_values(raw)
         pooled = _blocks(attention @ nd, heads, -2)
-        for o, p, w in zip(pre_heads, pooled, ws):
-            o[slices] = p @ w
+        pre.append((slices, _col_stack(pooled, ws)))
         parts.append((slices, nd, raw_mask, attention, pooled))
-    out, out_mask = _relu_values(pre)
+    out, out_mask = _relu_values(_by_slice(len(rd), pre))
 
     def backward(g):
         gm = g * out_mask
@@ -893,18 +900,19 @@ def additive_attention(receivers: Tensor, neighbors, transform,
             yield _by_slice(len(rd), [(part[0], part[4][h].swapaxes(-1, -2) @ gh[h])
                                       for part, gh in zip(parts, g_heads)])
         draw_own = np.empty_like(own)
-        dscore_other = np.empty(rd.shape[:-2] + a2.shape)
+        dscore_other = []
         for (slices, nd, raw_mask, attention, _), gh in zip(parts, g_heads):
             dpooled = _row_stack([(x, w.T) for x, w in zip(gh, ws)])
             draw = _softmax_grad(attention, dpooled @ nd.swapaxes(-1, -2)) * raw_mask
             draw = draw.reshape(len(nd), heads, n, nd.shape[1])
             dother = draw.sum(axis=-2).swapaxes(-1, -2)
             draw_own[slices] = draw.sum(axis=-1).swapaxes(-1, -2)
-            dscore_other[slices] = nd.swapaxes(-1, -2) @ dother
+            dscore_other.append((slices, nd.swapaxes(-1, -2) @ dother))
             yield attention.swapaxes(-1, -2) @ dpooled + dother @ a2.T
         yield draw_own @ a1.T
         # + 0.0 gives a -0.0 entry the sign that adding the zero half gives
-        dscore = np.concatenate([rd.swapaxes(-1, -2) @ draw_own, dscore_other], axis=-2) + 0.0
+        dscore = np.concatenate([rd.swapaxes(-1, -2) @ draw_own,
+                                 _by_slice(len(rd), dscore_other)], axis=-2) + 0.0
         for h in range(heads):
             yield dscore[..., h]
 

@@ -17,14 +17,15 @@ from .errors import ConfigError, NumericError, ShapeError, ValidationError
 from .graph import (Box, FeatureGrid, SpatioTemporalGraph, build_batch, build_graph,
                     featurize_keyframe, stack_arrays)
 from .heads import action_loss, action_readout, sg_loss, sg_readout
-from .metrics import box_array, frame_ap_arrays, triplet_recall_block
+from .metrics import box_array, check_recall_cutoffs, frame_ap_arrays, triplet_recall_block
 from .numgrad import Tape, Tensor, grad, sigmoid_values
 from .passing import ModelConfig, param_shapes, run_inference
 
 CHECKPOINT_FORMAT = "stgraph-checkpoint"
 CHECKPOINT_VERSION = 2
-# clips scored together as one batch by evaluate_action/evaluate_scenegraph
-EVAL_CHUNK = 16
+# float64 values that one run of held-out clips, scored as one batch, may
+# hold in its spatial score and state stacks (see eval_runs): 8 MiB
+EVAL_BUDGET = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -304,30 +305,61 @@ def train_loop(clips: list[ClipFeatures], config: ModelConfig, schedule: Schedul
 # evaluation
 
 
-def _over_chunks(score, clips: list[ClipFeatures], params, config: ModelConfig) -> list:
-    """score(chunk, graph, final states) for every EVAL_CHUNK clips, scored as one batch.
+def eval_runs(clips: list[ClipFeatures], config: ModelConfig) -> list[list[ClipFeatures]]:
+    """The clips cut, in order, into runs whose summed cost stays within EVAL_BUDGET.
 
-    Chunks run in order, in the calling thread.  A chunk holds the GIL
-    between numpy calls, and numpy lets it go around every stacked array
-    operation, so chunks on two threads handed the GIL back and forth:
-    two threads scored `temporal`'s held-out clips 11% slower than one
-    with the second core busy and 37% slower with it idle.
+    A keyframe of n boxes and c context rows (grid cells plus proposals)
+    costs heads * n * (n + c) + (n + c) * state_dim float64 values, its
+    spatial score stack and its state stack, the largest arrays a run
+    allocates.  No clip is split, and a clip that costs more than the
+    budget is a run of its own.  The costs are arithmetic on list and
+    array lengths, so the pass stays cheap next to the evaluation it cuts.
     """
-    def run(chunk):
-        graph = build_batch([c.frames for c in chunk], params, config)
-        return score(chunk, graph, run_inference(graph, params, config).states)
+    heads, d = config.heads, config.state_dim
+    runs, start, held = [], 0, 0
+    for i, clip in enumerate(clips):
+        cost = 0
+        for f in clip.frames:
+            n = len(f.fg_boxes)
+            cost += (n + len(f.ctx_feats) + len(f.prop_boxes)) * (heads * n + d)
+        if held + cost > EVAL_BUDGET and i > start:
+            runs.append(clips[start:i])
+            start, held = i, 0
+        held += cost
+    if start < len(clips):
+        runs.append(clips[start:])
+    return runs
 
-    return [run(clips[i:i + EVAL_CHUNK]) for i in range(0, len(clips), EVAL_CHUNK)]
+
+def _over_runs(score, clips: list[ClipFeatures], params, config: ModelConfig) -> list:
+    """score(run, graph, final states) for every run of eval_runs, each scored as one batch.
+
+    A keyframe's scores do not depend on its batch mates, so how the
+    clips are cut into runs never moves a reported byte; the budget only
+    bounds a run's memory, and lets many small clips pay a run's fixed
+    cost (graph build, entries, readout) once.  Runs go in order, in the
+    calling thread.  A run holds the GIL between numpy calls, and numpy
+    lets it go around every stacked array operation, so runs on two
+    threads handed the GIL back and forth: two threads scored `temporal`'s
+    held-out clips 11% slower than one with the second core busy and 37%
+    slower with it idle.
+    """
+    def score_run(run):
+        graph = build_batch([c.frames for c in run], params, config)
+        return score(run, graph, run_inference(graph, params, config).states)
+
+    return [score_run(run) for run in eval_runs(clips, config)]
 
 
 def evaluate_action(clips: list[ClipFeatures], params: dict[str, Tensor], config: ModelConfig,
                     iou_threshold: float = 0.5, workers: int = 1):
     """Frame mean average precision over every keyframe of every clip.
 
-    Returns (per-class AP dict, mAP).  Clips are scored EVAL_CHUNK at a
-    time as one batch, and a clip's scores do not depend on its batch
-    mates.  workers is accepted and changes nothing: chunks run in the
-    calling thread (see _over_chunks).
+    Returns (per-class AP dict, mAP).  Clips are scored in runs cut by
+    their cost (see eval_runs), each run as one batch, and a clip's scores
+    do not depend on its batch mates, so the cut never moves a byte.
+    workers is accepted and changes nothing: runs go in the calling
+    thread (see _over_runs).
     """
     if not clips:
         raise ValidationError("no clips to evaluate")
@@ -351,15 +383,15 @@ def evaluate_action(clips: list[ClipFeatures], params: dict[str, Tensor], config
     det_frame = np.repeat([frame for frame, _ in scored], [len(b) * classes for _, b in scored])
     det_boxes = box_array(b for _, boxes in scored for b in boxes)
 
-    def detect(chunk: list[ClipFeatures], graph: SpatioTemporalGraph, states: list[Tensor]):
+    def detect(run: list[ClipFeatures], graph: SpatioTemporalGraph, states: list[Tensor]):
         probs = [sigmoid_values(action_readout(s, params["readout.action.weight"],
                                                params["readout.action.bias"]).data)
                  for s in states]
         return [probs[k][j].reshape(-1) for span in graph.clips
                 for k, j in (graph.where[pos] for pos in span)]
 
-    scores = np.concatenate([p for chunk in _over_chunks(detect, clips, params, config)
-                             for p in chunk])
+    scores = np.concatenate([p for run in _over_runs(detect, clips, params, config)
+                             for p in run])
     return frame_ap_arrays(det_frame, np.repeat(det_boxes, classes, axis=0),
                            np.tile(np.arange(classes), len(det_boxes)), scores,
                            gt_frame[rows], gt_boxes[rows], gt_classes, iou_threshold)
@@ -370,17 +402,19 @@ def evaluate_scenegraph(clips: list[ClipFeatures], params: dict[str, Tensor],
                         workers: int = 1) -> dict[int, float]:
     """Mean recall at each K over all keyframes, under sgcls or predcls scoring.
 
-    Clips are scored as evaluate_action scores them, EVAL_CHUNK at a time;
-    workers changes nothing there either.
+    Clips are scored as evaluate_action scores them, in runs cut by their
+    cost; workers changes nothing there either.  ks must name at least
+    one integer cutoff of 1 or more (see metrics.check_recall_cutoffs).
     """
     if not clips:
         raise ValidationError("no clips to evaluate")
+    check_recall_cutoffs(ks)
 
-    def score(chunk: list[ClipFeatures], graph: SpatioTemporalGraph, states: list[Tensor]):
-        # the chunk's keyframes block by block, slice by slice; slots[i] is
+    def score(run: list[ClipFeatures], graph: SpatioTemporalGraph, states: list[Tensor]):
+        # the run's keyframes block by block, slice by slice; slots[i] is
         # the report position of the i-th
         frames = [(clip.object_classes[local], clip.relations[local])
-                  for clip in chunk for local in range(len(clip.frames))]
+                  for clip in run for local in range(len(clip.frames))]
         slots = sorted(range(len(frames)), key=graph.where.__getitem__)
         classes = [np.asarray(frames[pos][0]).astype(np.int64) for pos in slots]
         relations = [frames[pos][1] for pos in slots]
@@ -406,7 +440,7 @@ def evaluate_scenegraph(clips: list[ClipFeatures], params: dict[str, Tensor],
             at += b
         return [recalls[i] for i in np.argsort(slots)]
 
-    recalls = [r for chunk in _over_chunks(score, clips, params, config) for r in chunk]
+    recalls = [r for run in _over_runs(score, clips, params, config) for r in run]
     # each distinct K once, however often ks names it
     totals = dict.fromkeys(ks, 0.0)
     for recall in recalls:

@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 import stgraph.numgrad as ng
 from stgraph import data, metrics, train
 from stgraph.errors import ConfigError, NumericError, ValidationError
-from stgraph.graph import Box, FeatureGrid, build_batch, build_graph, featurize_keyframe
+from stgraph.graph import (Box, FeatureGrid, KeyframeFeatures, build_batch, build_graph,
+                           featurize_keyframe)
 from stgraph.numgrad import Tape, Tensor, grad
 from stgraph.heads import action_readout, sg_readout
 from stgraph.passing import ModelConfig, param_shapes, run_inference
@@ -430,26 +431,9 @@ def test_evaluate_action_perfect_and_threading(tmp_path):
     assert per_class2 == per_class
 
 
-def test_evaluate_action_scores_detections_like_the_loops(tmp_path):
-    # evaluation mode scores each keyframe's detections, here three
-    # shifted copies of every annotated box, so overlaps fall below 1 and
-    # some below the threshold; 18 clips make two evaluation chunks
-    manifest = data.synth_action_overfit(str(tmp_path / "ds"), seed=3, clips=18, classes=3,
-                                         channels=6)
-    info, records = data.load_dataset(manifest)
-    shifts = [(0.05, 0.0), (-0.1, 0.05), (0.2, 0.2)]
-    for clip in records:
-        clip.keyframes = [dataclasses.replace(kf, detections=[
-            Box(max(b.x1 + dx, 0.0), max(b.y1 + dy, 0.0), min(b.x2 + dx, 1.0), min(b.y2 + dy, 1.0))
-            for b in kf.fg_boxes for dx, dy in shifts]) for kf in clip.keyframes]
-    clips = [data.featurize_clip(c, info, mode=data.EVAL_MODE) for c in records]
-    config = small_config(action_classes=3)
-    params = train_loop([data.featurize_clip(c, info) for c in records], config,
-                        Schedule().scaled(2.0), seed=0, batch_size=4).params
-
-    per_class, mean_ap = train.evaluate_action(clips, params, config)
-
-    # the per-object loops this evaluation replaced, one clip at a time
+def _loop_detections(clips, params, config) -> tuple[list, list]:
+    """The per-object loops evaluate_action replaced, one clip at a time:
+    (a Detection per scored box and class, a GroundTruthBox per label)."""
     detections, truth = [], []
     for clip in clips:
         graph = build_graph(clip.frames, params, config)
@@ -466,6 +450,29 @@ def test_evaluate_action_scores_detections_like_the_loops(tmp_path):
                 for cls in np.flatnonzero(clip.gt_action_labels[pos][row]):
                     truth.append(metrics.GroundTruthBox(clip.clip_id, clip.keyframe_ids[pos],
                                                         box, int(cls)))
+    return detections, truth
+
+
+def test_evaluate_action_scores_detections_like_the_loops(tmp_path):
+    # evaluation mode scores each keyframe's detections, here three
+    # shifted copies of every annotated box, so overlaps fall below 1 and
+    # some below the threshold
+    manifest = data.synth_action_overfit(str(tmp_path / "ds"), seed=3, clips=18, classes=3,
+                                         channels=6)
+    info, records = data.load_dataset(manifest)
+    shifts = [(0.05, 0.0), (-0.1, 0.05), (0.2, 0.2)]
+    for clip in records:
+        clip.keyframes = [dataclasses.replace(kf, detections=[
+            Box(max(b.x1 + dx, 0.0), max(b.y1 + dy, 0.0), min(b.x2 + dx, 1.0), min(b.y2 + dy, 1.0))
+            for b in kf.fg_boxes for dx, dy in shifts]) for kf in clip.keyframes]
+    clips = [data.featurize_clip(c, info, mode=data.EVAL_MODE) for c in records]
+    config = small_config(action_classes=3)
+    params = train_loop([data.featurize_clip(c, info) for c in records], config,
+                        Schedule().scaled(2.0), seed=0, batch_size=4).params
+
+    per_class, mean_ap = train.evaluate_action(clips, params, config)
+
+    detections, truth = _loop_detections(clips, params, config)
     assert repr((per_class, mean_ap)) == repr(reference_frame_ap(detections, truth))
     overlaps = [reference_iou(d.box, g.box) for d in detections[::3] for g in truth
                 if (d.clip_id, d.keyframe_id) == (g.clip_id, g.keyframe_id)]
@@ -563,12 +570,33 @@ def _mean_keyframe_recall(clips, params, config, ks, recall) -> dict:
     return {cutoff: totals[cutoff] / count for cutoff in ks}
 
 
-@pytest.mark.parametrize("chunk", [1, 2, train.EVAL_CHUNK])
+def clip_cost(clip, config) -> int:
+    """A clip's float64 values in its keyframes' spatial score and state stacks."""
+    cost = 0
+    for f in clip.frames:
+        n = f.fg_feats.shape[0]
+        rows = n + f.ctx_feats.shape[0] + (0 if f.prop_feats is None else f.prop_feats.shape[0])
+        cost += config.heads * n * rows + rows * config.state_dim
+    return cost
+
+
+def run_lengths(clips, config, multiple: int, monkeypatch) -> list[int]:
+    """Set EVAL_BUDGET to multiple times the costliest clip's cost; the clip counts of its runs."""
+    monkeypatch.setattr(train, "EVAL_BUDGET", multiple * max(clip_cost(c, config) for c in clips))
+    return [len(run) for run in train.eval_runs(clips, config)]
+
+
+# budgets, in units of the costliest clip, that on the ragged clips below
+# cut one clip per run, uneven runs, and one run
+MULTIPLES = [1, 2, 16]
+
+
+@pytest.mark.parametrize("multiple", MULTIPLES)
 @pytest.mark.parametrize("mode", ["sgcls", "predcls"])
-def test_scenegraph_report_equals_one_keyframe_recall_in_repr(mode, chunk, monkeypatch):
-    # recall scores a chunk's blocks at once; the report must be what
+def test_scenegraph_report_equals_one_keyframe_recall_in_repr(mode, multiple, monkeypatch):
+    # recall scores a run's blocks at once; the report must be what
     # scoring keyframe by keyframe gives, Python floats added in keyframe
-    # order, with chunks that split clips' blocks apart or hold them all
+    # order, with runs that split clips' blocks apart or hold them all
     config = small_config(heads=2, message_fns=("nonlocal", "gat"), tau_c=3, task="scenegraph",
                           feature_channels=4, object_classes=3, relation_classes=3)
     params = init_params(config, seed=2)
@@ -577,10 +605,95 @@ def test_scenegraph_report_equals_one_keyframe_recall_in_repr(mode, chunk, monke
     want = _mean_keyframe_recall(clips, params, config, ks, lambda obj, rel, gt, classes: (
         metrics.triplet_recall(obj, rel, np.array(gt, dtype=np.int64).reshape(-1, 5), ks, mode,
                                gt_object_classes=classes)))
-    monkeypatch.setattr(train, "EVAL_CHUNK", chunk)
+    assert run_lengths(clips, config, multiple, monkeypatch) == {
+        1: [1, 1, 1], 2: [2, 1], 16: [3]}[multiple]
     got = train.evaluate_scenegraph(clips, params, config, ks=ks, mode=mode)
     assert repr(got) == repr(want)
     assert all(type(v) is float for v in got.values()) and 0.0 < got[1] < 1.0
+
+
+def ragged_action_clips(classes: int):
+    """Four clips of 1, 4, 2 and 3 keyframes over 3x3 or 2x3 grids, each
+    keyframe scoring 1 to 3 detections next to 0 to 2 proposals, against
+    1 or 2 annotated boxes with random labels."""
+    rng = np.random.default_rng(17)
+
+    def boxes(count):
+        return [Box(x, y, x + 0.4, y + 0.4) for x, y in rng.uniform(0.0, 0.55, size=(count, 2))]
+
+    clips = []
+    for c, keyframes in enumerate([1, 4, 2, 3]):
+        frames, truth, labels = [], [], []
+        for k in range(keyframes):
+            grid = FeatureGrid(values=Tensor(rng.uniform(-1, 1, size=(2, 3 - c % 2, 3, 4))),
+                               keyframe_id=10 * k)
+            frames.append(featurize_keyframe(grid, boxes(1 + (c + 2 * k) % 3), boxes((c + k) % 3)))
+            truth.append(boxes(1 + (c + k) % 2))
+            labels.append((rng.uniform(size=(len(truth[-1]), classes)) < 0.5).astype(float))
+        clips.append(data.ClipFeatures(clip_id=f"a{c}", frames=frames, gt_boxes=truth,
+                                       gt_action_labels=labels,
+                                       keyframe_ids=[10 * k for k in range(keyframes)]))
+    return clips
+
+
+@pytest.mark.parametrize("multiple", MULTIPLES)
+def test_action_report_does_not_depend_on_the_budget(multiple, monkeypatch):
+    config = small_config(heads=2, message_fns=("nonlocal", "gat"), tau_c=3, feature_channels=4,
+                          action_classes=3)
+    params = init_params(config, seed=4)
+    clips = ragged_action_clips(config.action_classes)
+    # keyframes of 1 to 3 boxes, 6 or 9 cells and 0 to 2 proposals make
+    # blocks that mix clips; the report is the loops' over one clip at a time
+    assert len(build_batch([c.frames for c in clips], params, config).blocks) > 4
+    want = reference_frame_ap(*_loop_detections(clips, params, config))
+    assert run_lengths(clips, config, multiple, monkeypatch) == {
+        1: [1, 1, 1, 1], 2: [3, 1], 16: [4]}[multiple]
+    got = train.evaluate_action(clips, params, config)
+    assert repr(got) == repr(want)
+    assert 0.0 < got[1] < 1.0
+
+
+def test_eval_runs_keep_clip_order_and_stay_within_the_budget(monkeypatch):
+    config = small_config(heads=2, state_dim=5, feature_channels=4)
+    rng = np.random.default_rng(23)
+    clips = []
+    for c in range(40):
+        frames = []
+        for k in range(int(rng.integers(1, 5))):
+            n, cells, props = (int(v) for v in rng.integers((1, 1, 0), (9, 20, 4)))
+            frames.append(KeyframeFeatures(k, [Box(0.1, 0.1, 0.5, 0.5)] * n, np.zeros((n, 4)),
+                                           np.zeros((cells, 4)), (1, cells),
+                                           [Box(0.2, 0.2, 0.6, 0.6)] * props,
+                                           np.zeros((props, 4)) if props else None))
+        clips.append(data.ClipFeatures(clip_id=f"c{c}", frames=frames))
+    costs = {id(clip): clip_cost(clip, config) for clip in clips}
+    for budget in [1, 200, 1000, 5000, 10 ** 9]:
+        monkeypatch.setattr(train, "EVAL_BUDGET", budget)
+        runs = train.eval_runs(clips, config)
+        # every clip once, whole, in order
+        assert [clip for run in runs for clip in run] == clips
+        assert all(run for run in runs)
+        for i, run in enumerate(runs):
+            held = sum(costs[id(clip)] for clip in run)
+            assert held <= budget or len(run) == 1
+            # a run ends only where the next clip would not fit
+            if i + 1 < len(runs):
+                assert held + costs[id(runs[i + 1][0])] > budget
+    # a run may hold exactly the budget
+    monkeypatch.setattr(train, "EVAL_BUDGET", costs[id(clips[0])] + costs[id(clips[1])])
+    assert len(train.eval_runs(clips, config)[0]) >= 2
+    assert train.eval_runs([], config) == []
+    # the benchmark's wide clips: 8 keyframes of 16 boxes over 7x7 cells, d = 64, 4 heads
+    wide = small_config(state_dim=64, heads=4, message_fns=("nonlocal", "gat"), tau_c=3,
+                        task="scenegraph", feature_channels=16, object_classes=5,
+                        relation_classes=3)
+    frames = [KeyframeFeatures(k, [Box(0.1, 0.1, 0.5, 0.5)] * 16, np.zeros((16, 16)),
+                               np.zeros((49, 16)), (7, 7)) for k in range(8)]
+    clips = [data.ClipFeatures(clip_id=f"w{c}", frames=frames) for c in range(16)]
+    assert clip_cost(clips[0], wide) == 66560
+    monkeypatch.undo()
+    assert [len(run) for run in train.eval_runs(clips[:4], wide)] == [4]
+    assert [len(run) for run in train.eval_runs(clips, wide)] == [15, 1]
 
 
 def test_evaluate_scenegraph_counts_a_repeated_k_once():
@@ -592,6 +705,35 @@ def test_evaluate_scenegraph_counts_a_repeated_k_once():
     assert train.evaluate_scenegraph(clips, params, config, ks=(50, 3, 50),
                                      mode="predcls") == once
     assert once[50] == 1.0
+
+
+@pytest.mark.parametrize("ks, message", [
+    ((2.5,), "recall cutoff k must be an integer, got 2.5"),
+    ((True,), "recall cutoff k must be an integer, got True"),
+    ((20, math.nan), "recall cutoff k must be an integer, got nan"),
+    ((np.True_,), "recall cutoff k must be an integer, got np.True_"),
+    ((), "recall needs at least one cutoff k"),
+    ((3, 0), "recall cutoff k must be positive, got 0"),
+])
+def test_evaluate_scenegraph_rejects_cutoffs_that_are_not_counts(ks, message, monkeypatch):
+    # 2.5 used to report top-3 recall under the key 2.5, True top-1 recall
+    # under True, NaN a recall of 0, and no cutoff an empty report
+    config = small_config(task="scenegraph", feature_channels=4, object_classes=3,
+                          relation_classes=3)
+    monkeypatch.setattr(train, "build_batch", lambda *a: pytest.fail("built a graph"))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        train.evaluate_scenegraph(ragged_scenegraph_clips(), init_params(config), config, ks=ks)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        metrics.triplet_recall(np.zeros((2, 3)), np.zeros((1, 3)),
+                               np.array([[1, 0, 0, 0, 0]]), ks, "sgcls")
+
+
+def test_recall_cutoffs_may_be_numpy_integers():
+    config = small_config(task="scenegraph", feature_channels=4, object_classes=3,
+                          relation_classes=3)
+    params, clips = init_params(config, seed=1), ragged_scenegraph_clips()
+    got = train.evaluate_scenegraph(clips, params, config, ks=(np.int64(3), 50), mode="predcls")
+    assert got == train.evaluate_scenegraph(clips, params, config, ks=(3, 50), mode="predcls")
 
 
 # ---------------------------------------------------------------------------

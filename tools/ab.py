@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """In-process A/B of two source trees on one perfbench workload.
 
-    python tools/ab.py OLD NEW --workload wide --rounds 15 [--seed 5]
+    python tools/ab.py OLD NEW --workload wide --rounds 15 [--seed 5] [--ops eval,train]
 
 OLD and NEW are checkouts of this repository (each with src/stgraph).  Both
 packages are imported into one process, side by side, and the workload's
@@ -9,10 +9,10 @@ inputs are made once through NEW's perfbench/workloads.py.  The tool first
 says whether the two trees give byte-identical trained parameters, forward
 outputs (every held-out clip), gradients (the first training clip) and
 evaluation report.  Then it runs R rounds of forward passes, forward and
-backward passes, evaluation and training, each round timing both trees on
-every operation, alternately OLD first and NEW first, and prints per
-operation both medians, the median of the per-round ratios NEW/OLD and how
-many rounds NEW won.
+backward passes, evaluation and training, or of the operations --ops
+names, each round timing both trees on every operation, alternately OLD
+first and NEW first, and prints per operation both medians, the median of
+the per-round ratios NEW/OLD and how many rounds NEW won.
 
 It is for sizing a change and bisecting a slowdown: the two sides of a
 pair run moments apart in one process, so a slow spell of a shared host
@@ -144,11 +144,12 @@ def identity(old: Tree, new: Tree) -> dict[str, bool]:
     }
 
 
-def rounds(old: Tree, new: Tree, count: int) -> dict[str, list[tuple[float, float]]]:
+def rounds(old: Tree, new: Tree, count: int,
+           ops=OPERATIONS) -> dict[str, list[tuple[float, float]]]:
     """(OLD seconds, NEW seconds) per round and operation, alternating which goes first."""
-    times = {op: [] for op in OPERATIONS}
+    times = {op: [] for op in ops}
     for i in range(count):
-        for op in OPERATIONS:
+        for op in ops:
             first, second = (old, new) if i % 2 == 0 else (new, old)
             a, b = first.timed(op), second.timed(op)
             times[op].append((a, b) if first is old else (b, a))
@@ -164,9 +165,16 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, help="a perfbench workload name")
     parser.add_argument("--rounds", type=int, default=15, help="timed rounds (default 15)")
     parser.add_argument("--seed", type=int, default=0, help="input and model seed (default 0)")
+    parser.add_argument("--ops", default=",".join(OPERATIONS),
+                        help=f"comma-separated operations to time, of {','.join(OPERATIONS)} "
+                             "(default all four)")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    ops = args.ops.split(",")
+    unknown = [op for op in ops if op not in OPERATIONS]
+    if unknown:
+        parser.error(f"unknown --ops {unknown}; choose from {','.join(OPERATIONS)}")
     old_root, new_root = (os.path.abspath(p) for p in (args.old, args.new))
     bench_dir = os.path.join(new_root, "perfbench")
     with tempfile.TemporaryDirectory(prefix="ab-") as workdir:
@@ -181,7 +189,7 @@ def main(argv=None) -> int:
     same = identity(old, new)
     for what, equal in same.items():
         print(f"{what}: {'identical' if equal else 'DIFFER'}")
-    times = rounds(old, new, args.rounds)
+    times = rounds(old, new, args.rounds, [op for op in OPERATIONS if op in ops])
     print(f"{'operation':<10} {'old ms':>10} {'new ms':>10} {'new/old':>8} {'new won':>8}")
     for op, pairs in times.items():
         print(f"{op:<10} {1e3 * statistics.median(a for a, _ in pairs):>10.3f} "
