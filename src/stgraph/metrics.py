@@ -15,13 +15,15 @@ Triplet recall ranks all (subject, object, predicate) candidates of a
 keyframe by the product of their three probabilities and reports the
 fraction of ground-truth triplets found in the top K.  The candidates
 are enumerated in heads.pair_index order, (1,0), (2,0), (2,1), ..., and
-within a pair by predicate.  One stable sort of a keyframe's scores
-serves every K: tied scores keep that enumeration order, so the reports
-are byte-identical to those of a loop that sorts scored tuples per K.
-Recall scores a block of keyframes with n nodes each at once: one
-stable sort along the rows of its (B, pairs * predicates) scores, each
-row sorted as its keyframe alone would be, and one lookup of every
-keyframe's ground truth; a single keyframe is a block of one.
+within a pair by predicate, and tied scores keep that enumeration order,
+as in a stable sort, so the reports are byte-identical to those of a
+loop that sorts scored tuples per K.  No sort runs: whether a candidate
+ranks in the top K is read off its keyframe's K-th largest score, which
+one np.partition finds for every K, and, for a candidate that ties with
+it, a count of the tied candidates enumerated before it (see
+ranks_below).  Recall scores a block of keyframes with n nodes each at
+once, along the rows of its (B, pairs * predicates) scores; a single
+keyframe is a block of one.
 """
 
 import numbers
@@ -253,6 +255,38 @@ def triplet_score(subject_prob: float, predicate_prob: float, object_prob: float
     return subject_prob * predicate_prob * object_prob
 
 
+def ranks_below(scores: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                ks) -> dict[int, np.ndarray]:
+    """For each k, whether each scores[rows[i], cols[i]] ranks below k in its row.
+
+    A row ranks by descending score, ties in column order, as its stable
+    sort would: an entry's rank is the count of entries above it plus the
+    count of equal entries before it.  So with t the row's k-th largest
+    score, an entry above t ranks below k, one under t does not, and one
+    equal to t does when fewer than k - (entries above t) entries equal
+    to t come before it.  One np.partition finds t for every k below the
+    row length; every entry ranks below a larger k.
+    """
+    size = scores.shape[-1]
+    kth = sorted({size - k for k in ks if k < size})
+    part = np.partition(scores, kth, axis=-1) if kth else None
+    mine = scores[rows, cols]
+    below = {}
+    for k in ks:
+        if k >= size:
+            below[k] = np.ones(len(rows), dtype=bool)
+            continue
+        top = part[rows, size - k]
+        won = mine > top
+        tied = np.flatnonzero(mine == top)
+        if tied.size:
+            row, level = scores[rows[tied]], top[tied, None]
+            before = ((row == level) & (np.arange(size) < cols[tied, None])).sum(axis=-1)
+            won[tied] = before < k - (row > level).sum(axis=-1)
+        below[k] = won
+    return below
+
+
 def triplet_recall_block(object_logits: np.ndarray, relation_logits: np.ndarray | None,
                          gt: np.ndarray, counts, ks, mode: str,
                          gt_object_classes=None) -> list[dict[int, float]]:
@@ -297,18 +331,14 @@ def triplet_recall_block(object_logits: np.ndarray, relation_logits: np.ndarray 
     # (p_s * p_r) * p_o, the multiplication order of triplet_score
     rel_probs = sigmoid_values(relation_logits)
     scores = (node_prob[:, subjects, None] * rel_probs) * node_prob[:, objects, None]
-    # a row's stable sort is its keyframe's own: ties keep enumeration order
-    order = np.argsort(-scores.reshape(blocks, -1), axis=-1, kind="stable")
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(order.shape[1]), axis=-1)
     frame = np.repeat(np.arange(blocks), counts)
     s, o, _, _, r = gt.T
     named = (0 <= o) & (o < s) & (s < n) & (0 <= r) & (r < predicates)
     frame, (s, o, s_class, o_class, r) = frame[named], gt[named].T
-    found = rank[frame, (s * (s - 1) // 2 + o) * predicates + r]
     hit = (node_class[frame, s] == s_class) & (node_class[frame, o] == o_class)
-    frame, found = frame[hit], found[hit]
-    hits = {k: np.bincount(frame[found < k], minlength=blocks).tolist() for k in ks}
+    frame, found = frame[hit], ((s * (s - 1) // 2 + o) * predicates + r)[hit]
+    below = ranks_below(scores.reshape(blocks, -1), frame, found, ks)
+    hits = {k: np.bincount(frame[below[k]], minlength=blocks).tolist() for k in ks}
     # a keyframe without ground truth counts as fully recalled
     return [{k: hits[k][b] / m for k in ks} if m else dict.fromkeys(ks, 1.0)
             for b, m in enumerate(counts.tolist())]

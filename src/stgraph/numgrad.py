@@ -357,16 +357,22 @@ def _add_slices(held: np.ndarray | None, pieces: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _softmax_values(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis with max subtraction for stability."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax_rows(e: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of rows already less their max, in e's own buffer."""
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Cotangent of a softmax input, from its output y and output cotangent g."""
-    inner = (g * y).sum(axis=-1, keepdims=True)
-    return y * (g - inner)
+    """Cotangent of a softmax input, from its output y and output cotangent g, in g's buffer.
+
+    g must be a buffer the caller owns: never an input's data, nor the
+    cotangent grad() hands a backward.
+    """
+    g -= (g * y).sum(axis=-1, keepdims=True)
+    g *= y
+    return g
 
 
 def _layer_norm_values(x: np.ndarray, scale_: np.ndarray, shift: np.ndarray, eps: float):
@@ -393,17 +399,29 @@ def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, scale_: 
     return dx, (g * xhat).sum(axis=-2), g.sum(axis=-2)
 
 
-def _relu_values(x: np.ndarray):
-    """(max(x, 0), mask of positive entries).
+def _relu_values(x: np.ndarray) -> np.ndarray:
+    """x set to max(x, 0) in its own buffer.
 
-    np.maximum returns x at x = -0.0, and adding 0.0 makes that +0.0, so
-    the result has the bytes of np.where(x > 0, x, 0.0) for every input
+    np.maximum's scalar loop returns x at x = -0.0 (numpy 2.4's SIMD
+    loop returns the 0.0), and adding 0.0 makes that +0.0, so the
+    result has the bytes of np.where(x > 0, x, 0.0) for every input
     but NaN.  Inside checked() no NaN reaches here: the operation that
     would make one raises its invalid flag first.
     """
-    out = np.maximum(x, 0.0)
-    out += 0.0
-    return out, x > 0.0
+    np.maximum(x, 0.0, out=x)
+    x += 0.0
+    return x
+
+
+def _relu_scores(x: np.ndarray) -> np.ndarray:
+    """x set to max(x, 0) in its own buffer; returns the mask of positive entries.
+
+    For scores that a softmax reads next, which needs no + 0.0: x - m
+    and exp(±0) = 1 do not depend on a zero's sign.
+    """
+    mask = x > 0.0
+    np.maximum(x, 0.0, out=x)
+    return mask
 
 
 def _scatter_rows(g: np.ndarray, index: np.ndarray, rows: int, plan=None) -> np.ndarray:
@@ -612,6 +630,28 @@ def gather_rows(m: Tensor | list[Tensor], index, plan=None) -> Tensor:
 # product still runs per slice.  The messages come back as column blocks,
 # head h in columns h f ... (h + 1) f of a (B, n, H f) stack, which
 # gated_mix reads as its message slots.
+#
+# nonlocal_attention's u = q wk^T, the one per-head product with a
+# transposed weight in a forward pass, reads a C-ordered copy of wk^T,
+# made once per call: OpenBLAS takes a stacked product with a transposed
+# operand on a slower path (a (8, 16, 64) @ (64, 64)^T took 30 us with the
+# view and 17 us with the copy, copy included, on one thread of an x86-64
+# Xeon with OpenBLAS 0.3.31).  The copy's product may differ
+# from the view's, which the chain reads, in the last bit (a one-row
+# slice goes through gemv, whose two forms add in different orders), and
+# so may all that follows from u; it still runs per slice.  The backward
+# products with wv^T, wq^T and transform^T read the views: there, copies
+# cost small stacks more than they save.
+#
+# An entry writes only into arrays it has just made: a score stack is
+# scaled, relu'd, shifted by its row max and softmaxed in the array its
+# product or sum wrote, its cotangent is formed and masked in the array
+# its product wrote, and the messages and gate pieces are summed in
+# place.  It never writes into an input's data or into the cotangent
+# grad() hands its backward, which may also be another input's piece.
+# GAT takes its row max without reading the stack: rounding and relu are
+# monotone, so the largest relu(own_v + other_j) over j is, bit for bit,
+# relu(own_v + the largest other_j).
 
 
 def _slice_index(slices) -> tuple:
@@ -806,12 +846,15 @@ def nonlocal_attention(query: Tensor, kv, wq, wk, wv) -> tuple[Tensor, list[Tens
                          f"{wqs[0].shape}/{wks[0].shape}/{wvs[0].shape} do not align")
     c = 1.0 / math.sqrt(wqs[0].shape[1])
     q = [qd @ w for w in wqs]
-    u = _row_stack([(qh, w.T) for qh, w in zip(q, wks)])
+    u = _row_stack([(qh, w.T.copy()) for qh, w in zip(q, wks)])
     parts, messages = [], []
     for slices, t in groups:
         kvd = t.data
         kvt = kvd.swapaxes(-1, -2)
-        attention = _softmax_values((u[slices] @ kvt) * c)
+        scores = u[slices] @ kvt
+        scores *= c
+        scores -= scores.max(axis=-1, keepdims=True)
+        attention = _softmax_rows(scores)
         pooled = _blocks(attention @ kvd, heads, -2)
         messages.append((slices, _col_stack(pooled, wvs)))
         parts.append((slices, kvd, kvt, pooled, attention))
@@ -821,10 +864,14 @@ def nonlocal_attention(query: Tensor, kv, wq, wk, wv) -> tuple[Tensor, list[Tens
         for slices, kvd, kvt, _, attention in parts:
             g_heads.append(_blocks(g[slices], heads, -1))
             dpooled = _row_stack([(gh, w.T) for gh, w in zip(g_heads[-1], wvs)])
-            dscores = _softmax_grad(attention, dpooled @ kvt) * c
+            dscores = dpooled @ kvt
+            _softmax_grad(attention, dscores)
+            dscores *= c
             du.append((slices, dscores @ kvd))
             dkvt = u[slices].swapaxes(-1, -2) @ dscores
-            yield attention.swapaxes(-1, -2) @ dpooled + dkvt.swapaxes(-1, -2)
+            piece = attention.swapaxes(-1, -2) @ dpooled
+            piece += dkvt.swapaxes(-1, -2)
+            yield piece
         for h in range(heads):
             yield _by_slice(len(qd), [(part[0], part[3][h].swapaxes(-1, -2) @ gh[h])
                                       for part, gh in zip(parts, g_heads)])
@@ -881,20 +928,27 @@ def additive_attention(receivers: Tensor, neighbors, transform,
     parts, pre = [], []
     for slices, t in groups:
         nd = t.data
+        mine, other = own[slices].swapaxes(-1, -2), nd @ a2
         # (b, H, n, 1) + (b, H, 1, s) into a C-ordered (b, H, n, s) array, so
         # the (b, H n, s) stack, head h's scores in rows h n ... (h + 1) n, is a view
-        raw = np.add(own[slices].swapaxes(-1, -2)[..., None],
-                     (nd @ a2).swapaxes(-1, -2)[..., None, :],
+        raw = np.add(mine[..., None], other.swapaxes(-1, -2)[..., None, :],
                      out=np.empty((len(nd), heads, n, nd.shape[1])))
-        raw, raw_mask = _relu_values(raw.reshape(len(nd), heads * n, nd.shape[1]))
-        attention = _softmax_values(raw)
+        raw_mask = _relu_scores(raw)
+        # each row's max, relu(own + the largest other), as the block comment says
+        top = mine + other.max(axis=-2)[..., None]
+        np.maximum(top, 0.0, out=top)
+        raw -= top[..., None]
+        stack = (len(nd), heads * n, nd.shape[1])
+        attention = _softmax_rows(raw.reshape(stack))
         pooled = _blocks(attention @ nd, heads, -2)
         pre.append((slices, _col_stack(pooled, ws)))
-        parts.append((slices, nd, raw_mask, attention, pooled))
-    out, out_mask = _relu_values(_by_slice(len(rd), pre))
+        parts.append((slices, nd, raw_mask.reshape(stack), attention, pooled))
+    mix = _relu_values(_by_slice(len(rd), pre))
 
     def backward(g):
-        gm = g * out_mask
+        # relu's mask read off its output: mix > 0 exactly where its input was,
+        # a subnormal input aside, which the layers' checked() flushes to zero
+        gm = g * (mix > 0.0)
         g_heads = [_blocks(gm[part[0]], heads, -1) for part in parts]
         for h in range(heads):
             yield _by_slice(len(rd), [(part[0], part[4][h].swapaxes(-1, -2) @ gh[h])
@@ -903,21 +957,25 @@ def additive_attention(receivers: Tensor, neighbors, transform,
         dscore_other = []
         for (slices, nd, raw_mask, attention, _), gh in zip(parts, g_heads):
             dpooled = _row_stack([(x, w.T) for x, w in zip(gh, ws)])
-            draw = _softmax_grad(attention, dpooled @ nd.swapaxes(-1, -2)) * raw_mask
+            draw = dpooled @ nd.swapaxes(-1, -2)
+            _softmax_grad(attention, draw)
+            draw *= raw_mask
             draw = draw.reshape(len(nd), heads, n, nd.shape[1])
             dother = draw.sum(axis=-2).swapaxes(-1, -2)
             draw_own[slices] = draw.sum(axis=-1).swapaxes(-1, -2)
             dscore_other.append((slices, nd.swapaxes(-1, -2) @ dother))
-            yield attention.swapaxes(-1, -2) @ dpooled + dother @ a2.T
+            piece = attention.swapaxes(-1, -2) @ dpooled
+            piece += dother @ a2.T
+            yield piece
         yield draw_own @ a1.T
-        # + 0.0 gives a -0.0 entry the sign that adding the zero half gives
+        # matrix products return no -0.0, so these pieces need no + 0.0
         dscore = np.concatenate([rd.swapaxes(-1, -2) @ draw_own,
-                                 _by_slice(len(rd), dscore_other)], axis=-2) + 0.0
+                                 _by_slice(len(rd), dscore_other)], axis=-2)
         for h in range(heads):
             yield dscore[..., h]
 
     nbrs = tuple(t for _, t in groups)
-    out = _emit(out, (*transform, *nbrs, receivers, *score), backward)
+    out = _emit(mix, (*transform, *nbrs, receivers, *score), backward)
     return out, [_wrap(part[3]) for part in parts]
 
 
@@ -952,30 +1010,38 @@ def gated_mix(messages: list[Tensor], receivers: Tensor, gate: Tensor) -> tuple[
     own = rd @ gd[:d, None]
     slot = np.concatenate([(s.reshape(rows) @ gd[d:, None]).reshape(s.shape[:-1])
                            for s in slots], axis=-1)
-    raw, mask = _relu_values(own + slot)
-    w = _softmax_values(raw)
+    raw = own + slot
+    mask = _relu_scores(raw)
+    raw -= raw.max(axis=-1, keepdims=True)
+    w = _softmax_rows(raw)
     parts = [s[..., j, :] for s in slots for j in range(s.shape[-2])]
     acc = w[..., 0:1] * parts[0]
     for j in range(1, len(parts)):
-        acc = acc + w[..., j:j + 1] * parts[j]
+        acc += w[..., j:j + 1] * parts[j]
 
     def backward(g):
         dw = np.concatenate([(s * g[..., None, :]).sum(axis=-1) for s in slots], axis=-1)
-        draw = _softmax_grad(w, dw) * mask
+        draw = _softmax_grad(w, dw)
+        draw *= mask
         bounds = [0, *itertools.accumulate(s.shape[-2] for s in slots)]
         spans = list(zip(slots, bounds, bounds[1:]))  # each message's columns of draw
         for s, lo, hi in spans:
             # w_j g plus the rank-1 score piece of each slot, + 0.0 as the module docstring says
-            piece = w[..., lo:hi, None] * g[..., None, :] + (draw[..., lo:hi, None] * gd[d:] + 0.0)
+            piece = w[..., lo:hi, None] * g[..., None, :]
+            score = draw[..., lo:hi, None] * gd[d:]
+            score += 0.0
+            piece += score
             yield piece.reshape(g.shape[:-1] + (-1,))
         gown = draw.sum(axis=-1, keepdims=True)
-        yield gown * gd[None, :d] + 0.0
+        piece = gown * gd[None, :d]
+        piece += 0.0
+        yield piece
         dslot = None
         for s, lo, hi in reversed(spans):
             col = s.reshape(rows).swapaxes(-1, -2) @ draw[..., lo:hi].reshape(rows[:-1] + (1,))
             dslot = col if dslot is None else dslot + col
-        dgate = np.concatenate([rd.swapaxes(-1, -2) @ gown, dslot], axis=-2)[..., 0]
-        yield dgate + 0.0
+        # matrix products and their sums hold no -0.0, so this piece needs no + 0.0
+        yield np.concatenate([rd.swapaxes(-1, -2) @ gown, dslot], axis=-2)[..., 0]
 
     out = _emit(acc, (*messages, receivers, gate), backward)
     return out, _wrap(w)

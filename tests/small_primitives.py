@@ -27,8 +27,8 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(x, 0); the derivative at exactly zero is zero."""
-    y, mask = ng._relu_values(x.data)
-    return ng._emit(y, (x,), lambda g: (g * mask,))
+    mask = x.data > 0.0
+    return ng._emit(ng._relu_values(x.data.copy()), (x,), lambda g: (g * mask,))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -40,8 +40,13 @@ def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis with max subtraction for stability."""
     if x.data.ndim not in (1, 2):
         raise ShapeError(f"softmax expects 1 or 2 dimensions, got shape {x.data.shape}")
-    y = ng._softmax_values(x.data)
-    return ng._emit(y, (x,), lambda g: (ng._softmax_grad(y, g),))
+    y = softmax_values(x.data)
+    return ng._emit(y, (x,), lambda g: (ng._softmax_grad(y, g.copy()),))
+
+
+def softmax_values(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis with max subtraction, as the attention entries take it."""
+    return ng._softmax_rows(x - x.max(axis=-1, keepdims=True))
 
 
 def layer_norm(x: Tensor, scale_: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
@@ -167,7 +172,7 @@ def softmax_xent_mean(logits: Tensor, onehot: Tensor) -> Tensor:
 
 
 def where_relu(x: np.ndarray):
-    """numgrad._relu_values as np.where wrote it: (x where x > 0, else 0.0; the mask)."""
+    """numgrad's relu as np.where wrote it: (x where x > 0, else 0.0; the mask)."""
     mask = x > 0.0
     return np.where(mask, x, 0.0), mask
 
@@ -193,7 +198,7 @@ def additive_attention_reference(receivers: Tensor, neighbors, transform, score)
         nd = t.data
         raw = own[slices].swapaxes(-1, -2)[..., None] + (nd @ a2).swapaxes(-1, -2)[..., None, :]
         raw, raw_mask = where_relu(raw.reshape(len(nd), heads * n, nd.shape[1]))
-        attention = ng._softmax_values(raw)
+        attention = softmax_values(raw)
         pooled = ng._blocks(attention @ nd, heads, -2)
         for o, p, w in zip(pre_heads, pooled, ws):
             o[slices] = p @ w

@@ -1,6 +1,12 @@
+import importlib.util
 import os
+import re
+import shutil
 import subprocess
 import sys
+from types import SimpleNamespace
+
+import numpy as np
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 TOOL = os.path.join(ROOT, "tools", "ab.py")
@@ -45,3 +51,62 @@ def test_ab_help_says_claims_come_from_perfbench_pairs():
                          timeout=60)
     assert run.returncode == 0
     assert "bisecting" in run.stdout and "perfbench/run.py pairs" in run.stdout
+
+
+def test_ab_prints_the_largest_deviation_of_each_output_that_differs(tmp_path):
+    # a copy of the tree whose layer norm takes a slightly larger epsilon
+    # moves every parameter, output and gradient a little; overfit's
+    # report, a mean AP of 1, stays as it is
+    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src")
+    passing = tmp_path / "src" / "stgraph" / "passing.py"
+    source = passing.read_text()
+    assert source.count("ln_eps: float = 1e-5") == 1
+    passing.write_text(source.replace("ln_eps: float = 1e-5", "ln_eps: float = 1.01e-5"))
+    # the workload comes from NEW's perfbench, so the copy is OLD
+    run = subprocess.run([sys.executable, TOOL, str(tmp_path), ROOT, "--workload", "overfit",
+                          "--rounds", "1", "--ops", "forward"], capture_output=True, text=True,
+                         timeout=600)
+    assert run.returncode == 1 and not run.stderr, run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) == 6
+    for line, what in zip(lines, ("trained parameters", "forward outputs", "gradients")):
+        match = re.fullmatch(rf"{what}: DIFFER, largest deviation (\S+) over (\d+) numbers "
+                             r"\((\d+) differ\)", line)
+        assert match, line
+        assert 0.0 < float(match[1]) < 1.0 and 0 < int(match[3]) <= int(match[2])
+    assert lines[3] == "evaluation report: identical"
+    assert lines[5].split()[0] == "forward"
+
+
+def test_identity_measures_each_output_as_numdiff_does():
+    sys.path.insert(0, os.path.join(ROOT, "tools"))
+    try:
+        spec = importlib.util.spec_from_file_location("ab", TOOL)
+        ab = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(ab)
+    finally:
+        sys.path.remove(os.path.join(ROOT, "tools"))
+
+    def tree(params, outputs, grads, report):
+        return SimpleNamespace(params={n: SimpleNamespace(data=np.array(v))
+                                       for n, v in params.items()},
+                               eval_clips=[0, 1], forward=lambda clip: [np.array(outputs[clip])],
+                               train_clips=[0], gradients=lambda clip: [np.array(grads)],
+                               evaluate=lambda: report)
+
+    old = tree({"a": [1.0, 2.0], "b": [3.0]}, [[0.5], [0.25, 4.0]], [1.0, -1.0],
+               ({0: 0.5, 1: 1.0}, 0.75))
+    assert ab.identity(old, old) == dict.fromkeys(
+        ("trained parameters", "forward outputs", "gradients", "evaluation report"))
+    new = tree({"a": [1.0, 2.5], "b": [3.0]}, [[0.5], [0.25, 3.0]], [1.0, -1.0, 0.0],
+               ({0: 0.5, 1: 0.875}, 0.6875))
+    assert ab.identity(old, new) == {
+        "trained parameters": "largest deviation 0.5 over 3 numbers (1 differ)",
+        "forward outputs": "largest deviation 1 over 3 numbers (1 differ)",
+        "gradients": "differs in structure, not only in numbers",
+        "evaluation report": "largest deviation 0.125 over 5 numbers (2 differ)",
+    }
+    renamed = tree({"a": [1.0, 2.0], "c": [3.0]}, [[0.5], [0.25, 4.0]], [1.0, -1.0],
+                   ({0: 0.5, 1: 1.0}, 0.75))
+    assert ab.identity(old, renamed)["trained parameters"] == (
+        "differs in structure, not only in numbers")

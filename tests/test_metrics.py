@@ -552,6 +552,36 @@ def test_block_recall_equals_a_loop_over_its_keyframes(case):
                                               gt_classes[b]) for k in ks}
 
 
+@st.composite
+def ranked_rows(draw):
+    """Score rows, entries to rank in them, and cutoffs with a repeat and one above the row length.
+
+    Half the cases draw scores from three values, so most entries tie.
+    """
+    rows, size = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    values = (st.sampled_from([0.0, 0.25, 1.0]) if draw(st.booleans())
+              else st.floats(0.0, 1.0, allow_nan=False))
+    scores = draw(arrays(np.float64, (rows, size), elements=values))
+    picks = draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, size - 1)),
+                          max_size=12))
+    ks = draw(st.lists(st.integers(1, size), min_size=1, max_size=4))
+    ks += [ks[0], size + draw(st.integers(1, 3))]
+    return scores, np.array(picks, dtype=np.intp).reshape(-1, 2).T, ks
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(case=ranked_rows())
+def test_ranks_below_agree_with_a_stable_sort(case):
+    scores, (rows, cols), ks = case
+    order = np.argsort(-scores, axis=-1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(scores.shape[1]), axis=-1)
+    below = mt.ranks_below(scores, rows, cols, ks)
+    assert sorted(below) == sorted(set(ks))
+    for k in ks:
+        assert below[k].dtype == bool and below[k].tolist() == (rank[rows, cols] < k).tolist()
+
+
 def test_block_recall_checks_its_counts_and_classes():
     obj, rel = np.zeros((2, 3, 2)), np.zeros((2, 3, 2))
     gt = np.array([[1, 0, 0, 0, 0], [2, 1, 0, 0, 1]])

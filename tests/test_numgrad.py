@@ -1,6 +1,7 @@
 import contextlib
 import math
 import operator
+import platform
 import sys
 
 import numpy as np
@@ -122,10 +123,14 @@ def test_relu_values_are_np_where_byte_for_byte(inside_checked):
     special = [0.0, -0.0, np.inf, -np.inf, tiny, -tiny, tiny / 4, -tiny / 4, 5e-324, -5e-324]
     x = np.concatenate([special, np.random.default_rng(3).normal(size=(200,))]).reshape(3, -1, 7)
     with ng.checked("relu") if inside_checked else contextlib.nullcontext():
-        got, mask = ng._relu_values(x)
+        scores = x.copy()
+        mask = ng._relu_scores(scores)
+        got = ng._relu_values(x.copy())
         want, want_mask = sp.where_relu(x)
     assert got.tobytes() == want.tobytes()
     assert mask.tobytes() == want_mask.tobytes()
+    # the scores' relu, which a softmax reads next, is the same but for the sign of a zero
+    assert np.array_equal(scores, want) and not np.signbit(scores[x != 0.0]).any()
     head = got.reshape(-1)[:len(special)]
     assert head[[2, 4]].tolist() == [np.inf, tiny] and not np.signbit(head).any()
     if inside_checked and ng._FENV is not None:
@@ -170,36 +175,29 @@ def test_additive_attention_equals_its_reference_block_byte_for_byte(heads):
 def test_gat_score_stack_is_a_view_of_a_c_ordered_sum(heads, monkeypatch):
     # Summed as broadcasting lays it out, the (b, H, n, s) score array is
     # in (b, n, s, H) memory order, and its reshape to the (b, H n, s)
-    # stack is a C-ordered copy.  The block writes the sum in C order, so
-    # the stack relu reads is a view of the very array it was summed into,
-    # and softmax reads contiguous rows.
-    relu, softmax = ng._relu_values, ng._softmax_values
-    seen = {"relu": [], "softmax": []}
-
-    def spy_relu(x):
-        # the arrays of additive_attention's frame that hold x's memory
-        holders = sys._getframe(1).f_locals.values()
-        seen["relu"].append((x, [a for a in holders if isinstance(a, np.ndarray)
-                                 and a.ndim == 4 and np.shares_memory(a, x)]))
-        return relu(x)
+    # stack is a C-ordered copy.  The block writes the sum in C order and
+    # takes relu and the max shift where it lies, so the stack softmax
+    # reads is a C-ordered view of the very array it was summed into.
+    softmax = ng._softmax_rows
+    seen = []
 
     def spy_softmax(x):
-        seen["softmax"].append(x.flags.c_contiguous)
+        # the arrays of additive_attention's frame that hold x's memory
+        holders = sys._getframe(1).f_locals.values()
+        seen.append((x.shape, x.flags.c_contiguous,
+                     [(a.shape, a.flags.c_contiguous) for a in holders
+                      if isinstance(a, np.ndarray) and a.ndim == 4 and np.shares_memory(a, x)]))
         return softmax(x)
 
-    monkeypatch.setattr(ng, "_relu_values", spy_relu)
-    monkeypatch.setattr(ng, "_softmax_values", spy_softmax)
+    monkeypatch.setattr(ng, "_softmax_rows", spy_softmax)
     rng = np.random.default_rng(67)
     for pairs in (_ONE_PAIR, _PERMUTED_PAIRS):
-        seen["relu"].clear()
-        ng.additive_attention(*_gat_case(rng, heads, pairs))
-        # one score stack per pair, then the messages
-        assert len(seen["relu"]) == len(pairs) + 1
-        for (x, holders), (slices, (s, _)) in zip(seen["relu"], pairs):
-            assert x.shape == (len(slices), heads * 3, s)
-            assert [(a.shape, a.flags.c_contiguous) for a in holders] == [
-                ((len(slices), heads, 3, s), True)]
-    assert seen["softmax"] and all(seen["softmax"])
+        seen.clear()
+        _, attention = ng.additive_attention(*_gat_case(rng, heads, pairs))
+        # one score stack per pair
+        assert seen == [((len(slices), heads * 3, s), True, [((len(slices), heads, 3, s), True)])
+                        for slices, (s, _) in pairs]
+        assert [a.shape for a in attention] == [shape for shape, _, _ in seen]
 
 
 def test_non_finite_input_raises():
@@ -207,6 +205,28 @@ def test_non_finite_input_raises():
         ng.Tensor([1.0, np.inf])
     with pytest.raises(NumericError):
         ng.Tensor([[np.nan]])
+    # a named tensor's message names it
+    with pytest.raises(NumericError) as err:
+        ng.Tensor([-np.inf], name="mp.iter0.spatial.gate")
+    assert str(err.value) == "non-finite values in tensor mp.iter0.spatial.gate"
+
+
+def test_tensor_repr_shows_shape_and_name():
+    assert repr(ng.Tensor(np.zeros((2, 3)))) == "Tensor(shape=(2, 3))"
+    assert repr(ng.Tensor(np.zeros(4), name="readout.action.bias")) == (
+        "Tensor(shape=(4,), name='readout.action.bias')")
+
+
+def test_max_relative_error_hand_values():
+    # |a - n| / max(|a|, |n|, floor), largest over the entries
+    assert ng.max_relative_error(np.array([2.0, -1.0]), np.array([1.0, -1.0])) == 0.5
+    assert ng.max_relative_error(np.array([[3.0]]), np.array([[-1.0]])) == 4.0 / 3.0
+    # near zero the floor is the denominator
+    assert ng.max_relative_error(np.array([0.0]), np.array([2e-5])) == 2e-5 / 1e-4
+    assert ng.max_relative_error(np.array([0.0]), np.array([2e-5]), floor=1e-3) == 2e-5 / 1e-3
+    assert ng.max_relative_error(np.zeros((0, 3)), np.zeros((0, 3))) == 0.0
+    with pytest.raises(ShapeError):
+        ng.max_relative_error(np.zeros(2), np.zeros(3))
 
 
 def test_tensor_data_is_read_only():
@@ -248,13 +268,18 @@ def test_ops_outside_tape_record_nothing():
     assert y.requires_grad is False
 
 
+@pytest.mark.skipif(platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc",
+                    reason="flushing subnormals needs x86-64 glibc")
 def test_checked_layers_and_grad_flush_subnormals():
-    if ng._FENV is None:
-        pytest.skip("flushing subnormals needs x86-64 glibc")
+    # skipped by platform, not by ng._FENV: a lookup that failed on x86-64
+    # glibc would turn the flush off without a word
+    assert ng._FENV is not None
     small = np.array([1e-300])
     assert (small * 1e-10)[0] == 1e-310
     with ng.checked("layer"):
         assert (small * 1e-10)[0] == 0.0
+        # a subnormal operand reads as zero too
+        assert (np.array([1e-310]) * 1e10)[0] == 0.0
     assert (small * 1e-10)[0] == 1e-310  # the thread's mode is restored
     # the weight's cotangent x^T (1e-10) is subnormal
     x = ng.Tensor([[1e-300]])
@@ -626,6 +651,58 @@ def test_rank_one_pieces_keep_the_zero_signs_of_their_chain(block):
         assert fused[name].tobytes() == chain[name].tobytes(), name
 
 
+def test_gate_message_pieces_keep_the_zero_signs_of_their_chain():
+    # A negated sum of relu(mix) hands the mix a -0.0 cotangent wherever
+    # relu zeroes it, as in columns 1 and 2, whose message entries are all
+    # negative; there w_j g is -0.0.  The message half of the gate holds
+    # +0.0 and -0.0 in those columns, so one of them makes each slot's score
+    # piece draw_j g2 a -0.0 too.  The chain adds w_j g and the +0.0 of its
+    # k=1 product, which gives +0.0; without the block's + 0.0 the sum of
+    # the two pieces would stay -0.0.
+    rng = np.random.default_rng(73)
+    d = 4
+    messages = rng.uniform(-1, 1, size=(3, 3, d))
+    messages[..., 1:3] = -rng.uniform(0.1, 1, size=(3, 3, 2))
+    gate = np.concatenate([rng.uniform(-1, 1, size=d), [0.6, 0.0, -0.0, -0.5]])
+    receivers = rng.uniform(-1, 1, size=(3, d))
+
+    def grads(fused):
+        p = {"r": ng.Tensor(receivers[None] if fused else receivers, requires_grad=True),
+             "g": ng.Tensor(gate, requires_grad=True)}
+        p.update({f"m{j}": ng.Tensor(m[None] if fused else m, requires_grad=True)
+                  for j, m in enumerate(messages)})
+        slots = [p[f"m{j}"] for j in range(len(messages))]
+        with ng.Tape() as tape:
+            out = ng.gated_mix(slots, p["r"], p["g"])[0] if fused else _composed_gated_mix(
+                slots, p["r"], p["g"])
+            loss = sp.sum_all(sp.scale(sp.relu(out), -1.0))
+        return {name: t.data.reshape(t.shape[-2:] if name != "g" else t.shape)
+                for name, t in ng.grad(tape, loss, p).items()}
+
+    fused, chain = grads(True), grads(False)
+    # every message piece has a zero in the relu'd columns, of the sign the chain gives
+    for j in range(len(messages)):
+        assert not chain[f"m{j}"][:, 1:3].all()
+    for name in chain:
+        assert fused[name].tobytes() == chain[name].tobytes(), name
+
+
+def test_matrix_products_return_no_negative_zero():
+    # A matrix product adds its terms to a zero, so even where every term
+    # is -0.0 it returns +0.0: stacked and single, transposed operands,
+    # k = 1, and the vector forms.  This is why the score vectors' and the
+    # gate's pieces, sums of products, need no + 0.0.
+    rng = np.random.default_rng(79)
+    for m, k, n in [(1, 1, 1), (3, 1, 4), (3, 5, 1), (1, 7, 1), (6, 9, 5)]:
+        negative = -rng.uniform(0.5, 1, size=(2, m, k))
+        for a, b in [(negative, np.zeros((k, n))), (-negative, -np.zeros((k, n))),
+                     (negative.swapaxes(-1, -2).copy().swapaxes(-1, -2), np.zeros((n, k)).T),
+                     (negative, np.zeros((2, k, n))), (negative[0], np.zeros((k, n))),
+                     (negative[0, 0], np.zeros(k)), (negative, -np.zeros(k))]:
+            product = a @ b
+            assert not product.any() and not np.signbit(product).any(), (m, k, n)
+
+
 def test_matmul_hands_a_constant_operand_no_gradient():
     # project_block's product of a constant feature stack with a weight
     rng = np.random.default_rng(53)
@@ -941,6 +1018,47 @@ def test_attention_pieces_do_not_depend_on_batch_mates(entry, heads):
                 for (t, piece), mine in zip(kept, alone_pieces):
                     want = piece[row] if t is stacks[i] else piece[b]
                     assert mine[0].tobytes() == want.tobytes(), (i, b)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("entry", ["nonlocal_attention", "additive_attention", "gated_mix"])
+def test_fused_entries_leave_their_inputs_and_cotangent_unchanged(entry, heads):
+    # The entries scale, relu, softmax and mask in arrays they made
+    # themselves.  The forward must leave every input's bytes as they were
+    # and the backward the g it is handed, which grad() may also hold as
+    # another input's piece; the inputs are made writable, so a write would
+    # go through rather than raise.
+    rng = np.random.default_rng(71)
+    d, count = 4, 9
+
+    def tensor(*shape):
+        t = ng.Tensor(rng.uniform(-1, 1, size=shape), requires_grad=True)
+        t.data.flags.writeable = True
+        return t
+
+    receivers = tensor(count, 3, d)
+    if entry == "gated_mix":
+        messages = [tensor(count, 3, heads * d), tensor(count, 3, d)]
+        args = (messages, receivers, tensor(2 * d))
+        inputs = [*messages, *args[1:]]
+    else:
+        parts = ("wq", "wk", "wv") if entry == "nonlocal_attention" else ("w", "a")
+        weights = [[tensor(*((2 * d,) if part == "a" else (d, d))) for _ in range(heads)]
+                   for part in parts]
+        pairs = [(slices, tensor(len(slices), *shape)) for slices, shape in _PERMUTED_PAIRS]
+        args = (receivers, pairs, *weights)
+        inputs = [receivers, *(t for _, t in pairs), *(w for ws in weights for w in ws)]
+    before = [t.data.tobytes() for t in inputs]
+    with ng.Tape() as tape:
+        getattr(ng, entry)(*args)
+    assert [t.data.tobytes() for t in inputs] == before
+    [(out, _, backward)] = tape._entries
+    g = rng.normal(size=out.shape)
+    g_before = g.tobytes()
+    pieces = list(backward(g))
+    assert g.tobytes() == g_before
+    assert [t.data.tobytes() for t in inputs] == before
+    assert len(pieces) == len(inputs) and all(p is not g for p in pieces)
 
 
 @pytest.mark.parametrize("stacked", [False, True])

@@ -8,10 +8,12 @@ packages are imported into one process, side by side, and the workload's
 inputs are made once through NEW's perfbench/workloads.py.  The tool first
 says whether the two trees give byte-identical trained parameters, forward
 outputs (every held-out clip), gradients (the first training clip) and
-evaluation report.  Then it runs R rounds of forward passes, forward and
-backward passes, evaluation and training, or of the operations --ops
-names, each round timing both trees on every operation, alternately OLD
-first and NEW first, and prints per operation both medians, the median of
+evaluation report, and for each that differs, its largest absolute
+deviation over all its numbers, as tools/numdiff.py gives it for files.
+Then it runs R rounds of forward passes, forward and backward passes,
+evaluation and training, or of the operations --ops names, each round
+timing both trees on every operation, alternately OLD first and NEW
+first, and prints per operation both medians, the median of
 the per-round ratios NEW/OLD and how many rounds NEW won.
 
 It is for sizing a change and bisecting a slowdown: the two sides of a
@@ -29,6 +31,10 @@ import tempfile
 from dataclasses import asdict
 from time import perf_counter
 from types import SimpleNamespace
+
+import numpy as np
+
+from numdiff import STRUCTURE, compare, deviation
 
 MODULES = ("data", "graph", "heads", "numgrad", "passing", "train")
 OPERATIONS = ("forward", "fwdbwd", "eval", "train")
@@ -126,21 +132,28 @@ class Tree:
         return perf_counter() - started
 
 
-def _same(a: list, b: list) -> bool:
-    return len(a) == len(b) and all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+def _differ(a: list, b: list) -> str | None:
+    """None when two lists of arrays have the same bytes, else how far apart they are."""
+    if len(a) == len(b) and all(x.tobytes() == y.tobytes() for x, y in zip(a, b)):
+        return None
+    if len(a) != len(b) or any(x.shape != y.shape for x, y in zip(a, b)):
+        return STRUCTURE
+    return deviation(*(np.concatenate([x.ravel() for x in side]) for side in (a, b)))
 
 
-def identity(old: Tree, new: Tree) -> dict[str, bool]:
-    """Whether each output of the two trees is byte-identical."""
+def identity(old: Tree, new: Tree) -> dict[str, str | None]:
+    """None for each output of the two trees that is byte-identical, else how it differs."""
     names = sorted(old.params)
+    report = repr(old.evaluate()), repr(new.evaluate())
     return {
-        "trained parameters": names == sorted(new.params) and _same(
+        "trained parameters": STRUCTURE if names != sorted(new.params) else _differ(
             [old.params[n].data for n in names], [new.params[n].data for n in names]),
-        "forward outputs": all(_same(old.forward(a), new.forward(b))
-                               for a, b in zip(old.eval_clips, new.eval_clips)),
-        "gradients": _same(old.gradients(old.train_clips[0]),
-                           new.gradients(new.train_clips[0])),
-        "evaluation report": repr(old.evaluate()) == repr(new.evaluate()),
+        "forward outputs": _differ([x for clip in old.eval_clips for x in old.forward(clip)],
+                                   [x for clip in new.eval_clips for x in new.forward(clip)]),
+        "gradients": _differ(old.gradients(old.train_clips[0]),
+                             new.gradients(new.train_clips[0])),
+        "evaluation report": None if report[0] == report[1] else compare(
+            *(text.encode() for text in report)),
     }
 
 
@@ -186,9 +199,9 @@ def main(argv=None) -> int:
         manifests = workload.make_inputs(workdir, args.seed)
         old = Tree(old_root, workload, manifests, args.seed, workloads)
         new = Tree(new_root, workload, manifests, args.seed, workloads)
-    same = identity(old, new)
-    for what, equal in same.items():
-        print(f"{what}: {'identical' if equal else 'DIFFER'}")
+    differ = identity(old, new)
+    for what, how in differ.items():
+        print(f"{what}: {'identical' if how is None else 'DIFFER, ' + how}")
     times = rounds(old, new, args.rounds, [op for op in OPERATIONS if op in ops])
     print(f"{'operation':<10} {'old ms':>10} {'new ms':>10} {'new/old':>8} {'new won':>8}")
     for op, pairs in times.items():
@@ -196,7 +209,7 @@ def main(argv=None) -> int:
               f"{1e3 * statistics.median(b for _, b in pairs):>10.3f} "
               f"{statistics.median(b / a for a, b in pairs):>8.3f} "
               f"{sum(b < a for a, b in pairs):>5}/{len(pairs)}")
-    return 0 if all(same.values()) else 1
+    return 1 if any(differ.values()) else 0
 
 
 if __name__ == "__main__":

@@ -25,6 +25,8 @@ import numpy as np
 
 # a checkpoint tensor as save_checkpoint writes it
 TENSOR = re.compile(rb'"data":"([A-Za-z0-9+/=]*)","shape":\[[0-9,]*\]')
+# how compare describes two files whose text differs outside its numbers
+STRUCTURE = "differs in structure, not only in numbers"
 # a number that does not continue a word, such as the 0 of iter0
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 
@@ -52,8 +54,13 @@ def compare(old: bytes, new: bytes) -> str:
     if a is None or b is None:
         return "binary, differs"
     if a[0] != b[0] or a[1].shape != b[1].shape:
-        return "differs in structure, not only in numbers"
-    gap = np.abs(a[1] - b[1])
+        return STRUCTURE
+    return deviation(a[1], b[1])
+
+
+def deviation(old: np.ndarray, new: np.ndarray) -> str:
+    """The largest absolute difference of two equally shaped arrays, and how many entries differ."""
+    gap = np.abs(old - new)
     return (f"largest deviation {gap.max():.3g} over {gap.size} numbers "
             f"({np.count_nonzero(gap)} differ)")
 
