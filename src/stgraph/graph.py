@@ -21,7 +21,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -217,27 +216,6 @@ def temporal_offsets(tau_c: int) -> list[int]:
     return [t for t in range(-half, half + 1) if t != 0]
 
 
-class TemporalGroup(NamedTuple):
-    """Slices of one block whose keyframes read the same number s of temporal neighbour rows.
-
-    gather.rows[i] (s entries) indexes the foreground rows of keyframe
-    slices[i]'s temporal neighbours, ascending by position, in the graph
-    blocks' foreground states laid end to end.  gather.plan is the scatter
-    plan of numgrad.gather_rows' backward, built in the same pass as the
-    rows: for each window offset, largest first, the list of entries of
-    the flattened rows read through that offset, one round each.  At one
-    offset pos -> pos + t * tau_s is one-to-one, so no row repeats within
-    a round; and the receivers of a row sit at ascending positions, which
-    is descending offsets, so the rounds add each row's pieces in index
-    order.  The gather checked its rows and plan when it was made, and the
-    plan stays Python lists until a backward needs them, so a forward pass
-    without a tape makes no arrays for them.
-    """
-
-    slices: list[int]
-    gather: ng.Gather
-
-
 @dataclass(eq=False)
 class SpatioTemporalGraph:
     """The keyframes of one clip or of a batch of clips, plus temporal adjacency.
@@ -247,12 +225,13 @@ class SpatioTemporalGraph:
     Every foreground node attends spatially to all nodes of its own
     keyframe.  blocks group the keyframes whose row counts match and whose
     temporal neighborhoods are all empty or all not, and where[pos] is the
-    (block, slice) that holds keyframe pos.  temporal_groups[k] lists the
-    TemporalGroups of block k's keyframes, grouped by neighbour row count
-    in order of first slice; it is empty for a block without temporal
-    neighbours.  layouts[k] is block k's (spatial, temporal) numgrad.KvLayout:
-    one pair of every slice over its own rows then its context rows, and
-    one pair per TemporalGroup, or None without temporal neighbours.
+    (block, slice) that holds keyframe pos.  layouts[k] is block k's
+    (spatial, temporal) numgrad.KvLayout: one pair of every slice over its
+    own rows then its context rows, and one pair per temporal neighbour
+    row count, in order of first slice, or None without temporal
+    neighbours.  gathers[k] holds the numgrad.Gather of each temporal
+    pair, in the same order, over the blocks' foreground states laid end
+    to end (see _temporal_layouts); it is empty without temporal neighbours.
 
     first_ids and temporal are derived on first access, since only traces,
     node_ids and tests read them: first_ids[pos] is keyframe pos's first
@@ -265,8 +244,8 @@ class SpatioTemporalGraph:
     blocks: list[Block]
     clips: list[range]
     where: list[tuple[int, int]]
-    temporal_groups: list[list[TemporalGroup]]
     layouts: list[tuple[ng.KvLayout, ng.KvLayout | None]]
+    gathers: list[list[ng.Gather]]
     tau_c: int
     tau_s: int
 
@@ -287,16 +266,28 @@ class SpatioTemporalGraph:
                 for span in self.clips for pos in span]
 
 
-def _temporal_groups(blocks: list[Block], clips: list[range], where: list[tuple[int, int]],
-                     offsets: list[int], linked: list[bool]) -> list[list[TemporalGroup]]:
-    """The TemporalGroups of every block, linked[k] telling whether block k has any.
+def _temporal_layouts(blocks: list[Block], clips: list[range], where: list[tuple[int, int]],
+                      offsets: list[int], linked: list[bool]) -> tuple[list, list]:
+    """Each block's temporal KvLayout, or None unless linked[k], and its list of Gathers.
+
+    A block's keyframes are grouped by the number s of temporal neighbour
+    rows they read, in order of first slice: one layout pair and one
+    Gather per group.  The Gather's rows[i] (s entries) index the
+    foreground rows of slice i's temporal neighbours, ascending by
+    position, in the blocks' foreground states laid end to end.  Its plan
+    lists, for each window offset, largest first, the entries of the
+    flattened rows read through that offset, one round each.  At one
+    offset pos -> pos + t * tau_s is one-to-one, so no row repeats within
+    a round; and the receivers of a row sit at ascending positions, which
+    is descending offsets, so the rounds add each row's pieces in index
+    order, as numgrad.Gather requires.  The plan stays Python lists until
+    a backward needs them, so a forward pass without a tape makes no
+    arrays for them.
 
     One pass over the keyframes, clip by clip, finds each keyframe's
     neighbours by the window offsets and adds its slice, rows and plan
-    entries to its block's group of its neighbour row count.  The rows
-    are checked as a list and become an array once per group, and the
-    plan stays lists (see TemporalGroup).  A clip has a few keyframes of a
-    few rows each, and a numpy call costs more than the handful of rows it
+    entries to its block's group.  A clip has a few keyframes of a few
+    rows each, and a numpy call costs more than the handful of rows it
     would build: a numpy version of this pass built a 16-clip `temporal`
     evaluation chunk faster (919 -> 508 us) but one clip slower (155 ->
     361 us), on two x86-64 cores with Python 3.11 and numpy 2.4.
@@ -337,12 +328,15 @@ def _temporal_groups(blocks: list[Block], clips: list[range], where: list[tuple[
                 else:
                     entries += range(size, size + m)
                     rows += range(first[q], first[q] + m)
-    return [[] if by_width is None else
-            [TemporalGroup(slices, ng.Gather(
-                rows, tuple(by_offset[t] for t in sorted(by_offset, reverse=True)), at,
-                shape=(len(slices), width)))
-             for width, (slices, rows, by_offset) in by_width.items()]
-            for by_width in pending]
+    layouts, gathers = [], []
+    for block, by_width in zip(blocks, pending):
+        groups = by_width.items() if by_width else ()
+        layouts.append(ng.KvLayout(len(block.positions), [slices for _, (slices, _, _) in groups],
+                                   [width for width, _ in groups]) if groups else None)
+        gathers.append([ng.Gather(rows, tuple(by_offset[t] for t in sorted(by_offset)[::-1]),
+                                  at, (len(slices), width))
+                        for width, (slices, rows, by_offset) in groups])
+    return layouts, gathers
 
 
 def build_batch(clips: list[list[KeyframeFeatures]], params, config) -> SpatioTemporalGraph:
@@ -387,14 +381,11 @@ def build_batch(clips: list[list[KeyframeFeatures]], params, config) -> SpatioTe
             frames.append(f)
     blocks = [project_block([frames[p] for p in positions], positions, params)
               for _, positions in shapes.values()]
-    groups = _temporal_groups(blocks, spans, where, offsets, [key[3] for key in shapes])
+    temporal, gathers = _temporal_layouts(blocks, spans, where, offsets, [key[3] for key in shapes])
     layouts = [(ng.KvLayout(len(b.positions), [range(len(b.positions))],
-                            [b.fg_states.shape[1] + b.ctx_states.shape[1]]),
-                ng.KvLayout(len(b.positions), [g.slices for g in block_groups],
-                            [g.gather.rows.shape[1] for g in block_groups])
-                if block_groups else None)
-               for b, block_groups in zip(blocks, groups)]
-    return SpatioTemporalGraph(frames, blocks, spans, where, groups, layouts,
+                            [b.fg_states.shape[1] + b.ctx_states.shape[1]]), layout)
+               for b, layout in zip(blocks, temporal)]
+    return SpatioTemporalGraph(frames, blocks, spans, where, layouts, gathers,
                                config.tau_c, tau_s)
 
 

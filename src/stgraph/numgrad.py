@@ -140,8 +140,10 @@ class _flush_subnormals:
 class Tensor:
     """Immutable dense array of float64 values.
 
-    The constructor rejects non-finite values; primitive outputs are
-    built without that check (see the module docstring).
+    The constructor copies its input, so the caller's array stays writable
+    and later writes to it do not reach the tensor, and rejects non-finite
+    values; primitive outputs are wrapped without either (see _wrap and
+    the module docstring).
     ``requires_grad`` marks tensors the tape must track; it is set on
     parameters at creation and propagated to op outputs automatically.
     """
@@ -149,7 +151,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.array(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise NumericError(f"non-finite values in tensor{'' if name is None else ' ' + name}")
         arr.flags.writeable = False
@@ -402,11 +404,13 @@ def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, scale_: 
 def _relu_values(x: np.ndarray) -> np.ndarray:
     """x set to max(x, 0) in its own buffer.
 
-    np.maximum's scalar loop returns x at x = -0.0 (numpy 2.4's SIMD
-    loop returns the 0.0), and adding 0.0 makes that +0.0, so the
-    result has the bytes of np.where(x > 0, x, 0.0) for every input
-    but NaN.  Inside checked() no NaN reaches here: the operation that
-    would make one raises its invalid flag first.
+    IEEE max does not order -0.0 and +0.0, so np.maximum may return x
+    at x = -0.0 (np.maximum(0.0, x) does).  numpy 2.4 returned the 0.0
+    for every size and layout tried, but pyproject.toml admits numpy
+    1.24 on, so adding 0.0 turns any such -0.0 into +0.0, and the result
+    has the bytes of np.where(x > 0, x, 0.0) for every input but NaN.
+    Inside checked() no NaN reaches here: the operation that would make
+    one raises its invalid flag first.
     """
     np.maximum(x, 0.0, out=x)
     x += 0.0
@@ -507,64 +511,45 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
     return _emit(out, tuple(parts), backward)
 
 
-def _check_index(low, high, size: int, plan, rows: int) -> None:
-    """Raise unless size entries from low to high lie in [0, rows) and, with a plan, sit in it."""
-    if low < 0 or high >= rows:
-        raise ShapeError(f"gather_rows: index out of range for {rows} rows")
-    if plan is not None and sum(map(len, plan)) != size:
-        raise ShapeError(f"gather_rows: plan does not cover the {size} index entries")
-
-
-def _checked_index(index, plan, rows: int) -> np.ndarray:
-    """index as an intp array, checked to lie in [0, rows) and, with a plan, to be covered by it."""
-    idx = np.asarray(index, dtype=np.intp)
-    _check_index(idx.min(initial=0), idx.max(initial=-1), idx.size, plan, rows)
-    return idx
-
-
 class Gather:
     """A gather_rows index and plan over sources of a fixed row count, checked once, when made.
 
-    rows becomes a read-only intp array, each entry in [0, sources), and
-    plan, when given, must hold as many entries as rows, as gather_rows
-    requires.  gather_rows then takes both as they stand and checks only
-    that its sources hold `sources` rows; graph.build_batch makes one per
-    temporal group.  With shape, rows is a flat list of Python ints, as
-    build_batch collects them: the list is checked as it stands and
-    becomes one array of that shape, without numpy reductions or a copy.
+    rows is a flat list of Python ints, each in [0, sources), as
+    graph.build_batch collects them; it becomes one read-only intp array
+    of the given shape, without numpy reductions.  plan, when given, lists
+    the rounds in which gather_rows' backward adds the gradient, in the
+    order they run, each as a list of entries of the flattened rows.
+    Every entry must sit in one round, no row may repeat within a round,
+    and a row's entries must come round after round in index order; only
+    that the plan holds as many entries as rows is checked.  Without a
+    plan the backward adds with np.add.at (see _scatter_rows).
     """
 
     __slots__ = ("rows", "plan", "sources")
 
-    def __init__(self, rows, plan: tuple[list[int], ...] | None, sources: int,
-                 shape: tuple[int, ...] | None = None):
-        if shape is None:
-            self.rows = _checked_index(np.array(rows, dtype=np.intp), plan, sources)
-        else:
-            _check_index(min(rows, default=0), max(rows, default=-1), len(rows), plan, sources)
-            self.rows = np.array(rows, dtype=np.intp).reshape(shape)
+    def __init__(self, rows: list[int], plan: tuple[list[int], ...] | None, sources: int,
+                 shape: tuple[int, ...]):
+        if min(rows, default=0) < 0 or max(rows, default=-1) >= sources:
+            raise ShapeError(f"gather_rows: index out of range for {sources} rows")
+        if plan is not None and sum(map(len, plan)) != len(rows):
+            raise ShapeError(f"gather_rows: plan does not cover the {len(rows)} index entries")
+        self.rows = np.array(rows, dtype=np.intp).reshape(shape)
         self.rows.flags.writeable = False
         self.plan = plan
         self.sources = sources
 
 
-def gather_rows(m: Tensor | list[Tensor], index, plan=None) -> Tensor:
-    """Rows picked by integer index, as one tape entry.
+def gather_rows(sources: list[Tensor], gather: Gather) -> Tensor:
+    """The rows a Gather picks from sources, as one tape entry.
 
-    m is a tensor, or a list of tensors of one width, read as rows: a
-    (rows, d) matrix as itself, a (B, rows, d) stack slice after slice, and
-    a list as its tensors' rows end to end.  index may have any shape, and
-    the result has shape index.shape + (d,).  Duplicate indices accumulate
-    their gradients in index order.  plan, as graph.TemporalGroup builds
-    it, may list the rounds in which the backward adds the gradient, in
-    the order they run, each as a sequence of entries of the flattened
-    index.  Every entry must sit in one round, no row may repeat within a
-    round, and a row's entries must come round after round in index
-    order.  The backward then adds the rounds as they stand; without a
-    plan it adds with np.add.at (see _scatter_rows).  index may also be a
-    Gather, which brings its plan and was checked when it was made.
+    sources is a list of tensors of one width, read as rows: a (rows, d)
+    matrix as itself, a (B, rows, d) stack slice after slice, and the list
+    as its tensors' rows end to end.  The result has shape
+    gather.rows.shape + (d,).  Duplicate rows accumulate their gradients
+    in index order, round by round as gather.plan lists them, or with
+    np.add.at without a plan (see _scatter_rows).  The gather was checked
+    when it was made, so only the sources' row count is checked here.
     """
-    sources = [m] if isinstance(m, Tensor) else list(m)
     if not sources:
         raise ShapeError("gather_rows: no source")
     for s in sources:
@@ -574,13 +559,10 @@ def gather_rows(m: Tensor | list[Tensor], index, plan=None) -> Tensor:
         raise ShapeError("gather_rows: sources differ in width")
     flat = [s.data.reshape(-1, width) for s in sources]
     rows = flat[0] if len(flat) == 1 else np.concatenate(flat)
-    if isinstance(index, Gather):
-        if plan is not None or index.sources != rows.shape[0]:
-            raise ShapeError(f"gather_rows: a Gather over {index.sources} rows, with its own "
-                             f"plan, cannot read {rows.shape[0]} rows")
-        idx, plan = index.rows, index.plan
-    else:
-        idx = _checked_index(index, plan, rows.shape[0])
+    if gather.sources != rows.shape[0]:
+        raise ShapeError(f"gather_rows: a Gather over {gather.sources} rows cannot read "
+                         f"{rows.shape[0]} rows")
+    idx, plan = gather.rows, gather.plan
 
     def backward(g):
         dm = _scatter_rows(g.reshape(-1, width), idx.reshape(-1), rows.shape[0], plan)
@@ -655,21 +637,16 @@ def gather_rows(m: Tensor | list[Tensor], index, plan=None) -> Tensor:
 
 
 def _slice_index(slices) -> tuple:
-    """(slices as a list or range, the index that picks them).
+    """(slices as a list, the index that picks them).
 
     Consecutive slices, such as the spatial phase's range over a whole
-    block, are indexed by a basic slice, so numpy takes views, not copies.
-    A list of Python ints, as a graph builds, is taken as it stands.
+    block, are indexed by a basic slice, so numpy takes views, not copies;
+    others by an intp array.
     """
-    if isinstance(slices, range) and slices.step == 1:
-        return slices, slice(slices.start, slices.stop)
-    if type(slices) is list and all(type(u) is int for u in slices):
-        run = slices
-    else:
-        run = np.asarray(slices, dtype=np.intp).tolist()
+    run = list(slices)
     lo = run[0] if run else 0
     return run, (slice(lo, lo + len(run)) if run == list(range(lo, lo + len(run)))
-                 else np.array(run))
+                 else np.array(run, dtype=np.intp))
 
 
 def _covers(runs, count: int) -> bool:
@@ -681,12 +658,12 @@ class KvLayout:
 
     An attention entry reads its neighbors as (slices, stack) pairs.  A
     layout fixes count, each pair's slices and each pair's neighbor row
-    count widths[i] once, when a graph is built, and checks there what
-    the entries would check on every call: every slice sits in exactly one
-    pair and every width is positive.  index[i] picks pair i's slices as
-    _slice_index does, and shapes[i] is the (slices, widths[i]) lead of the
-    stack it reads.  Neighbors(layout, stacks) hands it to an entry, which
-    then checks only that the receivers and stacks have those shapes.
+    count widths[i] once, when a graph is built, and checks there that
+    every slice sits in exactly one pair and every width is positive.
+    index[i] picks pair i's slices as _slice_index does, and shapes[i] is
+    the (slices, widths[i]) lead of the stack it reads.
+    Neighbors(layout, stacks) hands it to an entry, which then checks only
+    that the receivers and stacks have those shapes.
     """
 
     __slots__ = ("count", "slices", "index", "shapes")
@@ -710,30 +687,18 @@ class Neighbors(NamedTuple):
     stacks: list[Tensor]
 
 
-def _kv_groups(query: Tensor, kv, what: str) -> list[tuple]:
-    """kv's pairs as (index, neighbor stack), checked to cover every query slice once.
+def _kv_groups(query: Tensor, kv: Neighbors, what: str) -> list[tuple]:
+    """kv's pairs as (index, neighbor stack), checked to have the shapes of kv's layout.
 
-    Every receiver needs at least one neighbor row.  Neighbors were
-    checked when their layout was made, so only their shapes are checked.
+    The layout checked the rest when it was made: every query slice sits
+    in one pair, and every receiver has at least one neighbor row.
     """
-    if isinstance(kv, Neighbors):
-        layout, stacks = kv
-        # a (B, n, d) receiver stack's shape[:-2] is (B,), a (b, s, d) stack's shape[:-1] (b, s)
-        if (query.data.shape[:-2] != (layout.count,)
-                or [t.data.shape[:-1] for t in stacks] != layout.shapes):
-            raise ShapeError(f"{what}: need a (B, n, d) receiver stack with each slice in one pair")
-        return list(zip(layout.index, stacks))
-    groups, runs, fits = [], [], query.data.ndim == 3
-    for slices, t in kv:
-        run, index = _slice_index(slices)
-        groups.append((index, t))
-        runs.append(run)
-        fits = fits and t.data.ndim == 3 and t.data.shape[0] == len(run)
-    if not fits or not _covers(runs, query.data.shape[0]):
+    layout, stacks = kv
+    # a (B, n, d) receiver stack's shape[:-2] is (B,), a (b, s, d) stack's shape[:-1] (b, s)
+    if (query.data.shape[:-2] != (layout.count,)
+            or [t.data.shape[:-1] for t in stacks] != layout.shapes):
         raise ShapeError(f"{what}: need a (B, n, d) receiver stack with each slice in one pair")
-    if any(t.data.shape[-2] == 0 for _, t in groups):
-        raise ShapeError(f"{what}: empty neighborhood")
-    return groups
+    return list(zip(layout.index, stacks))
 
 
 def _row_stack(products: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -811,14 +776,14 @@ def _head_arrays(what: str, *weights) -> list[list[np.ndarray]]:
     return arrays
 
 
-def nonlocal_attention(query: Tensor, kv, wq, wk, wv) -> tuple[Tensor, list[Tensor]]:
+def nonlocal_attention(query: Tensor, kv: Neighbors, wq, wk, wv) -> tuple[Tensor, list[Tensor]]:
     """Scaled dot-product attention of query rows over kv rows, H heads as one tape entry.
 
-    query is a (B, n, d) stack and kv a list of (slices, stack) pairs, or
-    Neighbors, as both message-passing phases hand them: the query slices
-    a pair lists attend over the rows of its (len(slices), s, d) stack, and
-    each slice is listed once.  wq, wk and wv are sequences of the H
-    heads' weights.  Head h's message is softmax(q k^T / sqrt(width of k))
+    query is a (B, n, d) stack and kv the Neighbors both message-passing
+    phases hand it: the query slices a pair of its layout lists attend
+    over the rows of that pair's (len(slices), s, d) stack, and each slice
+    is listed once.  wq, wk and wv are sequences of the H heads' weights.
+    Head h's message is softmax(q k^T / sqrt(width of k))
     @ v for q = query @ wq[h], k = kv @ wk[h] and v = kv @ wv[h], slice by
     slice, and fills columns h f ... (h + 1) f of the (B, n, H f) result,
     f the width of wv[h].  Returns (messages, one (b, H n, s) attention
@@ -898,13 +863,13 @@ def _score_columns(vectors: list[np.ndarray], start: int, stop: int) -> np.ndarr
     return np.stack([v[start:stop] for v in vectors], axis=1)
 
 
-def additive_attention(receivers: Tensor, neighbors, transform,
+def additive_attention(receivers: Tensor, neighbors: Neighbors, transform,
                        score) -> tuple[Tensor, list[Tensor]]:
     """GAT-style attention of every receiver over the neighbor rows, H heads as one tape entry.
 
-    receivers is a (B, n, d) stack and neighbors a list of (slices, stack)
-    pairs, as the kv of nonlocal_attention; transform and score are
-    sequences of the H heads' weights.  With score[h] = [a1 || a2], head
+    receivers is a (B, n, d) stack and neighbors Neighbors, as the kv of
+    nonlocal_attention; transform and score are sequences of the H heads'
+    weights.  With score[h] = [a1 || a2], head
     h's attention row v is softmax over j of relu(h_v . a1 + h_j . a2), and
     its message relu((attention @ neighbors) @ transform[h]), slice by
     slice, in columns h f ... (h + 1) f of the (B, n, H f) result.  The

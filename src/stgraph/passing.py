@@ -15,14 +15,14 @@ their s neighbor states through a (B, H n, s) attention stack, head h in
 rows h n ... (h + 1) n, and the gate scores all K message slots of every
 receiver as a (B, n, K) stack.  Both phases run on the graph's blocks,
 whose keyframes all have temporal neighbors or all have none.  Both
-phases hand each message function's entry (slices, stack)
-neighbor pairs as numgrad.Neighbors over the block's layout, which the
-graph built and checked once: the spatial phase one pair per block (own
-rows, then context), the temporal phase, which skips blocks without
-temporal neighbors, one per neighbor count s, so edge and interior
-keyframes share the entry.  The temporal pairs gather their rows by the
-graph's temporal_groups, and the gather's backward adds its cotangent
-one window offset at a time (see graph.TemporalGroup).
+phases hand each message function's entry its neighbor stacks as
+numgrad.Neighbors over the block's layout, which the graph built and
+checked once: the spatial phase one pair per block (own rows, then
+context), the temporal phase, which skips blocks without temporal
+neighbors, one per neighbor count s, so edge and interior keyframes
+share the entry.  The temporal pairs gather their rows by the graph's
+gathers, whose backward adds the cotangent one window offset at a time
+(see graph._temporal_layouts).
 The additive scores relu(a . [h_v || h_j]) are evaluated as
 relu(h_v . a1 + h_j . a2), a column plus a row, so no per-receiver pair
 matrix is ever built.  Each message function, all H heads at once, the
@@ -317,10 +317,10 @@ def run_inference(graph: SpatioTemporalGraph, params, config: ModelConfig,
                               for k, (b, own, (layout, _)) in enumerate(
                                   zip(graph.blocks, states, graph.layouts))]
                 else:
-                    blocks = [(k, ng.Neighbors(graph.layouts[k][1],
-                                               [ng.gather_rows(states, group.gather)
-                                                for group in groups]))
-                              for k, groups in enumerate(graph.temporal_groups) if groups]
+                    blocks = [(k, ng.Neighbors(layout, [ng.gather_rows(states, gather)
+                                                        for gather in gathers]))
+                              for k, ((_, layout), gathers) in enumerate(
+                                  zip(graph.layouts, graph.gathers)) if gathers]
                 updated = list(states)
                 for k, kv in blocks:
                     positions, own = graph.blocks[k].positions, states[k]

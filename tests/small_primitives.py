@@ -4,7 +4,9 @@ The fused blocks in stgraph.numgrad and the relation head and clip losses
 in stgraph.heads each replace a chain of these small primitives; the tests keep them to
 check the fused blocks and losses against their chains bit for bit, and
 to run the gradient checks of single operations.  Each records one tape
-entry through numgrad's own recording path.
+entry through numgrad's own recording path.  neighbors and gather wrap
+plain (slices, stack) pairs and index arrays into the checked forms the
+attention entries and gather_rows take.
 """
 
 import numpy as np
@@ -12,6 +14,25 @@ import numpy as np
 from stgraph import numgrad as ng
 from stgraph.errors import ShapeError
 from stgraph.numgrad import Tensor
+
+
+def neighbors(pairs) -> ng.Neighbors:
+    """(slices, stack) pairs as the Neighbors the attention entries take, over a layout made here.
+
+    The layout counts the pairs' slices, so pairs that list 0 ... B - 1
+    once fit a (B, n, d) receiver stack; ng.KvLayout checks the pairs as
+    graph.build_batch's layouts are checked.
+    """
+    slices, stacks = [s for s, _ in pairs], [t for _, t in pairs]
+    return ng.Neighbors(ng.KvLayout(sum(map(len, slices)), slices,
+                                    [t.data.shape[-2] for t in stacks]), stacks)
+
+
+def gather(sources: list[Tensor], index, plan=None) -> ng.Gather:
+    """An index of any shape into the rows of sources, laid end to end, as a checked Gather."""
+    index = np.asarray(index)
+    rows = sum(t.data.size // t.data.shape[-1] for t in sources)
+    return ng.Gather(index.reshape(-1).tolist(), plan, rows, index.shape)
 
 
 def transpose(x: Tensor) -> Tensor:

@@ -368,19 +368,20 @@ def test_layout_matches_the_per_keyframe_oracle(clips, tau_c, tau_s, seed):
     assert [b.positions for b in g.blocks] == want["positions"]
     assert g.temporal == want["temporal"]
     assert g.first_ids == want["first_ids"]
-    assert [[(group.slices, group.gather.rows.tolist(), group.gather.plan) for group in groups]
-            for groups in g.temporal_groups] == want["groups"]
+    # each temporal layout pair with its Gather, as the oracle's (slices, rows, plan)
+    assert [[(slices, gather.rows.tolist(), gather.plan)
+             for slices, gather in zip(temporal.slices if gathers else (), gathers)]
+            for (_, temporal), gathers in zip(g.layouts, g.gathers)] == want["groups"]
     for block, (fg, ctx) in zip(g.blocks, want["stacks"]):
         assert block.fg_states.data.tobytes() == fg.tobytes()
         assert block.ctx_states.data.tobytes() == ctx.tobytes()
-    # each block's layouts list the groups' slices and widths, and its own rows then context
+    # each block's layouts fix its Gathers' shapes, and its own rows then context
     rows = sum(b.fg_states.shape[0] * b.fg_states.shape[1] for b in g.blocks)
-    for block, groups, (spatial, temporal) in zip(g.blocks, g.temporal_groups, g.layouts):
+    for block, (spatial, temporal), gathers in zip(g.blocks, g.layouts, g.gathers):
         count, n = block.fg_states.shape[:2]
         assert spatial.shapes == [(count, n + block.ctx_states.shape[1])]
-        if not groups:
+        if not gathers:
             assert temporal is None
             continue
-        assert [list(s) for s in temporal.slices] == [group.slices for group in groups]
-        assert temporal.shapes == [group.gather.rows.shape for group in groups]
-        assert all(group.gather.sources == rows for group in groups)
+        assert temporal.shapes == [gather.rows.shape for gather in gathers]
+        assert all(gather.sources == rows for gather in gathers)

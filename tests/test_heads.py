@@ -124,8 +124,8 @@ def _concat_pair_logits(states, weight, bias):
     subjects, objects = hd.pair_arrays(n)
     # row r of slice b is row b * n + r of the stack
     first = np.arange(int(np.prod(lead))).reshape(lead + (1,)) * n
-    pair_states = sp.concat_cols([ng.gather_rows(states, first + subjects),
-                                  ng.gather_rows(states, first + objects)])
+    pair_states = sp.concat_cols([ng.gather_rows([states], sp.gather([states], first + subjects)),
+                                  ng.gather_rows([states], sp.gather([states], first + objects))])
     return ng.add_rowvec(ng.matmul(pair_states, weight), bias)
 
 

@@ -144,7 +144,7 @@ def _gat_case(rng, heads, pairs):
 
     transform = [tensor(4, 4) for _ in range(heads)]
     score = [tensor(8) for _ in range(heads)]
-    neighbors = [(slices, tensor(len(slices), *shape)) for slices, shape in pairs]
+    neighbors = sp.neighbors([(slices, tensor(len(slices), *shape)) for slices, shape in pairs])
     return tensor(9, 3, 4), neighbors, transform, score
 
 
@@ -233,6 +233,14 @@ def test_tensor_data_is_read_only():
     t = ng.Tensor([1.0, 2.0])
     with pytest.raises(ValueError):
         t.data[0] = 5.0
+
+
+def test_tensor_copies_the_callers_array():
+    # the caller's array stays writable, and a later write to it does not reach the tensor
+    a = np.array([1.0, 2.0])
+    t = ng.Tensor(a)
+    a[0] = 5.0
+    assert t.data.tolist() == [1.0, 2.0] and not t.data.flags.writeable
 
 
 def test_grad_requires_scalar_loss():
@@ -364,42 +372,42 @@ def test_finite_differences_per_primitive():
         "nonlocal_attention": (
             {"q": t(1, 3, 4), "kv": t(1, 5, 4), "wq": t(4, 4), "wk": t(4, 4), "wv": t(4, 4)},
             lambda p: sp.sum_all(sp.relu(ng.nonlocal_attention(
-                p["q"], [([0], p["kv"])], [p["wq"]], [p["wk"]], [p["wv"]])[0])),
+                p["q"], sp.neighbors([([0], p["kv"])]), [p["wq"]], [p["wk"]], [p["wv"]])[0])),
         ),
         "nonlocal_attention_kv_is_query": (
             {"h": t(1, 3, 4), "wq": t(4, 4), "wk": t(4, 4), "wv": t(4, 4)},
             lambda p: sp.sum_all(sp.relu(ng.nonlocal_attention(
-                p["h"], [([0], p["h"])], [p["wq"]], [p["wk"]], [p["wv"]])[0])),
+                p["h"], sp.neighbors([([0], p["h"])]), [p["wq"]], [p["wk"]], [p["wv"]])[0])),
         ),
         # two heads over two pairs of different neighbor counts, slices out of order
         "nonlocal_attention_two_heads": (
             {"q": t(2, 3, 4), "kv0": t(1, 5, 4), "kv1": t(1, 2, 4),
              **{f"{w}{h}": t(4, 4) for w in ("wq", "wk", "wv") for h in range(2)}},
             lambda p: sp.sum_all(sp.relu(ng.nonlocal_attention(
-                p["q"], [([1], p["kv0"]), ([0], p["kv1"])],
+                p["q"], sp.neighbors([([1], p["kv0"]), ([0], p["kv1"])]),
                 *([p[f"{w}{h}"] for h in range(2)] for w in ("wq", "wk", "wv")))[0])),
         ),
         "nonlocal_attention_two_heads_kv_is_query": (
             {"h": t(1, 3, 4), **{f"{w}{h}": t(4, 4) for w in ("wq", "wk", "wv") for h in range(2)}},
             lambda p: sp.sum_all(sp.relu(ng.nonlocal_attention(
-                p["h"], [([0], p["h"])],
+                p["h"], sp.neighbors([([0], p["h"])]),
                 *([p[f"{w}{h}"] for h in range(2)] for w in ("wq", "wk", "wv")))[0])),
         ),
         "additive_attention": (
             {"r": t(1, 3, 4), "n": t(1, 5, 4), "w": t(4, 4), "a": t(8)},
             lambda p: sp.sum_all(sp.relu(ng.additive_attention(
-                p["r"], [([0], p["n"])], [p["w"]], [p["a"]])[0])),
+                p["r"], sp.neighbors([([0], p["n"])]), [p["w"]], [p["a"]])[0])),
         ),
         "additive_attention_one_receiver_one_neighbor": (
             {"r": t(1, 1, 4), "n": t(1, 1, 4), "w": t(4, 4), "a": t(8)},
             lambda p: sp.sum_all(ng.additive_attention(
-                p["r"], [([0], p["n"])], [p["w"]], [p["a"]])[0]),
+                p["r"], sp.neighbors([([0], p["n"])]), [p["w"]], [p["a"]])[0]),
         ),
         "additive_attention_two_heads": (
             {"r": t(2, 3, 4), "n0": t(1, 5, 4), "n1": t(1, 2, 4),
              "w0": t(4, 4), "w1": t(4, 4), "a0": t(8), "a1": t(8)},
             lambda p: sp.sum_all(sp.relu(ng.additive_attention(
-                p["r"], [([1], p["n0"]), ([0], p["n1"])], [p["w0"], p["w1"]],
+                p["r"], sp.neighbors([([1], p["n0"]), ([0], p["n1"])]), [p["w0"], p["w1"]],
                 [p["a0"], p["a1"]])[0])),
         ),
         "gated_mix": (
@@ -415,7 +423,8 @@ def test_finite_differences_per_primitive():
             {"x": t(3, 6), "m": t(3, 6), "s": t(6), "b": t(6)},
             lambda p: sp.sum_all(sp.relu(ng.residual_layer_norm(p["x"], p["m"], p["s"], p["b"]))),
         ),
-        "gather_rows": ({"m": t(4, 3)}, lambda p: sp.sum_all(sp.relu(ng.gather_rows(p["m"], [0, 2, 2, 1])))),
+        "gather_rows": ({"m": t(4, 3)}, lambda p: sp.sum_all(sp.relu(ng.gather_rows(
+            [p["m"]], sp.gather([p["m"]], [0, 2, 2, 1]))))),
         "pair_logits": (
             {"h": t(4, 3), "w": t(6, 2), "b": t(2)},
             lambda p: sp.sum_all(sp.relu(hd.pair_logits(p["h"], p["w"], p["b"]))),
@@ -445,10 +454,11 @@ def test_finite_differences_per_primitive():
 def test_fused_primitives_reject_bad_shapes():
     m, w = ng.Tensor(np.ones((3, 2))), ng.Tensor(np.ones((2, 2)))
     v4, v5 = ng.Tensor(np.ones(4)), ng.Tensor(np.ones(5))
-    # the attention blocks take a stack of receivers and (slices, stack) pairs
-    one, pair = ng.Tensor(np.ones((1, 3, 2))), [([0], ng.Tensor(np.ones((1, 3, 2))))]
+    # the attention blocks take a stack of receivers and Neighbors
+    one, pair = ng.Tensor(np.ones((1, 3, 2))), sp.neighbors([([0], ng.Tensor(np.ones((1, 3, 2))))])
     with pytest.raises(ShapeError):
-        ng.nonlocal_attention(one, [([0], ng.Tensor(np.ones((1, 4, 3))))], [w], [w], [w])
+        ng.nonlocal_attention(one, sp.neighbors([([0], ng.Tensor(np.ones((1, 4, 3))))]),
+                              [w], [w], [w])
     with pytest.raises(ShapeError):
         ng.nonlocal_attention(one, pair, [w], [ng.Tensor(np.ones((2, 3)))], [w])
     with pytest.raises(ShapeError):
@@ -458,7 +468,8 @@ def test_fused_primitives_reject_bad_shapes():
     with pytest.raises(ShapeError):
         ng.additive_attention(one, pair, [w], [ng.Tensor(np.ones((2, 2)))])
     with pytest.raises(ShapeError):
-        ng.additive_attention(one, [([0], ng.Tensor(np.ones((1, 3, 3))))], [w], [v4])
+        ng.additive_attention(one, sp.neighbors([([0], ng.Tensor(np.ones((1, 3, 3))))]),
+                              [w], [v4])
     with pytest.raises(ShapeError):
         ng.additive_attention(m, pair, [w], [v4])
     # heads: as sequences, as many of each weight, of one shape
@@ -488,23 +499,22 @@ def test_fused_primitives_reject_bad_shapes():
         ng.residual_layer_norm(m, m, ng.Tensor(np.ones(3)), ng.Tensor(np.zeros(3)))
     with pytest.raises(ShapeError):
         ng.residual_layer_norm(v4, v4, v4, v4)
-    # an empty neighbor stack, alone or as one of a stack's (slices, stack) pairs
+    # an empty neighbor stack, alone or as one of a stack's (slices, stack)
+    # pairs, is refused when its layout is made
     empty, stack = [([0], ng.Tensor(np.zeros((1, 0, 2))))], ng.Tensor(np.ones((2, 3, 2)))
     pairs = [([0], ng.Tensor(np.ones((1, 4, 2)))), ([1], ng.Tensor(np.zeros((1, 0, 2))))]
-    for kv, query in ((empty, one), (pairs, stack)):
+    for kv in (empty, pairs):
         with pytest.raises(ShapeError, match="empty neighborhood"):
-            ng.nonlocal_attention(query, kv, [w], [w], [w])
-        with pytest.raises(ShapeError, match="empty neighborhood"):
-            ng.additive_attention(query, kv, [w], [v4])
+            sp.neighbors(kv)
     with pytest.raises(ShapeError):
-        ng.nonlocal_attention(stack, [], [w], [w], [w])
+        ng.nonlocal_attention(stack, sp.neighbors([]), [w], [w], [w])
     # a pair list must cover every receiver slice exactly once
     with pytest.raises(ShapeError):
-        ng.nonlocal_attention(stack, [([0, 0], ng.Tensor(np.ones((2, 4, 2))))], [w], [w], [w])
+        sp.neighbors([([0, 0], ng.Tensor(np.ones((2, 4, 2))))])
 
 
 def _fused_nonlocal(query, kv, wq, wk, wv):
-    out, [attention] = ng.nonlocal_attention(query, [([0], kv)], wq, wk, wv)
+    out, [attention] = ng.nonlocal_attention(query, sp.neighbors([([0], kv)]), wq, wk, wv)
     return out, list(attention.data[0].reshape(len(wq), -1, attention.shape[-1]))
 
 
@@ -637,7 +647,8 @@ def test_rank_one_pieces_keep_the_zero_signs_of_their_chain(block):
                 out = (ng.gated_mix(messages, p["r"], p["v"])[0] if fused
                        else _composed_gated_mix(messages, p["r"], p["v"]))
             else:
-                out = (ng.additive_attention(p["r"], [([0], p["o0"])], [p["w"]], [p["v"]])[0]
+                out = (ng.additive_attention(p["r"], sp.neighbors([([0], p["o0"])]), [p["w"]],
+                                             [p["v"]])[0]
                        if fused else _composed_additive(p["r"], p["o0"], p["w"], p["v"]))
             # a constant readout hands every output row a nonzero cotangent
             loss = sp.sum_all(ng.matmul(out, readout))
@@ -762,7 +773,7 @@ def _pair_rows(m):
     """Rows (2, 0, 0, 1, 2, 2) of every slice of m: duplicates on purpose."""
     rows, lead = m.shape[-2], m.shape[:-2]
     first = np.arange(math.prod(lead)).reshape(lead + (1,)) * rows
-    return ng.gather_rows(m, first + [2, 0, 0, 1, 2, 2])
+    return ng.gather_rows([m], sp.gather([m], first + [2, 0, 0, 1, 2, 2]))
 
 
 def _attention_entries(query, kv):
@@ -772,24 +783,25 @@ def _attention_entries(query, kv):
 
 
 def test_layout_faults_fail_direct_callers_with_the_same_messages():
-    # plain (slices, stack) pairs and plain indices are checked on every
-    # call, with the messages they always had
+    # a receiver stack that the pairs' layout does not fit fails in the
+    # entry; an empty neighborhood and a bad index or plan are refused when
+    # the layout or Gather is made, with the messages they always had
     stack = ng.Tensor(np.ones((2, 3, 2)))
-    uncovered = [([0], ng.Tensor(np.ones((1, 4, 2))))]
-    empty = [([0, 1], ng.Tensor(np.zeros((2, 0, 2))))]
-    for kv, message in ((uncovered, "need a (B, n, d) receiver stack with each slice in one pair"),
-                        (empty, "empty neighborhood")):
-        for name, call in zip(("nonlocal_attention", "additive_attention"),
-                              _attention_entries(stack, kv)):
-            with pytest.raises(ShapeError) as err:
-                call()
-            assert str(err.value) == f"{name}: {message}"
-    m = ng.Tensor(np.ones((3, 2)))
+    uncovered = sp.neighbors([([0], ng.Tensor(np.ones((1, 4, 2))))])
+    for name, call in zip(("nonlocal_attention", "additive_attention"),
+                          _attention_entries(stack, uncovered)):
+        with pytest.raises(ShapeError) as err:
+            call()
+        assert str(err.value) == f"{name}: need a (B, n, d) receiver stack with each slice in one pair"
     with pytest.raises(ShapeError) as err:
-        ng.gather_rows(m, [[0, 3]])
+        sp.neighbors([([0, 1], ng.Tensor(np.zeros((2, 0, 2))))])
+    assert str(err.value) == "KvLayout: empty neighborhood"
+    m = [ng.Tensor(np.ones((3, 2)))]
+    with pytest.raises(ShapeError) as err:
+        sp.gather(m, [[0, 3]])
     assert str(err.value) == "gather_rows: index out of range for 3 rows"
     with pytest.raises(ShapeError) as err:
-        ng.gather_rows(m, [0, 1, 2], plan=([0, 1],))
+        sp.gather(m, [0, 1, 2], plan=([0, 1],))
     assert str(err.value) == "gather_rows: plan does not cover the 3 index entries"
 
 
@@ -801,11 +813,11 @@ def test_layout_faults_are_refused_when_the_layout_is_made():
     with pytest.raises(ShapeError, match="empty neighborhood"):
         ng.KvLayout(2, [[1], [0]], [3, 0])
     with pytest.raises(ShapeError, match="index out of range for 3 rows"):
-        ng.Gather([[0, 3]], None, 3)
+        ng.Gather([0, 3], None, 3, (1, 2))
     with pytest.raises(ShapeError, match="index out of range for 3 rows"):
-        ng.Gather([[-1, 0]], None, 3)
+        ng.Gather([-1, 0], None, 3, (1, 2))
     with pytest.raises(ShapeError, match="plan does not cover the 3 index entries"):
-        ng.Gather([0, 1, 2], ([0, 1],), 3)
+        ng.Gather([0, 1, 2], ([0, 1],), 3, (3,))
     # a layout picks consecutive slices by a basic slice, others by an array
     layout = ng.KvLayout(4, [[2, 0], range(1, 2), [3]], [1, 2, 2])
     assert [i.tolist() if isinstance(i, np.ndarray) else i for i in layout.index] == [
@@ -813,13 +825,36 @@ def test_layout_faults_are_refused_when_the_layout_is_made():
     assert layout.shapes == [(2, 1), (1, 2), (1, 2)]
 
 
+@pytest.mark.parametrize("slices,want", [
+    (range(9), slice(0, 9)), ([2, 3, 4], slice(2, 5)), ([5], slice(5, 6)),
+    ([2, 0, 7], [2, 0, 7]), ([0, 2], [0, 2]), ([4, 3, 2], [4, 3, 2])])
+def test_slice_index_takes_a_contiguous_run_as_a_basic_slice(slices, want):
+    # a run of consecutive slices, as the spatial phase's range over a whole
+    # block, is a basic slice, so the entries read views of their stacks;
+    # any other run is an intp array, whose reads are copies
+    run, index = ng._slice_index(slices)
+    assert run == list(slices)
+    stack = np.arange(10.0 * 2).reshape(10, 2)
+    if isinstance(want, slice):
+        assert index == want and np.shares_memory(stack[index], stack)
+    else:
+        assert isinstance(index, np.ndarray) and index.dtype == np.intp
+        assert index.tolist() == want and not np.shares_memory(stack[index], stack)
+
+
 def test_checked_layouts_match_plain_pairs_and_still_check_shapes():
+    # the layout sp.neighbors makes from (slices, stack) pairs is the one
+    # made by hand, and the entries read both alike; the entries still check
+    # that receivers and stacks have the shapes a layout fixed
     rng = np.random.default_rng(46)
     query = ng.Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
     kvs = [ng.Tensor(rng.normal(size=(2, 4, 2))), ng.Tensor(rng.normal(size=(1, 1, 2)))]
     slices = [[2, 0], [1]]
     layout = ng.KvLayout(3, slices, [4, 1])
-    for plain, checked in zip(_attention_entries(query, list(zip(slices, kvs))),
+    made = sp.neighbors(list(zip(slices, kvs)))
+    assert made.stacks == kvs and made.layout.count == layout.count
+    assert made.layout.slices == layout.slices and made.layout.shapes == layout.shapes
+    for plain, checked in zip(_attention_entries(query, made),
                               _attention_entries(query, ng.Neighbors(layout, kvs))):
         (out, att), (out2, att2) = plain(), checked()
         assert out.data.tobytes() == out2.data.tobytes()
@@ -830,21 +865,21 @@ def test_checked_layouts_match_plain_pairs_and_still_check_shapes():
         for call in _attention_entries(query_, ng.Neighbors(layout, stacks)):
             with pytest.raises(ShapeError, match="each slice in one pair"):
                 call()
-    # a Gather reads sources of the row count it was checked against, with its own plan
+    # a Gather reads sources of the row count it was checked against, with its plan
     m = ng.Tensor(rng.normal(size=(2, 3, 2)), requires_grad=True)
-    gather = ng.Gather([[5, 0], [3, 3]], ([0, 1, 2], [3]), 6)
+    gather = ng.Gather([5, 0, 3, 3], ([0, 1, 2], [3]), 6, (2, 2))
     assert gather.rows.dtype == np.intp and not gather.rows.flags.writeable
     with ng.Tape() as tape:
-        out = ng.gather_rows(m, gather)
+        out = ng.gather_rows([m], gather)
     assert out.data.tobytes() == m.data.reshape(6, 2)[[[5, 0], [3, 3]]].tobytes()
     [(_, _, backward)] = tape._entries
     g = rng.normal(size=(2, 2, 2))
     want = np.zeros((6, 2))
     np.add.at(want, [5, 0, 3, 3], g.reshape(-1, 2))
     assert backward(g)[0].tobytes() == want.reshape(2, 3, 2).tobytes()
-    for source, plan in ((ng.Tensor(np.ones((5, 2))), None), (m, gather.plan)):
+    for sources in ([ng.Tensor(np.ones((5, 2)))], [m, ng.Tensor(np.ones((1, 2)))]):
         with pytest.raises(ShapeError, match="cannot read"):
-            ng.gather_rows(source, gather, plan)
+            ng.gather_rows(sources, gather)
 
 
 def _head_lists(weights: dict, parts, heads: int) -> list[list]:
@@ -933,7 +968,8 @@ def test_stacked_primitive_matches_its_slices_bit_for_bit(name):
         xs = {k: ng.Tensor(v, requires_grad=True) for k, v in stacks.items() if k not in paired}
         xs.update({f"{k}.{i}": ng.Tensor(v, requires_grad=True)
                    for k in paired for i, v in enumerate(stacks[k])})
-        args = {k: [(slices, xs[f"{k}.{i}"]) for i, (slices, _) in enumerate(sliced[k])]
+        args = {k: sp.neighbors([(slices, xs[f"{k}.{i}"])
+                                 for i, (slices, _) in enumerate(sliced[k])])
                 if k in paired else xs[k] for k in sliced}
         out = primitive(**args, **params)
         loss = sp.sum_all(sp.relu(out))
@@ -950,7 +986,7 @@ def test_stacked_primitive_matches_its_slices_bit_for_bit(name):
                      for b in range(blocks)]
         outs, total = [], None
         for xs_b in per_slice:
-            args = {k: [([0], t)] if k in paired else t for k, t in xs_b.items()}
+            args = {k: sp.neighbors([([0], t)]) if k in paired else t for k, t in xs_b.items()}
             outs.append(primitive(**args, **params))
             term = sp.sum_all(sp.relu(outs[-1]))
             total = term if total is None else ng.add(total, term)
@@ -1000,15 +1036,15 @@ def test_attention_pieces_do_not_depend_on_batch_mates(entry, heads):
         stacks = [tensor(rng.uniform(-1, 1, size=(len(slices),) + shape))
                   for slices, shape in pairs]
         g = rng.normal(size=(count, n, heads * d))
-        out, attention, inputs, pieces = run(query, [(slices, t) for (slices, _), t in
-                                                     zip(pairs, stacks)], g)
+        out, attention, inputs, pieces = run(query, sp.neighbors([(slices, t) for (slices, _), t in
+                                                                  zip(pairs, stacks)]), g)
         assert out.shape == (count, n, heads * d) and len(pieces) == len(inputs)
         for i, (slices, (s, _)) in enumerate(pairs):
             assert attention[i].shape == (len(slices), heads * n, s)
             for row, b in enumerate(slices):
                 kv = tensor(stacks[i].data[row:row + 1])
                 alone, alone_attention, alone_inputs, alone_pieces = run(
-                    tensor(query.data[b:b + 1]), [([0], kv)], g[b:b + 1])
+                    tensor(query.data[b:b + 1]), sp.neighbors([([0], kv)]), g[b:b + 1])
                 assert alone[0].tobytes() == out[b].tobytes()
                 assert alone_attention[0][0].tobytes() == attention[i][row].tobytes()
                 # every input but the other pairs' neighbors, in the order alone lists them
@@ -1046,7 +1082,7 @@ def test_fused_entries_leave_their_inputs_and_cotangent_unchanged(entry, heads):
         weights = [[tensor(*((2 * d,) if part == "a" else (d, d))) for _ in range(heads)]
                    for part in parts]
         pairs = [(slices, tensor(len(slices), *shape)) for slices, shape in _PERMUTED_PAIRS]
-        args = (receivers, pairs, *weights)
+        args = (receivers, sp.neighbors(pairs), *weights)
         inputs = [receivers, *(t for _, t in pairs), *(w for ws in weights for w in ws)]
     before = [t.data.tobytes() for t in inputs]
     with ng.Tape() as tape:
@@ -1071,7 +1107,7 @@ def test_gather_rows_scatters_like_add_at(stacked):
     rows = m.data.size // 3
     index = rng.integers(0, rows - 1, size=(5, 7) if stacked else 40)
     with ng.Tape() as tape:
-        ng.gather_rows(m, index)
+        ng.gather_rows([m], sp.gather([m], index))
     [(_, _, backward)] = tape._entries
     g = rng.normal(size=index.shape + (3,))
     g[..., ::4, :] = -0.0
@@ -1087,7 +1123,7 @@ def test_gather_rows_reads_several_sources_end_to_end():
     b = ng.Tensor(np.arange(12.0, 18.0).reshape(2, 3), requires_grad=True)
     c = ng.Tensor(np.zeros((1, 3)), requires_grad=True)
     with ng.Tape() as tape:
-        out = ng.gather_rows([a, b, c], [[5, 0], [3, 4]])
+        out = ng.gather_rows([a, b, c], sp.gather([a, b, c], [[5, 0], [3, 4]]))
         loss = sp.sum_all(out)
     assert out.data.tolist() == [[[15.0, 16.0, 17.0], [0.0, 1.0, 2.0]],
                                  [[9.0, 10.0, 11.0], [12.0, 13.0, 14.0]]]
@@ -1124,7 +1160,7 @@ def test_clip_losses_match_their_chains_bit_for_bit():
         return total, ng.grad(tape, total, params)
 
     def rows(k, j):
-        return ng.gather_rows(logits[k], j * 3 + np.arange(3))
+        return ng.gather_rows([logits[k]], sp.gather([logits[k]], j * 3 + np.arange(3)))
 
     def bce_clip(clip, parts):
         targets = np.concatenate([labels[k][j] for k, j in clip])
@@ -1134,7 +1170,7 @@ def test_clip_losses_match_their_chains_bit_for_bit():
         obj = sp.scale(sp.softmax_xent_mean(rows(k, j), ng.Tensor(onehots[k][j])), 0.5)
         if relations[k] is None:
             return obj
-        rel = ng.gather_rows(relations[k], j * 3 + np.arange(3))
+        rel = ng.gather_rows([relations[k]], sp.gather([relations[k]], j * 3 + np.arange(3)))
         return ng.add(obj, sp.bce_with_logits_mean(rel, ng.Tensor(rel_labels[k][j])))
 
     def sg_clip(clip, parts):

@@ -74,8 +74,8 @@ def nl_weights(d, seed=0, zero_query=False):
 
 
 def one_pair(receivers: np.ndarray, neighbors: np.ndarray):
-    """(n, d) receivers and (s, d) neighbors as a stack of one and its single (slices, stack) pair."""
-    return Tensor(receivers[None]), [([0], Tensor(neighbors[None]))]
+    """(n, d) receivers and (s, d) neighbors as a stack of one and Neighbors of one pair."""
+    return Tensor(receivers[None]), sp.neighbors([([0], Tensor(neighbors[None]))])
 
 
 def test_nonlocal_single_node_attends_to_itself():
@@ -170,7 +170,7 @@ def test_gat_empty_neighborhood_rejected():
     with pytest.raises(ShapeError):
         ng.additive_attention(*one_pair(np.ones((3, 4)), np.zeros((0, 4))), *gat_weights(4))
     with pytest.raises(ShapeError):
-        ng.additive_attention(Tensor(np.ones(4)), [([0], Tensor(np.ones((1, 2, 4))))],
+        ng.additive_attention(Tensor(np.ones(4)), sp.neighbors([([0], Tensor(np.ones((1, 2, 4))))]),
                               *gat_weights(4))
 
 
@@ -558,7 +558,7 @@ def test_inference_gradients_match_finite_differences():
         graph = gr.build_graph(frames, p, cfg)
         res = pa.run_inference(graph, p, cfg)
         rows = sum(s.shape[0] * s.shape[1] for s in res.states)
-        return sp.mean_all(ng.gather_rows(res.states, np.arange(rows)))
+        return sp.mean_all(ng.gather_rows(res.states, sp.gather(res.states, np.arange(rows))))
 
     with ng.Tape() as tape:
         loss = forward(params)
@@ -623,13 +623,12 @@ def test_temporal_gathers_by_offset_match_scatter_rows(monkeypatch, tau_c, tau_s
     pos_of_row = np.concatenate([np.repeat(b.positions, b.fg_states.shape[1])
                                  for b in graph.blocks])
     groups, offsets = [], []
-    for block, block_groups in zip(graph.blocks, graph.temporal_groups):
-        for group in block_groups:
-            flat = group.gather.rows.reshape(-1)
-            receivers = np.repeat(np.array(block.positions)[group.slices],
-                                  group.gather.rows.shape[1])
+    for block, (_, layout), gathers in zip(graph.blocks, graph.layouts, graph.gathers):
+        for slices, gather in zip(layout.slices if gathers else (), gathers):
+            flat = gather.rows.reshape(-1)
+            receivers = np.repeat(np.array(block.positions)[slices], gather.rows.shape[1])
             rounds = []
-            for entries in group.gather.plan:
+            for entries in gather.plan:
                 targets = flat[entries]
                 # no row repeats within a round, which reads through one offset
                 assert len(set(targets.tolist())) == targets.size
@@ -637,27 +636,27 @@ def test_temporal_gathers_by_offset_match_scatter_rows(monkeypatch, tau_c, tau_s
                 rounds.append(offset)
             # the rounds run largest offset first, and every entry sits in one
             assert rounds == sorted(set(rounds), reverse=True)
-            assert sorted(sum(group.gather.plan, [])) == list(range(flat.size))
-            groups.append(group)
+            assert sorted(sum(gather.plan, [])) == list(range(flat.size))
+            groups.append((slices, gather))
             offsets.append(rounds)
     if len(clip_boxes) == 1:
-        [(edges, rounds)] = [(g, r) for g, r in zip(groups, offsets) if g.slices == [0, 2]]
-        assert edges.gather.rows[0].tolist() == edges.gather.rows[1].tolist()
+        [(edges, rounds)] = [(g, r) for (slices, g), r in zip(groups, offsets) if slices == [0, 2]]
+        assert edges.rows[0].tolist() == edges.rows[1].tolist()
         assert rounds == [1, -1]
-        assert edges.gather.plan == ([0, 1], [2, 3])
+        assert edges.plan == ([0, 1], [2, 3])
     else:
         assert len(graph.blocks) > 2 and len(groups) > 3
         assert sorted(set(sum(offsets, []))) == [-4, -2, 2, 4]
 
     states = [Tensor(b.fg_states.data, requires_grad=True) for b in graph.blocks]
-    for group in groups:
+    for _, gather in groups:
         pieces = []
-        # the checked Gather, with its plan, against its rows given plainly, without one
-        for index in (group.gather, group.gather.rows):
+        # the graph's Gather, with its plan, against one of its rows without a plan
+        for index in (gather, sp.gather(states, gather.rows)):
             with ng.Tape() as tape:
                 ng.gather_rows(states, index)
             [(_, _, backward)] = tape._entries
-            g = np.random.default_rng(45).normal(size=group.gather.rows.shape + (cfg.state_dim,))
+            g = np.random.default_rng(45).normal(size=gather.rows.shape + (cfg.state_dim,))
             g[..., ::3, :] = -0.0
             pieces.append([None if d is None else d.tobytes() for d in backward(g)])
         assert pieces[0] == pieces[1]
@@ -670,8 +669,8 @@ def test_temporal_gathers_by_offset_match_scatter_rows(monkeypatch, tau_c, tau_s
         return {name: t.data.tobytes() for name, t in ng.grad(tape, loss, params).items()}
 
     by_offset = batch_grads()
-    gather = ng.gather_rows
-    monkeypatch.setattr(ng, "gather_rows", lambda m, index, plan=None: gather(m, index.rows))
+    planned = ng.gather_rows
+    monkeypatch.setattr(ng, "gather_rows", lambda m, index: planned(m, sp.gather(m, index.rows)))
     assert batch_grads() == by_offset
 
 
