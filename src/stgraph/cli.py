@@ -9,10 +9,11 @@ Subcommands:
     dump-attention  write per-node attention and gate records for one clip
     flops           print the multiply-accumulate estimate for a config
 
-Reports and checkpoints are canonical JSON (sorted keys, no timestamps), so
-identical runs produce identical bytes.  Reports write floats in their
-shortest representation; checkpoints write each tensor as base64 of its
-little-endian float64 bytes.
+Reports are canonical JSON (sorted keys, no timestamps) and write floats in
+their shortest representation.  Checkpoints use the safetensors layout: an
+8-byte header length, a canonical JSON header with the config echo, then
+each tensor's raw little-endian float64 bytes (see train.save_checkpoint).
+Identical runs produce identical bytes.
 """
 
 import argparse
@@ -178,7 +179,7 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)  # an unusable --out fails before training
     result = train_loop(clips, config, schedule, seed=config.seed,
                         batch_size=args.batch_size, init_from=init_from)
-    save_checkpoint(os.path.join(args.out, "checkpoint.json"),
+    save_checkpoint(os.path.join(args.out, "checkpoint.safetensors"),
                     result.params, config, seed=config.seed, log=result.log)
     payload = {
         "command": "train",

@@ -233,11 +233,17 @@ def _emit(value, inputs: tuple[Tensor, ...], backward) -> Tensor:
     primitive does that.
     """
     out = _wrap(value)
-    tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    tape = _recording(inputs)
+    if tape is not None:
         out.requires_grad = True
         tape._entries.append((out, inputs, backward))
     return out
+
+
+def _recording(inputs: tuple[Tensor, ...]) -> Tape | None:
+    """The tape _emit records an entry of inputs on: the active one, if any input needs grad."""
+    tape = _active_tape()
+    return tape if tape is not None and any(t.requires_grad for t in inputs) else None
 
 
 class checked:
@@ -417,15 +423,15 @@ def _relu_values(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _relu_scores(x: np.ndarray) -> np.ndarray:
-    """x set to max(x, 0) in its own buffer; returns the mask of positive entries.
+def _relu_mask(scores: np.ndarray) -> np.ndarray:
+    """The mask of the positive scores, which the backward of a relu on them multiplies by.
 
-    For scores that a softmax reads next, which needs no + 0.0: x - m
-    and exp(±0) = 1 do not depend on a zero's sign.
+    The entries build it only when the tape records them (see _recording),
+    and relu the scores in place with np.maximum, which needs no + 0.0
+    there: the softmax reading them next takes x - m and exp(±0) = 1,
+    which do not depend on a zero's sign.
     """
-    mask = x > 0.0
-    np.maximum(x, 0.0, out=x)
-    return mask
+    return scores > 0.0
 
 
 def _scatter_rows(g: np.ndarray, index: np.ndarray, rows: int, plan=None) -> np.ndarray:
@@ -888,6 +894,8 @@ def additive_attention(receivers: Tensor, neighbors: Neighbors, transform,
                          f"{[t.data.shape for _, t in groups]}, transform {ws[0].shape} and "
                          f"score {scores[0].shape} do not align")
     n = rd.shape[-2]
+    inputs = (*transform, *(t for _, t in groups), receivers, *score)
+    taped = _recording(inputs) is not None
     a1, a2 = _score_columns(scores, 0, d), _score_columns(scores, d, 2 * d)
     own = rd @ a1
     parts, pre = [], []
@@ -898,16 +906,17 @@ def additive_attention(receivers: Tensor, neighbors: Neighbors, transform,
         # the (b, H n, s) stack, head h's scores in rows h n ... (h + 1) n, is a view
         raw = np.add(mine[..., None], other.swapaxes(-1, -2)[..., None, :],
                      out=np.empty((len(nd), heads, n, nd.shape[1])))
-        raw_mask = _relu_scores(raw)
+        stack = (len(nd), heads * n, nd.shape[1])
+        raw_mask = _relu_mask(raw.reshape(stack)) if taped else None
+        np.maximum(raw, 0.0, out=raw)
         # each row's max, relu(own + the largest other), as the block comment says
         top = mine + other.max(axis=-2)[..., None]
         np.maximum(top, 0.0, out=top)
         raw -= top[..., None]
-        stack = (len(nd), heads * n, nd.shape[1])
         attention = _softmax_rows(raw.reshape(stack))
         pooled = _blocks(attention @ nd, heads, -2)
         pre.append((slices, _col_stack(pooled, ws)))
-        parts.append((slices, nd, raw_mask.reshape(stack), attention, pooled))
+        parts.append((slices, nd, raw_mask, attention, pooled))
     mix = _relu_values(_by_slice(len(rd), pre))
 
     def backward(g):
@@ -939,8 +948,7 @@ def additive_attention(receivers: Tensor, neighbors: Neighbors, transform,
         for h in range(heads):
             yield dscore[..., h]
 
-    nbrs = tuple(t for _, t in groups)
-    out = _emit(mix, (*transform, *nbrs, receivers, *score), backward)
+    out = _emit(mix, inputs, backward)
     return out, [_wrap(part[3]) for part in parts]
 
 
@@ -976,7 +984,9 @@ def gated_mix(messages: list[Tensor], receivers: Tensor, gate: Tensor) -> tuple[
     slot = np.concatenate([(s.reshape(rows) @ gd[d:, None]).reshape(s.shape[:-1])
                            for s in slots], axis=-1)
     raw = own + slot
-    mask = _relu_scores(raw)
+    inputs = (*messages, receivers, gate)
+    mask = _relu_mask(raw) if _recording(inputs) is not None else None
+    np.maximum(raw, 0.0, out=raw)
     raw -= raw.max(axis=-1, keepdims=True)
     w = _softmax_rows(raw)
     parts = [s[..., j, :] for s in slots for j in range(s.shape[-2])]
@@ -1008,7 +1018,7 @@ def gated_mix(messages: list[Tensor], receivers: Tensor, gate: Tensor) -> tuple[
         # matrix products and their sums hold no -0.0, so this piece needs no + 0.0
         yield np.concatenate([rd.swapaxes(-1, -2) @ gown, dslot], axis=-2)[..., 0]
 
-    out = _emit(acc, (*messages, receivers, gate), backward)
+    out = _emit(acc, inputs, backward)
     return out, _wrap(w)
 
 

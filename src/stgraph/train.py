@@ -1,10 +1,9 @@
 """Learning-rate schedule, SGD with momentum, training loop, evaluation, checkpoints."""
 
-import base64
-import binascii
 import json
 import math
 import operator
+import os
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain
@@ -22,7 +21,7 @@ from .numgrad import Tape, Tensor, grad, sigmoid_values
 from .passing import ModelConfig, param_shapes, run_inference
 
 CHECKPOINT_FORMAT = "stgraph-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = "3"
 # float64 values that one run of held-out clips, scored as one batch, may
 # hold in its spatial score and state stacks (see eval_runs): 8 MiB
 EVAL_BUDGET = 2 ** 20
@@ -504,93 +503,184 @@ def gradient_check(config: ModelConfig, seed: int = 0, step: float = 1e-5,
 # checkpoints
 
 
+def _canonical(obj) -> str:
+    """obj as sorted-key, compact JSON text."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _check_names(where: str, names, expected: dict) -> None:
+    if set(names) != set(expected):
+        missing = sorted(set(expected) - set(names))
+        extra = sorted(set(names) - set(expected))
+        raise ValidationError(f"{where}: parameter names do not match the config "
+                              f"(missing {missing}, unexpected {extra})")
+
+
+def _check_finite(where: str, values: np.ndarray, names: list[str], ends: list[int]) -> None:
+    """One scan of values, the tensors of names laid end to end up to ends."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        # argmin of the mask is the first non-finite value
+        name = names[bisect_right(ends, int(finite.argmin()))]
+        raise ValidationError(f"{where}: {name!r} holds non-finite values")
+
+
 def save_checkpoint(path: str, params: dict[str, Tensor], config: ModelConfig,
                     seed: int, log: list[dict] | None = None) -> None:
-    """Versioned JSON checkpoint: config echo, seed, and named tensors.
+    """Checkpoint format v3, the safetensors layout: header length, JSON header, raw tensors.
 
-    Each tensor is stored as its shape and the base64 text of its
-    little-endian float64 bytes in C order.  The file is, byte for byte,
-    json.dumps(payload, sort_keys=True, separators=(",", ":")) plus a
-    newline, but it is composed around each tensor's base64, so that text
-    is never scanned for characters to escape (base64 has none).  Nothing
-    depends on the clock, so the same state always produces the same bytes.
-    load_checkpoint validates the config, then each tensor's name, shape,
-    base64 length and alphabet, decoded byte count and finiteness.
+    The file is an 8-byte little-endian length N, then N bytes of
+    sorted-key compact JSON padded with spaces to a multiple of 8, then
+    every tensor's little-endian float64 bytes in C order, end to end in
+    sorted-name order.  The header maps "__metadata__" to strings (format,
+    version "3", and the seed, config and training log as sorted-key
+    compact JSON text; no log key without a log), and each tensor's name
+    to its "dtype" ("F64"), "shape" and "data_offsets" [begin, end) in
+    the bytes after the header.  Nothing depends on the clock, so the same
+    state always produces the same bytes.  Whether the safetensors package
+    reads these files is untested.
+
+    The names and shapes must be those param_shapes(config) lays out and
+    every value finite, as load_checkpoint requires; otherwise
+    ValidationError names the parameter and no file is opened.
     """
-    def dumps(obj) -> bytes:
-        return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
-
-    # top-level keys sort as config < format < log < params < seed < version
-    head = {"config": config.to_dict(), "format": CHECKPOINT_FORMAT}
+    where = f"{path}: not saved"
+    expected = param_shapes(config)
+    _check_names(where, params, expected)
+    names = sorted(expected)
+    for name in names:
+        if params[name].shape != expected[name]:
+            raise ValidationError(f"{where}: {name!r} has shape {params[name].shape}, "
+                                  f"expected {expected[name]}")
+    ends = list(accumulate(math.prod(expected[name]) for name in names))
+    body = np.concatenate([params[name].data for name in names], axis=None, dtype="<f8")
+    _check_finite(where, body, names, ends)
+    meta = {"config": _canonical(config.to_dict()), "format": CHECKPOINT_FORMAT,
+            "seed": _canonical(seed), "version": CHECKPOINT_VERSION}
     if log is not None:
-        head["log"] = log
-    parts = [dumps(head)[:-1], b',"params":{']
-    for i, name in enumerate(sorted(params)):
-        t = params[name]
-        # b2a_base64 reads a C-contiguous buffer in place
-        data = np.ascontiguousarray(t.data, dtype="<f8")
-        parts += [b"," if i else b"", dumps(name), b':{"data":"',
-                  binascii.b2a_base64(data, newline=False),
-                  b'","shape":', dumps(list(t.shape)), b"}"]
-    parts += [b"},", dumps({"seed": seed, "version": CHECKPOINT_VERSION})[1:], b"\n"]
+        meta["log"] = _canonical(log)
+    header = {"__metadata__": meta}
+    for name, begin, end in zip(names, [0, *ends], ends):
+        header[name] = {"data_offsets": [8 * begin, 8 * end], "dtype": "F64",
+                        "shape": list(expected[name])}
+    text = _canonical(header).encode()
+    text += b" " * (-len(text) % 8)
     with open(path, "wb") as f:
-        f.write(b"".join(parts))
+        f.write(len(text).to_bytes(8, "little") + text)
+        f.write(body)
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, Tensor], ModelConfig, dict]:
-    """Load a checkpoint, failing loudly on any name or shape mismatch."""
+    """Parameters, config and {"seed", "log"} from a file save_checkpoint wrote.
+
+    The header length, the header and its config come first: a header
+    length past the end of the file fails before the header is read, and
+    a config laying out more than passing.MAX_PARAM_VALUES values before
+    the body is.  Every tensor's name, dtype, shape and data_offsets must
+    then be exactly those save_checkpoint writes for the config, and the
+    tensors must end where the file does.  The body is read once and
+    scanned once for non-finite values, and each parameter is a read-only
+    view of it.  A format v1 or v2 file (one JSON document) fails with
+    "unsupported checkpoint version N".  Every error is a ValidationError
+    that starts with the path, and one about a tensor names it.
+    """
     try:
-        with open(path, encoding="utf-8") as f:
-            payload = json.load(f)
-    except (OSError, ValueError, RecursionError) as err:
-        # ValueError covers bad UTF-8 and bad JSON alike
+        with open(path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            lead = f.read(8)
+            n = int.from_bytes(lead, "little")
+            if len(lead) < 8 or n > size - 8:
+                if lead.startswith(b"{"):
+                    _refuse_json(path, lead + f.read())
+                if len(lead) < 8:
+                    raise ValidationError(f"{path}: {size} bytes hold no 8-byte header length")
+                raise ValidationError(
+                    f"{path}: header length {n} runs past the end of the {size}-byte file")
+            try:
+                header = json.loads(f.read(n).decode("utf-8"))
+            except (ValueError, RecursionError) as err:
+                # ValueError covers bad UTF-8 and bad JSON alike
+                raise ValidationError(f"{path}: cannot read checkpoint header: {err}") from None
+            config, meta, expected, ends = _read_header(path, header)
+            total, held = 8 * ends[-1], size - 8 - n
+            body = f.read(total) if held == total else b""
+    except OSError as err:
+        raise ValidationError(f"{path}: cannot read checkpoint: {err}") from None
+    if len(body) != total:
+        raise ValidationError(f"{path}: the tensors take {total} bytes, "
+                              f"but {held} follow the header")
+    values = np.frombuffer(body, dtype="<f8")
+    names = sorted(expected)
+    _check_finite(path, values, names, ends)
+    spans = dict(zip(names, zip([0, *ends], ends)))
+    params: dict[str, Tensor] = {}
+    for name, shape in expected.items():
+        begin, end = spans[name]
+        # checked just above, so the constructor's finiteness scan is skipped
+        params[name] = ng._wrap(values[begin:end].reshape(shape), requires_grad=True, name=name)
+    return params, config, meta
+
+
+def _refuse_json(path: str, raw: bytes) -> None:
+    """Raise the error for a file that is one JSON document, as formats v1 and v2 were."""
+    try:
+        payload = json.loads(raw)
+    except (ValueError, RecursionError) as err:
         raise ValidationError(f"{path}: cannot read checkpoint: {err}") from None
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValidationError(f"{path}: not a model checkpoint")
-    if type(payload.get("version")) is not int or payload["version"] != CHECKPOINT_VERSION:
-        raise ValidationError(f"{path}: unsupported checkpoint version {payload.get('version')!r}")
-    if not isinstance(payload.get("config"), dict):
-        raise ValidationError(f"{path}: 'config' must be an object")
+    raise ValidationError(f"{path}: unsupported checkpoint version {payload.get('version')!r}")
+
+
+def _json_ints(value, expected: tuple[int, ...]) -> bool:
+    # [True, 2] and [1.0, 2] compare equal to (1, 2), hence the type check
+    return (isinstance(value, list) and tuple(value) == expected
+            and _JSON_INTEGERS.issuperset(map(type, value)))
+
+
+def _read_header(path: str, header) -> tuple[ModelConfig, dict, dict, list[int]]:
+    """(config, {"seed", "log"}, param_shapes(config), the tensors' ends in float64 values).
+
+    The ends follow the tensors in sorted-name order, as the body holds
+    them.  Raises ValidationError unless header is one save_checkpoint writes.
+    """
+    meta = header.get("__metadata__") if isinstance(header, dict) else None
+    if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
+        raise ValidationError(f"{path}: not a model checkpoint")
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise ValidationError(f"{path}: unsupported checkpoint version {meta.get('version')!r}")
+    fields = {}
+    for key in ("config", "seed", "log"):
+        text = meta.get(key)
+        if key in meta and not isinstance(text, str):
+            raise ValidationError(f"{path}: metadata {key!r} must be a string")
+        try:
+            fields[key] = None if text is None else json.loads(text)
+        except (ValueError, RecursionError) as err:
+            raise ValidationError(f"{path}: metadata {key!r} is not JSON text: {err}") from None
+    if not isinstance(fields["config"], dict):
+        raise ValidationError(f"{path}: metadata 'config' must hold a JSON object")
     try:
-        config = ModelConfig(**payload["config"])
+        config = ModelConfig(**fields.pop("config"))
         expected = param_shapes(config)
     except (ConfigError, KeyError, TypeError, ValueError) as err:
         raise ValidationError(f"{path}: invalid config: {err}") from None
-    stored = payload.get("params")
-    if not isinstance(stored, dict):
-        raise ValidationError(f"{path}: 'params' must be an object")
-    if set(stored) != set(expected):
-        missing = sorted(set(expected) - set(stored))
-        extra = sorted(set(stored) - set(expected))
-        raise ValidationError(
-            f"{path}: parameter names do not match the config "
-            f"(missing {missing}, unexpected {extra})")
-    params: dict[str, Tensor] = {}
-    for name, shape in expected.items():
-        entry = stored[name]
-        if not isinstance(entry, dict) or "shape" not in entry or "data" not in entry:
-            raise ValidationError(f"{path}: {name!r} must be an object with 'shape' and 'data'")
-        stored_shape, text = entry["shape"], entry["data"]
-        # [True, 2] and [1.0, 2] compare equal to (1, 2), hence the type check
-        if (not isinstance(stored_shape, list) or tuple(stored_shape) != shape
-                or not _JSON_INTEGERS.issuperset(map(type, stored_shape))):
-            raise ValidationError(f"{path}: {name!r} has shape {stored_shape!r}, expected {shape}")
-        size = 8 * math.prod(shape)
-        chars = 4 * -(-size // 3)  # padded base64 of size bytes
-        if not isinstance(text, str) or len(text) != chars:
-            raise ValidationError(f"{path}: {name!r} needs 'data' as a string of {chars} "
-                                  f"base64 characters for {size} bytes")
-        try:
-            raw = base64.b64decode(text, validate=True)
-        except ValueError as err:  # binascii.Error, or a character outside ASCII
-            raise ValidationError(f"{path}: {name!r} is not valid base64: {err}") from None
-        if len(raw) != size:
+    _check_names(path, set(header) - {"__metadata__"}, expected)
+    ends, begin = [], 0
+    for name in sorted(expected):
+        entry, shape = header[name], expected[name]
+        end = begin + 8 * math.prod(shape)
+        if not isinstance(entry, dict) or set(entry) != {"data_offsets", "dtype", "shape"}:
             raise ValidationError(
-                f"{path}: {name!r} decodes to {len(raw)} bytes, expected {size}")
-        data = np.frombuffer(raw, dtype="<f8")
-        if not np.isfinite(data).all():
-            raise ValidationError(f"{path}: {name!r} holds non-finite values")
-        # checked just above, so the constructor's finiteness scan is skipped
-        params[name] = ng._wrap(data.reshape(shape), requires_grad=True, name=name)
-    meta = {"seed": payload.get("seed"), "log": payload.get("log")}
-    return params, config, meta
+                f"{path}: {name!r} must be an object of 'data_offsets', 'dtype' and 'shape'")
+        if entry["dtype"] != "F64":
+            raise ValidationError(f"{path}: {name!r} has dtype {entry['dtype']!r}, expected 'F64'")
+        if not _json_ints(entry["shape"], shape):
+            raise ValidationError(
+                f"{path}: {name!r} has shape {entry['shape']!r}, expected {shape}")
+        if not _json_ints(entry["data_offsets"], (begin, end)):
+            raise ValidationError(f"{path}: {name!r} has data_offsets {entry['data_offsets']!r}, "
+                                  f"expected [{begin}, {end}]")
+        ends.append(end // 8)
+        begin = end
+    return config, fields, expected, ends

@@ -351,16 +351,16 @@ def test_criterion_10_training_and_reports_are_byte_deterministic(tmp_path):
         assert code == 0
         ev = str(tmp_path / f"{tag}_eval")
         code = cli_main(["eval", "--data", manifest,
-                         "--checkpoint", os.path.join(run, "checkpoint.json"),
+                         "--checkpoint", os.path.join(run, "checkpoint.safetensors"),
                          "--out", ev])
         assert code == 0
         att = str(tmp_path / f"{tag}_att.jsonl")
         code = cli_main(["dump-attention", "--data", manifest,
-                         "--checkpoint", os.path.join(run, "checkpoint.json"),
+                         "--checkpoint", os.path.join(run, "checkpoint.safetensors"),
                          "--out", att])
         assert code == 0
         outputs[tag] = {
-            "checkpoint": open(os.path.join(run, "checkpoint.json"), "rb").read(),
+            "checkpoint": open(os.path.join(run, "checkpoint.safetensors"), "rb").read(),
             "train_report_json": open(os.path.join(run, "report.json"), "rb").read(),
             "train_report_txt": open(os.path.join(run, "report.txt"), "rb").read(),
             "eval_report_json": open(os.path.join(ev, "report.json"), "rb").read(),
@@ -369,8 +369,9 @@ def test_criterion_10_training_and_reports_are_byte_deterministic(tmp_path):
         }
     for key in outputs["first"]:
         assert outputs["first"][key] == outputs["second"][key], key
-    # and the checkpoint is valid, versioned JSON with a config echo
-    payload = json.loads(outputs["first"]["checkpoint"])
-    assert payload["format"] == "stgraph-checkpoint"
-    assert payload["version"] == 2
-    assert payload["config"]["state_dim"] == 10
+    # and the checkpoint's header gives its format, version and a config echo
+    raw = outputs["first"]["checkpoint"]
+    meta = json.loads(raw[8:8 + int.from_bytes(raw[:8], "little")])["__metadata__"]
+    assert meta["format"] == "stgraph-checkpoint"
+    assert meta["version"] == "3"
+    assert json.loads(meta["config"])["state_dim"] == 10

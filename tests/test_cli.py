@@ -34,7 +34,7 @@ def train_once(manifest, out, extra=()):
                    "--state-dim", "10", "--heads", "2", "--epochs", "4",
                    "--seed", "0", *extra)
     assert code == 0
-    return os.path.join(out, "checkpoint.json")
+    return os.path.join(out, "checkpoint.safetensors")
 
 
 def test_train_eval_round_trip(action_ds, tmp_path, capsys):
@@ -55,7 +55,7 @@ def test_train_eval_round_trip(action_ds, tmp_path, capsys):
 def test_identical_runs_are_byte_identical(action_ds, tmp_path):
     train_once(action_ds, str(tmp_path / "a"))
     train_once(action_ds, str(tmp_path / "b"))
-    for name in ("checkpoint.json", "report.json", "report.txt"):
+    for name in ("checkpoint.safetensors", "report.json", "report.txt"):
         a = open(str(tmp_path / "a" / name), "rb").read()
         b = open(str(tmp_path / "b" / name), "rb").read()
         assert a == b, name
@@ -85,39 +85,48 @@ def test_checkpoint_dataset_mismatch_exits_one(action_ds, tmp_path, capsys):
     assert "action_classes" in capsys.readouterr().err
 
 
-def _break_top_level(payload):
+def _break_top_level(header):
     return [1, 2]
 
 
-def _drop_config(payload):
-    return {"format": payload["format"], "version": payload["version"]}
+def _drop_config(header):
+    del header["__metadata__"]["config"]
+    return header
 
 
-def _bad_config(payload):
-    payload["config"]["tau_c"] = 2
-    return payload
+def _bad_config(header):
+    config = json.loads(header["__metadata__"]["config"])
+    config["tau_c"] = 2
+    header["__metadata__"]["config"] = json.dumps(config)
+    return header
 
 
-def _bad_params_entry(payload):
-    payload["params"]["readout.action.bias"] = [0.0, 0.0]
-    return payload
+def _bad_params_entry(header):
+    header["readout.action.bias"] = [0.0, 0.0]
+    return header
 
 
-def _drop_params(payload):
-    del payload["params"]
-    return payload
+def _drop_params(header):
+    return {"__metadata__": header["__metadata__"]}
+
+
+def _rewrite_header(path, corrupt):
+    """Replace the checkpoint's header with corrupt(header), its tensor bytes kept."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    n = int.from_bytes(raw[:8], "little")
+    text = json.dumps(corrupt(json.loads(raw[8:8 + n]))).encode()
+    with open(path, "wb") as f:
+        f.write(len(text).to_bytes(8, "little") + text + raw[8 + n:])
 
 
 @pytest.mark.parametrize("corrupt", [_break_top_level, _drop_config, _bad_config,
                                      _bad_params_entry, _drop_params])
 def test_malformed_checkpoint_exits_one(action_ds, tmp_path, capsys, corrupt):
     config = ModelConfig(state_dim=4, heads=1, feature_channels=6, action_classes=2)
-    path = str(tmp_path / "checkpoint.json")
+    path = str(tmp_path / "checkpoint.safetensors")
     save_checkpoint(path, init_params(config, seed=0), config, seed=0)
-    with open(path) as f:
-        payload = corrupt(json.load(f))
-    with open(path, "w") as f:
-        json.dump(payload, f)
+    _rewrite_header(path, corrupt)
     code = run_cli("eval", "--data", action_ds, "--checkpoint", path,
                    "--out", str(tmp_path / "ev"))
     assert code == 1
@@ -312,7 +321,7 @@ def test_scenegraph_eval_rejects_bad_k_before_making_out(tmp_path, capsys, monke
                                      objects=3, relations=2, channels=5)
     config = ModelConfig(state_dim=4, heads=1, task="scenegraph", feature_channels=5,
                          object_classes=3, relation_classes=2)
-    ckpt = str(tmp_path / "checkpoint.json")
+    ckpt = str(tmp_path / "checkpoint.safetensors")
     save_checkpoint(ckpt, init_params(config, seed=0), config, seed=0)
     out = tmp_path / "ev"
     code = run_cli("eval", "--data", manifest, "--checkpoint", ckpt, "--out", str(out),
@@ -325,7 +334,7 @@ def test_scenegraph_eval_rejects_bad_k_before_making_out(tmp_path, capsys, monke
 @pytest.mark.parametrize("iou", ["nan", "2", "-1", "0"])
 def test_eval_rejects_iou_outside_unit_interval(action_ds, tmp_path, capsys, iou):
     config = ModelConfig(state_dim=4, heads=1, feature_channels=6, action_classes=2)
-    ckpt = str(tmp_path / "checkpoint.json")
+    ckpt = str(tmp_path / "checkpoint.safetensors")
     save_checkpoint(ckpt, init_params(config, seed=0), config, seed=0)
     out = tmp_path / "ev"
     code = run_cli("eval", "--data", action_ds, "--checkpoint", ckpt, "--out", str(out),
@@ -343,7 +352,7 @@ def test_config_file_merging(action_ds, tmp_path):
     code = run_cli("train", "--data", action_ds, "--out", out,
                    "--config", cfg_path, "--heads", "1", "--epochs", "1")
     assert code == 0
-    _, config, _ = load_checkpoint(os.path.join(out, "checkpoint.json"))
+    _, config, _ = load_checkpoint(os.path.join(out, "checkpoint.safetensors"))
     assert config.state_dim == 6   # from the file
     assert config.heads == 1       # flag wins
 
@@ -424,11 +433,10 @@ def test_huge_state_dim_flag_fails_cleanly(action_ds, tmp_path, capsys):
 def test_unreadable_manifest_grid_and_checkpoint_bytes_fail_cleanly(action_ds, tmp_path,
                                                                      capsys):
     ckpt = train_once(action_ds, str(tmp_path / "run"))
-    with open(ckpt) as f:
-        payload = json.load(f)
-    entry = payload["params"]["input.context.weight"]
-    entry["data"] = "-" + entry["data"][1:]  # right length, a character outside base64
-    for blob in (b"[" * 100_000, b'{"format": "\xff"}', json.dumps(payload).encode()):
+    with open(ckpt, "rb") as f:
+        raw = f.read()
+    # a header length past the end, a JSON file that is not UTF-8, a body one byte short
+    for blob in (b"[" * 100_000, b'{"format": "\xff"}', raw[:-1]):
         with open(ckpt, "wb") as f:
             f.write(blob)
         assert run_cli("eval", "--data", action_ds, "--checkpoint", ckpt,
@@ -600,7 +608,7 @@ def test_unusable_output_path_exits_one(action_ds, tmp_path, capsys, monkeypatch
     monkeypatch.setattr(cli, "train_loop", lambda *args, **kwargs: pytest.fail("trained"))
     monkeypatch.setattr(cli, "run_inference", lambda *args, **kwargs: pytest.fail("inferred"))
     config = ModelConfig(state_dim=4, heads=1, feature_channels=6, action_classes=2)
-    ckpt = str(tmp_path / "checkpoint.json")
+    ckpt = str(tmp_path / "checkpoint.safetensors")
     save_checkpoint(ckpt, init_params(config, seed=0), config, seed=0)
     (tmp_path / "file").write_text("")
     out = str(tmp_path / out)
@@ -659,7 +667,7 @@ def test_scenegraph_eval_reports_recall(tmp_path):
                    "--state-dim", "8", "--epochs", "2", "--seed", "0")
     assert code == 0
     code = run_cli("eval", "--data", manifest, "--checkpoint",
-                   os.path.join(out, "checkpoint.json"),
+                   os.path.join(out, "checkpoint.safetensors"),
                    "--out", str(tmp_path / "ev"), "--k", "1", "--k", "10",
                    "--mode", "predcls")
     assert code == 0
@@ -674,7 +682,7 @@ def test_scenegraph_eval_flags_saturated_recall(tmp_path, capsys):
     out = str(tmp_path / "run")
     assert run_cli("train", "--data", manifest, "--out", out, "--state-dim", "4",
                    "--heads", "1", "--epochs", "1") == 0
-    code = run_cli("eval", "--data", manifest, "--checkpoint", os.path.join(out, "checkpoint.json"),
+    code = run_cli("eval", "--data", manifest, "--checkpoint", os.path.join(out, "checkpoint.safetensors"),
                    "--out", str(tmp_path / "ev"), "--k", "1", "--k", "20", "--k", "50")
     assert code == 0
     report = json.load(open(str(tmp_path / "ev" / "report.json")))

@@ -124,7 +124,8 @@ def test_relu_values_are_np_where_byte_for_byte(inside_checked):
     x = np.concatenate([special, np.random.default_rng(3).normal(size=(200,))]).reshape(3, -1, 7)
     with ng.checked("relu") if inside_checked else contextlib.nullcontext():
         scores = x.copy()
-        mask = ng._relu_scores(scores)
+        mask = ng._relu_mask(scores)
+        np.maximum(scores, 0.0, out=scores)
         got = ng._relu_values(x.copy())
         want, want_mask = sp.where_relu(x)
     assert got.tobytes() == want.tobytes()
@@ -1095,6 +1096,46 @@ def test_fused_entries_leave_their_inputs_and_cotangent_unchanged(entry, heads):
     assert g.tobytes() == g_before
     assert [t.data.tobytes() for t in inputs] == before
     assert len(pieces) == len(inputs) and all(p is not g for p in pieces)
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("entry", ["additive_attention", "gated_mix"])
+def test_untaped_entries_build_no_relu_mask(entry, heads, monkeypatch):
+    # Only a backward reads the score masks.  With the mask helper raising,
+    # a call no tape records (no tape, or no input needing grad) still
+    # returns the taped call's bytes, and a taped call still builds the mask.
+    def call(requires_grad):
+        rng = np.random.default_rng(73)
+
+        def tensor(*shape):
+            return ng.Tensor(rng.uniform(-1, 1, size=shape), requires_grad=requires_grad)
+
+        receivers = tensor(9, 3, 4)
+        if entry == "gated_mix":
+            out, weights = ng.gated_mix([tensor(9, 3, 4 * heads), tensor(9, 3, 4)], receivers,
+                                        tensor(8))
+            return [out.data.tobytes(), weights.data.tobytes()]
+        neighbors = sp.neighbors([(slices, tensor(len(slices), *shape))
+                                  for slices, shape in _PERMUTED_PAIRS])
+        out, attention = ng.additive_attention(receivers, neighbors,
+                                               [tensor(4, 4) for _ in range(heads)],
+                                               [tensor(8) for _ in range(heads)])
+        return [out.data.tobytes()] + [a.data.tobytes() for a in attention]
+
+    with ng.Tape() as tape:
+        want = call(True)
+    assert len(tape) == 1
+
+    def no_mask(scores):
+        raise AssertionError("built a relu mask")
+
+    monkeypatch.setattr(ng, "_relu_mask", no_mask)
+    assert call(True) == want
+    with ng.Tape() as tape:
+        assert call(False) == want
+    assert len(tape) == 0
+    with pytest.raises(AssertionError, match="built a relu mask"), ng.Tape():
+        call(True)
 
 
 @pytest.mark.parametrize("stacked", [False, True])

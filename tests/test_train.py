@@ -7,6 +7,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -740,14 +741,37 @@ def test_recall_cutoffs_may_be_numpy_integers():
 # checkpoints
 
 
-def _b64(raw: bytes) -> str:
-    return base64.b64encode(raw).decode()
+def _read_v3(path: str) -> tuple[dict, bytes]:
+    """A checkpoint's header, parsed, and the bytes after it."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    n = int.from_bytes(raw[:8], "little")
+    return json.loads(raw[8:8 + n]), raw[8 + n:]
+
+
+def _write_v3(path: str, header, body: bytes) -> None:
+    """Write header, as JSON padded to a multiple of 8 bytes, and body in the checkpoint layout."""
+    text = json.dumps(header).encode()
+    text += b" " * (-len(text) % 8)
+    with open(path, "wb") as f:
+        f.write(len(text).to_bytes(8, "little") + text + body)
+
+
+def _saved(tmp_path, **overrides) -> str:
+    """A tiny model's checkpoint, saved; its path."""
+    config = small_config(state_dim=2, feature_channels=2)
+    params = init_params(config, seed=0)
+    params.update({name: Tensor(values, requires_grad=True, name=name)
+                   for name, values in overrides.items()})
+    path = str(tmp_path / "model.safetensors")
+    save_checkpoint(path, params, config, seed=0)
+    return path
 
 
 def test_checkpoint_round_trip(tmp_path):
     config = small_config(heads=2, message_fns=("nonlocal", "gat"), tau_c=3)
     params = init_params(config, seed=9)
-    path = str(tmp_path / "model.json")
+    path = str(tmp_path / "model.safetensors")
     save_checkpoint(path, params, config, seed=9, log=[{"epoch": 0, "loss": 1.0, "lr": 0.1}])
     loaded, config2, meta = load_checkpoint(path)
     assert config2 == config
@@ -761,7 +785,7 @@ def test_checkpoint_round_trip(tmp_path):
 def test_checkpoint_bytes_are_deterministic(tmp_path):
     config = small_config()
     params = init_params(config, seed=2)
-    p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    p1, p2 = str(tmp_path / "a.safetensors"), str(tmp_path / "b.safetensors")
     save_checkpoint(p1, params, config, seed=2)
     save_checkpoint(p2, params, config, seed=2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
@@ -771,69 +795,89 @@ def test_checkpoint_rejects_wrong_format(tmp_path):
     path = str(tmp_path / "bad.json")
     with open(path, "w") as f:
         json.dump({"format": "something-else"}, f)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=f"^{re.escape(path)}: not a model checkpoint$"):
         load_checkpoint(path)
+    path = _saved(tmp_path)
+    header, body = _read_v3(path)
+    for meta in ({**header["__metadata__"], "format": "something-else"}, None, "x"):
+        _write_v3(path, {**header, "__metadata__": meta}, body)
+        with pytest.raises(ValidationError, match=f"^{re.escape(path)}: not a model checkpoint$"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_rejects_tampered_shape(tmp_path):
-    config = small_config()
-    params = init_params(config, seed=0)
-    path = str(tmp_path / "model.json")
-    save_checkpoint(path, params, config, seed=0)
-    saved = json.load(open(path))["params"]["input.foreground.weight"]
-    # a smaller shape with matching data, and the right shape written as floats
-    for shape, data in (([1, 1], _b64(struct.pack("<d", 0.0))),
-                        ([float(n) for n in saved["shape"]], saved["data"])):
-        payload = json.load(open(path))
-        payload["params"]["input.foreground.weight"].update(shape=shape, data=data)
-        bad = str(tmp_path / "bad.json")
-        with open(bad, "w") as f:
-            json.dump(payload, f)
+    path = _saved(tmp_path)
+    header, body = _read_v3(path)
+    saved = header["input.foreground.weight"]
+    # a smaller shape, and the right shape written as floats
+    for shape in ([1, 1], [float(n) for n in saved["shape"]]):
+        _write_v3(path, {**header, "input.foreground.weight": {**saved, "shape": shape}}, body)
         with pytest.raises(ValidationError) as err:
-            load_checkpoint(bad)
+            load_checkpoint(path)
         assert "input.foreground.weight" in str(err.value)
 
 
 def test_checkpoint_rejects_missing_param(tmp_path):
-    config = small_config()
-    params = init_params(config, seed=0)
-    path = str(tmp_path / "model.json")
-    save_checkpoint(path, params, config, seed=0)
-    payload = json.load(open(path))
-    del payload["params"]["readout.action.bias"]
-    with open(path, "w") as f:
-        json.dump(payload, f)
+    path = _saved(tmp_path)
+    header, body = _read_v3(path)
+    del header["readout.action.bias"]
+    _write_v3(path, header, body)
     with pytest.raises(ValidationError) as err:
         load_checkpoint(path)
     assert "readout.action.bias" in str(err.value)
 
 
+@pytest.mark.parametrize("fault", ["missing", "non-finite", "shape"])
+def test_save_checkpoint_refuses_what_load_refuses_and_writes_nothing(tmp_path, fault):
+    config = small_config(state_dim=2, feature_channels=2)
+    params = init_params(config, seed=0)
+    if fault == "missing":
+        del params["readout.action.bias"]
+        message = ("parameter names do not match the config "
+                   "(missing ['readout.action.bias'], unexpected [])")
+    elif fault == "non-finite":
+        params["readout.action.bias"] = ng._wrap([0.5, math.nan], name="readout.action.bias")
+        message = "'readout.action.bias' holds non-finite values"
+    else:
+        params["readout.action.bias"] = Tensor([0.5, 0.5, 0.5], name="readout.action.bias")
+        message = "'readout.action.bias' has shape (3,), expected (2,)"
+    path = str(tmp_path / "model.safetensors")
+    with pytest.raises(ValidationError, match=f"^{re.escape(path)}: not saved: "
+                                              f"{re.escape(message)}$"):
+        save_checkpoint(path, params, config, seed=0)
+    assert not (tmp_path / "model.safetensors").exists()
+
+
 CHECKPOINT_VALUES = json_values(None, True, "0.5", 0.5, 10 ** 400, float("nan"), -1, 1, [], {},
-                                [2, 2], [0.5, "x"], "AAAA", "====", "")
+                                [2, 2], [0.5, "x"], "F64", "3", [0, 8], "")
 
 
 @pytest.fixture(scope="module")
 def small_checkpoint(tmp_path_factory):
-    """A checkpoint of a tiny model, and its text."""
+    """A checkpoint of a tiny model: its path, its header as JSON text with the
+    config as an object, and its tensor bytes."""
     config = small_config(state_dim=2, feature_channels=2)
-    path = str(tmp_path_factory.mktemp("checkpoint") / "model.json")
+    path = str(tmp_path_factory.mktemp("checkpoint") / "model.safetensors")
     save_checkpoint(path, init_params(config, seed=0), config, seed=0)
-    with open(path) as f:
-        return path, f.read()
+    header, body = _read_v3(path)
+    header["__metadata__"]["config"] = json.loads(header["__metadata__"]["config"])
+    return path, json.dumps(header), body
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(pick=st.integers(0, 10 ** 4), how=st.sampled_from(["drop", "add", "replace"]),
        value=CHECKPOINT_VALUES, key=st.text(max_size=4))
 def test_mutated_checkpoints_load_or_name_the_file(small_checkpoint, pick, how, value, key):
-    # a field goes missing, an extra one appears, or one takes a wrong-typed value
-    path, text = small_checkpoint
-    payload = json.loads(text)
-    where = pick_path(payload, pick)
+    # a header field goes missing, an extra one appears, or one takes a
+    # wrong-typed value; the config is mutated as an object and written
+    # back as the JSON text the metadata holds
+    path, text, body = small_checkpoint
+    header = json.loads(text)
+    where = pick_path(header, pick)
     if how == "replace" or not where:
-        payload = set_at(payload, where, value)
+        header = set_at(header, where, value)
     else:
-        parent = payload
+        parent = header
         for step in where[:-1]:
             parent = parent[step]
         if how == "drop":
@@ -842,59 +886,51 @@ def test_mutated_checkpoints_load_or_name_the_file(small_checkpoint, pick, how, 
             parent[where[-1]][key] = value
         elif isinstance(parent[where[-1]], list):
             parent[where[-1]].append(value)
-    with open(path, "w") as f:
-        json.dump(payload, f)
+    meta = header.get("__metadata__") if isinstance(header, dict) else None
+    if isinstance(meta, dict) and "config" in meta:
+        meta["config"] = json.dumps(meta["config"])
+    _write_v3(path, header, body)
     try:
         params, loaded_config, _ = load_checkpoint(path)
     except ValidationError as err:
         assert str(err).startswith(f"{path}: "), str(err)
     else:
-        assert loaded_config == ModelConfig(**payload["config"])
+        assert loaded_config == ModelConfig(**json.loads(meta["config"]))
         assert all(np.isfinite(p.data).all() for p in params.values())
 
 
 def test_checkpoint_rejects_unreadable_and_non_numeric_files(tmp_path):
-    config = small_config(state_dim=2, feature_channels=2)
-    path = str(tmp_path / "model.json")
-    save_checkpoint(path, init_params(config, seed=0), config, seed=0)
-    with open(path) as f:
-        payload = json.load(f)
-    blobs = [b"[" * 100_000, b'{"format": "\xff"}']
-    entry = payload["params"]["input.context.weight"]
-    for value in ([0.5, 0.5, 0.5, 0.5], 12, None, "*" + entry["data"][1:],
-                  _b64(struct.pack("<4d", math.nan, 0.5, 0.5, 0.5)),
-                  _b64(struct.pack("<4d", 0.5, 0.5, 0.5, math.inf))):
-        bad = json.loads(json.dumps(payload))
-        bad["params"]["input.context.weight"]["data"] = value
-        blobs.append(json.dumps(bad).encode())
-    bad = json.loads(json.dumps(payload))
-    bad["version"] = True
-    blobs.append(json.dumps(bad).encode())
+    path = _saved(tmp_path)
+    with open(path, "rb") as f:
+        raw = f.read()
+    header, body = _read_v3(path)
+    meta = header["__metadata__"]
+    n = int.from_bytes(raw[:8], "little")
+    blobs = [b"[" * 100_000, b'{"format": "\xff"}', b"", raw[:8] + b"\xff" + raw[9:],
+             raw[:8] + b"[" * (n - 1) + b"]" + body]
+    for bad in ([1, 2], {**header, "__metadata__": {**meta, "version": 3}},
+                {**header, "__metadata__": {**meta, "version": True}},
+                {**header, "__metadata__": {**meta, "config": {"state_dim": 2}}},
+                {**header, "__metadata__": {**meta, "config": "[2]"}},
+                {**header, "__metadata__": {**meta, "seed": 0}},
+                {**header, "__metadata__": {**meta, "log": "{"}},
+                {**header, "input.context.weight": [0.5, 0.5, 0.5, 0.5]}):
+        _write_v3(path, bad, body)
+        with open(path, "rb") as f:
+            blobs.append(f.read())
     for blob in blobs:
         with open(path, "wb") as f:
             f.write(blob)
-        with pytest.raises(ValidationError, match=f"^{path}: "):
+        with pytest.raises(ValidationError, match=f"^{re.escape(path)}: "):
             load_checkpoint(path)
-    # a config too large to lay out is an invalid config, found before any allocation
-    payload["config"]["state_dim"] = 100_000_000_000
-    with open(path, "w") as f:
-        json.dump(payload, f)
-    with pytest.raises(ValidationError, match=f"^{path}: invalid config: state_dim, heads, "):
+    # a config too large to lay out is an invalid config, found before the
+    # body is read or anything is allocated: here the file holds no body
+    config = json.loads(meta["config"])
+    config["state_dim"] = 100_000_000_000
+    _write_v3(path, {**header, "__metadata__": {**meta, "config": json.dumps(config)}}, b"")
+    with pytest.raises(ValidationError,
+                       match=f"^{re.escape(path)}: invalid config: state_dim, heads, "):
         load_checkpoint(path)
-
-
-def _tiny_checkpoint(tmp_path, data: dict[str, str]) -> str:
-    """Save a tiny model's checkpoint with some tensors' 'data' replaced; its path."""
-    config = small_config(state_dim=2, feature_channels=2)
-    path = str(tmp_path / "model.json")
-    save_checkpoint(path, init_params(config, seed=0), config, seed=0)
-    with open(path) as f:
-        payload = json.load(f)
-    for name, text in data.items():
-        payload["params"][name]["data"] = text
-    with open(path, "w") as f:
-        json.dump(payload, f)
-    return path
 
 
 def test_checkpoint_rejects_version_1(tmp_path):
@@ -912,34 +948,161 @@ def test_checkpoint_rejects_version_1(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("raw,message", [
-    # the length is checked before decoding, the decoded byte count after
-    (struct.pack("<3d", 0.5, 0.5, 0.5), "needs 'data' as a string of 44 base64 characters "
-                                         "for 32 bytes"),
-    (struct.pack("<5d", *[0.5] * 5), "needs 'data' as a string of 44 base64 characters "
-                                     "for 32 bytes"),
-    (struct.pack("<4d", *[0.5] * 4) + b"\0", "decodes to 33 bytes, expected 32"),
-], ids=["value-short", "value-extra", "byte-extra"])
-def test_checkpoint_rejects_wrong_byte_counts(tmp_path, raw, message):
-    path = _tiny_checkpoint(tmp_path, {"input.context.weight": _b64(raw)})
-    with pytest.raises(ValidationError,
-                       match=f"^{re.escape(path)}: 'input.context.weight' {message}$"):
+def test_checkpoint_rejects_version_2(tmp_path):
+    # a version-2 file was one sorted-key JSON document, each tensor the
+    # base64 of its little-endian float64 bytes
+    config = small_config(state_dim=2, feature_channels=2)
+    path = str(tmp_path / "checkpoint.json")
+    payload = {"config": config.to_dict(), "format": "stgraph-checkpoint", "seed": 0,
+               "version": 2,
+               "params": {name: {"data": base64.b64encode(t.data.astype("<f8").tobytes()).decode(),
+                                 "shape": list(t.shape)}
+                          for name, t in init_params(config, seed=0).items()}}
+    with open(path, "w") as f:
+        f.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    with pytest.raises(ValidationError, match=f"^{re.escape(path)}: unsupported checkpoint "
+                                              f"version 2$"):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("char", [" ", "\n", "-", "_", "=", "\u00e9"])
-def test_checkpoint_rejects_characters_outside_base64(tmp_path, char):
-    good = _b64(struct.pack("<4d", 0.5, 0.25, -1.0, 2.0))
-    for text in (good[:7] + char + good[8:], good[:7] + char + good[7:-1]):
-        path = _tiny_checkpoint(tmp_path, {"input.context.weight": text})
-        with pytest.raises(ValidationError,
-                           match=f"^{re.escape(path)}: 'input.context.weight' is not valid base64"):
+def _respan(path: str, name: str, raw: bytes) -> tuple[int, int]:
+    """Put raw in place of name's bytes, with its data_offsets and the later tensors' moved to
+    match; name's saved [begin, end)."""
+    header, body = _read_v3(path)
+    begin, end = header[name]["data_offsets"]
+    shift = len(raw) - (end - begin)
+    for entry in header.values():
+        offsets = entry.get("data_offsets", [-1])
+        if offsets[0] >= end:
+            entry["data_offsets"] = [offsets[0] + shift, offsets[1] + shift]
+    header[name]["data_offsets"] = [begin, begin + len(raw)]
+    _write_v3(path, header, body[:begin] + raw + body[end:])
+    return begin, end
+
+
+@pytest.mark.parametrize("raw", [
+    struct.pack("<3d", 0.5, 0.5, 0.5),
+    struct.pack("<5d", *[0.5] * 5),
+    struct.pack("<4d", *[0.5] * 4) + b"\0",
+], ids=["value-short", "value-extra", "byte-extra"])
+def test_checkpoint_rejects_wrong_byte_counts(tmp_path, raw):
+    # data_offsets spanning another byte count than the shape's, the file
+    # itself consistent with them
+    path = _saved(tmp_path)
+    begin, end = _respan(path, "input.context.weight", raw)
+    with pytest.raises(ValidationError, match=(
+            f"^{re.escape(path)}: 'input.context.weight' has data_offsets "
+            f"\\[{begin}, {begin + len(raw)}\\], expected \\[{begin}, {end}\\]$")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("move", ["gap", "overlap", "out-of-range", "swapped"])
+def test_checkpoint_rejects_gapped_overlapping_or_out_of_range_offsets(tmp_path, move):
+    path = _saved(tmp_path)
+    header, body = _read_v3(path)
+    names = sorted(set(header) - {"__metadata__"})
+    name = names[2] if move != "out-of-range" else names[-1]
+    begin, end = header[name]["data_offsets"]
+    if move == "gap":
+        # 8 unused bytes before name's tensor
+        for later in names[2:]:
+            header[later]["data_offsets"] = [o + 8 for o in header[later]["data_offsets"]]
+        body = body[:begin] + bytes(8) + body[begin:]
+        got = [begin + 8, end + 8]
+    elif move == "overlap":
+        got = header[name]["data_offsets"] = [begin - 8, end - 8]
+    elif move == "out-of-range":
+        got = header[name]["data_offsets"] = [begin, len(body) + 8]
+    else:
+        # two tensors of one size, each at the other's offsets
+        other = next(n for n in names[3:] if header[n]["shape"] == header[name]["shape"])
+        got = header[other]["data_offsets"]
+        header[name]["data_offsets"], header[other]["data_offsets"] = got, [begin, end]
+    _write_v3(path, header, body)
+    with pytest.raises(ValidationError, match=(
+            f"^{re.escape(path)}: {re.escape(repr(name))} has data_offsets "
+            f"{re.escape(str(got))}, expected \\[{begin}, {end}\\]$")):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path = _saved(tmp_path)
+    header, body = _read_v3(path)
+    for extra in (b"\0", bytes(8), struct.pack("<d", 0.5)):
+        _write_v3(path, header, body + extra)
+        with pytest.raises(ValidationError, match=(
+                f"^{re.escape(path)}: the tensors take {len(body)} bytes, "
+                f"but {len(body) + len(extra)} follow the header$")):
             load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dtype", ["F32", "BF16", "f64", "<f8", 64])
+def test_checkpoint_rejects_a_wrong_dtype(tmp_path, dtype):
+    path = _saved(tmp_path)
+    header, body = _read_v3(path)
+    header["readout.action.bias"]["dtype"] = dtype
+    _write_v3(path, header, body)
+    with pytest.raises(ValidationError, match=(
+            f"^{re.escape(path)}: 'readout.action.bias' has dtype {re.escape(repr(dtype))}, "
+            f"expected 'F64'$")):
+        load_checkpoint(path)
+
+
+def test_checkpoint_truncated_at_any_length_names_the_file(tmp_path):
+    path = _saved(tmp_path)
+    with open(path, "rb") as f:
+        raw = f.read()
+    n = int.from_bytes(raw[:8], "little")
+    for length in range(len(raw)):
+        with open(path, "wb") as f:
+            f.write(raw[:length])
+        if length < 8:
+            message = f"{length} bytes hold no 8-byte header length"
+        elif length < 8 + n:
+            message = f"header length {n} runs past the end of the {length}-byte file"
+        else:
+            message = (f"the tensors take {len(raw) - 8 - n} bytes, "
+                       f"but {length - 8 - n} follow the header")
+        with pytest.raises(ValidationError, match=f"^{re.escape(path)}: {re.escape(message)}$"):
+            load_checkpoint(path)
+
+
+def test_checkpoint_header_length_past_the_end_fails_before_allocating(tmp_path):
+    path = str(tmp_path / "model.safetensors")
+    with open(path, "wb") as f:
+        f.write((2 ** 26).to_bytes(8, "little") + b"{}      ")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=(
+                f"^{re.escape(path)}: header length {2 ** 26} runs past the end "
+                f"of the 16-byte file$")):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # reading the 64 MiB the length claims would have allocated them first
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("char", [" ", "\n", "-", "_", "=", "é"])
+def test_checkpoint_rejects_a_header_that_is_not_json(tmp_path, char):
+    # the header's opening brace replaced, its length kept consistent
+    path = _saved(tmp_path)
+    with open(path, "rb") as f:
+        raw = f.read()
+    n = int.from_bytes(raw[:8], "little")
+    text = char.encode() + raw[9:8 + n]
+    with open(path, "wb") as f:
+        f.write(len(text).to_bytes(8, "little") + text + raw[8 + n:])
+    with pytest.raises(ValidationError,
+                       match=f"^{re.escape(path)}: cannot read checkpoint header: "):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_checkpoint_rejects_non_finite_bytes(tmp_path, value):
-    path = _tiny_checkpoint(tmp_path, {"readout.action.bias": _b64(struct.pack("<2d", 0.5, value))})
+    path = _saved(tmp_path)
+    _respan(path, "readout.action.bias", struct.pack("<2d", 0.5, value))
     with pytest.raises(ValidationError,
                        match=f"^{re.escape(path)}: 'readout.action.bias' holds non-finite values"):
         load_checkpoint(path)
@@ -947,7 +1110,7 @@ def test_checkpoint_rejects_non_finite_bytes(tmp_path, value):
 
 def test_checkpoint_loads_the_largest_finite_value(tmp_path):
     top = 1.7976931348623157e308
-    path = _tiny_checkpoint(tmp_path, {"readout.action.bias": _b64(struct.pack("<2d", top, -top))})
+    path = _saved(tmp_path, **{"readout.action.bias": [top, -top]})
     params, _, _ = load_checkpoint(path)
     assert params["readout.action.bias"].data.tolist() == [top, -top]
 
@@ -958,7 +1121,7 @@ def test_checkpoint_round_trips_zero_sign_and_subnormals_bit_for_bit(tmp_path):
     special = np.array([[-0.0, 5e-324], [2.2250738585072014e-308, -5e-324]])
     params["input.context.weight"] = Tensor(special, requires_grad=True,
                                             name="input.context.weight")
-    path = str(tmp_path / "model.json")
+    path = str(tmp_path / "model.safetensors")
     save_checkpoint(path, params, config, seed=0)
     loaded, _, _ = load_checkpoint(path)
     for name in params:
@@ -966,29 +1129,46 @@ def test_checkpoint_round_trips_zero_sign_and_subnormals_bit_for_bit(tmp_path):
 
 
 def test_checkpoint_stores_little_endian_float64_in_c_order(tmp_path):
-    config = small_config(state_dim=2, feature_channels=2)
-    params = init_params(config, seed=0)
-    params["input.context.weight"] = Tensor([[1.0, -2.5], [0.1, 3e-300]], requires_grad=True,
-                                            name="input.context.weight")
-    path = str(tmp_path / "model.json")
-    save_checkpoint(path, params, config, seed=0)
-    with open(path) as f:
-        entry = json.load(f)["params"]["input.context.weight"]
-    assert entry["shape"] == [2, 2]
-    assert base64.b64decode(entry["data"]) == struct.pack("<4d", 1.0, -2.5, 0.1, 3e-300)
+    path = _saved(tmp_path, **{"input.context.weight": [[1.0, -2.5], [0.1, 3e-300]]})
+    header, body = _read_v3(path)
+    entry = header["input.context.weight"]
+    assert entry["shape"] == [2, 2] and entry["dtype"] == "F64"
+    begin, end = entry["data_offsets"]
+    assert body[begin:end] == struct.pack("<4d", 1.0, -2.5, 0.1, 3e-300)
+
+
+def test_loaded_parameters_are_read_only_views_of_one_buffer(tmp_path):
+    config = small_config(heads=2, message_fns=("nonlocal", "gat"), tau_c=3)
+    path = str(tmp_path / "model.safetensors")
+    save_checkpoint(path, init_params(config, seed=1), config, seed=1)
+    loaded, _, _ = load_checkpoint(path)
+    # in param_shapes order, as init_params makes them
+    assert list(loaded) == list(param_shapes(config))
+    arrays = [loaded[name].data for name in sorted(loaded)]
+    assert not any(a.flags.writeable for a in arrays)
+    # each tensor's bytes start where the one before it, by name, ends
+    starts = [a.__array_interface__["data"][0] for a in arrays]
+    assert [s + a.nbytes for s, a in zip(starts, arrays)][:-1] == starts[1:]
 
 
 def _reference_checkpoint_bytes(params, config, seed, log=None) -> bytes:
-    """A checkpoint's bytes as one json.dumps of the whole payload writes them."""
-    payload = {
-        "format": "stgraph-checkpoint", "version": 2, "seed": seed, "config": config.to_dict(),
-        "params": {name: {"shape": list(t.shape),
-                          "data": base64.b64encode(t.data.astype("<f8").tobytes()).decode()}
-                   for name, t in params.items()},
-    }
+    """A checkpoint's bytes, from one json.dumps of its whole header and the tensors' bytes."""
+    def dumps(obj) -> str:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    meta = {"format": "stgraph-checkpoint", "version": "3", "seed": dumps(seed),
+            "config": dumps(config.to_dict())}
     if log is not None:
-        payload["log"] = log
-    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
+        meta["log"] = dumps(log)
+    header, body = {"__metadata__": meta}, b""
+    for name in sorted(params):
+        raw = params[name].data.astype("<f8").tobytes(order="C")
+        header[name] = {"dtype": "F64", "shape": list(params[name].shape),
+                        "data_offsets": [len(body), len(body) + len(raw)]}
+        body += raw
+    text = dumps(header).encode()
+    text += b" " * (-len(text) % 8)
+    return struct.pack("<Q", len(text)) + text + body
 
 
 CHECKPOINT_LOG = [{"epoch": 0, "lr": 1.25e-4, "loss": 0.1 + 0.2},
@@ -1003,7 +1183,7 @@ CHECKPOINT_LOG = [{"epoch": 0, "lr": 1.25e-4, "loss": 0.1 + 0.2},
 ], ids=["action", "scenegraph"])
 def test_checkpoint_bytes_are_the_sorted_compact_json_of_the_payload(tmp_path, config, log):
     params = init_params(config, seed=5)
-    path = str(tmp_path / "model.json")
+    path = str(tmp_path / "model.safetensors")
     save_checkpoint(path, params, config, seed=5, log=log)
     with open(path, "rb") as f:
         assert f.read() == _reference_checkpoint_bytes(params, config, 5, log)
@@ -1020,7 +1200,7 @@ def test_checkpoint_writes_non_contiguous_tensors_in_c_order(tmp_path):
                                             name="input.context.weight")
     params["input.foreground.weight"] = Tensor(transposed, requires_grad=True,
                                                name="input.foreground.weight")
-    path = str(tmp_path / "model.json")
+    path = str(tmp_path / "model.safetensors")
     save_checkpoint(path, params, config, seed=0, log=CHECKPOINT_LOG)
     with open(path, "rb") as f:
         assert f.read() == _reference_checkpoint_bytes(params, config, 0, CHECKPOINT_LOG)

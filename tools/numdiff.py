@@ -4,11 +4,13 @@
     tools/walkthrough.sh old/src a && tools/walkthrough.sh src b && tools/numdiff.py a b
 
 For every file whose bytes differ, prints the largest absolute difference
-over all the numbers it holds, decoding each checkpoint tensor (base64 of
-little-endian float64) into its values.  A file whose text differs
-outside its numbers, or whose numbers do not pair up one to one, is named
-as differing in structure, as is a binary file.  Files found in one tree
-only are listed too.  Exits 1 when anything differs, else 0.
+over all the numbers it holds.  A checkpoint (8-byte header length, JSON
+header, raw tensors) counts as its header's text, numbers included, and
+every tensor's little-endian float64 values, each decoded from the
+header's data_offsets in name order.  A file whose text differs outside
+its numbers, or whose numbers do not pair up one to one, is named as
+differing in structure, as is any other binary file.  Files found in one
+tree only are listed too.  Exits 1 when anything differs, else 0.
 
 The walkthrough's warm start (warmrun/, warmtrain.txt) restarts the full
 schedule on converged weights and amplifies last-bit differences into a
@@ -16,33 +18,47 @@ different model, so its deviations say nothing about a numeric change.
 """
 
 import argparse
-import base64
+import json
 import os
 import re
 import sys
 
 import numpy as np
 
-# a checkpoint tensor as save_checkpoint writes it
-TENSOR = re.compile(rb'"data":"([A-Za-z0-9+/=]*)","shape":\[[0-9,]*\]')
 # how compare describes two files whose text differs outside its numbers
 STRUCTURE = "differs in structure, not only in numbers"
 # a number that does not continue a word, such as the 0 of iter0
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 
 
-def numbers(raw: bytes) -> tuple[str, np.ndarray] | None:
-    """(the text with each number and tensor replaced by a mark, the values in order).
-
-    None for a file that is not UTF-8 text.
-    """
-    tensors = [np.frombuffer(base64.b64decode(m.group(1)), dtype="<f8")
-               for m in TENSOR.finditer(raw)]
+def checkpoint(raw: bytes) -> tuple[bytes, list[np.ndarray]] | None:
+    """(the header, each tensor's values in name order) of a checkpoint; None for other files."""
+    n = int.from_bytes(raw[:8], "little")
+    if len(raw) < 8 or n > len(raw) - 8:
+        return None
     try:
-        text = TENSOR.sub(b"<tensor>", raw).decode("utf-8")
+        header = json.loads(raw[8:8 + n])
+        spans = sorted((name, entry["data_offsets"]) for name, entry in header.items()
+                       if name != "__metadata__")
+        body = raw[8 + n:]
+        return raw[8:8 + n], [np.frombuffer(body[begin:end], dtype="<f8")
+                              for _, (begin, end) in spans]
+    except (ValueError, TypeError, KeyError, AttributeError):
+        return None
+
+
+def numbers(raw: bytes) -> tuple[str, np.ndarray] | None:
+    """(the text with each number replaced by a mark, the values in order, tensors last).
+
+    None for a file that is neither UTF-8 text nor a checkpoint.
+    """
+    tensors = []
+    if (found := checkpoint(raw)) is not None:
+        raw, tensors = found
+    try:
+        text = raw.decode("utf-8")
     except UnicodeDecodeError:
         return None
-    # numbers first, then tensors: the same order in both files of a pair
     values = [float(m.group()) for m in NUMBER.finditer(text)]
     skeleton = NUMBER.sub("#", text)
     return skeleton, np.concatenate([np.array(values, dtype=np.float64)] + tensors)

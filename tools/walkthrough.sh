@@ -25,39 +25,39 @@ small="--state-dim 16 --heads 2 --seed 0"
 both="--message-fn nonlocal --message-fn gat --tau-c 3"
 st synth synth action-overfit --out ds --seed 0
 st train train --data ds/manifest.jsonl --out run $small --message-fn nonlocal --tau-c 1
-st eval eval --data ds/manifest.jsonl --checkpoint run/checkpoint.json --out eval
-st dump dump-attention --data ds/manifest.jsonl --checkpoint run/checkpoint.json --out attention.jsonl
+st eval eval --data ds/manifest.jsonl --checkpoint run/checkpoint.safetensors --out eval
+st dump dump-attention --data ds/manifest.jsonl --checkpoint run/checkpoint.safetensors --out attention.jsonl
 # resume the spatial-only run as a model with temporal phases
 st warmtrain train --data ds/manifest.jsonl --out warmrun $small --message-fn nonlocal --tau-c 3 \
-  --init-from run/checkpoint.json
+  --init-from run/checkpoint.safetensors
 # ds's grids are 2x4x4x8, with cell centers at 0.125, 0.375, 0.625 and 0.875 on both axes
 cat > ds/edges.jsonl <<'END'
 {"record": "header", "version": 1, "task": "action", "action_classes": 3}
 {"record": "clip", "clip_id": "edges0", "keyframes": [{"keyframe_id": 0, "grid": "grids/clip000_k0.grid", "foreground": [{"box": [0.0, 0.0, 0.1, 0.1], "labels": [1, 0, 0]}, {"box": [0.55, 0.3, 0.6, 0.35], "labels": [0, 1, 0]}, {"box": [0.125, 0.375, 0.625, 0.875], "labels": [0, 0, 1]}, {"box": [0.45, 0.45, 0.55, 0.55], "labels": [1, 1, 0]}], "proposals": [[0.3, 0.3, 0.4, 0.4], [0.0, 0.5, 1.0, 1.0]]}, {"keyframe_id": 1, "grid": "grids/clip000_k1.grid", "foreground": [{"box": [0.0, 0.0, 0.5, 0.5], "labels": [1, 0, 1]}], "proposals": [[0.875, 0.0, 1.0, 0.125], [0.0, 0.0, 1.0, 1.0]], "detections": [[0.9, 0.9, 1.0, 1.0], [0.0, 0.0, 0.5, 0.5], [0.6, 0.1, 0.7, 0.2]]}]}
 {"record": "clip", "clip_id": "edges1", "keyframes": [{"keyframe_id": 0, "grid": "grids/clip001_k0.grid", "foreground": [{"box": [0.126, 0.0, 0.374, 1.0], "labels": [0, 1, 1]}, {"box": [0.375, 0.125, 0.875, 0.375], "labels": [1, 0, 0]}], "proposals": [[0.2, 0.2, 0.3, 0.3], [0.0, 0.0, 1.0, 1.0]]}]}
 END
-st edgeeval eval --data ds/edges.jsonl --checkpoint run/checkpoint.json --out edgeeval
-st edgedump dump-attention --data ds/edges.jsonl --checkpoint run/checkpoint.json --out edgeattention.jsonl
+st edgeeval eval --data ds/edges.jsonl --checkpoint run/checkpoint.safetensors --out edgeeval
+st edgedump dump-attention --data ds/edges.jsonl --checkpoint run/checkpoint.safetensors --out edgeattention.jsonl
 st flops flops --state-dim 16 --heads 2 --message-fn nonlocal --fg 4 --context 17 --keyframes 8
 st gradcheck gradcheck --task scenegraph --tau-c 3 --tolerance 1e-4
 st synth4 synth action-overfit --out ds4 --seed 1 --clips 6 --keyframes 4
 st train4 train --data ds4/manifest.jsonl --out run4 $small $both --epochs 4
-st dump4 dump-attention --data ds4/manifest.jsonl --checkpoint run4/checkpoint.json --out attention4.jsonl
+st dump4 dump-attention --data ds4/manifest.jsonl --checkpoint run4/checkpoint.safetensors --out attention4.jsonl
 st sgsynth synth scenegraph --out sg --seed 0 --keyframes 4
 st sgtrain train --data sg/manifest.jsonl --out sgrun $small $both --epochs 4
-st sgeval eval --data sg/manifest.jsonl --checkpoint sgrun/checkpoint.json --out sgeval --k 1 --k 3
-st sgdump dump-attention --data sg/manifest.jsonl --checkpoint sgrun/checkpoint.json --out sgattention.jsonl
+st sgeval eval --data sg/manifest.jsonl --checkpoint sgrun/checkpoint.safetensors --out sgeval --k 1 --k 3
+st sgdump dump-attention --data sg/manifest.jsonl --checkpoint sgrun/checkpoint.safetensors --out sgattention.jsonl
 st tpsynth synth temporal-pairs --out tp --seed 0 --clips 8
 st tptrain train --data tp/manifest.jsonl --out tprun $small --message-fn gat --tau-c 3 --epochs 4
-st tpdump dump-attention --data tp/manifest.jsonl --checkpoint tprun/checkpoint.json --out tpattention.jsonl
+st tpdump dump-attention --data tp/manifest.jsonl --checkpoint tprun/checkpoint.safetensors --out tpattention.jsonl
 st tpsynth1 synth temporal-pairs --out tp1 --seed 0 --clips 8 --split 1
-st tpeval eval --data tp1/manifest.jsonl --checkpoint tprun/checkpoint.json --out tpeval
+st tpeval eval --data tp1/manifest.jsonl --checkpoint tprun/checkpoint.safetensors --out tpeval
 st tptrain1 train --data tp/manifest.jsonl --out tprun1 $small --message-fn gat --tau-c 3 --epochs 1
-st tpeval1 eval --data tp1/manifest.jsonl --checkpoint tprun1/checkpoint.json --out tpeval1
+st tpeval1 eval --data tp1/manifest.jsonl --checkpoint tprun1/checkpoint.safetensors --out tpeval1
 st tp7synth synth temporal-pairs --out tp7 --seed 0 --clips 6 --keyframes 7 --tau-s 2
 st tp7train train --data tp7/manifest.jsonl --out tp7run $small \
   --message-fn nonlocal --message-fn gat --tau-c 5 --tau-s 2 --epochs 3
-st tp7dump dump-attention --data tp7/manifest.jsonl --checkpoint tp7run/checkpoint.json --out tp7attention.jsonl
+st tp7dump dump-attention --data tp7/manifest.jsonl --checkpoint tp7run/checkpoint.safetensors --out tp7attention.jsonl
 st gradcheck5 gradcheck --task action --tau-c 5 --tau-s 2 --message-fn nonlocal --message-fn gat
 echo '{"state_dim": 8, "heads": 1, "iterations": 2, "message_fns": ["gat", "nonlocal"], "tau_c": 3, "seed": 3}' > cfg.json
 st cfgtrain train --data ds4/manifest.jsonl --out cfgrun --config cfg.json --epochs 2
