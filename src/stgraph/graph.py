@@ -233,11 +233,18 @@ class SpatioTemporalGraph:
     pair, in the same order, over the blocks' foreground states laid end
     to end (see _temporal_layouts); it is empty without temporal neighbours.
 
-    first_ids and temporal are derived on first access, since only traces,
-    node_ids and tests read them: first_ids[pos] is keyframe pos's first
-    node id (see node_ids), and temporal[pos] lists, ascending, the
-    positions pos + t * tau_s for each window offset t that fall inside
-    pos's clip; it is empty everywhere when tau_c is 1.
+    first_ids, temporal, order and fg_rows are derived on first access,
+    since only evaluation, traces, node_ids and tests read them; a
+    training step or a one-clip forward pass builds none of them.
+    first_ids[pos] is keyframe pos's first node id (see node_ids), and
+    temporal[pos] lists, ascending, the positions pos + t * tau_s for each
+    window offset t that fall inside pos's clip; it is empty everywhere
+    when tau_c is 1.  order[pos] is keyframe pos's index among the
+    blocks' slices laid end to end, so one entry per slice, block after
+    block, indexed by order is in position order.  fg_rows does that for
+    foreground rows: the blocks' (B, n, ...) stacks, each reshaped to
+    (B * n, ...) and concatenated, indexed by fg_rows hold every
+    keyframe's n rows in position order.
     """
 
     keyframes: list[KeyframeFeatures]
@@ -264,6 +271,22 @@ class SpatioTemporalGraph:
         offsets = [t * self.tau_s for t in temporal_offsets(self.tau_c)]
         return [[pos + t for t in offsets if pos + t in span]
                 for span in self.clips for pos in span]
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        # the inverse of the positions of the slices laid end to end
+        slots = [pos for block in self.blocks for pos in block.positions]
+        order = np.empty(len(slots), dtype=np.intp)
+        order[slots] = np.arange(len(slots))
+        return order
+
+    @cached_property
+    def fg_rows(self) -> np.ndarray:
+        # each slice's row count and first row, block after block, then by position
+        widths = np.repeat([b.fg_states.shape[1] for b in self.blocks],
+                           [len(b.positions) for b in self.blocks])
+        counts, first = widths[self.order], (np.cumsum(widths) - widths)[self.order]
+        return np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 
 def _temporal_layouts(blocks: list[Block], clips: list[range], where: list[tuple[int, int]],

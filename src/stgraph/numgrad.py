@@ -727,14 +727,15 @@ def _row_stack(products: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
 def _col_stack(arrays: list[np.ndarray], weights: list[np.ndarray]) -> np.ndarray:
     """Each head's product arrays[h] @ weights[h], side by side along the last axis.
 
-    A lone head's product is the stack.
+    Each product is written straight into its column block, with no
+    temporary; a lone head's product is the stack.
     """
     if len(arrays) == 1:
         return arrays[0] @ weights[0]
     f = weights[0].shape[-1]
     out = np.empty(arrays[0].shape[:-1] + (len(arrays) * f,))
     for h, (a, w) in enumerate(zip(arrays, weights)):
-        out[..., h * f:(h + 1) * f] = a @ w
+        np.matmul(a, w, out=out[..., h * f:(h + 1) * f])
     return out
 
 

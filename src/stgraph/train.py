@@ -16,7 +16,8 @@ from .errors import ConfigError, NumericError, ShapeError, ValidationError
 from .graph import (Box, FeatureGrid, SpatioTemporalGraph, build_batch, build_graph,
                     featurize_keyframe, stack_arrays)
 from .heads import action_loss, action_readout, sg_loss, sg_readout
-from .metrics import box_array, check_recall_cutoffs, frame_ap_arrays, triplet_recall_block
+from .metrics import (box_array, check_iou_threshold, check_recall_cutoffs, frame_ap_arrays,
+                      triplet_recall_block)
 from .numgrad import Tape, Tensor, grad, sigmoid_values
 from .passing import ModelConfig, param_shapes, run_inference
 
@@ -268,6 +269,7 @@ def train_loop(clips: list[ClipFeatures], config: ModelConfig, schedule: Schedul
     """
     if not clips:
         raise ValidationError("no clips to train on")
+    _check_fields(clips, config.task, _LABEL_FIELDS[config.task])
     seed = config.seed if seed is None else seed
     params = init_params(config, seed)
     if init_from is not None:
@@ -336,12 +338,16 @@ def _over_runs(score, clips: list[ClipFeatures], params, config: ModelConfig) ->
     A keyframe's scores do not depend on its batch mates, so how the
     clips are cut into runs never moves a reported byte; the budget only
     bounds a run's memory, and lets many small clips pay a run's fixed
-    cost (graph build, entries, readout) once.  Runs go in order, in the
-    calling thread.  A run holds the GIL between numpy calls, and numpy
-    lets it go around every stacked array operation, so runs on two
-    threads handed the GIL back and forth: two threads scored `temporal`'s
-    held-out clips 11% slower than one with the second core busy and 37%
-    slower with it idle.
+    cost (graph build, entries, readout) once.  A run's states, and so
+    its scores, come back block by block, and score puts them in position
+    order with one gather (SpatioTemporalGraph.order or fg_rows).  On
+    `temporal`'s held-out clips (48 clips of 7 one-box keyframes, one run)
+    the graph build takes about 38% of an evaluate_action call, inference
+    22% and frame AP 14%.  Runs go in order, in the calling thread.  A
+    run holds the GIL between numpy calls, and numpy lets it go around
+    every stacked array operation, so runs on two threads handed the GIL
+    back and forth: two threads scored `temporal`'s held-out clips 11%
+    slower than one with the second core busy and 37% slower with it idle.
     """
     def score_run(run):
         graph = build_batch([c.frames for c in run], params, config)
@@ -350,50 +356,87 @@ def _over_runs(score, clips: list[ClipFeatures], params, config: ModelConfig) ->
     return [score_run(run) for run in eval_runs(clips, config)]
 
 
+# the ClipFeatures fields, one entry per keyframe, that training on each task
+# reads (evaluate_scenegraph reads the scene-graph ones), and evaluate_action's
+_LABEL_FIELDS = {"action": ("action_labels",), "scenegraph": ("object_classes", "relations")}
+_ANNOTATION_FIELDS = ("keyframe_ids", "gt_boxes", "gt_action_labels")
+
+
+def _check_fields(clips: list[ClipFeatures], task: str, names: tuple[str, ...]) -> None:
+    """Raise ValidationError naming the first clip whose field is None or not one per keyframe.
+
+    A clip featurized for the other task holds None in the fields this
+    one reads; the check runs once per call, before any graph is built.
+    """
+    for clip in clips:
+        for name in names:
+            values = getattr(clip, name)
+            if values is None:
+                raise ValidationError(f"clip {clip.clip_id!r} has no {name}, which the {task} "
+                                      f"task reads; was it featurized for the other task?")
+            if len(values) != len(clip.frames):
+                raise ValidationError(f"clip {clip.clip_id!r} has {len(values)} {name} "
+                                      f"for {len(clip.frames)} keyframes")
+
+
 def evaluate_action(clips: list[ClipFeatures], params: dict[str, Tensor], config: ModelConfig,
                     iou_threshold: float = 0.5, workers: int = 1):
     """Frame mean average precision over every keyframe of every clip.
 
     Returns (per-class AP dict, mAP).  Clips are scored in runs cut by
     their cost (see eval_runs), each run as one batch, and a clip's scores
-    do not depend on its batch mates, so the cut never moves a byte.
-    workers is accepted and changes nothing: runs go in the calling
-    thread (see _over_runs).
+    do not depend on its batch mates, so the cut never moves a byte.  One
+    pass over the keyframes collects the frame ids, boxes and labels, and
+    one gather per run puts its scores in keyframe order; what a keyframe
+    costs beyond that is the graph build's, the model's and the AP's (see
+    _over_runs).  The threshold and the clips' annotation fields are
+    checked before any graph is built.  workers is accepted and changes
+    nothing: runs go in the calling thread.
     """
     if not clips:
         raise ValidationError("no clips to evaluate")
-    # rows of one (clip_id, keyframe_id) share a frame id
+    check_iou_threshold(iou_threshold)
+    _check_fields(clips, "action", _ANNOTATION_FIELDS)
+    # a (clip_id, keyframe_id) is one frame, numbered by first appearance;
+    # a scored keyframe whose id differs from its annotated one has its own
     frame_ids: dict[tuple[str, int], int] = {}
-    annotated = [(frame_ids.setdefault((clip.clip_id, kid), len(frame_ids)), clip.gt_boxes[pos],
-                  clip.gt_action_labels[pos])
-                 for clip in clips for pos, kid in enumerate(clip.keyframe_ids)]
-    gt_frame = np.repeat([frame for frame, _, _ in annotated], [len(b) for _, b, _ in annotated])
-    labels = np.concatenate([y for _, _, y in annotated]) if annotated else np.zeros((0, 0))
+    gt_frames, gt_counts, labels, gt_boxes = [], [], [], []
+    det_frames, det_counts, det_boxes = [], [], []
+    for clip in clips:
+        for kid, boxes, y, f in zip(clip.keyframe_ids, clip.gt_boxes, clip.gt_action_labels,
+                                    clip.frames):
+            frame = frame_ids.setdefault((clip.clip_id, kid), len(frame_ids))
+            gt_frames.append(frame)
+            gt_counts.append(len(boxes))
+            labels.append(y)
+            gt_boxes += boxes
+            if f.keyframe_id != kid:
+                frame = frame_ids.setdefault((clip.clip_id, f.keyframe_id), len(frame_ids))
+            det_frames.append(frame)
+            det_counts.append(len(f.fg_boxes))
+            det_boxes += f.fg_boxes
+    gt_frame = np.repeat(gt_frames, gt_counts)
+    labels = np.concatenate(labels) if labels else np.zeros((0, 0))
     if labels.shape[0] != gt_frame.size:
         raise ValidationError(f"{gt_frame.size} ground truth boxes but {labels.shape[0]} label rows")
     # one ground truth per (clip, keyframe, box, class) labelled 1, in that order
     rows, gt_classes = np.nonzero(labels)
-    gt_boxes = box_array(b for _, boxes, _ in annotated for b in boxes)
 
     # one detection per (clip, keyframe, box, class), in that order
-    scored = [(frame_ids.setdefault((clip.clip_id, f.keyframe_id), len(frame_ids)), f.fg_boxes)
-              for clip in clips for f in clip.frames]
     classes = config.action_classes
-    det_frame = np.repeat([frame for frame, _ in scored], [len(b) * classes for _, b in scored])
-    det_boxes = box_array(b for _, boxes in scored for b in boxes)
+    det_frame = np.repeat(det_frames, np.multiply(det_counts, classes))
+    weight, bias = params["readout.action.weight"], params["readout.action.bias"]
 
     def detect(run: list[ClipFeatures], graph: SpatioTemporalGraph, states: list[Tensor]):
-        probs = [sigmoid_values(action_readout(s, params["readout.action.weight"],
-                                               params["readout.action.bias"]).data)
-                 for s in states]
-        return [probs[k][j].reshape(-1) for span in graph.clips
-                for k, j in (graph.where[pos] for pos in span)]
+        # every block's (B, n, classes) logits as rows, end to end, then in keyframe order
+        logits = [action_readout(s, weight, bias).data.reshape(-1, classes) for s in states]
+        return sigmoid_values(np.concatenate(logits)[graph.fg_rows])
 
-    scores = np.concatenate([p for run in _over_runs(detect, clips, params, config)
-                             for p in run])
+    scores = np.concatenate(_over_runs(detect, clips, params, config), axis=None)
+    det_boxes = box_array(det_boxes)
     return frame_ap_arrays(det_frame, np.repeat(det_boxes, classes, axis=0),
                            np.tile(np.arange(classes), len(det_boxes)), scores,
-                           gt_frame[rows], gt_boxes[rows], gt_classes, iou_threshold)
+                           gt_frame[rows], box_array(gt_boxes)[rows], gt_classes, iou_threshold)
 
 
 def evaluate_scenegraph(clips: list[ClipFeatures], params: dict[str, Tensor],
@@ -408,13 +451,13 @@ def evaluate_scenegraph(clips: list[ClipFeatures], params: dict[str, Tensor],
     if not clips:
         raise ValidationError("no clips to evaluate")
     check_recall_cutoffs(ks)
+    _check_fields(clips, "scenegraph", _LABEL_FIELDS["scenegraph"])
 
     def score(run: list[ClipFeatures], graph: SpatioTemporalGraph, states: list[Tensor]):
-        # the run's keyframes block by block, slice by slice; slots[i] is
-        # the report position of the i-th
+        # the run's keyframes block by block, slice by slice
         frames = [(clip.object_classes[local], clip.relations[local])
                   for clip in run for local in range(len(clip.frames))]
-        slots = sorted(range(len(frames)), key=graph.where.__getitem__)
+        slots = [pos for block in graph.blocks for pos in block.positions]
         classes = [np.asarray(frames[pos][0]).astype(np.int64) for pos in slots]
         relations = [frames[pos][1] for pos in slots]
         counts = list(map(len, relations))
@@ -437,7 +480,7 @@ def evaluate_scenegraph(clips: list[ClipFeatures], params: dict[str, Tensor],
                                             gt[bounds[at]:bounds[at + b]], counts[at:at + b], ks,
                                             mode, gt_object_classes=classes[at:at + b])
             at += b
-        return [recalls[i] for i in np.argsort(slots)]
+        return [recalls[i] for i in graph.order]
 
     recalls = [r for run in _over_runs(score, clips, params, config) for r in run]
     # each distinct K once, however often ks names it

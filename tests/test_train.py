@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 import stgraph.numgrad as ng
 from stgraph import data, metrics, train
 from stgraph.errors import ConfigError, NumericError, ValidationError
-from stgraph.graph import (Box, FeatureGrid, KeyframeFeatures, build_batch, build_graph,
-                           featurize_keyframe)
+from stgraph.graph import (Box, FeatureGrid, KeyframeFeatures, SpatioTemporalGraph, build_batch,
+                           build_graph, featurize_keyframe)
 from stgraph.numgrad import Tape, Tensor, grad
 from stgraph.heads import action_readout, sg_readout
 from stgraph.passing import ModelConfig, param_shapes, run_inference
@@ -652,6 +652,105 @@ def test_action_report_does_not_depend_on_the_budget(multiple, monkeypatch):
     got = train.evaluate_action(clips, params, config)
     assert repr(got) == repr(want)
     assert 0.0 < got[1] < 1.0
+
+
+def test_evaluate_action_keys_frames_by_clip_and_keyframe_id():
+    # a frame is a (clip_id, keyframe_id): two clips that share an id share
+    # their frames of one keyframe id, and a scored keyframe whose id
+    # differs from its annotated one is scored as the frame its own id names
+    config = small_config(heads=2, message_fns=("nonlocal", "gat"), tau_c=3, feature_channels=4,
+                          action_classes=3)
+    params = init_params(config, seed=4)
+    clips = ragged_action_clips(config.action_classes)
+    distinct = train.evaluate_action(clips, params, config)
+    clips[2] = dataclasses.replace(clips[2], clip_id=clips[0].clip_id)
+    frames = clips[1].frames
+    # keyframe ids 0, 10, 20 and 30: one scored as a keyframe its clip
+    # annotates elsewhere, one as a keyframe no clip annotates
+    frames[2] = dataclasses.replace(frames[2], keyframe_id=0)
+    frames[3] = dataclasses.replace(frames[3], keyframe_id=99)
+    got = train.evaluate_action(clips, params, config)
+    assert repr(got) == repr(reference_frame_ap(*_loop_detections(clips, params, config)))
+    assert repr(got) != repr(distinct)
+
+
+def test_graph_order_and_fg_rows_put_block_stacks_in_position_order():
+    config = small_config(heads=2, message_fns=("nonlocal", "gat"), tau_c=3, feature_channels=4,
+                          action_classes=3)
+    graph = build_batch([c.frames for c in ragged_action_clips(3)], init_params(config), config)
+    assert len(graph.blocks) > 4
+    # order inverts where: the slices laid end to end, read through it, are where
+    slices = [(k, j) for k, block in enumerate(graph.blocks) for j in range(len(block.positions))]
+    assert [slices[i] for i in graph.order] == graph.where
+    rows = np.concatenate([b.fg_states.data.reshape(-1, config.state_dim) for b in graph.blocks])
+    want = np.concatenate([graph.blocks[k].fg_states.data[j] for k, j in graph.where])
+    assert rows[graph.fg_rows].tobytes() == want.tobytes()
+
+
+def test_training_and_forward_passes_derive_no_evaluation_index(tmp_path, monkeypatch):
+    for name in ("order", "fg_rows"):
+        monkeypatch.setattr(SpatioTemporalGraph, name,
+                            property(lambda self: pytest.fail("derived an evaluation index")))
+    config = small_config(tau_c=3)
+    clips = tiny_clips(tmp_path, clips=2)
+    train_loop(clips, config, Schedule().scaled(1.0), seed=0, batch_size=2)
+    run_inference(build_graph(clips[0].frames, init_params(config), config),
+                  init_params(config), config)
+
+
+def scenegraph_clips(tmp_path):
+    manifest = data.synth_scenegraph(str(tmp_path / "sg"), seed=2, clips=2, keyframes=2,
+                                     objects=3, relations=2, channels=6)
+    info, records = data.load_dataset(manifest)
+    return [data.featurize_clip(c, info, mode=data.EVAL_MODE) for c in records]
+
+
+def test_evaluate_action_names_a_scenegraph_clip_before_building_a_graph(tmp_path,
+                                                                         monkeypatch):
+    clips = scenegraph_clips(tmp_path)
+    config = small_config()
+    monkeypatch.setattr(train, "build_batch", lambda *a: pytest.fail("built a graph"))
+    with pytest.raises(ValidationError, match=re.escape(
+            f"clip {clips[0].clip_id!r} has no gt_action_labels, which the action task reads")):
+        train.evaluate_action(clips, init_params(config), config)
+
+
+def test_evaluate_scenegraph_names_an_action_clip_before_building_a_graph(tmp_path,
+                                                                          monkeypatch):
+    clips = tiny_clips(tmp_path, clips=2)
+    config = small_config(task="scenegraph", object_classes=3, relation_classes=2)
+    monkeypatch.setattr(train, "build_batch", lambda *a: pytest.fail("built a graph"))
+    with pytest.raises(ValidationError, match=re.escape(
+            f"clip {clips[0].clip_id!r} has no object_classes, which the scenegraph task reads")):
+        train.evaluate_scenegraph(clips, init_params(config), config)
+
+
+def test_train_loop_names_a_scenegraph_clip_under_an_action_config(tmp_path, monkeypatch):
+    clips = scenegraph_clips(tmp_path)
+    monkeypatch.setattr(train, "build_batch", lambda *a: pytest.fail("built a graph"))
+    with pytest.raises(ValidationError, match=re.escape(
+            f"clip {clips[0].clip_id!r} has no action_labels, which the action task reads")):
+        train_loop(clips, small_config(), Schedule(), seed=0)
+
+
+def test_evaluate_action_names_a_clip_whose_annotations_miss_a_keyframe():
+    config = small_config(action_classes=3, feature_channels=4)
+    clips = ragged_action_clips(3)
+    clips[3].keyframe_ids.pop()
+    with pytest.raises(ValidationError, match=re.escape(
+            "clip 'a3' has 2 keyframe_ids for 3 keyframes")):
+        train.evaluate_action(clips, init_params(config), config)
+
+
+@pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, math.nan])
+def test_evaluate_action_checks_the_iou_threshold_before_building_a_graph(threshold,
+                                                                          monkeypatch):
+    config = small_config(action_classes=3, feature_channels=4)
+    monkeypatch.setattr(train, "build_batch", lambda *a: pytest.fail("built a graph"))
+    with pytest.raises(ConfigError, match=re.escape(
+            f"IoU threshold must be in (0, 1], got {threshold}")):
+        train.evaluate_action(ragged_action_clips(3), init_params(config), config,
+                              iou_threshold=threshold)
 
 
 def test_eval_runs_keep_clip_order_and_stay_within_the_budget(monkeypatch):
