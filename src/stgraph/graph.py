@@ -175,34 +175,24 @@ class Block:
     ctx_states: Tensor
 
 
-def stack_arrays(arrays: list[np.ndarray]) -> np.ndarray:
-    """np.stack(arrays), by one concatenate and a reshape when they share a shape.
-
-    The arrays of one block's keyframes share a shape, and then this skips
-    np.stack's per-array Python: 31 instead of 65 us for 112 (1, 6)
-    arrays on one x86-64 core.
-    """
-    shape = arrays[0].shape
-    if shape and all(a.shape == shape for a in arrays):
-        return np.concatenate(arrays).reshape((len(arrays),) + shape)
-    return np.stack(arrays)
-
-
 def project_block(frames: list[KeyframeFeatures], positions: list[int], params) -> Block:
     """Project the pooled features of same-shaped keyframes, one matmul per node kind.
 
-    The feature stacks are not scanned for NaN or infinity: features are
-    pooled from grids checked when they were loaded, and a non-finite
-    feature makes the projection fail its check, naming the input projection.
+    Each stack is one concatenate and a reshape, without np.stack's
+    per-array Python: the block key fixes every keyframe's row counts, and
+    the concatenate fails on features of differing widths.  The stacks
+    are not scanned for NaN or infinity: features are pooled from grids
+    checked when they were loaded, and a non-finite feature makes the
+    projection fail its check, naming the input projection.
     """
+    def stack(arrays):
+        return ng._wrap(np.concatenate(arrays).reshape(len(arrays), *arrays[0].shape))
+
     with ng.checked("input projection"):
-        fg_states = ng.matmul(ng._wrap(stack_arrays([f.fg_feats for f in frames])),
-                              params[PROJ_FOREGROUND])
-        ctx_states = ng.matmul(ng._wrap(stack_arrays([f.ctx_feats for f in frames])),
-                               params[PROJ_CONTEXT])
+        fg_states = ng.matmul(stack([f.fg_feats for f in frames]), params[PROJ_FOREGROUND])
+        ctx_states = ng.matmul(stack([f.ctx_feats for f in frames]), params[PROJ_CONTEXT])
         if frames[0].prop_feats is not None:
-            props = ng.matmul(ng._wrap(stack_arrays([f.prop_feats for f in frames])),
-                              params[PROJ_PROPOSAL])
+            props = ng.matmul(stack([f.prop_feats for f in frames]), params[PROJ_PROPOSAL])
             ctx_states = ng.concat_rows([ctx_states, props])
     ng.check_finite("input projection", fg_states, ctx_states)
     return Block(positions, fg_states, ctx_states)
@@ -214,6 +204,19 @@ def temporal_offsets(tau_c: int) -> list[int]:
         raise ConfigError(f"temporal window tau_c must be odd and positive, got {tau_c}")
     half = tau_c // 2
     return [t for t in range(-half, half + 1) if t != 0]
+
+
+@lru_cache(maxsize=256)
+def _windows(length: int, offsets: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """For each position i of a clip of length keyframes, the offsets t with i + t inside it.
+
+    offsets are a window's strided offsets, t * tau_s for t in
+    temporal_offsets, so each window keeps their ascending order.  The
+    table depends on the clip length and the window alone, never on what
+    else a batch holds; a keyframe has temporal neighbours exactly when
+    its window is not empty.
+    """
+    return tuple(tuple(t for t in offsets if 0 <= i + t < length) for i in range(length))
 
 
 @dataclass(eq=False)
@@ -268,9 +271,9 @@ class SpatioTemporalGraph:
 
     @cached_property
     def temporal(self) -> list[list[int]]:
-        offsets = [t * self.tau_s for t in temporal_offsets(self.tau_c)]
-        return [[pos + t for t in offsets if pos + t in span]
-                for span in self.clips for pos in span]
+        offsets = tuple(t * self.tau_s for t in temporal_offsets(self.tau_c))
+        return [[pos + t for t in window] for span in self.clips
+                for pos, window in zip(span, _windows(len(span), offsets))]
 
     @cached_property
     def order(self) -> np.ndarray:
@@ -290,8 +293,8 @@ class SpatioTemporalGraph:
 
 
 def _temporal_layouts(blocks: list[Block], clips: list[range], where: list[tuple[int, int]],
-                      offsets: list[int], linked: list[bool]) -> tuple[list, list]:
-    """Each block's temporal KvLayout, or None unless linked[k], and its list of Gathers.
+                      offsets: tuple[int, ...]) -> tuple[list, list]:
+    """Each block's temporal KvLayout, or None without temporal neighbours, and its Gathers.
 
     A block's keyframes are grouped by the number s of temporal neighbour
     rows they read, in order of first slice: one layout pair and one
@@ -307,13 +310,17 @@ def _temporal_layouts(blocks: list[Block], clips: list[range], where: list[tuple
     a backward needs them, so a forward pass without a tape makes no
     arrays for them.
 
-    One pass over the keyframes, clip by clip, finds each keyframe's
-    neighbours by the window offsets and adds its slice, rows and plan
-    entries to its block's group.  A clip has a few keyframes of a few
-    rows each, and a numpy call costs more than the handful of rows it
-    would build: a numpy version of this pass built a 16-clip `temporal`
-    evaluation chunk faster (919 -> 508 us) but one clip slower (155 ->
-    361 us), on two x86-64 cores with Python 3.11 and numpy 2.4.
+    One pass over the keyframes, clip by clip, walks each keyframe's
+    window (_windows, one table per clip length) and adds its slice, rows
+    and plan entries to its block's group.  A block's keyframes all have
+    a window or all have none (build_batch's key), so a block without
+    temporal neighbours ends with no group.  A clip has a few keyframes of
+    a few rows each, and a numpy call costs more than the handful of rows
+    it would build: a numpy version of this pass built a 16-clip
+    `temporal` evaluation chunk faster (919 -> 508 us) but one clip slower
+    (155 -> 361 us), on two x86-64 cores with Python 3.11 and numpy 2.4,
+    and a re-check there gave about 300 us for one clip against 47 us
+    for this pass.
     """
     widths = [block.fg_states.data.shape[1] for block in blocks]
     starts, at = [], 0
@@ -323,40 +330,38 @@ def _temporal_layouts(blocks: list[Block], clips: list[range], where: list[tuple
     # each keyframe's first foreground row and row count
     first = [starts[k] + j * widths[k] for k, j in where]
     n = [widths[k] for k, _ in where]
-    pending: list[dict | None] = [{} if flag else None for flag in linked]
+    pending: list[dict] = [{} for _ in blocks]
     for span in clips:
-        for pos in span:
-            k, u = where[pos]
-            by_width = pending[k]
-            if by_width is None:
+        for pos, window in zip(span, _windows(len(span), offsets)):
+            if not window:
                 continue
-            reads = [q for q in [pos + t for t in offsets] if q in span]
+            k, u = where[pos]
             width = 0
-            for q in reads:
-                width += n[q]
+            for t in window:
+                width += n[pos + t]
+            by_width = pending[k]
             group = by_width.get(width)
             if group is None:
-                group = by_width[width] = ([], [], {})
+                group = by_width[width] = ([], [], {t: [] for t in offsets})
             slices, rows, by_offset = group
             slices.append(u)
-            for q in reads:
-                m, size = n[q], len(rows)
-                entries = by_offset.get(q - pos)
-                if entries is None:
-                    entries = by_offset[q - pos] = []
+            for t in window:
+                q = pos + t
+                m = n[q]
                 # appending a one-box keyframe's row costs a third of extending by a range
                 if m == 1:
-                    entries.append(size)
+                    by_offset[t].append(len(rows))
                     rows.append(first[q])
                 else:
-                    entries += range(size, size + m)
+                    size = len(rows)
+                    by_offset[t] += range(size, size + m)
                     rows += range(first[q], first[q] + m)
     layouts, gathers = [], []
     for block, by_width in zip(blocks, pending):
-        groups = by_width.items() if by_width else ()
+        groups = by_width.items()
         layouts.append(ng.KvLayout(len(block.positions), [slices for _, (slices, _, _) in groups],
                                    [width for width, _ in groups]) if groups else None)
-        gathers.append([ng.Gather(rows, tuple(by_offset[t] for t in sorted(by_offset)[::-1]),
+        gathers.append([ng.Gather(rows, tuple(by_offset[t] for t in offsets[::-1] if by_offset[t]),
                                   at, (len(slices), width))
                         for width, (slices, rows, by_offset) in groups])
     return layouts, gathers
@@ -380,7 +385,7 @@ def build_batch(clips: list[list[KeyframeFeatures]], params, config) -> SpatioTe
     tau_s = config.tau_s
     if tau_s < 1:
         raise ConfigError(f"temporal stride tau_s must be positive, got {tau_s}")
-    offsets = [t * tau_s for t in temporal_offsets(config.tau_c)]
+    offsets = tuple(t * tau_s for t in temporal_offsets(config.tau_c))
     frames: list[KeyframeFeatures] = []
     spans, where = [], []
     # (boxes, cells, proposals, has temporal neighbours) -> (block, its positions)
@@ -388,23 +393,21 @@ def build_batch(clips: list[list[KeyframeFeatures]], params, config) -> SpatioTe
     for clip in clips:
         span = range(len(frames), len(frames) + len(clip))
         spans.append(span)
-        for pos, f in zip(span, clip):
-            n = f.fg_feats.shape[0]
+        for pos, f, window in zip(span, clip, _windows(len(clip), offsets)):
+            n = len(f.fg_feats)
             if n == 0:
                 raise ValidationError(f"keyframe {f.keyframe_id}: no foreground boxes")
-            props = 0 if f.prop_feats is None else f.prop_feats.shape[0]
-            # the nearest offsets, +-tau_s, are the last to leave the clip
-            linked = bool(offsets) and (pos - tau_s in span or pos + tau_s in span)
-            key = (n, f.ctx_feats.shape[0], props, linked)
+            props = 0 if f.prop_feats is None else len(f.prop_feats)
+            key = (n, len(f.ctx_feats), props, bool(window))
             block = shapes.get(key)
             if block is None:
                 block = shapes[key] = (len(shapes), [])
             where.append((block[0], len(block[1])))
             block[1].append(pos)
-            frames.append(f)
+        frames += clip
     blocks = [project_block([frames[p] for p in positions], positions, params)
               for _, positions in shapes.values()]
-    temporal, gathers = _temporal_layouts(blocks, spans, where, offsets, [key[3] for key in shapes])
+    temporal, gathers = _temporal_layouts(blocks, spans, where, offsets)
     layouts = [(ng.KvLayout(len(b.positions), [range(len(b.positions))],
                             [b.fg_states.shape[1] + b.ctx_states.shape[1]]), layout)
                for b, layout in zip(blocks, temporal)]

@@ -110,3 +110,33 @@ def test_identity_measures_each_output_as_numdiff_does():
                    ({0: 0.5, 1: 1.0}, 0.75))
     assert ab.identity(old, renamed)["trained parameters"] == (
         "differs in structure, not only in numbers")
+
+
+def test_ab_times_graph_builds_and_compares_their_layouts():
+    run = subprocess.run([sys.executable, TOOL, ROOT, ROOT, "--workload", "temporal",
+                          "--rounds", "1", "--ops", "build"], capture_output=True, text=True,
+                         timeout=600)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[:5] == [f"{what}: identical" for what in (
+        "trained parameters", "forward outputs", "gradients", "evaluation report",
+        "graph layouts")]
+    rows = [line.split() for line in lines[6:]]
+    assert [row[0] for row in rows] == ["build-eval", "build-train"]
+    assert all(float(row[1]) > 0.0 and float(row[2]) > 0.0 for row in rows)
+
+
+def test_ab_names_the_build_whose_layout_differs(tmp_path):
+    # a copy of the tree that lists each Gather's plan rounds smallest
+    # offset first lays out the same rows in another plan
+    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src")
+    graph = tmp_path / "src" / "stgraph" / "graph.py"
+    source = graph.read_text()
+    assert source.count("for t in offsets[::-1] if by_offset[t]") == 1
+    graph.write_text(source.replace("for t in offsets[::-1] if by_offset[t]",
+                                    "for t in offsets if by_offset[t]"))
+    run = subprocess.run([sys.executable, TOOL, str(tmp_path), ROOT, "--workload", "temporal",
+                          "--rounds", "1", "--ops", "build"], capture_output=True, text=True,
+                         timeout=600)
+    assert run.returncode == 1 and not run.stderr, run.stderr
+    assert "graph layouts: DIFFER on build-eval, build-train" in run.stdout.splitlines()

@@ -218,6 +218,18 @@ def test_temporal_offsets_examples():
         gr.temporal_offsets(0)
 
 
+def test_windows_list_the_offsets_that_stay_inside_the_clip():
+    # the table against its definition: position i of a clip of length
+    # keyframes reads i + t * tau_s for each window offset t inside the clip
+    for tau_c in range(1, 10, 2):
+        for tau_s in (1, 2, 3):
+            offsets = tuple(t * tau_s for t in gr.temporal_offsets(tau_c))
+            for length in range(1, 11):
+                span = range(length)
+                assert gr._windows(length, offsets) == tuple(
+                    tuple(t for t in offsets if i + t in span) for i in span)
+
+
 def test_temporal_neighborhoods_window_and_stride():
     # tau_c=3, tau_s=7: neighbors at offsets -7 and +7 exactly
     g = build_clip_graph(keyframes=15, tau_c=3, tau_s=7)
@@ -336,17 +348,37 @@ def test_non_finite_features_fail_the_input_projection(kind, bad):
         gr.build_graph([frame], params, SimpleNamespace(tau_c=1, tau_s=1))
 
 
+@pytest.mark.parametrize("kind", ["fg_feats", "ctx_feats", "prop_feats"])
+def test_a_block_of_keyframes_whose_feature_widths_differ_fails_to_stack(kind):
+    # the block key fixes row counts, not widths; a block's stacks are one
+    # concatenate each, which refuses arrays of differing widths, so no
+    # keyframe's features are ever cut across rows
+    box = gr.Box(0.0, 0.0, 1.0, 1.0)
+    rows = {"fg_feats": 2, "ctx_feats": 4, "prop_feats": 1}
+    clip = []
+    for width in (3, 1):
+        feats = {name: np.ones((n, width if name == kind else 3)) for name, n in rows.items()}
+        clip.append(gr.KeyframeFeatures(keyframe_id=len(clip), fg_boxes=[box] * 2,
+                                        grid_hw=(2, 2), prop_boxes=[box], **feats))
+    params = dict.fromkeys((gr.PROJ_FOREGROUND, gr.PROJ_CONTEXT, gr.PROJ_PROPOSAL),
+                           Tensor(np.ones((3, 4))))
+    with pytest.raises(ValueError):
+        gr.build_graph(clip, params, SimpleNamespace(tau_c=1, tau_s=1))
+
+
 # a keyframe as (boxes, grid rows, grid columns, proposals)
 _KEYFRAME = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2))
 
 
 @settings(max_examples=150, deadline=None)
-@given(clips=st.lists(st.lists(_KEYFRAME, min_size=1, max_size=6), min_size=1, max_size=4),
-       tau_c=st.sampled_from([1, 3, 5]), tau_s=st.sampled_from([1, 2]), seed=st.integers(0, 99))
+@given(clips=st.lists(st.lists(_KEYFRAME, min_size=1, max_size=9), min_size=1, max_size=4),
+       tau_c=st.sampled_from([1, 3, 5, 7]), tau_s=st.sampled_from([1, 2]),
+       seed=st.integers(0, 99))
 def test_layout_matches_the_per_keyframe_oracle(clips, tau_c, tau_s, seed):
     # the one-pass build against the keyframe-by-keyframe one, on ragged
     # batches: every list equal, every group's slices, rows and plan equal,
-    # and every block stack byte for byte
+    # and every block stack byte for byte; windows may be wider than a
+    # clip, and a long clip's interior keyframes read every offset
     rng = np.random.default_rng(seed)
     c, d = 3, 4
     box = gr.Box(0.0, 0.0, 1.0, 1.0)

@@ -733,6 +733,24 @@ def test_train_loop_names_a_scenegraph_clip_under_an_action_config(tmp_path, mon
         train_loop(clips, small_config(), Schedule(), seed=0)
 
 
+def test_train_loop_names_a_keyframe_featurized_in_evaluation_mode(tmp_path, monkeypatch):
+    # evaluation mode scores a keyframe's detections and leaves its action
+    # labels None; training must name that keyframe before building a graph,
+    # where it used to stop in action_loss with a ShapeError naming neither
+    manifest = data.synth_action_overfit(str(tmp_path / "ds"), seed=1, clips=3, classes=2,
+                                         channels=6)
+    info, records = data.load_dataset(manifest)
+    kf = records[2].keyframes[1]
+    records[2].keyframes[1] = dataclasses.replace(kf, detections=list(kf.fg_boxes))
+    clips = [data.featurize_clip(c, info, mode=data.EVAL_MODE) for c in records]
+    assert [y is None for c in clips for y in c.action_labels] == [False] * 5 + [True]
+    monkeypatch.setattr(train, "build_batch", lambda *a: pytest.fail("built a graph"))
+    with pytest.raises(ValidationError, match=re.escape(
+            f"clip {clips[2].clip_id!r} has no action_labels at keyframe 1, "
+            "which the action task reads")):
+        train_loop(clips, small_config(), Schedule(), seed=0)
+
+
 def test_evaluate_action_names_a_clip_whose_annotations_miss_a_keyframe():
     config = small_config(action_classes=3, feature_channels=4)
     clips = ragged_action_clips(3)

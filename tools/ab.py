@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """In-process A/B of two source trees on one perfbench workload.
 
-    python tools/ab.py OLD NEW --workload wide --rounds 15 [--seed 5] [--ops eval,train]
+    python tools/ab.py OLD NEW --workload wide --rounds 15 [--seed 5] [--ops eval,train,build]
 
 OLD and NEW are checkouts of this repository (each with src/stgraph).  Both
 packages are imported into one process, side by side, and the workload's
@@ -15,6 +15,12 @@ evaluation and training, or of the operations --ops names, each round
 timing both trees on every operation, alternately OLD first and NEW
 first, and prints per operation both medians, the median of
 the per-round ratios NEW/OLD and how many rounds NEW won.
+
+--ops build times graph.build_batch alone, on the first evaluation run
+(build-eval) and on the first training batch (build-train), each the
+mean of BUILD_REPEATS builds per round.  It first says whether the two
+trees lay both graphs out alike: the same where, block positions,
+layout slices and shapes, and gather rows and plans.
 
 It is for sizing a change and bisecting a slowdown: the two sides of a
 pair run moments apart in one process, so a slow spell of a shared host
@@ -38,6 +44,8 @@ from numdiff import STRUCTURE, compare, deviation
 
 MODULES = ("data", "graph", "heads", "numgrad", "passing", "train")
 OPERATIONS = ("forward", "fwdbwd", "eval", "train")
+BUILDS = ("build-eval", "build-train")
+BUILD_REPEATS = 20
 
 
 def _purge(*names: str) -> None:
@@ -75,6 +83,11 @@ class Tree:
         info, records = data.load_dataset(manifests[1])
         self.eval_clips = [data.featurize_clip(r, info, mode=data.EVAL_MODE) for r in records]
         self.params = self.train()
+        # the graphs --ops build lays out: the first evaluation run, the first training batch
+        batch = train.effective_batch_size(self.workloads.BATCH_SIZE, self.config.tau_c)
+        self.batches = {"build-eval": [c.frames for c in train.eval_runs(self.eval_clips,
+                                                                         self.config)[0]],
+                        "build-train": [c.frames for c in self.train_clips[:batch]]}
 
     def train(self):
         return self.lib.train.train_loop(self.train_clips, self.config, self.schedule,
@@ -117,9 +130,24 @@ class Tree:
         grads = ng.grad(tape, loss, self.params)
         return [loss.data] + [grads[n].data for n in sorted(grads)]
 
+    def layout(self, operation: str) -> tuple:
+        """What a build of operation's batch lays out, as comparable Python values."""
+        graph = self.lib.graph.build_batch(self.batches[operation], self.params, self.config)
+        return (graph.where, [b.positions for b in graph.blocks],
+                [[(layout.slices, layout.shapes) for layout in pair if layout is not None]
+                 for pair in graph.layouts],
+                [[(g.rows.shape, g.rows.tolist(), g.plan) for g in gathers]
+                 for gathers in graph.gathers])
+
     def timed(self, operation: str) -> float:
-        """Seconds of one operation: forward and fwdbwd per clip, eval and train per run."""
+        """Seconds of one operation: forward and fwdbwd per clip, eval and train per run,
+        build-eval and build-train per build.
+        """
         started = perf_counter()
+        if operation in BUILDS:
+            for _ in range(BUILD_REPEATS):
+                self.lib.graph.build_batch(self.batches[operation], self.params, self.config)
+            return (perf_counter() - started) / BUILD_REPEATS
         if operation == "forward":
             for clip in self.eval_clips:
                 self.forward(clip)
@@ -157,6 +185,12 @@ def identity(old: Tree, new: Tree) -> dict[str, str | None]:
     }
 
 
+def layouts(old: Tree, new: Tree) -> str | None:
+    """None when the two trees lay out both build batches alike, else which differ."""
+    differ = [op for op in BUILDS if old.layout(op) != new.layout(op)]
+    return f"DIFFER on {', '.join(differ)}" if differ else None
+
+
 def rounds(old: Tree, new: Tree, count: int,
            ops=OPERATIONS) -> dict[str, list[tuple[float, float]]]:
     """(OLD seconds, NEW seconds) per round and operation, alternating which goes first."""
@@ -180,14 +214,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="input and model seed (default 0)")
     parser.add_argument("--ops", default=",".join(OPERATIONS),
                         help=f"comma-separated operations to time, of {','.join(OPERATIONS)} "
-                             "(default all four)")
+                             "and build (default all but build)")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     ops = args.ops.split(",")
-    unknown = [op for op in ops if op not in OPERATIONS]
+    unknown = [op for op in ops if op not in OPERATIONS + ("build",)]
     if unknown:
-        parser.error(f"unknown --ops {unknown}; choose from {','.join(OPERATIONS)}")
+        parser.error(f"unknown --ops {unknown}; choose from {','.join(OPERATIONS)},build")
     old_root, new_root = (os.path.abspath(p) for p in (args.old, args.new))
     bench_dir = os.path.join(new_root, "perfbench")
     with tempfile.TemporaryDirectory(prefix="ab-") as workdir:
@@ -202,10 +236,14 @@ def main(argv=None) -> int:
     differ = identity(old, new)
     for what, how in differ.items():
         print(f"{what}: {'identical' if how is None else 'DIFFER, ' + how}")
-    times = rounds(old, new, args.rounds, [op for op in OPERATIONS if op in ops])
-    print(f"{'operation':<10} {'old ms':>10} {'new ms':>10} {'new/old':>8} {'new won':>8}")
+    if "build" in ops:
+        differ["graph layouts"] = layouts(old, new)
+        print(f"graph layouts: {differ['graph layouts'] or 'identical'}")
+    times = rounds(old, new, args.rounds, [op for op in OPERATIONS if op in ops]
+                   + [op for op in BUILDS if "build" in ops])
+    print(f"{'operation':<11} {'old ms':>10} {'new ms':>10} {'new/old':>8} {'new won':>8}")
     for op, pairs in times.items():
-        print(f"{op:<10} {1e3 * statistics.median(a for a, _ in pairs):>10.3f} "
+        print(f"{op:<11} {1e3 * statistics.median(a for a, _ in pairs):>10.3f} "
               f"{1e3 * statistics.median(b for _, b in pairs):>10.3f} "
               f"{statistics.median(b / a for a, b in pairs):>8.3f} "
               f"{sum(b < a for a, b in pairs):>5}/{len(pairs)}")
