@@ -56,9 +56,6 @@ class Box:
         if self.x2 <= self.x1 or self.y2 <= self.y1:
             raise ValidationError(f"degenerate box: need x1 < x2 and y1 < y2, got {vals}")
 
-    def area(self) -> float:
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
-
     def as_list(self) -> list[float]:
         return [self.x1, self.y1, self.x2, self.y2]
 

@@ -38,16 +38,8 @@ from .numgrad import sigmoid_values
 
 MODE_SGCLS = "sgcls"
 MODE_PREDCLS = "predcls"
-
-
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two boxes; 0 when they do not overlap."""
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area() + b.area() - inter)
+# the IoU with its best ground truth at which a detection takes that box's labels
+LABEL_IOU = 0.75
 
 
 def box_array(boxes) -> np.ndarray:
@@ -56,12 +48,24 @@ def box_array(boxes) -> np.ndarray:
                     dtype=np.float64).reshape(-1, 4)
 
 
-def assign_labels(pred_boxes, gt_boxes, gt_labels: np.ndarray, threshold: float = 0.75) -> np.ndarray:
+def paired_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of each a[i] with b[i], (n, 4) arrays of x1, y1, x2, y2; 0 where they do not overlap."""
+    a, b = a.T, b.T
+    ix = np.minimum(a[2], b[2]) - np.maximum(a[0], b[0])
+    iy = np.minimum(a[3], b[3]) - np.maximum(a[1], b[1])
+    inter = ix * iy
+    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
+    # two negative extents make a positive product, so divide only where they overlap
+    return np.divide(inter, union, out=np.zeros(inter.size), where=(ix > 0.0) & (iy > 0.0))
+
+
+def assign_labels(pred_boxes, gt_boxes, gt_labels: np.ndarray) -> np.ndarray:
     """Transfer labels from the best-overlapping ground truth box.
 
-    A predicted box takes the label vector of the ground truth it overlaps
-    most, provided that IoU reaches the threshold; otherwise it becomes an
-    all-negative sample.  Returns an array of shape (n_pred, C).
+    A predicted box takes the label vector of the first ground truth it
+    overlaps most, provided that IoU is above 0 and reaches LABEL_IOU;
+    otherwise it becomes an all-negative sample.  Returns an array of
+    shape (n_pred, C).
     """
     gt_labels = np.asarray(gt_labels, dtype=np.float64)
     if gt_labels.ndim != 2:
@@ -69,29 +73,28 @@ def assign_labels(pred_boxes, gt_boxes, gt_labels: np.ndarray, threshold: float 
     if len(gt_boxes) != gt_labels.shape[0]:
         raise ValidationError(
             f"{len(gt_boxes)} ground truth boxes but {gt_labels.shape[0]} label rows")
-    out = np.zeros((len(pred_boxes), gt_labels.shape[1]))
-    for p, box in enumerate(pred_boxes):
-        best, best_iou = -1, 0.0
-        for g, gt in enumerate(gt_boxes):
-            ov = iou(box, gt)
-            if ov > best_iou:
-                best, best_iou = g, ov
-        if best >= 0 and best_iou >= threshold:
-            out[p] = gt_labels[best]
+    n, m = len(pred_boxes), len(gt_boxes)
+    out = np.zeros((n, gt_labels.shape[1]))
+    if not (n and m):
+        return out
+    # every (prediction, ground truth) pair, one row each
+    overlap = paired_iou(np.repeat(box_array(pred_boxes), m, axis=0),
+                         np.tile(box_array(gt_boxes), (n, 1))).reshape(n, m)
+    best_iou = overlap.max(axis=1)
+    hit = (best_iou > 0.0) & (best_iou >= LABEL_IOU)
+    out[hit] = gt_labels[overlap[hit].argmax(axis=1)]
     return out
 
 
-def detection_training_samples(pred_boxes, gt_boxes, gt_labels, threshold: float = 0.75):
+def detection_training_samples(pred_boxes, gt_boxes, gt_labels):
     """Training boxes for one keyframe: ground truth plus labeled detections.
 
     Ground truth boxes keep their own labels and are always included;
     detected boxes get labels via assign_labels.
     """
     gt_labels = np.asarray(gt_labels, dtype=np.float64)
-    assigned = assign_labels(pred_boxes, gt_boxes, gt_labels, threshold)
-    boxes = list(gt_boxes) + list(pred_boxes)
-    labels = np.concatenate([gt_labels, assigned], axis=0) if len(pred_boxes) else gt_labels
-    return boxes, labels
+    labels = np.concatenate([gt_labels, assign_labels(pred_boxes, gt_boxes, gt_labels)])
+    return list(gt_boxes) + list(pred_boxes), labels
 
 
 @dataclass(frozen=True)
@@ -188,14 +191,7 @@ def frame_ap_arrays(det_frame, det_boxes, det_classes, det_scores, gt_frame, gt_
     starts = np.cumsum(counts) - counts
     pair_det = np.repeat(np.arange(det_key.size), counts)
     pair_gt = slot_order[np.repeat(begin - starts, counts) + np.arange(pair_det.size)]
-    # metrics.iou's operations, detection box first
-    a, b = det_boxes[pair_det].T, gt_boxes[pair_gt].T
-    ix = np.minimum(a[2], b[2]) - np.maximum(a[0], b[0])
-    iy = np.minimum(a[3], b[3]) - np.maximum(a[1], b[1])
-    inter = ix * iy
-    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
-    # two negative extents make a positive product, so divide only where they overlap
-    overlap = np.divide(inter, union, out=np.zeros(inter.size), where=(ix > 0.0) & (iy > 0.0))
+    overlap = paired_iou(det_boxes[pair_det], gt_boxes[pair_gt])
     # each detection's best slot is the first at its highest IoU; it is a
     # hit when that IoU reaches the threshold, above 0
     best = np.zeros(det_key.size)
@@ -248,11 +244,6 @@ class Triplet:
     subject_class: int
     object_class: int
     predicate_class: int
-
-
-def triplet_score(subject_prob: float, predicate_prob: float, object_prob: float) -> float:
-    """Confidence of a candidate triplet: the product of its three parts."""
-    return subject_prob * predicate_prob * object_prob
 
 
 def ranks_below(scores: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -328,7 +319,7 @@ def triplet_recall_block(object_logits: np.ndarray, relation_logits: np.ndarray 
         raise ShapeError(f"{blocks} keyframes of {n} nodes need {len(subjects)} relation "
                          f"rows each, got {relation_logits.shape[:2]}")
     predicates = relation_logits.shape[2]
-    # (p_s * p_r) * p_o, the multiplication order of triplet_score
+    # each candidate scores the product of its three probabilities, (p_s * p_r) * p_o
     rel_probs = sigmoid_values(relation_logits)
     scores = (node_prob[:, subjects, None] * rel_probs) * node_prob[:, objects, None]
     frame = np.repeat(np.arange(blocks), counts)

@@ -23,6 +23,9 @@ from .passing import ModelConfig, param_shapes, run_inference
 
 CHECKPOINT_FORMAT = "stgraph-checkpoint"
 CHECKPOINT_VERSION = "3"
+# the paper's SGD, m and wd in sgd_step's update
+MOMENTUM = 0.9
+WEIGHT_DECAY = 1e-7
 # float64 values that one run of held-out clips, scored as one batch, may
 # hold in its spatial score and state stacks (see eval_runs): 8 MiB
 EVAL_BUDGET = 2 ** 20
@@ -30,43 +33,34 @@ EVAL_BUDGET = 2 ** 20
 
 @dataclass(frozen=True)
 class Schedule:
-    """Linear warmup then step decays, by fractional epoch; validated when made."""
+    """The paper's recipe over total_epochs, validated when made.
 
-    base_lr: float = 0.1
-    warmup_start_lr: float = 1.25e-4
-    warmup_epochs: float = 5.0
-    decay_epochs: tuple[float, ...] = (10.0, 15.0)
-    decay_factor: float = 10.0
+    Over 20 epochs the lr rises linearly from warmup_start_lr to base_lr
+    in 5 epochs and falls by decay_factor at 10 and 15; other lengths
+    scale every breakpoint by total_epochs / 20.
+    """
+
+    warmup_start_lr = 1.25e-4
+    decay_factor = 10.0
+
     total_epochs: float = 20.0
+    # settable for perfbench's check that a replay at another rate fails
+    base_lr: float = 0.1
 
     def __post_init__(self):
-        object.__setattr__(self, "decay_epochs", tuple(self.decay_epochs))
-        self.validate()
-
-    def validate(self) -> None:
         # written as ranges, so that NaN fails them too
-        if not (0 < self.base_lr < math.inf and 0 < self.warmup_start_lr < math.inf):
-            raise ConfigError("learning rates must be finite and positive")
-        if not (0 <= self.warmup_epochs < math.inf and 0 < self.total_epochs < math.inf):
-            raise ConfigError("epoch counts must be finite, and total_epochs positive")
-        if not 1 < self.decay_factor < math.inf:
-            raise ConfigError("decay_factor must be finite and exceed 1")
-        if list(self.decay_epochs) != sorted(self.decay_epochs):
-            raise ConfigError("decay_epochs must be sorted")
-        if self.decay_epochs and self.decay_epochs[0] < self.warmup_epochs:
-            raise ConfigError("decays must not start before warmup ends")
+        if not 0 < self.total_epochs < math.inf:
+            raise ConfigError(f"total_epochs must be finite and positive, got {self.total_epochs}")
+        if not 0 < self.base_lr < math.inf:
+            raise ConfigError(f"base_lr must be finite and positive, got {self.base_lr}")
+        # derived, and read-only like the fields
+        r = self.total_epochs / 20.0
+        object.__setattr__(self, "warmup_epochs", 5.0 * r)
+        object.__setattr__(self, "decay_epochs", (10.0 * r, 15.0 * r))
 
     def scaled(self, total_epochs: float) -> "Schedule":
-        """Stretch or shrink every breakpoint proportionally to a new length."""
-        if not 0 < total_epochs < math.inf:
-            raise ConfigError(f"total_epochs must be finite and positive, got {total_epochs}")
-        r = total_epochs / self.total_epochs
-        return replace(
-            self,
-            warmup_epochs=self.warmup_epochs * r,
-            decay_epochs=tuple(d * r for d in self.decay_epochs),
-            total_epochs=total_epochs,
-        )
+        """The same recipe over total_epochs."""
+        return replace(self, total_epochs=total_epochs)
 
 
 def lr_at(epoch: float, schedule: Schedule) -> float:
@@ -87,8 +81,6 @@ class SgdState:
     velocity stays None until the first step.
     """
 
-    momentum: float = 0.9
-    weight_decay: float = 1e-7
     step: int = 0
     velocity: np.ndarray | None = None
     # the last step's parameter vector, the arrays it handed out as views
@@ -137,9 +129,9 @@ def sgd_step(params: dict[str, Tensor], grads: dict[str, Tensor], lr: float,
     check(g, "gradient")
     # g turns into g + wd*p, buf into m*v + that, then g into the new parameters
     with np.errstate(over="ignore", invalid="ignore"):
-        buf = np.multiply(p, state.weight_decay)
+        buf = np.multiply(p, WEIGHT_DECAY)
         np.add(g, buf, out=g)
-        np.multiply(velocity, state.momentum, out=buf)
+        np.multiply(velocity, MOMENTUM, out=buf)
         np.add(buf, g, out=buf)
         np.multiply(buf, lr, out=g)
         np.subtract(p, g, out=g)
@@ -190,11 +182,11 @@ def stack_arrays(arrays: list[np.ndarray]) -> np.ndarray:
     """np.stack(arrays), by one concatenate and a reshape when they share a shape.
 
     A block's labels and targets come from its keyframes' annotations,
-    which nothing has checked against each other, so their shapes are
-    compared first; when they match (always, on featurized clips) this
-    skips np.stack's per-array Python: 31 instead of 65 us for 112 (1, 6)
-    arrays on one x86-64 core.  Ragged ones go to np.stack, which names
-    the mismatch.
+    whose columns nothing has checked against each other, so their
+    shapes are compared first; when they match (always, on featurized
+    clips) this skips np.stack's per-array Python: 31 instead of 65 us
+    for 112 (1, 6) arrays on one x86-64 core.  Ragged ones go to
+    np.stack, which names the mismatch.
     """
     shape = arrays[0].shape
     if shape and all(a.shape == shape for a in arrays):
@@ -381,7 +373,8 @@ _ANNOTATION_FIELDS = ("keyframe_ids", "gt_boxes", "gt_action_labels")
 def _check_fields(clips: list[ClipFeatures], task: str, names: tuple[str, ...],
                   entries: bool = True) -> None:
     """Raise ValidationError naming the first clip whose field is None or not one per keyframe,
-    and with entries, the first keyframe whose entry of a field is None.
+    and with entries, the first keyframe whose entry is None or, in action_labels and
+    object_classes, not one row per box.
 
     A clip featurized for the other task holds None in the fields this
     one reads, and an action clip featurized in evaluation mode holds None
@@ -404,6 +397,21 @@ def _check_fields(clips: list[ClipFeatures], task: str, names: tuple[str, ...],
                 if value is None:
                     raise ValidationError(f"clip {clip.clip_id!r} has no {name} at keyframe "
                                           f"{pos}, which the {task} task reads")
+                boxes = clip.frames[pos].fg_boxes
+                if name in ("action_labels", "object_classes") and len(value) != len(boxes):
+                    raise ValidationError(f"clip {clip.clip_id!r} has {len(value)} {name} rows "
+                                          f"for {len(boxes)} boxes at keyframe {pos}")
+
+
+def _label_error(clips: list[ClipFeatures], classes: int) -> ValidationError:
+    """The error naming the first keyframe whose gt_action_labels are not (gt boxes, classes)."""
+    for clip in clips:
+        for pos, (boxes, y) in enumerate(zip(clip.gt_boxes, clip.gt_action_labels)):
+            if np.shape(y) != (len(boxes), classes):
+                return ValidationError(
+                    f"clip {clip.clip_id!r} has gt_action_labels of shape {np.shape(y)} at "
+                    f"keyframe {pos}, for {len(boxes)} gt_boxes of {classes} action classes")
+    return ValidationError("no keyframes to evaluate")
 
 
 def evaluate_action(clips: list[ClipFeatures], params: dict[str, Tensor], config: ModelConfig,
@@ -416,9 +424,9 @@ def evaluate_action(clips: list[ClipFeatures], params: dict[str, Tensor], config
     pass over the keyframes collects the frame ids, boxes and labels, and
     one gather per run puts its scores in keyframe order; what a keyframe
     costs beyond that is the graph build's, the model's and the AP's (see
-    _over_runs).  The threshold and the clips' annotation fields are
-    checked before any graph is built.  workers is accepted and changes
-    nothing: runs go in the calling thread.
+    _over_runs).  The threshold, the annotation fields and the labels'
+    shapes are checked before any graph is built.  workers is accepted and
+    changes nothing: runs go in the calling thread.
     """
     if not clips:
         raise ValidationError("no clips to evaluate")
@@ -442,15 +450,20 @@ def evaluate_action(clips: list[ClipFeatures], params: dict[str, Tensor], config
             det_frames.append(frame)
             det_counts.append(len(f.fg_boxes))
             det_boxes += f.fg_boxes
+    # one row of classes per gt box in each keyframe, row counts compared in C
+    classes = config.action_classes
+    try:
+        aligned = list(map(len, labels)) == gt_counts
+        labels = np.concatenate(labels)
+    except (TypeError, ValueError):
+        aligned = False
+    if not aligned or labels.shape[1:] != (classes,):
+        raise _label_error(clips, classes)
     gt_frame = np.repeat(gt_frames, gt_counts)
-    labels = np.concatenate(labels) if labels else np.zeros((0, 0))
-    if labels.shape[0] != gt_frame.size:
-        raise ValidationError(f"{gt_frame.size} ground truth boxes but {labels.shape[0]} label rows")
     # one ground truth per (clip, keyframe, box, class) labelled 1, in that order
     rows, gt_classes = np.nonzero(labels)
 
     # one detection per (clip, keyframe, box, class), in that order
-    classes = config.action_classes
     det_frame = np.repeat(det_frames, np.multiply(det_counts, classes))
     weight, bias = params["readout.action.weight"], params["readout.action.bias"]
 
@@ -491,8 +504,8 @@ def evaluate_scenegraph(clips: list[ClipFeatures], params: dict[str, Tensor],
         s, o, r = np.fromiter(chain.from_iterable(chain.from_iterable(relations)),
                               dtype=np.int64).reshape(-1, 3).T
         # each row's node classes, from its keyframe's run of the flat class
-        # list; a subject or object outside that run reads some other class,
-        # and recall counts the row a miss anyway
+        # list, one per box (see _check_fields); a node outside the run reads
+        # another class, but triplet_recall_block counts that row a miss first
         first = np.repeat(np.cumsum([0] + [len(c) for c in classes[:-1]]), counts)
         flat = np.concatenate(classes)
         gt = np.stack([s, o, flat.take(first + s, mode="clip"),
@@ -524,8 +537,7 @@ def evaluate_scenegraph(clips: list[ClipFeatures], params: dict[str, Tensor],
 
 def gradient_check(config: ModelConfig, seed: int = 0, step: float = 1e-5,
                    keyframes: int | None = None, n_boxes: int = 2,
-                   grid_hw: tuple[int, int] = (2, 2),
-                   with_proposal: bool = True) -> dict[str, float]:
+                   grid_hw: tuple[int, int] = (2, 2)) -> dict[str, float]:
     """Compare the analytic clip-loss gradient against central differences.
 
     Builds a small random clip for the configured task and returns the
@@ -537,11 +549,10 @@ def gradient_check(config: ModelConfig, seed: int = 0, step: float = 1e-5,
     frames = []
     if keyframes is None:
         keyframes = max(2, min(3, config.tau_c))
-    all_boxes = [Box(0.05, 0.05, 0.45, 0.45), Box(0.55, 0.55, 0.95, 0.95),
-                 Box(0.05, 0.55, 0.45, 0.95)]
-    boxes = all_boxes[:n_boxes]
+    boxes = [Box(0.05, 0.05, 0.45, 0.45), Box(0.55, 0.55, 0.95, 0.95),
+             Box(0.05, 0.55, 0.45, 0.95)][:n_boxes]
     h, w = grid_hw
-    proposals = [Box(0.3, 0.3, 0.7, 0.7)] if with_proposal else []
+    proposals = [Box(0.3, 0.3, 0.7, 0.7)]
     for k in range(keyframes):
         grid = FeatureGrid(values=Tensor(rng.normal(0.0, 1.0, size=(1, h, w, c))), keyframe_id=k)
         frames.append(featurize_keyframe(grid, boxes, proposals))

@@ -91,7 +91,7 @@ def test_criterion_02_gradients_match_finite_differences():
     # 2 keyframes x (1 fg + 2 implicit + 1 explicit) = 8 nodes
     assert 2 * (1 + 1 * 2 + 1) == 8
     errs = train.gradient_check(action, seed=11, step=1e-5, keyframes=2,
-                                n_boxes=1, grid_hw=(1, 2), with_proposal=True)
+                                n_boxes=1, grid_hw=(1, 2))
     worst_action = max(errs.values())
     assert worst_action <= 1e-4, f"action worst {worst_action:.3e}"
 
@@ -102,7 +102,7 @@ def test_criterion_02_gradients_match_finite_differences():
     # 2 keyframes x (2 fg + 1 implicit + 1 explicit) = 8 nodes
     assert 2 * (2 + 1 * 1 + 1) == 8
     errs = train.gradient_check(scenegraph, seed=12, step=1e-5, keyframes=2,
-                                n_boxes=2, grid_hw=(1, 1), with_proposal=True)
+                                n_boxes=2, grid_hw=(1, 1))
     worst_sg = max(errs.values())
     elapsed = time.monotonic() - started
     assert worst_sg <= 1e-4, f"scene graph worst {worst_sg:.3e}"

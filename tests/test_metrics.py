@@ -9,28 +9,32 @@ from stgraph.graph import Box
 from stgraph.heads import SceneGraphPrediction, pair_index
 from stgraph.numgrad import Tensor, sigmoid_values
 
-from reference_eval import reference_frame_ap, reference_recall
+from reference_eval import reference_frame_ap, reference_iou, reference_recall
+
+
+def _iou(a: Box, b: Box) -> float:
+    return float(mt.paired_iou(mt.box_array([a]), mt.box_array([b]))[0])
 
 
 def test_iou_frozen_example():
     unit = Box(0.0, 0.0, 1.0, 1.0)
     left = Box(0.0, 0.0, 0.5, 1.0)
-    assert mt.iou(unit, left) == 0.5
-    assert mt.iou(left, unit) == 0.5
+    assert _iou(unit, left) == 0.5
+    assert _iou(left, unit) == 0.5
 
 
 def test_iou_disjoint_and_identical():
     a = Box(0.0, 0.0, 0.3, 0.3)
     b = Box(0.5, 0.5, 0.9, 0.9)
-    assert mt.iou(a, b) == 0.0
-    assert mt.iou(a, a) == 1.0
+    assert _iou(a, b) == 0.0
+    assert _iou(a, a) == 1.0
 
 
 def test_iou_partial_overlap_hand_value():
     a = Box(0.0, 0.0, 0.5, 0.5)     # area 0.25
     b = Box(0.25, 0.25, 0.75, 0.75)  # area 0.25, intersection 0.0625
     want = 0.0625 / (0.25 + 0.25 - 0.0625)
-    assert abs(mt.iou(a, b) - want) <= 1e-15
+    assert abs(_iou(a, b) - want) <= 1e-15
 
 
 def test_assign_labels_threshold_and_best_match():
@@ -41,8 +45,47 @@ def test_assign_labels_threshold_and_best_match():
         Box(0.45, 0.0, 1.0, 1.0),     # IoU with gt1 = 0.5/0.55 > 0.75
         Box(0.25, 0.0, 0.75, 1.0),    # IoU 0.5 with both: below threshold
     ]
-    out = mt.assign_labels(preds, gt, labels, threshold=0.75)
+    assert mt.LABEL_IOU == 0.75
+    out = mt.assign_labels(preds, gt, labels)
     assert out.tolist() == [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+
+
+def _grid_box(rng) -> Box:
+    # corners on a 1/4 grid, so boxes touch, coincide and tie often
+    x1, x2 = sorted(rng.choice(5, size=2, replace=False) / 4)
+    y1, y2 = sorted(rng.choice(5, size=2, replace=False) / 4)
+    return Box(float(x1), float(y1), float(x2), float(y2))
+
+
+def _loop_labels(preds, gt, labels, threshold):
+    # assign_labels as a loop over the oracle's IoU: the first best ground truth
+    out = np.zeros((len(preds), labels.shape[1]))
+    for p, box in enumerate(preds):
+        best, best_iou = -1, 0.0
+        for g, other in enumerate(gt):
+            ov = reference_iou(box, other)
+            if ov > best_iou:
+                best, best_iou = g, ov
+        if best >= 0 and best_iou >= threshold:
+            out[p] = labels[best]
+    return out
+
+
+@pytest.mark.parametrize("threshold", [0.0, mt.LABEL_IOU, 1.0])
+def test_paired_iou_and_assign_labels_match_the_reference_loop(monkeypatch, threshold):
+    monkeypatch.setattr(mt, "LABEL_IOU", threshold)
+    rng = np.random.default_rng(7)
+    for _ in range(1000):
+        preds = [_grid_box(rng) for _ in range(int(rng.integers(0, 5)))]
+        gt = [_grid_box(rng) for _ in range(int(rng.integers(0, 5)))]
+        # repeated ground truths tie for the best overlap
+        gt += gt[:int(rng.integers(0, len(gt) + 1))]
+        labels = rng.integers(0, 2, size=(len(gt), 3)).astype(np.float64)
+        pairs = [(a, b) for a in preds for b in gt]
+        got = mt.paired_iou(mt.box_array(a for a, _ in pairs), mt.box_array(b for _, b in pairs))
+        assert got.tobytes() == np.array([reference_iou(a, b) for a, b in pairs]).tobytes()
+        want = _loop_labels(preds, gt, labels, threshold)
+        assert mt.assign_labels(preds, gt, labels).tobytes() == want.tobytes()
 
 
 def test_assign_labels_no_ground_truth_gives_negatives():
@@ -274,10 +317,6 @@ def test_frame_ap_arrays_take_frame_ids():
         mt.frame_ap_arrays([0], boxes[:1], [0], [0.9], [0, 1], boxes[:1], [0, 0])
 
 
-def test_triplet_score_frozen_example():
-    assert mt.triplet_score(0.5, 0.4, 0.5) == 0.1
-
-
 def _softmax_rows(x):
     e = np.exp(x - x.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
@@ -442,7 +481,7 @@ def test_triplet_recall_ranks_by_triplet_score_bits():
     rel = np.array([[8 / 3], [-3.0], [8 / 3]])
     probs = _softmax_rows(obj)[:, 0]
     p_r = sigmoid_values(np.array(8 / 3))
-    assert mt.triplet_score(probs[1], p_r, probs[0]) > mt.triplet_score(probs[0], p_r, probs[1])
+    assert (probs[1] * p_r) * probs[0] > (probs[0] * p_r) * probs[1]
     gt = np.array([[1, 0, 0, 0, 0]])
     assert mt.triplet_recall(obj, rel, gt, (1,), mt.MODE_SGCLS) == {1: 1.0}
     assert reference_recall(obj, rel, [(1, 0, 0, 0, 0)], 1, mt.MODE_SGCLS) == 1.0

@@ -3,6 +3,7 @@
 import base64
 import ctypes
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -89,26 +90,38 @@ def test_schedule_rejects_non_finite_values():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ConfigError, match="finite"):
             Schedule().scaled(bad)
-        for name in ("base_lr", "warmup_start_lr", "warmup_epochs", "total_epochs",
-                     "decay_factor"):
+        for name in ("base_lr", "total_epochs"):
             with pytest.raises(ConfigError, match="finite"):
                 Schedule(**{name: bad})
 
 
 def test_schedule_validation():
-    # a schedule checks itself when it is made
-    with pytest.raises(ConfigError, match="^learning rates must be finite and positive$"):
+    # a schedule checks itself when it is made, dataclasses.replace included
+    with pytest.raises(ConfigError, match="^base_lr must be finite and positive, got 0.0$"):
         Schedule(base_lr=0.0)
-    with pytest.raises(ConfigError, match="^decay_factor must be finite and exceed 1$"):
-        Schedule(decay_factor=1.0)
-    with pytest.raises(ConfigError, match="^decay_epochs must be sorted$"):
-        Schedule(decay_epochs=(15.0, 10.0))
-    with pytest.raises(ConfigError, match="^decays must not start before warmup ends$"):
-        Schedule(decay_epochs=(3.0,))
+    with pytest.raises(ConfigError, match="^total_epochs must be finite and positive, got -1.0$"):
+        dataclasses.replace(Schedule(), total_epochs=-1.0)
     with pytest.raises(ConfigError):
         Schedule().scaled(0.0)
     with pytest.raises(ConfigError):
         lr_at(-1.0, Schedule())
+    # the rest of the recipe is constant
+    for name in ("warmup_start_lr", "warmup_epochs", "decay_epochs", "decay_factor"):
+        with pytest.raises(TypeError):
+            Schedule(**{name: 1.0})
+
+
+def test_schedule_bits_are_frozen():
+    # the breakpoints and 37 learning rates per epoch of the default and
+    # eight scaled schedules, as float64 bytes, digested when warmup and
+    # decays were still settable fields that scaled() multiplied by t / 20
+    values = []
+    for s in [Schedule()] + [Schedule().scaled(t) for t in (0.5, 1, 2, 3, 4, 6, 40, 7.3)]:
+        values += [s.warmup_epochs, *s.decay_epochs, s.total_epochs]
+        values += [lr_at(e + i / 37, s)
+                   for e in range(math.ceil(s.total_epochs) + 1) for i in range(37)]
+    assert hashlib.sha256(np.array(values, dtype=np.float64).tobytes()).hexdigest() == (
+        "8baad72ca77d74afd280b01f56725830d0c4785ddf8bed22ed8eab20de4c0074")
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +498,52 @@ def test_evaluate_action_scores_detections_like_the_loops(tmp_path):
 
 
 def test_evaluate_action_needs_one_label_row_per_box(tmp_path):
+    config = small_config()
     clips = tiny_clips(tmp_path, clips=2)
     clips[1].gt_action_labels[0] = clips[1].gt_action_labels[0][:1]
-    config = small_config()
-    with pytest.raises(ValidationError, match="8 ground truth boxes but 7 label rows"):
+    with pytest.raises(ValidationError, match=r"^clip 'clip001' has gt_action_labels of shape "
+                                              r"\(1, 2\) at keyframe 0, for 2 gt_boxes of 2 "):
         train.evaluate_action(clips, init_params(config), config)
+    # 1 label row for 2 boxes, then 3 for 2: the totals agree, the keyframes do not
+    clips = tiny_clips(tmp_path, clips=2)
+    y0, y1 = clips[1].gt_action_labels
+    clips[1].gt_action_labels[:] = [y0[:1], np.concatenate([y1, y0[1:]])]
+    with pytest.raises(ValidationError, match=r"^clip 'clip001' has gt_action_labels of shape "
+                                              r"\(1, 2\) at keyframe 0, for 2 gt_boxes"):
+        train.evaluate_action(clips, init_params(config), config)
+    # a third label column for a model of 2 action classes, on every keyframe or on one
+    clips = tiny_clips(tmp_path, clips=2)
+    wide = [[np.pad(y, ((0, 0), (0, 1))) for y in c.gt_action_labels] for c in clips]
+    for clip, labels in zip(clips, wide):
+        clip.gt_action_labels[:] = labels
+    with pytest.raises(ValidationError, match=r"^clip 'clip000' has gt_action_labels of shape "
+                                              r"\(2, 3\) at keyframe 0, for 2 gt_boxes of 2 "):
+        train.evaluate_action(clips, init_params(config), config)
+    clips = tiny_clips(tmp_path, clips=2)
+    clips[1].gt_action_labels[1] = wide[1][1]
+    with pytest.raises(ValidationError, match=r"^clip 'clip001' has gt_action_labels of shape "
+                                              r"\(2, 3\) at keyframe 1"):
+        train.evaluate_action(clips, init_params(config), config)
+    empty = data.ClipFeatures(clip_id="empty", frames=[], gt_boxes=[], gt_action_labels=[])
+    with pytest.raises(ValidationError, match="^no keyframes to evaluate$"):
+        train.evaluate_action([empty], init_params(config), config)
+
+
+def test_label_fields_need_one_row_per_box(tmp_path):
+    config = small_config(heads=2, message_fns=("nonlocal", "gat"), tau_c=3, task="scenegraph",
+                          feature_channels=4, object_classes=3, relation_classes=3)
+    clips = ragged_scenegraph_clips()
+    clips[1].object_classes[1] = clips[1].object_classes[1][:1]
+    message = r"^clip 'c1' has 1 object_classes rows for 2 boxes at keyframe 1$"
+    with pytest.raises(ValidationError, match=message):
+        train.evaluate_scenegraph(clips, init_params(config), config, ks=(1,))
+    with pytest.raises(ValidationError, match=message):
+        train_loop(clips, config, Schedule().scaled(1.0), seed=0)
+    clips = tiny_clips(tmp_path, clips=2)
+    clips[0].action_labels[1] = np.concatenate([clips[0].action_labels[1]] * 2)
+    message = r"^clip 'clip000' has 4 action_labels rows for 2 boxes at keyframe 1$"
+    with pytest.raises(ValidationError, match=message):
+        train_loop(clips, small_config(), Schedule().scaled(1.0), seed=0)
 
 
 def test_evaluate_scenegraph_modes(tmp_path):

@@ -34,7 +34,6 @@ import os
 import statistics
 import sys
 import tempfile
-from dataclasses import asdict
 from time import perf_counter
 from types import SimpleNamespace
 
@@ -76,7 +75,7 @@ class Tree:
             [os.path.join(root, "src")], [f"stgraph.{m}" for m in MODULES]))))
         data, train = self.lib.data, self.lib.train
         self.config = self.lib.passing.ModelConfig(seed=seed, **workload.config)
-        self.schedule = train.Schedule(**asdict(workload.schedule))
+        self.schedule = train.Schedule().scaled(workload.schedule.total_epochs)
         self.seed, self.workloads, self.workers = seed, workloads, workload.eval_workers
         info, records = data.load_dataset(manifests[0])
         self.train_clips = [data.featurize_clip(r, info, mode=data.TRAIN_MODE) for r in records]

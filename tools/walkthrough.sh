@@ -4,10 +4,11 @@
 # hand-written manifest over the walkthrough's grids whose boxes exercise
 # pooling's edge cases (boxes that miss every cell center, one smaller than
 # a cell, one centered between four cells, edges on cell centers, small
-# proposals and detections), a tau_c 3 action run with proposals,
-# a tau_c 3 nonlocal+GAT scene-graph run, a GAT temporal-pairs run scored on
-# a held-out split, a 1-epoch one whose held-out mAP stays below 1 (so the
-# diff sees a precision/recall curve short of perfect), a tau_c 5, tau_s 2
+# proposals and detections) and a short training run on it (its detections
+# take labels from the ground truth they overlap), a tau_c 3 action run with
+# proposals, a tau_c 3 nonlocal+GAT scene-graph run, a GAT temporal-pairs run
+# scored on a held-out split, a 1-epoch one whose held-out mAP stays below 1
+# (so the diff sees a precision/recall curve short of perfect), a tau_c 5, tau_s 2
 # temporal-pairs run (several window offsets at a stride above 1) with its
 # attention dump, a tau_c 5, tau_s 2 gradient check (a stride-2 temporal
 # gather next to a block without temporal neighbours), and train and flops
@@ -38,6 +39,7 @@ cat > ds/edges.jsonl <<'END'
 END
 st edgeeval eval --data ds/edges.jsonl --checkpoint run/checkpoint.safetensors --out edgeeval
 st edgedump dump-attention --data ds/edges.jsonl --checkpoint run/checkpoint.safetensors --out edgeattention.jsonl
+st edgetrain train --data ds/edges.jsonl --out edgerun $small --message-fn nonlocal --tau-c 1 --epochs 2
 st flops flops --state-dim 16 --heads 2 --message-fn nonlocal --fg 4 --context 17 --keyframes 8
 st gradcheck gradcheck --task scenegraph --tau-c 3 --tolerance 1e-4
 st synth4 synth action-overfit --out ds4 --seed 1 --clips 6 --keyframes 4
