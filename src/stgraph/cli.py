@@ -29,8 +29,9 @@ from .heads import pair_index
 from .metrics import check_iou_threshold, check_recall_cutoffs
 from .passing import (FN_GAT, FN_NONLOCAL, TASK_ACTION, TASK_SCENEGRAPH, ModelConfig,
                       param_shapes, run_inference)
-from .train import (Schedule, effective_batch_size, evaluate_action, evaluate_scenegraph,
-                    gradient_check, load_checkpoint, save_checkpoint, train_loop)
+from .train import (Schedule, canonical_json, effective_batch_size, evaluate_action,
+                    evaluate_scenegraph, gradient_check, load_checkpoint, save_checkpoint,
+                    train_loop)
 
 # the ModelConfig fields set by a flag of the same name
 _CONFIG_FLAGS = ("state_dim", "heads", "iterations", "tau_c", "tau_s", "seed", "feature_channels",
@@ -122,10 +123,6 @@ def _check_dataset_matches(config: ModelConfig, info: data_mod.DatasetInfo) -> N
                 f"checkpoint has {key}={getattr(config, key)!r}, dataset needs {value!r}")
 
 
-def _canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def _flatten(payload: dict, prefix: str = ""):
     for key in sorted(payload):
         value = payload[key]
@@ -140,7 +137,7 @@ def write_report(out_dir: str, payload: dict) -> None:
     """report.json (canonical JSON) plus report.txt (sorted key = value lines)."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w") as f:
-        f.write(_canonical_json(payload))
+        f.write(canonical_json(payload) + "\n")
     lines = [f"{name} = {value!r}" for name, value in _flatten(payload)]
     with open(os.path.join(out_dir, "report.txt"), "w") as f:
         f.write("\n".join(lines) + "\n")
@@ -279,7 +276,7 @@ def cmd_dump_attention(args) -> int:
                 }
         lines = []
         for rec in result.attention:
-            lines.append(_canonical_json({
+            lines.append(canonical_json({
                 "record": "attention",
                 "clip_id": record.clip_id,
                 "node": rec.node_id,
@@ -289,9 +286,9 @@ def cmd_dump_attention(args) -> int:
                 "head": rec.head,
                 "neighbors": [nodes[nid] for nid in rec.neighbor_ids],
                 "weights": [float(w) for w in rec.weights],
-            }))
+            }) + "\n")
         for g in result.gates:
-            lines.append(_canonical_json({
+            lines.append(canonical_json({
                 "record": "gate",
                 "clip_id": record.clip_id,
                 "node": g.node_id,
@@ -299,7 +296,7 @@ def cmd_dump_attention(args) -> int:
                 "phase": g.phase,
                 "slots": list(g.slots),
                 "weights": [float(w) for w in g.weights],
-            }))
+            }) + "\n")
         f.write("".join(lines))
     print(f"wrote {len(lines)} records to {args.out}")
     return 0
@@ -311,7 +308,7 @@ def cmd_flops(args) -> int:
                          keyframes=args.keyframes)
     if args.out:  # an unusable --out fails before anything is printed
         with open(args.out, "w") as f:
-            f.write(_canonical_json(out))
+            f.write(canonical_json(out) + "\n")
     for key in sorted(out):
         print(f"{key} = {out[key]}")
     return 0

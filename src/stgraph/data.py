@@ -31,7 +31,7 @@ import numpy as np
 from . import numgrad as ng
 from .errors import ValidationError
 from .graph import Box, FeatureGrid, KeyframeFeatures, featurize_keyframe
-from .heads import pair_index
+from .heads import pair_index, pair_row
 from .metrics import detection_training_samples
 from .numgrad import Tensor
 
@@ -395,14 +395,14 @@ def one_hot(classes: np.ndarray, num_classes: int) -> np.ndarray:
 def relation_target_matrix(n: int, relations, num_relations: int) -> np.ndarray:
     """Multi-hot targets from (s, o, r) triples over n nodes, one row per heads.pair_index pair.
 
-    Pair (s, o), s > o, sits at row s * (s - 1) // 2 + o.
+    Pair (s, o), s > o, sits at row heads.pair_row(s, o).
     """
     out = np.zeros((n * (n - 1) // 2, num_relations))
     for s, o, r in relations:
         if not (0 <= o < s < n and 0 <= r < num_relations):
             what = f"any of {num_relations} predicates" if 0 <= o < s < n else "any node pair"
             raise ValidationError(f"relation ({s}, {o}, {r}) does not match {what}")
-        out[s * (s - 1) // 2 + o, r] = 1.0
+        out[pair_row(s, o), r] = 1.0
     return out
 
 

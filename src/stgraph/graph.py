@@ -172,18 +172,22 @@ class Block:
     ctx_states: Tensor
 
 
+def stack_block(arrays: list[np.ndarray]) -> np.ndarray:
+    """Same-shaped arrays as one (B, ...) stack: np.stack without its per-array Python."""
+    return np.concatenate(arrays).reshape(len(arrays), *arrays[0].shape)
+
+
 def project_block(frames: list[KeyframeFeatures], positions: list[int], params) -> Block:
     """Project the pooled features of same-shaped keyframes, one matmul per node kind.
 
-    Each stack is one concatenate and a reshape, without np.stack's
-    per-array Python: the block key fixes every keyframe's row counts, and
-    the concatenate fails on features of differing widths.  The stacks
-    are not scanned for NaN or infinity: features are pooled from grids
-    checked when they were loaded, and a non-finite feature makes the
-    projection fail its check, naming the input projection.
+    Each stack is a stack_block: the block key fixes every keyframe's row
+    counts, and the concatenate fails on features of differing widths.
+    The stacks are not scanned for NaN or infinity: features are pooled
+    from grids checked when they were loaded, and a non-finite feature
+    makes the projection fail its check, naming the input projection.
     """
     def stack(arrays):
-        return ng._wrap(np.concatenate(arrays).reshape(len(arrays), *arrays[0].shape))
+        return ng._wrap(stack_block(arrays))
 
     with ng.checked("input projection"):
         fg_states = ng.matmul(stack([f.fg_feats for f in frames]), params[PROJ_FOREGROUND])

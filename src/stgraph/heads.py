@@ -42,12 +42,17 @@ def action_readout(states: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return logits
 
 
+def pair_row(i, j):
+    """The row of pair (i, j), i > j, in pair_index order: ints or integer arrays."""
+    return i * (i - 1) // 2 + j
+
+
 @lru_cache(maxsize=64)
 def pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only index arrays (i, j) of pair_index(n)'s pairs, in its order."""
     # subject i comes i times, with objects 0 .. i-1
     i = np.repeat(np.arange(n), np.arange(n))
-    j = np.arange(i.size) - i * (i - 1) // 2
+    j = np.arange(i.size) - pair_row(i, 0)
     i.flags.writeable = j.flags.writeable = False
     return i, j
 

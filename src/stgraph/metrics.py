@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, ValidationError
 from .graph import Box
-from .heads import SceneGraphPrediction, pair_arrays
+from .heads import SceneGraphPrediction, pair_arrays, pair_row
 from .numgrad import sigmoid_values
 
 MODE_SGCLS = "sgcls"
@@ -327,7 +327,7 @@ def triplet_recall_block(object_logits: np.ndarray, relation_logits: np.ndarray 
     named = (0 <= o) & (o < s) & (s < n) & (0 <= r) & (r < predicates)
     frame, (s, o, s_class, o_class, r) = frame[named], gt[named].T
     hit = (node_class[frame, s] == s_class) & (node_class[frame, o] == o_class)
-    frame, found = frame[hit], ((s * (s - 1) // 2 + o) * predicates + r)[hit]
+    frame, found = frame[hit], (pair_row(s, o) * predicates + r)[hit]
     below = ranks_below(scores.reshape(blocks, -1), frame, found, ks)
     hits = {k: np.bincount(frame[below[k]], minlength=blocks).tolist() for k in ks}
     # a keyframe without ground truth counts as fully recalled

@@ -434,19 +434,16 @@ def _relu_mask(scores: np.ndarray) -> np.ndarray:
     return scores > 0.0
 
 
-def _scatter_rows(g: np.ndarray, index: np.ndarray, rows: int, plan=None) -> np.ndarray:
+def _scatter_rows(g: np.ndarray, index: np.ndarray, rows: int, plan) -> np.ndarray:
     """Rows of g added into a (rows, d) zero matrix at index, duplicates in index order.
 
-    The same numbers as np.add.at(zeros, index, g), which runs when there
-    is no plan.  A plan lists the rounds in the order they run, each as
-    the entries of index it adds without a repeated row: each round is one
-    fancy-index add, so each row sums its pieces one at a time, in index
-    order, starting from zero, faster than np.add.at.
+    The same numbers as np.add.at(zeros, index, g), faster.  The plan
+    lists the rounds in the order they run, each as the entries of index
+    it adds without a repeated row: each round is one fancy-index add, so
+    each row sums its pieces one at a time, in index order, starting from
+    zero.
     """
     out = np.zeros((rows, g.shape[-1]))
-    if plan is None:
-        np.add.at(out, index, g)
-        return out
     for entries in plan:
         entries = np.asarray(entries, dtype=np.intp)
         out[index[entries]] += g[entries]
@@ -522,22 +519,22 @@ class Gather:
 
     rows is a flat list of Python ints, each in [0, sources), as
     graph.build_batch collects them; it becomes one read-only intp array
-    of the given shape, without numpy reductions.  plan, when given, lists
-    the rounds in which gather_rows' backward adds the gradient, in the
-    order they run, each as a list of entries of the flattened rows.
-    Every entry must sit in one round, no row may repeat within a round,
-    and a row's entries must come round after round in index order; only
-    that the plan holds as many entries as rows is checked.  Without a
-    plan the backward adds with np.add.at (see _scatter_rows).
+    of the given shape, without numpy reductions.  plan lists the rounds
+    in which gather_rows' backward adds the gradient, in the order they
+    run, each as a list of entries of the flattened rows (see
+    _scatter_rows).  Every entry must sit in one round, no row may repeat
+    within a round, and a row's entries must come round after round in
+    index order; only that the plan holds as many entries as rows is
+    checked.
     """
 
     __slots__ = ("rows", "plan", "sources")
 
-    def __init__(self, rows: list[int], plan: tuple[list[int], ...] | None, sources: int,
+    def __init__(self, rows: list[int], plan: tuple[list[int], ...], sources: int,
                  shape: tuple[int, ...]):
         if min(rows, default=0) < 0 or max(rows, default=-1) >= sources:
             raise ShapeError(f"gather_rows: index out of range for {sources} rows")
-        if plan is not None and sum(map(len, plan)) != len(rows):
+        if sum(map(len, plan)) != len(rows):
             raise ShapeError(f"gather_rows: plan does not cover the {len(rows)} index entries")
         self.rows = np.array(rows, dtype=np.intp).reshape(shape)
         self.rows.flags.writeable = False
@@ -552,9 +549,9 @@ def gather_rows(sources: list[Tensor], gather: Gather) -> Tensor:
     matrix as itself, a (B, rows, d) stack slice after slice, and the list
     as its tensors' rows end to end.  The result has shape
     gather.rows.shape + (d,).  Duplicate rows accumulate their gradients
-    in index order, round by round as gather.plan lists them, or with
-    np.add.at without a plan (see _scatter_rows).  The gather was checked
-    when it was made, so only the sources' row count is checked here.
+    in index order, round by round as gather.plan lists them (see
+    _scatter_rows).  The gather was checked when it was made, so only the
+    sources' row count is checked here.
     """
     if not sources:
         raise ShapeError("gather_rows: no source")

@@ -14,7 +14,7 @@ from . import numgrad as ng
 from .data import _JSON_INTEGERS, ClipFeatures
 from .errors import ConfigError, NumericError, ShapeError, ValidationError
 from .graph import (Box, FeatureGrid, SpatioTemporalGraph, build_batch, build_graph,
-                    featurize_keyframe)
+                    featurize_keyframe, stack_block)
 from .heads import action_loss, action_readout, sg_loss, sg_readout
 from .metrics import (box_array, check_iou_threshold, check_recall_cutoffs, frame_ap_arrays,
                       triplet_recall_block)
@@ -117,16 +117,9 @@ def sgd_step(params: dict[str, Tensor], grads: dict[str, Tensor], lr: float,
         p = np.concatenate(arrays, axis=None)
         ends = list(accumulate(a.size for a in arrays))
     velocity = np.zeros(p.size) if state.velocity is None else state.velocity
-
-    def check(values: np.ndarray, what: str) -> None:
-        finite = np.isfinite(values)
-        if not finite.all():
-            # argmin of the mask is the first non-finite value
-            name = names[bisect_right(ends, int(finite.argmin()))]
-            raise NumericError(f"non-finite {what} for {name!r} at step {state.step}")
-
     g = np.concatenate([grads[name].data for name in names], axis=None)
-    check(g, "gradient")
+    if (name := _first_non_finite(g, names, ends)) is not None:
+        raise NumericError(f"non-finite gradient for {name!r} at step {state.step}")
     # g turns into g + wd*p, buf into m*v + that, then g into the new parameters
     with np.errstate(over="ignore", invalid="ignore"):
         buf = np.multiply(p, WEIGHT_DECAY)
@@ -135,7 +128,8 @@ def sgd_step(params: dict[str, Tensor], grads: dict[str, Tensor], lr: float,
         np.add(buf, g, out=buf)
         np.multiply(buf, lr, out=g)
         np.subtract(p, g, out=g)
-    check(g, "update")
+    if (name := _first_non_finite(g, names, ends)) is not None:
+        raise NumericError(f"non-finite update for {name!r} at step {state.step}")
     g.flags.writeable = False
     views = [g[start:end].reshape(shape)
              for start, end, shape in zip([0, *ends], ends, shapes)]
@@ -178,25 +172,9 @@ def clip_loss(clip: ClipFeatures, params: dict[str, Tensor], config: ModelConfig
     return _batch_loss([clip], build_graph(clip.frames, params, config), params, config)
 
 
-def stack_arrays(arrays: list[np.ndarray]) -> np.ndarray:
-    """np.stack(arrays), by one concatenate and a reshape when they share a shape.
-
-    A block's labels and targets come from its keyframes' annotations,
-    whose columns nothing has checked against each other, so their
-    shapes are compared first; when they match (always, on featurized
-    clips) this skips np.stack's per-array Python: 31 instead of 65 us
-    for 112 (1, 6) arrays on one x86-64 core.  Ragged ones go to
-    np.stack, which names the mismatch.
-    """
-    shape = arrays[0].shape
-    if shape and all(a.shape == shape for a in arrays):
-        return np.concatenate(arrays).reshape((len(arrays),) + shape)
-    return np.stack(arrays)
-
-
 def _stacked(graph: SpatioTemporalGraph, per_position: list[np.ndarray]) -> list[np.ndarray]:
     """Per-keyframe arrays, flat positions in order, stacked as the graph's blocks."""
-    return [stack_arrays([per_position[p] for p in block.positions]) for block in graph.blocks]
+    return [stack_block([per_position[p] for p in block.positions]) for block in graph.blocks]
 
 
 def _batch_loss(clips: list[ClipFeatures], graph: SpatioTemporalGraph,
@@ -221,12 +199,10 @@ def _batch_loss(clips: list[ClipFeatures], graph: SpatioTemporalGraph,
                                 params["readout.relation.weight"], params["readout.relation.bias"])
                      for states in result.states]
             onehots = [t for clip in clips for t in clip.one_hots(config.object_classes)]
-            keyframes = [(clip, local) for clip in clips for local in range(len(clip.frames))]
-            relation_targets = [
-                None if pred.relation_logits is None else stack_arrays([
-                    clip.relation_targets(local, config.relation_classes)
-                    for clip, local in (keyframes[pos] for pos in block.positions)])
-                for pred, block in zip(preds, graph.blocks)]
+            targets = _stacked(graph, [clip.relation_targets(local, config.relation_classes)
+                                       for clip in clips for local in range(len(clip.frames))])
+            relation_targets = [None if p.relation_logits is None else t
+                                for p, t in zip(preds, targets)]
             loss = sg_loss([p.object_logits for p in preds], _stacked(graph, onehots),
                            [p.relation_logits for p in preds], relation_targets, per_clip)
     ng.check_finite("loss", loss)
@@ -277,7 +253,8 @@ def train_loop(clips: list[ClipFeatures], config: ModelConfig, schedule: Schedul
     """
     if not clips:
         raise ValidationError("no clips to train on")
-    _check_fields(clips, config.task, _LABEL_FIELDS[config.task])
+    _check_fields(clips, config, ("action_labels",) if config.task == "action"
+                  else ("object_classes", "relations"))
     seed = config.seed if seed is None else seed
     params = init_params(config, seed)
     if init_from is not None:
@@ -364,54 +341,76 @@ def _over_runs(score, clips: list[ClipFeatures], params, config: ModelConfig) ->
     return [score_run(run) for run in eval_runs(clips, config)]
 
 
-# the ClipFeatures fields, one entry per keyframe, that training on each task
-# reads (evaluate_scenegraph reads the scene-graph ones), and evaluate_action's
-_LABEL_FIELDS = {"action": ("action_labels",), "scenegraph": ("object_classes", "relations")}
-_ANNOTATION_FIELDS = ("keyframe_ids", "gt_boxes", "gt_action_labels")
+# the per-keyframe fields whose entries are checked: the boxes giving an
+# entry's rows and a row's shape under a config, or (None, None) for any sized entry
+_ENTRIES = {"action_labels": ("fg_boxes", lambda config: (config.action_classes,)),
+            "gt_action_labels": ("gt_boxes", lambda config: (config.action_classes,)),
+            "object_classes": ("fg_boxes", lambda config: ()),
+            "gt_boxes": (None, None), "relations": (None, None)}
 
 
-def _check_fields(clips: list[ClipFeatures], task: str, names: tuple[str, ...],
-                  entries: bool = True) -> None:
-    """Raise ValidationError naming the first clip whose field is None or not one per keyframe,
-    and with entries, the first keyframe whose entry is None or, in action_labels and
-    object_classes, not one row per box.
+def _check_fields(clips: list[ClipFeatures], config: ModelConfig,
+                  names: tuple[str, ...]) -> tuple[dict[str, np.ndarray], dict[str, list]]:
+    """Check fields names of every clip; return the per-box fields' stacks and the entry sizes.
 
-    A clip featurized for the other task holds None in the fields this
-    one reads, and an action clip featurized in evaluation mode holds None
-    in the action_labels of every keyframe scored by its detections.  The
-    check runs once per call, before any graph is built.  evaluate_action
-    skips the entry check: featurize_clip leaves no None entry in the
-    annotation fields, and the check would add about 1% to a `temporal`
-    call.
+    Each clip needs keyframes and each field one entry per keyframe; an
+    entry in _ENTRIES must be sized, and one row per box of the row shape
+    where the field has boxes (gt_boxes go first in names).  No Python
+    runs per keyframe while they hold: map(len) counts rows, and one
+    np.concatenate per per-box field gives its columns and its stack.  A
+    fault is named by a walk over the keyframes: "clip C has WHAT at
+    keyframe K, which the TASK task reads", WHAT being "no F", "F of
+    ragged rows" or "F of shape S", plus " as shape (n, ...) for its n
+    BOXES" for a per-box field.
     """
     for clip in clips:
+        if not clip.frames:
+            raise ValidationError(f"clip {clip.clip_id!r} has no keyframes")
         for name in names:
             values = getattr(clip, name)
             if values is None:
-                raise ValidationError(f"clip {clip.clip_id!r} has no {name}, which the {task} "
-                                      f"task reads; was it featurized for the other task?")
+                raise ValidationError(f"clip {clip.clip_id!r} has no {name}, which the "
+                                      f"{config.task} task reads; was it featurized for the "
+                                      f"other task?")
             if len(values) != len(clip.frames):
                 raise ValidationError(f"clip {clip.clip_id!r} has {len(values)} {name} "
                                       f"for {len(clip.frames)} keyframes")
-            for pos, value in enumerate(values if entries else ()):
-                if value is None:
-                    raise ValidationError(f"clip {clip.clip_id!r} has no {name} at keyframe "
-                                          f"{pos}, which the {task} task reads")
-                boxes = clip.frames[pos].fg_boxes
-                if name in ("action_labels", "object_classes") and len(value) != len(boxes):
-                    raise ValidationError(f"clip {clip.clip_id!r} has {len(value)} {name} rows "
-                                          f"for {len(boxes)} boxes at keyframe {pos}")
-
-
-def _label_error(clips: list[ClipFeatures], classes: int) -> ValidationError:
-    """The error naming the first keyframe whose gt_action_labels are not (gt boxes, classes)."""
+    sizes, stacked = {}, {}
+    try:
+        for name in filter(_ENTRIES.__contains__, names):
+            boxes, row = _ENTRIES[name]
+            if boxes == "fg_boxes" and boxes not in sizes:
+                frames = chain.from_iterable(map(operator.attrgetter("frames"), clips))
+                sizes[boxes] = list(map(len, map(operator.attrgetter(boxes), frames)))
+            entries = list(chain.from_iterable(map(operator.attrgetter(name), clips)))
+            sizes[name] = list(map(len, entries))
+            if boxes is not None:
+                stacked[name] = np.concatenate(entries)
+                if sizes[name] != sizes[boxes] or stacked[name].shape[1:] != row(config):
+                    raise ValueError
+        return stacked, sizes
+    except (TypeError, ValueError) as err:
+        fault = f"the {name} entries do not stack: {err}"
     for clip in clips:
-        for pos, (boxes, y) in enumerate(zip(clip.gt_boxes, clip.gt_action_labels)):
-            if np.shape(y) != (len(boxes), classes):
-                return ValidationError(
-                    f"clip {clip.clip_id!r} has gt_action_labels of shape {np.shape(y)} at "
-                    f"keyframe {pos}, for {len(boxes)} gt_boxes of {classes} action classes")
-    return ValidationError("no keyframes to evaluate")
+        for pos, frame in enumerate(clip.frames):
+            for name in filter(_ENTRIES.__contains__, names):
+                boxes, row = _ENTRIES[name]
+                entry, want, tail = getattr(clip, name)[pos], None, ""
+                if boxes is not None:
+                    n = len(frame.fg_boxes if boxes == "fg_boxes" else clip.gt_boxes[pos])
+                    want = (n, *row(config))
+                    tail = f" as shape {want} for its {n} {boxes}"
+                try:
+                    shape = np.shape(entry)
+                except ValueError:
+                    shape = "ragged"
+                # None has shape (), as an unsized entry does
+                if shape == () if want is None else shape != want:
+                    what = (f"no {name}" if entry is None else f"{name} of ragged rows"
+                            if shape == "ragged" else f"{name} of shape {shape}")
+                    raise ValidationError(f"clip {clip.clip_id!r} has {what} at keyframe {pos}, "
+                                          f"which the {config.task} task reads{tail}")
+    raise ValidationError(fault)
 
 
 def evaluate_action(clips: list[ClipFeatures], params: dict[str, Tensor], config: ModelConfig,
@@ -420,48 +419,36 @@ def evaluate_action(clips: list[ClipFeatures], params: dict[str, Tensor], config
 
     Returns (per-class AP dict, mAP).  Clips are scored in runs cut by
     their cost (see eval_runs), each run as one batch, and a clip's scores
-    do not depend on its batch mates, so the cut never moves a byte.  One
-    pass over the keyframes collects the frame ids, boxes and labels, and
-    one gather per run puts its scores in keyframe order; what a keyframe
-    costs beyond that is the graph build's, the model's and the AP's (see
-    _over_runs).  The threshold, the annotation fields and the labels'
-    shapes are checked before any graph is built.  workers is accepted and
-    changes nothing: runs go in the calling thread.
+    do not depend on its batch mates, so the cut never moves a byte.  The
+    threshold and the annotations are checked first (see _check_fields),
+    which stacks the labels the AP reads.  One pass over the keyframes
+    collects the frame ids and boxes, and one gather per run puts its
+    scores in keyframe order; what a keyframe costs beyond that is the
+    graph build's, the model's and the AP's (see _over_runs).  workers is
+    accepted and changes nothing: runs go in the calling thread.
     """
     if not clips:
         raise ValidationError("no clips to evaluate")
     check_iou_threshold(iou_threshold)
-    _check_fields(clips, "action", _ANNOTATION_FIELDS, entries=False)
+    stacked, sizes = _check_fields(clips, config, ("keyframe_ids", "gt_boxes", "gt_action_labels"))
     # a (clip_id, keyframe_id) is one frame, numbered by first appearance;
     # a scored keyframe whose id differs from its annotated one has its own
     frame_ids: dict[tuple[str, int], int] = {}
-    gt_frames, gt_counts, labels, gt_boxes = [], [], [], []
-    det_frames, det_counts, det_boxes = [], [], []
+    gt_frames, gt_boxes, det_frames, det_counts, det_boxes = [], [], [], [], []
     for clip in clips:
-        for kid, boxes, y, f in zip(clip.keyframe_ids, clip.gt_boxes, clip.gt_action_labels,
-                                    clip.frames):
+        for kid, boxes, f in zip(clip.keyframe_ids, clip.gt_boxes, clip.frames):
             frame = frame_ids.setdefault((clip.clip_id, kid), len(frame_ids))
             gt_frames.append(frame)
-            gt_counts.append(len(boxes))
-            labels.append(y)
             gt_boxes += boxes
             if f.keyframe_id != kid:
                 frame = frame_ids.setdefault((clip.clip_id, f.keyframe_id), len(frame_ids))
             det_frames.append(frame)
             det_counts.append(len(f.fg_boxes))
             det_boxes += f.fg_boxes
-    # one row of classes per gt box in each keyframe, row counts compared in C
     classes = config.action_classes
-    try:
-        aligned = list(map(len, labels)) == gt_counts
-        labels = np.concatenate(labels)
-    except (TypeError, ValueError):
-        aligned = False
-    if not aligned or labels.shape[1:] != (classes,):
-        raise _label_error(clips, classes)
-    gt_frame = np.repeat(gt_frames, gt_counts)
+    gt_frame = np.repeat(gt_frames, sizes["gt_boxes"])
     # one ground truth per (clip, keyframe, box, class) labelled 1, in that order
-    rows, gt_classes = np.nonzero(labels)
+    rows, gt_classes = np.nonzero(stacked["gt_action_labels"])
 
     # one detection per (clip, keyframe, box, class), in that order
     det_frame = np.repeat(det_frames, np.multiply(det_counts, classes))
@@ -491,7 +478,7 @@ def evaluate_scenegraph(clips: list[ClipFeatures], params: dict[str, Tensor],
     if not clips:
         raise ValidationError("no clips to evaluate")
     check_recall_cutoffs(ks)
-    _check_fields(clips, "scenegraph", _LABEL_FIELDS["scenegraph"])
+    _check_fields(clips, config, ("object_classes", "relations"))
 
     def score(run: list[ClipFeatures], graph: SpatioTemporalGraph, states: list[Tensor]):
         # the run's keyframes block by block, slice by slice
@@ -504,8 +491,8 @@ def evaluate_scenegraph(clips: list[ClipFeatures], params: dict[str, Tensor],
         s, o, r = np.fromiter(chain.from_iterable(chain.from_iterable(relations)),
                               dtype=np.int64).reshape(-1, 3).T
         # each row's node classes, from its keyframe's run of the flat class
-        # list, one per box (see _check_fields); a node outside the run reads
-        # another class, but triplet_recall_block counts that row a miss first
+        # list, one per box as _check_fields requires; a node outside the run
+        # reads another class, but triplet_recall_block counts that row a miss first
         first = np.repeat(np.cumsum([0] + [len(c) for c in classes[:-1]]), counts)
         flat = np.concatenate(classes)
         gt = np.stack([s, o, flat.take(first + s, mode="clip"),
@@ -584,8 +571,8 @@ def gradient_check(config: ModelConfig, seed: int = 0, step: float = 1e-5,
 # checkpoints
 
 
-def _canonical(obj) -> str:
-    """obj as sorted-key, compact JSON text."""
+def canonical_json(obj) -> str:
+    """obj as sorted-key, compact JSON text, as checkpoint headers and reports hold it."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
@@ -597,13 +584,16 @@ def _check_names(where: str, names, expected: dict) -> None:
                               f"(missing {missing}, unexpected {extra})")
 
 
-def _check_finite(where: str, values: np.ndarray, names: list[str], ends: list[int]) -> None:
-    """One scan of values, the tensors of names laid end to end up to ends."""
+def _first_non_finite(values: np.ndarray, names: list[str], ends: list[int]) -> str | None:
+    """The first of names whose tensor holds a non-finite value, or None, in one scan.
+
+    values holds the tensors of names end to end, tensor i ending at ends[i].
+    """
     finite = np.isfinite(values)
-    if not finite.all():
-        # argmin of the mask is the first non-finite value
-        name = names[bisect_right(ends, int(finite.argmin()))]
-        raise ValidationError(f"{where}: {name!r} holds non-finite values")
+    if finite.all():
+        return None
+    # argmin of the mask is the first non-finite value
+    return names[bisect_right(ends, int(finite.argmin()))]
 
 
 def save_checkpoint(path: str, params: dict[str, Tensor], config: ModelConfig,
@@ -635,16 +625,17 @@ def save_checkpoint(path: str, params: dict[str, Tensor], config: ModelConfig,
                                   f"expected {expected[name]}")
     ends = list(accumulate(math.prod(expected[name]) for name in names))
     body = np.concatenate([params[name].data for name in names], axis=None, dtype="<f8")
-    _check_finite(where, body, names, ends)
-    meta = {"config": _canonical(config.to_dict()), "format": CHECKPOINT_FORMAT,
-            "seed": _canonical(seed), "version": CHECKPOINT_VERSION}
+    if (name := _first_non_finite(body, names, ends)) is not None:
+        raise ValidationError(f"{where}: {name!r} holds non-finite values")
+    meta = {"config": canonical_json(config.to_dict()), "format": CHECKPOINT_FORMAT,
+            "seed": canonical_json(seed), "version": CHECKPOINT_VERSION}
     if log is not None:
-        meta["log"] = _canonical(log)
+        meta["log"] = canonical_json(log)
     header = {"__metadata__": meta}
     for name, begin, end in zip(names, [0, *ends], ends):
         header[name] = {"data_offsets": [8 * begin, 8 * end], "dtype": "F64",
                         "shape": list(expected[name])}
-    text = _canonical(header).encode()
+    text = canonical_json(header).encode()
     text += b" " * (-len(text) % 8)
     with open(path, "wb") as f:
         f.write(len(text).to_bytes(8, "little") + text)
@@ -692,7 +683,8 @@ def load_checkpoint(path: str) -> tuple[dict[str, Tensor], ModelConfig, dict]:
                               f"but {held} follow the header")
     values = np.frombuffer(body, dtype="<f8")
     names = sorted(expected)
-    _check_finite(path, values, names, ends)
+    if (name := _first_non_finite(values, names, ends)) is not None:
+        raise ValidationError(f"{path}: {name!r} holds non-finite values")
     spans = dict(zip(names, zip([0, *ends], ends)))
     params: dict[str, Tensor] = {}
     for name, shape in expected.items():

@@ -29,10 +29,24 @@ def neighbors(pairs) -> ng.Neighbors:
 
 
 def gather(sources: list[Tensor], index, plan=None) -> ng.Gather:
-    """An index of any shape into the rows of sources, laid end to end, as a checked Gather."""
+    """An index of any shape into the rows of sources, laid end to end, as a checked Gather.
+
+    Without a plan it gets the occurrence plan: round r holds every row's
+    r-th entry, in index order, so each row sums its pieces in index
+    order, as np.add.at does.
+    """
     index = np.asarray(index)
     rows = sum(t.data.size // t.data.shape[-1] for t in sources)
-    return ng.Gather(index.reshape(-1).tolist(), plan, rows, index.shape)
+    flat = index.reshape(-1).tolist()
+    if plan is None:
+        rounds, seen = [], {}
+        for entry, row in enumerate(flat):
+            r = seen[row] = seen.get(row, -1) + 1
+            if r == len(rounds):
+                rounds.append([])
+            rounds[r].append(entry)
+        plan = tuple(rounds)
+    return ng.Gather(flat, plan, rows, index.shape)
 
 
 def transpose(x: Tensor) -> Tensor:

@@ -77,6 +77,16 @@ def test_pair_index_order():
         assert hd.pair_arrays(n)[0] is i and not i.flags.writeable and not j.flags.writeable
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_pair_row_is_the_row_of_each_pair_in_pair_index_order(n):
+    # relation targets and triplet recall both place pair (i, j) at pair_row(i, j)
+    pairs = hd.pair_index(n)
+    assert [hd.pair_row(i, j) for i, j in pairs] == list(range(len(pairs)))
+    i, j = hd.pair_arrays(n)
+    rows = hd.pair_row(i, j)
+    assert rows.dtype == i.dtype and rows.tolist() == list(range(len(pairs)))
+
+
 def sg_weights(d, n_obj, n_rel, seed=0):
     rng = np.random.default_rng(seed)
     return (

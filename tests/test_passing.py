@@ -608,8 +608,8 @@ def test_multi_block_batch_loss_gradients_match_finite_differences():
     (5, 2, [[2] * 17, [3, 2, 3, 3, 2], [2]]),
 ])
 def test_temporal_gathers_by_offset_match_scatter_rows(monkeypatch, tau_c, tau_s, clip_boxes):
-    # the per-offset backward against the planless one, np.add.at's,
-    # bit for bit: per group on leaf states, then through a whole batch loss
+    # the per-offset backward against np.add.at in place of the planned
+    # adds, bit for bit: per group on leaf states, then through a whole batch loss
     cfg = make_config(state_dim=4, feature_channels=3, tau_c=tau_c, tau_s=tau_s)
     params = random_params(cfg, seed=44)
     rng = np.random.default_rng(44)
@@ -648,16 +648,22 @@ def test_temporal_gathers_by_offset_match_scatter_rows(monkeypatch, tau_c, tau_s
         assert len(graph.blocks) > 2 and len(groups) > 3
         assert sorted(set(sum(offsets, []))) == [-4, -2, 2, 4]
 
+    def add_at(g, index, rows, plan):
+        out = np.zeros((rows, g.shape[-1]))
+        np.add.at(out, index, g)
+        return out
+
     states = [Tensor(b.fg_states.data, requires_grad=True) for b in graph.blocks]
     for _, gather in groups:
-        pieces = []
-        # the graph's Gather, with its plan, against one of its rows without a plan
-        for index in (gather, sp.gather(states, gather.rows)):
-            with ng.Tape() as tape:
-                ng.gather_rows(states, index)
-            [(_, _, backward)] = tape._entries
-            g = np.random.default_rng(45).normal(size=gather.rows.shape + (cfg.state_dim,))
-            g[..., ::3, :] = -0.0
+        with ng.Tape() as tape:
+            ng.gather_rows(states, gather)
+        [(_, _, backward)] = tape._entries
+        g = np.random.default_rng(45).normal(size=gather.rows.shape + (cfg.state_dim,))
+        g[..., ::3, :] = -0.0
+        pieces = [[None if d is None else d.tobytes() for d in backward(g)]]
+        # the graph's plan against np.add.at over the same rows
+        with monkeypatch.context() as patch:
+            patch.setattr(ng, "_scatter_rows", add_at)
             pieces.append([None if d is None else d.tobytes() for d in backward(g)])
         assert pieces[0] == pieces[1]
         assert any(d is not None for d in pieces[0])
@@ -669,8 +675,7 @@ def test_temporal_gathers_by_offset_match_scatter_rows(monkeypatch, tau_c, tau_s
         return {name: t.data.tobytes() for name, t in ng.grad(tape, loss, params).items()}
 
     by_offset = batch_grads()
-    planned = ng.gather_rows
-    monkeypatch.setattr(ng, "gather_rows", lambda m, index: planned(m, sp.gather(m, index.rows)))
+    monkeypatch.setattr(ng, "_scatter_rows", add_at)
     assert batch_grads() == by_offset
 
 

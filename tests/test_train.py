@@ -497,36 +497,44 @@ def test_evaluate_action_scores_detections_like_the_loops(tmp_path):
     assert {type(v) for v in per_class.values()} == {float} and type(mean_ap) is float
 
 
-def test_evaluate_action_needs_one_label_row_per_box(tmp_path):
+def entry_message(clip, pos, what, task, boxes, want):
+    """The message _check_fields raises for one keyframe's entry of a per-box field."""
+    return (f"clip {clip!r} has {what} at keyframe {pos}, which the {task} task reads "
+            f"as shape {want} for its {want[0]} {boxes}")
+
+
+def test_evaluate_action_needs_one_label_row_per_box(tmp_path, monkeypatch):
     config = small_config()
+    monkeypatch.setattr(train, "build_batch", lambda *a: pytest.fail("built a graph"))
+
+    def refused(clips, pos, what, clip="clip001"):
+        message = entry_message(clip, pos, f"gt_action_labels of {what}", "action", "gt_boxes",
+                                (2, 2))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            train.evaluate_action(clips, init_params(config), config)
+
     clips = tiny_clips(tmp_path, clips=2)
     clips[1].gt_action_labels[0] = clips[1].gt_action_labels[0][:1]
-    with pytest.raises(ValidationError, match=r"^clip 'clip001' has gt_action_labels of shape "
-                                              r"\(1, 2\) at keyframe 0, for 2 gt_boxes of 2 "):
-        train.evaluate_action(clips, init_params(config), config)
+    refused(clips, 0, "shape (1, 2)")
     # 1 label row for 2 boxes, then 3 for 2: the totals agree, the keyframes do not
     clips = tiny_clips(tmp_path, clips=2)
     y0, y1 = clips[1].gt_action_labels
     clips[1].gt_action_labels[:] = [y0[:1], np.concatenate([y1, y0[1:]])]
-    with pytest.raises(ValidationError, match=r"^clip 'clip001' has gt_action_labels of shape "
-                                              r"\(1, 2\) at keyframe 0, for 2 gt_boxes"):
-        train.evaluate_action(clips, init_params(config), config)
+    refused(clips, 0, "shape (1, 2)")
     # a third label column for a model of 2 action classes, on every keyframe or on one
     clips = tiny_clips(tmp_path, clips=2)
     wide = [[np.pad(y, ((0, 0), (0, 1))) for y in c.gt_action_labels] for c in clips]
     for clip, labels in zip(clips, wide):
         clip.gt_action_labels[:] = labels
-    with pytest.raises(ValidationError, match=r"^clip 'clip000' has gt_action_labels of shape "
-                                              r"\(2, 3\) at keyframe 0, for 2 gt_boxes of 2 "):
-        train.evaluate_action(clips, init_params(config), config)
+    refused(clips, 0, "shape (2, 3)", clip="clip000")
     clips = tiny_clips(tmp_path, clips=2)
     clips[1].gt_action_labels[1] = wide[1][1]
-    with pytest.raises(ValidationError, match=r"^clip 'clip001' has gt_action_labels of shape "
-                                              r"\(2, 3\) at keyframe 1"):
-        train.evaluate_action(clips, init_params(config), config)
+    refused(clips, 1, "shape (2, 3)")
+    # a clip of no keyframes, alone or not
     empty = data.ClipFeatures(clip_id="empty", frames=[], gt_boxes=[], gt_action_labels=[])
-    with pytest.raises(ValidationError, match="^no keyframes to evaluate$"):
-        train.evaluate_action([empty], init_params(config), config)
+    for clips in ([empty], [*tiny_clips(tmp_path, clips=2), empty]):
+        with pytest.raises(ValidationError, match="^clip 'empty' has no keyframes$"):
+            train.evaluate_action(clips, init_params(config), config)
 
 
 def test_label_fields_need_one_row_per_box(tmp_path):
@@ -534,16 +542,137 @@ def test_label_fields_need_one_row_per_box(tmp_path):
                           feature_channels=4, object_classes=3, relation_classes=3)
     clips = ragged_scenegraph_clips()
     clips[1].object_classes[1] = clips[1].object_classes[1][:1]
-    message = r"^clip 'c1' has 1 object_classes rows for 2 boxes at keyframe 1$"
-    with pytest.raises(ValidationError, match=message):
+    message = entry_message("c1", 1, "object_classes of shape (1,)", "scenegraph", "fg_boxes",
+                            (2,))
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         train.evaluate_scenegraph(clips, init_params(config), config, ks=(1,))
-    with pytest.raises(ValidationError, match=message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         train_loop(clips, config, Schedule().scaled(1.0), seed=0)
     clips = tiny_clips(tmp_path, clips=2)
     clips[0].action_labels[1] = np.concatenate([clips[0].action_labels[1]] * 2)
-    message = r"^clip 'clip000' has 4 action_labels rows for 2 boxes at keyframe 1$"
-    with pytest.raises(ValidationError, match=message):
+    message = entry_message("clip000", 1, "action_labels of shape (4, 2)", "action", "fg_boxes",
+                            (2, 2))
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         train_loop(clips, small_config(), Schedule().scaled(1.0), seed=0)
+
+
+def test_train_loop_names_a_keyframe_whose_labels_have_a_column_too_many(tmp_path, monkeypatch):
+    # it used to stop in np.stack, or in action_loss with a ShapeError, naming neither
+    clips = tiny_clips(tmp_path, clips=3)
+    clips[2].action_labels[1] = np.pad(clips[2].action_labels[1], ((0, 0), (0, 1)))
+    n = len(clips[2].frames[1].fg_boxes)
+    monkeypatch.setattr(train, "build_batch", lambda *a: pytest.fail("built a graph"))
+    message = entry_message("clip002", 1, f"action_labels of shape ({n}, 3)", "action",
+                            "fg_boxes", (n, 2))
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        train_loop(clips, small_config(), Schedule(), seed=0)
+
+
+def test_ragged_labels_name_their_keyframe(tmp_path, monkeypatch):
+    # a nested list whose rows differ in length used to fail in numpy
+    monkeypatch.setattr(train, "build_batch", lambda *a: pytest.fail("built a graph"))
+    config = small_config()
+    for name, call, boxes in (
+            ("gt_action_labels",
+             lambda clips: train.evaluate_action(clips, init_params(config), config), "gt_boxes"),
+            ("action_labels",
+             lambda clips: train_loop(clips, config, Schedule(), seed=0), "fg_boxes")):
+        clips = tiny_clips(tmp_path, clips=2)
+        getattr(clips[1], name)[1] = [[1.0, 0.0], [1.0]]
+        message = entry_message("clip001", 1, f"{name} of ragged rows", "action", boxes, (2, 2))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call(clips)
+
+
+class _Built(Exception):
+    """What build_batch raises in place of building, once a check has passed."""
+
+
+def _fault_entry(entry, fault):
+    """One keyframe's per-box entry with one fault: rows are a's first axis."""
+    a = np.asarray(entry)
+    if fault == "none":
+        return None
+    if fault == "row missing":
+        return a[:-1]
+    if fault == "row extra":
+        return np.concatenate([a, a[:1]])
+    if fault == "column extra":
+        columns = a.reshape(len(a), -1)
+        return np.concatenate([columns, columns[:, :1]], axis=1)
+    if fault == "rank":
+        return a.reshape(-1) if a.ndim == 2 else a.reshape(-1, 1)
+    # ragged: a last row shorter than the others, or a class that is a list
+    rows = a.tolist()
+    return rows + [rows[-1][:-1] if a.ndim == 2 else [rows[-1]] * 2]
+
+
+ENTRY_FAULTS = ("none", "row missing", "row extra", "column extra", "rank", "ragged")
+
+
+def _action_clip_set():
+    """ragged_action_clips with action labels for their scored boxes too."""
+    clips = ragged_action_clips(3)
+    rng = np.random.default_rng(19)
+    for clip in clips:
+        clip.action_labels = [(rng.uniform(size=(len(f.fg_boxes), 3)) < 0.5).astype(float)
+                              for f in clip.frames]
+    return clips
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(task=st.sampled_from(["action", "scenegraph"]), data_=st.data())
+def test_every_entry_point_names_the_keyframe_of_an_annotation_fault(task, data_):
+    # one fault at one keyframe of a valid clip set, or none, or one column
+    # too many on every keyframe: training and the task's evaluation name
+    # exactly that clip and keyframe before building a graph, or pass
+    if task == "action":
+        clips, fields = _action_clip_set(), ["action_labels", "gt_action_labels"]
+        config = small_config(heads=2, message_fns=("nonlocal", "gat"), tau_c=3,
+                              feature_channels=4, action_classes=3)
+    else:
+        clips, fields = ragged_scenegraph_clips(), ["object_classes", "relations"]
+        config = small_config(heads=2, message_fns=("nonlocal", "gat"), tau_c=3,
+                              task="scenegraph", feature_channels=4, object_classes=3,
+                              relation_classes=3)
+    picked = data_.draw(st.lists(st.integers(0, len(clips) - 1), min_size=1,
+                                 max_size=len(clips), unique=True))
+    clips = [clips[i] for i in picked]
+    params = init_params(config)
+    calls = {"action_labels": [lambda: train_loop(clips, config, Schedule(), seed=0)],
+             "gt_action_labels": [lambda: train.evaluate_action(clips, params, config)],
+             "object_classes": [lambda: train_loop(clips, config, Schedule(), seed=0),
+                                lambda: train.evaluate_scenegraph(clips, params, config)]}
+    calls["relations"] = calls["object_classes"]
+    field = data_.draw(st.sampled_from(fields))
+    fault = data_.draw(st.sampled_from(
+        ("none",) if field == "relations" else (None, "everywhere", *ENTRY_FAULTS)))
+    c = data_.draw(st.integers(0, len(clips) - 1))
+    pos = data_.draw(st.integers(0, len(clips[c].frames) - 1))
+    if fault == "everywhere":
+        for clip in clips:
+            setattr(clip, field, [_fault_entry(y, "column extra") for y in getattr(clip, field)])
+        c = pos = 0
+    elif fault is not None:
+        getattr(clips[c], field)[pos] = _fault_entry(getattr(clips[c], field)[pos], fault)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(train, "build_batch", lambda *a: (_ for _ in ()).throw(_Built()))
+        for call in calls[field]:
+            if fault is None:
+                with pytest.raises(_Built):
+                    call()
+                continue
+            with pytest.raises(ValidationError) as err:
+                call()
+            assert re.match(rf"clip '{clips[c].clip_id}' has (no {field}|{field} of .+) at "
+                            rf"keyframe {pos}, which the {task} task reads", str(err.value))
+    if fault is None and task == "action":
+        stacked, sizes = train._check_fields(clips, config,
+                                             ("keyframe_ids", "gt_boxes", "gt_action_labels"))
+        labels = stacked["gt_action_labels"]
+        want = np.concatenate([y for clip in clips for y in clip.gt_action_labels])
+        assert labels.dtype == want.dtype and labels.tobytes() == want.tobytes()
+        assert sizes["gt_boxes"] == [len(b) for clip in clips for b in clip.gt_boxes]
 
 
 def test_evaluate_scenegraph_modes(tmp_path):
