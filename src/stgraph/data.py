@@ -4,7 +4,7 @@ A dataset is a line-delimited JSON manifest next to a directory of grid
 blobs.  The first line is a header record naming the task and class
 counts; every following line is one clip.  Grid blobs are little-endian
 float32: an 8-value header (magic, version, t, h, w, c, keyframe id,
-checksum) followed by t*h*w*c values in C order.
+checksum) followed by t*h*w*c values in C order, and nothing after them.
 
 Clips in a manifest:
 
@@ -64,35 +64,95 @@ def write_grid(path: str, values: np.ndarray, keyframe_id: int) -> None:
         f.write(arr.tobytes())
 
 
+def _check_grids(raw: np.ndarray, nbytes: int, paths: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Check grid blobs of nbytes bytes each, row j of raw holding the whole values of paths[j].
+
+    Returns each row's (t, h, w, c, keyframe id) and its payload, both as
+    float64.  Each check runs over every row at once, in this order:
+    header length, magic, version, whole-number fields, shape, size, stray
+    bytes, finiteness, checksum.  The first that fails raises a
+    ValidationError naming the first row failing it.  A float64 row sum of
+    float32 values is finite exactly when they all are, so the checksum's
+    sums also check finiteness.
+    """
+    if raw.shape[1] < 8:
+        raise ValidationError(f"{paths[0]}: truncated grid header")
+
+    def refuse(bad: np.ndarray, message) -> None:
+        if bad.any():
+            at = int(bad.argmax())
+            raise ValidationError(f"{paths[at]}: {message(raw[at])}")
+
+    def shape(row) -> tuple[int, ...]:
+        return tuple(int(v) for v in row[2:6].tolist())
+
+    refuse(raw[:, 0] != np.float32(GRID_MAGIC), lambda row: f"bad grid magic {row[0]!r}")
+    refuse(raw[:, 1] != np.float32(GRID_VERSION),
+           lambda row: f"unsupported grid version {row[1]!r}")
+    fields = raw[:, 2:7].astype(np.float64)
+    refuse(~(np.isfinite(fields) & (np.trunc(fields) == fields)).all(axis=1),
+           lambda row: f"grid shape and keyframe id must be integers, got {row[2:7].tolist()}")
+    refuse((fields[:, :4] < 1).any(axis=1), lambda row: f"invalid grid shape {shape(row)}")
+    size = raw.shape[1] - 8
+    # exact: a float64 product of whole numbers is not rounded below 2**53, nor rounded
+    # down to below it from above
+    refuse(fields[:, :4].prod(axis=1) != size,
+           lambda row: f"grid holds {size} values, header promises {math.prod(shape(row))}")
+    if nbytes % 4:
+        raise ValidationError(f"{paths[0]}: grid has {nbytes % 4} stray bytes after its values")
+    values = raw[:, 8:].astype(np.float64)
+    sums = values.sum(axis=1)  # bit for bit each row's own values.sum()
+    refuse(~np.isfinite(sums), lambda row: "grid contains non-finite values")
+    with np.errstate(over="ignore"):  # a sum beyond float32 range matches no checksum
+        refuse(sums.astype(np.float32) != raw[:, 7], lambda row: "grid checksum mismatch")
+    return fields, values
+
+
+def _grid(values: np.ndarray, fields: list[float]) -> FeatureGrid:
+    """A read-only FeatureGrid over one checked row of _check_grids."""
+    t, h, w, c, kid = (int(v) for v in fields)
+    # checked finite, so the Tensor skips its own scan
+    return FeatureGrid(values=ng._wrap(values.reshape(t, h, w, c)), keyframe_id=kid)
+
+
 def read_grid(path: str) -> FeatureGrid:
-    """Load a grid blob, verifying magic, version, shape, and checksum."""
+    """Load one grid blob, checked as _check_grids checks a row."""
     with open(path, "rb") as f:
         blob = f.read()
-    raw = np.frombuffer(blob, dtype="<f4", count=len(blob) // 4)  # as np.fromfile, drop a partial value
-    if raw.size < 8:
-        raise ValidationError(f"{path}: truncated grid header")
-    magic, version, checksum = raw[0], raw[1], raw[7]
-    if magic != np.float32(GRID_MAGIC):
-        raise ValidationError(f"{path}: bad grid magic {magic!r}")
-    if version != np.float32(GRID_VERSION):
-        raise ValidationError(f"{path}: unsupported grid version {version!r}")
-    fields = raw[2:7].tolist()  # t, h, w, c and keyframe id as Python floats
-    if not all(v.is_integer() for v in fields):  # False for NaN and infinities too
-        raise ValidationError(f"{path}: grid shape and keyframe id must be integers, got {fields}")
-    shape = tuple(int(v) for v in fields[:4])
-    if any(v < 1 for v in shape):
-        raise ValidationError(f"{path}: invalid grid shape {shape}")
-    body = raw[8:]
-    if body.size != math.prod(shape):
-        raise ValidationError(
-            f"{path}: grid holds {body.size} values, header promises {math.prod(shape)}")
-    values = body.astype(np.float64)
-    if not np.isfinite(values).all():
-        raise ValidationError(f"{path}: grid contains non-finite values")
-    if np.float32(values.sum()) != checksum:
-        raise ValidationError(f"{path}: grid checksum mismatch")
-    # checked finite just above, so the Tensor skips its own scan
-    return FeatureGrid(values=ng._wrap(values.reshape(shape)), keyframe_id=int(fields[4]))
+    raw = np.frombuffer(blob, dtype="<f4", count=len(blob) // 4).reshape(1, -1)
+    fields, values = _check_grids(raw, len(blob), [path])
+    return _grid(values[0], fields[0].tolist())
+
+
+def _read_grids(paths: list[str]) -> tuple[list[FeatureGrid], np.ndarray]:
+    """read_grid of every path, with one buffer and one _check_grids per blob length.
+
+    Each file is read straight into its own row of its length's buffer,
+    with no bytes object per file.  Returns the grids in the order of paths,
+    each a read-only view of its row of the payloads, and their rows of
+    (t, h, w, c, keyframe id).
+    """
+    sizes = np.array(list(map(os.path.getsize, paths)), dtype=np.int64)
+    lengths, group = np.unique(sizes, return_inverse=True)
+    grids: list = [None] * len(paths)
+    fields = np.empty((len(paths), 5))
+    for g, nbytes in enumerate(lengths.tolist()):
+        members = np.flatnonzero(group == g).tolist()
+        raw = np.empty((len(members), nbytes // 4), dtype="<f4")
+        got = 0
+        for row, i in zip(raw, members):
+            fd = os.open(paths[i], os.O_RDONLY)
+            try:
+                got += os.readv(fd, [row])
+            finally:
+                os.close(fd)
+        if got != raw.nbytes:
+            raise ValidationError(f"{paths[members[0]]}: a grid file changed while read")
+        checked, values = _check_grids(raw, nbytes, [paths[i] for i in members])
+        fields[members] = checked
+        for i, row, f in zip(members, values, checked.tolist()):
+            grids[i] = _grid(row, f)
+    return grids, fields
 
 
 @dataclass
@@ -195,8 +255,20 @@ def _relations_one_by_one(entries: list, nodes: int, info: DatasetInfo, here: st
     return relations
 
 
-def _parse_keyframe(obj, info: DatasetInfo, base_dir: str, where: str) -> KeyframeRecord:
-    """One keyframe's record.
+def _read_keyframe_grid(path: str, kid: int, where: str) -> FeatureGrid:
+    """read_grid of one keyframe's grid, whose header must give the manifest's keyframe id."""
+    try:
+        grid = read_grid(path)
+    except (OSError, ValidationError) as err:
+        raise ValidationError(f"{where}: {err}") from None
+    if grid.keyframe_id != kid:
+        raise ValidationError(
+            f"{where}: grid header says keyframe {grid.keyframe_id}, manifest says {kid}")
+    return grid
+
+
+def _parse_keyframe(obj, info: DatasetInfo, base_dir: str, where: str, read) -> KeyframeRecord:
+    """One keyframe's record, its grid read(path, keyframe id, where).
 
     Its relations are checked all at once, and only when that finds a
     fault entry by entry, so that the error names the first bad one.
@@ -208,13 +280,7 @@ def _parse_keyframe(obj, info: DatasetInfo, base_dir: str, where: str) -> Keyfra
         raise ValidationError(f"{where}: keyframe_id must be an integer, got {kid!r}")
     if not isinstance(obj["grid"], str) or "\0" in obj["grid"]:
         raise ValidationError(f"{where}: grid must be a file name, got {obj['grid']!r}")
-    try:
-        grid = read_grid(os.path.join(base_dir, obj["grid"]))
-    except (OSError, ValidationError) as err:
-        raise ValidationError(f"{where}: {err}") from None
-    if grid.keyframe_id != kid:
-        raise ValidationError(
-            f"{where}: grid header says keyframe {grid.keyframe_id}, manifest says {kid}")
+    grid = read(os.path.join(base_dir, obj["grid"]), kid, where)
     here = f"{where}: keyframe {kid}"
     fg_entries = _list_field(obj, "foreground", here)
     if not fg_entries:
@@ -261,6 +327,11 @@ def _parse_keyframe(obj, info: DatasetInfo, base_dir: str, where: str) -> Keyfra
 def load_dataset(manifest_path: str) -> tuple[DatasetInfo, list[ClipRecord]]:
     """Parse a manifest and load every referenced grid.
 
+    One walk over the lines checks every record, and the grids are then
+    read and checked as one array per blob length, their keyframe ids
+    against the manifest's and their (h, w, c) against the first's.  Only
+    when that finds a fault does a second walk read them keyframe by
+    keyframe, so that the error names the first fault in manifest order.
     Errors carry the manifest path and line number of the offending record.
     """
     base_dir = os.path.dirname(os.path.abspath(manifest_path))
@@ -269,7 +340,30 @@ def load_dataset(manifest_path: str) -> tuple[DatasetInfo, list[ClipRecord]]:
             lines = f.read().splitlines()
     except OSError as err:
         raise ValidationError(f"cannot read manifest: {err}") from None
+    try:
+        paths = []
+        info, clips = _walk(manifest_path, lines, base_dir,
+                            lambda path, kid, where: paths.append(path))
+        grids, fields = _read_grids(paths)
+        keyframes = [kf for clip in clips for kf in clip.keyframes]
+        if (fields[:, 4].tolist() != [kf.keyframe_id for kf in keyframes]
+                or (fields[:, 1:4] != fields[0, 1:4]).any()):
+            raise ValidationError(f"{manifest_path}: grid keyframe ids or (h, w, c) differ")
+    except (OSError, ValidationError):
+        return _walk(manifest_path, lines, base_dir, _read_keyframe_grid)
+    for kf, grid in zip(keyframes, grids):
+        kf.grid = grid
+    info.grid_shape = grids[0].shape[1:]
+    return info, clips
 
+
+def _walk(manifest_path: str, lines: list[bytes], base_dir: str,
+          read) -> tuple[DatasetInfo, list[ClipRecord]]:
+    """The manifest's records, each checked in turn, keyframe grids from read(path, id, where).
+
+    A read that returns a grid has its (h, w, c) checked against the
+    first's here; one that returns None leaves grid and grid_shape None.
+    """
     info: DatasetInfo | None = None
     clips: list[ClipRecord] = []
     seen_ids: set[str] = set()
@@ -320,18 +414,19 @@ def load_dataset(manifest_path: str) -> tuple[DatasetInfo, list[ClipRecord]]:
         keyframes = []
         last_id = None
         for kf_obj in kf_objs:
-            kf = _parse_keyframe(kf_obj, info, base_dir, f"{where}: clip {clip_id}")
+            kf = _parse_keyframe(kf_obj, info, base_dir, f"{where}: clip {clip_id}", read)
             if last_id is not None and kf.keyframe_id <= last_id:
                 raise ValidationError(
                     f"{where}: clip {clip_id}: keyframe ids must be strictly increasing "
                     f"({last_id} then {kf.keyframe_id})")
             last_id = kf.keyframe_id
-            t, h, w, c = kf.grid.shape
-            if grid_shape is None:
-                grid_shape = (h, w, c)
-            elif grid_shape != (h, w, c):
-                raise ValidationError(
-                    f"{where}: clip {clip_id}: grid (h, w, c) {(h, w, c)} differs from {grid_shape}")
+            if kf.grid is not None:
+                t, h, w, c = kf.grid.shape
+                if grid_shape is None:
+                    grid_shape = (h, w, c)
+                elif grid_shape != (h, w, c):
+                    raise ValidationError(f"{where}: clip {clip_id}: grid (h, w, c) {(h, w, c)} "
+                                          f"differs from {grid_shape}")
             keyframes.append(kf)
         clips.append(ClipRecord(clip_id=clip_id, keyframes=keyframes))
     if info is None:

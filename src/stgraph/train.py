@@ -342,11 +342,12 @@ def _over_runs(score, clips: list[ClipFeatures], params, config: ModelConfig) ->
 
 
 # the per-keyframe fields whose entries are checked: the boxes giving an
-# entry's rows and a row's shape under a config, or (None, None) for any sized entry
+# entry's rows, or None for any number of rows, and a row's shape under a
+# config, or None for any sized entry
 _ENTRIES = {"action_labels": ("fg_boxes", lambda config: (config.action_classes,)),
             "gt_action_labels": ("gt_boxes", lambda config: (config.action_classes,)),
             "object_classes": ("fg_boxes", lambda config: ()),
-            "gt_boxes": (None, None), "relations": (None, None)}
+            "gt_boxes": (None, None), "relations": (None, lambda config: (3,))}
 
 
 def _check_fields(clips: list[ClipFeatures], config: ModelConfig,
@@ -354,14 +355,15 @@ def _check_fields(clips: list[ClipFeatures], config: ModelConfig,
     """Check fields names of every clip; return the per-box fields' stacks and the entry sizes.
 
     Each clip needs keyframes and each field one entry per keyframe; an
-    entry in _ENTRIES must be sized, and one row per box of the row shape
-    where the field has boxes (gt_boxes go first in names).  No Python
-    runs per keyframe while they hold: map(len) counts rows, and one
-    np.concatenate per per-box field gives its columns and its stack.  A
-    fault is named by a walk over the keyframes: "clip C has WHAT at
+    entry in _ENTRIES must be sized, hold one row per box of the row shape
+    where the field has boxes (gt_boxes go first in names), and rows of
+    the row's length where it has a row shape alone.  No Python runs per
+    keyframe while they hold: map(len) counts rows and measures rows, and
+    one np.concatenate per per-box field gives its columns and its stack.
+    A fault is named by a walk over the keyframes: "clip C has WHAT at
     keyframe K, which the TASK task reads", WHAT being "no F", "F of
     ragged rows" or "F of shape S", plus " as shape (n, ...) for its n
-    BOXES" for a per-box field.
+    BOXES" for a per-box field or " as rows of shape R" for rows alone.
     """
     for clip in clips:
         if not clip.frames:
@@ -388,6 +390,10 @@ def _check_fields(clips: list[ClipFeatures], config: ModelConfig,
                 stacked[name] = np.concatenate(entries)
                 if sizes[name] != sizes[boxes] or stacked[name].shape[1:] != row(config):
                     raise ValueError
+            # rows alone have a 1-d shape, so a row's length is all there is to check
+            elif row is not None and not set(map(len, chain.from_iterable(entries))) <= set(
+                    row(config)):
+                raise ValueError
         return stacked, sizes
     except (TypeError, ValueError) as err:
         fault = f"the {name} entries do not stack: {err}"
@@ -395,19 +401,23 @@ def _check_fields(clips: list[ClipFeatures], config: ModelConfig,
         for pos, frame in enumerate(clip.frames):
             for name in filter(_ENTRIES.__contains__, names):
                 boxes, row = _ENTRIES[name]
-                entry, want, tail = getattr(clip, name)[pos], None, ""
-                if boxes is not None:
-                    n = len(frame.fg_boxes if boxes == "fg_boxes" else clip.gt_boxes[pos])
-                    want = (n, *row(config))
-                    tail = f" as shape {want} for its {n} {boxes}"
+                entry, tail = getattr(clip, name)[pos], ""
                 try:
                     shape = np.shape(entry)
                 except ValueError:
-                    shape = "ragged"
+                    shape = None  # ragged
                 # None has shape (), as an unsized entry does
-                if shape == () if want is None else shape != want:
+                fits = shape != ()
+                if boxes is not None:
+                    n = len(frame.fg_boxes if boxes == "fg_boxes" else clip.gt_boxes[pos])
+                    fits = shape == (n, *row(config))
+                    tail = f" as shape {(n, *row(config))} for its {n} {boxes}"
+                elif row is not None:  # no rows has shape (0,)
+                    fits = shape == (0,) or shape is not None and shape[1:] == row(config)
+                    tail = f" as rows of shape {row(config)}"
+                if not fits:
                     what = (f"no {name}" if entry is None else f"{name} of ragged rows"
-                            if shape == "ragged" else f"{name} of shape {shape}")
+                            if shape is None else f"{name} of shape {shape}")
                     raise ValidationError(f"clip {clip.clip_id!r} has {what} at keyframe {pos}, "
                                           f"which the {config.task} task reads{tail}")
     raise ValidationError(fault)

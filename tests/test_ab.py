@@ -140,3 +140,34 @@ def test_ab_names_the_build_whose_layout_differs(tmp_path):
                          timeout=600)
     assert run.returncode == 1 and not run.stderr, run.stderr
     assert "graph layouts: DIFFER on build-eval, build-train" in run.stdout.splitlines()
+
+
+def test_ab_times_set_up_and_compares_it():
+    run = subprocess.run([sys.executable, TOOL, ROOT, ROOT, "--workload", "temporal",
+                          "--rounds", "1", "--ops", "setup"], capture_output=True, text=True,
+                         timeout=600)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[:5] == [f"{what}: identical" for what in (
+        "trained parameters", "forward outputs", "gradients", "evaluation report", "set-up")]
+    rows = [line.split() for line in lines[6:]]
+    assert [row[0] for row in rows] == ["setup"]
+    assert float(rows[0][1]) > 0.0 and float(rows[0][2]) > 0.0
+
+
+def test_ab_names_the_set_up_parts_that_differ(tmp_path):
+    # a copy of the tree that reads each grid's first value one higher
+    # loads the same records with other grid bytes and features
+    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src")
+    data = tmp_path / "src" / "stgraph" / "data.py"
+    source = data.read_text()
+    assert source.count("ng._wrap(values.reshape(t, h, w, c))") == 1
+    data.write_text(source.replace("ng._wrap(values.reshape(t, h, w, c))",
+                                   "ng._wrap((values + (np.arange(values.size) == 0))"
+                                   ".reshape(t, h, w, c))"))
+    run = subprocess.run([sys.executable, TOOL, str(tmp_path), ROOT, "--workload", "overfit",
+                          "--rounds", "1", "--ops", "setup"], capture_output=True, text=True,
+                         timeout=600)
+    assert run.returncode == 1 and not run.stderr, run.stderr
+    assert ("set-up: DIFFER on grid bytes, fg_feats, ctx_feats, prop_feats"
+            in run.stdout.splitlines())

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from stgraph import data
 from stgraph.data import (GRID_MAGIC, GRID_VERSION, DatasetInfo, load_dataset, one_hot, read_grid,
                           relation_target_matrix, save_dataset, write_grid)
 from stgraph.errors import ValidationError
-from stgraph.graph import Box
+from stgraph.graph import Box, FeatureGrid
 from stgraph.heads import pair_index
+from stgraph.numgrad import Tensor
 
+import reference_load
 from json_fuzz import json_values, pick_path, set_at
 
 
@@ -72,6 +75,20 @@ def test_grid_rejects_truncation(tmp_path):
     open(path, "wb").write(raw[:-4])
     with pytest.raises(ValidationError):
         read_grid(path)
+
+
+@pytest.mark.parametrize("extra", [1, 2, 3])
+def test_grid_with_stray_trailing_bytes_is_refused(tmp_path, extra):
+    # a partial value after the payload used to be dropped without a word
+    path = make_manifest(tmp_path, [HEADER, clip_obj(tmp_path)])
+    grid = str(tmp_path / "grids" / "c0_k0.grid")
+    with open(grid, "ab") as f:
+        f.write(bytes(extra))
+    message = f"{grid}: grid has {extra} stray bytes after its values"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        read_grid(grid)
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}:2: clip c0: {message}')}$"):
+        load_dataset(path)
 
 
 def make_manifest(tmp_path, lines):
@@ -564,3 +581,211 @@ def test_manifest_rejects_huge_box_coordinate_and_nul_grid_name(tmp_path):
         path = make_manifest(tmp_path, [HEADER, clip])
         with pytest.raises(ValidationError, match=f"^{path}:2: clip c0"):
             load_dataset(path)
+
+
+# -- the at-once loader against the keyframe-by-keyframe oracle
+
+def _write_dataset(out: str, task: str, rng: np.random.Generator) -> str:
+    """A save_dataset of 1-3 clips of 1-3 keyframes, with t of 1 or 2 and boxes of every kind."""
+    info = (DatasetInfo(task="action", action_classes=3) if task == "action" else
+            DatasetInfo(task="scenegraph", object_classes=3, relation_classes=2))
+    clips = []
+    for c in range(int(rng.integers(1, 4))):
+        keyframes, kid = [], int(rng.integers(0, 3))
+        for _ in range(int(rng.integers(1, 4))):
+            n = int(rng.integers(1, 4))
+            grid = rng.normal(size=(int(rng.integers(1, 3)), 2, 3, 2)).astype(np.float32)
+            corners = rng.uniform(0.0, 0.5, size=(n + 3, 2)).tolist()
+            boxes = [Box(x, y, x + 0.4, y + 0.4) for x, y in corners]
+            relations = [(s, o, int(rng.integers(2))) for s, o in pair_index(n)
+                         if rng.uniform() < 0.5]
+            keyframes.append(data.KeyframeRecord(
+                keyframe_id=kid, grid=FeatureGrid(values=Tensor(grid), keyframe_id=kid),
+                fg_boxes=boxes[:n],
+                action_labels=(rng.uniform(size=(n, 3)) < 0.5).astype(float)
+                if task == "action" else None,
+                object_classes=rng.integers(0, 3, size=n) if task == "scenegraph" else None,
+                relations=relations if task == "scenegraph" else [],
+                proposals=boxes[n:n + int(rng.integers(0, 2))],
+                detections=boxes[n + 1:n + 1 + int(rng.integers(0, 3))]))
+            kid += int(rng.integers(1, 3))
+        clips.append(data.ClipRecord(clip_id=f"c{c}", keyframes=keyframes))
+    return save_dataset(out, info, clips)
+
+
+def _set_grid_field(index: int, value=None, by: float = 0.0):
+    """A fault that sets one float32 of a grid file to value, or moves it by by."""
+    def fault(path: str) -> None:
+        raw = np.fromfile(path, dtype="<f4")
+        raw[index] = raw[index] + by if value is None else value
+        raw.tofile(path)
+    return fault
+
+
+def _cut_grid(keep):
+    """A fault that keeps the first keep(n) of a grid file's n bytes."""
+    def fault(path: str) -> None:
+        with open(path, "rb") as f:
+            blob = f.read()
+        with open(path, "wb") as f:
+            f.write(blob[:keep(len(blob))])
+    return fault
+
+
+def _widen_grid(path: str) -> None:
+    """Rewrite a grid file with one more row of cells, (h + 1, w, c)."""
+    raw = np.fromfile(path, dtype="<f4")
+    t, h, w, c = (int(v) for v in raw[2:6])
+    write_grid(path, np.zeros((t, h + 1, w, c)), keyframe_id=int(raw[6]))
+
+
+# each a fault of the grid file at a path: one per check of read_grid, and
+# the two load_dataset adds (the header's keyframe id, one (h, w, c))
+GRID_FAULTS = {
+    "magic": _set_grid_field(0, 1.0),
+    "version": _set_grid_field(1, 2.0),
+    "shape not whole": _set_grid_field(3, 2.5),
+    "keyframe id not whole": _set_grid_field(6, by=0.5),
+    "NaN shape field": _set_grid_field(2, float("nan")),
+    "size": _cut_grid(lambda n: n - 4),
+    "short header": _cut_grid(lambda n: 20),
+    "non-finite value": _set_grid_field(-1, float("inf")),
+    "NaN value": _set_grid_field(8, float("nan")),
+    "checksum": _set_grid_field(7, by=1.0),
+    "header keyframe id": _set_grid_field(6, by=1.0),
+    "another (h, w, c)": _widen_grid,
+    "missing file": os.remove,
+}
+
+
+def _relations(kf: dict, rows) -> None:
+    kf["relations"] = rows
+
+
+# each a fault of one keyframe's manifest entry, by the loader's messages
+KEYFRAME_FAULTS = {
+    "no grid": lambda kf: kf.pop("grid"),
+    "keyframe id not an integer": lambda kf: kf.update(keyframe_id=1.5),
+    "grid not a file name": lambda kf: kf.update(grid=3),
+    "NUL in grid name": lambda kf: kf.update(grid=kf["grid"] + "\x00"),
+    "foreground not a list": lambda kf: kf.update(foreground={}),
+    "no foreground": lambda kf: kf.update(foreground=[]),
+    "foreground entry not an object": lambda kf: kf["foreground"].__setitem__(0, 1),
+    "box not four numbers": lambda kf: kf["foreground"][0].update(box=[0.1, 0.1, 0.5]),
+    "inverted box": lambda kf: kf["foreground"][-1].update(box=[0.5, 0.1, 0.2, 0.5]),
+    "box beyond 1": lambda kf: kf["foreground"][0].update(box=[0.1, 0.1, 1.5, 0.5]),
+    "annotation count": lambda kf: kf["foreground"][-1].update(labels=[1], object_class=3),
+    "annotation value": lambda kf: kf["foreground"][0].update(labels=[2, 0, 1],
+                                                              object_class=True),
+    "relation not a triple": lambda kf: _relations(kf, [[1, 0]]),
+    "relation object after subject": lambda kf: _relations(kf, [[0, 1, 0]]),
+    "predicate out of range": lambda kf: _relations(kf, [[1, 0, 2]]),
+    "relation listed twice": lambda kf: _relations(kf, [[1, 0, 1], [1, 0, 1]]),
+    "relations not a list": lambda kf: _relations(kf, 0),
+    "proposal box": lambda kf: kf.update(proposals=[[0.1, 0.1, 0.5, 1.5]]),
+    "detection box": lambda kf: kf.update(detections=[[0.1, 0.6, 0.5, 0.2]]),
+    "detections not a list": lambda kf: kf.update(detections="box"),
+}
+
+# each a fault of the clip line holding the keyframe, or of the header line
+LINE_FAULTS = {
+    "unknown record kind": lambda clip, header: clip.update(record="clips"),
+    "no clip id": lambda clip, header: clip.pop("clip_id", None),
+    "duplicate clip id": lambda clip, header: clip.update(clip_id="c0"),
+    "no keyframes": lambda clip, header: clip.update(keyframes=[]),
+    "unknown task": lambda clip, header: header.update(task="detection"),
+    "manifest version": lambda clip, header: header.update(version=2),
+    "class count": lambda clip, header: header.update(action_classes=0, object_classes=0),
+}
+TEXT_FAULTS = {"invalid JSON": lambda line: line[:-1], "not an object": lambda line: "[]"}
+# keyframe ids that do not increase need the grid header to agree, or that fault comes first
+ORDER_FAULT = "keyframe ids not increasing"
+FAULTS = sorted([*GRID_FAULTS, *KEYFRAME_FAULTS, *LINE_FAULTS, *TEXT_FAULTS, ORDER_FAULT])
+
+
+def _inject(out: str, manifest: str, faults: list[tuple[str, int]]) -> None:
+    """Each (fault, at) at keyframe at (mod their count) of the dataset saved in out.
+
+    A fault at a keyframe that already has one is left out.
+    """
+    with open(manifest) as f:
+        header, *clips = [json.loads(line) for line in f]
+    spots = [(clip, kf, os.path.join(out, kf["grid"]))
+             for clip in clips for kf in clip["keyframes"]]
+    texts, used = {}, set()
+    for fault, at in faults:
+        if at % len(spots) in used:
+            continue
+        used.add(at % len(spots))
+        clip, kf, grid = spots[at % len(spots)]
+        if fault in GRID_FAULTS:
+            GRID_FAULTS[fault](grid)
+        elif fault in KEYFRAME_FAULTS:
+            KEYFRAME_FAULTS[fault](kf)
+        elif fault in LINE_FAULTS:
+            LINE_FAULTS[fault](clip, header)
+        elif fault in TEXT_FAULTS:
+            texts[clips.index(clip) + 1] = TEXT_FAULTS[fault]
+        else:
+            kf["keyframe_id"] = -1
+            _set_grid_field(6, -1.0)(grid)
+    lines = [json.dumps(obj) for obj in (header, *clips)]
+    with open(manifest, "w") as f:
+        f.write("\n".join(texts.get(i, lambda line: line)(line) for i, line in enumerate(lines))
+                + "\n")
+
+
+def _loaded(manifest: str, load):
+    """What load gives for the manifest: its records as repr and grid bytes, or its message."""
+    try:
+        info, clips = load(manifest)
+    except ValidationError as err:
+        return str(err)
+    grids = [kf.grid.values.data for clip in clips for kf in clip.keyframes]
+    return repr((info, clips)), [(g.dtype, g.shape, g.tobytes(), g.flags.writeable) for g in grids]
+
+
+@pytest.mark.parametrize("fault", [None, *FAULTS])
+@settings(max_examples=8, derandomize=True, deadline=None, database=None)
+@given(task=st.sampled_from(["action", "scenegraph"]), seed=st.integers(0, 2 ** 16),
+       at=st.integers(0, 10 ** 4),
+       more=st.lists(st.tuples(st.sampled_from(FAULTS), st.integers(0, 10 ** 4)), max_size=2))
+def test_manifests_load_as_the_keyframe_by_keyframe_reader_loads_them(fault, task, seed, at, more):
+    # 0 to 3 faults, fault among them: the same records and grid bytes, or
+    # the same first fault; and a manifest that loads never reaches the
+    # keyframe-by-keyframe reader
+    with tempfile.TemporaryDirectory() as out:
+        manifest = _write_dataset(out, task, np.random.default_rng(seed))
+        _inject(out, manifest, ([] if fault is None else [(fault, at)]) + more)
+        want = _loaded(manifest, reference_load.load_dataset)
+        read = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data, "read_grid", lambda path, read_grid=data.read_grid: (
+                read.append(path), read_grid(path))[1])
+            got = _loaded(manifest, load_dataset)
+    assert got == want
+    if not isinstance(got, str):
+        assert not read
+        assert all(not writeable for *_, writeable in got[1])
+
+
+def test_fault_free_datasets_load_without_the_keyframe_by_keyframe_reader(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "read_grid", lambda path: pytest.fail(f"read {path} alone"))
+    for manifest in (data.synth_action_overfit(str(tmp_path / "a"), clips=3),
+                     data.synth_temporal_pairs(str(tmp_path / "t"), clips=3),
+                     data.synth_scenegraph(str(tmp_path / "s"), clips=3)):
+        info, clips = load_dataset(manifest)
+        assert len(clips) == 3 and info.grid_shape is not None
+
+
+@pytest.mark.parametrize("size", [*range(1, 301), 24, 256, 6272])
+def test_row_sums_are_each_rows_own_sum_bit_for_bit(size):
+    # the at-once checksum sums each row of a (grids, values) array, where
+    # read_grid and write_grid sum one grid's values; sizes 24, 256 and
+    # 6272 are the temporal, overfit and wide workloads' grids
+    rng = np.random.default_rng(size)
+    raw = (rng.normal(size=(5, size)) * 10.0 ** rng.integers(-3, 30, size=(5, 1))).astype("<f4")
+    values = raw.astype(np.float64)
+    sums = values.sum(axis=1)
+    for row, total in zip(raw, sums):
+        assert row.astype(np.float64).sum().tobytes() == total.tobytes()

@@ -584,6 +584,40 @@ def test_ragged_labels_name_their_keyframe(tmp_path, monkeypatch):
             call(clips)
 
 
+@pytest.mark.parametrize("relations,what", [
+    ([(1, 0), (2, 0, 1, 1)], "ragged rows"),  # read as two shifted triples, R@1 0.25
+    ([(1, 0)], "shape (1, 2)"),                # stopped in numpy's reshape
+    ([(1, 0, 2, 1)], "shape (1, 4)"),
+    ([(1, 0, 2), 5], "ragged rows"),
+    ([[]], "shape (1, 0)"),
+])
+def test_relation_rows_need_three_entries(monkeypatch, relations, what):
+    # they passed the check; training stopped in relation_target_matrix unpacking them
+    config = small_config(heads=2, message_fns=("nonlocal", "gat"), tau_c=3, task="scenegraph",
+                          feature_channels=4, object_classes=3, relation_classes=3)
+    monkeypatch.setattr(train, "build_batch", lambda *a: pytest.fail("built a graph"))
+    clips = ragged_scenegraph_clips()
+    clips[1].relations[2] = relations
+    message = (f"clip 'c1' has relations of {what} at keyframe 2, which the scenegraph task "
+               f"reads as rows of shape (3,)")
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        train.evaluate_scenegraph(clips, init_params(config), config, ks=(1,))
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        train_loop(clips, config, Schedule().scaled(1.0), seed=0)
+
+
+def test_relations_may_hold_no_rows(monkeypatch):
+    config = small_config(heads=2, message_fns=("nonlocal", "gat"), tau_c=3, task="scenegraph",
+                          feature_channels=4, object_classes=3, relation_classes=3)
+    monkeypatch.setattr(train, "build_batch", lambda *a: (_ for _ in ()).throw(_Built()))
+    clips = ragged_scenegraph_clips()
+    clips[0].relations[0], clips[1].relations[0] = [], np.zeros((0, 3), dtype=int)
+    with pytest.raises(_Built):
+        train_loop(clips, config, Schedule().scaled(1.0), seed=0)
+    with pytest.raises(_Built):
+        train.evaluate_scenegraph(clips, init_params(config), config, ks=(1,))
+
+
 class _Built(Exception):
     """What build_batch raises in place of building, once a check has passed."""
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """In-process A/B of two source trees on one perfbench workload.
 
-    python tools/ab.py OLD NEW --workload wide --rounds 15 [--seed 5] [--ops eval,train,build]
+    python tools/ab.py OLD NEW --workload wide --rounds 15 [--seed 5] [--ops eval,train,build,setup]
 
 OLD and NEW are checkouts of this repository (each with src/stgraph).  Both
 packages are imported into one process, side by side, and the workload's
@@ -21,6 +21,11 @@ the per-round ratios NEW/OLD and how many rounds NEW won.
 mean of BUILD_REPEATS builds per round.  It first says whether the two
 trees lay both graphs out alike: the same where, block positions,
 layout slices and shapes, and gather rows and plans.
+
+--ops setup times what perfbench's set-up times of the data:
+data.load_dataset and featurize_clip of both manifests, per round.  It
+first says whether the two trees set up alike: records equal in repr,
+the same grid bytes, and the same fg_feats, ctx_feats and prop_feats.
 
 It is for sizing a change and bisecting a slowdown: the two sides of a
 pair run moments apart in one process, so a slow spell of a shared host
@@ -45,6 +50,8 @@ MODULES = ("data", "graph", "heads", "numgrad", "passing", "train")
 OPERATIONS = ("forward", "fwdbwd", "eval", "train")
 BUILDS = ("build-eval", "build-train")
 BUILD_REPEATS = 20
+SETUP = "setup"
+FEATURES = ("fg_feats", "ctx_feats", "prop_feats")
 
 
 def _purge(*names: str) -> None:
@@ -73,20 +80,28 @@ class Tree:
     def __init__(self, root: str, workload, manifests: tuple[str, str], seed: int, workloads):
         self.lib = SimpleNamespace(**dict(zip(MODULES, _import(
             [os.path.join(root, "src")], [f"stgraph.{m}" for m in MODULES]))))
-        data, train = self.lib.data, self.lib.train
+        train = self.lib.train
         self.config = self.lib.passing.ModelConfig(seed=seed, **workload.config)
         self.schedule = train.Schedule().scaled(workload.schedule.total_epochs)
         self.seed, self.workloads, self.workers = seed, workloads, workload.eval_workers
-        info, records = data.load_dataset(manifests[0])
-        self.train_clips = [data.featurize_clip(r, info, mode=data.TRAIN_MODE) for r in records]
-        info, records = data.load_dataset(manifests[1])
-        self.eval_clips = [data.featurize_clip(r, info, mode=data.EVAL_MODE) for r in records]
+        self.manifests = manifests
+        (_, self.train_clips), (_, self.eval_clips) = self.set_up()
         self.params = self.train()
         # the graphs --ops build lays out: the first evaluation run, the first training batch
         batch = train.effective_batch_size(self.workloads.BATCH_SIZE, self.config.tau_c)
         self.batches = {"build-eval": [c.frames for c in train.eval_runs(self.eval_clips,
                                                                          self.config)[0]],
                         "build-train": [c.frames for c in self.train_clips[:batch]]}
+
+    def set_up(self) -> list[tuple[tuple, list]]:
+        """Each manifest's (info, records) and featurized clips: training's, then held-out's."""
+        data = self.lib.data
+        out = []
+        for manifest, mode in zip(self.manifests, (data.TRAIN_MODE, data.EVAL_MODE)):
+            info, records = data.load_dataset(manifest)
+            out.append(((info, records), [data.featurize_clip(r, info, mode=mode)
+                                          for r in records]))
+        return out
 
     def train(self):
         return self.lib.train.train_loop(self.train_clips, self.config, self.schedule,
@@ -140,9 +155,12 @@ class Tree:
 
     def timed(self, operation: str) -> float:
         """Seconds of one operation: forward and fwdbwd per clip, eval and train per run,
-        build-eval and build-train per build.
+        build-eval and build-train per build, setup per set-up of both manifests.
         """
         started = perf_counter()
+        if operation == SETUP:
+            self.set_up()
+            return perf_counter() - started
         if operation in BUILDS:
             for _ in range(BUILD_REPEATS):
                 self.lib.graph.build_batch(self.batches[operation], self.params, self.config)
@@ -190,6 +208,22 @@ def layouts(old: Tree, new: Tree) -> str | None:
     return f"DIFFER on {', '.join(differ)}" if differ else None
 
 
+def set_ups(old: Tree, new: Tree) -> str | None:
+    """None when the two trees set up both manifests alike, else which parts differ."""
+    def parts(tree: Tree) -> dict:
+        loaded = tree.set_up()
+        frames = [f for _, clips in loaded for clip in clips for f in clip.frames]
+        arrays = {name: [None if a is None else (a.shape, a.tobytes())
+                         for a in (getattr(f, name) for f in frames)] for name in FEATURES}
+        return {"records": repr([records for records, _ in loaded]),
+                "grid bytes": [kf.grid.values.data.tobytes() for (_, records), _ in loaded
+                               for clip in records for kf in clip.keyframes], **arrays}
+
+    a, b = parts(old), parts(new)
+    differ = [what for what in a if a[what] != b[what]]
+    return f"DIFFER on {', '.join(differ)}" if differ else None
+
+
 def rounds(old: Tree, new: Tree, count: int,
            ops=OPERATIONS) -> dict[str, list[tuple[float, float]]]:
     """(OLD seconds, NEW seconds) per round and operation, alternating which goes first."""
@@ -213,14 +247,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="input and model seed (default 0)")
     parser.add_argument("--ops", default=",".join(OPERATIONS),
                         help=f"comma-separated operations to time, of {','.join(OPERATIONS)} "
-                             "and build (default all but build)")
+                             "build and setup (default all but build and setup)")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     ops = args.ops.split(",")
-    unknown = [op for op in ops if op not in OPERATIONS + ("build",)]
+    unknown = [op for op in ops if op not in OPERATIONS + ("build", SETUP)]
     if unknown:
-        parser.error(f"unknown --ops {unknown}; choose from {','.join(OPERATIONS)},build")
+        parser.error(f"unknown --ops {unknown}; choose from {','.join(OPERATIONS)},build,setup")
     old_root, new_root = (os.path.abspath(p) for p in (args.old, args.new))
     bench_dir = os.path.join(new_root, "perfbench")
     with tempfile.TemporaryDirectory(prefix="ab-") as workdir:
@@ -232,14 +266,17 @@ def main(argv=None) -> int:
         manifests = workload.make_inputs(workdir, args.seed)
         old = Tree(old_root, workload, manifests, args.seed, workloads)
         new = Tree(new_root, workload, manifests, args.seed, workloads)
-    differ = identity(old, new)
-    for what, how in differ.items():
-        print(f"{what}: {'identical' if how is None else 'DIFFER, ' + how}")
-    if "build" in ops:
-        differ["graph layouts"] = layouts(old, new)
-        print(f"graph layouts: {differ['graph layouts'] or 'identical'}")
-    times = rounds(old, new, args.rounds, [op for op in OPERATIONS if op in ops]
-                   + [op for op in BUILDS if "build" in ops])
+        differ = identity(old, new)
+        for what, how in differ.items():
+            print(f"{what}: {'identical' if how is None else 'DIFFER, ' + how}")
+        if "build" in ops:
+            differ["graph layouts"] = layouts(old, new)
+            print(f"graph layouts: {differ['graph layouts'] or 'identical'}")
+        if SETUP in ops:
+            differ["set-up"] = set_ups(old, new)
+            print(f"set-up: {differ['set-up'] or 'identical'}")
+        times = rounds(old, new, args.rounds, [op for op in OPERATIONS if op in ops]
+                       + [op for op in BUILDS if "build" in ops] + [SETUP] * (SETUP in ops))
     print(f"{'operation':<11} {'old ms':>10} {'new ms':>10} {'new/old':>8} {'new won':>8}")
     for op, pairs in times.items():
         print(f"{op:<11} {1e3 * statistics.median(a for a, _ in pairs):>10.3f} "
